@@ -4,14 +4,25 @@ fiber element, H-decoration), their action and composition, and the
 isomorphism onto the twisted-product bundle.
 
 Transport solves g'(u)·g(u)^-1 = -A(gamma'(u)), g(0) = e, by midpoint
-exponential Euler: each substep left-multiplies by exp(-A(midpoint) applied
-to the substep displacement). Factors stay exactly orthogonal because the
-exponential of a skew matrix is computed in closed form.
+exponential Euler. Each segment [a, b] of a directly-sampled path is split
+into `steps` equal substeps of displacement d; A is evaluated at all the
+midpoints a + (j+1/2)·d in one batched call, the factors
+f[j] = exp(-A(mid_j)·d) are formed together in closed form (the angle for
+SO(2), Rodrigues for SO(3)) and kept as f[j] - I, and their ordered product
+f[steps-1]···f[0] is taken by pairwise tree reduction, the later factor always
+on the left. Carrying f - I keeps transports orthogonal to about 1e-15 even
+over thousands of substeps. Segment products are then left-folded in path
+order.
 
 Transport of a composed path is the product of the transports of its pieces
 by construction: SampledPath records composition as a binary tree and the
-integrator recurses over it, so the twist homomorphism law holds bit-for-bit
-on composites.
+integrator recurses over it. Because a segment's factor depends only on its
+own endpoints and `steps`, these hold bit-for-bit: a composite equals the
+product of its pieces (the twist homomorphism law, Eq 6.18), a multi-segment
+leaf equals the ordered product of its single-segment leaves, and a zero
+connection gives exactly the identity. The pairwise product reassociates the
+substep product, so it matches a sequential left-multiplying loop only to
+roundoff (within 1e-12).
 """
 from __future__ import annotations
 
@@ -23,7 +34,7 @@ import numpy as np
 
 from .basecat import PathCategory, SampledPath, compose_paths, constant_path
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
-from .groups import StructuralError, is_skew, skew_exp
+from .groups import StructuralError, is_skew, skew_expm1_batch
 from .report import LawReport, run_law
 from .twisted import EtaMap, TwistedBundle, TwistedMorphism
 
@@ -43,24 +54,26 @@ class Connection(object):
         self.group_dim = group_dim
         self.base_dim = base_dim
         self.family = family
-        self.constant = [np.asarray(c, dtype=float) for c in constant]
-        if len(self.constant) != base_dim:
+        constant = [np.asarray(c, dtype=float) for c in constant]
+        if len(constant) != base_dim:
             raise StructuralError("need one coefficient matrix per base coordinate")
-        for c in self.constant:
+        for c in constant:
             if c.shape != (group_dim, group_dim) or not is_skew(c):
                 raise StructuralError("connection coefficients must be skew matrices")
+        # stacked once: constant[k] and linear[k, l] are (group_dim, group_dim)
+        self.constant = np.array(constant).reshape(base_dim, group_dim, group_dim)
+        self.linear = None
         if family == "linear":
             if linear is None:
                 raise StructuralError("linear family needs position coefficients")
-            self.linear = [[np.asarray(m, dtype=float) for m in row] for row in linear]
-            if len(self.linear) != base_dim or any(len(row) != base_dim for row in self.linear):
+            linear = [[np.asarray(m, dtype=float) for m in row] for row in linear]
+            if len(linear) != base_dim or any(len(row) != base_dim for row in linear):
                 raise StructuralError("linear coefficients must form a base_dim x base_dim grid")
-            for row in self.linear:
+            for row in linear:
                 for m in row:
                     if m.shape != (group_dim, group_dim) or not is_skew(m):
                         raise StructuralError("linear coefficients must be skew matrices")
-        else:
-            self.linear = None
+            self.linear = np.array(linear).reshape(base_dim, base_dim, group_dim, group_dim)
 
     @staticmethod
     def zero(group_dim: int, base_dim: int) -> "Connection":
@@ -68,34 +81,51 @@ class Connection(object):
         return Connection(group_dim, base_dim, "constant", z)
 
     def evaluate(self, point: np.ndarray, vector: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.group_dim, self.group_dim))
-        for k in range(self.base_dim):
-            coeff = self.constant[k]
-            if self.linear is not None:
-                coeff = coeff + sum(point[l] * self.linear[k][l] for l in range(self.base_dim))
-            out = out + vector[k] * coeff
-        if not is_skew(out, tol=1e-10):
+        """A(point) applied to `vector`: sum over k of vector[k] times
+        (constant[k] + sum over l of point[l]·linear[k, l]). `point` is one
+        point (base_dim,) giving an (n, n) value, or a batch (s, base_dim)
+        sharing the one vector, giving an (s, n, n) stack. Raises
+        StructuralError when any value is not skew to 1e-10."""
+        n, dim = self.group_dim, self.base_dim
+        point = np.asarray(point, dtype=float)
+        shape = point.shape[:-1] + (n, n)
+        out = (vector @ self.constant.reshape(dim, n * n)).reshape(n, n)
+        if self.linear is None:
+            out = np.broadcast_to(out, shape)
+        else:
+            per_point = (vector @ self.linear.reshape(dim, dim * n * n)).reshape(dim, n * n)
+            out = out + (point @ per_point).reshape(shape)
+        if not np.max(np.abs(out + np.swapaxes(out, -1, -2))) <= 1e-10:
             raise StructuralError("connection value is not skew")
         return out
+
+
+def _ordered_product(e: np.ndarray) -> np.ndarray:
+    """f[s-1] ··· f[1]·f[0] for the factors f[j] = I + e[j] of an (s, n, n)
+    stack, by pairwise tree reduction: each level multiplies neighbours with
+    the later factor on the left, (I + L)(I + E) = I + (L + E + L·E), and an
+    odd count carries its last (latest) factor up unpaired. Working on f - I
+    keeps the rounding of entries near 1 from piling up over many factors."""
+    while len(e) > 1:
+        later, earlier = e[1::2], e[:len(e) - 1:2]
+        paired = later + earlier + later @ earlier
+        e = paired if len(e) % 2 == 0 else np.concatenate([paired, e[-1:]])
+    return np.eye(e.shape[-1]) + e[0]
 
 
 def _leaf_transport(conn: Connection, path: SampledPath, steps: int) -> np.ndarray:
     if steps < 1:
         raise StructuralError("need at least one integration substep per segment")
-    n = conn.group_dim
+    offsets = (np.arange(steps) + 0.5)[:, None]
     total = None
     for a, b in path.segments():
         delta = b - a
         if not np.any(delta):
             continue  # zero-length segment contributes exactly the identity
         d = delta / steps
-        seg = None
-        for j in range(steps):
-            mid = a + (j + 0.5) * d
-            factor = skew_exp(-conn.evaluate(mid, d))
-            seg = factor if seg is None else factor @ seg
+        seg = _ordered_product(skew_expm1_batch(-conn.evaluate(a + offsets * d, d)))
         total = seg if total is None else seg @ total
-    return np.eye(n) if total is None else total
+    return np.eye(conn.group_dim) if total is None else total
 
 
 def parallel_transport(conn: Connection, path: SampledPath,
@@ -211,10 +241,6 @@ class DecoratedBundle:
 
     def twisted(self) -> TwistedBundle:
         return TwistedBundle(self.base, self.cm, self.eta)
-
-
-def theta_iso(cm: CrossedModule, eta: EtaMap, dm: DecoratedMorphism) -> TwistedMorphism:
-    return DecoratedBundle(cm, eta).theta(dm)
 
 
 def seeded_composable_pairs(db: DecoratedBundle, n_pairs: int,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 
 @dataclass(frozen=True)
@@ -141,13 +141,3 @@ def run_law(
         witness=witness,
         elapsed_ms=elapsed,
     )
-
-
-def plan_cases(total: int | None, budget: int) -> bool:
-    """Exhaustive iff the full space is known and fits in the budget."""
-    return total is not None and total <= budget
-
-
-def sample_indices(rng, total: int, count: int) -> Iterator[int]:
-    for _ in range(count):
-        yield int(rng.integers(total))

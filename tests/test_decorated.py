@@ -16,7 +16,8 @@ from catbundle.decorated import (
     verify_prop62,
     verify_transport_numerics,
 )
-from catbundle.groups import SO2_GEN, StructuralError, perm_from_cycles, perm_mul, rotation2, skew3
+from catbundle.groups import (SO2_GEN, StructuralError, perm_from_cycles, perm_mul, rotation2,
+                              skew3, skew_exp)
 from catbundle.twisted import EtaMap
 
 SO2 = get_module("so2-conj")
@@ -294,3 +295,99 @@ def test_resampled_composition_error_shrinks_at_second_order():
     assert diffs[0] > 1e-8  # genuinely different discretizations
     assert diffs[0] / diffs[1] > 3.5
     assert diffs[1] / diffs[2] > 3.5
+
+
+# -- the batched integrator against references computed outside it --
+
+def random_skew(rng, n, scale):
+    if n == 2:
+        return float(rng.uniform(-scale, scale)) * SO2_GEN
+    return skew3(rng.uniform(-scale, scale, size=3))
+
+
+def random_connection(rng, group_dim, family, base_dim):
+    """A seeded connection and the raw coefficient lists it was built from."""
+    C = [random_skew(rng, group_dim, 1.0) for _ in range(base_dim)]
+    D = None
+    if family == "linear":
+        D = [[random_skew(rng, group_dim, 0.5) for _ in range(base_dim)] for _ in range(base_dim)]
+    return Connection(group_dim, base_dim, family, C, D), C, D
+
+
+def connection_value(C, D, point, vector):
+    """A(point) applied to vector, straight from the coefficient lists."""
+    out = np.zeros_like(C[0])
+    for k in range(len(C)):
+        coeff = C[k]
+        if D is not None:
+            coeff = coeff + sum(point[l] * D[k][l] for l in range(len(C)))
+        out = out + vector[k] * coeff
+    return out
+
+
+def loop_transport(C, D, path, steps):
+    """Reference integrator: one exp(-A(midpoint)·d) per substep, each
+    left-multiplied onto the running product, over every segment in order."""
+    total = np.eye(C[0].shape[0])
+    for leaf in path.leaves():
+        for a, b in leaf.segments():
+            d = (b - a) / steps
+            for j in range(steps):
+                mid = a + (j + 0.5) * d
+                total = skew_exp(-connection_value(C, D, mid, d)) @ total
+    return total
+
+
+@pytest.mark.parametrize("base_dim", [1, 2, 3])
+@pytest.mark.parametrize("family", ["constant", "linear"])
+@pytest.mark.parametrize("group_dim", [2, 3])
+def test_batched_transport_matches_substep_loop(group_dim, family, base_dim):
+    rng = np.random.default_rng([group_dim, base_dim, len(family)])
+    conn, C, D = random_connection(rng, group_dim, family, base_dim)
+    cat = PathCategory(base_dim)
+    p = cat.random_path(rng, n_segments=2)
+    paths = [p, compose_paths(cat.random_path(rng, n_segments=1, start=p.end), p)]
+    eye = np.eye(group_dim)
+    for steps in (1, 7, 80, 3200):  # odd counts leave an unpaired factor in the tree
+        for path in paths:
+            got = parallel_transport(conn, path, steps)
+            assert np.max(np.abs(got - loop_transport(C, D, path, steps))) <= 1e-12
+            assert np.max(np.abs(got.T @ got - eye)) <= 1e-12
+
+
+def so2_integral(C, D, path):
+    """Integral of the (1, 0) entry of A along the path: on a linear segment
+    with A affine in position, midpoint value times displacement is exact."""
+    total = 0.0
+    for leaf in path.leaves():
+        for a, b in leaf.segments():
+            mid = (a + b) / 2
+            for k in range(len(C)):
+                coeff = C[k][1, 0] + sum(mid[l] * D[k][l][1, 0] for l in range(len(C)))
+                total += (b[k] - a[k]) * coeff
+    return total
+
+
+@pytest.mark.parametrize("base_dim", [1, 2, 3])
+def test_so2_transport_is_rotation_by_minus_integral(base_dim):
+    rng = np.random.default_rng(40 + base_dim)
+    conn, C, D = random_connection(rng, 2, "linear", base_dim)
+    cat = PathCategory(base_dim)
+    p = cat.random_path(rng, n_segments=3)
+    q = cat.random_path(rng, n_segments=2, start=p.end)
+    for path in (p, q, compose_paths(q, p), compose_paths(compose_paths(q.reverse(), q), p)):
+        want = rotation2(-so2_integral(C, D, path))
+        for steps in (1, 7, 80):
+            assert np.max(np.abs(parallel_transport(conn, path, steps) - want)) <= 1e-12
+
+
+def test_corrupted_connection_fails_the_batched_skew_check():
+    rng = np.random.default_rng(8)
+    for family in ("constant", "linear"):
+        conn, _, _ = random_connection(rng, 3, family, 2)
+        path = PathCategory(2).random_path(rng, n_segments=2)
+        parallel_transport(conn, path, 20)
+        stored = conn.constant if family == "constant" else conn.linear
+        stored[0, ..., 0, 1] += 0.5  # A's values are no longer skew
+        with pytest.raises(StructuralError, match="not skew"):
+            parallel_transport(conn, path, 20)
