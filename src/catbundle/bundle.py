@@ -10,18 +10,18 @@ requires tau(h(f)) = g(target)·g(source)^-1 on every generator.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
 from .basecat import QuiverCategory
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
 from .groups import StructuralError
-from .report import LawReport, run_law
+from .report import CaseSpace, LawReport, run_law
 
 DEFAULT_BUDGET = 10_000
+PROP31_BUDGET = 256
 
 
 @dataclass(frozen=True)
@@ -195,7 +195,7 @@ def functor_from_h(base, cm: CrossedModule, h_obj) -> FunctorUG:
     )
 
 
-def enumerate_functors(base: QuiverCategory, cm: CrossedModule, cap: int | None = None) -> list[FunctorUG]:
+def enumerate_functors(base: QuiverCategory, cm: CrossedModule) -> list[FunctorUG]:
     """All extensional functors base -> G, in deterministic order.
 
     For each object-level g assignment, an arrow f admits exactly the h with
@@ -220,8 +220,6 @@ def enumerate_functors(base: QuiverCategory, cm: CrossedModule, cap: int | None 
             continue
         for combo in itertools.product(*cands):
             out.append(FunctorUG(base, cm, g_table=dict(g_table), h_gen=dict(zip(arrow_names, combo))))
-            if cap is not None and len(out) >= cap:
-                return out
     return out
 
 
@@ -259,7 +257,6 @@ def verify_functor(F: FunctorUG, max_len: int | None = None) -> LawReport:
         "h-multiplicativity", "Eq 3.7", pairs,
         lambda p: None if cm.H.eq(F.h(base.compose(p[0], p[1])), cm.H.mul(F.h(p[0]), F.h(p[1])))
         else {"gamma2": repr(p[0]), "gamma1": repr(p[1])},
-        True,
     ))
     report.records.append(run_law(
         "tau-compatibility", "Eq 3.8", ms,
@@ -267,13 +264,11 @@ def verify_functor(F: FunctorUG, max_len: int | None = None) -> LawReport:
             cm.tau(F.h(gamma)),
             cm.G.mul(F.g(base.target(gamma)), cm.G.inv(F.g(base.source(gamma)))),
         ) else {"gamma": repr(gamma)},
-        True,
     ))
     report.records.append(run_law(
         "identity-preservation", "Eq 3.6", [base.identity(o) for o in base.objects],
         lambda gamma: None if cm.m_eq(F.apply(gamma), cm.identity_morphism(F.g(gamma.source)))
         else {"object": gamma.source},
-        True,
     ))
     report.records.append(run_law(
         "functoriality", "Eq 3.20", pairs,
@@ -281,7 +276,6 @@ def verify_functor(F: FunctorUG, max_len: int | None = None) -> LawReport:
             F.apply(base.compose(p[0], p[1])),
             cm.compose_vertical(F.apply(p[0]), F.apply(p[1])),
         ) else {"gamma2": repr(p[0]), "gamma1": repr(p[1])},
-        True,
     ))
     return report
 
@@ -295,21 +289,21 @@ def verify_prop31_roundtrip(base: QuiverCategory, cm: CrossedModule,
     form of the composite H-value matches the generator fold."""
     rng = rng or np.random.default_rng(0)
     report = LawReport(suite="prop31-roundtrip")
-    n_obj = len(base.objects)
-    total = None if cm.H.order is None else cm.H.order ** n_obj
-    if total is not None and total <= budget:
-        h_maps = [dict(zip(base.objects, combo))
-                  for combo in itertools.product(cm.H.elements, repeat=n_obj)]
-        exh = True
-    else:
-        h_maps = [{a: cm.H.sample(rng) for a in base.objects} for _ in range(min(budget, 256))]
-        exh = False
-    functors = [(hm, functor_from_h(base, cm, hm)) for hm in h_maps]
+    H = CaseSpace.carrier(cm.H)
+
+    def build(*hs):
+        hm = dict(zip(base.objects, hs))
+        return hm, functor_from_h(base, cm, hm)
+
+    # every case checks a whole functor, so at most PROP31_BUDGET of them;
+    # the three laws check the same functors
+    plan = CaseSpace.product(*[H] * len(base.objects), build=build).plan(
+        min(budget, PROP31_BUDGET), rng)
+    functors = replace(plan, cases=list(plan))
 
     report.records.append(run_law(
         "roundtrip-invariants", "Eqs 3.7-3.8", functors,
         lambda p: functor_invariant_witness(p[1], max_len),
-        exh,
     ))
 
     def telescoping(p):
@@ -321,14 +315,13 @@ def verify_prop31_roundtrip(base: QuiverCategory, cm: CrossedModule,
                 return {"gamma2": repr(m2), "gamma1": repr(m1)}
         return None
 
-    report.records.append(run_law("telescoping", "Eq 3.26", functors, telescoping, exh))
+    report.records.append(run_law("telescoping", "Eq 3.26", functors, telescoping))
 
     report.records.append(run_law(
         "object-encoding", "Eq 3.9", functors,
         lambda p: None if all(
             cm.G.eq(p[1].g(a), cm.tau(p[0][a])) for a in base.objects
         ) else {"case": "g=tau∘h"},
-        exh,
     ))
     return report
 
@@ -417,7 +410,6 @@ def verify_nat(T: NatTransf, max_len: int | None = None) -> LawReport:
         "object-gauge", "Eq 3.11", list(base.objects),
         lambda a: None if cm.G.eq(T.target.g(a), cm.G.mul(cm.tau(T.hT[a]), T.source.g(a)))
         else {"object": a},
-        True,
     ))
     report.records.append(run_law(
         "h-conjugation", "Eq 3.12", base.morphisms_upto(max_len),
@@ -425,21 +417,12 @@ def verify_nat(T: NatTransf, max_len: int | None = None) -> LawReport:
             T.target.h(gamma),
             cm.H.mul(cm.H.mul(T.hT[base.target(gamma)], T.source.h(gamma)), cm.H.inv(T.hT[base.source(gamma)])),
         ) else {"gamma": repr(gamma)},
-        True,
     ))
     report.records.append(run_law(
         "naturality-square", "Eq 3.10", [T],
         lambda t: naturality_witness(t, max_len),
-        True,
     ))
     return report
-
-
-def _capped(items: list, budget: int, rng: np.random.Generator):
-    """Deterministic exhaustive list when small, else seeded sample."""
-    if len(items) <= budget:
-        return items, True
-    return [items[int(rng.integers(len(items)))] for _ in range(budget)], False
 
 
 def verify_GU_categorical_group(
@@ -447,115 +430,83 @@ def verify_GU_categorical_group(
     cm: CrossedModule,
     budget: int = DEFAULT_BUDGET,
     rng: np.random.Generator | None = None,
-    functor_cap: int = 256,
 ) -> LawReport:
     """Certify that functors base -> G and their transformations form a
     categorical group: both group structures, s/t/identity-assignment
     homomorphisms, vertical category laws, and the exchange law."""
     rng = rng or np.random.default_rng(0)
     report = LawReport(suite="prop34-gu-group")
-    Fs = enumerate_functors(base, cm, cap=functor_cap)
-    n_obj = len(base.objects)
+    Fs = enumerate_functors(base, cm)
     hTs = [dict(zip(base.objects, combo))
-           for combo in itertools.product(cm.H.elements, repeat=n_obj)]
-    Ts = [gauge(F, hT) for F in Fs for hT in hTs]
+           for combo in itertools.product(cm.H.elements, repeat=len(base.objects))]
     E = constant_identity_functor(base, cm)
+    one_E = identity_transf(E)
+    # transformations T = gauge(F, hT), and vertically composable chains:
+    # each next transformation starts at the target functor of the last
+    Ts = CaseSpace.product(Fs, hTs, build=gauge)
+    chains = CaseSpace.product(Ts, hTs, build=lambda T1, hT2: (gauge(T1.target, hT2), T1))
+    chains3 = CaseSpace.product(
+        chains, hTs, build=lambda p, hT3: (gauge(p[0].target, hT3), p[0], p[1]))
 
-    fpairs, exh = _capped([(F2, F1) for F2 in Fs for F1 in Fs], budget, rng)
+    def cases(space):
+        return space.plan(budget, rng)
+
     report.records.append(run_law(
-        "functor-product-closure", "Prop 3.2", fpairs,
+        "functor-product-closure", "Prop 3.2", cases(CaseSpace.product(Fs, Fs)),
         lambda p: functor_invariant_witness(p[0].mul(p[1])),
-        exh,
     ))
 
-    ftriples, exh = _capped([(a, b, c) for a in Fs for b in Fs for c in Fs], budget, rng)
     report.records.append(run_law(
-        "object-group-laws", "Prop 3.2", ftriples,
+        "object-group-laws", "Prop 3.2", cases(CaseSpace.product(Fs, Fs, Fs)),
         lambda t: None if (
             t[0].mul(t[1]).mul(t[2]).eq(t[0].mul(t[1].mul(t[2])))
             and t[0].mul(t[0].inv()).eq(E)
             and t[0].mul(E).eq(t[0])
         ) else {"case": "object-group"},
-        exh,
     ))
 
-    tpairs, exh = _capped([(Tp, T) for Tp in Ts for T in Ts], budget, rng)
     report.records.append(run_law(
-        "morphism-product-closure", "diagram 3.14", tpairs,
+        "morphism-product-closure", "diagram 3.14", cases(CaseSpace.product(Ts, Ts)),
         lambda p: naturality_witness(nat_pointwise_mul(p[0], p[1])),
-        exh,
     ))
     report.records.append(run_law(
-        "source-target-homomorphism", "Eq 2.2", tpairs,
+        "source-target-homomorphism", "Eq 2.2", cases(CaseSpace.product(Ts, Ts)),
         lambda p: None if (
             nat_pointwise_mul(p[0], p[1]).source.eq(p[0].source.mul(p[1].source))
             and nat_pointwise_mul(p[0], p[1]).target.eq(p[0].target.mul(p[1].target))
         ) else {"case": "s/t"},
-        exh,
     ))
 
-    one_E = identity_transf(E)
-    singles, exh = _capped(Ts, budget, rng)
     report.records.append(run_law(
-        "morphism-group-laws", "Prop 3.4", singles,
+        "morphism-group-laws", "Prop 3.4", cases(Ts),
         lambda T: None if (
             nat_eq(nat_pointwise_mul(T, nat_inverse(T)), one_E)
             and nat_eq(nat_pointwise_mul(T, one_E), T)
         ) else {"case": "morphism-group"},
-        exh,
     ))
 
     report.records.append(run_law(
-        "identity-assignment", "§2.1", fpairs,
+        "identity-assignment", "§2.1", cases(CaseSpace.product(Fs, Fs)),
         lambda p: None if nat_eq(
             identity_transf(p[0].mul(p[1])),
             nat_pointwise_mul(identity_transf(p[0]), identity_transf(p[1])),
         ) else {"case": "identity-assignment"},
-        exh,
     ))
 
-    # vertical category: units and associativity over composable chains
-    by_source: dict = {}
-    for i, T in enumerate(Ts):
-        by_source.setdefault(T.source.key(), []).append(i)
-    comp_pairs = [
-        (Ts[j], Ts[i])
-        for i, T1 in enumerate(Ts)
-        for j in by_source.get(T1.target.key(), ())
-    ]
-    vpairs, exh = _capped(comp_pairs, budget, rng)
     report.records.append(run_law(
-        "vertical-units", "Eq 3.15", singles,
+        "vertical-units", "Eq 3.15", cases(Ts),
         lambda T: None if (
             nat_eq(nat_vertical_compose(identity_transf(T.target), T), T)
             and nat_eq(nat_vertical_compose(T, identity_transf(T.source)), T)
         ) else {"case": "vertical-units"},
-        exh,
     ))
-    vtriples = [
-        (gauge(T2.target, hT3), T2, T1)
-        for (T2, T1) in comp_pairs
-        for hT3 in hTs[: max(1, min(len(hTs), budget // max(1, len(comp_pairs))))]
-    ]
-    vtriples, exh = _capped(vtriples, budget, rng)
     report.records.append(run_law(
-        "vertical-associativity", "Eq 3.15", vtriples,
+        "vertical-associativity", "Eq 3.15", cases(chains3),
         lambda t: None if nat_eq(
             nat_vertical_compose(nat_vertical_compose(t[0], t[1]), t[2]),
             nat_vertical_compose(t[0], nat_vertical_compose(t[1], t[2])),
         ) else {"case": "vertical-assoc"},
-        exh,
     ))
-
-    quad_total = len(comp_pairs) ** 2
-    if quad_total <= budget:
-        quads: Iterable = ((p, q) for p in comp_pairs for q in comp_pairs)
-        exh = True
-    else:
-        k = max(2, int(math.isqrt(budget)))
-        sub = [comp_pairs[int(rng.integers(len(comp_pairs)))] for _ in range(k)]
-        quads = ((p, q) for p in sub for q in sub)
-        exh = False
 
     def check_exchange(pq):
         (T2, T1), (Tp2, Tp1) = pq
@@ -563,7 +514,9 @@ def verify_GU_categorical_group(
         rhs = nat_pointwise_mul(nat_vertical_compose(Tp2, Tp1), nat_vertical_compose(T2, T1))
         return None if nat_eq(lhs, rhs) else {"case": "exchange"}
 
-    report.records.append(run_law("exchange-law-functors", "Eq 3.17", quads, check_exchange, exh))
+    report.records.append(run_law(
+        "exchange-law-functors", "Eq 3.17", cases(CaseSpace.product(chains, chains)),
+        check_exchange))
     return report
 
 
@@ -616,28 +569,24 @@ def verify_section_iso(F: FunctorUG, max_len: int | None = None,
     report.records.append(run_law(
         "section-projection", "Prop 4.1", list(base.objects),
         lambda a: None if iso.on_object(a, cm.G.identity)[0] == a else {"object": a},
-        True,
     ))
 
-    opairs, exh = _capped([(x, g1) for x in objects for g1 in cm.G.elements], budget, rng)
     report.records.append(run_law(
-        "equivariance-objects", "Eq 4.4", opairs,
+        "equivariance-objects", "Eq 4.4",
+        CaseSpace.product(objects, cm.G.elements).plan(budget, rng),
         lambda p: None if cm.G.eq(
             iso.on_object(*bundle.act_object(p[0], p[1]))[1],
             cm.G.mul(iso.on_object(*p[0])[1], p[1]),
         ) else {"object": str(p[0][0])},
-        exh,
     ))
 
-    mpairs, exh = _capped(
-        [(pm, m1) for pm in morphisms for m1 in cm.enumerate_morphisms()], budget, rng)
     report.records.append(run_law(
-        "equivariance-morphisms", "Eq 4.4", mpairs,
+        "equivariance-morphisms", "Eq 4.4",
+        CaseSpace.product(morphisms, cm.enumerate_morphisms()).plan(budget, rng),
         lambda p: None if bundle.morphism_eq(
             iso.on_morphism(bundle.act(p[0], p[1])),
             bundle.act(iso.on_morphism(p[0]), p[1]),
         ) else {"gamma": repr(p[0].gamma)},
-        exh,
     ))
 
     report.records.append(run_law(
@@ -646,7 +595,6 @@ def verify_section_iso(F: FunctorUG, max_len: int | None = None,
             (iso.on_object(*x)[0] == x[0]) if isinstance(x, tuple)
             else (iso.on_morphism(x).gamma == x.gamma)
         ) else {"case": "fiber"},
-        True,
     ))
 
     def obj_bij(_):
@@ -663,7 +611,7 @@ def verify_section_iso(F: FunctorUG, max_len: int | None = None,
                 return {"no-preimage": str(x[0])}
         return None
 
-    report.records.append(run_law("bijectivity-objects", "Prop 4.1", [0], obj_bij, True))
+    report.records.append(run_law("bijectivity-objects", "Prop 4.1", [0], obj_bij))
 
     def mor_bij(_):
         keys = set()
@@ -679,23 +627,34 @@ def verify_section_iso(F: FunctorUG, max_len: int | None = None,
                 return {"no-preimage": repr(pm.gamma)}
         return None
 
-    report.records.append(run_law("bijectivity-morphisms", "Prop 4.1", [0], mor_bij, True))
+    report.records.append(run_law("bijectivity-morphisms", "Prop 4.1", [0], mor_bij))
 
-    comp_pairs = [
-        (pm2, pm1)
-        for pm1 in morphisms for pm2 in morphisms
-        if pm1.gamma.target == pm2.gamma.source and cm.G.eq(cm.target(pm1.m), pm2.m.g)
-    ]
-    cases, exh = _capped(comp_pairs, budget, rng)
     report.records.append(run_law(
-        "composition-preservation", "Eq 4.5", cases,
+        "composition-preservation", "Eq 4.5", _composable_space(bundle, max_len).plan(budget, rng),
         lambda p: None if bundle.morphism_eq(
             iso.on_morphism(bundle.compose(p[0], p[1])),
             bundle.compose(iso.on_morphism(p[0]), iso.on_morphism(p[1])),
         ) else {"gamma2": repr(p[0].gamma), "gamma1": repr(p[1].gamma)},
-        exh,
     ))
     return report
+
+
+def _composable_space(bundle: ProductBundle, max_len: int | None = None) -> CaseSpace:
+    """Composable pairs (pm2, pm1), pm1 outer: one block per base morphism
+    of pm1, whose pm2 runs over base morphisms out of its target and H, with
+    the source of pm2 forced to the target of pm1."""
+    cm = bundle.cm
+    gammas = bundle.base.morphisms_upto(max_len)
+    fiber = cm.enumerate_morphisms()
+
+    def block(gamma1):
+        return CaseSpace.product(
+            fiber, [g for g in gammas if g.source == gamma1.target], cm.H.elements,
+            build=lambda m1, gamma2, h2: (
+                ProductMorphism(gamma2, TwoGroupMorphism(h2, cm.target(m1))),
+                ProductMorphism(gamma1, m1)))
+
+    return CaseSpace.concat(block(g) for g in gammas)
 
 
 class ExtractionRefused(ValueError):
@@ -761,12 +720,11 @@ def verify_composition_correspondence(F2: FunctorUG, F1: FunctorUG,
         want = F2.mul(F1)
         return None if extracted.eq(want) else {"case": "sigma-product"}
 
-    report.records.append(run_law("composition-correspondence", "Eq 4.11", [0], check, True))
+    report.records.append(run_law("composition-correspondence", "Eq 4.11", [0], check))
     report.records.append(run_law(
         "extraction-roundtrip", "Eq 4.7", [F1, F2],
         lambda F: None if extract_functor(SectionIso(F), base, cm, max_len).eq(F)
         else {"case": "roundtrip"},
-        True,
     ))
     report.records.append(run_law(
         "intertwining", "Eq 4.8", base.morphisms_upto(max_len),
@@ -774,7 +732,6 @@ def verify_composition_correspondence(F2: FunctorUG, F1: FunctorUG,
             cm.G.eq(cm.source(F1.apply(gamma)), F1.g(base.source(gamma)))
             and cm.G.eq(cm.target(F1.apply(gamma)), F1.g(base.target(gamma)))
         ) else {"gamma": repr(gamma)},
-        True,
     ))
     return report
 
@@ -799,72 +756,64 @@ def verify_bundle_axioms(base: QuiverCategory, cm: CrossedModule,
             any(o[0] == x for o in objects) if isinstance(x, str)
             else any(pm.gamma == x for pm in morphisms)
         ) else {"missing": repr(x)},
-        True,
     ))
 
-    ocases, exh = _capped([(x, m) for x in objects for m in cm.G.elements], budget, rng)
+    def cases(space):
+        return space.plan(budget, rng)
+
     report.records.append(run_law(
-        "b2-freeness-objects", "§2.2 (b2)", ocases,
+        "b2-freeness-objects", "§2.2 (b2)", cases(CaseSpace.product(objects, cm.G.elements)),
         lambda p: None if (
             not cm.G.eq(bundle.act_object(p[0], p[1])[1], p[0][1]) or cm.G.eq(p[1], cm.G.identity)
         ) else {"object": str(p[0][0]), "g": cm.G.fmt(p[1])},
-        exh,
     ))
-    mcases, exh = _capped([(pm, m) for pm in morphisms for m in mor_g], budget, rng)
     report.records.append(run_law(
-        "b2-freeness-morphisms", "§2.2 (b2)", mcases,
+        "b2-freeness-morphisms", "§2.2 (b2)", cases(CaseSpace.product(morphisms, mor_g)),
         lambda p: None if (
             not cm.m_eq(bundle.act(p[0], p[1]).m, p[0].m) or cm.m_eq(p[1], cm.unit)
         ) else {"gamma": repr(p[0].gamma)},
-        exh,
     ))
 
-    fcases, exh = _capped([(x, y) for x in objects for y in objects if x[0] == y[0]], budget, rng)
+    # pairs in one fiber: one block per base object or base morphism
+    same_object = CaseSpace.concat(
+        CaseSpace.product(cm.G.elements, cm.G.elements,
+                          build=lambda g1, g2, a=a: ((a, g1), (a, g2)))
+        for a in base.objects)
     report.records.append(run_law(
-        "b3-transitivity-objects", "§2.2 (b3)", fcases,
+        "b3-transitivity-objects", "§2.2 (b3)", cases(same_object),
         lambda p: None if cm.G.eq(
             bundle.act_object(p[0], cm.G.mul(cm.G.inv(p[0][1]), p[1][1]))[1], p[1][1]
         ) else {"object": str(p[0][0])},
-        exh,
     ))
 
-    fiber_m, exh = _capped(
-        [(p1, p2) for p1 in morphisms for p2 in morphisms if p1.gamma == p2.gamma],
-        budget, rng)
+    same_morphism = CaseSpace.concat(
+        CaseSpace.product(mor_g, mor_g, build=lambda m1, m2, gamma=gamma: (
+            ProductMorphism(gamma, m1), ProductMorphism(gamma, m2)))
+        for gamma in base.morphisms_upto(max_len))
     report.records.append(run_law(
-        "b3-transitivity-morphisms", "§2.2 (b3)", fiber_m,
+        "b3-transitivity-morphisms", "§2.2 (b3)", cases(same_morphism),
         lambda p: None if bundle.morphism_eq(
             bundle.act(p[0], cm.sdp_multiply(cm.sdp_inverse(p[0].m), p[1].m)), p[1],
         ) else {"gamma": repr(p[0].gamma)},
-        exh,
     ))
 
-    comp_pairs = [
-        (pm2, pm1)
-        for pm1 in morphisms for pm2 in morphisms
-        if pm1.gamma.target == pm2.gamma.source and cm.G.eq(cm.target(pm1.m), pm2.m.g)
-    ]
-    ccases, exh = _capped(comp_pairs, budget, rng)
     report.records.append(run_law(
         "composition-units", "Eq 3.4", morphisms,
         lambda pm: None if (
             bundle.morphism_eq(bundle.compose(pm, bundle.identity(*bundle.source(pm))), pm)
             and bundle.morphism_eq(bundle.compose(bundle.identity(*bundle.target(pm)), pm), pm)
         ) else {"gamma": repr(pm.gamma)},
-        True,
     ))
-    g_comp = [
-        (TwoGroupMorphism(h2, cm.target(TwoGroupMorphism(h1, g1))), TwoGroupMorphism(h1, g1))
-        for h1 in cm.H.elements for g1 in cm.G.elements for h2 in cm.H.elements
-    ]
-    acases, exh = _capped(
-        [(pp, mm) for pp in comp_pairs for mm in g_comp], budget, rng)
+    composable_g = CaseSpace.product(
+        cm.H.elements, cm.G.elements, cm.H.elements,
+        build=lambda h1, g1, h2: (TwoGroupMorphism(h2, cm.target(TwoGroupMorphism(h1, g1))),
+                                  TwoGroupMorphism(h1, g1)))
     report.records.append(run_law(
-        "action-functoriality", "Eq 3.2", acases,
+        "action-functoriality", "Eq 3.2",
+        cases(CaseSpace.product(_composable_space(bundle, max_len), composable_g)),
         lambda c: None if _action_functoriality_ok(bundle, c[0], c[1]) else
         {"gamma2": repr(c[0][0].gamma), "gamma1": repr(c[0][1].gamma),
          "m2": cm.fmt_m(c[1][0]), "m1": cm.fmt_m(c[1][1])},
-        exh,
     ))
     return report
 

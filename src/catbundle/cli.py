@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(sc: Scenario, args) -> Scenario:
     raw = dict(sc.raw)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         raw["seed"] = args.seed
     if getattr(args, "budget", None) is not None:
         raw["budget"] = args.budget
@@ -89,11 +89,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_transport(args) -> int:
-    sc = Scenario.load(args.scenario)
-    conn = sc.connection()
-    path = sc.path(args.path)
-    steps = args.steps if args.steps is not None else sc.steps
-    g = parallel_transport(conn, path, steps)
+    sc = _apply_overrides(Scenario.load(args.scenario), args)
+    g = parallel_transport(sc.connection(), sc.path(args.path), sc.steps)
     for row in np.asarray(g):
         sys.stdout.write(" ".join(f"{x:.12g}" for x in row) + "\n")
     return 0

@@ -192,7 +192,7 @@ def verify_cocycle_condition(data: CocycleData, cover: Cover, cm: CrossedModule)
         return {"i": i, "j": j, "k": k, "point": pt,
                 "lhs": cm.H.fmt(lhs), "rhs": cm.H.fmt(rhs)}
 
-    report.records.append(run_law("cocycle-condition", "Eq 5.26", cases, check, True))
+    report.records.append(run_law("cocycle-condition", "Eq 5.26", cases, check))
     return report
 
 
@@ -366,7 +366,6 @@ def verify_prop51(data: CocycleData, cm: CrossedModule, triple: OverlapCategory)
     report.records.append(run_law(
         "theta-functor", "Eqs 5.34-5.36", thetas,
         lambda th: overlap_functor_witness(th),
-        True,
     ))
 
     report.records.append(run_law(
@@ -374,7 +373,6 @@ def verify_prop51(data: CocycleData, cm: CrossedModule, triple: OverlapCategory)
         lambda x: None if cm.G.eq(
             P.on_object(x), cm.G.mul(cm.tau(T.hT[x]), th_im.on_object(x))
         ) else {"object": str(x)},
-        True,
     ))
 
     def h_component(mm: OverlapMorphism):
@@ -386,7 +384,7 @@ def verify_prop51(data: CocycleData, cm: CrossedModule, triple: OverlapCategory)
         return {"morphism": repr(mm), "lhs": cm.H.fmt(lhs), "rhs": cm.H.fmt(rhs)}
 
     report.records.append(run_law(
-        "prop51-h-component", "Eq 5.46", triple.morphisms, h_component, True))
+        "prop51-h-component", "Eq 5.46", triple.morphisms, h_component))
 
     def square(mm: OverlapMorphism):
         lhs = cm.compose_vertical(P.on_morphism(mm), T.at(mm.source))
@@ -396,7 +394,7 @@ def verify_prop51(data: CocycleData, cm: CrossedModule, triple: OverlapCategory)
         return {"morphism": repr(mm), "lhs": cm.fmt_m(lhs), "rhs": cm.fmt_m(rhs)}
 
     report.records.append(run_law(
-        "prop51-naturality", "Eq 3.10", triple.morphisms, square, True))
+        "prop51-naturality", "Eq 3.10", triple.morphisms, square))
     return report
 
 
@@ -522,7 +520,6 @@ def verify_transition_cocycle(family: TrivializationFamily, base: QuiverCategory
     report.records.append(run_law(
         "transition-functor", "Eq 5.11", [s_ik, s_km, s_im],
         lambda s: overlap_functor_witness(s),
-        True,
     ))
 
     prod = restrict_overlap_functor(s_ik, triple).mul(restrict_overlap_functor(s_km, triple))
@@ -531,7 +528,6 @@ def verify_transition_cocycle(family: TrivializationFamily, base: QuiverCategory
         "transition-cocycle", "Eq 5.21",
         triple.objects + triple.morphisms,
         lambda x: _exact_match(cm, prod, target, x),
-        True,
     ))
 
     def self_transition(idx_pair):
@@ -547,7 +543,7 @@ def verify_transition_cocycle(family: TrivializationFamily, base: QuiverCategory
         return None if ok else {"pair": str(idx_pair)}
 
     report.records.append(run_law(
-        "self-transition-identity", "Eq 5.11", [((i, k), (j, l))], self_transition, True))
+        "self-transition-identity", "Eq 5.11", [((i, k), (j, l))], self_transition))
     return report
 
 

@@ -12,7 +12,6 @@ and categorical (vertical) composition
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,7 +25,7 @@ from .groups import (
     StructuralError,
     SymmetricGroup,
 )
-from .report import LawReport, run_law
+from .report import CaseSpace, LawReport, run_law
 
 DEFAULT_BUDGET = 10_000
 
@@ -129,6 +128,13 @@ class CrossedModule:
     def sample_morphism(self, rng: np.random.Generator) -> TwoGroupMorphism:
         return TwoGroupMorphism(self.H.sample(rng), self.G.sample(rng))
 
+    def morphism_space(self, count: int | None = None) -> CaseSpace:
+        """Every morphism (h outer, g inner) when finite, else `count`
+        seeded samples (or as many as the budget allows)."""
+        if self.is_finite:
+            return CaseSpace.product(self.H.elements, self.G.elements, build=TwoGroupMorphism)
+        return CaseSpace.sampled(self.sample_morphism, count)
+
 
 # -- verification --
 
@@ -146,36 +152,6 @@ def _check_carriers(cm: CrossedModule, rng: np.random.Generator, n: int = 64) ->
             )
 
 
-def _space(cm: CrossedModule, *sizes) -> int | None:
-    """Product of carrier orders for 'g'/'h' slots; None if infinite."""
-    total = 1
-    for s in sizes:
-        grp = cm.G if s == "g" else cm.H
-        if grp.order is None:
-            return None
-        total *= grp.order
-    return total
-
-
-def _tuples(cm: CrossedModule, slots: str, budget: int, rng: np.random.Generator):
-    """Deterministic exhaustive product when small enough, else seeded samples.
-
-    Returns (iterable of tuples, exhaustive flag).
-    """
-    total = _space(cm, *slots)
-    if total is not None and total <= budget:
-        pools = [(cm.G.elements if s == "g" else cm.H.elements) for s in slots]
-        return itertools.product(*pools), True
-
-    def gen():
-        for _ in range(budget):
-            yield tuple(
-                (cm.G.sample(rng) if s == "g" else cm.H.sample(rng)) for s in slots
-            )
-
-    return gen(), False
-
-
 def verify_crossed_module(
     cm: CrossedModule,
     sample_budget: int = DEFAULT_BUDGET,
@@ -190,38 +166,35 @@ def verify_crossed_module(
     _check_carriers(cm, rng)
     report = LawReport(suite="crossed-module")
     G, H = cm.G, cm.H
+    carriers = {"g": CaseSpace.carrier(G), "h": CaseSpace.carrier(H)}
 
-    cases, exh = _tuples(cm, "hh", sample_budget, rng)
+    def cases(slots: str):
+        return CaseSpace.product(*(carriers[s] for s in slots)).plan(sample_budget, rng)
+
     report.records.append(run_law(
-        "tau-homomorphism", "§2.1", cases,
+        "tau-homomorphism", "§2.1", cases("hh"),
         lambda t: None if G.eq(cm.tau(H.mul(t[0], t[1])), G.mul(cm.tau(t[0]), cm.tau(t[1])))
         else {"h": H.fmt(t[0]), "h2": H.fmt(t[1])},
-        exh,
     ))
 
-    cases, exh = _tuples(cm, "ghh", sample_budget, rng)
     report.records.append(run_law(
-        "alpha-automorphism", "§2.1", cases,
+        "alpha-automorphism", "§2.1", cases("ghh"),
         lambda t: None if (
             H.eq(cm.alpha(t[0], H.mul(t[1], t[2])), H.mul(cm.alpha(t[0], t[1]), cm.alpha(t[0], t[2])))
             and H.eq(cm.alpha(t[0], cm.alpha(G.inv(t[0]), t[1])), t[1])
         ) else {"g": G.fmt(t[0]), "h": H.fmt(t[1]), "h2": H.fmt(t[2])},
-        exh,
     ))
 
-    cases, exh = _tuples(cm, "ggh", sample_budget, rng)
     report.records.append(run_law(
-        "alpha-family-homomorphism", "§2.1", cases,
+        "alpha-family-homomorphism", "§2.1", cases("ggh"),
         lambda t: None if (
             H.eq(cm.alpha(G.mul(t[0], t[1]), t[2]), cm.alpha(t[0], cm.alpha(t[1], t[2])))
             and H.eq(cm.alpha(G.identity, t[2]), t[2])
         ) else {"g": G.fmt(t[0]), "g2": G.fmt(t[1]), "h": H.fmt(t[2])},
-        exh,
     ))
 
-    cases, exh = _tuples(cm, "hh", sample_budget, rng)
     report.records.append(run_law(
-        "peiffer", "Eq 2.4", cases,
+        "peiffer", "Eq 2.4", cases("hh"),
         lambda t: None if H.eq(
             cm.alpha(cm.tau(t[0]), t[1]),
             H.mul(H.mul(t[0], t[1]), H.inv(t[0])),
@@ -230,76 +203,33 @@ def verify_crossed_module(
             "lhs": H.fmt(cm.alpha(cm.tau(t[0]), t[1])),
             "rhs": H.fmt(H.mul(H.mul(t[0], t[1]), H.inv(t[0]))),
         },
-        exh,
     ))
 
     # s and t on H ⋊ G are homomorphisms; t-hom is the equivariance of tau.
-    cases, exh = _tuples(cm, "hghg", sample_budget, rng)
     report.records.append(run_law(
-        "source-homomorphism", "Eq 2.2", cases,
+        "source-homomorphism", "Eq 2.2", cases("hghg"),
         lambda t: None if G.eq(
             cm.source(cm.sdp_multiply(TwoGroupMorphism(t[0], t[1]), TwoGroupMorphism(t[2], t[3]))),
             G.mul(t[1], t[3]),
         ) else {"m2": cm.fmt_m(TwoGroupMorphism(t[0], t[1])), "m1": cm.fmt_m(TwoGroupMorphism(t[2], t[3]))},
-        exh,
     ))
 
-    cases, exh = _tuples(cm, "hghg", sample_budget, rng)
     report.records.append(run_law(
-        "target-homomorphism", "Eq 2.2", cases,
+        "target-homomorphism", "Eq 2.2", cases("hghg"),
         lambda t: None if G.eq(
             cm.target(cm.sdp_multiply(TwoGroupMorphism(t[0], t[1]), TwoGroupMorphism(t[2], t[3]))),
             G.mul(cm.target(TwoGroupMorphism(t[0], t[1])), cm.target(TwoGroupMorphism(t[2], t[3]))),
         ) else {"m2": cm.fmt_m(TwoGroupMorphism(t[0], t[1])), "m1": cm.fmt_m(TwoGroupMorphism(t[2], t[3]))},
-        exh,
     ))
 
-    cases, exh = _tuples(cm, "gg", sample_budget, rng)
     report.records.append(run_law(
-        "identity-assignment-homomorphism", "§2.1", cases,
+        "identity-assignment-homomorphism", "§2.1", cases("gg"),
         lambda t: None if cm.m_eq(
             cm.identity_morphism(G.mul(t[0], t[1])),
             cm.sdp_multiply(cm.identity_morphism(t[0]), cm.identity_morphism(t[1])),
         ) else {"g": G.fmt(t[0]), "g2": G.fmt(t[1])},
-        exh,
     ))
     return report
-
-
-def composable_quadruples(
-    cm: CrossedModule, budget: int, rng: np.random.Generator
-):
-    """(phi2, phi1, psi2, psi1) with both vertical composites defined.
-
-    Free parameters are (h_phi1, g_phi1, h_phi2) and likewise for psi; the
-    sources of phi2/psi2 are forced by composability."""
-    total = _space(cm, "hghhgh")
-    exhaustive = total is not None and total <= budget
-
-    def build(h1, g1, h2, k1, u1, k2):
-        phi1 = TwoGroupMorphism(h1, g1)
-        phi2 = TwoGroupMorphism(h2, cm.target(phi1))
-        psi1 = TwoGroupMorphism(k1, u1)
-        psi2 = TwoGroupMorphism(k2, cm.target(psi1))
-        return phi2, phi1, psi2, psi1
-
-    if exhaustive:
-        cases = (
-            build(*t)
-            for t in itertools.product(
-                cm.H.elements, cm.G.elements, cm.H.elements,
-                cm.H.elements, cm.G.elements, cm.H.elements,
-            )
-        )
-    else:
-        def gen():
-            for _ in range(budget):
-                yield build(
-                    cm.H.sample(rng), cm.G.sample(rng), cm.H.sample(rng),
-                    cm.H.sample(rng), cm.G.sample(rng), cm.H.sample(rng),
-                )
-        cases = gen()
-    return cases, exhaustive
 
 
 def verify_exchange_law(
@@ -311,7 +241,16 @@ def verify_exchange_law(
     quadruples."""
     rng = rng or np.random.default_rng(0)
     report = LawReport(suite="exchange-law")
-    cases, exh = composable_quadruples(cm, sample_budget, rng)
+
+    def build(h1, g1, h2, k1, u1, k2):
+        # phi2 and psi2 start where phi1 and psi1 end
+        phi1 = TwoGroupMorphism(h1, g1)
+        psi1 = TwoGroupMorphism(k1, u1)
+        return (TwoGroupMorphism(h2, cm.target(phi1)), phi1,
+                TwoGroupMorphism(k2, cm.target(psi1)), psi1)
+
+    G, H = CaseSpace.carrier(cm.G), CaseSpace.carrier(cm.H)
+    cases = CaseSpace.product(H, G, H, H, G, H, build=build).plan(sample_budget, rng)
 
     def check(q):
         phi2, phi1, psi2, psi1 = q
@@ -325,7 +264,7 @@ def verify_exchange_law(
             "lhs": cm.fmt_m(lhs), "rhs": cm.fmt_m(rhs),
         }
 
-    report.records.append(run_law("exchange-law", "Eq 2.3", cases, check, exh))
+    report.records.append(run_law("exchange-law", "Eq 2.3", cases, check))
     return report
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from .basecat import PathCategory, SampledPath, compose_paths, constant_path
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
 from .groups import StructuralError, is_skew, skew_expm1_batch
-from .report import LawReport, run_law
+from .report import LawReport, Plan, run_law
 from .twisted import EtaMap, TwistedBundle, TwistedMorphism
 
 DEFAULT_STEPS = 200
@@ -270,8 +270,8 @@ def verify_prop62(cm: CrossedModule, eta: EtaMap, n_pairs: int = 50,
     report = LawReport(suite="prop62")
     db = DecoratedBundle(cm, eta)
     tb = db.twisted()
-    pairs = seeded_composable_pairs(db, n_pairs, rng)
-    singles = [dm for p in pairs for dm in p]
+    pairs = Plan(seeded_composable_pairs(db, n_pairs, rng), exhaustive=False)
+    singles = Plan([dm for p in pairs for dm in p], exhaustive=False)
 
     def close_g(a, b):
         return bool(np.max(np.abs(np.asarray(a) - np.asarray(b))) <= eps_iso)
@@ -282,7 +282,6 @@ def verify_prop62(cm: CrossedModule, eta: EtaMap, n_pairs: int = 50,
             db.base.point_eq(tb.source(db.theta(dm))[0], db.source(dm)[0])
             and close_g(tb.source(db.theta(dm))[1], db.source(dm)[1])
         ) else {"case": "source"},
-        False,
     ))
     report.records.append(run_law(
         "theta-target", "Eq 6.32", singles,
@@ -290,7 +289,6 @@ def verify_prop62(cm: CrossedModule, eta: EtaMap, n_pairs: int = 50,
             db.base.point_eq(tb.target(db.theta(dm))[0], db.target(dm)[0])
             and close_g(tb.target(db.theta(dm))[1], db.target(dm)[1])
         ) else {"case": "target"},
-        False,
     ))
 
     def check_comp(p):
@@ -303,7 +301,7 @@ def verify_prop62(cm: CrossedModule, eta: EtaMap, n_pairs: int = 50,
         return {"case": "composition",
                 "dh": float(np.max(np.abs(np.asarray(lhs.m.h) - np.asarray(rhs.m.h))))}
 
-    report.records.append(run_law("theta-composition", "Eq 6.35", pairs, check_comp, False))
+    report.records.append(run_law("theta-composition", "Eq 6.35", pairs, check_comp))
 
     def check_equiv(dm):
         m1 = cm.sample_morphism(rng)
@@ -313,7 +311,7 @@ def verify_prop62(cm: CrossedModule, eta: EtaMap, n_pairs: int = 50,
               and close_g(lhs.m.h, rhs.m.h) and close_g(lhs.m.g, rhs.m.g))
         return None if ok else {"case": "equivariance"}
 
-    report.records.append(run_law("theta-equivariance", "Eq 6.24", singles, check_equiv, False))
+    report.records.append(run_law("theta-equivariance", "Eq 6.24", singles, check_equiv))
 
     def check_roundtrip(dm):
         back = db.theta_inverse(db.theta(dm))
@@ -327,13 +325,12 @@ def verify_prop62(cm: CrossedModule, eta: EtaMap, n_pairs: int = 50,
             return {"case": "inverse-roundtrip"}
         return None
 
-    report.records.append(run_law("theta-inverse-roundtrip", "Eq 6.31", singles, check_roundtrip, False))
+    report.records.append(run_law("theta-inverse-roundtrip", "Eq 6.31", singles, check_roundtrip))
 
     report.records.append(run_law(
         "theta-identity-objects", "Prop 6.2", singles,
         lambda dm: None if db.base.point_eq(db.theta(dm).gamma.start, dm.gamma.start)
         else {"case": "objects"},
-        False,
     ))
     return report
 
@@ -348,7 +345,7 @@ def verify_transport_numerics(cm: CrossedModule, conn: Connection,
     report = LawReport(suite="transport-convergence")
     dim = conn.base_dim
     cat = PathCategory(dim)
-    paths = [cat.random_path(rng, n_segments=2) for _ in range(4)]
+    paths = Plan([cat.random_path(rng, n_segments=2) for _ in range(4)], exhaustive=False)
 
     zero = Connection.zero(conn.group_dim, dim)
     report.records.append(run_law(
@@ -356,7 +353,6 @@ def verify_transport_numerics(cm: CrossedModule, conn: Connection,
         lambda p: None if np.array_equal(
             parallel_transport(zero, p, steps), np.eye(conn.group_dim))
         else {"case": "zero"},
-        False,
     ))
 
     def check_mult(p):
@@ -368,7 +364,7 @@ def verify_transport_numerics(cm: CrossedModule, conn: Connection,
             "case": "multiplicativity",
             "max_diff": float(np.max(np.abs(lhs - rhs)))}
 
-    report.records.append(run_law("composite-multiplicativity", "Eq 6.18", paths, check_mult, False))
+    report.records.append(run_law("composite-multiplicativity", "Eq 6.18", paths, check_mult))
 
     def check_reversal(p):
         fwd = parallel_transport(conn, p, steps)
@@ -376,12 +372,12 @@ def verify_transport_numerics(cm: CrossedModule, conn: Connection,
         diff = float(np.max(np.abs(bwd @ fwd - np.eye(conn.group_dim))))
         return None if diff <= 1e-9 else {"case": "reversal", "diff": diff}
 
-    report.records.append(run_law("reversal-inverse", "Eq 6.29", paths, check_reversal, False))
+    report.records.append(run_law("reversal-inverse", "Eq 6.29", paths, check_reversal))
 
     def check_order(p):
         orders = observed_order(conn, p, base_steps=max(8, steps // 16))
         ok = all(o >= 1.9 for o in orders)
         return None if ok else {"case": "order", "orders": [round(o, 3) for o in orders]}
 
-    report.records.append(run_law("convergence-order", "Eq 6.29", paths, check_order, False))
+    report.records.append(run_law("convergence-order", "Eq 6.29", paths, check_order))
     return report

@@ -1,9 +1,10 @@
-"""Pass/fail law reports shared by every verification suite.
+"""Case spaces and pass/fail law reports shared by every verification suite.
 
-A suite produces a LawReport: one LawRecord per algebraic law, each carrying
-the law's anchor string (its identifier in the library's law registry, e.g.
-"Eq 2.4"), a pass/fail status, the number of cases checked, whether the check
-was exhaustive, and a witness payload on failure.
+A law's cases come from a CaseSpace, whose `plan` decides exhaustive vs
+sampled. A suite produces a LawReport: one LawRecord per algebraic law, each
+carrying the law's anchor string (its identifier in the library's law
+registry, e.g. "Eq 2.4"), a pass/fail status, the number of cases checked,
+whether the check was exhaustive, and a witness payload on failure.
 
 The machine-readable serialization (JSONL) is canonical: records sorted by
 law id, keys sorted, no timing fields, so identical inputs give identical
@@ -11,10 +12,177 @@ bytes. Timing appears only in the human-readable table.
 """
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
+
+
+class CaseSpace:
+    """The cases of one law, built without listing them.
+
+    A finite space has `size` cases and `space[i]` decodes the i-th in
+    enumeration order. A sampled space (an infinite carrier, random paths)
+    has `size` None and draws one seeded case per `draw(rng)`; its `count`
+    fixes how many draws stand in for it, or is None to let the budget decide.
+    Sequences serve as finite axes as they are.
+    """
+
+    def __init__(self, size: int | None, get: Callable | None = None,
+                 draw: Callable | None = None, count: int | None = None):
+        self.size = size
+        self._get = get
+        self.draw = draw  # sampled spaces: rng -> one case
+        self.count = count
+        self.axes: tuple | None = None  # a product's axes and case builder
+        self.build: Callable | None = None
+        self.blocks: list | None = None  # a concatenation's blocks
+
+    def __len__(self) -> int:
+        return self.size  # a TypeError on a sampled space
+
+    def __getitem__(self, i: int):
+        return self._get(i)
+
+    @staticmethod
+    def finite(items: Sequence) -> "CaseSpace":
+        return CaseSpace(len(items), items.__getitem__)
+
+    @staticmethod
+    def sampled(draw: Callable, count: int | None = None) -> "CaseSpace":
+        return CaseSpace(None, draw=draw, count=count)
+
+    @staticmethod
+    def carrier(group, count: int | None = None):
+        """A group's elements, or seeded samples of an infinite group."""
+        return group.elements if group.is_finite else CaseSpace.sampled(group.sample, count)
+
+    @staticmethod
+    def product(*axes, build: Callable | None = None) -> "CaseSpace":
+        """Cases `build(*parts)` (a tuple by default), one part per axis; the
+        last axis varies fastest, as in the nested loops it replaces."""
+        build = build or (lambda *parts: parts)
+        if any(_is_sampled(a) for a in axes):
+            counts = [a.count if _is_sampled(a) else len(a) for a in axes]
+            draws = [_drawer(a) for a in axes]
+            space = CaseSpace.sampled(lambda rng: build(*[d(rng) for d in draws]),
+                                      None if None in counts else math.prod(counts))
+        else:
+            sizes = [len(a) for a in axes]
+            n = len(axes)
+
+            def get(i):
+                parts = [None] * n
+                for k in range(n - 1, -1, -1):
+                    i, r = divmod(i, sizes[k])
+                    parts[k] = axes[k][r]
+                return build(*parts)
+
+            space = CaseSpace(math.prod(sizes), get)
+        space.axes, space.build = axes, build
+        return space
+
+    @staticmethod
+    def concat(blocks: Iterable) -> "CaseSpace":
+        """The finite blocks one after another: a filtered product is the
+        concatenation of its per-prefix product blocks."""
+        blocks = list(blocks)
+        ends = list(itertools.accumulate(len(b) for b in blocks))
+
+        def get(i):
+            k = bisect_right(ends, i)
+            return blocks[k][i - ends[k - 1] if k else i]
+
+        space = CaseSpace(ends[-1] if ends else 0, get)
+        space.blocks = blocks
+        return space
+
+    def plan(self, budget: int, rng) -> "Plan":
+        """The cases a law checks: the whole finite space in order when it
+        fits the budget (exhaustive); else `budget` seeded draws of
+        `space[int(rng.integers(size))]`. A sampled space is drawn `count`
+        times, or `budget` times; in a product, finite and counted axes are
+        enumerated whole and one open sampled axis is drawn
+        max(1, budget // their size) times. No cases when budget <= 0."""
+        if budget <= 0:
+            return Plan((), exhaustive=False, space=self.size)
+        if self.size is not None:
+            if self.size <= budget:
+                return Plan(_cases(self), exhaustive=True, space=self.size)
+            picks = [int(rng.integers(self.size)) for _ in range(budget)]
+            return Plan(map(_listed(self, budget).__getitem__, picks),
+                        exhaustive=False, space=self.size)
+        axes = self.axes or ()
+        if any(not _is_sampled(a) or a.count is not None for a in axes):
+            open_axes = [a for a in axes if _is_sampled(a) and a.count is None]
+            if len(open_axes) > 1:
+                raise ValueError("a product may sample at most one axis beside enumerated ones")
+            counts = [a.count if _is_sampled(a) else len(a) for a in axes]
+            draws = max(1, budget // max(1, math.prod(c for c in counts if c is not None)))
+            lists = [
+                [a.draw(rng) for _ in range(draws if c is None else c)] if _is_sampled(a) else a
+                for a, c in zip(axes, counts)
+            ]
+            return Plan(_cases(CaseSpace.product(*lists, build=self.build)), exhaustive=False)
+        draw = self.draw
+        if self.count is not None:
+            return Plan([draw(rng) for _ in range(self.count)], exhaustive=False)
+        return Plan((draw(rng) for _ in range(budget)), exhaustive=False)
+
+
+def _is_sampled(axis) -> bool:
+    return isinstance(axis, CaseSpace) and axis.size is None
+
+
+def _drawer(axis) -> Callable:
+    """rng -> one seeded case of `axis`, uniform over a finite one."""
+    if _is_sampled(axis):
+        return axis.draw
+    return lambda rng: axis[int(rng.integers(len(axis)))]
+
+
+def _cases(space):
+    """Every case of a finite space or sequence, in order, as nested loops:
+    each nested space is listed once rather than decoded per case."""
+    if not isinstance(space, CaseSpace):
+        return iter(space)
+    if not space.size:
+        return iter(())
+    if space.axes is not None:
+        lists = [list(_cases(a)) if isinstance(a, CaseSpace) else a for a in space.axes]
+        return itertools.starmap(space.build, itertools.product(*lists))
+    if space.blocks is not None:
+        return itertools.chain.from_iterable(_cases(b) for b in space.blocks)
+    return map(space.__getitem__, range(space.size))
+
+
+def _listed(space, limit: int):
+    """A finite space to decode sampled cases from, with each nested space of
+    at most `limit` cases listed once, so that a case does not rebuild its
+    parts."""
+    if not isinstance(space, CaseSpace):
+        return space
+    if space.size <= limit:
+        return list(_cases(space))
+    if space.axes is not None:
+        return CaseSpace.product(*(_listed(a, limit) for a in space.axes), build=space.build)
+    return space
+
+
+@dataclass(frozen=True)
+class Plan:
+    """The cases one law checks, whether they are its whole case space, and
+    the size of that space (None when infinite). A plan from
+    `CaseSpace.plan` is consumed by the one law that iterates it."""
+    cases: Iterable
+    exhaustive: bool
+    space: int | None = None
+
+    def __iter__(self):
+        return iter(self.cases)
 
 
 @dataclass(frozen=True)
@@ -26,6 +194,7 @@ class LawRecord:
     exhaustive: bool
     witness: dict | None = None
     elapsed_ms: float = 0.0
+    space: int | None = None  # case-space size, None if infinite; not serialized
 
     @property
     def passed(self) -> bool:
@@ -105,20 +274,18 @@ class LawReport:
         return "\n".join(out) + "\n"
 
 
-def run_law(
-    law: str,
-    anchor: str,
-    cases: Iterable,
-    check: Callable,
-    exhaustive: bool,
-) -> LawRecord:
+def run_law(law: str, anchor: str, cases: Plan | Sequence, check: Callable) -> LawRecord:
     """Run `check` over `cases`; stop at the first witness.
 
-    `check(case)` returns None on success or a witness dict on failure.
+    `cases` is a Plan from `CaseSpace.plan`, or a sequence, which is the
+    law's whole (exhaustive) case space. `check(case)` returns None on
+    success or a witness dict on failure. A law checked on no case fails.
     """
     from .crossed import CompositionUndefined
     from .groups import StructuralError
 
+    if not isinstance(cases, Plan):
+        cases = Plan(cases, exhaustive=True, space=len(cases))
     t0 = time.perf_counter()
     n = 0
     witness = None
@@ -131,13 +298,16 @@ def run_law(
             witness = {"error": f"{type(exc).__name__}: {exc}"}
         if witness is not None:
             break
+    if n == 0:
+        witness = {"error": "no cases checked"}
     elapsed = (time.perf_counter() - t0) * 1000.0
     return LawRecord(
         law=law,
         anchor=anchor,
         status="pass" if witness is None else "fail",
         checks=n,
-        exhaustive=exhaustive,
+        exhaustive=cases.exhaustive,
         witness=witness,
         elapsed_ms=elapsed,
+        space=cases.space,
     )

@@ -93,34 +93,40 @@ class Scenario:
 
     # -- plain fields --
 
+    def _int(self, key: str, default: int, minimum: int = 1) -> int:
+        value = self._get(key, required=False, default=default)
+        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+            raise ScenarioError(f"{key!r} must be an integer >= {minimum}, got {value!r}")
+        return value
+
     @property
     def seed(self) -> int:
-        return int(self._get("seed", required=False, default=0))
+        return self._int("seed", 0, minimum=0)
 
     @property
     def budget(self) -> int:
-        return int(self._get("budget", required=False, default=10_000))
+        return self._int("budget", 10_000)
 
     @property
     def steps(self) -> int:
-        return int(self._get("steps", required=False, default=200))
+        return self._int("steps", 200)
 
     @property
     def prop62_pairs(self) -> int:
-        return int(self._get("prop62_pairs", required=False, default=50))
+        return self._int("prop62_pairs", 50)
 
     @property
     def path_budget(self) -> int:
         """Sample count for path-base suites, where every case costs an ODE
         integration; far smaller than the combinatorial budget."""
-        return int(self._get("path_budget", required=False, default=200))
+        return self._int("path_budget", 200)
 
     def tolerance(self, name: str, default: float) -> float:
         tols = self._get("tolerances", required=False, default={})
-        value = float(tols.get(name, default))
-        if value <= 0:
-            raise ScenarioError(f"tolerance {name!r} must be positive")
-        return value
+        value = tols.get(name, default) if isinstance(tols, dict) else None
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
+            raise ScenarioError(f"tolerance {name!r} must be a positive number, got {value!r}")
+        return float(value)
 
     @property
     def suites(self) -> list[str]:
@@ -213,10 +219,15 @@ class Scenario:
         spec = self._get("triple")
         return tuple(int(i) for i in spec["lower"]), tuple(int(i) for i in spec["upper"])
 
-    def functors(self, cm: CrossedModule) -> dict[str, dict]:
-        """Object-level H tables, one per named functor declaration."""
+    def functors(self, cm: CrossedModule, base: QuiverCategory) -> dict[str, dict]:
+        """Object-level H tables, one per named functor declaration, each
+        giving exactly one element per object of `base`."""
         out = {}
+        objects = set(base.objects)
         for name, table in self._get("functors", required=False, default={}).items():
+            if not isinstance(table, dict) or set(table) != objects:
+                raise ScenarioError(f"functor {name!r} must give one element per base "
+                                    f"object {sorted(objects)}, got {table!r}")
             out[name] = {obj: parse_element(cm.H, v) for obj, v in table.items()}
         return out
 

@@ -4,6 +4,7 @@ registry ("prop31-roundtrip", "prop51", "prop62", "exchange-law", ...)."""
 from __future__ import annotations
 
 import zlib
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -15,7 +16,7 @@ from . import decorated as decorated_mod
 from . import twisted as twisted_mod
 from .cocycle import OverlapCategory
 from .crossed import verify_crossed_module, verify_exchange_law
-from .report import LawRecord, LawReport
+from .report import LawReport
 from .scenario import Scenario, ScenarioError
 from .twisted import TwistedBundle
 
@@ -54,7 +55,7 @@ def _prop34_suite(sc: Scenario) -> LawReport:
 def _prop41_suite(sc: Scenario) -> LawReport:
     cm = sc.crossed_module()
     base = sc.quiver()
-    tables = sc.functors(cm)
+    tables = sc.functors(cm, base)
     if not tables:
         raise ScenarioError("prop41-section needs at least one entry under 'functors'")
     report = LawReport(suite="prop41-section")
@@ -65,18 +66,14 @@ def _prop41_suite(sc: Scenario) -> LawReport:
         if idx == 0:
             report.records.extend(sub.records)
         else:
-            report.records.extend(
-                LawRecord(f"{r.law}@{name}", r.anchor, r.status, r.checks,
-                          r.exhaustive, r.witness, r.elapsed_ms)
-                for r in sub.records
-            )
+            report.records.extend(replace(r, law=f"{r.law}@{name}") for r in sub.records)
     return report
 
 
 def _prop42_suite(sc: Scenario) -> LawReport:
     cm = sc.crossed_module()
     base = sc.quiver()
-    tables = sorted(sc.functors(cm).items())
+    tables = sorted(sc.functors(cm, base).items())
     if len(tables) < 2:
         raise ScenarioError("prop42-correspondence needs two entries under 'functors'")
     F1 = bundle_mod.functor_from_h(base, cm, tables[0][1])

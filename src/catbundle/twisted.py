@@ -23,7 +23,7 @@ import numpy as np
 from .basecat import QuiverCategory
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
 from .groups import StructuralError
-from .report import LawReport, run_law
+from .report import CaseSpace, LawReport, run_law
 
 DEFAULT_BUDGET = 10_000
 
@@ -152,94 +152,83 @@ class TwistedBundle:
         return same_base and self.cm.m_eq(t1.m, t2.m)
 
 
-# -- instance generators: exhaustive on finite quiver data, seeded otherwise --
+# -- case spaces: enumerated on finite quiver data, seeded otherwise --
 
-def _quiver_like(bundle: TwistedBundle) -> bool:
-    return isinstance(bundle.base, QuiverCategory) and bundle.cm.is_finite
-
-
-def _all_morphisms(bundle: TwistedBundle, budget: int, rng, max_len=None):
-    cm = bundle.cm
-    if _quiver_like(bundle):
-        ms = [
-            TwistedMorphism(gamma, TwoGroupMorphism(h, g))
-            for gamma in bundle.base.morphisms_upto(max_len)
-            for h in cm.H.elements for g in cm.G.elements
-        ]
-        if len(ms) <= budget:
-            return ms, True
-        return [ms[int(rng.integers(len(ms)))] for _ in range(budget)], False
-    out = []
-    for _ in range(budget):
-        out.append(TwistedMorphism(bundle.base.random_path(rng), cm.sample_morphism(rng)))
-    return out, False
+def _base_morphisms(bundle: TwistedBundle, max_len=None, count=None):
+    """Every base morphism of a quiver, else `count` seeded random paths (or
+    as many as the budget allows)."""
+    if isinstance(bundle.base, QuiverCategory):
+        return bundle.base.morphisms_upto(max_len)
+    return CaseSpace.sampled(bundle.base.random_path, count)
 
 
-def _second_leg(bundle: TwistedBundle, tm1: TwistedMorphism, h2, gamma2) -> TwistedMorphism:
-    cm = bundle.cm
-    g2 = cm.G.mul(bundle.eta(tm1.gamma), cm.G.mul(cm.tau(tm1.m.h), tm1.m.g))
-    return TwistedMorphism(gamma2, TwoGroupMorphism(h2, g2))
+def _base_pairs(bundle: TwistedBundle, max_len=None) -> CaseSpace:
+    """Composable base pairs (gamma2, gamma1)."""
+    base = bundle.base
+    if isinstance(base, QuiverCategory):
+        return CaseSpace.finite(list(base.composable_pairs(max_len)))
+
+    def draw(rng):
+        gamma1 = base.random_path(rng)
+        return base.random_path(rng, start=gamma1.end), gamma1
+
+    return CaseSpace.sampled(draw)
 
 
-def _composable_pairs(bundle: TwistedBundle, budget: int, rng, max_len=None):
-    cm = bundle.cm
-    if _quiver_like(bundle):
-        base_ms = bundle.base.morphisms_upto(max_len)
-        pairs = []
-        for gamma1 in base_ms:
-            for h1 in cm.H.elements:
-                for g1 in cm.G.elements:
-                    tm1 = TwistedMorphism(gamma1, TwoGroupMorphism(h1, g1))
-                    for gamma2 in base_ms:
-                        if gamma2.source != gamma1.target:
-                            continue
-                        for h2 in cm.H.elements:
-                            pairs.append((_second_leg(bundle, tm1, h2, gamma2), tm1))
-        if len(pairs) <= budget:
-            return pairs, True
-        return [pairs[int(rng.integers(len(pairs)))] for _ in range(budget)], False
-    out = []
-    for _ in range(budget):
-        gamma1 = bundle.base.random_path(rng)
-        tm1 = TwistedMorphism(gamma1, cm.sample_morphism(rng))
-        gamma2 = bundle.base.random_path(rng, start=gamma1.end)
-        out.append((_second_leg(bundle, tm1, cm.H.sample(rng), gamma2), tm1))
-    return out, False
+def _identities(bundle: TwistedBundle, count: int) -> CaseSpace:
+    """Identity morphisms at every quiver object, else at `count` seeded points."""
+    base = bundle.base
+    if isinstance(base, QuiverCategory):
+        return CaseSpace.finite([base.identity(o) for o in base.objects])
+    return CaseSpace.sampled(lambda rng: base.identity(rng.uniform(-1, 1, size=base.dim)), count)
 
 
-def _composable_triples(bundle: TwistedBundle, budget: int, rng, max_len=None):
-    cm = bundle.cm
-    pairs, exhaustive = _composable_pairs(bundle, budget, rng, max_len)
-    triples = []
-    if _quiver_like(bundle):
-        base_ms = bundle.base.morphisms_upto(max_len)
-        for tm2, tm1 in pairs:
-            for gamma3 in base_ms:
-                if gamma3.source != tm2.gamma.target:
-                    continue
-                for h3 in cm.H.elements:
-                    triples.append((_second_leg(bundle, tm2, h3, gamma3), tm2, tm1))
-        if len(triples) <= budget:
-            return triples, exhaustive
-        return [triples[int(rng.integers(len(triples)))] for _ in range(budget)], False
-    for tm2, tm1 in pairs:
-        gamma3 = bundle.base.random_path(rng, start=tm2.gamma.end)
-        triples.append((_second_leg(bundle, tm2, cm.H.sample(rng), gamma3), tm2, tm1))
-    return triples, False
+def _morphisms(bundle: TwistedBundle, max_len=None) -> CaseSpace:
+    return CaseSpace.product(_base_morphisms(bundle, max_len), bundle.cm.morphism_space(),
+                             build=TwistedMorphism)
 
 
-def _base_composable_pairs(bundle: TwistedBundle, budget: int, rng, max_len=None):
-    if _quiver_like(bundle):
-        ps = list(bundle.base.composable_pairs(max_len))
-        if len(ps) <= budget:
-            return ps, True
-        return [ps[int(rng.integers(len(ps)))] for _ in range(budget)], False
-    out = []
-    for _ in range(budget):
-        gamma1 = bundle.base.random_path(rng)
-        gamma2 = bundle.base.random_path(rng, start=gamma1.end)
-        out.append((gamma2, gamma1))
-    return out, False
+def _chains(bundle: TwistedBundle, n: int, max_len=None) -> CaseSpace:
+    """Composable chains (tm_n, ..., tm_1) in the order of nested loops over
+    (gamma1, h1, g1, gamma2, h2, ...): each later morphism starts where the
+    one before ends, so only its base morphism and its h are free."""
+    base, cm = bundle.base, bundle.cm
+
+    def fold(tm1, legs):
+        chain = [tm1]
+        for gamma, h in legs:
+            chain.append(TwistedMorphism(gamma, TwoGroupMorphism(h, bundle.target(chain[-1])[1])))
+        return tuple(reversed(chain))
+
+    if not (isinstance(base, QuiverCategory) and cm.is_finite):
+        def draw(rng):
+            gamma = base.random_path(rng)
+            tm1 = TwistedMorphism(gamma, cm.sample_morphism(rng))
+            legs = []
+            for _ in range(n - 1):
+                gamma = base.random_path(rng, start=gamma.end)
+                legs.append((gamma, cm.H.sample(rng)))
+            return fold(tm1, legs)
+
+        return CaseSpace.sampled(draw)
+
+    gammas = base.morphisms_upto(max_len)
+    out_of = {o: [g for g in gammas if g.source == o] for o in base.objects}
+
+    def legs(obj, k):  # k legs (gamma, h), the first one leaving obj
+        if k == 0:
+            return [()]
+        return CaseSpace.concat(
+            CaseSpace.product(cm.H.elements, legs(gamma.target, k - 1),
+                              build=lambda h, rest, gamma=gamma: ((gamma, h),) + rest)
+            for gamma in out_of[obj])
+
+    return CaseSpace.concat(
+        CaseSpace.product(
+            cm.H.elements, cm.G.elements, legs(gamma1.target, n - 1),
+            build=lambda h1, g1, rest, gamma1=gamma1: fold(
+                TwistedMorphism(gamma1, TwoGroupMorphism(h1, g1)), rest))
+        for gamma1 in gammas)
 
 
 def verify_twisted_bundle(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
@@ -252,55 +241,44 @@ def verify_twisted_bundle(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
     cm = bundle.cm
     report = LawReport(suite="twisted-bundle")
 
-    bpairs, exh = _base_composable_pairs(bundle, budget, rng, max_len)
+    def cases(space):
+        return space.plan(budget, rng)
+
     report.records.append(run_law(
-        "eta-homomorphism", "Eq 6.18", bpairs,
+        "eta-homomorphism", "Eq 6.18", cases(_base_pairs(bundle, max_len)),
         lambda p: None if cm.G.eq(
             bundle.eta(bundle.base.compose(p[0], p[1])),
             cm.G.mul(bundle.eta(p[0]), bundle.eta(p[1])),
         ) else {"gamma2": repr(p[0]), "gamma1": repr(p[1]),
                 "lhs": cm.G.fmt(bundle.eta(bundle.base.compose(p[0], p[1]))),
                 "rhs": cm.G.fmt(cm.G.mul(bundle.eta(p[0]), bundle.eta(p[1])))},
-        exh,
     ))
 
-    if isinstance(bundle.base, QuiverCategory):
-        id_cases = [bundle.base.identity(o) for o in bundle.base.objects]
-    else:
-        id_cases = [bundle.base.identity(rng.uniform(-1, 1, size=bundle.base.dim))
-                    for _ in range(8)]
     report.records.append(run_law(
-        "eta-identity", "Eq 6.18", id_cases,
+        "eta-identity", "Eq 6.18", cases(_identities(bundle, 8)),
         lambda gamma: None if cm.G.eq(bundle.eta(gamma), cm.G.identity)
         else {"gamma": repr(gamma)},
-        exh,
     ))
 
-    cpairs, exh = _composable_pairs(bundle, budget, rng, max_len)
     report.records.append(run_law(
-        "boundary-coherence", "Eq 6.19", cpairs,
+        "boundary-coherence", "Eq 6.19", cases(_chains(bundle, 2, max_len)),
         lambda p: _boundary_ok(bundle, p[0], p[1]),
-        exh,
     ))
 
-    ctriples, exh3 = _composable_triples(bundle, budget, rng, max_len)
     report.records.append(run_law(
-        "associativity", "Eq 6.20", ctriples,
+        "associativity", "Eq 6.20", cases(_chains(bundle, 3, max_len)),
         lambda t: None if bundle.morphism_eq(
             bundle.compose(bundle.compose(t[0], t[1]), t[2]),
             bundle.compose(t[0], bundle.compose(t[1], t[2])),
         ) else {"gamma3": repr(t[0].gamma), "gamma2": repr(t[1].gamma), "gamma1": repr(t[2].gamma)},
-        exh3,
     ))
 
-    singles, exh1 = _all_morphisms(bundle, budget, rng, max_len)
     report.records.append(run_law(
-        "unit-laws", "Prop 6.1", singles,
+        "unit-laws", "Prop 6.1", cases(_morphisms(bundle, max_len)),
         lambda tm: None if (
             bundle.morphism_eq(bundle.compose(tm, bundle.identity(*bundle.source(tm))), tm)
             and bundle.morphism_eq(bundle.compose(bundle.identity(*bundle.target(tm)), tm), tm)
         ) else {"gamma": repr(tm.gamma)},
-        exh1,
     ))
 
     def b1_witness(tm):
@@ -312,33 +290,26 @@ def verify_twisted_bundle(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
         return None if ok else {"gamma": repr(tm.gamma)}
 
     report.records.append(run_law(
-        "b1-surjectivity", "§2.2 (b1)", singles, b1_witness, exh1))
-    if _quiver_like(bundle):
-        covered = {tm.gamma for tm in singles}
+        "b1-surjectivity", "§2.2 (b1)", cases(_morphisms(bundle, max_len)), b1_witness))
+    if isinstance(bundle.base, QuiverCategory):
+        # every base morphism lifts: its lift through the unit lies over it
         report.records.append(run_law(
             "b1-base-coverage", "§2.2 (b1)", bundle.base.morphisms_upto(max_len),
-            lambda gamma: None if (not exh1) or gamma in covered else {"missing": repr(gamma)},
-            exh1,
+            lambda gamma: None if b1_witness(TwistedMorphism(gamma, cm.unit)) is None
+            else {"missing": repr(gamma)},
         ))
 
-    mor_samples = (cm.enumerate_morphisms() if cm.is_finite
-                   else [cm.sample_morphism(rng) for _ in range(16)])
-    free_cases = [(tm, m1) for tm in singles[: max(1, budget // max(1, len(mor_samples)))]
-                  for m1 in mor_samples]
+    acted = CaseSpace.product(_morphisms(bundle, max_len), cm.morphism_space(16))
     report.records.append(run_law(
-        "b2-freeness", "§2.2 (b2)", free_cases,
+        "b2-freeness", "§2.2 (b2)", cases(acted),
         lambda p: None if (
             not cm.m_eq(bundle.act(p[0], p[1]).m, p[0].m) or cm.m_eq(p[1], cm.unit)
         ) else {"gamma": repr(p[0].gamma), "m": cm.fmt_m(p[1])},
-        exh1 and cm.is_finite,
     ))
 
-    fiber_cases = [(tm, m1) for tm in singles[: max(1, budget // max(1, len(mor_samples)))]
-                   for m1 in mor_samples]
     report.records.append(run_law(
-        "b3-transitivity", "§2.2 (b3)", fiber_cases,
+        "b3-transitivity", "§2.2 (b3)", cases(acted),
         lambda p: _transitive_ok(bundle, p[0], p[1]),
-        exh1 and cm.is_finite,
     ))
     return report
 
@@ -377,66 +348,44 @@ def verify_E_properties(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
     cm = bundle.cm
     report = LawReport(suite="e-action")
 
-    if _quiver_like(bundle):
-        phis = cm.enumerate_morphisms()
-        objs = list(bundle.base.objects)
-        gammas = bundle.base.morphisms_upto(max_len)
-        id_cases = [(phi, bundle.base.identity(o)) for phi in phis for o in objs]
-        exh = True
-    else:
-        phis = [cm.sample_morphism(rng) for _ in range(32)]
-        gammas = [bundle.base.random_path(rng) for _ in range(32)]
-        id_cases = [(phi, bundle.base.identity(rng.uniform(-1, 1, size=bundle.base.dim)))
-                    for phi in phis]
-        exh = False
+    def cases(*axes, build=None):
+        return CaseSpace.product(*axes, build=build).plan(budget, rng)
 
     report.records.append(run_law(
-        "E-identity-base", "§6.2 (i)", id_cases,
+        "E-identity-base", "§6.2 (i)", cases(cm.morphism_space(8), _identities(bundle, 4)),
         lambda p: None if cm.m_eq(bundle.E(p[0], p[1]), p[0])
         else {"phi": cm.fmt_m(p[0])},
-        exh,
     ))
 
-    g_cases = [(g, gamma) for g in (cm.G.elements if cm.G.is_finite else [cm.G.sample(rng) for _ in range(8)])
-               for gamma in gammas]
     report.records.append(run_law(
-        "E-identity-group", "§6.2 (ii)", g_cases,
+        "E-identity-group", "§6.2 (ii)",
+        cases(CaseSpace.carrier(cm.G, 8), _base_morphisms(bundle, max_len, 32)),
         lambda p: None if cm.m_eq(
             bundle.E(cm.identity_morphism(p[0]), p[1]),
             cm.identity_morphism(cm.G.mul(cm.G.inv(bundle.eta(p[1])), p[0])),
         ) else {"g": cm.G.fmt(p[0]), "gamma": repr(p[1])},
-        exh,
     ))
 
-    bpairs, exhp = _base_composable_pairs(bundle, budget, rng, max_len)
-    comp_base_cases = [(phi, p) for phi in phis[:8] for p in bpairs[: max(1, budget // 8)]]
     report.records.append(run_law(
-        "E-composition-base", "§6.2 (iii)", comp_base_cases,
+        "E-composition-base", "§6.2 (iii)", cases(cm.morphism_space(8), _base_pairs(bundle, max_len)),
         lambda c: None if cm.m_eq(
             bundle.E(c[0], bundle.base.compose(c[1][0], c[1][1])),
             bundle.E(bundle.E(c[0], c[1][0]), c[1][1]),
         ) else {"phi": cm.fmt_m(c[0])},
-        exhp,
     ))
 
-    vert_pairs = []
-    for phi1 in phis[:12]:
-        for h2 in (cm.H.elements if cm.H.is_finite else [cm.H.sample(rng) for _ in range(4)]):
-            phi2 = TwoGroupMorphism(h2, cm.target(phi1))
-            vert_pairs.append((phi2, phi1))
-    comp_grp_cases = [(pp, gamma) for pp in vert_pairs for gamma in gammas[:8]]
     report.records.append(run_law(
-        "E-composition-group", "§6.2 (iv)", comp_grp_cases,
+        "E-composition-group", "§6.2 (iv)",
+        cases(cm.morphism_space(12), CaseSpace.carrier(cm.H, 4), _base_morphisms(bundle, max_len, 8),
+              build=lambda phi1, h2, gamma: ((TwoGroupMorphism(h2, cm.target(phi1)), phi1), gamma)),
         lambda c: None if cm.m_eq(
             bundle.E(cm.compose_vertical(c[0][0], c[0][1]), c[1]),
             cm.compose_vertical(bundle.E(c[0][0], c[1]), bundle.E(c[0][1], c[1])),
         ) else {"gamma": repr(c[1])},
-        exh,
     ))
 
-    cpairs, exhc = _composable_pairs(bundle, budget, rng, max_len)
     report.records.append(run_law(
-        "E-reproduces-composition", "Eq 6.22", cpairs,
+        "E-reproduces-composition", "Eq 6.22", _chains(bundle, 2, max_len).plan(budget, rng),
         lambda p: None if bundle.morphism_eq(
             bundle.compose(p[0], p[1]),
             TwistedMorphism(
@@ -444,7 +393,6 @@ def verify_E_properties(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
                 cm.compose_vertical(bundle.E(p[0].m, p[1].gamma), p[1].m),
             ),
         ) else {"gamma2": repr(p[0].gamma), "gamma1": repr(p[1].gamma)},
-        exhc,
     ))
     return report
 
@@ -456,11 +404,6 @@ def verify_action_functorial(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET
     rng = rng or np.random.default_rng(0)
     cm = bundle.cm
     report = LawReport(suite="twisted-action")
-    singles, exh = _all_morphisms(bundle, budget, rng, max_len)
-    mor_samples = (cm.enumerate_morphisms() if cm.is_finite
-                   else [cm.sample_morphism(rng) for _ in range(16)])
-    cases = [(tm, m1) for tm in singles[: max(1, budget // max(1, len(mor_samples)))]
-             for m1 in mor_samples]
 
     def check_st(p):
         tm, m1 = p
@@ -471,15 +414,13 @@ def verify_action_functorial(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET
             return None
         return {"gamma": repr(tm.gamma), "m1": cm.fmt_m(m1)}
 
-    report.records.append(run_law("action-boundaries", "Eq 6.3", cases, check_st, exh and cm.is_finite))
+    acted = CaseSpace.product(_morphisms(bundle, max_len), cm.morphism_space(16))
+    report.records.append(run_law("action-boundaries", "Eq 6.3", acted.plan(budget, rng), check_st))
 
-    cpairs, exhc = _composable_pairs(bundle, budget, rng, max_len)
-    vert = []
-    hs = cm.H.elements if cm.H.is_finite else [cm.H.sample(rng) for _ in range(4)]
-    for m1 in mor_samples[:8]:
-        for h2 in hs[:4]:
-            vert.append((TwoGroupMorphism(h2, cm.target(m1)), m1))
-    quad = [(pp, mm) for pp in cpairs[: max(1, budget // max(1, len(vert)))] for mm in vert]
+    # composable group pairs (m2, m1): m2 starts where m1 ends
+    vertical = CaseSpace.product(
+        cm.morphism_space(8), CaseSpace.carrier(cm.H, 4),
+        build=lambda m1, h2: (TwoGroupMorphism(h2, cm.target(m1)), m1))
 
     def check_comp(c):
         (tm2, tm1), (m2, m1) = c
@@ -490,5 +431,7 @@ def verify_action_functorial(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET
         return {"gamma2": repr(tm2.gamma), "gamma1": repr(tm1.gamma),
                 "m2": cm.fmt_m(m2), "m1": cm.fmt_m(m1)}
 
-    report.records.append(run_law("action-composition", "Eq 6.14", quad, check_comp, exhc and cm.is_finite))
+    report.records.append(run_law(
+        "action-composition", "Eq 6.14",
+        CaseSpace.product(_chains(bundle, 2, max_len), vertical).plan(budget, rng), check_comp))
     return report

@@ -222,7 +222,7 @@ def test_gu_group_z4_exhaustive():
 
 def test_gu_group_broken_module_fails():
     report = verify_GU_categorical_group(ARROW, get_module("z2-s3-broken"), budget=4000,
-                                         rng=np.random.default_rng(0), functor_cap=8)
+                                         rng=np.random.default_rng(0))
     assert not report.passed
 
 

@@ -1,0 +1,239 @@
+"""CaseSpace: lazy indexing in nested-loop order, the one exhaustive-or-sampled
+rule, and the report invariants it guarantees on every shipped scenario."""
+import json
+import os
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from catbundle.basecat import QuiverCategory
+from catbundle.bundle import verify_GU_categorical_group
+from catbundle.crossed import get_module, verify_exchange_law
+from catbundle.report import CaseSpace, Plan, run_law
+from catbundle.scenario import Scenario
+from catbundle.suites import run_suite
+
+REPO = Path(__file__).resolve().parents[1]
+SCEN = REPO / "scenarios"
+
+
+def _capped(items, budget, rng):
+    """Reference: enumerate everything, then keep it or sample from it."""
+    if len(items) <= budget:
+        return items, True
+    return [items[int(rng.integers(len(items)))] for _ in range(budget)], False
+
+
+def test_product_indexes_like_nested_loops():
+    a, b, c = [0, 1, 2], "xy", [10, 20, 30, 40]
+    want = [(x, y, z) for x in a for y in b for z in c]
+    space = CaseSpace.product(a, b, c)
+    assert len(space) == len(want)
+    assert [space[i] for i in range(len(space))] == want
+    built = CaseSpace.product(a, c, build=lambda x, z: x * z)
+    assert [built[i] for i in range(len(built))] == [x * z for x in a for z in c]
+
+
+def test_concat_indexes_like_a_filtered_comprehension():
+    xs, ys = range(6), range(5)
+    want = [(x, y) for x in xs for y in ys if (x + y) % 3 == 0]
+    space = CaseSpace.concat(
+        CaseSpace.product([y for y in ys if (x + y) % 3 == 0], build=lambda y, x=x: (x, y))
+        for x in xs)
+    assert len(space) == len(want)
+    assert [space[i] for i in range(len(space))] == want
+    # empty blocks are skipped, an empty concatenation is empty
+    gaps = CaseSpace.concat([[], [1, 2], [], [], [3]])
+    assert [gaps[i] for i in range(len(gaps))] == [1, 2, 3]
+    assert len(CaseSpace.concat([])) == 0
+
+
+def test_nested_spaces_index_like_nested_comprehensions():
+    inner = CaseSpace.product("ab", [0, 1, 2])
+    outer = CaseSpace.product(inner, [7, 8])
+    want = [((p, q), r) for p in "ab" for q in [0, 1, 2] for r in [7, 8]]
+    assert len(outer) == len(want)
+    assert [outer[i] for i in range(len(outer))] == want
+    pairs = CaseSpace.product(inner, inner)
+    assert len(pairs) == 36
+    assert pairs[35] == (("b", 2), ("b", 2))
+
+
+@pytest.mark.parametrize("budget", [1, 7, 23, 24, 100])
+def test_plan_matches_the_reference_cap(budget):
+    a, b = list(range(4)), list(range(6))
+    items = [(x, y) for x in a for y in b]
+    plan = CaseSpace.product(a, b).plan(budget, np.random.default_rng(5))
+    want, exhaustive = _capped(items, budget, np.random.default_rng(5))
+    assert list(plan) == want
+    assert plan.exhaustive == exhaustive
+    assert plan.space == 24
+
+
+def test_nonpositive_budget_yields_no_cases():
+    rng = np.random.default_rng(0)
+    for budget in (0, -5):
+        assert list(CaseSpace.product([1, 2], [3]).plan(budget, rng)) == []
+        assert list(CaseSpace.sampled(lambda r: r.random()).plan(budget, rng)) == []
+        assert list(CaseSpace.sampled(lambda r: r.random(), count=3).plan(budget, rng)) == []
+
+
+def test_sampled_plans():
+    rng = np.random.default_rng(1)
+    open_axis = CaseSpace.sampled(lambda r: float(r.random()))
+    plan = open_axis.plan(5, rng)
+    assert len(list(plan)) == 5 and not plan.exhaustive and plan.space is None
+    assert len(list(CaseSpace.sampled(open_axis.draw, count=3).plan(100, rng))) == 3
+    # enumerated and counted axes are crossed whole with max(1, budget // 4) open draws
+    mixed = CaseSpace.product(open_axis, CaseSpace.sampled(open_axis.draw, count=2), "ab")
+    assert len(list(mixed.plan(10, rng))) == 2 * 4
+    assert len(list(mixed.plan(3, rng))) == 4
+    with pytest.raises(ValueError):
+        CaseSpace.product(open_axis, [1, 2], open_axis).plan(10, rng)
+
+
+def test_carrier_is_the_group_or_its_samples():
+    assert CaseSpace.carrier(get_module("s3-conj").G) == get_module("s3-conj").G.elements
+    so2 = get_module("so2-conj").G
+    space = CaseSpace.carrier(so2, 4)
+    assert space.size is None and space.count == 4
+
+
+def test_law_on_zero_cases_fails():
+    for cases in ([], Plan((), exhaustive=False)):
+        record = run_law("empty", "none", cases, lambda case: None)
+        assert record.status == "fail" and record.checks == 0
+        assert record.witness == {"error": "no cases checked"}
+
+
+def _shipped_suites():
+    for path in sorted(SCEN.glob("*.json")):
+        for suite in json.loads(path.read_text()).get("suites", []):
+            yield path.name, suite
+
+
+@pytest.mark.parametrize("name,suite", list(_shipped_suites()))
+def test_exhaustive_means_the_whole_space_was_checked(name, suite):
+    report = run_suite(Scenario.load(SCEN / name), suite)
+    for r in report.records:
+        assert r.checks > 0 or not r.passed, (name, r.law)
+        if r.passed:
+            whole = r.space is not None and r.checks == r.space
+            assert r.exhaustive == whole, (name, r.law, r.checks, r.space)
+
+
+def test_z4_twist_e_action_checks_whole_spaces():
+    report = run_suite(Scenario.load(SCEN / "z4_twist.json"), "e-action")
+    expected = {
+        "E-composition-base": (160, True),
+        "E-composition-group": (384, True),
+        "action-composition": (20_000, False),
+    }
+    for law, (checks, exhaustive) in expected.items():
+        r = report.find(law)
+        assert r.passed and (r.checks, r.exhaustive) == (checks, exhaustive), law
+    assert report.find("action-composition").space == 40_960
+
+
+def test_s3_exchange_law_honours_the_budget():
+    cm = get_module("s3-conj")
+    sampled = verify_exchange_law(cm, 20_000, np.random.default_rng(0)).records[0]
+    assert sampled.passed and sampled.checks == 20_000 and not sampled.exhaustive
+    assert sampled.space == 46_656
+    whole = verify_exchange_law(cm, 10**5).records[0]
+    assert whole.passed and whole.checks == 46_656 and whole.exhaustive
+
+
+def test_exchange_law_witness_is_the_first_failing_case():
+    record = verify_exchange_law(get_module("z2-s3-broken"), 10**5).records[0]
+    assert not record.passed and record.checks == 867 and record.space == 5184
+
+
+def test_gu_group_on_a_three_object_s3_quiver_stays_within_budget():
+    chain = QuiverCategory(["a", "b", "c"], [("f", "a", "b"), ("g", "b", "c")], word_bound=3)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        report = verify_GU_categorical_group(chain, get_module("s3-conj"), budget=1000,
+                                             rng=np.random.default_rng(0))
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert all(0 < r.checks <= 1000 for r in report.records)
+    assert elapsed < 30.0
+    assert peak < 200 * 2**20
+
+
+def _edited(name, edit):
+    raw = json.loads((SCEN / name).read_text())
+    edit(raw)
+    return raw
+
+
+def _drop_c(raw):
+    for table in raw["functors"].values():
+        del table["c"]
+
+
+def _add_d(raw):
+    for table in raw["functors"].values():
+        table["d"] = "e"
+
+
+MALFORMED = [
+    ("budget-string", _edited("s3_quiver.json", lambda r: r.update(budget="lots")),
+     ["--suite", "exchange-law"]),
+    ("budget-negative", _edited("s3_quiver.json", lambda r: r.update(budget=-5)),
+     ["--suite", "crossed-module"]),
+    ("budget-float", _edited("s3_quiver.json", lambda r: r.update(budget=2.5)),
+     ["--suite", "crossed-module"]),
+    ("budget-bool", _edited("s3_quiver.json", lambda r: r.update(budget=True)),
+     ["--suite", "crossed-module"]),
+    ("budget-override-zero", _edited("s3_quiver.json", lambda r: None),
+     ["--suite", "crossed-module", "--budget", "0"]),
+    ("path-budget-zero", _edited("so2_transport.json", lambda r: r.update(path_budget=0)),
+     ["--suite", "twisted-bundle"]),
+    ("steps-string", _edited("so2_transport.json", lambda r: r.update(steps="many")),
+     ["--suite", "prop62"]),
+    ("steps-override-zero", _edited("so2_transport.json", lambda r: None),
+     ["--suite", "transport-convergence", "--steps", "0"]),
+    ("prop62-pairs-negative", _edited("so2_transport.json", lambda r: r.update(prop62_pairs=-1)),
+     ["--suite", "prop62"]),
+    ("seed-negative", _edited("s3_quiver.json", lambda r: r.update(seed=-1)),
+     ["--suite", "crossed-module"]),
+    ("tolerance-string",
+     _edited("so2_transport.json", lambda r: r.update(tolerances={"grp": "x"})),
+     ["--suite", "exchange-law"]),
+    ("functor-missing-object", _edited("s3_quiver.json", _drop_c), ["--suite", "prop41-section"]),
+    ("functor-unknown-object", _edited("s3_quiver.json", _add_d),
+     ["--suite", "prop42-correspondence"]),
+]
+
+
+@pytest.mark.parametrize("label,raw,args", MALFORMED, ids=[m[0] for m in MALFORMED])
+def test_malformed_scenario_exits_2_without_traceback(tmp_path, label, raw, args):
+    path = tmp_path / f"{label}.json"
+    path.write_text(json.dumps(raw))
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "catbundle.cli", "run", "--scenario", str(path), *args],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+
+
+def test_transport_steps_override_is_validated(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "catbundle.cli", "transport", "--scenario",
+         str(SCEN / "so2_transport.json"), "--path", "unit", "--steps", "0"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr

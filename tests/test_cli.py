@@ -221,7 +221,7 @@ def test_format_both_writes_table_and_jsonl(capsys):
     assert "LAW" in out and '"law":"cocycle-condition"' in out
 
 
-def test_every_shipped_scenario_runs_with_expected_exit_code(capsys):
+def test_every_shipped_scenario_runs_with_expected_exit_code(capsys, tmp_path):
     expected = {
         "s3_quiver.json": 0,
         "z4_gu.json": 0,
@@ -235,6 +235,11 @@ def test_every_shipped_scenario_runs_with_expected_exit_code(capsys):
     shipped = {p.name for p in SCEN.glob("*.json")}
     assert shipped == set(expected)
     for name, want in sorted(expected.items()):
-        code = run_cli("run", "--scenario", str(SCEN / name))
+        out = tmp_path / f"{name}.jsonl"
+        code = run_cli("run", "--scenario", str(SCEN / name), "--format", "jsonl",
+                       "--out", str(out))
         capsys.readouterr()
         assert code == want, name
+        # canonical report, byte for byte (tests/golden/<scenario>.jsonl)
+        golden = REPO / "tests" / "golden" / name.replace(".json", ".jsonl")
+        assert out.read_bytes() == golden.read_bytes(), name
