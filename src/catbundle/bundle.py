@@ -561,6 +561,8 @@ def verify_section_iso(F: FunctorUG, max_len: int | None = None,
     rng = rng or np.random.default_rng(0)
     report = LawReport(suite="prop41-section")
     base, cm = F.base, F.cm
+    if not cm.is_finite:
+        raise StructuralError("the Prop 4.1 section check needs a finite crossed module")
     iso = SectionIso(F)
     bundle = iso.bundle
     objects = [(a, g) for a in base.objects for g in cm.G.elements]

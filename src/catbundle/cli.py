@@ -4,7 +4,9 @@
     catbundle transport --scenario FILE --path ID [--steps N]
     catbundle catalog
 
-Exit codes: 0 all laws pass, 1 at least one law fails, 2 input error.
+Exit codes: 0 all laws pass, 1 at least one law fails, 2 input error (a
+malformed scenario, an unreadable file, or a suite that cannot run on the
+declared module, such as functor enumeration over an infinite group).
 The JSONL report stream is canonical: same scenario and seed give identical
 bytes (see README for the schema).
 """
@@ -17,6 +19,7 @@ import numpy as np
 
 from .crossed import catalog
 from .decorated import parallel_transport
+from .groups import StructuralError
 from .report import LawReport
 from .scenario import Scenario, ScenarioError
 from .suites import SUITES, run_suite
@@ -35,7 +38,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--suite", action="append", default=None,
                      help="suite name (repeatable); defaults to the scenario's list")
     run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    run.add_argument("--budget", type=int, default=None, help="override the sample budget")
+    run.add_argument("--budget", type=int, default=None,
+                     help="override the case budget of every suite: sets both 'budget' "
+                          "(quiver and finite suites) and 'path_budget' (path-base suites)")
     run.add_argument("--steps", type=int, default=None, help="override integrator substeps")
     run.add_argument("--eps-grp", type=float, default=None, help="override the group tolerance")
     run.add_argument("--eps-pt", type=float, default=None, help="override the endpoint tolerance")
@@ -57,7 +62,7 @@ def _apply_overrides(sc: Scenario, args) -> Scenario:
     if getattr(args, "seed", None) is not None:
         raw["seed"] = args.seed
     if getattr(args, "budget", None) is not None:
-        raw["budget"] = args.budget
+        raw["budget"] = raw["path_budget"] = args.budget
     if getattr(args, "steps", None) is not None:
         raw["steps"] = args.steps
     tols = dict(raw.get("tolerances", {}))
@@ -97,10 +102,11 @@ def cmd_transport(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    for name, cm in catalog().items():
+    cat = catalog()
+    for name, cm in cat.items():
         flag = "  [negative]" if cm.broken else ""
         sys.stdout.write(f"{name:14s} G={cm.G.name:4s} H={cm.H.name:4s} {cm.description}{flag}\n")
-    sys.stdout.write(f"{len(catalog())} crossed modules; suites: {', '.join(sorted(SUITES))}\n")
+    sys.stdout.write(f"{len(cat)} crossed modules; suites: {', '.join(sorted(SUITES))}\n")
     return 0
 
 
@@ -112,10 +118,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "transport":
             return cmd_transport(args)
         return cmd_catalog(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ScenarioError, StructuralError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

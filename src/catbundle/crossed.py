@@ -60,6 +60,8 @@ class CrossedModule:
         self.name = name
         self.G = G
         self.H = H
+        if G.is_finite and H.is_finite:
+            alpha, tau = _tabulated(name, G, H, alpha, tau)
         self.alpha = alpha
         self.tau = tau
         self.broken = broken
@@ -134,6 +136,28 @@ class CrossedModule:
         if self.is_finite:
             return CaseSpace.product(self.H.elements, self.G.elements, build=TwoGroupMorphism)
         return CaseSpace.sampled(self.sample_morphism, count)
+
+
+def _tabulated(name: str, G: Group, H: Group, alpha, tau):
+    """alpha and tau as lookups in tables of their values on G × H and H,
+    computed once; a non-element raises StructuralError."""
+    alpha_table = {g: {h: alpha(g, h) for h in H.elements} for g in G.elements}
+    tau_table = {h: tau(h) for h in H.elements}
+
+    def alpha_lookup(g: Element, h: Element) -> Element:
+        try:
+            return alpha_table[g][h]
+        except (KeyError, TypeError):
+            raise StructuralError(
+                f"alpha of {name} is defined on {G.name} x {H.name}, got ({g!r}, {h!r})") from None
+
+    def tau_lookup(h: Element) -> Element:
+        try:
+            return tau_table[h]
+        except (KeyError, TypeError):
+            raise StructuralError(f"tau of {name} is defined on {H.name}, got {h!r}") from None
+
+    return alpha_lookup, tau_lookup
 
 
 # -- verification --
@@ -289,29 +313,33 @@ def _trivial_module(name: str, G: Group, H: Group, description: str, broken: boo
     )
 
 
+_CATALOG: dict[str, Callable[[str], CrossedModule]] = {
+    "z4-conj": lambda name: _conjugation_module(
+        name, CyclicGroup(4), "conjugation module on Z4 (abelian, so the action is trivial)"),
+    "s3-conj": lambda name: _conjugation_module(name, SymmetricGroup(3), "conjugation module on S3"),
+    "so2-conj": lambda name: _conjugation_module(
+        name, SpecialOrthogonalGroup(2), "conjugation module on SO(2)"),
+    "so3-conj": lambda name: _conjugation_module(
+        name, SpecialOrthogonalGroup(3), "conjugation module on SO(3)"),
+    "z4-abelian": lambda name: _trivial_module(
+        name, CyclicGroup(4), CyclicGroup(4), "trivial action and trivial tau on Z4/Z4"),
+    "z4-z2": lambda name: _trivial_module(
+        name, CyclicGroup(4), CyclicGroup(2), "trivial action and trivial tau on Z4/Z2"),
+    "z2-s3-broken": lambda name: _trivial_module(
+        name, CyclicGroup(2), SymmetricGroup(3),
+        "deliberately broken: trivial action with nonabelian H violates the Peiffer law",
+        broken=True,
+    ),
+}
+
+
 def catalog() -> dict[str, CrossedModule]:
     """Built-in crossed modules, addressable by id; stable ordering."""
-    z2, z4 = CyclicGroup(2), CyclicGroup(4)
-    s3 = SymmetricGroup(3)
-    so2, so3 = SpecialOrthogonalGroup(2), SpecialOrthogonalGroup(3)
-    entries = [
-        _conjugation_module("z4-conj", CyclicGroup(4), "conjugation module on Z4 (abelian, so the action is trivial)"),
-        _conjugation_module("s3-conj", s3, "conjugation module on S3"),
-        _conjugation_module("so2-conj", so2, "conjugation module on SO(2)"),
-        _conjugation_module("so3-conj", so3, "conjugation module on SO(3)"),
-        _trivial_module("z4-abelian", CyclicGroup(4), z4, "trivial action and trivial tau on Z4/Z4"),
-        _trivial_module("z4-z2", CyclicGroup(4), z2, "trivial action and trivial tau on Z4/Z2"),
-        _trivial_module(
-            "z2-s3-broken", CyclicGroup(2), SymmetricGroup(3),
-            "deliberately broken: trivial action with nonabelian H violates the Peiffer law",
-            broken=True,
-        ),
-    ]
-    return {cm.name: cm for cm in entries}
+    return {name: build(name) for name, build in _CATALOG.items()}
 
 
 def get_module(name: str) -> CrossedModule:
-    cat = catalog()
-    if name not in cat:
-        raise KeyError(f"unknown crossed module {name!r}; known: {', '.join(cat)}")
-    return cat[name]
+    """A fresh instance of the named catalog module; only that one is built."""
+    if name not in _CATALOG:
+        raise KeyError(f"unknown crossed module {name!r}; known: {', '.join(_CATALOG)}")
+    return _CATALOG[name](name)

@@ -1,7 +1,8 @@
 """Group carriers: finite cyclic and symmetric groups, and SO(2)/SO(3).
 
 Finite elements are hashable plain values (ints for cyclic groups, image
-tuples for permutations). Matrix elements are numpy arrays; equality is a
+tuples for permutations); finite groups tabulate `mul` and `inv` when they are
+built. Matrix elements are numpy arrays; equality is a
 declared max-abs-entry tolerance (default 1e-9) because downstream transport
 values are floating point.
 """
@@ -66,24 +67,45 @@ class Group:
         return f"<Group {self.name}>"
 
 
-class CyclicGroup(Group):
-    def __init__(self, n: int):
-        self.n = n
-        self.name = f"z{n}"
-        self.elements = list(range(n))
+class FiniteGroup(Group):
+    """A finite group tabulated once, at construction: a Cayley table
+    {a: {b: a·b}} and an inverse table, built from the closed forms `op` and
+    `inverse`. Keys and values are the element values themselves, so `mul`
+    and `inv` are lookups that return what the closed forms return; a
+    non-element raises StructuralError. The tables hold O(|G|^2) entries."""
+
+    def __init__(self, name: str, elements: list, identity: Element, op, inverse):
+        self.name = name
+        self.elements = elements
+        self._identity = identity
+        self._mul = {a: {b: op(a, b) for b in elements} for a in elements}
+        self._inv = {a: inverse(a) for a in elements}
 
     @property
-    def identity(self) -> int:
-        return 0
+    def identity(self) -> Element:
+        return self._identity
 
-    def mul(self, a: int, b: int) -> int:
-        return (a + b) % self.n
+    def mul(self, a: Element, b: Element) -> Element:
+        try:
+            return self._mul[a][b]
+        except (KeyError, TypeError):
+            raise StructuralError(f"{a!r} or {b!r} is not an element of {self.name}") from None
 
-    def inv(self, a: int) -> int:
-        return (-a) % self.n
+    def inv(self, a: Element) -> Element:
+        try:
+            return self._inv[a]
+        except (KeyError, TypeError):
+            raise StructuralError(f"{a!r} is not an element of {self.name}") from None
 
-    def eq(self, a: int, b: int) -> bool:
+    def eq(self, a: Element, b: Element) -> bool:
         return a == b
+
+
+class CyclicGroup(FiniteGroup):
+    def __init__(self, n: int):
+        self.n = n
+        super().__init__(f"z{n}", list(range(n)), 0,
+                         lambda a, b: (a + b) % n, lambda a: (-a) % n)
 
     def contains(self, a: Element) -> bool:
         return isinstance(a, int) and 0 <= a < self.n
@@ -135,24 +157,11 @@ def perm_from_cycles(text: str, n: int) -> tuple:
     return tuple(out)
 
 
-class SymmetricGroup(Group):
+class SymmetricGroup(FiniteGroup):
     def __init__(self, n: int):
         self.n = n
-        self.name = f"s{n}"
-        self.elements = sorted(itertools.permutations(range(n)))
-
-    @property
-    def identity(self) -> tuple:
-        return tuple(range(self.n))
-
-    def mul(self, a: tuple, b: tuple) -> tuple:
-        return perm_mul(a, b)
-
-    def inv(self, a: tuple) -> tuple:
-        return perm_inv(a)
-
-    def eq(self, a: tuple, b: tuple) -> bool:
-        return a == b
+        super().__init__(f"s{n}", sorted(itertools.permutations(range(n))), tuple(range(n)),
+                         perm_mul, perm_inv)
 
     def contains(self, a: Element) -> bool:
         return isinstance(a, tuple) and sorted(a) == list(range(self.n))

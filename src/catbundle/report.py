@@ -103,7 +103,7 @@ class CaseSpace:
     def plan(self, budget: int, rng) -> "Plan":
         """The cases a law checks: the whole finite space in order when it
         fits the budget (exhaustive); else `budget` seeded draws of
-        `space[int(rng.integers(size))]`. A sampled space is drawn `count`
+        `space[_index(rng, size)]`. A sampled space is drawn `count`
         times, or `budget` times; in a product, finite and counted axes are
         enumerated whole and one open sampled axis is drawn
         max(1, budget // their size) times. No cases when budget <= 0."""
@@ -112,7 +112,7 @@ class CaseSpace:
         if self.size is not None:
             if self.size <= budget:
                 return Plan(_cases(self), exhaustive=True, space=self.size)
-            picks = [int(rng.integers(self.size)) for _ in range(budget)]
+            picks = [_index(rng, self.size) for _ in range(budget)]
             return Plan(map(_listed(self, budget).__getitem__, picks),
                         exhaustive=False, space=self.size)
         axes = self.axes or ()
@@ -141,7 +141,20 @@ def _drawer(axis) -> Callable:
     """rng -> one seeded case of `axis`, uniform over a finite one."""
     if _is_sampled(axis):
         return axis.draw
-    return lambda rng: axis[int(rng.integers(len(axis)))]
+    return lambda rng: axis[_index(rng, len(axis))]
+
+
+def _index(rng, size: int) -> int:
+    """A uniform draw from range(size): `rng.integers(size)` where numpy's
+    int64 draw reaches (size <= 2**63), else rejection sampling on random
+    bytes."""
+    if size <= 2**63:
+        return int(rng.integers(size))
+    bits = size.bit_length()
+    while True:
+        i = int.from_bytes(rng.bytes((bits + 7) // 8), "little") >> (-bits % 8)
+        if i < size:
+            return i
 
 
 def _cases(space):

@@ -75,6 +75,21 @@ def test_plan_matches_the_reference_cap(budget):
     assert plan.space == 24
 
 
+def test_plan_samples_spaces_beyond_int64():
+    # numpy draws indices below 2**63 only; a larger space is sampled by
+    # rejection on random bytes, uniformly and reproducibly
+    huge = CaseSpace.product(range(10**10), range(10**10))
+    plan = huge.plan(5, np.random.default_rng(0))
+    cases = list(plan)
+    assert len(cases) == 5 and not plan.exhaustive and plan.space == 10**20
+    assert all(0 <= x < 10**10 and 0 <= y < 10**10 for x, y in cases)
+    assert list(huge.plan(5, np.random.default_rng(0))) == cases
+    cases = list(CaseSpace.product(range(3), range(2**62), range(4))
+                 .plan(300, np.random.default_rng(1)))
+    assert {c[0] for c in cases} == {0, 1, 2} and {c[2] for c in cases} == {0, 1, 2, 3}
+    assert max(c[1] for c in cases) >= 2**61
+
+
 def test_nonpositive_budget_yields_no_cases():
     rng = np.random.default_rng(0)
     for budget in (0, -5):

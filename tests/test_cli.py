@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from catbundle import suites as suites_mod
 from catbundle.cli import main
 from catbundle.crossed import catalog
@@ -243,3 +245,36 @@ def test_every_shipped_scenario_runs_with_expected_exit_code(capsys, tmp_path):
         # canonical report, byte for byte (tests/golden/<scenario>.jsonl)
         golden = REPO / "tests" / "golden" / name.replace(".json", ".jsonl")
         assert out.read_bytes() == golden.read_bytes(), name
+
+
+MATRIX_QUIVER = {
+    "crossed_module": "so2-conj", "seed": 1, "budget": 50,
+    "base": {"kind": "quiver", "objects": ["a", "b", "c"],
+             "arrows": [["f", "a", "b"], ["g", "b", "c"]], "word_bound": 3},
+    "functors": {name: {o: {"angle": 0.1 * i + k} for i, o in enumerate("abc")}
+                 for k, name in enumerate(("sigma1", "sigma2"))},
+}
+
+
+@pytest.mark.parametrize("suite", ["bundle-axioms", "prop34-gu-group", "prop41-section"])
+def test_suite_that_needs_a_finite_module_is_input_error(suite, tmp_path, capsys):
+    # these suites enumerate G or its functors; on SO(2) they cannot run,
+    # which is an input error (2), not a failed law (1)
+    f = tmp_path / "so2_quiver.json"
+    f.write_text(json.dumps(MATRIX_QUIVER))
+    assert run_cli("run", "--scenario", str(f), "--suite", suite) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+
+
+def test_budget_override_reaches_path_base_suites(capsys):
+    code = run_cli("run", "--scenario", str(SCEN / "so2_transport.json"),
+                   "--suite", "twisted-bundle", "--budget", "5", "--format", "jsonl")
+    assert code == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    checks = {r["law"]: r["checks"] for r in records if "law" in r}
+    # laws drawn straight from the budget take 5 cases (200 from path_budget before)
+    for law in ("associativity", "b1-surjectivity", "boundary-coherence",
+                "eta-homomorphism", "unit-laws"):
+        assert checks[law] == 5, law
+    assert max(checks.values()) < 200

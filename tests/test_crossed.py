@@ -12,6 +12,7 @@ from catbundle.crossed import (
 )
 from catbundle.groups import (
     CyclicGroup,
+    FiniteGroup,
     StructuralError,
     perm_from_cycles,
     perm_inv,
@@ -199,3 +200,51 @@ def test_gh_hg_order_helpers():
     assert S3.m_eq(hg, S3.sdp_multiply(TwoGroupMorphism(h, S3.G.identity),
                                        TwoGroupMorphism(S3.H.identity, g)))
     assert not S3.m_eq(gh, hg)
+
+
+@pytest.mark.parametrize("name", [n for n, cm in catalog().items() if cm.is_finite])
+def test_alpha_tau_tables_equal_the_defining_formulas(name):
+    cm = get_module(name)
+    G, H = cm.G, cm.H
+    for h in H.elements:
+        if name.endswith("-conj"):  # G = H, alpha_g(h) = g h g^-1, tau = id
+            assert cm.tau(h) == h
+        else:  # trivial action, trivial tau
+            assert cm.tau(h) == G.identity
+        for g in G.elements:
+            if name == "s3-conj":
+                want = perm_mul(perm_mul(g, h), perm_inv(g))
+            elif name == "z4-conj":
+                want = (g + h - g) % 4
+            else:
+                want = h
+            assert cm.alpha(g, h) == want
+
+
+def test_tabulated_alpha_and_tau_reject_non_elements():
+    for bad_g, bad_h in ((4, 0), (0, 4), ("0", 0), ([0], 0)):
+        with pytest.raises(StructuralError):
+            Z4.alpha(bad_g, bad_h)
+    with pytest.raises(StructuralError):
+        S3.alpha(S3.G.identity, (0, 1))
+    for bad in (4, [0]):
+        with pytest.raises(StructuralError):
+            Z4.tau(bad)
+
+
+def test_get_module_builds_only_the_requested_module(monkeypatch):
+    built = []
+    real_init = FiniteGroup.__init__
+
+    def counting_init(self, name, *args):
+        built.append(name)
+        real_init(self, name, *args)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counting_init)
+    assert get_module("z4-z2").name == "z4-z2"
+    assert built == ["z4", "z2"]
+    built.clear()
+    get_module("so3-conj")
+    assert built == []
+    with pytest.raises(KeyError, match="known: z4-conj"):
+        get_module("nope")

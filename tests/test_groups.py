@@ -102,3 +102,29 @@ def test_so_sampling_is_seed_deterministic():
 def test_is_skew():
     assert is_skew(skew3([1.0, 2.0, 3.0]))
     assert not is_skew(np.eye(3))
+
+
+@pytest.mark.parametrize("grp, op, inverse, identity", [
+    (CyclicGroup(2), lambda a, b: (a + b) % 2, lambda a: (-a) % 2, 0),
+    (CyclicGroup(4), lambda a, b: (a + b) % 4, lambda a: (-a) % 4, 0),
+    (CyclicGroup(5), lambda a, b: (a + b) % 5, lambda a: (-a) % 5, 0),
+    (SymmetricGroup(3), perm_mul, perm_inv, (0, 1, 2)),
+    (SymmetricGroup(4), perm_mul, perm_inv, (0, 1, 2, 3)),
+], ids=["z2", "z4", "z5", "s3", "s4"])
+def test_finite_tables_equal_the_closed_forms(grp, op, inverse, identity):
+    assert grp.identity == identity
+    for a in grp.elements:
+        assert grp.inv(a) == inverse(a)
+        for b in grp.elements:
+            assert grp.mul(a, b) == op(a, b)
+
+
+@pytest.mark.parametrize("grp, bad", [
+    (CyclicGroup(4), 4), (CyclicGroup(4), -1), (CyclicGroup(4), "1"), (CyclicGroup(4), [1]),
+    (SymmetricGroup(3), (0, 1)), (SymmetricGroup(3), (0, 1, 1)), (SymmetricGroup(3), [0, 1, 2]),
+])
+def test_finite_table_rejects_non_elements(grp, bad):
+    e = grp.identity
+    for call in (lambda: grp.mul(bad, e), lambda: grp.mul(e, bad), lambda: grp.inv(bad)):
+        with pytest.raises(StructuralError):
+            call()
