@@ -1,10 +1,11 @@
 """Computational categorical bundles over finite groups and SO(2)/SO(3):
-crossed modules, product and twisted-product bundles, functorial cocycles,
-and decorated bundles with connection-driven parallel transport, together
-with verification suites that certify the algebraic laws."""
+crossed modules, twisted-product bundles (the product bundle is the trivial
+twist), functorial cocycles, and decorated bundles with connection-driven
+parallel transport, together with verification suites that certify the
+algebraic laws."""
 
 from .basecat import PathCategory, QuiverCategory, SampledPath, compose_paths
-from .bundle import FunctorUG, ProductBundle, functor_from_h, section_to_iso
+from .bundle import FunctorUG, functor_from_h
 from .cocycle import CocycleData, Cover, build_overlap_category, build_theta
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism, catalog, get_module
 from .decorated import Connection, DecoratedBundle, DecoratedMorphism, parallel_transport
@@ -23,10 +24,8 @@ __all__ = [
     "PathCategory",
     "SampledPath",
     "compose_paths",
-    "ProductBundle",
     "FunctorUG",
     "functor_from_h",
-    "section_to_iso",
     "Cover",
     "CocycleData",
     "build_overlap_category",

@@ -2,6 +2,10 @@
 functors U -> G with natural transformations between them, and the
 section/trivialization correspondence.
 
+The product bundle is the twisted-product bundle of `twisted` with trivial
+eta, TwistedBundle(base, cm, EtaMap.trivial(base, cm)): its target map is
+(t(gamma), tau(h)·g) and its composition that of the morphism group.
+
 A functor U -> G is encoded by a G-valued map on objects and an H-valued map
 on generating arrows, extended multiplicatively over arrow words (which the
 multiplicativity law for the H-component forces); validity additionally
@@ -19,55 +23,22 @@ from .basecat import QuiverCategory
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
 from .groups import StructuralError
 from .report import CaseSpace, LawReport, run_law
+from .twisted import (
+    EtaMap,
+    TwistedBundle,
+    TwistedMorphism,
+    action_boundaries_ok,
+    action_composition_ok,
+    b1_witness,
+    bundle_morphisms,
+    composable_chains,
+    free_ok,
+    units_ok,
+    vertical_pairs,
+)
 
 DEFAULT_BUDGET = 10_000
 PROP31_BUDGET = 256
-
-
-@dataclass(frozen=True)
-class ProductMorphism:
-    """A morphism (gamma, h, g) of the product bundle."""
-    gamma: object  # QuiverMorphism or SampledPath
-    m: TwoGroupMorphism
-
-
-class ProductBundle:
-    def __init__(self, base, cm: CrossedModule):
-        self.base = base
-        self.cm = cm
-
-    def source(self, pm: ProductMorphism):
-        return (self.base.source(pm.gamma), pm.m.g)
-
-    def target(self, pm: ProductMorphism):
-        return (self.base.target(pm.gamma), self.cm.target(pm.m))
-
-    def identity(self, obj, g) -> ProductMorphism:
-        return ProductMorphism(self.base.identity(obj), self.cm.identity_morphism(g))
-
-    def act(self, pm: ProductMorphism, m1: TwoGroupMorphism) -> ProductMorphism:
-        return ProductMorphism(pm.gamma, self.cm.sdp_multiply(pm.m, m1))
-
-    def act_object(self, obj_g, g1):
-        a, g = obj_g
-        return (a, self.cm.G.mul(g, g1))
-
-    def compose(self, pm2: ProductMorphism, pm1: ProductMorphism) -> ProductMorphism:
-        gamma = self.base.compose(pm2.gamma, pm1.gamma)  # raises on base mismatch
-        m = self.cm.compose_vertical(pm2.m, pm1.m)  # raises on group mismatch
-        return ProductMorphism(gamma, m)
-
-    def morphism_eq(self, p1: ProductMorphism, p2: ProductMorphism) -> bool:
-        return p1.gamma == p2.gamma and self.cm.m_eq(p1.m, p2.m)
-
-    def enumerate_morphisms(self, max_len: int | None = None) -> list[ProductMorphism]:
-        if not isinstance(self.base, QuiverCategory) or not self.cm.is_finite:
-            raise StructuralError("enumeration needs a quiver base and a finite crossed module")
-        return [
-            ProductMorphism(gamma, m)
-            for gamma in self.base.morphisms_upto(max_len)
-            for m in self.cm.enumerate_morphisms()
-        ]
 
 
 class FunctorUG:
@@ -160,13 +131,6 @@ class FunctorUG:
             self.cm.H.eq(self.h_gen[f], other.h_gen[f]) for f in self.base.arrows
         )
 
-    def key(self):
-        """Hashable identity for finite extensional functors."""
-        return (
-            tuple((a, self.g_table[a]) for a in self.base.objects),
-            tuple((f, self.h_gen[f]) for f in sorted(self.base.arrows)),
-        )
-
 
 def constant_identity_functor(base, cm: CrossedModule) -> FunctorUG:
     if isinstance(base, QuiverCategory):
@@ -248,38 +212,6 @@ def functor_invariant_witness(F: FunctorUG, max_len: int | None = None) -> dict 
     return None
 
 
-def verify_functor(F: FunctorUG, max_len: int | None = None) -> LawReport:
-    report = LawReport(suite="prop31-roundtrip")
-    base, cm = F.base, F.cm
-    ms = base.morphisms_upto(max_len)
-    pairs = list(base.composable_pairs(max_len))
-    report.records.append(run_law(
-        "h-multiplicativity", "Eq 3.7", pairs,
-        lambda p: None if cm.H.eq(F.h(base.compose(p[0], p[1])), cm.H.mul(F.h(p[0]), F.h(p[1])))
-        else {"gamma2": repr(p[0]), "gamma1": repr(p[1])},
-    ))
-    report.records.append(run_law(
-        "tau-compatibility", "Eq 3.8", ms,
-        lambda gamma: None if cm.G.eq(
-            cm.tau(F.h(gamma)),
-            cm.G.mul(F.g(base.target(gamma)), cm.G.inv(F.g(base.source(gamma)))),
-        ) else {"gamma": repr(gamma)},
-    ))
-    report.records.append(run_law(
-        "identity-preservation", "Eq 3.6", [base.identity(o) for o in base.objects],
-        lambda gamma: None if cm.m_eq(F.apply(gamma), cm.identity_morphism(F.g(gamma.source)))
-        else {"object": gamma.source},
-    ))
-    report.records.append(run_law(
-        "functoriality", "Eq 3.20", pairs,
-        lambda p: None if cm.m_eq(
-            F.apply(base.compose(p[0], p[1])),
-            cm.compose_vertical(F.apply(p[0]), F.apply(p[1])),
-        ) else {"gamma2": repr(p[0]), "gamma1": repr(p[1])},
-    ))
-    return report
-
-
 def verify_prop31_roundtrip(base: QuiverCategory, cm: CrossedModule,
                             budget: int = DEFAULT_BUDGET,
                             rng: np.random.Generator | None = None,
@@ -339,9 +271,6 @@ class NatTransf:
 
     def at(self, a) -> TwoGroupMorphism:
         return TwoGroupMorphism(self.hT[a], self.source.g(a))
-
-    def key(self):
-        return (self.source.key(), tuple((a, self.hT[a]) for a in self.source.base.objects))
 
 
 def gauge(F1: FunctorUG, hT: dict) -> NatTransf:
@@ -528,31 +457,27 @@ class SectionIso:
 
     def __init__(self, F: FunctorUG):
         self.F = F
-        self.bundle = ProductBundle(F.base, F.cm)
+        self.bundle = TwistedBundle(F.base, F.cm, EtaMap.trivial(F.base, F.cm))
 
     def on_object(self, a, g):
         return (a, self.F.cm.G.mul(self.F.g(a), g))
 
-    def on_morphism(self, pm: ProductMorphism) -> ProductMorphism:
-        return ProductMorphism(pm.gamma, self.F.cm.sdp_multiply(self.F.apply(pm.gamma), pm.m))
+    def on_morphism(self, tm: TwistedMorphism) -> TwistedMorphism:
+        return TwistedMorphism(tm.gamma, self.F.cm.sdp_multiply(self.F.apply(tm.gamma), tm.m))
 
     def inv_object(self, a, g):
         return (a, self.F.cm.G.mul(self.F.cm.G.inv(self.F.g(a)), g))
 
-    def inv_morphism(self, pm: ProductMorphism) -> ProductMorphism:
-        return ProductMorphism(
-            pm.gamma,
-            self.F.cm.sdp_multiply(self.F.cm.sdp_inverse(self.F.apply(pm.gamma)), pm.m),
+    def inv_morphism(self, tm: TwistedMorphism) -> TwistedMorphism:
+        return TwistedMorphism(
+            tm.gamma,
+            self.F.cm.sdp_multiply(self.F.cm.sdp_inverse(self.F.apply(tm.gamma)), tm.m),
         )
 
     def compose_with(self, other: "SectionIso") -> "SectionIso":
         """self ∘ other as bundle maps; corresponds to the pointwise product
         of the inducing functors."""
         return SectionIso(self.F.mul(other.F))
-
-
-def section_to_iso(F: FunctorUG) -> SectionIso:
-    return SectionIso(F)
 
 
 def verify_section_iso(F: FunctorUG, max_len: int | None = None,
@@ -566,7 +491,7 @@ def verify_section_iso(F: FunctorUG, max_len: int | None = None,
     iso = SectionIso(F)
     bundle = iso.bundle
     objects = [(a, g) for a in base.objects for g in cm.G.elements]
-    morphisms = bundle.enumerate_morphisms(max_len)
+    morphisms = list(bundle_morphisms(bundle, max_len))
 
     report.records.append(run_law(
         "section-projection", "Prop 4.1", list(base.objects),
@@ -584,7 +509,7 @@ def verify_section_iso(F: FunctorUG, max_len: int | None = None,
 
     report.records.append(run_law(
         "equivariance-morphisms", "Eq 4.4",
-        CaseSpace.product(morphisms, cm.enumerate_morphisms()).plan(budget, rng),
+        CaseSpace.product(morphisms, cm.morphism_space()).plan(budget, rng),
         lambda p: None if bundle.morphism_eq(
             iso.on_morphism(bundle.act(p[0], p[1])),
             bundle.act(iso.on_morphism(p[0]), p[1]),
@@ -617,46 +542,28 @@ def verify_section_iso(F: FunctorUG, max_len: int | None = None,
 
     def mor_bij(_):
         keys = set()
-        for pm in morphisms:
-            y = iso.on_morphism(pm)
+        for tm in morphisms:
+            y = iso.on_morphism(tm)
             k = (y.gamma, y.m.h, y.m.g)
             if k in keys:
-                return {"collision": repr(pm.gamma)}
+                return {"collision": repr(tm.gamma)}
             keys.add(k)
-        for pm in morphisms:
-            back = iso.on_morphism(iso.inv_morphism(pm))
-            if not bundle.morphism_eq(back, pm):
-                return {"no-preimage": repr(pm.gamma)}
+        for tm in morphisms:
+            back = iso.on_morphism(iso.inv_morphism(tm))
+            if not bundle.morphism_eq(back, tm):
+                return {"no-preimage": repr(tm.gamma)}
         return None
 
     report.records.append(run_law("bijectivity-morphisms", "Prop 4.1", [0], mor_bij))
 
     report.records.append(run_law(
-        "composition-preservation", "Eq 4.5", _composable_space(bundle, max_len).plan(budget, rng),
+        "composition-preservation", "Eq 4.5", composable_chains(bundle, 2, max_len).plan(budget, rng),
         lambda p: None if bundle.morphism_eq(
             iso.on_morphism(bundle.compose(p[0], p[1])),
             bundle.compose(iso.on_morphism(p[0]), iso.on_morphism(p[1])),
         ) else {"gamma2": repr(p[0].gamma), "gamma1": repr(p[1].gamma)},
     ))
     return report
-
-
-def _composable_space(bundle: ProductBundle, max_len: int | None = None) -> CaseSpace:
-    """Composable pairs (pm2, pm1), pm1 outer: one block per base morphism
-    of pm1, whose pm2 runs over base morphisms out of its target and H, with
-    the source of pm2 forced to the target of pm1."""
-    cm = bundle.cm
-    gammas = bundle.base.morphisms_upto(max_len)
-    fiber = cm.enumerate_morphisms()
-
-    def block(gamma1):
-        return CaseSpace.product(
-            fiber, [g for g in gammas if g.source == gamma1.target], cm.H.elements,
-            build=lambda m1, gamma2, h2: (
-                ProductMorphism(gamma2, TwoGroupMorphism(h2, cm.target(m1))),
-                ProductMorphism(gamma1, m1)))
-
-    return CaseSpace.concat(block(g) for g in gammas)
 
 
 class ExtractionRefused(ValueError):
@@ -668,7 +575,7 @@ def extract_functor(phi: SectionIso | object, base: QuiverCategory, cm: CrossedM
     """Recover the functor sigma with phi(a, g) = (a, sigma(a)·g) from an
     equivariant fiber-preserving bundle endofunctor; refuses with a witness
     otherwise."""
-    bundle = ProductBundle(base, cm)
+    bundle = TwistedBundle(base, cm, EtaMap.trivial(base, cm))
     on_object = phi.on_object
     on_morphism = phi.on_morphism
     for a in base.objects:
@@ -686,19 +593,19 @@ def extract_functor(phi: SectionIso | object, base: QuiverCategory, cm: CrossedM
     h_gen = {}
     for f in base.arrows:
         gamma = base.arrow(f)
-        img = on_morphism(ProductMorphism(gamma, cm.unit))
+        img = on_morphism(TwistedMorphism(gamma, cm.unit))
         if img.gamma != gamma:
             raise ExtractionRefused(f"not fiber-preserving at arrow {f!r}")
         h_gen[f] = img.m.h
         if not cm.G.eq(img.m.g, g_table[gamma.source]):
             raise ExtractionRefused(f"source intertwining fails at arrow {f!r}")
-    for m1 in (cm.enumerate_morphisms()[:12] if cm.is_finite else []):
+    for m1 in (itertools.islice(cm.morphism_space(), 12) if cm.is_finite else ()):
         gamma = next(iter(base.generators()), None)
         if gamma is None:
             break
-        pm = ProductMorphism(gamma, cm.unit)
-        lhs = on_morphism(bundle.act(pm, m1))
-        rhs = bundle.act(on_morphism(pm), m1)
+        tm = TwistedMorphism(gamma, cm.unit)
+        lhs = on_morphism(bundle.act(tm, m1))
+        rhs = bundle.act(on_morphism(tm), m1)
         if not bundle.morphism_eq(lhs, rhs):
             raise ExtractionRefused(f"not equivariant at arrow {gamma!r}")
     F = FunctorUG(base, cm, g_table=g_table, h_gen=h_gen)
@@ -744,20 +651,21 @@ def verify_bundle_axioms(base: QuiverCategory, cm: CrossedModule,
                          max_len: int | None = None) -> LawReport:
     """Principal-bundle axioms for the product bundle: surjectivity, freeness
     and fiber-transitivity of the action, plus category laws upstairs."""
+    if not cm.is_finite:
+        raise StructuralError("the product-bundle axioms need a finite crossed module")
     rng = rng or np.random.default_rng(0)
     report = LawReport(suite="bundle-axioms")
-    bundle = ProductBundle(base, cm)
-    morphisms = bundle.enumerate_morphisms(max_len)
-    mor_g = cm.enumerate_morphisms()
+    bundle = TwistedBundle(base, cm, EtaMap.trivial(base, cm))
+    morphisms = list(bundle_morphisms(bundle, max_len))
     objects = [(a, g) for a in base.objects for g in cm.G.elements]
+
+    def lift(x):  # through the unit: an object's identity, or a base morphism
+        return TwistedMorphism(base.identity(x) if isinstance(x, str) else x, cm.unit)
 
     report.records.append(run_law(
         "b1-surjectivity", "§2.2 (b1)",
         list(base.objects) + base.morphisms_upto(max_len),
-        lambda x: None if (
-            any(o[0] == x for o in objects) if isinstance(x, str)
-            else any(pm.gamma == x for pm in morphisms)
-        ) else {"missing": repr(x)},
+        lambda x: None if b1_witness(bundle, lift(x)) is None else {"missing": repr(x)},
     ))
 
     def cases(space):
@@ -770,10 +678,8 @@ def verify_bundle_axioms(base: QuiverCategory, cm: CrossedModule,
         ) else {"object": str(p[0][0]), "g": cm.G.fmt(p[1])},
     ))
     report.records.append(run_law(
-        "b2-freeness-morphisms", "§2.2 (b2)", cases(CaseSpace.product(morphisms, mor_g)),
-        lambda p: None if (
-            not cm.m_eq(bundle.act(p[0], p[1]).m, p[0].m) or cm.m_eq(p[1], cm.unit)
-        ) else {"gamma": repr(p[0].gamma)},
+        "b2-freeness-morphisms", "§2.2 (b2)", cases(CaseSpace.product(morphisms, cm.morphism_space())),
+        lambda p: None if free_ok(bundle, *p) else {"gamma": repr(p[0].gamma)},
     ))
 
     # pairs in one fiber: one block per base object or base morphism
@@ -789,8 +695,9 @@ def verify_bundle_axioms(base: QuiverCategory, cm: CrossedModule,
     ))
 
     same_morphism = CaseSpace.concat(
-        CaseSpace.product(mor_g, mor_g, build=lambda m1, m2, gamma=gamma: (
-            ProductMorphism(gamma, m1), ProductMorphism(gamma, m2)))
+        CaseSpace.product(cm.morphism_space(), cm.morphism_space(),
+                          build=lambda m1, m2, gamma=gamma: (
+                              TwistedMorphism(gamma, m1), TwistedMorphism(gamma, m2)))
         for gamma in base.morphisms_upto(max_len))
     report.records.append(run_law(
         "b3-transitivity-morphisms", "§2.2 (b3)", cases(same_morphism),
@@ -801,39 +708,15 @@ def verify_bundle_axioms(base: QuiverCategory, cm: CrossedModule,
 
     report.records.append(run_law(
         "composition-units", "Eq 3.4", morphisms,
-        lambda pm: None if (
-            bundle.morphism_eq(bundle.compose(pm, bundle.identity(*bundle.source(pm))), pm)
-            and bundle.morphism_eq(bundle.compose(bundle.identity(*bundle.target(pm)), pm), pm)
-        ) else {"gamma": repr(pm.gamma)},
+        lambda tm: None if units_ok(bundle, tm) else {"gamma": repr(tm.gamma)},
     ))
-    composable_g = CaseSpace.product(
-        cm.H.elements, cm.G.elements, cm.H.elements,
-        build=lambda h1, g1, h2: (TwoGroupMorphism(h2, cm.target(TwoGroupMorphism(h1, g1))),
-                                  TwoGroupMorphism(h1, g1)))
+    # the action commutes with composition, and with s and t on the first factor
     report.records.append(run_law(
         "action-functoriality", "Eq 3.2",
-        cases(CaseSpace.product(_composable_space(bundle, max_len), composable_g)),
-        lambda c: None if _action_functoriality_ok(bundle, c[0], c[1]) else
-        {"gamma2": repr(c[0][0].gamma), "gamma1": repr(c[0][1].gamma),
-         "m2": cm.fmt_m(c[1][0]), "m1": cm.fmt_m(c[1][1])},
+        cases(CaseSpace.product(composable_chains(bundle, 2, max_len), vertical_pairs(cm))),
+        lambda c: None if (
+            action_composition_ok(bundle, *c) and action_boundaries_ok(bundle, c[0][1], c[1][1])
+        ) else {"gamma2": repr(c[0][0].gamma), "gamma1": repr(c[0][1].gamma),
+                "m2": cm.fmt_m(c[1][0]), "m1": cm.fmt_m(c[1][1])},
     ))
     return report
-
-
-def _action_functoriality_ok(bundle: ProductBundle, pms, mms) -> bool:
-    """The right action commutes with s, t and composition: acting by a
-    composable (m2, m1) on a composite equals composing the acted morphisms."""
-    cm = bundle.cm
-    pm2, pm1 = pms
-    m2, m1 = mms
-    comp = bundle.compose(pm2, pm1)
-    acted = bundle.act(comp, cm.compose_vertical(m2, m1))
-    split = bundle.compose(bundle.act(pm2, m2), bundle.act(pm1, m1))
-    if not bundle.morphism_eq(acted, split):
-        return False
-    s = bundle.source(bundle.act(pm1, m1))
-    s_want = bundle.act_object(bundle.source(pm1), cm.source(m1))
-    t = bundle.target(bundle.act(pm1, m1))
-    t_want = bundle.act_object(bundle.target(pm1), cm.target(m1))
-    return (s[0] == s_want[0] and cm.G.eq(s[1], s_want[1])
-            and t[0] == t_want[0] and cm.G.eq(t[1], t_want[1]))

@@ -122,11 +122,6 @@ class CrossedModule:
     def is_finite(self) -> bool:
         return self.G.is_finite and self.H.is_finite
 
-    def enumerate_morphisms(self) -> list[TwoGroupMorphism]:
-        if not self.is_finite:
-            raise StructuralError(f"{self.name} has an infinite morphism set")
-        return [TwoGroupMorphism(h, g) for h in self.H.elements for g in self.G.elements]
-
     def sample_morphism(self, rng: np.random.Generator) -> TwoGroupMorphism:
         return TwoGroupMorphism(self.H.sample(rng), self.G.sample(rng))
 

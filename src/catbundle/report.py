@@ -25,7 +25,8 @@ class CaseSpace:
     """The cases of one law, built without listing them.
 
     A finite space has `size` cases and `space[i]` decodes the i-th in
-    enumeration order. A sampled space (an infinite carrier, random paths)
+    enumeration order (an IndexError outside range(size), so `list(space)`
+    lists them all). A sampled space (an infinite carrier, random paths)
     has `size` None and draws one seeded case per `draw(rng)`; its `count`
     fixes how many draws stand in for it, or is None to let the budget decide.
     Sequences serve as finite axes as they are.
@@ -45,6 +46,8 @@ class CaseSpace:
         return self.size  # a TypeError on a sampled space
 
     def __getitem__(self, i: int):
+        if not 0 <= i < self.size:  # which also ends `for case in space`
+            raise IndexError(f"case {i} of a space of {self.size}")
         return self._get(i)
 
     @staticmethod

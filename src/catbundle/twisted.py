@@ -126,15 +126,15 @@ class TwistedBundle:
 
     def compose(self, tm2: TwistedMorphism, tm1: TwistedMorphism) -> TwistedMorphism:
         cm = self.cm
-        want = cm.G.mul(self.eta(tm1.gamma), cm.G.mul(cm.tau(tm1.m.h), tm1.m.g))
+        gamma = self.base.compose(tm2.gamma, tm1.gamma)  # raises on base mismatch
+        eta1 = self.eta(tm1.gamma)
+        want = cm.G.mul(eta1, cm.G.mul(cm.tau(tm1.m.h), tm1.m.g))
         if not cm.G.eq(want, tm2.m.g):
             raise CompositionUndefined(
                 f"twisted target {cm.G.fmt(want)} != source {cm.G.fmt(tm2.m.g)}",
                 target_value=want, source_value=tm2.m.g,
             )
-        gamma = self.base.compose(tm2.gamma, tm1.gamma)
-        g_inv = cm.G.inv(self.eta(tm1.gamma))
-        h = cm.H.mul(cm.alpha(g_inv, tm2.m.h), tm1.m.h)
+        h = cm.H.mul(cm.alpha(cm.G.inv(eta1), tm2.m.h), tm1.m.h)
         return TwistedMorphism(gamma, TwoGroupMorphism(h, tm1.m.g))
 
     def E(self, phi: TwoGroupMorphism, gamma) -> TwoGroupMorphism:
@@ -183,15 +183,18 @@ def _identities(bundle: TwistedBundle, count: int) -> CaseSpace:
     return CaseSpace.sampled(lambda rng: base.identity(rng.uniform(-1, 1, size=base.dim)), count)
 
 
-def _morphisms(bundle: TwistedBundle, max_len=None) -> CaseSpace:
+def bundle_morphisms(bundle: TwistedBundle, max_len=None) -> CaseSpace:
+    """The bundle's morphisms: gamma outer, then h, then g where these are
+    finite, sampled otherwise."""
     return CaseSpace.product(_base_morphisms(bundle, max_len), bundle.cm.morphism_space(),
                              build=TwistedMorphism)
 
 
-def _chains(bundle: TwistedBundle, n: int, max_len=None) -> CaseSpace:
+def composable_chains(bundle: TwistedBundle, n: int, max_len=None) -> CaseSpace:
     """Composable chains (tm_n, ..., tm_1) in the order of nested loops over
     (gamma1, h1, g1, gamma2, h2, ...): each later morphism starts where the
-    one before ends, so only its base morphism and its h are free."""
+    one before ends, so only its base morphism and its h are free. Sampled on
+    a path base; a quiver base needs a finite crossed module."""
     base, cm = bundle.base, bundle.cm
 
     def fold(tm1, legs):
@@ -200,7 +203,10 @@ def _chains(bundle: TwistedBundle, n: int, max_len=None) -> CaseSpace:
             chain.append(TwistedMorphism(gamma, TwoGroupMorphism(h, bundle.target(chain[-1])[1])))
         return tuple(reversed(chain))
 
-    if not (isinstance(base, QuiverCategory) and cm.is_finite):
+    if isinstance(base, QuiverCategory) and not cm.is_finite:
+        raise StructuralError(
+            f"composable chains on a quiver base need a finite crossed module, not {cm.name}")
+    if not isinstance(base, QuiverCategory):
         def draw(rng):
             gamma = base.random_path(rng)
             tm1 = TwistedMorphism(gamma, cm.sample_morphism(rng))
@@ -261,12 +267,12 @@ def verify_twisted_bundle(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
     ))
 
     report.records.append(run_law(
-        "boundary-coherence", "Eq 6.19", cases(_chains(bundle, 2, max_len)),
+        "boundary-coherence", "Eq 6.19", cases(composable_chains(bundle, 2, max_len)),
         lambda p: _boundary_ok(bundle, p[0], p[1]),
     ))
 
     report.records.append(run_law(
-        "associativity", "Eq 6.20", cases(_chains(bundle, 3, max_len)),
+        "associativity", "Eq 6.20", cases(composable_chains(bundle, 3, max_len)),
         lambda t: None if bundle.morphism_eq(
             bundle.compose(bundle.compose(t[0], t[1]), t[2]),
             bundle.compose(t[0], bundle.compose(t[1], t[2])),
@@ -274,37 +280,25 @@ def verify_twisted_bundle(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
     ))
 
     report.records.append(run_law(
-        "unit-laws", "Prop 6.1", cases(_morphisms(bundle, max_len)),
-        lambda tm: None if (
-            bundle.morphism_eq(bundle.compose(tm, bundle.identity(*bundle.source(tm))), tm)
-            and bundle.morphism_eq(bundle.compose(bundle.identity(*bundle.target(tm)), tm), tm)
-        ) else {"gamma": repr(tm.gamma)},
+        "unit-laws", "Prop 6.1", cases(bundle_morphisms(bundle, max_len)),
+        lambda tm: None if units_ok(bundle, tm) else {"gamma": repr(tm.gamma)},
     ))
 
-    def b1_witness(tm):
-        s, t = bundle.source(tm), bundle.target(tm)
-        if isinstance(bundle.base, QuiverCategory):
-            ok = s[0] == tm.gamma.source and t[0] == tm.gamma.target
-        else:
-            ok = bundle.base.point_eq(s[0], tm.gamma.start) and bundle.base.point_eq(t[0], tm.gamma.end)
-        return None if ok else {"gamma": repr(tm.gamma)}
-
     report.records.append(run_law(
-        "b1-surjectivity", "§2.2 (b1)", cases(_morphisms(bundle, max_len)), b1_witness))
+        "b1-surjectivity", "§2.2 (b1)", cases(bundle_morphisms(bundle, max_len)),
+        lambda tm: b1_witness(bundle, tm)))
     if isinstance(bundle.base, QuiverCategory):
         # every base morphism lifts: its lift through the unit lies over it
         report.records.append(run_law(
             "b1-base-coverage", "§2.2 (b1)", bundle.base.morphisms_upto(max_len),
-            lambda gamma: None if b1_witness(TwistedMorphism(gamma, cm.unit)) is None
+            lambda gamma: None if b1_witness(bundle, TwistedMorphism(gamma, cm.unit)) is None
             else {"missing": repr(gamma)},
         ))
 
-    acted = CaseSpace.product(_morphisms(bundle, max_len), cm.morphism_space(16))
+    acted = CaseSpace.product(bundle_morphisms(bundle, max_len), cm.morphism_space(16))
     report.records.append(run_law(
         "b2-freeness", "§2.2 (b2)", cases(acted),
-        lambda p: None if (
-            not cm.m_eq(bundle.act(p[0], p[1]).m, p[0].m) or cm.m_eq(p[1], cm.unit)
-        ) else {"gamma": repr(p[0].gamma), "m": cm.fmt_m(p[1])},
+        lambda p: None if free_ok(bundle, *p) else {"gamma": repr(p[0].gamma), "m": cm.fmt_m(p[1])},
     ))
 
     report.records.append(run_law(
@@ -312,6 +306,57 @@ def verify_twisted_bundle(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
         lambda p: _transitive_ok(bundle, p[0], p[1]),
     ))
     return report
+
+
+# -- predicates that the product-bundle suite (bundle.verify_bundle_axioms) shares --
+
+def b1_witness(bundle: TwistedBundle, tm) -> dict | None:
+    """None when the source and target of tm lie over those of its base
+    morphism, else a witness."""
+    s, t = bundle.source(tm), bundle.target(tm)
+    if isinstance(bundle.base, QuiverCategory):
+        ok = s[0] == tm.gamma.source and t[0] == tm.gamma.target
+    else:
+        ok = bundle.base.point_eq(s[0], tm.gamma.start) and bundle.base.point_eq(t[0], tm.gamma.end)
+    return None if ok else {"gamma": repr(tm.gamma)}
+
+
+def units_ok(bundle: TwistedBundle, tm) -> bool:
+    """The identities at the source and target of tm are units for it."""
+    return (bundle.morphism_eq(bundle.compose(tm, bundle.identity(*bundle.source(tm))), tm)
+            and bundle.morphism_eq(bundle.compose(bundle.identity(*bundle.target(tm)), tm), tm))
+
+
+def free_ok(bundle: TwistedBundle, tm, m1) -> bool:
+    """Only the unit of the morphism group fixes tm (freeness)."""
+    cm = bundle.cm
+    return not cm.m_eq(bundle.act(tm, m1).m, tm.m) or cm.m_eq(m1, cm.unit)
+
+
+def vertical_pairs(cm: CrossedModule) -> CaseSpace:
+    """Composable group pairs (m2, m1), m1 outer: m2 starts where m1 ends."""
+    return CaseSpace.product(
+        cm.morphism_space(8), CaseSpace.carrier(cm.H, 4),
+        build=lambda m1, h2: (TwoGroupMorphism(h2, cm.target(m1)), m1))
+
+
+def action_boundaries_ok(bundle: TwistedBundle, tm, m1) -> bool:
+    """Acting by m1 moves the source and target of tm by the source and
+    target of m1."""
+    cm = bundle.cm
+    acted = bundle.act(tm, m1)
+    s, s_want = bundle.source(acted), bundle.act_object(bundle.source(tm), cm.source(m1))
+    t, t_want = bundle.target(acted), bundle.act_object(bundle.target(tm), cm.target(m1))
+    return cm.G.eq(s[1], s_want[1]) and cm.G.eq(t[1], t_want[1])
+
+
+def action_composition_ok(bundle: TwistedBundle, chain, pair) -> bool:
+    """Acting by a composable (m2, m1) on the composite of (tm2, tm1) equals
+    composing the acted morphisms."""
+    (tm2, tm1), (m2, m1) = chain, pair
+    lhs = bundle.act(bundle.compose(tm2, tm1), bundle.cm.compose_vertical(m2, m1))
+    rhs = bundle.compose(bundle.act(tm2, m2), bundle.act(tm1, m1))
+    return bundle.morphism_eq(lhs, rhs)
 
 
 def _boundary_ok(bundle: TwistedBundle, tm2, tm1) -> dict | None:
@@ -385,7 +430,7 @@ def verify_E_properties(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
     ))
 
     report.records.append(run_law(
-        "E-reproduces-composition", "Eq 6.22", _chains(bundle, 2, max_len).plan(budget, rng),
+        "E-reproduces-composition", "Eq 6.22", composable_chains(bundle, 2, max_len).plan(budget, rng),
         lambda p: None if bundle.morphism_eq(
             bundle.compose(p[0], p[1]),
             TwistedMorphism(
@@ -405,33 +450,18 @@ def verify_action_functorial(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET
     cm = bundle.cm
     report = LawReport(suite="twisted-action")
 
-    def check_st(p):
-        tm, m1 = p
-        acted = bundle.act(tm, m1)
-        s, s_want = bundle.source(acted), bundle.act_object(bundle.source(tm), cm.source(m1))
-        t, t_want = bundle.target(acted), bundle.act_object(bundle.target(tm), cm.target(m1))
-        if cm.G.eq(s[1], s_want[1]) and cm.G.eq(t[1], t_want[1]):
-            return None
-        return {"gamma": repr(tm.gamma), "m1": cm.fmt_m(m1)}
-
-    acted = CaseSpace.product(_morphisms(bundle, max_len), cm.morphism_space(16))
-    report.records.append(run_law("action-boundaries", "Eq 6.3", acted.plan(budget, rng), check_st))
-
-    # composable group pairs (m2, m1): m2 starts where m1 ends
-    vertical = CaseSpace.product(
-        cm.morphism_space(8), CaseSpace.carrier(cm.H, 4),
-        build=lambda m1, h2: (TwoGroupMorphism(h2, cm.target(m1)), m1))
-
-    def check_comp(c):
-        (tm2, tm1), (m2, m1) = c
-        lhs = bundle.act(bundle.compose(tm2, tm1), cm.compose_vertical(m2, m1))
-        rhs = bundle.compose(bundle.act(tm2, m2), bundle.act(tm1, m1))
-        if bundle.morphism_eq(lhs, rhs):
-            return None
-        return {"gamma2": repr(tm2.gamma), "gamma1": repr(tm1.gamma),
-                "m2": cm.fmt_m(m2), "m1": cm.fmt_m(m1)}
+    acted = CaseSpace.product(bundle_morphisms(bundle, max_len), cm.morphism_space(16))
+    report.records.append(run_law(
+        "action-boundaries", "Eq 6.3", acted.plan(budget, rng),
+        lambda p: None if action_boundaries_ok(bundle, *p)
+        else {"gamma": repr(p[0].gamma), "m1": cm.fmt_m(p[1])},
+    ))
 
     report.records.append(run_law(
         "action-composition", "Eq 6.14",
-        CaseSpace.product(_chains(bundle, 2, max_len), vertical).plan(budget, rng), check_comp))
+        CaseSpace.product(composable_chains(bundle, 2, max_len), vertical_pairs(cm)).plan(budget, rng),
+        lambda c: None if action_composition_ok(bundle, *c) else {
+            "gamma2": repr(c[0][0].gamma), "gamma1": repr(c[0][1].gamma),
+            "m2": cm.fmt_m(c[1][0]), "m1": cm.fmt_m(c[1][1])},
+    ))
     return report

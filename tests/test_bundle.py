@@ -4,8 +4,6 @@ import pytest
 from catbundle.basecat import QuiverCategory
 from catbundle.bundle import (
     ExtractionRefused,
-    ProductBundle,
-    ProductMorphism,
     SectionIso,
     constant_identity_functor,
     enumerate_functors,
@@ -19,10 +17,8 @@ from catbundle.bundle import (
     nat_pointwise_mul,
     nat_vertical_compose,
     naturality_witness,
-    section_to_iso,
     verify_bundle_axioms,
     verify_composition_correspondence,
-    verify_functor,
     verify_GU_categorical_group,
     verify_nat,
     verify_prop31_roundtrip,
@@ -30,6 +26,7 @@ from catbundle.bundle import (
 )
 from catbundle.crossed import CompositionUndefined, TwoGroupMorphism, get_module
 from catbundle.groups import perm_from_cycles, perm_inv, perm_mul
+from catbundle.twisted import EtaMap, TwistedBundle, TwistedMorphism, bundle_morphisms
 
 Z4 = get_module("z4-conj")
 S3 = get_module("s3-conj")
@@ -41,27 +38,32 @@ def p(text):
     return perm_from_cycles(text, 3)
 
 
+def product_bundle(base, cm):
+    """The product bundle: the twisted bundle with trivial eta."""
+    return TwistedBundle(base, cm, EtaMap.trivial(base, cm))
+
+
 def test_product_source_target():
-    pb = ProductBundle(ARROW, Z4)
-    pm = ProductMorphism(ARROW.arrow("f"), TwoGroupMorphism(1, 2))
+    pb = product_bundle(ARROW, Z4)
+    pm = TwistedMorphism(ARROW.arrow("f"), TwoGroupMorphism(1, 2))
     assert pb.source(pm) == ("a", 2)
     assert pb.target(pm) == ("b", 3)
     # h = e: the target group part is just g
-    pm0 = ProductMorphism(ARROW.arrow("f"), TwoGroupMorphism(0, 2))
+    pm0 = TwistedMorphism(ARROW.arrow("f"), TwoGroupMorphism(0, 2))
     assert pb.target(pm0) == ("b", 2)
     idm = pb.identity("a", 1)
     assert pb.source(idm) == pb.target(idm)
 
 
 def test_product_act():
-    pb = ProductBundle(ARROW, Z4)
-    pm = ProductMorphism(ARROW.arrow("f"), TwoGroupMorphism(1, 2))
+    pb = product_bundle(ARROW, Z4)
+    pm = TwistedMorphism(ARROW.arrow("f"), TwoGroupMorphism(1, 2))
     assert pb.morphism_eq(pb.act(pm, Z4.unit), pm)
     acted = pb.act(pm, TwoGroupMorphism(1, 1))
     assert (acted.m.h, acted.m.g) == (2, 3)
 
-    pbs = ProductBundle(ARROW, S3)
-    pm = ProductMorphism(ARROW.arrow("f"), TwoGroupMorphism(p("(0 1)"), p("(0 1 2)")))
+    pbs = product_bundle(ARROW, S3)
+    pm = TwistedMorphism(ARROW.arrow("f"), TwoGroupMorphism(p("(0 1)"), p("(0 1 2)")))
     acted = pbs.act(pm, TwoGroupMorphism(p("(0 2)"), S3.G.identity))
     # h-part: (01)·[(012)(02)(021)] = (01)(01) = e by the permutation oracle
     assert acted.m.h == S3.H.identity
@@ -69,16 +71,16 @@ def test_product_act():
 
 
 def test_product_compose_oracle_and_guards():
-    pb = ProductBundle(CHAIN, Z4)
-    pm1 = ProductMorphism(CHAIN.arrow("f"), TwoGroupMorphism(2, 1))
-    pm2 = ProductMorphism(CHAIN.arrow("g"), TwoGroupMorphism(1, 3))
+    pb = product_bundle(CHAIN, Z4)
+    pm1 = TwistedMorphism(CHAIN.arrow("f"), TwoGroupMorphism(2, 1))
+    pm2 = TwistedMorphism(CHAIN.arrow("g"), TwoGroupMorphism(1, 3))
     comp = pb.compose(pm2, pm1)
     assert comp.gamma.word == ("f", "g")
     assert (comp.m.h, comp.m.g) == (3, 1)
     assert pb.morphism_eq(pb.compose(pb.identity("c", Z4.target(comp.m)), comp), comp)
 
     # base composable but group boundary mismatched
-    bad = ProductMorphism(CHAIN.arrow("g"), TwoGroupMorphism(1, 0))
+    bad = TwistedMorphism(CHAIN.arrow("g"), TwoGroupMorphism(1, 0))
     with pytest.raises(CompositionUndefined) as err:
         pb.compose(bad, pm1)
     assert "source" in str(err.value)
@@ -119,7 +121,7 @@ def test_functor_apply_and_verify():
     assert S3.m_eq(F.apply(ida), S3.identity_morphism(F.g("a")))
     for m in CHAIN.morphisms_upto(3):
         assert S3.G.eq(S3.source(F.apply(m)), F.g(m.source))
-    assert verify_functor(F).passed
+    assert functor_invariant_witness(F) is None
 
 
 def test_prop31_roundtrip_every_functor_on_three_objects():
@@ -228,12 +230,14 @@ def test_gu_group_broken_module_fails():
 
 def test_trivial_section_gives_identity_map():
     E = constant_identity_functor(ARROW, Z4)
-    iso = section_to_iso(E)
-    pb = ProductBundle(ARROW, Z4)
+    iso = SectionIso(E)
+    pb = product_bundle(ARROW, Z4)
     for a in ARROW.objects:
         for g in Z4.G.elements:
             assert iso.on_object(a, g) == (a, g)
-    for pm in pb.enumerate_morphisms(2):
+    morphisms = list(bundle_morphisms(pb, 2))
+    assert len(morphisms) == len(ARROW.morphisms_upto(2)) * 16
+    for pm in morphisms:
         assert pb.morphism_eq(iso.on_morphism(pm), pm)
 
 
@@ -288,6 +292,16 @@ def test_extract_functor_refuses_bad_input():
 def test_bundle_axioms_product():
     report = verify_bundle_axioms(CHAIN, Z4, budget=20000)
     assert report.passed
+
+
+def test_bundle_axioms_b1_fails_when_target_leaves_the_base_morphism(monkeypatch):
+    # a target map that sends every lift to the object "a" no longer lies
+    # over the base: the first lift that ends elsewhere is the witness
+    monkeypatch.setattr(TwistedBundle, "target", lambda self, tm: ("a", tm.m.g))
+    record = verify_bundle_axioms(CHAIN, Z4, budget=20000).find("b1-surjectivity")
+    assert not record.passed
+    assert record.witness == {"missing": "'b'"}
+    assert record.checks == 2
 
 
 def test_functor_from_h_on_path_base_sampled():

@@ -64,6 +64,21 @@ def test_nested_spaces_index_like_nested_comprehensions():
     assert pairs[35] == (("b", 2), ("b", 2))
 
 
+def test_index_outside_the_space_raises_and_iteration_ends():
+    product = CaseSpace.product(range(2), range(3))
+    concat = CaseSpace.concat(
+        CaseSpace.product(range(x), build=lambda y, x=x: (x, y)) for x in range(4))
+    nested = CaseSpace.product(product, "ab")
+    for space in (product, concat, nested, CaseSpace.concat([])):
+        for i in (len(space), len(space) + 1, 100, -1):
+            with pytest.raises(IndexError):
+                space[i]
+    # so iterating a space lists it, in nested-loop order
+    assert list(product) == [(x, y) for x in range(2) for y in range(3)]
+    assert list(concat) == [(x, y) for x in range(4) for y in range(x)]
+    assert list(nested) == [((x, y), c) for x in range(2) for y in range(3) for c in "ab"]
+
+
 @pytest.mark.parametrize("budget", [1, 7, 23, 24, 100])
 def test_plan_matches_the_reference_cap(budget):
     a, b = list(range(4)), list(range(6))

@@ -120,24 +120,53 @@ def test_console_script_entry_point():
     assert "s3-conj" in proc.stdout
 
 
-def test_every_verify_operation_is_reachable_from_a_suite():
+def test_every_verify_operation_is_reachable_from_a_suite(monkeypatch):
     import catbundle.bundle
     import catbundle.cocycle
     import catbundle.crossed
     import catbundle.decorated
     import catbundle.twisted
+    from catbundle.scenario import Scenario
 
-    found = set()
+    found = {}
     for mod in (catbundle.crossed, catbundle.bundle, catbundle.cocycle,
                 catbundle.twisted, catbundle.decorated):
         for name in dir(mod):
             if name.startswith("verify_") and callable(getattr(mod, name)):
                 if getattr(getattr(mod, name), "__module__", "") == mod.__name__:
-                    found.add(name)
-    assert found == set(suites_mod.COVERAGE)
+                    found[name] = getattr(mod, name)
+    assert set(found) == set(suites_mod.COVERAGE)
+
+    # wrap every verify_* operation wherever catbundle binds it by name, run
+    # each listed suite on the first shipped scenario that declares it, and
+    # require each operation to be entered by every suite that lists it
+    entered = set()
+
+    def wrap(name, fn):
+        def wrapper(*args, **kwargs):
+            entered.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, fn in found.items():
+        wrapper = wrap(name, fn)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "catbundle" or mod_name.startswith("catbundle."):
+                for key, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, key, wrapper)
+
+    shipped = [Scenario.load(path) for path in sorted(SCEN.glob("*.json"))]
+    reached = {}
+    for suite in sorted({s for names in suites_mod.COVERAGE.values() for s in names}):
+        assert suite in suites_mod.SUITES, suite
+        sc = next(sc for sc in shipped if suite in sc.suites)
+        entered.clear()
+        suites_mod.run_suite(sc, suite)
+        reached[suite] = set(entered)
     for fn, suite_names in suites_mod.COVERAGE.items():
         for s in suite_names:
-            assert s in suites_mod.SUITES, (fn, s)
+            assert fn in reached[s], (fn, s)
 
 
 def test_human_table_contains_anchors(capsys):
@@ -253,13 +282,16 @@ MATRIX_QUIVER = {
              "arrows": [["f", "a", "b"], ["g", "b", "c"]], "word_bound": 3},
     "functors": {name: {o: {"angle": 0.1 * i + k} for i, o in enumerate("abc")}
                  for k, name in enumerate(("sigma1", "sigma2"))},
+    "eta": {"table": {"f": {"angle": 0.3}, "g": {"angle": 0.2}}},
 }
 
 
-@pytest.mark.parametrize("suite", ["bundle-axioms", "prop34-gu-group", "prop41-section"])
+@pytest.mark.parametrize("suite", ["bundle-axioms", "prop34-gu-group", "prop41-section",
+                                   "twisted-bundle", "e-action"])
 def test_suite_that_needs_a_finite_module_is_input_error(suite, tmp_path, capsys):
-    # these suites enumerate G or its functors; on SO(2) they cannot run,
-    # which is an input error (2), not a failed law (1)
+    # these suites enumerate G, its functors or composable chains over the
+    # quiver; on SO(2) they cannot run, which is an input error (2), not a
+    # failed law (1)
     f = tmp_path / "so2_quiver.json"
     f.write_text(json.dumps(MATRIX_QUIVER))
     assert run_cli("run", "--scenario", str(f), "--suite", suite) == 2
