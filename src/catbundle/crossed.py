@@ -187,8 +187,10 @@ def verify_crossed_module(
     G, H = cm.G, cm.H
     carriers = {"g": CaseSpace.carrier(G), "h": CaseSpace.carrier(H)}
 
+    # every check below also takes stacked SO(n) cases, so sampled laws run in blocks
     def cases(slots: str):
-        return CaseSpace.product(*(carriers[s] for s in slots)).plan(sample_budget, rng)
+        return CaseSpace.product(*(carriers[s] for s in slots)).plan(
+            sample_budget, rng, blocks=True)
 
     report.records.append(run_law(
         "tau-homomorphism", "§2.1", cases("hh"),
@@ -269,7 +271,9 @@ def verify_exchange_law(
                 TwoGroupMorphism(k2, cm.target(psi1)), psi1)
 
     G, H = CaseSpace.carrier(cm.G), CaseSpace.carrier(cm.H)
-    cases = CaseSpace.product(H, G, H, H, G, H, build=build).plan(sample_budget, rng)
+    # build and check also take stacked SO(n) cases, so a sampled law runs in blocks
+    cases = CaseSpace.product(H, G, H, H, G, H, build=build).plan(
+        sample_budget, rng, blocks=True)
 
     def check(q):
         phi2, phi1, psi2, psi1 = q

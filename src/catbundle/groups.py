@@ -5,6 +5,13 @@ tuples for permutations); finite groups tabulate `mul` and `inv` when they are
 built. Matrix elements are numpy arrays; equality is a
 declared max-abs-entry tolerance (default 1e-9) because downstream transport
 values are floating point.
+
+SO(n) operations also take stacks: a `(k, n, n)` array holds k elements, `mul`
+and `inv` act on each, and `eq` holds when every pair in the stack is equal.
+`rotation2`, `skew3` and `skew_exp` likewise map stacks to stacks. One
+sampler, `sample_stack`, maps a `(k, width)` block of uniform [0, 1) draws to
+a stack of k elements; `sample(rng)` is its one-element call, so a block of
+draws gives, bitwise, the elements that as many `sample` calls give.
 """
 from __future__ import annotations
 
@@ -30,6 +37,7 @@ class Group:
 
     name: str = "group"
     elements: list[Element] | None = None
+    width: int | None = None  # uniform draws per element, for stack samplers
 
     @property
     def identity(self) -> Element:
@@ -174,16 +182,26 @@ class SymmetricGroup(FiniteGroup):
 #    group up to roundoff, which downstream equality checks rely on) --
 
 SO2_GEN = np.array([[0.0, -1.0], [1.0, 0.0]])
+_EYE3 = np.eye(3)
 
 
-def rotation2(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
+def rotation2(theta) -> np.ndarray:
+    """The rotation by `theta`, or a stack of them for an array of angles."""
+    c, s = np.cos(theta), np.sin(theta)
+    out = np.empty(np.shape(c) + (2, 2))
+    out[..., 0, 0] = out[..., 1, 1] = c
+    out[..., 0, 1], out[..., 1, 0] = -s, s
+    return out
 
 
 def skew3(v) -> np.ndarray:
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """The skew matrix of a 3-vector (x, y, z), or a stack of them for (..., 3)."""
+    v = np.asarray(v, dtype=float)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., 2, 1], out[..., 0, 2], out[..., 1, 0] = x, y, z
+    out[..., 1, 2], out[..., 2, 0], out[..., 0, 1] = -x, -y, -z
+    return out
 
 
 def is_skew(a: np.ndarray, tol: float = 1e-12) -> bool:
@@ -191,21 +209,24 @@ def is_skew(a: np.ndarray, tol: float = 1e-12) -> bool:
 
 
 def skew_exp(a: np.ndarray) -> np.ndarray:
-    """exp of a 2x2 or 3x3 skew matrix, in closed form."""
-    n = a.shape[0]
+    """exp of a 2x2 or 3x3 skew matrix, or of each matrix in a (k, n, n)
+    stack, in closed form."""
+    n = a.shape[-1]
     if n == 2:
-        return rotation2(float(a[1, 0]))
+        return rotation2(a[..., 1, 0])
     if n == 3:
-        # Rodrigues; series near zero angle for stability
-        theta2 = float(a[2, 1]) ** 2 + float(a[0, 2]) ** 2 + float(a[1, 0]) ** 2
-        theta = math.sqrt(theta2)
-        if theta < 1e-8:
-            c1 = 1.0 - theta2 / 6.0
-            c2 = 0.5 - theta2 / 24.0
-        else:
-            c1 = math.sin(theta) / theta
-            c2 = (1.0 - math.cos(theta)) / theta2
-        return np.eye(3) + c1 * a + c2 * (a @ a)
+        # Rodrigues; series near zero angle for stability (`+ small` only
+        # keeps the quotients that the series replaces finite)
+        x, y, z = a[..., 2, 1], a[..., 0, 2], a[..., 1, 0]
+        theta2 = x * x + y * y + z * z
+        theta = np.sqrt(theta2)
+        small = theta < 1e-8
+        safe, safe2 = theta + small, theta2 + small
+        c1, c2 = np.sin(safe) / safe, (1.0 - np.cos(safe)) / safe2
+        if np.any(small):
+            c1 = np.where(small, 1.0 - theta2 / 6.0, c1)
+            c2 = np.where(small, 0.5 - theta2 / 24.0, c2)
+        return _EYE3 + c1[..., None, None] * a + c2[..., None, None] * (a @ a)
     raise StructuralError(f"skew_exp supports 2x2 and 3x3 matrices, got {a.shape}")
 
 
@@ -234,7 +255,8 @@ def skew_expm1_batch(a: np.ndarray) -> np.ndarray:
 
 
 class SpecialOrthogonalGroup(Group):
-    """SO(n) for n in {2, 3}; equality is max-abs entry difference <= tol."""
+    """SO(n) for n in {2, 3}; equality is max-abs entry difference <= tol.
+    `mul`, `inv` and `eq` take single (n, n) elements or (k, n, n) stacks."""
 
     def __init__(self, n: int, tol: float = DEFAULT_GRP_TOL):
         if n not in (2, 3):
@@ -243,6 +265,7 @@ class SpecialOrthogonalGroup(Group):
         self.tol = tol
         self.name = f"so{n}"
         self.elements = None
+        self.width = n * (n - 1) // 2  # an angle, or a rotation vector
 
     @property
     def identity(self) -> np.ndarray:
@@ -252,9 +275,11 @@ class SpecialOrthogonalGroup(Group):
         return a @ b
 
     def inv(self, a: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(a.T)
+        return np.ascontiguousarray(np.swapaxes(a, -1, -2))
 
     def eq(self, a: np.ndarray, b: np.ndarray) -> bool:
+        """Every element of `a` equals its counterpart in `b` (stacks
+        broadcast); a NaN entry is never equal."""
         return bool(np.max(np.abs(np.asarray(a) - np.asarray(b))) <= self.tol)
 
     def contains(self, a: Element) -> bool:
@@ -264,10 +289,19 @@ class SpecialOrthogonalGroup(Group):
         ortho = np.max(np.abs(a @ a.T - np.eye(self.n))) <= 1e-7
         return bool(ortho and np.linalg.det(a) > 0)
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
+    def sample_stack(self, u: np.ndarray) -> np.ndarray:
+        """k elements from a (k, width) block of uniform [0, 1) draws, or one
+        element from a (width,) row: each draw becomes the angle
+        -pi + 2*pi*u, bitwise what `rng.uniform(-pi, pi)` gives on the same
+        draw; SO(2) rotates by it, SO(3) exponentiates the rotation vector of
+        three of them."""
+        angles = -math.pi + 2 * math.pi * u
         if self.n == 2:
-            return rotation2(float(rng.uniform(-math.pi, math.pi)))
-        return skew_exp(skew3(rng.uniform(-math.pi, math.pi, size=3)))
+            return rotation2(angles[..., 0])
+        return skew_exp(skew3(angles))
+
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        return self.sample_stack(rng.random(self.width))
 
     def fmt(self, a: np.ndarray) -> str:
         rows = [" ".join(f"{x:.12g}" for x in row) for row in np.asarray(a)]

@@ -1,10 +1,17 @@
 """Case spaces and pass/fail law reports shared by every verification suite.
 
 A law's cases come from a CaseSpace, whose `plan` decides exhaustive vs
-sampled. A suite produces a LawReport: one LawRecord per algebraic law, each
-carrying the law's anchor string (its identifier in the library's law
-registry, e.g. "Eq 2.4"), a pass/fail status, the number of cases checked,
-whether the check was exhaustive, and a witness payload on failure.
+sampled. A law whose check also takes stacked cases may ask for a block plan:
+an open sampled product of SO(n) carriers is then drawn in fixed blocks of
+BLOCK cases, one uniform array per block, and `run_law` checks each block in
+one call. A block that fails (or raises) is redrawn and rerun case by case,
+so the witness, the check count and the RNG state after the law are those of
+the per-case plan. Finite spaces and other sampled spaces run case by case.
+
+A suite produces a LawReport: one LawRecord per algebraic law, each carrying
+the law's anchor string (its identifier in the library's law registry, e.g.
+"Eq 2.4"), a pass/fail status, the number of cases checked, whether the
+check was exhaustive, and a witness payload on failure.
 
 The machine-readable serialization (JSONL) is canonical: records sorted by
 law id, keys sorted, no timing fields, so identical inputs give identical
@@ -29,6 +36,9 @@ class CaseSpace:
     lists them all). A sampled space (an infinite carrier, random paths)
     has `size` None and draws one seeded case per `draw(rng)`; its `count`
     fixes how many draws stand in for it, or is None to let the budget decide.
+    A sampled space may also have a stack sampler: `stack(u)` builds k cases,
+    stacked along a first axis, from a (k, width) array of uniform [0, 1)
+    draws, bitwise the cases that k calls of `draw` give on the same stream.
     Sequences serve as finite axes as they are.
     """
 
@@ -38,6 +48,8 @@ class CaseSpace:
         self._get = get
         self.draw = draw  # sampled spaces: rng -> one case
         self.count = count
+        self.width: int | None = None  # stackable sampled spaces: draws per case
+        self.stack: Callable | None = None
         self.axes: tuple | None = None  # a product's axes and case builder
         self.build: Callable | None = None
         self.blocks: list | None = None  # a concatenation's blocks
@@ -60,8 +72,14 @@ class CaseSpace:
 
     @staticmethod
     def carrier(group, count: int | None = None):
-        """A group's elements, or seeded samples of an infinite group."""
-        return group.elements if group.is_finite else CaseSpace.sampled(group.sample, count)
+        """A group's elements, or seeded samples of an infinite group, which
+        are stackable when the group has a stack sampler."""
+        if group.is_finite:
+            return group.elements
+        space = CaseSpace.sampled(group.sample, count)
+        if group.width is not None:
+            space.width, space.stack = group.width, group.sample_stack
+        return space
 
     @staticmethod
     def product(*axes, build: Callable | None = None) -> "CaseSpace":
@@ -69,12 +87,18 @@ class CaseSpace:
         last axis varies fastest, as in the nested loops it replaces."""
         build = build or (lambda *parts: parts)
         if any(_is_sampled(a) for a in axes):
-            counts = [a.count if _is_sampled(a) else len(a) for a in axes]
+            counts = [a.count if _is_sampled(a) else _size(a) for a in axes]
             draws = [_drawer(a) for a in axes]
             space = CaseSpace.sampled(lambda rng: build(*[d(rng) for d in draws]),
                                       None if None in counts else math.prod(counts))
+            if all(_is_sampled(a) and a.stack is not None for a in axes):
+                # a case draws its axes in turn, so a block's columns split per axis
+                ends = list(itertools.accumulate(a.width for a in axes))
+                space.width = ends[-1]
+                space.stack = lambda u: build(*[a.stack(u[:, e - a.width:e])
+                                                for a, e in zip(axes, ends)])
         else:
-            sizes = [len(a) for a in axes]
+            sizes = [_size(a) for a in axes]
             n = len(axes)
 
             def get(i):
@@ -93,7 +117,7 @@ class CaseSpace:
         """The finite blocks one after another: a filtered product is the
         concatenation of its per-prefix product blocks."""
         blocks = list(blocks)
-        ends = list(itertools.accumulate(len(b) for b in blocks))
+        ends = list(itertools.accumulate(_size(b) for b in blocks))
 
         def get(i):
             k = bisect_right(ends, i)
@@ -103,13 +127,15 @@ class CaseSpace:
         space.blocks = blocks
         return space
 
-    def plan(self, budget: int, rng) -> "Plan":
+    def plan(self, budget: int, rng, blocks: bool = False) -> "Plan":
         """The cases a law checks: the whole finite space in order when it
         fits the budget (exhaustive); else `budget` seeded draws of
         `space[_index(rng, size)]`. A sampled space is drawn `count`
         times, or `budget` times; in a product, finite and counted axes are
         enumerated whole and one open sampled axis is drawn
-        max(1, budget // their size) times. No cases when budget <= 0."""
+        max(1, budget // their size) times. No cases when budget <= 0.
+        With `blocks`, the `budget` draws of an open stackable space come as
+        Blocks of at most BLOCK cases; any other plan is unchanged."""
         if budget <= 0:
             return Plan((), exhaustive=False, space=self.size)
         if self.size is not None:
@@ -123,7 +149,7 @@ class CaseSpace:
             open_axes = [a for a in axes if _is_sampled(a) and a.count is None]
             if len(open_axes) > 1:
                 raise ValueError("a product may sample at most one axis beside enumerated ones")
-            counts = [a.count if _is_sampled(a) else len(a) for a in axes]
+            counts = [a.count if _is_sampled(a) else _size(a) for a in axes]
             draws = max(1, budget // max(1, math.prod(c for c in counts if c is not None)))
             lists = [
                 [a.draw(rng) for _ in range(draws if c is None else c)] if _is_sampled(a) else a
@@ -133,18 +159,62 @@ class CaseSpace:
         draw = self.draw
         if self.count is not None:
             return Plan([draw(rng) for _ in range(self.count)], exhaustive=False)
+        if blocks and self.stack is not None:
+            return Plan(_blocks(self, budget, rng), exhaustive=False)
         return Plan((draw(rng) for _ in range(budget)), exhaustive=False)
+
+
+BLOCK = 512  # cases per block: a few hundred kB of SO(3) stacks per law
+
+
+@dataclass(frozen=True)
+class Block:
+    """`size` sampled cases stacked along a first axis, and `redraw`, which
+    puts the RNG back where it stood before the block and yields the same
+    cases one `draw` at a time."""
+    cases: object
+    size: int
+    redraw: Callable
+
+    def passes(self, check: Callable) -> bool:
+        """`check` finds no witness in the whole block and raises nothing."""
+        try:
+            return check(self.cases) is None
+        except Exception:  # the case-by-case rerun reports or raises it
+            return False
+
+
+def _blocks(space: CaseSpace, budget: int, rng):
+    """`budget` draws of a stackable sampled space, BLOCK at a time: one
+    (k, width) uniform array per block, which consumes the RNG exactly as k
+    per-case draws do. A redrawn block stops drawing where its rerun stops."""
+    for start in range(0, budget, BLOCK):
+        k = min(BLOCK, budget - start)
+        state = rng.bit_generator.state
+
+        def redraw(state=state, k=k):
+            rng.bit_generator.state = state
+            return (space.draw(rng) for _ in range(k))
+
+        yield Block(space.stack(rng.random((k, space.width))), k, redraw)
 
 
 def _is_sampled(axis) -> bool:
     return isinstance(axis, CaseSpace) and axis.size is None
 
 
+def _size(axis) -> int:
+    """The size of a finite axis: a space's `size`, which unlike `len` is not
+    capped at sys.maxsize, or a sequence's length."""
+    return axis.size if isinstance(axis, CaseSpace) else len(axis)
+
+
 def _drawer(axis) -> Callable:
     """rng -> one seeded case of `axis`, uniform over a finite one."""
     if _is_sampled(axis):
         return axis.draw
-    return lambda rng: axis[_index(rng, len(axis))]
+    size = _size(axis)
+    return lambda rng: axis[_index(rng, size)]
 
 
 def _index(rng, size: int) -> int:
@@ -296,6 +366,12 @@ def run_law(law: str, anchor: str, cases: Plan | Sequence, check: Callable) -> L
     `cases` is a Plan from `CaseSpace.plan`, or a sequence, which is the
     law's whole (exhaustive) case space. `check(case)` returns None on
     success or a witness dict on failure. A law checked on no case fails.
+
+    A block plan yields Blocks: `check` gets a block's stacked cases in one
+    call, and if it returns None they all count as checked. If it returns a
+    witness or raises, the block is redrawn and its cases are checked one at
+    a time by the same `check`, so the witness and the count come from the
+    per-case run and the RNG has consumed only the cases checked.
     """
     from .crossed import CompositionUndefined
     from .groups import StructuralError
@@ -305,13 +381,23 @@ def run_law(law: str, anchor: str, cases: Plan | Sequence, check: Callable) -> L
     t0 = time.perf_counter()
     n = 0
     witness = None
-    for case in cases:
-        n += 1
-        try:
-            witness = check(case)
-        except (CompositionUndefined, StructuralError) as exc:
-            # a law whose check cannot even be formed has failed
-            witness = {"error": f"{type(exc).__name__}: {exc}"}
+    for item in cases:
+        if isinstance(item, Block):
+            if item.passes(check):
+                n += item.size
+                continue
+            singles = item.redraw()
+        else:
+            singles = (item,)
+        for case in singles:
+            n += 1
+            try:
+                witness = check(case)
+            except (CompositionUndefined, StructuralError) as exc:
+                # a law whose check cannot even be formed has failed
+                witness = {"error": f"{type(exc).__name__}: {exc}"}
+            if witness is not None:
+                break
         if witness is not None:
             break
     if n == 0:

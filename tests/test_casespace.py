@@ -105,6 +105,21 @@ def test_plan_samples_spaces_beyond_int64():
     assert max(c[1] for c in cases) >= 2**61
 
 
+def test_nested_spaces_beyond_sys_maxsize():
+    # a nested space's size is read from `size`; len() stops at sys.maxsize
+    inner = CaseSpace.product(range(2**32), range(2**32))
+    space = CaseSpace.product(inner, range(3))
+    assert space.size == 3 * 2**64
+    assert space[space.size - 1] == ((2**32 - 1, 2**32 - 1), 2)
+    cases = list(space.plan(5, np.random.default_rng(0)))
+    assert len(cases) == 5
+    assert all(0 <= x < 2**32 and 0 <= y < 2**32 and 0 <= z < 3 for (x, y), z in cases)
+    joined = CaseSpace.concat([inner, CaseSpace.finite("ab")])
+    assert joined.size == 2**64 + 2 and joined[2**64 + 1] == "b"
+    assert joined[2**63] == (2**31, 0)
+    assert len(list(joined.plan(5, np.random.default_rng(0)))) == 5
+
+
 def test_nonpositive_budget_yields_no_cases():
     rng = np.random.default_rng(0)
     for budget in (0, -5):

@@ -1,11 +1,21 @@
-"""Sampled SO(n) laws: a failing SO(3) module pinned by committed goldens."""
+"""Sampled SO(n) laws run on blocks of stacked cases: a failing SO(3) module
+pinned by committed goldens, block draws against per-case draws, run_law's
+case-by-case rerun of a failing block, and the stacked group operations."""
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from catbundle.crossed import CrossedModule, verify_crossed_module, verify_exchange_law
+from catbundle.crossed import (
+    CompositionUndefined,
+    CrossedModule,
+    get_module,
+    verify_crossed_module,
+    verify_exchange_law,
+)
 from catbundle.groups import SpecialOrthogonalGroup
+from catbundle.report import BLOCK, Block, CaseSpace, run_law
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -35,3 +45,166 @@ def mutant_jsonl(threshold: float) -> str:
 def test_failing_so3_module_matches_its_golden(threshold):
     golden = GOLDEN / f"so3_alpha_mutant_{threshold}.jsonl"
     assert mutant_jsonl(threshold) == golden.read_text()
+
+
+# -- block draws --
+
+def _reference_sample(n: int, rng) -> np.ndarray:
+    """One SO(n) sample in plain Python floats: the rotation by a uniform
+    angle, or Rodrigues' formula on a uniform rotation vector."""
+    if n == 2:
+        t = float(rng.uniform(-math.pi, math.pi))
+        return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    x, y, z = (float(v) for v in rng.uniform(-math.pi, math.pi, size=3))
+    a = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    theta2 = x * x + y * y + z * z
+    theta = math.sqrt(theta2)
+    c1, c2 = math.sin(theta) / theta, (1.0 - math.cos(theta)) / theta2
+    return np.eye(3) + c1 * a + c2 * (a @ a)
+
+
+def _slot_spaces(n: int, slots: str) -> CaseSpace:
+    cm = get_module(f"so{n}-conj")
+    carriers = {"g": CaseSpace.carrier(cm.G), "h": CaseSpace.carrier(cm.H)}
+    return CaseSpace.product(*(carriers[s] for s in slots))
+
+
+def _bits(stack) -> bytes:
+    return np.ascontiguousarray(stack).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("slots", ["hh", "ghh", "hghg", "hghhgh"])
+def test_block_draws_equal_per_case_draws_bitwise(n, slots):
+    space = _slot_spaces(n, slots)
+    block_rng, case_rng, ref_rng = (np.random.default_rng(7) for _ in range(3))
+    blocks = list(space.plan(3000, block_rng, blocks=True))
+    assert all(isinstance(b, Block) for b in blocks)
+    assert [b.size for b in blocks] == [BLOCK] * (3000 // BLOCK) + [3000 % BLOCK]
+    cases = list(space.plan(3000, case_rng))
+    reference = [tuple(_reference_sample(n, ref_rng) for _ in slots) for _ in range(3000)]
+    for axis in range(len(slots)):
+        block_axis = np.concatenate([b.cases[axis] for b in blocks])
+        assert _bits(block_axis) == _bits([c[axis] for c in cases])
+        assert _bits(block_axis) == _bits([c[axis] for c in reference])
+    # a block consumes exactly the draws of its cases
+    assert block_rng.bit_generator.state == case_rng.bit_generator.state
+    assert block_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_only_open_stackable_plans_come_in_blocks():
+    rng = np.random.default_rng(0)
+    so2 = get_module("so2-conj").G
+    assert not any(isinstance(c, Block) for c in _slot_spaces(2, "hh").plan(600, rng))
+    finite = CaseSpace.product(get_module("s3-conj").G.elements, range(2))
+    assert list(finite.plan(600, rng, blocks=True)) == list(finite.plan(600, rng))
+    counted = CaseSpace.product(CaseSpace.carrier(so2, 4), CaseSpace.carrier(so2))
+    assert not any(isinstance(c, Block) for c in counted.plan(600, rng, blocks=True))
+    unstackable = CaseSpace.product(CaseSpace.sampled(lambda r: r.random()), CaseSpace.carrier(so2))
+    assert not any(isinstance(c, Block) for c in unstackable.plan(600, rng, blocks=True))
+
+
+# -- run_law on blocks --
+
+def _records_equal(a, b):
+    keys = ("law", "anchor", "status", "checks", "exhaustive", "witness", "space")
+    return all(getattr(a, k) == getattr(b, k) for k in keys)
+
+
+@pytest.mark.parametrize("threshold", [0.5, 0.99, 0.999, 2.0])
+def test_block_run_matches_the_per_case_run(threshold):
+    space = _slot_spaces(3, "hh")
+    stacked_calls = []
+
+    def check(t):
+        if t[0].ndim == 3:
+            stacked_calls.append(len(t[0]))
+        if np.any(t[0][..., 0, 0] > threshold):
+            return {"h": SpecialOrthogonalGroup(3).fmt(t[0])}
+        return None
+
+    block_rng, case_rng = np.random.default_rng(11), np.random.default_rng(11)
+    got = run_law("law", "anchor", space.plan(3000, block_rng, blocks=True), check)
+    want = run_law("law", "anchor", space.plan(3000, case_rng), check)
+    assert _records_equal(got, want)
+    assert block_rng.bit_generator.state == case_rng.bit_generator.state
+    # every block up to the failing one was checked in one call
+    failed_block = (want.checks - 1) // BLOCK if want.witness else len(stacked_calls) - 1
+    assert len(stacked_calls) == failed_block + 1
+    assert not want.passed or want.checks == 3000
+
+
+def test_block_that_raises_is_rerun_and_reports_the_error():
+    space = _slot_spaces(2, "hh")
+
+    def check(t):
+        if np.any(t[0][..., 0, 0] > 0.99999):  # first at case 1016 of seed 1
+            raise CompositionUndefined("target != source")
+        return None
+
+    block_rng, case_rng = np.random.default_rng(1), np.random.default_rng(1)
+    got = run_law("law", "anchor", space.plan(3000, block_rng, blocks=True), check)
+    want = run_law("law", "anchor", space.plan(3000, case_rng), check)
+    assert got.witness == {"error": "CompositionUndefined: target != source"}
+    assert _records_equal(got, want) and got.checks > BLOCK
+    assert block_rng.bit_generator.state == case_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("name", ["so2-conj", "so3-conj"])
+def test_so_suites_check_each_block_once(name, monkeypatch):
+    cm = get_module(name)
+    calls = []
+    mul = SpecialOrthogonalGroup.mul
+    monkeypatch.setattr(SpecialOrthogonalGroup, "mul",
+                        lambda self, a, b: calls.append(np.ndim(a)) or mul(self, a, b))
+    report = verify_crossed_module(cm, 3000, np.random.default_rng(0))
+    report.extend(verify_exchange_law(cm, 3000, np.random.default_rng(0)))
+    assert report.passed and all(r.checks == 3000 for r in report.records)
+    assert calls.count(2) < 200 < calls.count(3) < 2000  # per-case mul: 64 carrier probes
+
+
+# -- stacked group operations --
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_stacked_mul_and_inv_equal_per_matrix_results(n):
+    G = SpecialOrthogonalGroup(n)
+    rng = np.random.default_rng(5)
+    a, b = (G.sample_stack(rng.random((64, G.width))) for _ in range(2))
+    assert _bits(G.mul(a, b)) == _bits([G.mul(x, y) for x, y in zip(a, b)])
+    assert _bits(G.inv(a)) == _bits([G.inv(x) for x in a])
+    assert _bits(G.inv(a[0])) == _bits(a[0].T)
+
+
+def test_inv_of_a_stack_transposes_each_matrix():
+    G = SpecialOrthogonalGroup(3)
+    a = np.arange(2 * 3 * 3, dtype=float).reshape(2, 3, 3)
+    inv = G.inv(a)
+    assert inv.shape == (2, 3, 3) and inv.flags.c_contiguous
+    assert all(np.array_equal(inv[i], a[i].T) for i in range(2))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_eq_on_a_stack_is_every_case_equal(n):
+    G = SpecialOrthogonalGroup(n)
+    a = G.sample_stack(np.random.default_rng(6).random((16, G.width)))
+
+    def per_case(x, y):
+        return all(G.eq(u, v) for u, v in zip(x, y))
+
+    near, far, nan = a + 1e-11, a.copy(), a.copy()
+    far[9, 0, 1] += 1e-6
+    nan[4, 1, 1] = np.nan
+    for other, want in ((a, True), (near, True), (far, False), (nan, False)):
+        assert G.eq(a, other) == per_case(a, other) == want
+    # a single element broadcasts against a stack
+    assert G.eq(G.identity, np.stack([G.identity] * 3))
+    assert not G.eq(G.identity, a)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sample_is_the_one_element_stack(n):
+    G = SpecialOrthogonalGroup(n)
+    one, stack = np.random.default_rng(9), np.random.default_rng(9)
+    singles = [G.sample(one) for _ in range(20)]
+    assert _bits(singles) == _bits(G.sample_stack(stack.random((20, G.width))))
+    assert all(G.contains(x) for x in singles)
