@@ -223,7 +223,7 @@ def skew_exp(a: np.ndarray) -> np.ndarray:
         small = theta < 1e-8
         safe, safe2 = theta + small, theta2 + small
         c1, c2 = np.sin(safe) / safe, (1.0 - np.cos(safe)) / safe2
-        if np.any(small):
+        if small.any():
             c1 = np.where(small, 1.0 - theta2 / 6.0, c1)
             c2 = np.where(small, 0.5 - theta2 / 24.0, c2)
         return _EYE3 + c1[..., None, None] * a + c2[..., None, None] * (a @ a)
@@ -275,7 +275,7 @@ class SpecialOrthogonalGroup(Group):
         return a @ b
 
     def inv(self, a: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(np.swapaxes(a, -1, -2))
+        return np.ascontiguousarray(a.swapaxes(-1, -2))
 
     def eq(self, a: np.ndarray, b: np.ndarray) -> bool:
         """Every element of `a` equals its counterpart in `b` (stacks
