@@ -188,7 +188,7 @@ _EYE3 = np.eye(3)
 def rotation2(theta) -> np.ndarray:
     """The rotation by `theta`, or a stack of them for an array of angles."""
     c, s = np.cos(theta), np.sin(theta)
-    out = np.empty(np.shape(c) + (2, 2))
+    out = np.empty(c.shape + (2, 2))
     out[..., 0, 0] = out[..., 1, 1] = c
     out[..., 0, 1], out[..., 1, 0] = -s, s
     return out
@@ -223,7 +223,7 @@ def skew_exp(a: np.ndarray) -> np.ndarray:
         small = theta < 1e-8
         safe, safe2 = theta + small, theta2 + small
         c1, c2 = np.sin(safe) / safe, (1.0 - np.cos(safe)) / safe2
-        if small.any():
+        if np.count_nonzero(small):  # cheaper than .any() on one element
             c1 = np.where(small, 1.0 - theta2 / 6.0, c1)
             c2 = np.where(small, 0.5 - theta2 / 24.0, c2)
         return _EYE3 + c1[..., None, None] * a + c2[..., None, None] * (a @ a)
