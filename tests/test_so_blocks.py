@@ -160,7 +160,8 @@ def test_so_suites_check_each_block_once(name, monkeypatch):
     report = verify_crossed_module(cm, 3000, np.random.default_rng(0))
     report.extend(verify_exchange_law(cm, 3000, np.random.default_rng(0)))
     assert report.passed and all(r.checks == 3000 for r in report.records)
-    assert calls.count(2) < 200 < calls.count(3) < 2000  # per-case mul: 64 carrier probes
+    # 2-D calls: the 64 per-case carrier probes (two each) and identity operands
+    assert calls.count(2) < 200 < calls.count(3) < 2000
 
 
 # -- stacked group operations --
