@@ -6,7 +6,7 @@ algebraic laws."""
 
 from .basecat import PathCategory, QuiverCategory, SampledPath, compose_paths
 from .bundle import FunctorUG, functor_from_h
-from .cocycle import CocycleData, Cover, build_overlap_category, build_theta
+from .cocycle import CocycleData, Cover, OverlapCategory, build_theta
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism, catalog, get_module
 from .decorated import Connection, DecoratedBundle, DecoratedMorphism, parallel_transport
 from .report import LawRecord, LawReport
@@ -28,7 +28,7 @@ __all__ = [
     "functor_from_h",
     "Cover",
     "CocycleData",
-    "build_overlap_category",
+    "OverlapCategory",
     "build_theta",
     "EtaMap",
     "TwistedBundle",

@@ -6,23 +6,25 @@ The product bundle is the twisted-product bundle of `twisted` with trivial
 eta, TwistedBundle(base, cm, EtaMap.trivial(base, cm)): its target map is
 (t(gamma), tau(h)·g) and its composition that of the morphism group.
 
-A functor U -> G is encoded by a G-valued map on objects and an H-valued map
-on generating arrows, extended multiplicatively over arrow words (which the
-multiplicativity law for the H-component forces); validity additionally
-requires tau(h(f)) = g(target)·g(source)^-1 on every generator.
+FunctorUG is the one functor from a finite category into the categorical
+group: a G-valued map on objects and an H-valued map on generating
+morphisms (the keys of `base.arrows`), extended multiplicatively over each
+morphism's `word` (which the multiplicativity law for the H-component
+forces); validity additionally requires tau(h(f)) = g(target)·g(source)^-1
+on every generator. A quiver is stored by its arrows; an overlap category
+(`cocycle`) by its full morphism list, each morphism its own one-letter word.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
 from .basecat import QuiverCategory
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
 from .groups import StructuralError
-from .report import CaseSpace, LawReport, run_law
+from .report import DEFAULT_BUDGET, CaseSpace, LawReport, run_law
 from .twisted import (
     EtaMap,
     TwistedBundle,
@@ -37,41 +39,23 @@ from .twisted import (
     vertical_pairs,
 )
 
-DEFAULT_BUDGET = 10_000
 PROP31_BUDGET = 256
 
 
 class FunctorUG:
-    """A functor from the base category into the categorical group.
+    """A functor from a finite category into the categorical group, stored
+    by g on objects and h on generating morphisms."""
 
-    Quiver bases store extensional tables (g on objects, h on generating
-    arrows); path bases store closures (g on points, h on whole paths).
-    """
-
-    def __init__(self, base, cm: CrossedModule,
-                 g_table: dict | None = None, h_gen: dict | None = None,
-                 g_fn: Callable | None = None, h_fn: Callable | None = None):
+    def __init__(self, base, cm: CrossedModule, g_table: dict, h_gen: dict):
         self.base = base
         self.cm = cm
         self.g_table = g_table
         self.h_gen = h_gen
-        self.g_fn = g_fn
-        self.h_fn = h_fn
-        if (g_table is None) == (g_fn is None):
-            raise ValueError("exactly one of g_table / g_fn must be given")
-
-    @property
-    def extensional(self) -> bool:
-        return self.g_table is not None
 
     def g(self, obj):
-        if self.extensional:
-            return self.g_table[obj]
-        return self.g_fn(obj)
+        return self.g_table[obj]
 
     def h(self, gamma):
-        if not self.extensional:
-            return self.h_fn(gamma)
         out = self.cm.H.identity
         for name in gamma.word:
             out = self.cm.H.mul(self.h_gen[name], out)
@@ -90,41 +74,25 @@ class FunctorUG:
         """Pointwise product self·other (self on the left)."""
         self._require_same(other)
         cm = self.cm
-        if self.extensional and other.extensional:
-            g_table = {a: cm.G.mul(self.g_table[a], other.g_table[a]) for a in self.base.objects}
-            h_gen = {
-                f: cm.H.mul(self.h_gen[f], cm.alpha(self.g_table[self.base.arrows[f][0]], other.h_gen[f]))
-                for f in self.base.arrows
-            }
-            return FunctorUG(self.base, cm, g_table=g_table, h_gen=h_gen)
-        return FunctorUG(
-            self.base, cm,
-            g_fn=lambda a: cm.G.mul(self.g(a), other.g(a)),
-            h_fn=lambda gamma: cm.H.mul(
-                self.h(gamma), cm.alpha(self.g(self.base.source(gamma)), other.h(gamma))
-            ),
-        )
+        g_table = {a: cm.G.mul(self.g_table[a], other.g_table[a]) for a in self.base.objects}
+        h_gen = {
+            f: cm.H.mul(self.h_gen[f], cm.alpha(self.g_table[self.base.arrows[f][0]], other.h_gen[f]))
+            for f in self.base.arrows
+        }
+        return FunctorUG(self.base, cm, g_table, h_gen)
 
     def inv(self) -> "FunctorUG":
         cm = self.cm
-        if self.extensional:
-            g_table = {a: cm.G.inv(self.g_table[a]) for a in self.base.objects}
-            h_gen = {
-                f: cm.alpha(cm.G.inv(self.g_table[self.base.arrows[f][0]]), cm.H.inv(self.h_gen[f]))
-                for f in self.base.arrows
-            }
-            return FunctorUG(self.base, cm, g_table=g_table, h_gen=h_gen)
-        return FunctorUG(
-            self.base, cm,
-            g_fn=lambda a: cm.G.inv(self.g(a)),
-            h_fn=lambda gamma: cm.alpha(cm.G.inv(self.g(self.base.source(gamma))), cm.H.inv(self.h(gamma))),
-        )
+        g_table = {a: cm.G.inv(self.g_table[a]) for a in self.base.objects}
+        h_gen = {
+            f: cm.alpha(cm.G.inv(self.g_table[self.base.arrows[f][0]]), cm.H.inv(self.h_gen[f]))
+            for f in self.base.arrows
+        }
+        return FunctorUG(self.base, cm, g_table, h_gen)
 
     def eq(self, other: "FunctorUG") -> bool:
-        """Pointwise equality on objects and generating arrows (quiver bases)."""
+        """Pointwise equality on objects and generating morphisms."""
         self._require_same(other)
-        if not (self.extensional and other.extensional):
-            raise StructuralError("pointwise equality needs extensional functors")
         return all(
             self.cm.G.eq(self.g_table[a], other.g_table[a]) for a in self.base.objects
         ) and all(
@@ -133,34 +101,22 @@ class FunctorUG:
 
 
 def constant_identity_functor(base, cm: CrossedModule) -> FunctorUG:
-    if isinstance(base, QuiverCategory):
-        return FunctorUG(
-            base, cm,
-            g_table={a: cm.G.identity for a in base.objects},
-            h_gen={f: cm.H.identity for f in base.arrows},
-        )
-    return FunctorUG(base, cm, g_fn=lambda a: cm.G.identity, h_fn=lambda gamma: cm.H.identity)
+    return FunctorUG(base, cm, {a: cm.G.identity for a in base.objects},
+                     {f: cm.H.identity for f in base.arrows})
 
 
-def functor_from_h(base, cm: CrossedModule, h_obj) -> FunctorUG:
+def functor_from_h(base, cm: CrossedModule, h_obj: dict) -> FunctorUG:
     """Build the functor with g = tau∘h and h(gamma) = h(target)·h(source)^-1
-    from an object-level H-valued map (table for quivers, callable for paths)."""
-    if isinstance(base, QuiverCategory):
-        g_table = {a: cm.tau(h_obj[a]) for a in base.objects}
-        h_gen = {}
-        for f, (src, dst) in base.arrows.items():
-            h_gen[f] = cm.H.mul(h_obj[dst], cm.H.inv(h_obj[src]))
-        return FunctorUG(base, cm, g_table=g_table, h_gen=h_gen)
-    fn = h_obj if callable(h_obj) else (lambda p: h_obj[tuple(np.atleast_1d(p))])
-    return FunctorUG(
-        base, cm,
-        g_fn=lambda p: cm.tau(fn(p)),
-        h_fn=lambda gamma: cm.H.mul(fn(gamma.end), cm.H.inv(fn(gamma.start))),
-    )
+    from an object-level H-valued table."""
+    g_table = {a: cm.tau(h_obj[a]) for a in base.objects}
+    h_gen = {}
+    for f, (src, dst) in base.arrows.items():
+        h_gen[f] = cm.H.mul(h_obj[dst], cm.H.inv(h_obj[src]))
+    return FunctorUG(base, cm, g_table, h_gen)
 
 
 def enumerate_functors(base: QuiverCategory, cm: CrossedModule) -> list[FunctorUG]:
-    """All extensional functors base -> G, in deterministic order.
+    """All functors base -> G, in deterministic order.
 
     For each object-level g assignment, an arrow f admits exactly the h with
     tau(h) = g(target)·g(source)^-1."""
@@ -183,17 +139,16 @@ def enumerate_functors(base: QuiverCategory, cm: CrossedModule) -> list[FunctorU
         if not ok:
             continue
         for combo in itertools.product(*cands):
-            out.append(FunctorUG(base, cm, g_table=dict(g_table), h_gen=dict(zip(arrow_names, combo))))
+            out.append(FunctorUG(base, cm, dict(g_table), dict(zip(arrow_names, combo))))
     return out
 
 
-def functor_invariant_witness(F: FunctorUG, max_len: int | None = None) -> dict | None:
+def functor_invariant_witness(F: FunctorUG) -> dict | None:
     """First violation of the functor laws on the enumerated morphism set,
     or None: H-multiplicativity, tau-compatibility, identity preservation,
     and source/target/composition preservation of the induced bundle map."""
     base, cm = F.base, F.cm
-    ms = base.morphisms_upto(max_len)
-    for gamma in ms:
+    for gamma in base.morphisms_upto():
         img = F.apply(gamma)
         if not cm.G.eq(cm.source(img), F.g(base.source(gamma))):
             return {"law": "source", "gamma": repr(gamma)}
@@ -203,7 +158,7 @@ def functor_invariant_witness(F: FunctorUG, max_len: int | None = None) -> dict 
             return {"law": "tau-compatibility", "gamma": repr(gamma)}
         if gamma.is_identity and not cm.H.eq(F.h(gamma), cm.H.identity):
             return {"law": "identity", "gamma": repr(gamma)}
-    for m2, m1 in base.composable_pairs(max_len):
+    for m2, m1 in base.composable_pairs():
         comp = base.compose(m2, m1)
         if not cm.H.eq(F.h(comp), cm.H.mul(F.h(m2), F.h(m1))):
             return {"law": "h-multiplicativity", "gamma2": repr(m2), "gamma1": repr(m1)}
@@ -214,8 +169,7 @@ def functor_invariant_witness(F: FunctorUG, max_len: int | None = None) -> dict 
 
 def verify_prop31_roundtrip(base: QuiverCategory, cm: CrossedModule,
                             budget: int = DEFAULT_BUDGET,
-                            rng: np.random.Generator | None = None,
-                            max_len: int | None = None) -> LawReport:
+                            rng: np.random.Generator | None = None) -> LawReport:
     """Every functor built from an object-level H-map satisfies the encoding
     invariants exactly, with exhaustive functoriality; and the telescoping
     form of the composite H-value matches the generator fold."""
@@ -235,12 +189,12 @@ def verify_prop31_roundtrip(base: QuiverCategory, cm: CrossedModule,
 
     report.records.append(run_law(
         "roundtrip-invariants", "Eqs 3.7-3.8", functors,
-        lambda p: functor_invariant_witness(p[1], max_len),
+        lambda p: functor_invariant_witness(p[1]),
     ))
 
     def telescoping(p):
         hm, F = p
-        for m2, m1 in base.composable_pairs(max_len):
+        for m2, m1 in base.composable_pairs():
             comp = base.compose(m2, m1)
             want = cm.H.mul(hm[comp.target], cm.H.inv(hm[comp.source]))
             if not cm.H.eq(F.h(comp), want):
@@ -262,9 +216,8 @@ def verify_prop31_roundtrip(base: QuiverCategory, cm: CrossedModule,
 
 @dataclass
 class NatTransf:
-    """A natural transformation between extensional functors, encoded by an
-    object-level H-valued map; the target functor is the gauge transform of
-    the source."""
+    """A natural transformation between functors, encoded by an object-level
+    H-valued map; the target functor is the gauge transform of the source."""
     source: FunctorUG
     target: FunctorUG
     hT: dict
@@ -281,7 +234,7 @@ def gauge(F1: FunctorUG, hT: dict) -> NatTransf:
     h2 = {}
     for f, (src, dst) in base.arrows.items():
         h2[f] = cm.H.mul(cm.H.mul(hT[dst], F1.h_gen[f]), cm.H.inv(hT[src]))
-    return NatTransf(F1, FunctorUG(base, cm, g_table=g2, h_gen=h2), dict(hT))
+    return NatTransf(F1, FunctorUG(base, cm, g2, h2), dict(hT))
 
 
 def identity_transf(F: FunctorUG) -> NatTransf:
@@ -319,39 +272,17 @@ def nat_eq(T1: NatTransf, T2: NatTransf) -> bool:
     )
 
 
-def naturality_witness(T: NatTransf, max_len: int | None = None) -> dict | None:
+def naturality_witness(T: NatTransf) -> dict | None:
     """First morphism whose naturality square (target∘T(a) = T(b)∘source)
     fails to commute, or None."""
     base, cm = T.source.base, T.source.cm
-    for gamma in base.morphisms_upto(max_len):
+    for gamma in base.morphisms_upto():
         a, b = base.source(gamma), base.target(gamma)
         lhs = cm.compose_vertical(T.target.apply(gamma), T.at(a))
         rhs = cm.compose_vertical(T.at(b), T.source.apply(gamma))
         if not cm.m_eq(lhs, rhs):
             return {"gamma": repr(gamma), "lhs": cm.fmt_m(lhs), "rhs": cm.fmt_m(rhs)}
     return None
-
-
-def verify_nat(T: NatTransf, max_len: int | None = None) -> LawReport:
-    report = LawReport(suite="natural-transformation")
-    base, cm = T.source.base, T.source.cm
-    report.records.append(run_law(
-        "object-gauge", "Eq 3.11", list(base.objects),
-        lambda a: None if cm.G.eq(T.target.g(a), cm.G.mul(cm.tau(T.hT[a]), T.source.g(a)))
-        else {"object": a},
-    ))
-    report.records.append(run_law(
-        "h-conjugation", "Eq 3.12", base.morphisms_upto(max_len),
-        lambda gamma: None if cm.H.eq(
-            T.target.h(gamma),
-            cm.H.mul(cm.H.mul(T.hT[base.target(gamma)], T.source.h(gamma)), cm.H.inv(T.hT[base.source(gamma)])),
-        ) else {"gamma": repr(gamma)},
-    ))
-    report.records.append(run_law(
-        "naturality-square", "Eq 3.10", [T],
-        lambda t: naturality_witness(t, max_len),
-    ))
-    return report
 
 
 def verify_GU_categorical_group(
@@ -480,8 +411,7 @@ class SectionIso:
         return SectionIso(self.F.mul(other.F))
 
 
-def verify_section_iso(F: FunctorUG, max_len: int | None = None,
-                       budget: int = DEFAULT_BUDGET,
+def verify_section_iso(F: FunctorUG, budget: int = DEFAULT_BUDGET,
                        rng: np.random.Generator | None = None) -> LawReport:
     rng = rng or np.random.default_rng(0)
     report = LawReport(suite="prop41-section")
@@ -491,7 +421,7 @@ def verify_section_iso(F: FunctorUG, max_len: int | None = None,
     iso = SectionIso(F)
     bundle = iso.bundle
     objects = [(a, g) for a in base.objects for g in cm.G.elements]
-    morphisms = list(bundle_morphisms(bundle, max_len))
+    morphisms = list(bundle_morphisms(bundle))
 
     report.records.append(run_law(
         "section-projection", "Prop 4.1", list(base.objects),
@@ -557,7 +487,7 @@ def verify_section_iso(F: FunctorUG, max_len: int | None = None,
     report.records.append(run_law("bijectivity-morphisms", "Prop 4.1", [0], mor_bij))
 
     report.records.append(run_law(
-        "composition-preservation", "Eq 4.5", composable_chains(bundle, 2, max_len).plan(budget, rng),
+        "composition-preservation", "Eq 4.5", composable_chains(bundle, 2).plan(budget, rng),
         lambda p: None if bundle.morphism_eq(
             iso.on_morphism(bundle.compose(p[0], p[1])),
             bundle.compose(iso.on_morphism(p[0]), iso.on_morphism(p[1])),
@@ -570,8 +500,7 @@ class ExtractionRefused(ValueError):
     """The given endofunctor is not fiber-preserving or not equivariant."""
 
 
-def extract_functor(phi: SectionIso | object, base: QuiverCategory, cm: CrossedModule,
-                    max_len: int | None = None) -> FunctorUG:
+def extract_functor(phi: SectionIso | object, base: QuiverCategory, cm: CrossedModule) -> FunctorUG:
     """Recover the functor sigma with phi(a, g) = (a, sigma(a)·g) from an
     equivariant fiber-preserving bundle endofunctor; refuses with a witness
     otherwise."""
@@ -599,24 +528,22 @@ def extract_functor(phi: SectionIso | object, base: QuiverCategory, cm: CrossedM
         h_gen[f] = img.m.h
         if not cm.G.eq(img.m.g, g_table[gamma.source]):
             raise ExtractionRefused(f"source intertwining fails at arrow {f!r}")
-    for m1 in (itertools.islice(cm.morphism_space(), 12) if cm.is_finite else ()):
-        gamma = next(iter(base.generators()), None)
-        if gamma is None:
-            break
+    sample_ms = list(itertools.islice(cm.morphism_space(), 12)) if cm.is_finite else []
+    for gamma in base.generators():
         tm = TwistedMorphism(gamma, cm.unit)
-        lhs = on_morphism(bundle.act(tm, m1))
-        rhs = bundle.act(on_morphism(tm), m1)
-        if not bundle.morphism_eq(lhs, rhs):
-            raise ExtractionRefused(f"not equivariant at arrow {gamma!r}")
-    F = FunctorUG(base, cm, g_table=g_table, h_gen=h_gen)
-    witness = functor_invariant_witness(F, max_len)
+        for m1 in sample_ms:
+            lhs = on_morphism(bundle.act(tm, m1))
+            rhs = bundle.act(on_morphism(tm), m1)
+            if not bundle.morphism_eq(lhs, rhs):
+                raise ExtractionRefused(f"not equivariant at arrow {gamma!r}")
+    F = FunctorUG(base, cm, g_table, h_gen)
+    witness = functor_invariant_witness(F)
     if witness is not None:
         raise ExtractionRefused(f"extracted data is not a functor: {witness}")
     return F
 
 
-def verify_composition_correspondence(F2: FunctorUG, F1: FunctorUG,
-                                      max_len: int | None = None) -> LawReport:
+def verify_composition_correspondence(F2: FunctorUG, F1: FunctorUG) -> LawReport:
     """Composition of the induced bundle automorphisms corresponds to the
     pointwise product of the functors."""
     report = LawReport(suite="prop42-correspondence")
@@ -625,18 +552,18 @@ def verify_composition_correspondence(F2: FunctorUG, F1: FunctorUG,
     composed = phi2.compose_with(phi1)
 
     def check(_):
-        extracted = extract_functor(composed, base, cm, max_len)
+        extracted = extract_functor(composed, base, cm)
         want = F2.mul(F1)
         return None if extracted.eq(want) else {"case": "sigma-product"}
 
     report.records.append(run_law("composition-correspondence", "Eq 4.11", [0], check))
     report.records.append(run_law(
         "extraction-roundtrip", "Eq 4.7", [F1, F2],
-        lambda F: None if extract_functor(SectionIso(F), base, cm, max_len).eq(F)
+        lambda F: None if extract_functor(SectionIso(F), base, cm).eq(F)
         else {"case": "roundtrip"},
     ))
     report.records.append(run_law(
-        "intertwining", "Eq 4.8", base.morphisms_upto(max_len),
+        "intertwining", "Eq 4.8", base.morphisms_upto(),
         lambda gamma: None if (
             cm.G.eq(cm.source(F1.apply(gamma)), F1.g(base.source(gamma)))
             and cm.G.eq(cm.target(F1.apply(gamma)), F1.g(base.target(gamma)))
@@ -647,8 +574,7 @@ def verify_composition_correspondence(F2: FunctorUG, F1: FunctorUG,
 
 def verify_bundle_axioms(base: QuiverCategory, cm: CrossedModule,
                          budget: int = DEFAULT_BUDGET,
-                         rng: np.random.Generator | None = None,
-                         max_len: int | None = None) -> LawReport:
+                         rng: np.random.Generator | None = None) -> LawReport:
     """Principal-bundle axioms for the product bundle: surjectivity, freeness
     and fiber-transitivity of the action, plus category laws upstairs."""
     if not cm.is_finite:
@@ -656,7 +582,7 @@ def verify_bundle_axioms(base: QuiverCategory, cm: CrossedModule,
     rng = rng or np.random.default_rng(0)
     report = LawReport(suite="bundle-axioms")
     bundle = TwistedBundle(base, cm, EtaMap.trivial(base, cm))
-    morphisms = list(bundle_morphisms(bundle, max_len))
+    morphisms = list(bundle_morphisms(bundle))
     objects = [(a, g) for a in base.objects for g in cm.G.elements]
 
     def lift(x):  # through the unit: an object's identity, or a base morphism
@@ -664,7 +590,7 @@ def verify_bundle_axioms(base: QuiverCategory, cm: CrossedModule,
 
     report.records.append(run_law(
         "b1-surjectivity", "§2.2 (b1)",
-        list(base.objects) + base.morphisms_upto(max_len),
+        list(base.objects) + base.morphisms_upto(),
         lambda x: None if b1_witness(bundle, lift(x)) is None else {"missing": repr(x)},
     ))
 
@@ -698,7 +624,7 @@ def verify_bundle_axioms(base: QuiverCategory, cm: CrossedModule,
         CaseSpace.product(cm.morphism_space(), cm.morphism_space(),
                           build=lambda m1, m2, gamma=gamma: (
                               TwistedMorphism(gamma, m1), TwistedMorphism(gamma, m2)))
-        for gamma in base.morphisms_upto(max_len))
+        for gamma in base.morphisms_upto())
     report.records.append(run_law(
         "b3-transitivity-morphisms", "§2.2 (b3)", cases(same_morphism),
         lambda p: None if bundle.morphism_eq(
@@ -713,7 +639,7 @@ def verify_bundle_axioms(base: QuiverCategory, cm: CrossedModule,
     # the action commutes with composition, and with s and t on the first factor
     report.records.append(run_law(
         "action-functoriality", "Eq 3.2",
-        cases(CaseSpace.product(composable_chains(bundle, 2, max_len), vertical_pairs(cm))),
+        cases(CaseSpace.product(composable_chains(bundle, 2), vertical_pairs(cm))),
         lambda c: None if (
             action_composition_ok(bundle, *c) and action_boundaries_ok(bundle, c[0][1], c[1][1])
         ) else {"gamma2": repr(c[0][0].gamma), "gamma1": repr(c[0][1].gamma),

@@ -5,17 +5,22 @@ extracted from local trivializations.
 
 Objects of an overlap category carry their index tuple as an explicit tag;
 keeping the tags distinct is what makes e.g. the lower and upper copies of
-the same base point different objects.
+the same base point different objects. An overlap category is stored by its
+full morphism list, each morphism its own one-letter word, so theta and
+transition functors are `bundle.FunctorUG`s with h given on every morphism,
+the triple-overlap comparison is a `bundle.NatTransf`, and both functor laws
+are checked by `bundle.functor_invariant_witness`.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .basecat import QuiverCategory, QuiverMorphism
+from .bundle import FunctorUG, NatTransf, functor_invariant_witness
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
 from .groups import StructuralError
 from .report import LawReport, run_law
@@ -64,6 +69,10 @@ class OverlapMorphism:
     base: QuiverMorphism
     is_identity: bool
 
+    @property
+    def word(self) -> tuple["OverlapMorphism"]:
+        return (self,)
+
     def __repr__(self) -> str:
         if self.is_identity:
             return f"id_{self.source}"
@@ -73,10 +82,10 @@ class OverlapMorphism:
 class OverlapCategory:
     """Tagged points of the lower/upper intersections as objects; base
     morphisms running lower -> upper, plus identities, as morphisms.
-    Composition is defined only when one factor is an identity."""
+    Composition is defined only when one factor is an identity. Every
+    morphism is a generator: `arrows` maps each to its (source, target)."""
 
-    def __init__(self, base: QuiverCategory, cover: Cover, lower: Tag, upper: Tag,
-                 max_len: int | None = None):
+    def __init__(self, base: QuiverCategory, cover: Cover, lower: Tag, upper: Tag):
         if not (1 <= len(lower) <= 3 and len(lower) == len(upper)):
             raise StructuralError("index tuples must have equal length 1..3")
         for i in tuple(lower) + tuple(upper):
@@ -95,15 +104,34 @@ class OverlapCategory:
         self.morphisms: list[OverlapMorphism] = [
             OverlapMorphism(x, x, base.identity(x[1]), True) for x in objs
         ]
-        for gamma in base.morphisms_upto(max_len):
+        for gamma in base.morphisms_upto():
             if gamma.source in self.lower_set and gamma.target in self.upper_set:
                 if gamma.is_identity and self.lower == self.upper:
                     continue  # already present as the identity morphism
                 self.morphisms.append(OverlapMorphism(
                     (self.lower, gamma.source), (self.upper, gamma.target), gamma, False))
+        self.arrows = {m: (m.source, m.target) for m in self.morphisms}
+        self._identities = {m.source: m for m in self.morphisms if m.is_identity}
 
     def non_identity_morphisms(self) -> list[OverlapMorphism]:
         return [m for m in self.morphisms if not m.is_identity]
+
+    def source(self, m: OverlapMorphism) -> OverlapObject:
+        return m.source
+
+    def target(self, m: OverlapMorphism) -> OverlapObject:
+        return m.target
+
+    def morphisms_upto(self) -> list[OverlapMorphism]:
+        """All morphisms: an overlap category is finite."""
+        return self.morphisms
+
+    def composable_pairs(self) -> Iterator[tuple[OverlapMorphism, OverlapMorphism]]:
+        """Every defined composite (m2, m1): those with an identity factor."""
+        for m in self.morphisms:
+            yield m, self._identities[m.source]
+            if not m.is_identity:
+                yield self._identities[m.target], m
 
     def compose(self, m2: OverlapMorphism, m1: OverlapMorphism) -> OverlapMorphism:
         if m1.is_identity and m1.target == m2.source:
@@ -114,11 +142,6 @@ class OverlapCategory:
             "overlap morphisms compose only through identities",
             target_value=m1.target, source_value=m2.source,
         )
-
-
-def build_overlap_category(base: QuiverCategory, cover: Cover, lower: Tag, upper: Tag,
-                           max_len: int | None = None) -> OverlapCategory:
-    return OverlapCategory(base, cover, lower, upper, max_len)
 
 
 class CocycleData:
@@ -196,62 +219,7 @@ def verify_cocycle_condition(data: CocycleData, cover: Cover, cm: CrossedModule)
     return report
 
 
-class OverlapFunctor:
-    """A functor from an overlap category into the categorical group, stored
-    extensionally on the finite object and morphism sets."""
-
-    def __init__(self, overlap: OverlapCategory, cm: CrossedModule,
-                 obj_map: dict, mor_map: dict):
-        self.overlap = overlap
-        self.cm = cm
-        self.obj_map = obj_map  # OverlapObject -> G
-        self.mor_map = mor_map  # OverlapMorphism -> TwoGroupMorphism
-
-    def on_object(self, x: OverlapObject):
-        return self.obj_map[x]
-
-    def on_morphism(self, m: OverlapMorphism) -> TwoGroupMorphism:
-        return self.mor_map[m]
-
-    def mul(self, other: "OverlapFunctor") -> "OverlapFunctor":
-        cm = self.cm
-        obj_map = {x: cm.G.mul(self.obj_map[x], other.obj_map[x]) for x in self.obj_map}
-        mor_map = {m: cm.sdp_multiply(self.mor_map[m], other.mor_map[m]) for m in self.mor_map}
-        return OverlapFunctor(self.overlap, cm, obj_map, mor_map)
-
-    def eq(self, other: "OverlapFunctor") -> bool:
-        cm = self.cm
-        return all(cm.G.eq(self.obj_map[x], other.obj_map[x]) for x in self.obj_map) and all(
-            cm.m_eq(self.mor_map[m], other.mor_map[m]) for m in self.mor_map)
-
-
-def overlap_functor_witness(F: OverlapFunctor) -> dict | None:
-    """First functor-law violation: sources/targets respected, identities to
-    identity morphisms, identity-involving composites preserved."""
-    cm = F.cm
-    for m in F.overlap.morphisms:
-        img = F.on_morphism(m)
-        if not cm.G.eq(cm.source(img), F.on_object(m.source)):
-            return {"law": "source", "morphism": repr(m)}
-        if not cm.G.eq(cm.target(img), F.on_object(m.target)):
-            return {"law": "target", "morphism": repr(m)}
-        if m.is_identity and not cm.m_eq(img, cm.identity_morphism(F.on_object(m.source))):
-            return {"law": "identity", "morphism": repr(m)}
-    for m in F.overlap.non_identity_morphisms():
-        id_s = OverlapMorphism(m.source, m.source, F.overlap.base.identity(m.source[1]), True)
-        id_t = OverlapMorphism(m.target, m.target, F.overlap.base.identity(m.target[1]), True)
-        lhs = F.on_morphism(F.overlap.compose(m, id_s))
-        rhs = cm.compose_vertical(F.on_morphism(m), F.on_morphism(id_s))
-        if not cm.m_eq(lhs, rhs):
-            return {"law": "composition", "morphism": repr(m)}
-        lhs = F.on_morphism(F.overlap.compose(id_t, m))
-        rhs = cm.compose_vertical(F.on_morphism(id_t), F.on_morphism(m))
-        if not cm.m_eq(lhs, rhs):
-            return {"law": "composition", "morphism": repr(m)}
-    return None
-
-
-def build_theta(data: CocycleData, cm: CrossedModule, overlap: OverlapCategory) -> OverlapFunctor:
+def build_theta(data: CocycleData, cm: CrossedModule, overlap: OverlapCategory) -> FunctorUG:
     """theta on objects is tau(h_tag); on a morphism it is
     (h_upper(target)·h_lower(source)^-1, g_lower(source))."""
     if len(overlap.lower) != 2:
@@ -262,18 +230,17 @@ def build_theta(data: CocycleData, cm: CrossedModule, overlap: OverlapCategory) 
     def g_of(tag: Tag, pt: str):
         return cm.tau(data.h_pair(tag[0], tag[1], pt))
 
-    obj_map = {x: g_of(x[0], x[1]) for x in overlap.objects}
-    mor_map: dict = {}
+    g_table = {x: g_of(x[0], x[1]) for x in overlap.objects}
+    h_gen: dict = {}
     for m in overlap.morphisms:
         if m.is_identity:
-            mor_map[m] = TwoGroupMorphism(cm.H.identity, g_of(m.source[0], m.source[1]))
+            h_gen[m] = cm.H.identity
         else:
-            h = cm.H.mul(
+            h_gen[m] = cm.H.mul(
                 data.h_pair(j, l, m.target[1]),
                 cm.H.inv(data.h_pair(i, k, m.source[1])),
             )
-            mor_map[m] = TwoGroupMorphism(h, g_of((i, k), m.source[1]))
-    return OverlapFunctor(overlap, cm, obj_map, mor_map)
+    return FunctorUG(overlap, cm, g_table, h_gen)
 
 
 def _position_pair(theta_lower: Tag, theta_upper: Tag, triple: OverlapCategory) -> tuple[int, int]:
@@ -286,40 +253,27 @@ def _position_pair(theta_lower: Tag, theta_upper: Tag, triple: OverlapCategory) 
         f"{triple.lower}/{triple.upper}")
 
 
-def restrict_overlap_functor(F: OverlapFunctor, triple: OverlapCategory) -> OverlapFunctor:
+def restrict_overlap_functor(F: FunctorUG, triple: OverlapCategory) -> FunctorUG:
     """Values unchanged, objects retagged from the pair overlap to the triple."""
-    _position_pair(F.overlap.lower, F.overlap.upper, triple)
-    src_lower, src_upper = F.overlap.lower, F.overlap.upper
+    _position_pair(F.base.lower, F.base.upper, triple)
+    src_lower, src_upper = F.base.lower, F.base.upper
 
     def retag(x: OverlapObject) -> OverlapObject:
         return (src_lower, x[1]) if x[0] == triple.lower else (src_upper, x[1])
 
-    obj_map = {x: F.obj_map[retag(x)] for x in triple.objects}
-    mor_map: dict = {}
+    g_table = {x: F.g_table[retag(x)] for x in triple.objects}
+    h_gen: dict = {}
     for m in triple.morphisms:
         # an identity word between equal pair tags is stored as the identity
         # morphism in the pair overlap, even when its triple tags differ
         key_identity = m.base.is_identity and retag(m.source) == retag(m.target)
         key = OverlapMorphism(retag(m.source), retag(m.target), m.base, key_identity)
-        mor_map[m] = F.mor_map[key]
-    return OverlapFunctor(triple, F.cm, obj_map, mor_map)
-
-
-restrict_theta = restrict_overlap_functor
-
-
-@dataclass
-class OverlapNatTransf:
-    source: OverlapFunctor
-    target: OverlapFunctor
-    hT: dict  # OverlapObject -> H
-
-    def at(self, x: OverlapObject) -> TwoGroupMorphism:
-        return TwoGroupMorphism(self.hT[x], self.source.on_object(x))
+        h_gen[m] = F.h_gen[key]
+    return FunctorUG(triple, F.cm, g_table, h_gen)
 
 
 def triple_transformation(data: CocycleData, cm: CrossedModule,
-                          triple: OverlapCategory) -> OverlapNatTransf:
+                          triple: OverlapCategory) -> NatTransf:
     """The transformation theta_im| => (theta_ik|)(theta_km|) whose h-map is
     h_ikm on lower objects and h_jln on upper objects.
 
@@ -335,10 +289,9 @@ def triple_transformation(data: CocycleData, cm: CrossedModule,
                     f"cocycle condition fails for ({a},{b},{c}) at {pt!r}; "
                     "run verify_cocycle_condition for the full report")
     base, cover = triple.base, triple.cover
-    max_len = None
-    th_ik = build_theta(data, cm, OverlapCategory(base, cover, (i, k), (j, l), max_len))
-    th_km = build_theta(data, cm, OverlapCategory(base, cover, (k, m_), (l, n), max_len))
-    th_im = build_theta(data, cm, OverlapCategory(base, cover, (i, m_), (j, n), max_len))
+    th_ik = build_theta(data, cm, OverlapCategory(base, cover, (i, k), (j, l)))
+    th_km = build_theta(data, cm, OverlapCategory(base, cover, (k, m_), (l, n)))
+    th_im = build_theta(data, cm, OverlapCategory(base, cover, (i, m_), (j, n)))
     product = restrict_overlap_functor(th_ik, triple).mul(restrict_overlap_functor(th_km, triple))
     hT = {}
     for x in triple.objects:
@@ -346,7 +299,7 @@ def triple_transformation(data: CocycleData, cm: CrossedModule,
             hT[x] = data.h_triple(i, k, m_, x[1])
         else:
             hT[x] = data.h_triple(j, l, n, x[1])
-    return OverlapNatTransf(restrict_overlap_functor(th_im, triple), product, hT)
+    return NatTransf(restrict_overlap_functor(th_im, triple), product, hT)
 
 
 def verify_prop51(data: CocycleData, cm: CrossedModule, triple: OverlapCategory) -> LawReport:
@@ -364,21 +317,19 @@ def verify_prop51(data: CocycleData, cm: CrossedModule, triple: OverlapCategory)
         for lo, up in (((i, k), (j, l)), ((k, m_), (l, n)), ((i, m_), (j, n)))
     ]
     report.records.append(run_law(
-        "theta-functor", "Eqs 5.34-5.36", thetas,
-        lambda th: overlap_functor_witness(th),
-    ))
+        "theta-functor", "Eqs 5.34-5.36", thetas, functor_invariant_witness))
 
     report.records.append(run_law(
         "prop51-object-gauge", "Eq 3.11", triple.objects,
         lambda x: None if cm.G.eq(
-            P.on_object(x), cm.G.mul(cm.tau(T.hT[x]), th_im.on_object(x))
+            P.g(x), cm.G.mul(cm.tau(T.hT[x]), th_im.g(x))
         ) else {"object": str(x)},
     ))
 
     def h_component(mm: OverlapMorphism):
         lhs = cm.H.mul(
-            cm.H.mul(cm.H.inv(T.hT[mm.target]), P.on_morphism(mm).h), T.hT[mm.source])
-        rhs = th_im.on_morphism(mm).h
+            cm.H.mul(cm.H.inv(T.hT[mm.target]), P.h(mm)), T.hT[mm.source])
+        rhs = th_im.h(mm)
         if cm.H.eq(lhs, rhs):
             return None
         return {"morphism": repr(mm), "lhs": cm.H.fmt(lhs), "rhs": cm.H.fmt(rhs)}
@@ -387,8 +338,8 @@ def verify_prop51(data: CocycleData, cm: CrossedModule, triple: OverlapCategory)
         "prop51-h-component", "Eq 5.46", triple.morphisms, h_component))
 
     def square(mm: OverlapMorphism):
-        lhs = cm.compose_vertical(P.on_morphism(mm), T.at(mm.source))
-        rhs = cm.compose_vertical(T.at(mm.target), th_im.on_morphism(mm))
+        lhs = cm.compose_vertical(P.apply(mm), T.at(mm.source))
+        rhs = cm.compose_vertical(T.at(mm.target), th_im.apply(mm))
         if cm.m_eq(lhs, rhs):
             return None
         return {"morphism": repr(mm), "lhs": cm.fmt_m(lhs), "rhs": cm.fmt_m(rhs)}
@@ -465,7 +416,7 @@ class TrivializationFamily:
 
 def transition_from_trivializations(phi_to: MixedTrivialization,
                                     phi_from: MixedTrivialization,
-                                    overlap: OverlapCategory) -> OverlapFunctor:
+                                    overlap: OverlapCategory) -> FunctorUG:
     """The transition functor sigma with
     phi_to^-1(phi_from(x, e)) = (x, e)·sigma(x): apply phi_from, then invert
     phi_to, and read off the group component. Checks equivariance of both
@@ -479,23 +430,22 @@ def transition_from_trivializations(phi_to: MixedTrivialization,
                 pt_base = phi.obj_to_bundle(side, x[1], cm.G.identity)
                 if not cm.G.eq(pt_acted[1], cm.G.mul(pt_base[1], g1)):
                     raise StructuralError(f"trivialization not equivariant at {x}")
-    obj_map = {}
+    g_table = {}
     for x in overlap.objects:
         side = "lower" if x[0] == overlap.lower else "upper"
         p = phi_from.obj_to_bundle(side, x[1], cm.G.identity)
-        obj_map[x] = phi_to.obj_from_bundle(side, x[1], p[1])
-    mor_map = {}
+        g_table[x] = phi_to.obj_from_bundle(side, x[1], p[1])
+    h_gen = {}
     for m in overlap.morphisms:
         src_side = "lower" if m.source[0] == overlap.lower else "upper"
         dst_side = "lower" if m.target[0] == overlap.lower else "upper"
         psi = phi_from.mor_to_bundle(m.base, cm.unit, src_side, dst_side)
-        mor_map[m] = phi_to.mor_from_bundle(m.base, psi, src_side, dst_side)
-    return OverlapFunctor(overlap, cm, obj_map, mor_map)
+        h_gen[m] = phi_to.mor_from_bundle(m.base, psi, src_side, dst_side).h
+    return FunctorUG(overlap, cm, g_table, h_gen)
 
 
 def verify_transition_cocycle(family: TrivializationFamily, base: QuiverCategory,
-                              lower_triple: Tag, upper_triple: Tag,
-                              max_len: int | None = None) -> LawReport:
+                              lower_triple: Tag, upper_triple: Tag) -> LawReport:
     """sigma_ik^jl · sigma_km^ln = sigma_im^jn on the triple overlap, as an
     exact equality of functors; plus self-transitions are the identity and
     transitions are functors."""
@@ -503,14 +453,13 @@ def verify_transition_cocycle(family: TrivializationFamily, base: QuiverCategory
     cm, cover = family.cm, family.cover
     i, k, m_ = lower_triple
     j, l, n = upper_triple
-    triple = OverlapCategory(base, cover, lower_triple, upper_triple, max_len)
+    triple = OverlapCategory(base, cover, lower_triple, upper_triple)
 
-    def sigma(lo: tuple[int, int], up: tuple[int, int]) -> OverlapFunctor:
-        ov = OverlapCategory(base, cover, lo, up, max_len)
+    def sigma(lo: tuple[int, int], up: tuple[int, int]) -> FunctorUG:
         return transition_from_trivializations(
             family.trivialization(lo[0], up[0]),
             family.trivialization(lo[1], up[1]),
-            ov,
+            OverlapCategory(base, cover, lo, up),
         )
 
     s_ik = sigma((i, k), (j, l))
@@ -518,9 +467,7 @@ def verify_transition_cocycle(family: TrivializationFamily, base: QuiverCategory
     s_im = sigma((i, m_), (j, n))
 
     report.records.append(run_law(
-        "transition-functor", "Eq 5.11", [s_ik, s_km, s_im],
-        lambda s: overlap_functor_witness(s),
-    ))
+        "transition-functor", "Eq 5.11", [s_ik, s_km, s_im], functor_invariant_witness))
 
     prod = restrict_overlap_functor(s_ik, triple).mul(restrict_overlap_functor(s_km, triple))
     target = restrict_overlap_functor(s_im, triple)
@@ -532,14 +479,13 @@ def verify_transition_cocycle(family: TrivializationFamily, base: QuiverCategory
 
     def self_transition(idx_pair):
         lo, up = idx_pair
-        ov = OverlapCategory(base, cover, lo, up, max_len)
         s_self = transition_from_trivializations(
             family.trivialization(lo[0], up[0]),
             family.trivialization(lo[0], up[0]),
-            OverlapCategory(base, cover, (lo[0], lo[0]), (up[0], up[0]), max_len),
+            OverlapCategory(base, cover, (lo[0], lo[0]), (up[0], up[0])),
         )
-        ok = all(cm.G.eq(v, cm.G.identity) for v in s_self.obj_map.values()) and all(
-            cm.H.eq(mv.h, cm.H.identity) for mv in s_self.mor_map.values())
+        ok = all(cm.G.eq(v, cm.G.identity) for v in s_self.g_table.values()) and all(
+            cm.H.eq(h, cm.H.identity) for h in s_self.h_gen.values())
         return None if ok else {"pair": str(idx_pair)}
 
     report.records.append(run_law(
@@ -547,16 +493,16 @@ def verify_transition_cocycle(family: TrivializationFamily, base: QuiverCategory
     return report
 
 
-def _exact_match(cm: CrossedModule, prod: OverlapFunctor, target: OverlapFunctor, x) -> dict | None:
+def _exact_match(cm: CrossedModule, prod: FunctorUG, target: FunctorUG, x) -> dict | None:
     """Strict equality for finite carriers (the cocycle relation holds on the
     nose, not merely within tolerance); group eq for matrix carriers."""
     if isinstance(x, OverlapMorphism):
-        lhs, rhs = prod.on_morphism(x), target.on_morphism(x)
+        lhs, rhs = prod.apply(x), target.apply(x)
         ok = (lhs.h == rhs.h and lhs.g == rhs.g) if cm.is_finite else cm.m_eq(lhs, rhs)
         if ok:
             return None
         return {"morphism": repr(x), "lhs": cm.fmt_m(lhs), "rhs": cm.fmt_m(rhs)}
-    lhs, rhs = prod.on_object(x), target.on_object(x)
+    lhs, rhs = prod.g(x), target.g(x)
     ok = (lhs == rhs) if cm.is_finite else cm.G.eq(lhs, rhs)
     if ok:
         return None

@@ -25,9 +25,7 @@ from .groups import (
     StructuralError,
     SymmetricGroup,
 )
-from .report import CaseSpace, LawReport, run_law
-
-DEFAULT_BUDGET = 10_000
+from .report import DEFAULT_BUDGET, CaseSpace, LawReport, run_law
 
 
 @dataclass(frozen=True)

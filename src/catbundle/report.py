@@ -27,6 +27,9 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
+# cases a law may check when neither the caller nor the scenario sets a budget
+DEFAULT_BUDGET = 10_000
+
 
 class CaseSpace:
     """The cases of one law, built without listing them.

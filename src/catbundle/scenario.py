@@ -27,6 +27,7 @@ from .groups import (
     skew3,
     skew_exp,
 )
+from .report import DEFAULT_BUDGET
 from .twisted import EtaMap
 
 
@@ -105,7 +106,7 @@ class Scenario:
 
     @property
     def budget(self) -> int:
-        return self._int("budget", 10_000)
+        return self._int("budget", DEFAULT_BUDGET)
 
     @property
     def steps(self) -> int:

@@ -164,14 +164,12 @@ SUITES: dict[str, Callable[[Scenario], LawReport]] = {
     "transport-convergence": _transport_suite,
 }
 
-# which suites reach each verify_* operation (kept in sync by a test); no
-# suite calls verify_nat
+# which suites reach each verify_* operation (kept in sync by a test)
 COVERAGE: dict[str, tuple[str, ...]] = {
     "verify_crossed_module": ("crossed-module",),
     "verify_exchange_law": ("exchange-law",),
     "verify_bundle_axioms": ("bundle-axioms",),
     "verify_prop31_roundtrip": ("prop31-roundtrip",),
-    "verify_nat": (),
     "verify_GU_categorical_group": ("prop34-gu-group",),
     "verify_section_iso": ("prop41-section",),
     "verify_composition_correspondence": ("prop42-correspondence",),

@@ -23,24 +23,13 @@ import numpy as np
 from .basecat import QuiverCategory
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
 from .groups import StructuralError
-from .report import CaseSpace, LawReport, run_law
-
-DEFAULT_BUDGET = 10_000
+from .report import DEFAULT_BUDGET, CaseSpace, LawReport, run_law
 
 
 @dataclass(frozen=True)
 class TwistedMorphism:
     gamma: object  # QuiverMorphism or SampledPath
     m: TwoGroupMorphism
-
-
-def morphism_from_gh(cm: CrossedModule, g, h) -> TwoGroupMorphism:
-    """The morphism displayed as the string g·h, in (h, g) coordinates."""
-    return TwoGroupMorphism(cm.alpha(g, h), g)
-
-
-def morphism_from_hg(cm: CrossedModule, h, g) -> TwoGroupMorphism:
-    return TwoGroupMorphism(h, g)
 
 
 class EtaMap:
@@ -154,19 +143,19 @@ class TwistedBundle:
 
 # -- case spaces: enumerated on finite quiver data, seeded otherwise --
 
-def _base_morphisms(bundle: TwistedBundle, max_len=None, count=None):
+def _base_morphisms(bundle: TwistedBundle, count=None):
     """Every base morphism of a quiver, else `count` seeded random paths (or
     as many as the budget allows)."""
     if isinstance(bundle.base, QuiverCategory):
-        return bundle.base.morphisms_upto(max_len)
+        return bundle.base.morphisms_upto()
     return CaseSpace.sampled(bundle.base.random_path, count)
 
 
-def _base_pairs(bundle: TwistedBundle, max_len=None) -> CaseSpace:
+def _base_pairs(bundle: TwistedBundle) -> CaseSpace:
     """Composable base pairs (gamma2, gamma1)."""
     base = bundle.base
     if isinstance(base, QuiverCategory):
-        return CaseSpace.finite(list(base.composable_pairs(max_len)))
+        return CaseSpace.finite(list(base.composable_pairs()))
 
     def draw(rng):
         gamma1 = base.random_path(rng)
@@ -183,14 +172,14 @@ def _identities(bundle: TwistedBundle, count: int) -> CaseSpace:
     return CaseSpace.sampled(lambda rng: base.identity(rng.uniform(-1, 1, size=base.dim)), count)
 
 
-def bundle_morphisms(bundle: TwistedBundle, max_len=None) -> CaseSpace:
+def bundle_morphisms(bundle: TwistedBundle) -> CaseSpace:
     """The bundle's morphisms: gamma outer, then h, then g where these are
     finite, sampled otherwise."""
-    return CaseSpace.product(_base_morphisms(bundle, max_len), bundle.cm.morphism_space(),
+    return CaseSpace.product(_base_morphisms(bundle), bundle.cm.morphism_space(),
                              build=TwistedMorphism)
 
 
-def composable_chains(bundle: TwistedBundle, n: int, max_len=None) -> CaseSpace:
+def composable_chains(bundle: TwistedBundle, n: int) -> CaseSpace:
     """Composable chains (tm_n, ..., tm_1) in the order of nested loops over
     (gamma1, h1, g1, gamma2, h2, ...): each later morphism starts where the
     one before ends, so only its base morphism and its h are free. Sampled on
@@ -218,7 +207,7 @@ def composable_chains(bundle: TwistedBundle, n: int, max_len=None) -> CaseSpace:
 
         return CaseSpace.sampled(draw)
 
-    gammas = base.morphisms_upto(max_len)
+    gammas = base.morphisms_upto()
     out_of = {o: [g for g in gammas if g.source == o] for o in base.objects}
 
     def legs(obj, k):  # k legs (gamma, h), the first one leaving obj
@@ -238,8 +227,7 @@ def composable_chains(bundle: TwistedBundle, n: int, max_len=None) -> CaseSpace:
 
 
 def verify_twisted_bundle(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
-                          rng: np.random.Generator | None = None,
-                          max_len: int | None = None) -> LawReport:
+                          rng: np.random.Generator | None = None) -> LawReport:
     """Certify that the twist gives a categorical principal bundle:
     eta homomorphism, boundary coherence of composition, associativity,
     units, and the principal-bundle axioms for the right action."""
@@ -251,7 +239,7 @@ def verify_twisted_bundle(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
         return space.plan(budget, rng)
 
     report.records.append(run_law(
-        "eta-homomorphism", "Eq 6.18", cases(_base_pairs(bundle, max_len)),
+        "eta-homomorphism", "Eq 6.18", cases(_base_pairs(bundle)),
         lambda p: None if cm.G.eq(
             bundle.eta(bundle.base.compose(p[0], p[1])),
             cm.G.mul(bundle.eta(p[0]), bundle.eta(p[1])),
@@ -267,12 +255,12 @@ def verify_twisted_bundle(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
     ))
 
     report.records.append(run_law(
-        "boundary-coherence", "Eq 6.19", cases(composable_chains(bundle, 2, max_len)),
+        "boundary-coherence", "Eq 6.19", cases(composable_chains(bundle, 2)),
         lambda p: _boundary_ok(bundle, p[0], p[1]),
     ))
 
     report.records.append(run_law(
-        "associativity", "Eq 6.20", cases(composable_chains(bundle, 3, max_len)),
+        "associativity", "Eq 6.20", cases(composable_chains(bundle, 3)),
         lambda t: None if bundle.morphism_eq(
             bundle.compose(bundle.compose(t[0], t[1]), t[2]),
             bundle.compose(t[0], bundle.compose(t[1], t[2])),
@@ -280,22 +268,22 @@ def verify_twisted_bundle(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
     ))
 
     report.records.append(run_law(
-        "unit-laws", "Prop 6.1", cases(bundle_morphisms(bundle, max_len)),
+        "unit-laws", "Prop 6.1", cases(bundle_morphisms(bundle)),
         lambda tm: None if units_ok(bundle, tm) else {"gamma": repr(tm.gamma)},
     ))
 
     report.records.append(run_law(
-        "b1-surjectivity", "§2.2 (b1)", cases(bundle_morphisms(bundle, max_len)),
+        "b1-surjectivity", "§2.2 (b1)", cases(bundle_morphisms(bundle)),
         lambda tm: b1_witness(bundle, tm)))
     if isinstance(bundle.base, QuiverCategory):
         # every base morphism lifts: its lift through the unit lies over it
         report.records.append(run_law(
-            "b1-base-coverage", "§2.2 (b1)", bundle.base.morphisms_upto(max_len),
+            "b1-base-coverage", "§2.2 (b1)", bundle.base.morphisms_upto(),
             lambda gamma: None if b1_witness(bundle, TwistedMorphism(gamma, cm.unit)) is None
             else {"missing": repr(gamma)},
         ))
 
-    acted = CaseSpace.product(bundle_morphisms(bundle, max_len), cm.morphism_space(16))
+    acted = CaseSpace.product(bundle_morphisms(bundle), cm.morphism_space(16))
     report.records.append(run_law(
         "b2-freeness", "§2.2 (b2)", cases(acted),
         lambda p: None if free_ok(bundle, *p) else {"gamma": repr(p[0].gamma), "m": cm.fmt_m(p[1])},
@@ -384,8 +372,7 @@ def _transitive_ok(bundle: TwistedBundle, tm, m1) -> dict | None:
 
 
 def verify_E_properties(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
-                        rng: np.random.Generator | None = None,
-                        max_len: int | None = None) -> LawReport:
+                        rng: np.random.Generator | None = None) -> LawReport:
     """The action of the base on the group: identity behavior in both
     variables, compatibility with both compositions, and agreement of the
     E-form of twisted composition with the direct formula."""
@@ -404,7 +391,7 @@ def verify_E_properties(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
 
     report.records.append(run_law(
         "E-identity-group", "§6.2 (ii)",
-        cases(CaseSpace.carrier(cm.G, 8), _base_morphisms(bundle, max_len, 32)),
+        cases(CaseSpace.carrier(cm.G, 8), _base_morphisms(bundle, 32)),
         lambda p: None if cm.m_eq(
             bundle.E(cm.identity_morphism(p[0]), p[1]),
             cm.identity_morphism(cm.G.mul(cm.G.inv(bundle.eta(p[1])), p[0])),
@@ -412,7 +399,7 @@ def verify_E_properties(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
     ))
 
     report.records.append(run_law(
-        "E-composition-base", "§6.2 (iii)", cases(cm.morphism_space(8), _base_pairs(bundle, max_len)),
+        "E-composition-base", "§6.2 (iii)", cases(cm.morphism_space(8), _base_pairs(bundle)),
         lambda c: None if cm.m_eq(
             bundle.E(c[0], bundle.base.compose(c[1][0], c[1][1])),
             bundle.E(bundle.E(c[0], c[1][0]), c[1][1]),
@@ -421,7 +408,7 @@ def verify_E_properties(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
 
     report.records.append(run_law(
         "E-composition-group", "§6.2 (iv)",
-        cases(cm.morphism_space(12), CaseSpace.carrier(cm.H, 4), _base_morphisms(bundle, max_len, 8),
+        cases(cm.morphism_space(12), CaseSpace.carrier(cm.H, 4), _base_morphisms(bundle, 8),
               build=lambda phi1, h2, gamma: ((TwoGroupMorphism(h2, cm.target(phi1)), phi1), gamma)),
         lambda c: None if cm.m_eq(
             bundle.E(cm.compose_vertical(c[0][0], c[0][1]), c[1]),
@@ -430,7 +417,7 @@ def verify_E_properties(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
     ))
 
     report.records.append(run_law(
-        "E-reproduces-composition", "Eq 6.22", composable_chains(bundle, 2, max_len).plan(budget, rng),
+        "E-reproduces-composition", "Eq 6.22", composable_chains(bundle, 2).plan(budget, rng),
         lambda p: None if bundle.morphism_eq(
             bundle.compose(p[0], p[1]),
             TwistedMorphism(
@@ -443,14 +430,13 @@ def verify_E_properties(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
 
 
 def verify_action_functorial(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
-                             rng: np.random.Generator | None = None,
-                             max_len: int | None = None) -> LawReport:
+                             rng: np.random.Generator | None = None) -> LawReport:
     """The right action commutes with s_eta, t_eta, and twisted composition."""
     rng = rng or np.random.default_rng(0)
     cm = bundle.cm
     report = LawReport(suite="twisted-action")
 
-    acted = CaseSpace.product(bundle_morphisms(bundle, max_len), cm.morphism_space(16))
+    acted = CaseSpace.product(bundle_morphisms(bundle), cm.morphism_space(16))
     report.records.append(run_law(
         "action-boundaries", "Eq 6.3", acted.plan(budget, rng),
         lambda p: None if action_boundaries_ok(bundle, *p)
@@ -459,7 +445,7 @@ def verify_action_functorial(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET
 
     report.records.append(run_law(
         "action-composition", "Eq 6.14",
-        CaseSpace.product(composable_chains(bundle, 2, max_len), vertical_pairs(cm)).plan(budget, rng),
+        CaseSpace.product(composable_chains(bundle, 2), vertical_pairs(cm)).plan(budget, rng),
         lambda c: None if action_composition_ok(bundle, *c) else {
             "gamma2": repr(c[0][0].gamma), "gamma1": repr(c[0][1].gamma),
             "m2": cm.fmt_m(c[1][0]), "m1": cm.fmt_m(c[1][1])},

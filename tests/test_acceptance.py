@@ -17,8 +17,8 @@ from catbundle.bundle import (
 from catbundle.cli import main as cli_main
 from catbundle.cocycle import (
     Cover,
+    OverlapCategory,
     TrivializationFamily,
-    build_overlap_category,
     constructive_cocycle,
     verify_cocycle_condition,
     verify_prop51,
@@ -143,7 +143,7 @@ def test_criterion_6_cocycle_and_prop51():
     base, cover = _six_object_cocycle()
     data = constructive_cocycle(cover, s3, np.random.default_rng(7))
     ok = verify_cocycle_condition(data, cover, s3).passed
-    triple = build_overlap_category(base, cover, (0, 1, 2), (3, 4, 5))
+    triple = OverlapCategory(base, cover, (0, 1, 2), (3, 4, 5))
     rep = verify_prop51(data, s3, triple)
     ok &= rep.passed and all(r.exhaustive for r in rep.records)
     ok &= rep.find("prop51-naturality").checks == len(triple.morphisms)

@@ -20,7 +20,6 @@ from catbundle.bundle import (
     verify_bundle_axioms,
     verify_composition_correspondence,
     verify_GU_categorical_group,
-    verify_nat,
     verify_prop31_roundtrip,
     verify_section_iso,
 )
@@ -36,6 +35,18 @@ CHAIN = QuiverCategory(["a", "b", "c"], [("f", "a", "b"), ("g", "b", "c")], word
 
 def p(text):
     return perm_from_cycles(text, 3)
+
+
+def assert_natural(T):
+    """Object gauge (Eq 3.11), h-conjugation (Eq 3.12) on every morphism, and
+    the naturality square (Eq 3.10)."""
+    base, cm = T.source.base, T.source.cm
+    for a in base.objects:
+        assert cm.G.eq(T.target.g(a), cm.G.mul(cm.tau(T.hT[a]), T.source.g(a)))
+    for gamma in base.morphisms_upto():
+        want = cm.H.mul(cm.H.mul(T.hT[gamma.target], T.source.h(gamma)), cm.H.inv(T.hT[gamma.source]))
+        assert cm.H.eq(T.target.h(gamma), want)
+    assert naturality_witness(T) is None
 
 
 def product_bundle(base, cm):
@@ -172,8 +183,7 @@ def test_gauge_transformation_laws():
     F1 = functor_from_h(CHAIN, S3, {"a": p("(0 1)"), "b": p("(1 2)"), "c": p("(0 2)")})
     hT = {"a": p("(0 1 2)"), "b": p("(0 1)"), "c": p("e")}
     T = gauge(F1, hT)
-    assert verify_nat(T).passed
-    assert naturality_witness(T) is None
+    assert_natural(T)
     # identity transformation is neutral for vertical composition
     T2 = gauge(T.target, {"a": p("(0 2)"), "b": p("(1 2)"), "c": p("(0 1)")})
     assert nat_eq(nat_vertical_compose(T2, identity_transf(T2.source)), T2)
@@ -198,7 +208,7 @@ def test_exchange_law_318_replay_on_s3_witness():
         assert S3.m_eq(lhs.at(a), rhs.at(a))
     # products and composites carry consistent stored targets
     for T in (lhs, rhs, nat_pointwise_mul(Tp1, T1), nat_vertical_compose(T2, T1)):
-        assert verify_nat(T).passed
+        assert_natural(T)
 
 
 def test_nat_inverse():
@@ -229,14 +239,15 @@ def test_gu_group_broken_module_fails():
 
 
 def test_trivial_section_gives_identity_map():
-    E = constant_identity_functor(ARROW, Z4)
+    arrow = QuiverCategory(["a", "b"], [("f", "a", "b")], word_bound=2)
+    E = constant_identity_functor(arrow, Z4)
     iso = SectionIso(E)
-    pb = product_bundle(ARROW, Z4)
-    for a in ARROW.objects:
+    pb = product_bundle(arrow, Z4)
+    for a in arrow.objects:
         for g in Z4.G.elements:
             assert iso.on_object(a, g) == (a, g)
-    morphisms = list(bundle_morphisms(pb, 2))
-    assert len(morphisms) == len(ARROW.morphisms_upto(2)) * 16
+    morphisms = list(bundle_morphisms(pb))
+    assert len(morphisms) == len(arrow.morphisms_upto(2)) * 16
     for pm in morphisms:
         assert pb.morphism_eq(iso.on_morphism(pm), pm)
 
@@ -289,6 +300,26 @@ def test_extract_functor_refuses_bad_input():
         extract_functor(NotEquivariant(), ARROW, Z4)
 
 
+@pytest.mark.parametrize("arrow", ["f", "g"])
+def test_extract_functor_probes_equivariance_on_every_arrow(arrow):
+    # the section map of F, except that acting on a lift of `arrow` is
+    # ignored: fiber-preserving, and a functor on the unit lifts, but not
+    # equivariant on that one arrow
+    F = functor_from_h(CHAIN, S3, {"a": p("(0 1)"), "b": p("(1 2)"), "c": p("(0 2)")})
+    iso = SectionIso(F)
+
+    class BreaksOneArrow:
+        on_object = staticmethod(iso.on_object)
+
+        def on_morphism(self, tm):
+            if tm.gamma == CHAIN.arrow(arrow) and not S3.m_eq(tm.m, S3.unit):
+                return tm
+            return iso.on_morphism(tm)
+
+    with pytest.raises(ExtractionRefused, match=f"not equivariant at arrow {arrow}:"):
+        extract_functor(BreaksOneArrow(), CHAIN, S3)
+
+
 def test_bundle_axioms_product():
     report = verify_bundle_axioms(CHAIN, Z4, budget=20000)
     assert report.passed
@@ -302,29 +333,6 @@ def test_bundle_axioms_b1_fails_when_target_leaves_the_base_morphism(monkeypatch
     assert not record.passed
     assert record.witness == {"missing": "'b'"}
     assert record.checks == 2
-
-
-def test_functor_from_h_on_path_base_sampled():
-    from catbundle.basecat import PathCategory
-    from catbundle.groups import rotation2
-    so2 = get_module("so2-conj")
-    base = PathCategory(1)
-    h_of = lambda pt: rotation2(0.8 * float(np.atleast_1d(pt)[0]))
-    F = functor_from_h(base, so2, h_of)
-    rng = np.random.default_rng(8)
-    for _ in range(25):
-        p1 = base.random_path(rng, n_segments=2)
-        p2 = base.random_path(rng, n_segments=2, start=p1.end)
-        comp = base.compose(p2, p1)
-        # multiplicativity and the boundary-compatibility law, sampled
-        assert so2.H.eq(F.h(comp), so2.H.mul(F.h(p2), F.h(p1)))
-        want = so2.G.mul(F.g(base.target(p1)), so2.G.inv(F.g(base.source(p1))))
-        assert so2.G.eq(so2.tau(F.h(p1)), want)
-    # pointwise product and inverse wrap the closures
-    prod = F.mul(F.inv())
-    p1 = base.random_path(rng, n_segments=1)
-    assert so2.H.eq(prod.h(p1), so2.H.identity)
-    assert so2.G.eq(prod.g(p1.start), so2.G.identity)
 
 
 def test_scenario_so3_element_forms():

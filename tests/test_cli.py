@@ -136,6 +136,8 @@ def test_every_verify_operation_is_reachable_from_a_suite(monkeypatch):
                 if getattr(getattr(mod, name), "__module__", "") == mod.__name__:
                     found[name] = getattr(mod, name)
     assert set(found) == set(suites_mod.COVERAGE)
+    # every operation is run by some suite, so none can be left unreached
+    assert all(suites_mod.COVERAGE.values()), suites_mod.COVERAGE
 
     # wrap every verify_* operation wherever catbundle binds it by name, run
     # each listed suite on the first shipped scenario that declares it, and
@@ -167,6 +169,13 @@ def test_every_verify_operation_is_reachable_from_a_suite(monkeypatch):
     for fn, suite_names in suites_mod.COVERAGE.items():
         for s in suite_names:
             assert fn in reached[s], (fn, s)
+
+
+def test_every_exported_name_resolves():
+    import catbundle
+
+    for name in catbundle.__all__:
+        assert hasattr(catbundle, name), name
 
 
 def test_human_table_contains_anchors(capsys):

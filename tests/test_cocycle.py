@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
+from catbundle import cocycle as cocycle_mod
 from catbundle.basecat import QuiverCategory
+from catbundle.bundle import FunctorUG, functor_invariant_witness
 from catbundle.cocycle import (
     CocycleConditionError,
     CocycleData,
     Cover,
+    OverlapCategory,
     TrivializationFamily,
-    build_overlap_category,
     build_theta,
     constructive_cocycle,
-    overlap_functor_witness,
     restrict_overlap_functor,
-    restrict_theta,
     transition_from_trivializations,
     triple_transformation,
     verify_cocycle_condition,
@@ -54,7 +54,7 @@ def test_cover_must_cover():
 def test_single_index_overlap_recovers_tagged_base():
     base = QuiverCategory(["a", "b"], [("f", "a", "b")], word_bound=2)
     cover = Cover.from_dict({"0": ["a", "b"]})
-    ov = build_overlap_category(base, cover, (0,), (0,))
+    ov = OverlapCategory(base, cover, (0,), (0,))
     assert [(tag, pt) for tag, pt in ov.objects] == [((0,), "a"), ((0,), "b")]
     # identities (2) and the arrow; identity words are not duplicated
     assert len(ov.morphisms) == 3
@@ -63,14 +63,14 @@ def test_single_index_overlap_recovers_tagged_base():
 def test_disjoint_overlap_is_empty_not_an_error():
     base = QuiverCategory(["a", "b"], [("f", "a", "b")])
     cover = Cover.from_dict({"0": ["a"], "1": ["b"]})
-    ov = build_overlap_category(base, cover, (0, 1), (0, 1))
+    ov = OverlapCategory(base, cover, (0, 1), (0, 1))
     assert ov.objects == [] and ov.morphisms == []
 
 
 def test_four_object_overlap_hand_enumeration():
     base = QuiverCategory(["a", "b", "c", "d"], [("f", "b", "c")], word_bound=2)
     cover = Cover.from_dict({"1": ["a", "b", "c"], "2": ["b", "c", "d"], "3": ["a", "c", "d"]})
-    ov = build_overlap_category(base, cover, (1, 2), (2, 3))
+    ov = OverlapCategory(base, cover, (1, 2), (2, 3))
     # lower: U1∩U2 = {b, c}; upper: U2∩U3 = {c, d}
     assert ov.objects == [((1, 2), "b"), ((1, 2), "c"), ((2, 3), "c"), ((2, 3), "d")]
     # 4 identities + arrow f (b->c) + the tagged identity word at c
@@ -80,13 +80,17 @@ def test_four_object_overlap_hand_enumeration():
 def test_overlap_composition_identity_only():
     base = QuiverCategory(["a", "b"], [("f", "a", "b")], word_bound=2)
     cover = Cover.from_dict({"0": ["a", "b"], "1": ["a", "b"]})
-    ov = build_overlap_category(base, cover, (0, 1), (0, 1))
+    ov = OverlapCategory(base, cover, (0, 1), (0, 1))
     non_id = [m for m in ov.morphisms if not m.is_identity]
     f = next(m for m in non_id if m.base.word == ("f",))
     id_src = next(m for m in ov.morphisms if m.is_identity and m.source == f.source)
     assert ov.compose(f, id_src) == f
     with pytest.raises(CompositionUndefined):
         ov.compose(f, f)
+    # composable_pairs lists each defined composite once: m∘id and id∘m
+    pairs = list(ov.composable_pairs())
+    assert len(pairs) == len(set(pairs)) == 2 * len(ov.morphisms) - len(ov.objects)
+    assert all(ov.compose(m2, m1) in (m1, m2) for m2, m1 in pairs)
 
 
 def test_constructive_cocycle_passes():
@@ -126,12 +130,12 @@ def test_perturbation_gives_localized_witness():
 def test_theta_is_functor_and_identity_values():
     base, cover = six_object_setup()
     data = constructive_cocycle(cover, S3, np.random.default_rng(7))
-    ov = build_overlap_category(base, cover, (0, 1), (3, 4))
+    ov = OverlapCategory(base, cover, (0, 1), (3, 4))
     theta = build_theta(data, S3, ov)
-    assert overlap_functor_witness(theta) is None
+    assert functor_invariant_witness(theta) is None
     for m in ov.morphisms:
         if m.is_identity:
-            val = theta.on_morphism(m)
+            val = theta.apply(m)
             assert val.h == S3.H.identity
             assert val.g == S3.tau(data.h_pair(*m.source[0], m.source[1]))
 
@@ -139,29 +143,29 @@ def test_theta_is_functor_and_identity_values():
 def test_theta_h_component_permutation_oracle():
     base, cover = six_object_setup()
     data = constructive_cocycle(cover, S3, np.random.default_rng(7))
-    ov = build_overlap_category(base, cover, (0, 1), (3, 4))
+    ov = OverlapCategory(base, cover, (0, 1), (3, 4))
     theta = build_theta(data, S3, ov)
     for m in ov.non_identity_morphisms():
         want = perm_mul(data.h_pair(3, 4, m.target[1]), perm_inv(data.h_pair(0, 1, m.source[1])))
-        assert theta.on_morphism(m).h == want
+        assert theta.apply(m).h == want
         # target coherence: tau(h)·g_ik(source) = g_jl(target)
-        got_target = S3.G.mul(S3.tau(theta.on_morphism(m).h), theta.on_morphism(m).g)
+        got_target = S3.G.mul(S3.tau(theta.apply(m).h), theta.apply(m).g)
         assert got_target == S3.tau(data.h_pair(3, 4, m.target[1]))
 
 
 def test_restriction_retags_without_changing_values():
     base, cover = six_object_setup()
     data = constructive_cocycle(cover, S3, np.random.default_rng(7))
-    pair_ov = build_overlap_category(base, cover, (0, 1), (3, 4))
+    pair_ov = OverlapCategory(base, cover, (0, 1), (3, 4))
     theta = build_theta(data, S3, pair_ov)
-    triple = build_overlap_category(base, cover, (0, 1, 2), (3, 4, 5))
-    restricted = restrict_theta(theta, triple)
+    triple = OverlapCategory(base, cover, (0, 1, 2), (3, 4, 5))
+    restricted = restrict_overlap_functor(theta, triple)
     for x in triple.objects:
-        assert restricted.on_object(x) == theta.on_object((theta.overlap.lower, x[1])
+        assert restricted.g(x) == theta.g((theta.base.lower, x[1])
                                                           if x[0] == triple.lower
-                                                          else (theta.overlap.upper, x[1]))
+                                                          else (theta.base.upper, x[1]))
     # wrong pattern is refused
-    other = build_overlap_category(base, cover, (1, 0), (4, 3))
+    other = OverlapCategory(base, cover, (1, 0), (4, 3))
     with pytest.raises(StructuralError):
         restrict_overlap_functor(build_theta(data, S3, other), triple)
 
@@ -169,13 +173,13 @@ def test_restriction_retags_without_changing_values():
 def test_empty_triple_restriction():
     base = QuiverCategory(["a", "b"], [("f", "a", "b")], word_bound=2)
     cover = Cover.from_dict({"0": ["a", "b"], "1": ["a", "b"], "2": []})
-    triple = build_overlap_category(base, cover, (0, 1, 2), (0, 1, 2))
+    triple = OverlapCategory(base, cover, (0, 1, 2), (0, 1, 2))
     assert triple.objects == []
     data = constructive_cocycle(cover, S3, np.random.default_rng(1))
-    ov = build_overlap_category(base, cover, (0, 1), (0, 1))
+    ov = OverlapCategory(base, cover, (0, 1), (0, 1))
     theta = build_theta(data, S3, ov)
-    restricted = restrict_theta(theta, triple)
-    assert restricted.obj_map == {} and restricted.mor_map == {}
+    restricted = restrict_overlap_functor(theta, triple)
+    assert restricted.g_table == {} and restricted.h_gen == {}
 
 
 def test_prop51_abelian_trivial_case_is_equality():
@@ -190,7 +194,7 @@ def test_prop51_abelian_trivial_case_is_equality():
             for k in cover.index_set:
                 triples[(i, j, k)] = {pt: 0 for pt in cover.intersection((i, j, k))}
     data = CocycleData(pairs, triples)
-    triple = build_overlap_category(base, cover, (0, 1, 2), (3, 4, 5))
+    triple = OverlapCategory(base, cover, (0, 1, 2), (3, 4, 5))
     T = triple_transformation(data, Z4A, triple)
     assert all(v == 0 for v in T.hT.values())
     assert T.source.eq(T.target)
@@ -200,7 +204,7 @@ def test_prop51_abelian_trivial_case_is_equality():
 def test_prop51_s3_exhaustive_and_nontrivial():
     base, cover = six_object_setup()
     data = constructive_cocycle(cover, S3, np.random.default_rng(7))
-    triple = build_overlap_category(base, cover, (0, 1, 2), (3, 4, 5))
+    triple = OverlapCategory(base, cover, (0, 1, 2), (3, 4, 5))
     report = verify_prop51(data, S3, triple)
     assert report.passed
     assert all(r.exhaustive for r in report.records)
@@ -214,12 +218,12 @@ def test_prop51_gauge_chain_replay_on_one_morphism():
     # replay the gauge-transformation computation for one concrete morphism
     base, cover = six_object_setup()
     data = constructive_cocycle(cover, S3, np.random.default_rng(7))
-    triple = build_overlap_category(base, cover, (0, 1, 2), (3, 4, 5))
+    triple = OverlapCategory(base, cover, (0, 1, 2), (3, 4, 5))
     T = triple_transformation(data, S3, triple)
     m = next(mm for mm in triple.non_identity_morphisms())
     s_pt, t_pt = m.source[1], m.target[1]
     # H-component of the pointwise product, via the conjugation form
-    h_prod = T.target.on_morphism(m).h
+    h_prod = T.target.apply(m).h
     conj = lambda a, b: perm_mul(perm_mul(a, b), perm_inv(a))
     want_prod = perm_mul(
         perm_mul(data.h_pair(3, 4, t_pt), perm_inv(data.h_pair(0, 1, s_pt))),
@@ -236,7 +240,7 @@ def test_prop51_refuses_on_broken_cocycle():
     base, cover = six_object_setup()
     data = constructive_cocycle(cover, S3, np.random.default_rng(7))
     bad = data.perturbed(S3, 0, 1, 2, "a0", p("(0 1 2)"))
-    triple = build_overlap_category(base, cover, (0, 1, 2), (3, 4, 5))
+    triple = OverlapCategory(base, cover, (0, 1, 2), (3, 4, 5))
     with pytest.raises(CocycleConditionError):
         triple_transformation(bad, S3, triple)
 
@@ -244,20 +248,20 @@ def test_prop51_refuses_on_broken_cocycle():
 def test_transitions_satisfy_defining_property():
     base, cover = six_object_setup()
     family = TrivializationFamily.seeded(S3, cover, np.random.default_rng(11))
-    ov = build_overlap_category(base, cover, (0, 1), (3, 4))
+    ov = OverlapCategory(base, cover, (0, 1), (3, 4))
     phi_to = family.trivialization(0, 3)
     phi_from = family.trivialization(1, 4)
     sigma = transition_from_trivializations(phi_to, phi_from, ov)
-    assert overlap_functor_witness(sigma) is None
+    assert functor_invariant_witness(sigma) is None
     for x in ov.objects:
         side = "lower" if x[0] == ov.lower else "upper"
-        lhs = phi_to.obj_to_bundle(side, x[1], sigma.on_object(x))
+        lhs = phi_to.obj_to_bundle(side, x[1], sigma.g(x))
         rhs = phi_from.obj_to_bundle(side, x[1], S3.G.identity)
         assert lhs == rhs
     for m in ov.morphisms:
         src = "lower" if m.source[0] == ov.lower else "upper"
         dst = "lower" if m.target[0] == ov.lower else "upper"
-        lhs = phi_to.mor_to_bundle(m.base, sigma.on_morphism(m), src, dst)
+        lhs = phi_to.mor_to_bundle(m.base, sigma.apply(m), src, dst)
         rhs = phi_from.mor_to_bundle(m.base, S3.unit, src, dst)
         assert S3.m_eq(lhs, rhs)
 
@@ -278,14 +282,14 @@ def test_restriction_where_pair_tags_collapse():
     cover = Cover.from_dict({"0": ["x", "y"], "1": ["x", "y"], "2": ["x"], "3": ["x", "y"]})
     cover.check_covers(base)
     data = constructive_cocycle(cover, S3, np.random.default_rng(3))
-    triple = build_overlap_category(base, cover, (0, 1, 2), (0, 1, 3))
+    triple = OverlapCategory(base, cover, (0, 1, 2), (0, 1, 3))
     id_words = [m for m in triple.non_identity_morphisms() if m.base.is_identity]
     assert id_words, "setup must produce identity-word morphisms across tags"
-    pair = build_overlap_category(base, cover, (0, 1), (0, 1))
+    pair = OverlapCategory(base, cover, (0, 1), (0, 1))
     theta = build_theta(data, S3, pair)
     restricted = restrict_overlap_functor(theta, triple)
     for m in id_words:
-        val = restricted.on_morphism(m)
+        val = restricted.apply(m)
         assert val.h == S3.H.identity  # h_01·h_01^-1 at the same point
     report = verify_prop51(data, S3, triple)
     assert report.passed
@@ -303,3 +307,53 @@ def test_single_pair_value_perturbation_breaks_a_check():
     assert record.witness["point"] == "a0"
     assert 0 in (record.witness["i"], record.witness["j"], record.witness["k"])
     assert 2 in (record.witness["i"], record.witness["j"], record.witness["k"])
+
+
+def perturbed(F, g_at=None, h_at=None, factor=p("(0 1)")):
+    """Copy of the overlap functor F with g at one object or h at one
+    morphism multiplied by `factor`."""
+    g_table, h_gen = dict(F.g_table), dict(F.h_gen)
+    if g_at is not None:
+        g_table[g_at] = S3.G.mul(factor, g_table[g_at])
+    if h_at is not None:
+        h_gen[h_at] = S3.H.mul(factor, h_gen[h_at])
+    return FunctorUG(F.base, F.cm, g_table, h_gen)
+
+
+def test_functor_witness_catches_broken_theta():
+    base, cover = six_object_setup()
+    data = constructive_cocycle(cover, S3, np.random.default_rng(7))
+    ov = OverlapCategory(base, cover, (0, 1), (3, 4))
+    theta = build_theta(data, S3, ov)
+    assert functor_invariant_witness(theta) is None
+    identity = ov.morphisms[0]
+    arrow = ov.non_identity_morphisms()[0]
+    assert identity.is_identity
+    for broken, gamma in ((perturbed(theta, h_at=identity), identity),
+                          (perturbed(theta, h_at=arrow), arrow)):
+        witness = functor_invariant_witness(broken)
+        assert witness is not None and witness["gamma"] == repr(gamma)
+    # g moved at the source object of an arrow: the arrow no longer ends
+    # where its target object is sent
+    witness = functor_invariant_witness(perturbed(theta, g_at=arrow.source))
+    assert witness is not None and witness["law"] == "target"
+
+
+def test_functor_witness_catches_broken_transition(monkeypatch):
+    base, cover = six_object_setup()
+    family = TrivializationFamily.seeded(S3, cover, np.random.default_rng(11))
+    ov = OverlapCategory(base, cover, (0, 1), (3, 4))
+    sigma = transition_from_trivializations(family.trivialization(0, 3),
+                                            family.trivialization(1, 4), ov)
+    arrow = ov.non_identity_morphisms()[0]
+    witness = functor_invariant_witness(perturbed(sigma, h_at=arrow))
+    assert witness is not None and witness["gamma"] == repr(arrow)
+
+    # the suite fails transition-functor when the transitions it builds are broken
+    def broken_transition(phi_to, phi_from, overlap):
+        sigma = transition_from_trivializations(phi_to, phi_from, overlap)
+        return perturbed(sigma, h_at=overlap.non_identity_morphisms()[0])
+
+    monkeypatch.setattr(cocycle_mod, "transition_from_trivializations", broken_transition)
+    record = verify_transition_cocycle(family, base, (0, 1, 2), (3, 4, 5)).find("transition-functor")
+    assert not record.passed and record.witness is not None

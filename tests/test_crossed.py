@@ -190,10 +190,10 @@ def test_exchange_law_fails_on_broken_module():
 
 
 def test_gh_hg_order_helpers():
-    from catbundle.twisted import morphism_from_gh, morphism_from_hg
+    # in (h, g) coordinates the string g·h is (alpha_g(h), g) and h·g is (h, g)
     g, h = p("(0 1 2)"), p("(0 1)")
-    gh = morphism_from_gh(S3, g, h)
-    hg = morphism_from_hg(S3, h, g)
+    gh = TwoGroupMorphism(S3.alpha(g, h), g)
+    hg = TwoGroupMorphism(h, g)
     # the strings g·h and h·g denote different morphisms unless they commute
     assert S3.m_eq(gh, S3.sdp_multiply(TwoGroupMorphism(S3.H.identity, g),
                                        TwoGroupMorphism(h, S3.G.identity)))
