@@ -511,7 +511,11 @@ def extract_functor(phi: SectionIso | object, base: QuiverCategory, cm: CrossedM
         img = on_object(a, cm.G.identity)
         if img[0] != a:
             raise ExtractionRefused(f"not fiber-preserving at object {a!r}")
-    sample_gs = cm.G.elements[: min(8, len(cm.G.elements))] if cm.G.is_finite else []
+    # probes: the first elements and morphisms of a finite module, else draws
+    # from a private generator, so that no suite's stream moves
+    probe_rng = np.random.default_rng(0)
+    sample_gs = (cm.G.elements[:8] if cm.G.is_finite
+                 else [cm.G.sample(probe_rng) for _ in range(8)])
     for a in base.objects:
         for g1 in sample_gs:
             lhs = on_object(a, g1)
@@ -528,7 +532,8 @@ def extract_functor(phi: SectionIso | object, base: QuiverCategory, cm: CrossedM
         h_gen[f] = img.m.h
         if not cm.G.eq(img.m.g, g_table[gamma.source]):
             raise ExtractionRefused(f"source intertwining fails at arrow {f!r}")
-    sample_ms = list(itertools.islice(cm.morphism_space(), 12)) if cm.is_finite else []
+    sample_ms = (list(itertools.islice(cm.morphism_space(), 12)) if cm.is_finite
+                 else [cm.sample_morphism(probe_rng) for _ in range(12)])
     for gamma in base.generators():
         tm = TwistedMorphism(gamma, cm.unit)
         for m1 in sample_ms:

@@ -24,6 +24,8 @@ from .groups import (
     SpecialOrthogonalGroup,
     StructuralError,
     SymmetricGroup,
+    code_rows,
+    is_block,
 )
 from .report import DEFAULT_BUDGET, CaseSpace, LawReport, run_law
 
@@ -58,8 +60,10 @@ class CrossedModule:
         self.name = name
         self.G = G
         self.H = H
+        self.alpha_table = self.tau_table = None
         if G.is_finite and H.is_finite:
-            alpha, tau = _tabulated(name, G, H, alpha, tau)
+            self.alpha_table, self.tau_table = _tables(name, G, H, alpha, tau)
+            alpha, tau = _lookups(name, G, H, self.alpha_table, self.tau_table)
         self.alpha = alpha
         self.tau = tau
         self.broken = broken
@@ -131,23 +135,41 @@ class CrossedModule:
         return CaseSpace.sampled(self.sample_morphism, count)
 
 
-def _tabulated(name: str, G: Group, H: Group, alpha, tau):
-    """alpha and tau as lookups in tables of their values on G × H and H,
-    computed once; a non-element raises StructuralError."""
-    alpha_table = {g: {h: alpha(g, h) for h in H.elements} for g in G.elements}
-    tau_table = {h: tau(h) for h in H.elements}
+def _tables(name: str, G: Group, H: Group, alpha, tau) -> tuple[np.ndarray, np.ndarray]:
+    """The int tables of alpha on G × H and of tau on H, computed once from
+    the closed forms. An int outside the group is kept, for the carrier probe
+    to report; any other value is refused here."""
+    tables = []
+    for what, values, shape, group in (
+            ("alpha", [alpha(g, h) for g in G.elements for h in H.elements], (G.order, H.order), H),
+            ("tau", [tau(h) for h in H.elements], (H.order,), G)):
+        if not all(isinstance(v, (int, np.integer)) for v in values):
+            raise StructuralError(f"{what} of {name} must take values in {group.name}, as int codes")
+        tables.append(np.array(values, dtype=np.int64).reshape(shape))
+    return tables[0], tables[1]
+
+
+def _lookups(name: str, G: Group, H: Group, alpha_table: np.ndarray, tau_table: np.ndarray):
+    """alpha and tau as lookups in their tables, for a code or an array of
+    codes (a block of cases) alike, as in the group tables; a non-element
+    raises StructuralError."""
+    alpha_rows, tau_rows = code_rows(alpha_table), code_rows(tau_table)
 
     def alpha_lookup(g: Element, h: Element) -> Element:
         try:
-            return alpha_table[g][h]
+            return alpha_rows[g][h]
         except (KeyError, TypeError):
+            if is_block(g, h):
+                return alpha_table[g, h]
             raise StructuralError(
                 f"alpha of {name} is defined on {G.name} x {H.name}, got ({g!r}, {h!r})") from None
 
     def tau_lookup(h: Element) -> Element:
         try:
-            return tau_table[h]
+            return tau_rows[h]
         except (KeyError, TypeError):
+            if is_block(h):
+                return tau_table[h]
             raise StructuralError(f"tau of {name} is defined on {H.name}, got {h!r}") from None
 
     return alpha_lookup, tau_lookup

@@ -1,10 +1,13 @@
 """Group carriers: finite cyclic and symmetric groups, and SO(2)/SO(3).
 
-Finite elements are hashable plain values (ints for cyclic groups, image
-tuples for permutations); finite groups tabulate `mul` and `inv` when they are
-built. Matrix elements are numpy arrays; equality is a
-declared max-abs-entry tolerance (default 1e-9) because downstream transport
-values are floating point.
+Finite carriers are int codes: an element is its index in `elements`, which
+is `range(order)` (a residue of Z_n is its own code; a permutation of S_n is
+its rank among the image tuples in lexicographic order, and `fmt` writes its
+cycles). Finite groups tabulate `mul` and `inv` once as numpy int arrays, so
+each takes a code or an array of codes, one case of a block per entry, and
+`eq` on arrays holds when every case is equal. Matrix elements are numpy
+arrays; equality is a declared max-abs-entry tolerance (default 1e-9) because
+downstream transport values are floating point.
 
 SO(n) operations also take stacks: a `(k, n, n)` array holds k elements, `mul`
 and `inv` act on each, and `eq` holds when every pair in the stack is equal.
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -32,11 +35,11 @@ class StructuralError(ValueError):
 
 class Group:
     """Identity, multiplication, inverse and equality; finite groups also
-    expose their element list, which switches verification code between
-    exhaustive and sampled modes."""
+    expose their elements (the int codes range(order)), which switches
+    verification code between exhaustive and sampled modes."""
 
     name: str = "group"
-    elements: list[Element] | None = None
+    elements: Sequence[Element] | None = None
     width: int | None = None  # uniform draws per element, for stack samplers
 
     @property
@@ -76,47 +79,86 @@ class Group:
 
 
 class FiniteGroup(Group):
-    """A finite group tabulated once, at construction: a Cayley table
-    {a: {b: a·b}} and an inverse table, built from the closed forms `op` and
-    `inverse`. Keys and values are the element values themselves, so `mul`
-    and `inv` are lookups that return what the closed forms return; a
-    non-element raises StructuralError. The tables hold O(|G|^2) entries."""
+    """A finite group on int codes: an element is its index in `elements`,
+    which is `range(order)`, and `values[code]` is the element in the terms
+    of the closed forms `op` and `inverse`. The Cayley table `mul_table`
+    (order x order) and the inverse table `inv_table` are numpy int arrays
+    built once from those closed forms, so `mul(a, b)` is `mul_table[a, b]`
+    and `inv(a)` is `inv_table[a]`, for a code and for an array of codes (a
+    block of cases) alike. A code is looked up in the table's `tolist()`
+    rows, keyed by code, so a per-case value is a Python int; a non-code (a
+    negative or out-of-range int, a tuple) raises StructuralError."""
 
-    def __init__(self, name: str, elements: list, identity: Element, op, inverse):
+    def __init__(self, name: str, values: list, identity, op, inverse):
         self.name = name
-        self.elements = elements
-        self._identity = identity
-        self._mul = {a: {b: op(a, b) for b in elements} for a in elements}
-        self._inv = {a: inverse(a) for a in elements}
+        self.values = values
+        self.elements = range(len(values))
+        self._codes = {v: i for i, v in enumerate(values)}
+        self.mul_table = np.array([[self.code(op(a, b)) for b in values] for a in values])
+        self.inv_table = np.array([self.code(inverse(a)) for a in values])
+        self._identity = self.code(identity)
+        self._mul, self._inv = code_rows(self.mul_table), code_rows(self.inv_table)
+
+    def code(self, value) -> int:
+        """The code of an element given in the closed forms' terms."""
+        try:
+            return self._codes[value]
+        except (KeyError, TypeError):
+            raise StructuralError(f"{value!r} is not an element of {self.name}") from None
 
     @property
-    def identity(self) -> Element:
+    def identity(self) -> int:
         return self._identity
 
-    def mul(self, a: Element, b: Element) -> Element:
+    def mul(self, a, b):
         try:
             return self._mul[a][b]
         except (KeyError, TypeError):
+            if is_block(a, b):
+                return self.mul_table[a, b]
             raise StructuralError(f"{a!r} or {b!r} is not an element of {self.name}") from None
 
-    def inv(self, a: Element) -> Element:
+    def inv(self, a):
         try:
             return self._inv[a]
         except (KeyError, TypeError):
+            if is_block(a):
+                return self.inv_table[a]
             raise StructuralError(f"{a!r} is not an element of {self.name}") from None
 
-    def eq(self, a: Element, b: Element) -> bool:
-        return a == b
+    def eq(self, a, b) -> bool:
+        """a == b; on arrays of codes, every case of the block is equal."""
+        same = a == b
+        return same if same.__class__ is bool else bool(np.all(same))
+
+    def contains(self, a) -> bool:
+        return isinstance(a, int) and 0 <= a < len(self.elements)
+
+
+def code_rows(table: np.ndarray) -> dict:
+    """A table's entries as dicts keyed by code, from its `tolist()` rows:
+    Python ints, and a KeyError rather than a wrap-around on a negative code."""
+    rows = table.tolist()
+    if table.ndim == 1:
+        return dict(enumerate(rows))
+    return {i: dict(enumerate(row)) for i, row in enumerate(rows)}
+
+
+def is_block(*codes) -> bool:
+    """Some argument is an array of codes (a block of cases) and the others
+    are arrays or codes, so one numpy lookup in the table serves them all.
+    Asked only after the per-code lookup failed."""
+    return (any(isinstance(c, np.ndarray) for c in codes)
+            and all(isinstance(c, (np.ndarray, int, np.integer)) for c in codes))
 
 
 class CyclicGroup(FiniteGroup):
+    """Z_n, whose codes are the residues themselves."""
+
     def __init__(self, n: int):
         self.n = n
         super().__init__(f"z{n}", list(range(n)), 0,
                          lambda a, b: (a + b) % n, lambda a: (-a) % n)
-
-    def contains(self, a: Element) -> bool:
-        return isinstance(a, int) and 0 <= a < self.n
 
 
 # -- permutations as image tuples: p maps i to p[i]; (p*q)(i) = p(q(i)) --
@@ -166,16 +208,16 @@ def perm_from_cycles(text: str, n: int) -> tuple:
 
 
 class SymmetricGroup(FiniteGroup):
+    """S_n: the code of a permutation is its rank among the image tuples in
+    lexicographic order (the identity is 0), and `fmt` writes its cycles."""
+
     def __init__(self, n: int):
         self.n = n
         super().__init__(f"s{n}", sorted(itertools.permutations(range(n))), tuple(range(n)),
                          perm_mul, perm_inv)
 
-    def contains(self, a: Element) -> bool:
-        return isinstance(a, tuple) and sorted(a) == list(range(self.n))
-
-    def fmt(self, a: tuple) -> str:
-        return perm_cycles(a)
+    def fmt(self, a: int) -> str:
+        return perm_cycles(self.values[a])
 
 
 # -- skew matrices and their exponentials (closed forms keep iterates on the

@@ -1,12 +1,19 @@
 """Case spaces and pass/fail law reports shared by every verification suite.
 
 A law's cases come from a CaseSpace, whose `plan` decides exhaustive vs
-sampled. A law whose check also takes stacked cases may ask for a block plan:
-an open sampled product of SO(n) carriers is then drawn in fixed blocks of
-BLOCK cases, one uniform array per block, and `run_law` checks each block in
-one call. A block that fails (or raises) is redrawn and rerun case by case,
-so the witness, the check count and the RNG state after the law are those of
-the per-case plan. Finite spaces and other sampled spaces run case by case.
+sampled. A sampled finite plan draws all its picks in one call before any
+case is checked. A law whose check also takes stacked cases may ask for a
+block plan, whose cases come in fixed blocks of BLOCK, and `run_law` checks
+each block in one call:
+
+- a product of finite groups' int-coded carriers (range axes) decodes a
+  block of case numbers, or of picks, into one array of codes per axis;
+- an open sampled product of SO(n) carriers draws one uniform array per
+  block.
+
+A block that fails (or raises) is rerun case by case (a sampled block is
+redrawn), so the witness, the check count and the RNG state after the law
+are those of the per-case plan. Other spaces run case by case.
 
 A suite produces a LawReport: one LawRecord per algebraic law, each carrying
 the law's anchor string (its identifier in the library's law registry, e.g.
@@ -27,6 +34,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 # cases a law may check when neither the caller nor the scenario sets a budget
 DEFAULT_BUDGET = 10_000
 
@@ -42,7 +51,9 @@ class CaseSpace:
     A sampled space may also have a stack sampler: `stack(u)` builds k cases,
     stacked along a first axis, from a (k, width) array of uniform [0, 1)
     draws, bitwise the cases that k calls of `draw` give on the same stream.
-    Sequences serve as finite axes as they are.
+    Sequences serve as finite axes as they are; a `range` axis holds the
+    int codes of a finite group's elements, so a product of ranges decodes a
+    block of case numbers at once (`plan(..., blocks=True)`).
     """
 
     def __init__(self, size: int | None, get: Callable | None = None,
@@ -75,8 +86,9 @@ class CaseSpace:
 
     @staticmethod
     def carrier(group, count: int | None = None):
-        """A group's elements, or seeded samples of an infinite group, which
-        are stackable when the group has a stack sampler."""
+        """A finite group's elements (the range of its int codes), or seeded
+        samples of an infinite group, which are stackable when the group has
+        a stack sampler."""
         if group.is_finite:
             return group.elements
         space = CaseSpace.sampled(group.sample, count)
@@ -137,15 +149,21 @@ class CaseSpace:
         times, or `budget` times; in a product, finite and counted axes are
         enumerated whole and one open sampled axis is drawn
         max(1, budget // their size) times. No cases when budget <= 0.
-        With `blocks`, the `budget` draws of an open stackable space come as
+        With `blocks`, the cases of a product of range axes (exhaustive or
+        sampled) and the `budget` draws of an open stackable space come as
         Blocks of at most BLOCK cases; any other plan is unchanged."""
         if budget <= 0:
             return Plan((), exhaustive=False, space=self.size)
         if self.size is not None:
+            coded = blocks and self.size < 2**63 and self.axes is not None and all(
+                isinstance(a, range) for a in self.axes)
             if self.size <= budget:
-                return Plan(_cases(self), exhaustive=True, space=self.size)
-            picks = [_index(rng, self.size) for _ in range(budget)]
-            return Plan(map(_listed(self, budget).__getitem__, picks),
+                cases = _coded_blocks(self, range(self.size)) if coded else _cases(self)
+                return Plan(cases, exhaustive=True, space=self.size)
+            picks = _picks(rng, self.size, budget)
+            if coded:
+                return Plan(_coded_blocks(self, picks), exhaustive=False, space=self.size)
+            return Plan(map(_listed(self, budget).__getitem__, picks.tolist()),
                         exhaustive=False, space=self.size)
         axes = self.axes or ()
         if any(not _is_sampled(a) or a.count is not None for a in axes):
@@ -171,14 +189,14 @@ BLOCK = 512  # cases per block: a few hundred kB of SO(3) stacks per law
 
 
 class Block:
-    """`size` sampled cases stacked along a first axis, and `redraw`, which
-    puts the RNG back where it stood before the block and yields the same
-    cases one `draw` at a time. A plain class, because a frozen dataclass
-    adds about 1 ms to the import time of every CLI start."""
-    __slots__ = ("cases", "size", "redraw")
+    """`size` cases stacked along a first axis, and `singles`, which yields
+    the same cases one at a time (a sampled block first puts the RNG back
+    where it stood before the block). A plain class, because a frozen
+    dataclass adds about 1 ms to the import time of every CLI start."""
+    __slots__ = ("cases", "size", "singles")
 
-    def __init__(self, cases, size: int, redraw: Callable):
-        self.cases, self.size, self.redraw = cases, size, redraw
+    def __init__(self, cases, size: int, singles: Callable):
+        self.cases, self.size, self.singles = cases, size, singles
 
     def passes(self, check: Callable) -> bool:
         """`check` finds no witness in the whole block and raises nothing."""
@@ -201,6 +219,36 @@ def _blocks(space: CaseSpace, budget: int, rng):
             return (space.draw(rng) for _ in range(k))
 
         yield Block(space.stack(rng.random((k, space.width))), k, redraw)
+
+
+def _coded_blocks(space: CaseSpace, indices):
+    """The cases of a product of int-coded (range) axes at `indices`, a range
+    of case numbers or an array of picks, BLOCK at a time: each axis part of
+    a block is decoded with one vectorised divmod, so it is an array of
+    codes. One at a time, a block's cases are `space[i]`, Python ints."""
+    axes = space.axes
+    for start in range(0, len(indices), BLOCK):
+        chunk = indices[start:start + BLOCK]
+        i = np.arange(chunk.start, chunk.stop) if isinstance(chunk, range) else chunk
+        parts = [None] * len(axes)
+        for k in range(len(axes) - 1, -1, -1):
+            i, r = np.divmod(i, len(axes[k]))
+            parts[k] = axes[k].start + axes[k].step * r
+
+        def singles(chunk=chunk):
+            return map(space.__getitem__, chunk if isinstance(chunk, range) else chunk.tolist())
+
+        yield Block(space.build(*parts), len(chunk), singles)
+
+
+def _picks(rng, size: int, budget: int) -> np.ndarray:
+    """`budget` draws of `_index(rng, size)`, made before any case is
+    checked: one `rng.integers(size, size=budget)` call where numpy's int64
+    draw reaches, which gives the same values and leaves the generator in the
+    same state as the per-draw calls; otherwise an object array of them."""
+    if size <= 2**63:
+        return rng.integers(size, size=budget)
+    return np.array([_index(rng, size) for _ in range(budget)], dtype=object)
 
 
 def _is_sampled(axis) -> bool:
@@ -373,9 +421,9 @@ def run_law(law: str, anchor: str, cases: Plan | Sequence, check: Callable) -> L
 
     A block plan yields Blocks: `check` gets a block's stacked cases in one
     call, and if it returns None they all count as checked. If it returns a
-    witness or raises, the block is redrawn and its cases are checked one at
-    a time by the same `check`, so the witness and the count come from the
-    per-case run and the RNG has consumed only the cases checked.
+    witness or raises, its cases are checked one at a time by the same
+    `check` (a sampled block is redrawn), so the witness and the count come
+    from the per-case run and the RNG has consumed only the cases checked.
     """
     from .crossed import CompositionUndefined
     from .groups import StructuralError
@@ -390,7 +438,7 @@ def run_law(law: str, anchor: str, cases: Plan | Sequence, check: Callable) -> L
             if item.passes(check):
                 n += item.size
                 continue
-            singles = item.redraw()
+            singles = item.singles()
         else:
             singles = (item,)
         for case in singles:

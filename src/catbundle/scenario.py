@@ -3,7 +3,7 @@ and the optional cover/cocycle/connection/functor data that verification
 suites consume.
 
 Group elements are written as ints (cyclic groups), cycle strings or image
-lists (permutations), {"angle": t} (SO(2)), {"axis": [...], "angle": t} or
+lists (permutations; both are parsed to the permutation's int code), {"angle": t} (SO(2)), {"axis": [...], "angle": t} or
 explicit matrix rows (SO(3)/SO(2)). Arrow words are space-joined names in
 application order (first applied first); "" is the identity word.
 """
@@ -36,18 +36,22 @@ class ScenarioError(ValueError):
 
 
 def parse_element(group, value):
+    """The element `value` declares: a finite group's int code (the inverse
+    of `group.fmt`), or an SO(n) matrix."""
     if isinstance(group, CyclicGroup):
-        if not isinstance(value, int) or not (0 <= value < group.n):
+        if isinstance(value, str) and value.isdecimal():  # as `fmt` writes it
+            value = int(value)
+        if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < group.n:
             raise ScenarioError(f"{group.name} element must be an int in [0, {group.n}), got {value!r}")
         return value
     if isinstance(group, SymmetricGroup):
-        if isinstance(value, str):
-            return perm_from_cycles(value, group.n)
-        if isinstance(value, (list, tuple)):
-            elem = tuple(int(v) for v in value)
-            if not group.contains(elem):
-                raise ScenarioError(f"not a permutation of {group.n} points: {value!r}")
-            return elem
+        try:
+            if isinstance(value, str):
+                return group.code(perm_from_cycles(value, group.n))
+            if isinstance(value, (list, tuple)):
+                return group.code(tuple(int(v) for v in value))
+        except (ValueError, TypeError, IndexError):
+            raise ScenarioError(f"not a permutation of {group.n} points: {value!r}") from None
         raise ScenarioError(f"{group.name} element must be a cycle string or image list")
     if isinstance(group, SpecialOrthogonalGroup):
         if isinstance(value, dict):

@@ -60,9 +60,11 @@ def test_criterion_1_crossed_module_axioms():
     report = verify_crossed_module(broken, 10**5)
     bad = report.find("peiffer")
     ok &= (not report.passed) and bad.witness is not None
-    h = perm_from_cycles(bad.witness["h"], 3)
-    h2 = perm_from_cycles(bad.witness["h2"], 3)
-    ok &= broken.alpha(broken.tau(h), h2) != perm_mul(perm_mul(h, h2), perm_inv(h))
+    S3 = broken.H
+    h = S3.code(perm_from_cycles(bad.witness["h"], 3))
+    h2 = S3.code(perm_from_cycles(bad.witness["h2"], 3))
+    conj = perm_mul(perm_mul(S3.values[h], S3.values[h2]), perm_inv(S3.values[h]))
+    ok &= S3.values[broken.alpha(broken.tau(h), h2)] != conj
     report_line(1, ok, "crossed-module axioms: positive entries exhaustive, broken entry "
                        "fails with a concrete witness")
 
@@ -108,7 +110,7 @@ def test_criterion_5_sections_and_trivializations():
     s3 = get_module("s3-conj")
     arrow = QuiverCategory(["a", "b"], [("f", "a", "b")], word_bound=3)
     chain = QuiverCategory(["a", "b", "c"], [("f", "a", "b"), ("g", "b", "c")], word_bound=3)
-    p3 = lambda t: perm_from_cycles(t, 3)
+    p3 = lambda t: s3.G.code(perm_from_cycles(t, 3))
     F_a = functor_from_h(arrow, z4, {"a": 1, "b": 3})
     F_b = functor_from_h(chain, s3, {"a": p3("(0 1)"), "b": p3("(1 2)"), "c": p3("(0 2)")})
     ok = True
@@ -147,7 +149,7 @@ def test_criterion_6_cocycle_and_prop51():
     rep = verify_prop51(data, s3, triple)
     ok &= rep.passed and all(r.exhaustive for r in rep.records)
     ok &= rep.find("prop51-naturality").checks == len(triple.morphisms)
-    bad = data.perturbed(s3, 3, 4, 5, "a4", perm_from_cycles("(0 1)", 3))
+    bad = data.perturbed(s3, 3, 4, 5, "a4", s3.H.code(perm_from_cycles("(0 1)", 3)))
     record = verify_cocycle_condition(bad, cover, s3).records[0]
     ok &= (not record.passed) and record.witness["point"] == "a4" \
         and (record.witness["i"], record.witness["j"], record.witness["k"]) == (3, 4, 5)

@@ -34,7 +34,13 @@ CHAIN = QuiverCategory(["a", "b", "c"], [("f", "a", "b"), ("g", "b", "c")], word
 
 
 def p(text):
-    return perm_from_cycles(text, 3)
+    """The code of an S3 element written in cycles."""
+    return S3.G.code(perm_from_cycles(text, 3))
+
+
+def perm(code):
+    """The image tuple an S3 code stands for."""
+    return S3.G.values[code]
 
 
 def assert_natural(T):
@@ -112,9 +118,9 @@ def test_functor_from_h_constant():
 def test_functor_from_h_permutation_oracle():
     # h(a) = (0 1), h(b) = (0 1 2): the arrow value is h(b)·h(a)^-1
     F = functor_from_h(ARROW, S3, {"a": p("(0 1)"), "b": p("(0 1 2)")})
-    expected = perm_mul(p("(0 1 2)"), perm_inv(p("(0 1)")))
-    assert expected == p("(0 2)")
-    assert F.h(ARROW.arrow("f")) == expected
+    expected = perm_mul(perm(p("(0 1 2)")), perm_inv(perm(p("(0 1)"))))
+    assert expected == perm(p("(0 2)"))
+    assert perm(F.h(ARROW.arrow("f"))) == expected
 
 
 def test_functor_telescoping_matches_fold():
@@ -122,8 +128,8 @@ def test_functor_telescoping_matches_fold():
     F = functor_from_h(CHAIN, S3, h_obj)
     for m2, m1 in CHAIN.composable_pairs(3):
         comp = CHAIN.compose(m2, m1)
-        want = perm_mul(h_obj[comp.target], perm_inv(h_obj[comp.source]))
-        assert F.h(comp) == want == S3.H.mul(F.h(m2), F.h(m1))
+        want = perm_mul(perm(h_obj[comp.target]), perm_inv(perm(h_obj[comp.source])))
+        assert perm(F.h(comp)) == want == perm(S3.H.mul(F.h(m2), F.h(m1)))
 
 
 def test_functor_apply_and_verify():
@@ -318,6 +324,27 @@ def test_extract_functor_probes_equivariance_on_every_arrow(arrow):
 
     with pytest.raises(ExtractionRefused, match=f"not equivariant at arrow {arrow}:"):
         extract_functor(BreaksOneArrow(), CHAIN, S3)
+
+
+@pytest.mark.parametrize("name", ["so2-conj", "so3-conj"])
+def test_extract_functor_probes_equivariance_on_an_infinite_module(name):
+    # an endofunctor that ignores g on objects: fiber-preserving and a functor
+    # on the unit lifts, but not equivariant; SO(n) has no element list, so
+    # the probes are draws from a generator of their own
+    cm = get_module(name)
+    rng = np.random.default_rng(3)
+    F = functor_from_h(ARROW, cm, {"a": cm.H.sample(rng), "b": cm.H.sample(rng)})
+    iso = SectionIso(F)
+
+    class IgnoresG:
+        def on_object(self, a, g):
+            return iso.on_object(a, cm.G.identity)
+
+        on_morphism = staticmethod(iso.on_morphism)
+
+    assert extract_functor(iso, ARROW, cm).eq(F)
+    with pytest.raises(ExtractionRefused, match="not equivariant at object 'a'"):
+        extract_functor(IgnoresG(), ARROW, cm)
 
 
 def test_bundle_axioms_product():

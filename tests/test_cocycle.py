@@ -27,7 +27,13 @@ Z4A = get_module("z4-abelian")
 
 
 def p(text):
-    return perm_from_cycles(text, 3)
+    """The code of an S3 element written in cycles."""
+    return S3.G.code(perm_from_cycles(text, 3))
+
+
+def perm(code):
+    """The image tuple an S3 code stands for."""
+    return S3.G.values[code]
 
 
 def six_object_setup():
@@ -146,8 +152,9 @@ def test_theta_h_component_permutation_oracle():
     ov = OverlapCategory(base, cover, (0, 1), (3, 4))
     theta = build_theta(data, S3, ov)
     for m in ov.non_identity_morphisms():
-        want = perm_mul(data.h_pair(3, 4, m.target[1]), perm_inv(data.h_pair(0, 1, m.source[1])))
-        assert theta.apply(m).h == want
+        want = perm_mul(perm(data.h_pair(3, 4, m.target[1])),
+                        perm_inv(perm(data.h_pair(0, 1, m.source[1]))))
+        assert perm(theta.apply(m).h) == want
         # target coherence: tau(h)·g_ik(source) = g_jl(target)
         got_target = S3.G.mul(S3.tau(theta.apply(m).h), theta.apply(m).g)
         assert got_target == S3.tau(data.h_pair(3, 4, m.target[1]))
@@ -223,17 +230,17 @@ def test_prop51_gauge_chain_replay_on_one_morphism():
     m = next(mm for mm in triple.non_identity_morphisms())
     s_pt, t_pt = m.source[1], m.target[1]
     # H-component of the pointwise product, via the conjugation form
-    h_prod = T.target.apply(m).h
+    h_prod = perm(T.target.apply(m).h)
     conj = lambda a, b: perm_mul(perm_mul(a, b), perm_inv(a))
+    h = lambda i, j, pt: perm(data.h_pair(i, j, pt))
     want_prod = perm_mul(
-        perm_mul(data.h_pair(3, 4, t_pt), perm_inv(data.h_pair(0, 1, s_pt))),
-        conj(data.h_pair(0, 1, s_pt),
-             perm_mul(data.h_pair(4, 5, t_pt), perm_inv(data.h_pair(1, 2, s_pt)))),
+        perm_mul(h(3, 4, t_pt), perm_inv(h(0, 1, s_pt))),
+        conj(h(0, 1, s_pt), perm_mul(h(4, 5, t_pt), perm_inv(h(1, 2, s_pt)))),
     )
     assert h_prod == want_prod
     # gauge transform by the triple values and compare with the theta_im part
-    gauged = perm_mul(perm_mul(perm_inv(T.hT[m.target]), h_prod), T.hT[m.source])
-    assert gauged == perm_mul(data.h_pair(3, 5, t_pt), perm_inv(data.h_pair(0, 2, s_pt)))
+    gauged = perm_mul(perm_mul(perm_inv(perm(T.hT[m.target])), h_prod), perm(T.hT[m.source]))
+    assert gauged == perm_mul(h(3, 5, t_pt), perm_inv(h(0, 2, s_pt)))
 
 
 def test_prop51_refuses_on_broken_cocycle():

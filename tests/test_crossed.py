@@ -24,7 +24,13 @@ S3 = get_module("s3-conj")
 
 
 def p(text):
-    return perm_from_cycles(text, 3)
+    """The code of an S3 element written in cycles."""
+    return S3.G.code(perm_from_cycles(text, 3))
+
+
+def perm(code):
+    """The image tuple an S3 code stands for."""
+    return S3.G.values[code]
 
 
 def test_catalog_contents():
@@ -59,9 +65,9 @@ def test_sdp_multiply_s3_conjugation_oracle():
     # H-component is h2·(g2 h1 g2^-1), computed here with raw permutations
     h2, g2, h1 = p("(0 1)"), p("(0 1 2)"), p("(0 2)")
     got = S3.sdp_multiply(TwoGroupMorphism(h2, g2), TwoGroupMorphism(h1, S3.G.identity))
-    conj = perm_mul(perm_mul(g2, h1), perm_inv(g2))
-    assert conj == p("(0 1)")  # (012)(02)(021) = (01)
-    assert got.h == perm_mul(h2, conj) == S3.H.identity
+    conj = perm_mul(perm_mul(perm(g2), perm(h1)), perm_inv(perm(g2)))
+    assert conj == perm(p("(0 1)"))  # (012)(02)(021) = (01)
+    assert perm(got.h) == perm_mul(perm(h2), conj) == perm(S3.H.identity)
     assert got.g == g2
 
 
@@ -140,10 +146,9 @@ def test_broken_module_fails_peiffer_with_genuine_witness():
     assert not report.passed
     bad = report.find("peiffer")
     assert bad.status == "fail"
-    h = perm_from_cycles(bad.witness["h"], 3)
-    h2 = perm_from_cycles(bad.witness["h2"], 3)
+    h, h2 = p(bad.witness["h"]), p(bad.witness["h2"])
     # recompute: the witness must genuinely violate the Peiffer law
-    assert cm.alpha(cm.tau(h), h2) != perm_mul(perm_mul(h, h2), perm_inv(h))
+    assert perm(cm.alpha(cm.tau(h), h2)) != perm_mul(perm_mul(perm(h), perm(h2)), perm_inv(perm(h)))
     # and the other axioms hold
     for law in ("tau-homomorphism", "alpha-automorphism", "alpha-family-homomorphism"):
         assert report.find(law).passed
@@ -153,7 +158,7 @@ def test_spec_witness_pair_violates_peiffer():
     # transpositions (0 1) and (0 2): conjugation gives (1 2), not (0 2)
     cm = get_module("z2-s3-broken")
     h, h2 = p("(0 1)"), p("(0 2)")
-    assert perm_mul(perm_mul(h, h2), perm_inv(h)) == p("(1 2)")
+    assert perm_mul(perm_mul(perm(h), perm(h2)), perm_inv(perm(h))) == perm(p("(1 2)"))
     assert cm.alpha(cm.tau(h), h2) == h2  # trivial action leaves h2 fixed
 
 
@@ -204,29 +209,33 @@ def test_gh_hg_order_helpers():
 
 @pytest.mark.parametrize("name", [n for n, cm in catalog().items() if cm.is_finite])
 def test_alpha_tau_tables_equal_the_defining_formulas(name):
+    # the int tables, decoded, against the closed forms on the values
     cm = get_module(name)
     G, H = cm.G, cm.H
+    assert cm.alpha_table.shape == (len(G.values), len(H.values))
+    assert cm.tau_table.shape == (len(H.values),)
     for h in H.elements:
-        if name.endswith("-conj"):  # G = H, alpha_g(h) = g h g^-1, tau = id
-            assert cm.tau(h) == h
-        else:  # trivial action, trivial tau
-            assert cm.tau(h) == G.identity
+        want_tau = H.values[h] if name.endswith("-conj") else G.values[G.identity]
+        assert G.values[cm.tau_table[h]] == want_tau and cm.tau(h) == cm.tau_table[h]
         for g in G.elements:
-            if name == "s3-conj":
-                want = perm_mul(perm_mul(g, h), perm_inv(g))
+            vg, vh = G.values[g], H.values[h]
+            if name == "s3-conj":  # G = H, alpha_g(h) = g h g^-1, tau = id
+                want = perm_mul(perm_mul(vg, vh), perm_inv(vg))
             elif name == "z4-conj":
-                want = (g + h - g) % 4
-            else:
-                want = h
-            assert cm.alpha(g, h) == want
+                want = (vg + vh - vg) % 4
+            else:  # trivial action, trivial tau
+                want = vh
+            assert H.values[cm.alpha_table[g, h]] == want
+            assert cm.alpha(g, h) == cm.alpha_table[g, h] and type(cm.alpha(g, h)) is int
 
 
 def test_tabulated_alpha_and_tau_reject_non_elements():
     for bad_g, bad_h in ((4, 0), (0, 4), ("0", 0), ([0], 0)):
         with pytest.raises(StructuralError):
             Z4.alpha(bad_g, bad_h)
-    with pytest.raises(StructuralError):
-        S3.alpha(S3.G.identity, (0, 1))
+    for bad in ((0, 1), (0, 1, 2), -1, 6):
+        with pytest.raises(StructuralError):
+            S3.alpha(S3.G.identity, bad)
     for bad in (4, [0]):
         with pytest.raises(StructuralError):
             Z4.tau(bad)

@@ -216,16 +216,17 @@ def test_decoration_order_differs_from_vertical_composition_on_s3():
     base = PathCategory(1)
     eta = EtaMap(base, S3, lambda gamma: S3.G.identity, kind="transport")
     db = DecoratedBundle(S3, eta)
-    h1 = perm_from_cycles("(0 1)", 3)
-    h2 = perm_from_cycles("(0 2)", 3)
+    h1 = S3.H.code(perm_from_cycles("(0 1)", 3))
+    h2 = S3.H.code(perm_from_cycles("(0 2)", 3))
+    perm = S3.H.values.__getitem__
     p1 = SampledPath([[0.0], [1.0]])
     p2 = SampledPath([[1.0], [2.0]])
     dm1 = DecoratedMorphism(p1, S3.G.identity, h1)
     dm2 = DecoratedMorphism(p2, db.target(dm1)[1], h2)
     comp = db.compose(dm2, dm1)
-    assert comp.h == perm_mul(h1, h2)
+    assert perm(comp.h) == perm_mul(perm(h1), perm(h2))
     vert = S3.compose_vertical(TwoGroupMorphism(h2, S3.tau(h1)), TwoGroupMorphism(h1, S3.G.identity))
-    assert vert.h == perm_mul(h2, h1)
+    assert perm(vert.h) == perm_mul(perm(h2), perm(h1))
     assert comp.h != vert.h  # noncommuting decorations expose the order
 
 

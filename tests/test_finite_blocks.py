@@ -1,12 +1,16 @@
 """Finite laws run on blocks of int-coded cases: a failing S3 module pinned by
-committed goldens."""
+committed goldens, int codes and their parsing, table lookups on arrays,
+one-call picks, block plans against per-case plans, and run_law's
+case-by-case rerun of a failing block."""
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from catbundle.crossed import CrossedModule, verify_crossed_module, verify_exchange_law
-from catbundle.groups import SymmetricGroup
+from catbundle.crossed import CrossedModule, get_module, verify_crossed_module, verify_exchange_law
+from catbundle.groups import CyclicGroup, FiniteGroup, StructuralError, SymmetricGroup
+from catbundle.report import BLOCK, Block, CaseSpace, _index, _picks, run_law
+from catbundle.scenario import ScenarioError, parse_element
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -36,3 +40,172 @@ def mutant_jsonl(budget: int) -> str:
 def test_failing_s3_module_matches_its_golden(budget):
     golden = GOLDEN / f"s3_alpha_mutant_{budget}.jsonl"
     assert mutant_jsonl(budget) == golden.read_text()
+
+
+# -- int codes --
+
+FINITE = {"z2": CyclicGroup(2), "z4": CyclicGroup(4), "z5": CyclicGroup(5),
+          "s3": SymmetricGroup(3), "s4": SymmetricGroup(4)}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE))
+def test_parse_element_inverts_fmt(name):
+    G = FINITE[name]
+    assert G.elements == range(len(G.values))
+    for x in G.elements:
+        assert parse_element(G, G.fmt(x)) == x and type(parse_element(G, G.fmt(x))) is int
+
+
+@pytest.mark.parametrize("name", sorted(FINITE))
+def test_parse_element_refuses_non_elements(name):
+    G = FINITE[name]
+    bad = [-1, len(G.values), True, "x"]
+    if isinstance(G, SymmetricGroup):
+        bad += [[0] * G.n, "(0 9)", list(range(G.n + 1))]
+    for value in bad:
+        with pytest.raises(ScenarioError):
+            parse_element(G, value)
+
+
+# -- table lookups on arrays of codes --
+
+@pytest.mark.parametrize("name", ["z4-conj", "s3-conj", "z2-s3-broken", "z4-z2"])
+def test_table_lookups_on_arrays_equal_per_code_lookups(name):
+    cm = get_module(name)
+    G, H = cm.G, cm.H
+    rng = np.random.default_rng(4)
+    g, g2 = rng.integers(len(G.values), size=(2, 64))
+    h, h2 = rng.integers(len(H.values), size=(2, 64))
+    for got, want in (
+            (G.mul(g, g2), [G.mul(a, b) for a, b in zip(g.tolist(), g2.tolist())]),
+            (H.mul(h, h2), [H.mul(a, b) for a, b in zip(h.tolist(), h2.tolist())]),
+            (G.inv(g), [G.inv(a) for a in g.tolist()]),
+            (H.mul(H.identity, h), h.tolist()),
+            (cm.alpha(g, h), [cm.alpha(a, b) for a, b in zip(g.tolist(), h.tolist())]),
+            (cm.alpha(G.identity, h), h.tolist()),
+            (cm.tau(h), [cm.tau(a) for a in h.tolist()])):
+        assert isinstance(got, np.ndarray) and got.tolist() == want
+
+
+def test_eq_on_arrays_is_every_case_equal():
+    G = SymmetricGroup(3)
+    a = np.arange(12) % 6
+    b = a.copy()
+    b[7] = (b[7] + 1) % 6
+    assert G.eq(a, a.copy()) is True and G.eq(a, b) is False
+    assert G.eq(0, np.zeros(5, dtype=np.int64)) is True and G.eq(0, a) is False
+    assert G.eq(3, 3) is True and G.eq(3, 4) is False
+
+
+# -- one-call picks and block plans --
+
+@pytest.mark.parametrize("size", [6, 7, 36, 1296, 46656, 2**31, 2**32 - 1, 2**32, 2**32 + 1,
+                                  10**12, 2**62 + 3, 2**63 - 1, 2**63])
+def test_one_call_picks_equal_per_draw_picks(size):
+    one, per = np.random.default_rng(12), np.random.default_rng(12)
+    picks = _picks(one, size, 1000)
+    assert picks.tolist() == [_index(per, size) for _ in range(1000)]
+    assert one.bit_generator.state == per.bit_generator.state
+
+
+def _coded(slots: str, cm=None) -> CaseSpace:
+    cm = cm or get_module("s3-conj")
+    carriers = {"g": CaseSpace.carrier(cm.G), "h": CaseSpace.carrier(cm.H)}
+    return CaseSpace.product(*(carriers[s] for s in slots))
+
+
+@pytest.mark.parametrize("slots, budget", [("hh", 100), ("hghg", 1296), ("hghg", 1000),
+                                           ("hghhgh", 3000), ("hghhgh", 46656)])
+def test_block_plan_decodes_the_per_case_plan(slots, budget):
+    space = _coded(slots)
+    block_rng, case_rng = np.random.default_rng(5), np.random.default_rng(5)
+    block_plan, case_plan = space.plan(budget, block_rng, blocks=True), space.plan(budget, case_rng)
+    assert (block_plan.exhaustive, block_plan.space) == (case_plan.exhaustive, case_plan.space)
+    blocks, cases = list(block_plan), list(case_plan)
+    assert all(isinstance(b, Block) for b in blocks)
+    assert [b.size for b in blocks] == [min(BLOCK, len(cases) - i) for i in range(0, len(cases), BLOCK)]
+    for axis in range(len(slots)):
+        block_axis = np.concatenate([b.cases[axis] for b in blocks])
+        assert block_axis.tolist() == [c[axis] for c in cases]
+    singles = [c for b in blocks for c in b.singles()]
+    assert singles == cases and all(type(x) is int for c in singles for x in c)
+    assert block_rng.bit_generator.state == case_rng.bit_generator.state
+
+
+def _records_equal(a, b):
+    keys = ("law", "anchor", "status", "checks", "exhaustive", "witness", "space")
+    return all(getattr(a, k) == getattr(b, k) for k in keys)
+
+
+@pytest.mark.parametrize("budget", [3000, 46656])
+@pytest.mark.parametrize("depth", [0, 2, 3, 4])
+def test_block_run_matches_the_per_case_run(budget, depth):
+    """A check that fails where the first `depth` parts of a case are
+    (5, 4, 3, 2) (never, for depth 0): the block run gives the per-case
+    record, the per-case values are Python ints, and the generator stands
+    where the per-case run leaves it, also after a failure."""
+    space = _coded("hghhgh")
+    target = (5, 4, 3, 2)[:depth]
+    stacked, scalar_types = [], set()
+
+    def check(t):
+        hit = depth > 0
+        for part, want in zip(t, target):
+            hit = hit & (np.asarray(part) == want)
+        if isinstance(t[0], np.ndarray):
+            stacked.append(len(t[0]))
+            return {"block": "fails"} if np.any(hit) else None
+        scalar_types.update(type(x) for x in t)
+        return {"case": list(t)} if hit else None
+
+    block_rng, case_rng = np.random.default_rng(8), np.random.default_rng(8)
+    got = run_law("law", "anchor", space.plan(budget, block_rng, blocks=True), check)
+    want = run_law("law", "anchor", space.plan(budget, case_rng), check)
+    assert _records_equal(got, want) and want.passed == (depth == 0)
+    assert block_rng.bit_generator.state == case_rng.bit_generator.state
+    assert scalar_types <= {int}
+    assert len(stacked) == (want.checks - 1) // BLOCK + 1
+
+
+def test_failures_lie_in_first_and_later_blocks():
+    # the cases above fail in the first block and in later ones, sampled and exhaustive
+    space = _coded("hghhgh")
+    firsts = set()
+    for budget in (3000, 46656):
+        for depth in (2, 3, 4):
+            target = (5, 4, 3, 2)[:depth]
+            plan = space.plan(budget, np.random.default_rng(8))
+            first = next(i for i, c in enumerate(plan) if c[:depth] == target)
+            firsts.add((budget, first // BLOCK > 0))
+    assert firsts == {(3000, False), (3000, True), (46656, True)}
+
+
+def test_block_that_raises_is_rerun_and_reports_the_error():
+    space = _coded("hh")
+
+    def check(t):
+        if np.any(np.asarray(t[1]) == 5):
+            raise StructuralError("no such case")
+        return None
+
+    got = run_law("law", "anchor", space.plan(100, np.random.default_rng(0), blocks=True), check)
+    assert got.witness == {"error": "StructuralError: no such case"}
+    assert got.checks == 6 and got.exhaustive
+
+
+@pytest.mark.parametrize("name", ["s3-conj", "z4-conj"])
+def test_finite_suites_check_each_block_in_one_call(name, monkeypatch):
+    cm = get_module(name)
+    calls = []
+    mul = FiniteGroup.mul
+    monkeypatch.setattr(FiniteGroup, "mul",
+                        lambda self, a, b: calls.append(max(np.size(a), np.size(b))) or mul(self, a, b))
+    report = verify_crossed_module(cm, 20_000, np.random.default_rng(0))
+    report.extend(verify_exchange_law(cm, 20_000, np.random.default_rng(0)))
+    assert report.passed
+    space = len(cm.G.values) * len(cm.H.values) ** 2
+    assert report.find("exchange-law").checks == min(20_000, space ** 2)
+    # every multiplication is a table lookup on a block of at most BLOCK cases
+    # (a per-case run would make more than one per case checked)
+    assert calls and all(1 < n <= BLOCK for n in calls)
+    assert BLOCK in calls and len(calls) < 1000

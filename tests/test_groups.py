@@ -39,7 +39,7 @@ def test_perm_mul_applies_right_factor_first():
 
 def test_perm_cycle_notation_roundtrip():
     s4 = SymmetricGroup(4)
-    for p in s4.elements:
+    for p in s4.values:
         assert perm_from_cycles(perm_cycles(p), 4) == p
     assert perm_cycles((0, 1, 2)) == "e"
     assert perm_from_cycles("(0 1)(2 3)", 4) == (1, 0, 3, 2)
@@ -47,12 +47,14 @@ def test_perm_cycle_notation_roundtrip():
 
 def test_symmetric_group_structure():
     s3 = SymmetricGroup(3)
-    assert len(s3.elements) == 6
-    assert s3.identity == (0, 1, 2)
+    assert s3.elements == range(6)
+    assert s3.identity == 0 and s3.values[s3.identity] == (0, 1, 2)
+    assert s3.values == sorted(s3.values)  # a code is the rank of its image tuple
     for p in s3.elements:
         assert s3.mul(p, s3.inv(p)) == s3.identity
         assert s3.contains(p)
-    assert not s3.contains((0, 0, 1))
+    for bad in ((0, 0, 1), (0, 1, 2), -1, 6):
+        assert not s3.contains(bad)
 
 
 def test_skew_exp_so2_matches_rotation():
@@ -112,16 +114,23 @@ def test_is_skew():
     (SymmetricGroup(4), perm_mul, perm_inv, (0, 1, 2, 3)),
 ], ids=["z2", "z4", "z5", "s3", "s4"])
 def test_finite_tables_equal_the_closed_forms(grp, op, inverse, identity):
-    assert grp.identity == identity
+    # codes stand for values: a residue is its own code, a permutation its rank
+    v = grp.values
+    assert v[grp.identity] == identity
+    assert grp.mul_table.shape == (len(v), len(v)) and grp.inv_table.shape == (len(v),)
+    assert grp.mul_table.dtype.kind == grp.inv_table.dtype.kind == "i"
     for a in grp.elements:
-        assert grp.inv(a) == inverse(a)
+        assert v[grp.inv(a)] == inverse(v[a]) and type(grp.inv(a)) is int
         for b in grp.elements:
-            assert grp.mul(a, b) == op(a, b)
+            assert v[grp.mul(a, b)] == op(v[a], v[b]) and type(grp.mul(a, b)) is int
+            assert grp.mul_table[a, b] == grp.mul(a, b)
 
 
 @pytest.mark.parametrize("grp, bad", [
     (CyclicGroup(4), 4), (CyclicGroup(4), -1), (CyclicGroup(4), "1"), (CyclicGroup(4), [1]),
     (SymmetricGroup(3), (0, 1)), (SymmetricGroup(3), (0, 1, 1)), (SymmetricGroup(3), [0, 1, 2]),
+    # a negative int, an out-of-range code, and an image tuple (no longer an element)
+    (SymmetricGroup(3), -1), (SymmetricGroup(3), 6), (SymmetricGroup(3), (0, 1, 2)),
 ])
 def test_finite_table_rejects_non_elements(grp, bad):
     e = grp.identity

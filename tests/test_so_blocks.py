@@ -92,12 +92,16 @@ def test_block_draws_equal_per_case_draws_bitwise(n, slots):
     assert block_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_only_open_stackable_plans_come_in_blocks():
+def test_which_plans_come_in_blocks():
     rng = np.random.default_rng(0)
     so2 = get_module("so2-conj").G
     assert not any(isinstance(c, Block) for c in _slot_spaces(2, "hh").plan(600, rng))
-    finite = CaseSpace.product(get_module("s3-conj").G.elements, range(2))
-    assert list(finite.plan(600, rng, blocks=True)) == list(finite.plan(600, rng))
+    # int-coded (range) axes come in blocks; a listed finite axis does not
+    s3 = get_module("s3-conj").G
+    coded = CaseSpace.product(s3.elements, range(2))
+    assert all(isinstance(c, Block) for c in coded.plan(600, rng, blocks=True))
+    listed = CaseSpace.product(list(s3.elements), range(2))
+    assert list(listed.plan(600, rng, blocks=True)) == list(listed.plan(600, rng))
     counted = CaseSpace.product(CaseSpace.carrier(so2, 4), CaseSpace.carrier(so2))
     assert not any(isinstance(c, Block) for c in counted.plan(600, rng, blocks=True))
     unstackable = CaseSpace.product(CaseSpace.sampled(lambda r: r.random()), CaseSpace.carrier(so2))

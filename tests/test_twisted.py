@@ -20,7 +20,13 @@ CHAIN = QuiverCategory(["a", "b", "c"], [("f", "a", "b"), ("g", "b", "c")], word
 
 
 def p(text):
-    return perm_from_cycles(text, 3)
+    """The code of an S3 element written in cycles."""
+    return S3.G.code(perm_from_cycles(text, 3))
+
+
+def perm(code):
+    """The image tuple an S3 code stands for."""
+    return S3.G.values[code]
 
 
 def z4_twist() -> TwistedBundle:
@@ -91,8 +97,8 @@ def test_twisted_compose_s3_conjugation_oracle():
     tm2 = TwistedMorphism(base.arrow("g"), TwoGroupMorphism(h2, g2))
     comp = tb.compose(tm2, tm1)
     # H-part: (eta^-1 h2 eta)·h1 with eta = (0 1 2), by the permutation oracle
-    conj = perm_mul(perm_mul(perm_inv(p("(0 1 2)")), h2), p("(0 1 2)"))
-    assert comp.m.h == perm_mul(conj, h1)
+    conj = perm_mul(perm_mul(perm_inv(perm(p("(0 1 2)"))), perm(h2)), perm(p("(0 1 2)")))
+    assert perm(comp.m.h) == perm_mul(conj, perm(h1))
     assert comp.m.g == g1
     assert tb.target(comp) == tb.target(tm2)
 
