@@ -62,7 +62,9 @@ class CrossedModule:
         self.H = H
         self.alpha_table = self.tau_table = None
         if G.is_finite and H.is_finite:
-            self.alpha_table, self.tau_table = _tables(name, G, H, alpha, tau)
+            self.alpha_table = _code_table([alpha(g, h) for g in G.elements for h in H.elements],
+                                           (G.order, H.order), f"alpha of {name}")
+            self.tau_table = _code_table([tau(h) for h in H.elements], (H.order,), f"tau of {name}")
             alpha, tau = _lookups(name, G, H, self.alpha_table, self.tau_table)
         self.alpha = alpha
         self.tau = tau
@@ -135,18 +137,13 @@ class CrossedModule:
         return CaseSpace.sampled(self.sample_morphism, count)
 
 
-def _tables(name: str, G: Group, H: Group, alpha, tau) -> tuple[np.ndarray, np.ndarray]:
-    """The int tables of alpha on G × H and of tau on H, computed once from
-    the closed forms. An int outside the group is kept, for the carrier probe
-    to report; any other value is refused here."""
-    tables = []
-    for what, values, shape, group in (
-            ("alpha", [alpha(g, h) for g in G.elements for h in H.elements], (G.order, H.order), H),
-            ("tau", [tau(h) for h in H.elements], (H.order,), G)):
-        if not all(isinstance(v, (int, np.integer)) for v in values):
-            raise StructuralError(f"{what} of {name} must take values in {group.name}, as int codes")
-        tables.append(np.array(values, dtype=np.int64).reshape(shape))
-    return tables[0], tables[1]
+def _code_table(values: list, shape: tuple, what: str) -> np.ndarray:
+    """Closed-form values as an int table of `shape`. An int outside the
+    group is kept, for the carrier probe to report; any other value is
+    refused here."""
+    if not all(isinstance(v, (int, np.integer)) for v in values):
+        raise StructuralError(f"{what} must take int codes as values")
+    return np.array(values, dtype=np.int64).reshape(shape)
 
 
 def _lookups(name: str, G: Group, H: Group, alpha_table: np.ndarray, tau_table: np.ndarray):

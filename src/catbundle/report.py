@@ -163,7 +163,10 @@ class CaseSpace:
             picks = _picks(rng, self.size, budget)
             if coded:
                 return Plan(_coded_blocks(self, picks), exhaustive=False, space=self.size)
-            return Plan(map(_listed(self, budget).__getitem__, picks.tolist()),
+            # Python ints a block at a time: a whole list would sit beside the array
+            ints = itertools.chain.from_iterable(
+                picks[i:i + BLOCK].tolist() for i in range(0, budget, BLOCK))
+            return Plan(map(_listed(self, budget).__getitem__, ints),
                         exhaustive=False, space=self.size)
         axes = self.axes or ()
         if any(not _is_sampled(a) or a.count is not None for a in axes):

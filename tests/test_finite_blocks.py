@@ -108,8 +108,8 @@ def test_one_call_picks_equal_per_draw_picks(size):
     assert one.bit_generator.state == per.bit_generator.state
 
 
-def _coded(slots: str, cm=None) -> CaseSpace:
-    cm = cm or get_module("s3-conj")
+def _coded(slots: str) -> CaseSpace:
+    cm = get_module("s3-conj")
     carriers = {"g": CaseSpace.carrier(cm.G), "h": CaseSpace.carrier(cm.H)}
     return CaseSpace.product(*(carriers[s] for s in slots))
 
@@ -128,7 +128,7 @@ def test_block_plan_decodes_the_per_case_plan(slots, budget):
         block_axis = np.concatenate([b.cases[axis] for b in blocks])
         assert block_axis.tolist() == [c[axis] for c in cases]
     singles = [c for b in blocks for c in b.singles()]
-    assert singles == cases and all(type(x) is int for c in singles for x in c)
+    assert singles == cases and all(type(x) is int for c in singles + cases for x in c)
     assert block_rng.bit_generator.state == case_rng.bit_generator.state
 
 
@@ -209,3 +209,12 @@ def test_finite_suites_check_each_block_in_one_call(name, monkeypatch):
     # (a per-case run would make more than one per case checked)
     assert calls and all(1 < n <= BLOCK for n in calls)
     assert BLOCK in calls and len(calls) < 1000
+
+
+def test_closed_forms_must_take_int_codes():
+    # an image tuple where a code belongs cannot enter an int table
+    S3 = SymmetricGroup(3)
+    with pytest.raises(StructuralError, match="alpha of bad must take int codes"):
+        CrossedModule("bad", S3, S3, lambda g, h: S3.values[h], lambda h: h)
+    with pytest.raises(StructuralError, match="tau of bad must take int codes"):
+        CrossedModule("bad", S3, S3, lambda g, h: h, lambda h: None)
