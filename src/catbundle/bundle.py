@@ -500,6 +500,20 @@ class ExtractionRefused(ValueError):
     """The given endofunctor is not fiber-preserving or not equivariant."""
 
 
+# fractional parts of sqrt(2), sqrt(3) and sqrt(5): a Kronecker sequence in [0, 1)^3
+_KRONECKER = np.sqrt([2.0, 3.0, 5.0]) % 1.0
+
+
+def _spread(group, k: int, start: int) -> list:
+    """k fixed elements spread over an infinite group: its stack sampler on
+    points start, ..., start + k - 1 of a Kronecker sequence. No generator
+    is drawn from, so no suite's stream moves, and numpy.random, which numpy
+    imports on first use at a cost of milliseconds, stays unimported in the
+    suites that draw nothing."""
+    u = (np.arange(start, start + k)[:, None] * _KRONECKER[:group.width]) % 1.0
+    return list(group.sample_stack(u))
+
+
 def extract_functor(phi: SectionIso | object, base: QuiverCategory, cm: CrossedModule) -> FunctorUG:
     """Recover the functor sigma with phi(a, g) = (a, sigma(a)·g) from an
     equivariant fiber-preserving bundle endofunctor; refuses with a witness
@@ -511,11 +525,14 @@ def extract_functor(phi: SectionIso | object, base: QuiverCategory, cm: CrossedM
         img = on_object(a, cm.G.identity)
         if img[0] != a:
             raise ExtractionRefused(f"not fiber-preserving at object {a!r}")
-    # probes: the first elements and morphisms of a finite module, else draws
-    # from a private generator, so that no suite's stream moves
-    probe_rng = np.random.default_rng(0)
-    sample_gs = (cm.G.elements[:8] if cm.G.is_finite
-                 else [cm.G.sample(probe_rng) for _ in range(8)])
+    # equivariance probes: the first elements and morphisms of a finite
+    # module, else fixed elements spread over the carriers
+    if cm.is_finite:
+        sample_gs = cm.G.elements[:8]
+        sample_ms = list(itertools.islice(cm.morphism_space(), 12))
+    else:
+        sample_gs = _spread(cm.G, 8, 1)
+        sample_ms = list(map(TwoGroupMorphism, _spread(cm.H, 12, 9), _spread(cm.G, 12, 21)))
     for a in base.objects:
         for g1 in sample_gs:
             lhs = on_object(a, g1)
@@ -532,8 +549,6 @@ def extract_functor(phi: SectionIso | object, base: QuiverCategory, cm: CrossedM
         h_gen[f] = img.m.h
         if not cm.G.eq(img.m.g, g_table[gamma.source]):
             raise ExtractionRefused(f"source intertwining fails at arrow {f!r}")
-    sample_ms = (list(itertools.islice(cm.morphism_space(), 12)) if cm.is_finite
-                 else [cm.sample_morphism(probe_rng) for _ in range(12)])
     for gamma in base.generators():
         tm = TwistedMorphism(gamma, cm.unit)
         for m1 in sample_ms:

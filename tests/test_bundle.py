@@ -330,7 +330,7 @@ def test_extract_functor_probes_equivariance_on_every_arrow(arrow):
 def test_extract_functor_probes_equivariance_on_an_infinite_module(name):
     # an endofunctor that ignores g on objects: fiber-preserving and a functor
     # on the unit lifts, but not equivariant; SO(n) has no element list, so
-    # the probes are draws from a generator of their own
+    # the probes are fixed elements spread over the group
     cm = get_module(name)
     rng = np.random.default_rng(3)
     F = functor_from_h(ARROW, cm, {"a": cm.H.sample(rng), "b": cm.H.sample(rng)})
