@@ -505,11 +505,9 @@ _KRONECKER = np.sqrt([2.0, 3.0, 5.0]) % 1.0
 
 
 def _spread(group, k: int, start: int) -> list:
-    """k fixed elements spread over an infinite group: its stack sampler on
-    points start, ..., start + k - 1 of a Kronecker sequence. No generator
-    is drawn from, so no suite's stream moves, and numpy.random, which numpy
-    imports on first use at a cost of milliseconds, stays unimported in the
-    suites that draw nothing."""
+    """k fixed elements spread over an infinite group, from points start,
+    ..., start + k - 1 of a Kronecker sequence: no suite stream moves, and
+    numpy.random (slow to import on first use) stays unimported."""
     u = (np.arange(start, start + k)[:, None] * _KRONECKER[:group.width]) % 1.0
     return list(group.sample_stack(u))
 
@@ -525,9 +523,7 @@ def extract_functor(phi: SectionIso | object, base: QuiverCategory, cm: CrossedM
         img = on_object(a, cm.G.identity)
         if img[0] != a:
             raise ExtractionRefused(f"not fiber-preserving at object {a!r}")
-    # equivariance probes: the first elements and morphisms of a finite
-    # module, else fixed elements spread over the carriers
-    if cm.is_finite:
+    if cm.is_finite:  # equivariance probes
         sample_gs = cm.G.elements[:8]
         sample_ms = list(itertools.islice(cm.morphism_space(), 12))
     else:

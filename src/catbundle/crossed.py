@@ -138,18 +138,15 @@ class CrossedModule:
 
 
 def _code_table(values: list, shape: tuple, what: str) -> np.ndarray:
-    """Closed-form values as an int table of `shape`. An int outside the
-    group is kept, for the carrier probe to report; any other value is
-    refused here."""
+    """Closed-form values as an int table; an out-of-range int is kept for
+    the carrier probe to report."""
     if not all(isinstance(v, (int, np.integer)) for v in values):
         raise StructuralError(f"{what} must take int codes as values")
     return np.array(values, dtype=np.int64).reshape(shape)
 
 
 def _lookups(name: str, G: Group, H: Group, alpha_table: np.ndarray, tau_table: np.ndarray):
-    """alpha and tau as lookups in their tables, for a code or an array of
-    codes (a block of cases) alike, as in the group tables; a non-element
-    raises StructuralError."""
+    """alpha and tau as lookups in their tables, as in the group tables."""
     alpha_rows, tau_rows = code_rows(alpha_table), code_rows(tau_table)
 
     def alpha_lookup(g: Element, h: Element) -> Element:

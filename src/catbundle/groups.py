@@ -1,13 +1,10 @@
 """Group carriers: finite cyclic and symmetric groups, and SO(2)/SO(3).
 
-Finite carriers are int codes: an element is its index in `elements`, which
-is `range(order)` (a residue of Z_n is its own code; a permutation of S_n is
-its rank among the image tuples in lexicographic order, and `fmt` writes its
-cycles). Finite groups tabulate `mul` and `inv` once as numpy int arrays, so
-each takes a code or an array of codes, one case of a block per entry, and
-`eq` on arrays holds when every case is equal. Matrix elements are numpy
-arrays; equality is a declared max-abs-entry tolerance (default 1e-9) because
-downstream transport values are floating point.
+Finite elements are int codes, their index in `elements`; finite groups
+tabulate `mul` and `inv` as numpy int arrays, looked up for a code or an
+array of codes alike. Matrix elements are numpy arrays; equality is a
+declared max-abs-entry tolerance (default 1e-9) because downstream transport
+values are floating point.
 
 SO(n) operations also take stacks: a `(k, n, n)` array holds k elements, `mul`
 and `inv` act on each, and `eq` holds when every pair in the stack is equal.
@@ -35,8 +32,8 @@ class StructuralError(ValueError):
 
 class Group:
     """Identity, multiplication, inverse and equality; finite groups also
-    expose their elements (the int codes range(order)), which switches
-    verification code between exhaustive and sampled modes."""
+    expose their element list, which switches verification code between
+    exhaustive and sampled modes."""
 
     name: str = "group"
     elements: Sequence[Element] | None = None
@@ -79,15 +76,12 @@ class Group:
 
 
 class FiniteGroup(Group):
-    """A finite group on int codes: an element is its index in `elements`,
-    which is `range(order)`, and `values[code]` is the element in the terms
-    of the closed forms `op` and `inverse`. The Cayley table `mul_table`
-    (order x order) and the inverse table `inv_table` are numpy int arrays
-    built once from those closed forms, so `mul(a, b)` is `mul_table[a, b]`
-    and `inv(a)` is `inv_table[a]`, for a code and for an array of codes (a
-    block of cases) alike. A code is looked up in the table's `tolist()`
-    rows, keyed by code, so a per-case value is a Python int; a non-code (a
-    negative or out-of-range int, a tuple) raises StructuralError."""
+    """A finite group on int codes: `elements` is range(order), and
+    `values[code]` is the element in the terms of the closed forms `op` and
+    `inverse`, from which the int tables `mul_table` and `inv_table` are
+    built once. A code is looked up in a table's `tolist()` rows (Python
+    ints), an array of codes in the table itself; a non-code (a negative or
+    out-of-range int, a tuple) raises StructuralError."""
 
     def __init__(self, name: str, values: list, identity, op, inverse):
         self.name = name
@@ -127,7 +121,7 @@ class FiniteGroup(Group):
             raise StructuralError(f"{a!r} is not an element of {self.name}") from None
 
     def eq(self, a, b) -> bool:
-        """a == b; on arrays of codes, every case of the block is equal."""
+        """a == b; on arrays, for every case."""
         same = a == b
         return same if same.__class__ is bool else bool(np.all(same))
 
@@ -136,8 +130,8 @@ class FiniteGroup(Group):
 
 
 def code_rows(table: np.ndarray) -> dict:
-    """A table's entries as dicts keyed by code, from its `tolist()` rows:
-    Python ints, and a KeyError rather than a wrap-around on a negative code."""
+    """A table's `tolist()` rows keyed by code: a negative code is a
+    KeyError, not a wrap-around."""
     rows = table.tolist()
     if table.ndim == 1:
         return dict(enumerate(rows))
@@ -145,16 +139,12 @@ def code_rows(table: np.ndarray) -> dict:
 
 
 def is_block(*codes) -> bool:
-    """Some argument is an array of codes (a block of cases) and the others
-    are arrays or codes, so one numpy lookup in the table serves them all.
-    Asked only after the per-code lookup failed."""
+    """The arguments are codes and arrays of codes, at least one an array."""
     return (any(isinstance(c, np.ndarray) for c in codes)
             and all(isinstance(c, (np.ndarray, int, np.integer)) for c in codes))
 
 
 class CyclicGroup(FiniteGroup):
-    """Z_n, whose codes are the residues themselves."""
-
     def __init__(self, n: int):
         self.n = n
         super().__init__(f"z{n}", list(range(n)), 0,
@@ -208,8 +198,7 @@ def perm_from_cycles(text: str, n: int) -> tuple:
 
 
 class SymmetricGroup(FiniteGroup):
-    """S_n: the code of a permutation is its rank among the image tuples in
-    lexicographic order (the identity is 0), and `fmt` writes its cycles."""
+    """S_n: a code is the rank of an image tuple; `fmt` writes cycles."""
 
     def __init__(self, n: int):
         self.n = n

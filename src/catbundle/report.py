@@ -1,19 +1,13 @@
 """Case spaces and pass/fail law reports shared by every verification suite.
 
 A law's cases come from a CaseSpace, whose `plan` decides exhaustive vs
-sampled. A sampled finite plan draws all its picks in one call before any
-case is checked. A law whose check also takes stacked cases may ask for a
-block plan, whose cases come in fixed blocks of BLOCK, and `run_law` checks
-each block in one call:
-
-- a product of finite groups' int-coded carriers (range axes) decodes a
-  block of case numbers, or of picks, into one array of codes per axis;
-- an open sampled product of SO(n) carriers draws one uniform array per
-  block.
-
-A block that fails (or raises) is rerun case by case (a sampled block is
-redrawn), so the witness, the check count and the RNG state after the law
-are those of the per-case plan. Other spaces run case by case.
+sampled. A law whose check also takes stacked cases may ask for a block
+plan: a product of int-coded (range) axes, or an open sampled product of
+SO(n) carriers, then comes in blocks of BLOCK cases (arrays of codes, or
+stacks from one uniform array per block), and `run_law` checks each block in
+one call. A block that fails (or raises) is rerun case by case, so the
+witness, the check count and the RNG state after the law are those of the
+per-case plan. Other spaces run case by case.
 
 A suite produces a LawReport: one LawRecord per algebraic law, each carrying
 the law's anchor string (its identifier in the library's law registry, e.g.
@@ -51,9 +45,7 @@ class CaseSpace:
     A sampled space may also have a stack sampler: `stack(u)` builds k cases,
     stacked along a first axis, from a (k, width) array of uniform [0, 1)
     draws, bitwise the cases that k calls of `draw` give on the same stream.
-    Sequences serve as finite axes as they are; a `range` axis holds the
-    int codes of a finite group's elements, so a product of ranges decodes a
-    block of case numbers at once (`plan(..., blocks=True)`).
+    Sequences serve as finite axes as they are (a `range`, as int codes).
     """
 
     def __init__(self, size: int | None, get: Callable | None = None,
@@ -86,9 +78,8 @@ class CaseSpace:
 
     @staticmethod
     def carrier(group, count: int | None = None):
-        """A finite group's elements (the range of its int codes), or seeded
-        samples of an infinite group, which are stackable when the group has
-        a stack sampler."""
+        """A group's elements, or seeded samples of an infinite group, which
+        are stackable when the group has a stack sampler."""
         if group.is_finite:
             return group.elements
         space = CaseSpace.sampled(group.sample, count)
@@ -149,9 +140,8 @@ class CaseSpace:
         times, or `budget` times; in a product, finite and counted axes are
         enumerated whole and one open sampled axis is drawn
         max(1, budget // their size) times. No cases when budget <= 0.
-        With `blocks`, the cases of a product of range axes (exhaustive or
-        sampled) and the `budget` draws of an open stackable space come as
-        Blocks of at most BLOCK cases; any other plan is unchanged."""
+        With `blocks`, a product of range axes and the `budget` draws of an
+        open stackable space come as Blocks of at most BLOCK cases."""
         if budget <= 0:
             return Plan((), exhaustive=False, space=self.size)
         if self.size is not None:
@@ -163,7 +153,7 @@ class CaseSpace:
             picks = _picks(rng, self.size, budget)
             if coded:
                 return Plan(_coded_blocks(self, picks), exhaustive=False, space=self.size)
-            # Python ints a block at a time: a whole list would sit beside the array
+            # ints a block at a time, not a list beside the array
             ints = itertools.chain.from_iterable(
                 picks[i:i + BLOCK].tolist() for i in range(0, budget, BLOCK))
             return Plan(map(_listed(self, budget).__getitem__, ints),
@@ -193,9 +183,8 @@ BLOCK = 512  # cases per block: a few hundred kB of SO(3) stacks per law
 
 class Block:
     """`size` cases stacked along a first axis, and `singles`, which yields
-    the same cases one at a time (a sampled block first puts the RNG back
-    where it stood before the block). A plain class, because a frozen
-    dataclass adds about 1 ms to the import time of every CLI start."""
+    them one at a time (redrawn from the saved RNG state, if sampled). A
+    plain class: a frozen dataclass adds about 1 ms to every CLI start."""
     __slots__ = ("cases", "size", "singles")
 
     def __init__(self, cases, size: int, singles: Callable):
@@ -225,10 +214,8 @@ def _blocks(space: CaseSpace, budget: int, rng):
 
 
 def _coded_blocks(space: CaseSpace, indices):
-    """The cases of a product of int-coded (range) axes at `indices`, a range
-    of case numbers or an array of picks, BLOCK at a time: each axis part of
-    a block is decoded with one vectorised divmod, so it is an array of
-    codes. One at a time, a block's cases are `space[i]`, Python ints."""
+    """Blocks of a product of range axes at `indices` (case numbers or
+    picks): one vectorised divmod per axis decodes an array of codes."""
     axes = space.axes
     for start in range(0, len(indices), BLOCK):
         chunk = indices[start:start + BLOCK]
@@ -245,10 +232,8 @@ def _coded_blocks(space: CaseSpace, indices):
 
 
 def _picks(rng, size: int, budget: int) -> np.ndarray:
-    """`budget` draws of `_index(rng, size)`, made before any case is
-    checked: one `rng.integers(size, size=budget)` call where numpy's int64
-    draw reaches, which gives the same values and leaves the generator in the
-    same state as the per-draw calls; otherwise an object array of them."""
+    """`budget` draws of `_index(rng, size)`, in one call where numpy's int64
+    draw reaches: the same values and generator state as per-draw calls."""
     if size <= 2**63:
         return rng.integers(size, size=budget)
     return np.array([_index(rng, size) for _ in range(budget)], dtype=object)
@@ -424,9 +409,9 @@ def run_law(law: str, anchor: str, cases: Plan | Sequence, check: Callable) -> L
 
     A block plan yields Blocks: `check` gets a block's stacked cases in one
     call, and if it returns None they all count as checked. If it returns a
-    witness or raises, its cases are checked one at a time by the same
-    `check` (a sampled block is redrawn), so the witness and the count come
-    from the per-case run and the RNG has consumed only the cases checked.
+    witness or raises, its cases are rerun one at a time by the same `check`,
+    so the witness and the count come from the per-case run and the RNG has
+    consumed only the cases checked.
     """
     from .crossed import CompositionUndefined
     from .groups import StructuralError

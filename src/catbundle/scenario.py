@@ -3,7 +3,7 @@ and the optional cover/cocycle/connection/functor data that verification
 suites consume.
 
 Group elements are written as ints (cyclic groups), cycle strings or image
-lists (permutations; both are parsed to the permutation's int code), {"angle": t} (SO(2)), {"axis": [...], "angle": t} or
+lists (permutations), {"angle": t} (SO(2)), {"axis": [...], "angle": t} or
 explicit matrix rows (SO(3)/SO(2)). Arrow words are space-joined names in
 application order (first applied first); "" is the identity word.
 """
@@ -36,8 +36,7 @@ class ScenarioError(ValueError):
 
 
 def parse_element(group, value):
-    """The element `value` declares: a finite group's int code (the inverse
-    of `group.fmt`), or an SO(n) matrix."""
+    """A finite group's int code (the inverse of `fmt`), or an SO(n) matrix."""
     if isinstance(group, CyclicGroup):
         if isinstance(value, str) and value.isdecimal():  # as `fmt` writes it
             value = int(value)

@@ -123,7 +123,8 @@ def test_block_plan_decodes_the_per_case_plan(slots, budget):
     assert (block_plan.exhaustive, block_plan.space) == (case_plan.exhaustive, case_plan.space)
     blocks, cases = list(block_plan), list(case_plan)
     assert all(isinstance(b, Block) for b in blocks)
-    assert [b.size for b in blocks] == [min(BLOCK, len(cases) - i) for i in range(0, len(cases), BLOCK)]
+    sizes = [min(BLOCK, len(cases) - i) for i in range(0, len(cases), BLOCK)]
+    assert [b.size for b in blocks] == sizes
     for axis in range(len(slots)):
         block_axis = np.concatenate([b.cases[axis] for b in blocks])
         assert block_axis.tolist() == [c[axis] for c in cases]
@@ -198,8 +199,8 @@ def test_finite_suites_check_each_block_in_one_call(name, monkeypatch):
     cm = get_module(name)
     calls = []
     mul = FiniteGroup.mul
-    monkeypatch.setattr(FiniteGroup, "mul",
-                        lambda self, a, b: calls.append(max(np.size(a), np.size(b))) or mul(self, a, b))
+    monkeypatch.setattr(FiniteGroup, "mul", lambda self, a, b: calls.append(
+        max(np.size(a), np.size(b))) or mul(self, a, b))
     report = verify_crossed_module(cm, 20_000, np.random.default_rng(0))
     report.extend(verify_exchange_law(cm, 20_000, np.random.default_rng(0)))
     assert report.passed
