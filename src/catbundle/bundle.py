@@ -500,16 +500,13 @@ class ExtractionRefused(ValueError):
     """The given endofunctor is not fiber-preserving or not equivariant."""
 
 
-# fractional parts of sqrt(2), sqrt(3) and sqrt(5): a Kronecker sequence in [0, 1)^3
-_KRONECKER = np.sqrt([2.0, 3.0, 5.0]) % 1.0
-
-
 def _spread(group, k: int, start: int) -> list:
     """k fixed elements spread over an infinite group, from points start,
-    ..., start + k - 1 of a Kronecker sequence: no suite stream moves, and
-    numpy.random (slow to import on first use) stays unimported."""
-    u = (np.arange(start, start + k)[:, None] * _KRONECKER[:group.width]) % 1.0
-    return list(group.sample_stack(u))
+    ..., start + k - 1 of the Kronecker sequence of sqrt(2), sqrt(3) and
+    sqrt(5): no suite stream moves, and numpy.random (slow to import on
+    first use) stays unimported."""
+    alphas = np.sqrt([2.0, 3.0, 5.0][:group.width]) % 1.0
+    return list(group.sample_stack((np.arange(start, start + k)[:, None] * alphas) % 1.0))
 
 
 def extract_functor(phi: SectionIso | object, base: QuiverCategory, cm: CrossedModule) -> FunctorUG:
@@ -530,9 +527,10 @@ def extract_functor(phi: SectionIso | object, base: QuiverCategory, cm: CrossedM
         sample_gs = _spread(cm.G, 8, 1)
         sample_ms = list(map(TwoGroupMorphism, _spread(cm.H, 12, 9), _spread(cm.G, 12, 21)))
     for a in base.objects:
+        at_identity = on_object(a, cm.G.identity)
         for g1 in sample_gs:
             lhs = on_object(a, g1)
-            rhs = bundle.act_object(on_object(a, cm.G.identity), g1)
+            rhs = bundle.act_object(at_identity, g1)
             if not (lhs[0] == rhs[0] and cm.G.eq(lhs[1], rhs[1])):
                 raise ExtractionRefused(f"not equivariant at object {a!r}, g={cm.G.fmt(g1)}")
     g_table = {a: on_object(a, cm.G.identity)[1] for a in base.objects}
@@ -547,9 +545,10 @@ def extract_functor(phi: SectionIso | object, base: QuiverCategory, cm: CrossedM
             raise ExtractionRefused(f"source intertwining fails at arrow {f!r}")
     for gamma in base.generators():
         tm = TwistedMorphism(gamma, cm.unit)
+        image = on_morphism(tm)
         for m1 in sample_ms:
             lhs = on_morphism(bundle.act(tm, m1))
-            rhs = bundle.act(on_morphism(tm), m1)
+            rhs = bundle.act(image, m1)
             if not bundle.morphism_eq(lhs, rhs):
                 raise ExtractionRefused(f"not equivariant at arrow {gamma!r}")
     F = FunctorUG(base, cm, g_table, h_gen)
