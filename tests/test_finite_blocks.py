@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from catbundle.basecat import QuiverCategory
+from catbundle.bundle import verify_GU_categorical_group
 from catbundle.crossed import CrossedModule, get_module, verify_crossed_module, verify_exchange_law
 from catbundle.groups import CyclicGroup, FiniteGroup, StructuralError, SymmetricGroup
 from catbundle.report import BLOCK, Block, CaseSpace, _index, _picks, run_law
@@ -40,6 +42,17 @@ def mutant_jsonl(budget: int) -> str:
 def test_failing_s3_module_matches_its_golden(budget):
     golden = GOLDEN / f"s3_alpha_mutant_{budget}.jsonl"
     assert mutant_jsonl(budget) == golden.read_text()
+
+
+# 300 samples every law; at 3000 the functor pairs and the transformations are
+# exhaustive and first fail at checks 1084 and 184, and morphism-product-closure
+# fails on a CompositionUndefined raised inside its check
+@pytest.mark.parametrize("budget", [300, 3000])
+def test_failing_s3_module_matches_its_gu_golden(budget):
+    golden = GOLDEN / f"s3_alpha_mutant_gu_{budget}.jsonl"
+    arrow = QuiverCategory(["a", "b"], [("f", "a", "b")], word_bound=2)
+    report = verify_GU_categorical_group(arrow, alpha_mutant(), budget, np.random.default_rng(1))
+    assert report.to_jsonl() == golden.read_text()
 
 
 # -- int codes --
