@@ -13,6 +13,12 @@ morphism's `word` (which the multiplicativity law for the H-component
 forces); validity additionally requires tau(h(f)) = g(target)·g(source)^-1
 on every generator. A quiver is stored by its arrows; an overlap category
 (`cocycle`) by its full morphism list, each morphism its own one-letter word.
+
+The categorical group of functors (Props 3.2-3.4) is checked in blocks of
+int-coded cases: a FunctorUG whose table values are arrays of codes stands
+for as many functors, one per entry, and the functor and transformation
+operations, `eq` and the witnesses run on it unchanged, through the finite
+groups' table lookups on arrays and their block-reducing `eq`.
 """
 from __future__ import annotations
 
@@ -293,31 +299,68 @@ def verify_GU_categorical_group(
 ) -> LawReport:
     """Certify that functors base -> G and their transformations form a
     categorical group: both group structures, s/t/identity-assignment
-    homomorphisms, vertical category laws, and the exchange law."""
+    homomorphisms, vertical category laws, and the exchange law.
+
+    A case is coded by ints: a functor by its index in the enumerated list,
+    a transformation gauge(F, hT) by F's index and then hT's H code per
+    object, and a vertical chain by its first transformation and then the hT
+    of each next one (the same cases, in the same order, as the nested loops
+    over functors and hT tables). Every law runs in blocks of such codes."""
     rng = rng or np.random.default_rng(0)
     report = LawReport(suite="prop34-gu-group")
+    objects, arrows = base.objects, list(base.arrows)
     Fs = enumerate_functors(base, cm)
-    hTs = [dict(zip(base.objects, combo))
-           for combo in itertools.product(cm.H.elements, repeat=len(base.objects))]
+    # row f: Fs[f]'s G code on each object and H code on each arrow
+    g_codes = np.array([[F.g_table[a] for a in objects] for F in Fs], dtype=np.int64)
+    h_codes = np.array([[F.h_gen[f] for f in arrows] for F in Fs], dtype=np.int64)
     E = constant_identity_functor(base, cm)
     one_E = identity_transf(E)
-    # transformations T = gauge(F, hT), and vertically composable chains:
-    # each next transformation starts at the target functor of the last
-    Ts = CaseSpace.product(Fs, hTs, build=gauge)
-    chains = CaseSpace.product(Ts, hTs, build=lambda T1, hT2: (gauge(T1.target, hT2), T1))
-    chains3 = CaseSpace.product(
-        chains, hTs, build=lambda p, hT3: (gauge(p[0].target, hT3), p[0], p[1]))
 
-    def cases(space):
-        return space.plan(budget, rng)
+    def functor(f):
+        """Fs[f], or for an array of indices the functor whose tables hold
+        the stacked codes of those functors."""
+        if not isinstance(f, np.ndarray):
+            return Fs[f]
+        return FunctorUG(base, cm, {a: g_codes[f, j] for j, a in enumerate(objects)},
+                         {name: h_codes[f, k] for k, name in enumerate(arrows)})
+
+    F_axes = (range(len(Fs)),)
+    hT_axes = (cm.H.elements,) * len(objects)  # one H code per object
+    functors = functor, F_axes
+
+    def chain(k: int):
+        """(build, axes) of T = gauge(Fs[f], hT) from the codes (f, hT) when
+        k is 1, else of the vertical chain (T_k, ..., T_1) from f and k hT
+        tables: each next transformation starts at the target functor of the
+        last."""
+        n = len(objects)
+
+        def build(f, *hs):
+            Ts, F = [], functor(f)
+            for i in range(k):
+                Ts.append(gauge(F, dict(zip(objects, hs[i * n:(i + 1) * n]))))
+                F = Ts[-1].target
+            return Ts[0] if k == 1 else tuple(reversed(Ts))
+
+        return build, F_axes + hT_axes * k
+
+    def cases(part, parts=1):
+        """`parts` independent cases of a (build, axes) part, each built from
+        one code per axis (a tuple of them when more than one); the law
+        checks them in blocks."""
+        build, axes = part
+        k = len(axes)
+        whole = build if parts == 1 else (
+            lambda *c: tuple(build(*c[i:i + k]) for i in range(0, parts * k, k)))
+        return CaseSpace.product(*(axes * parts), build=whole).plan(budget, rng, blocks=True)
 
     report.records.append(run_law(
-        "functor-product-closure", "Prop 3.2", cases(CaseSpace.product(Fs, Fs)),
+        "functor-product-closure", "Prop 3.2", cases(functors, 2),
         lambda p: functor_invariant_witness(p[0].mul(p[1])),
     ))
 
     report.records.append(run_law(
-        "object-group-laws", "Prop 3.2", cases(CaseSpace.product(Fs, Fs, Fs)),
+        "object-group-laws", "Prop 3.2", cases(functors, 3),
         lambda t: None if (
             t[0].mul(t[1]).mul(t[2]).eq(t[0].mul(t[1].mul(t[2])))
             and t[0].mul(t[0].inv()).eq(E)
@@ -326,11 +369,11 @@ def verify_GU_categorical_group(
     ))
 
     report.records.append(run_law(
-        "morphism-product-closure", "diagram 3.14", cases(CaseSpace.product(Ts, Ts)),
+        "morphism-product-closure", "diagram 3.14", cases(chain(1), 2),
         lambda p: naturality_witness(nat_pointwise_mul(p[0], p[1])),
     ))
     report.records.append(run_law(
-        "source-target-homomorphism", "Eq 2.2", cases(CaseSpace.product(Ts, Ts)),
+        "source-target-homomorphism", "Eq 2.2", cases(chain(1), 2),
         lambda p: None if (
             nat_pointwise_mul(p[0], p[1]).source.eq(p[0].source.mul(p[1].source))
             and nat_pointwise_mul(p[0], p[1]).target.eq(p[0].target.mul(p[1].target))
@@ -338,7 +381,7 @@ def verify_GU_categorical_group(
     ))
 
     report.records.append(run_law(
-        "morphism-group-laws", "Prop 3.4", cases(Ts),
+        "morphism-group-laws", "Prop 3.4", cases(chain(1)),
         lambda T: None if (
             nat_eq(nat_pointwise_mul(T, nat_inverse(T)), one_E)
             and nat_eq(nat_pointwise_mul(T, one_E), T)
@@ -346,7 +389,7 @@ def verify_GU_categorical_group(
     ))
 
     report.records.append(run_law(
-        "identity-assignment", "§2.1", cases(CaseSpace.product(Fs, Fs)),
+        "identity-assignment", "§2.1", cases(functors, 2),
         lambda p: None if nat_eq(
             identity_transf(p[0].mul(p[1])),
             nat_pointwise_mul(identity_transf(p[0]), identity_transf(p[1])),
@@ -354,14 +397,14 @@ def verify_GU_categorical_group(
     ))
 
     report.records.append(run_law(
-        "vertical-units", "Eq 3.15", cases(Ts),
+        "vertical-units", "Eq 3.15", cases(chain(1)),
         lambda T: None if (
             nat_eq(nat_vertical_compose(identity_transf(T.target), T), T)
             and nat_eq(nat_vertical_compose(T, identity_transf(T.source)), T)
         ) else {"case": "vertical-units"},
     ))
     report.records.append(run_law(
-        "vertical-associativity", "Eq 3.15", cases(chains3),
+        "vertical-associativity", "Eq 3.15", cases(chain(3)),
         lambda t: None if nat_eq(
             nat_vertical_compose(nat_vertical_compose(t[0], t[1]), t[2]),
             nat_vertical_compose(t[0], nat_vertical_compose(t[1], t[2])),
@@ -375,8 +418,7 @@ def verify_GU_categorical_group(
         return None if nat_eq(lhs, rhs) else {"case": "exchange"}
 
     report.records.append(run_law(
-        "exchange-law-functors", "Eq 3.17", cases(CaseSpace.product(chains, chains)),
-        check_exchange))
+        "exchange-law-functors", "Eq 3.17", cases(chain(2), 2), check_exchange))
     return report
 
 
@@ -509,6 +551,18 @@ def _spread(group, k: int, start: int) -> list:
     return list(group.sample_stack((np.arange(start, start + k)[:, None] * alphas) % 1.0))
 
 
+def _first_failing(holds, probes: list, stack):
+    """The first probe at which `holds` fails, or None. `holds` is tried once
+    on `stack`, all the probes stacked; only if that fails or raises (a map
+    may not take stacks) is it tried probe by probe."""
+    try:
+        if holds(stack):
+            return None
+    except Exception:
+        pass
+    return next((p for p in probes if not holds(p)), None)
+
+
 def extract_functor(phi: SectionIso | object, base: QuiverCategory, cm: CrossedModule) -> FunctorUG:
     """Recover the functor sigma with phi(a, g) = (a, sigma(a)·g) from an
     equivariant fiber-preserving bundle endofunctor; refuses with a witness
@@ -521,18 +575,24 @@ def extract_functor(phi: SectionIso | object, base: QuiverCategory, cm: CrossedM
         if img[0] != a:
             raise ExtractionRefused(f"not fiber-preserving at object {a!r}")
     if cm.is_finite:  # equivariance probes
-        sample_gs = cm.G.elements[:8]
+        sample_gs = list(cm.G.elements[:8])
         sample_ms = list(itertools.islice(cm.morphism_space(), 12))
     else:
         sample_gs = _spread(cm.G, 8, 1)
         sample_ms = list(map(TwoGroupMorphism, _spread(cm.H, 12, 9), _spread(cm.G, 12, 21)))
+    g_stack = np.array(sample_gs)
+    m_stack = TwoGroupMorphism(np.array([m.h for m in sample_ms]), np.array([m.g for m in sample_ms]))
     for a in base.objects:
         at_identity = on_object(a, cm.G.identity)
-        for g1 in sample_gs:
+
+        def equivariant(g1):
             lhs = on_object(a, g1)
             rhs = bundle.act_object(at_identity, g1)
-            if not (lhs[0] == rhs[0] and cm.G.eq(lhs[1], rhs[1])):
-                raise ExtractionRefused(f"not equivariant at object {a!r}, g={cm.G.fmt(g1)}")
+            return lhs[0] == rhs[0] and cm.G.eq(lhs[1], rhs[1])
+
+        g1 = _first_failing(equivariant, sample_gs, g_stack)
+        if g1 is not None:
+            raise ExtractionRefused(f"not equivariant at object {a!r}, g={cm.G.fmt(g1)}")
     g_table = {a: on_object(a, cm.G.identity)[1] for a in base.objects}
     h_gen = {}
     for f in base.arrows:
@@ -546,11 +606,12 @@ def extract_functor(phi: SectionIso | object, base: QuiverCategory, cm: CrossedM
     for gamma in base.generators():
         tm = TwistedMorphism(gamma, cm.unit)
         image = on_morphism(tm)
-        for m1 in sample_ms:
-            lhs = on_morphism(bundle.act(tm, m1))
-            rhs = bundle.act(image, m1)
-            if not bundle.morphism_eq(lhs, rhs):
-                raise ExtractionRefused(f"not equivariant at arrow {gamma!r}")
+
+        def equivariant(m1):
+            return bundle.morphism_eq(on_morphism(bundle.act(tm, m1)), bundle.act(image, m1))
+
+        if _first_failing(equivariant, sample_ms, m_stack) is not None:
+            raise ExtractionRefused(f"not equivariant at arrow {gamma!r}")
     F = FunctorUG(base, cm, g_table, h_gen)
     witness = functor_invariant_witness(F)
     if witness is not None:

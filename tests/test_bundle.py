@@ -347,6 +347,39 @@ def test_extract_functor_probes_equivariance_on_an_infinite_module(name):
         extract_functor(IgnoresG(), ARROW, cm)
 
 
+@pytest.mark.parametrize("name", ["s3-conj", "so2-conj", "so3-conj"])
+@pytest.mark.parametrize("takes_stacks", [True, False])
+def test_extract_functor_probes_stacked_and_takes_a_map_on_single_elements(name, takes_stacks):
+    # the probes of each object and each arrow go to the map as one stack; a
+    # map defined on single elements only raises on that stack and is then
+    # probed one element at a time
+    cm = get_module(name)
+    rng = np.random.default_rng(3)
+    F = functor_from_h(CHAIN, cm, {o: cm.H.sample(rng) for o in CHAIN.objects})
+    iso = SectionIso(F)
+    calls = []
+
+    def single(x):
+        calls.append(x)
+        if not takes_stacks and np.ndim(x) > (0 if cm.is_finite else 2):
+            raise TypeError("one element at a time")
+
+    class Section:
+        def on_object(self, a, g):
+            single(g)
+            return iso.on_object(a, g)
+
+        def on_morphism(self, tm):
+            single(tm.m.g)
+            return iso.on_morphism(tm)
+
+    assert extract_functor(Section(), CHAIN, cm).eq(F)
+    if takes_stacks:  # objects: 3 calls at the identity, 1 on the stack; arrows: 2 + 1
+        assert len(calls) == 4 * len(CHAIN.objects) + 3 * len(CHAIN.arrows)
+    else:  # 8 object probes and 12 arrow probes, one at a time
+        assert len(calls) > 8 * len(CHAIN.objects) + 12 * len(CHAIN.arrows)
+
+
 def test_bundle_axioms_product():
     report = verify_bundle_axioms(CHAIN, Z4, budget=20000)
     assert report.passed

@@ -1,14 +1,17 @@
 """Finite laws run on blocks of int-coded cases: a failing S3 module pinned by
 committed goldens, int codes and their parsing, table lookups on arrays,
-one-call picks, block plans against per-case plans, and run_law's
-case-by-case rerun of a failing block."""
+one-call picks, block plans against per-case plans, run_law's case-by-case
+rerun of a failing block, and the prop34 GU laws on blocks of functor and
+transformation codes."""
+import itertools
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from catbundle.basecat import QuiverCategory
-from catbundle.bundle import verify_GU_categorical_group
+from catbundle.bundle import NatTransf, enumerate_functors, gauge, verify_GU_categorical_group
 from catbundle.crossed import CrossedModule, get_module, verify_crossed_module, verify_exchange_law
 from catbundle.groups import CyclicGroup, FiniteGroup, StructuralError, SymmetricGroup
 from catbundle.report import BLOCK, Block, CaseSpace, _index, _picks, run_law
@@ -232,3 +235,118 @@ def test_closed_forms_must_take_int_codes():
         CrossedModule("bad", S3, S3, lambda g, h: S3.values[h], lambda h: h)
     with pytest.raises(StructuralError, match="tau of bad must take int codes"):
         CrossedModule("bad", S3, S3, lambda g, h: h, lambda h: None)
+
+
+# -- the prop34 GU laws on blocks of functor and transformation codes --
+
+ARROW = QuiverCategory(["a", "b"], [("f", "a", "b")], word_bound=2)
+
+
+def _gu_plans(cm, monkeypatch, budget=20_000):
+    """Run the GU suite on ARROW, recording each law's case space and the
+    items of its plan."""
+    seen = []
+    plan = CaseSpace.plan
+
+    def recording(self, budget, rng, blocks=False):
+        p = plan(self, budget, rng, blocks)
+        items = list(p)
+        seen.append((self, items))
+        return replace(p, cases=items)
+
+    monkeypatch.setattr(CaseSpace, "plan", recording)
+    report = verify_GU_categorical_group(ARROW, cm, budget, np.random.default_rng(2))
+    assert len(seen) == len(report.records)
+    return report, {r.law: s for r, s in zip(report.records, seen)}
+
+
+def _nested_spaces(cm):
+    """The GU case spaces as nested products of functors and hT tables."""
+    Fs = enumerate_functors(ARROW, cm)
+    hTs = [dict(zip(ARROW.objects, combo))
+           for combo in itertools.product(cm.H.elements, repeat=len(ARROW.objects))]
+    Ts = CaseSpace.product(Fs, hTs, build=gauge)
+    chains = CaseSpace.product(Ts, hTs, build=lambda T1, hT2: (gauge(T1.target, hT2), T1))
+    chains3 = CaseSpace.product(
+        chains, hTs, build=lambda p, hT3: (gauge(p[0].target, hT3), p[0], p[1]))
+    return {
+        "functor-product-closure": CaseSpace.product(Fs, Fs),
+        "object-group-laws": CaseSpace.product(Fs, Fs, Fs),
+        "morphism-product-closure": CaseSpace.product(Ts, Ts),
+        "source-target-homomorphism": CaseSpace.product(Ts, Ts),
+        "morphism-group-laws": Ts,
+        "identity-assignment": CaseSpace.product(Fs, Fs),
+        "vertical-units": Ts,
+        "vertical-associativity": chains3,
+        "exchange-law-functors": CaseSpace.product(chains, chains),
+    }
+
+
+def _key(case, j=None):
+    """A case's tables as nested tuples; `j` picks one case of a block. A
+    per-case code must be a Python int."""
+    if isinstance(case, tuple):
+        return tuple(_key(part, j) for part in case)
+    if isinstance(case, NatTransf):
+        return (_key(case.source, j), _key(case.target, j), _key(case.hT, j))
+    if isinstance(case, dict):
+        if j is None:
+            assert all(type(v) is int for v in case.values())
+            return tuple(case.items())
+        return tuple((k, int(v[j]) if isinstance(v, np.ndarray) else v) for k, v in case.items())
+    return (_key(case.g_table, j), _key(case.h_gen, j))
+
+
+@pytest.mark.parametrize("name", ["z4-z2", "s3-conj"])
+def test_every_gu_law_plans_blocks_whose_cases_are_the_singles(name, monkeypatch):
+    cm = get_module(name)
+    report, plans = _gu_plans(cm, monkeypatch)
+    assert report.passed and set(plans) == set(_nested_spaces(cm))
+    for law, (space, items) in plans.items():
+        assert items and all(isinstance(b, Block) for b in items), law
+        assert sum(b.size for b in items) == report.find(law).checks
+        # a block's stacked case j is its j-th single, which holds Python ints
+        block = items[-1]
+        singles = list(block.singles())
+        assert len(singles) == block.size
+        for j in range(0, block.size, 7):
+            assert _key(block.cases, j) == _key(singles[j])
+
+
+def test_flat_gu_spaces_equal_the_nested_ones_on_z4_z2(monkeypatch):
+    cm = get_module("z4-z2")
+    _, plans = _gu_plans(cm, monkeypatch)
+    for law, nested in _nested_spaces(cm).items():
+        flat = plans[law][0]
+        assert flat.size == nested.size
+        assert [_key(c) for c in flat] == [_key(c) for c in nested], law
+
+
+def test_flat_gu_spaces_equal_the_nested_ones_at_seeded_picks_on_s3(monkeypatch):
+    cm = get_module("s3-conj")
+    report, plans = _gu_plans(cm, monkeypatch)
+    assert not report.find("exchange-law-functors").exhaustive
+    for law, nested in _nested_spaces(cm).items():
+        flat = plans[law][0]
+        assert flat.size == nested.size
+        for i in np.random.default_rng(7).integers(flat.size, size=40).tolist():
+            assert _key(flat[i]) == _key(nested[i]), (law, i)
+
+
+def test_gu_laws_check_each_block_in_one_call(monkeypatch):
+    calls = []
+    mul = FiniteGroup.mul
+    monkeypatch.setattr(FiniteGroup, "mul", lambda self, a, b: calls.append(
+        max(np.size(a), np.size(b))) or mul(self, a, b))
+    report = verify_GU_categorical_group(ARROW, get_module("z4-z2"), 20_000)
+    assert report.passed and all(r.exhaustive for r in report.records)
+    checks = sum(r.checks for r in report.records)
+    # a per-case run makes dozens of multiplications per case checked; here
+    # only enumerating the functors and building the identities is per case
+    assert BLOCK in calls and len(calls) < checks / 5 and calls.count(1) < 40
+
+
+def test_gu_laws_on_a_quiver_without_objects():
+    # one functor, and one transformation out of it with an empty hT
+    report = verify_GU_categorical_group(QuiverCategory([], []), get_module("z4-z2"), 100)
+    assert report.passed and all(r.checks == 1 and r.exhaustive for r in report.records)
