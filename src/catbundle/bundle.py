@@ -551,7 +551,7 @@ def _spread(group, k: int, start: int) -> list:
     return list(group.sample_stack((np.arange(start, start + k)[:, None] * alphas) % 1.0))
 
 
-def _first_failing(holds, probes: list, stack):
+def _first_failing(holds, probes, stack):
     """The first probe at which `holds` fails, or None. `holds` is tried once
     on `stack`, all the probes stacked; only if that fails or raises (a map
     may not take stacks) is it tried probe by probe."""
@@ -575,7 +575,7 @@ def extract_functor(phi: SectionIso | object, base: QuiverCategory, cm: CrossedM
         if img[0] != a:
             raise ExtractionRefused(f"not fiber-preserving at object {a!r}")
     if cm.is_finite:  # equivariance probes
-        sample_gs = list(cm.G.elements[:8])
+        sample_gs = cm.G.elements[:8]
         sample_ms = list(itertools.islice(cm.morphism_space(), 12))
     else:
         sample_gs = _spread(cm.G, 8, 1)

@@ -18,6 +18,7 @@ from catbundle.report import BLOCK, Block, CaseSpace, _index, _picks, run_law
 from catbundle.scenario import ScenarioError, parse_element
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+ARROW = QuiverCategory(["a", "b"], [("f", "a", "b")], word_bound=2)
 
 
 def alpha_mutant() -> CrossedModule:
@@ -53,8 +54,7 @@ def test_failing_s3_module_matches_its_golden(budget):
 @pytest.mark.parametrize("budget", [300, 3000])
 def test_failing_s3_module_matches_its_gu_golden(budget):
     golden = GOLDEN / f"s3_alpha_mutant_gu_{budget}.jsonl"
-    arrow = QuiverCategory(["a", "b"], [("f", "a", "b")], word_bound=2)
-    report = verify_GU_categorical_group(arrow, alpha_mutant(), budget, np.random.default_rng(1))
+    report = verify_GU_categorical_group(ARROW, alpha_mutant(), budget, np.random.default_rng(1))
     assert report.to_jsonl() == golden.read_text()
 
 
@@ -238,9 +238,6 @@ def test_closed_forms_must_take_int_codes():
 
 
 # -- the prop34 GU laws on blocks of functor and transformation codes --
-
-ARROW = QuiverCategory(["a", "b"], [("f", "a", "b")], word_bound=2)
-
 
 def _gu_plans(cm, monkeypatch, budget=20_000):
     """Run the GU suite on ARROW, recording each law's case space and the
