@@ -552,14 +552,11 @@ def _spread(group, k: int, start: int) -> list:
 
 
 def _first_failing(holds, probes, stack):
-    """The first probe at which `holds` fails, or None. `holds` is tried once
-    on `stack`, all the probes stacked; only if that fails or raises (a map
-    may not take stacks) is it tried probe by probe."""
-    try:
-        if holds(stack):
-            return None
-    except Exception:
-        pass
+    """The first probe at which `holds` fails, or None. Unless `stack` is
+    None, `holds` is tried once on it, all the probes stacked, and probe by
+    probe only if that fails."""
+    if stack is not None and holds(stack):
+        return None
     return next((p for p in probes if not holds(p)), None)
 
 
@@ -580,8 +577,13 @@ def extract_functor(phi: SectionIso | object, base: QuiverCategory, cm: CrossedM
     else:
         sample_gs = _spread(cm.G, 8, 1)
         sample_ms = list(map(TwoGroupMorphism, _spread(cm.H, 12, 9), _spread(cm.G, 12, 21)))
-    g_stack = np.array(sample_gs)
-    m_stack = TwoGroupMorphism(np.array([m.h for m in sample_ms]), np.array([m.g for m in sample_ms]))
+    # A SectionIso maps each element of a stack on its own, so its probes are
+    # checked in one call. Any other map is probed one element at a time: it
+    # may branch on `eq`, which reduces a stack to one bool.
+    g_stack = m_stack = None
+    if type(phi) is SectionIso:
+        g_stack = np.array(sample_gs)
+        m_stack = TwoGroupMorphism(np.array([m.h for m in sample_ms]), np.array([m.g for m in sample_ms]))
     for a in base.objects:
         at_identity = on_object(a, cm.G.identity)
 

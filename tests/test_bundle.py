@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from catbundle.basecat import QuiverCategory
 from catbundle.bundle import (
     ExtractionRefused,
     SectionIso,
+    _spread,
     constant_identity_functor,
     enumerate_functors,
     extract_functor,
@@ -348,36 +352,79 @@ def test_extract_functor_probes_equivariance_on_an_infinite_module(name):
 
 
 @pytest.mark.parametrize("name", ["s3-conj", "so2-conj", "so3-conj"])
-@pytest.mark.parametrize("takes_stacks", [True, False])
-def test_extract_functor_probes_stacked_and_takes_a_map_on_single_elements(name, takes_stacks):
-    # the probes of each object and each arrow go to the map as one stack; a
-    # map defined on single elements only raises on that stack and is then
-    # probed one element at a time
+def test_extract_functor_probes_a_section_stacked_and_other_maps_one_at_a_time(name, monkeypatch):
+    # a SectionIso gets the probes of each object and each arrow as one
+    # stack; any other map, here one that wraps the same section, gets single
+    # elements only
     cm = get_module(name)
     rng = np.random.default_rng(3)
     F = functor_from_h(CHAIN, cm, {o: cm.H.sample(rng) for o in CHAIN.objects})
     iso = SectionIso(F)
+    single = 0 if cm.is_finite else 2
     calls = []
 
-    def single(x):
-        calls.append(x)
-        if not takes_stacks and np.ndim(x) > (0 if cm.is_finite else 2):
-            raise TypeError("one element at a time")
+    def count_object(self, a, g, on_object=SectionIso.on_object):
+        calls.append(np.ndim(g))
+        return on_object(iso, a, g)
 
-    class Section:
+    def count_morphism(self, tm, on_morphism=SectionIso.on_morphism):
+        calls.append(np.ndim(tm.m.g))
+        return on_morphism(iso, tm)
+
+    class Wrapper:
+        on_object = count_object
+        on_morphism = count_morphism
+
+    assert extract_functor(Wrapper(), CHAIN, cm).eq(F)
+    # 8 object probes and 12 arrow probes, one at a time
+    assert len(calls) > 8 * len(CHAIN.objects) + 12 * len(CHAIN.arrows)
+    assert set(calls) == {single}
+
+    calls.clear()
+    monkeypatch.setattr(SectionIso, "on_object", count_object)
+    monkeypatch.setattr(SectionIso, "on_morphism", count_morphism)
+    assert extract_functor(iso, CHAIN, cm).eq(F)
+    # objects: 3 calls at the identity, 1 on the stack; arrows: 2 + 1
+    assert len(calls) == 4 * len(CHAIN.objects) + 3 * len(CHAIN.arrows)
+    assert calls.count(single + 1) == len(CHAIN.objects) + len(CHAIN.arrows)
+
+
+def _probes(cm):
+    """The g- and m-probes extract_functor checks on `cm`."""
+    if cm.is_finite:
+        return cm.G.elements[:8], list(itertools.islice(cm.morphism_space(), 12))
+    return _spread(cm.G, 8, 1), list(map(TwoGroupMorphism, _spread(cm.H, 12, 9), _spread(cm.G, 12, 21)))
+
+
+@pytest.mark.parametrize("name", ["s3-conj", "so2-conj"])
+def test_extract_functor_refuses_a_map_that_breaks_at_one_probe(name):
+    # maps that branch on the module's own `eq` and break equivariance at
+    # one probe only; a stack of probes would take the other branch, since
+    # `eq` reduces a stack to one bool
+    cm = get_module(name)
+    rng = np.random.default_rng(3)
+    F = functor_from_h(ARROW, cm, {"a": cm.H.sample(rng), "b": cm.H.sample(rng)})
+    assert not cm.G.eq(F.g("a"), cm.G.identity)
+    iso = SectionIso(F)
+    gs, ms = _probes(cm)
+    g0, m0 = gs[3], ms[5]
+
+    class BreaksAtOneG:
         def on_object(self, a, g):
-            single(g)
-            return iso.on_object(a, g)
+            return (a, g) if cm.G.eq(g, g0) else iso.on_object(a, g)
+
+        on_morphism = staticmethod(iso.on_morphism)
+
+    class BreaksAtOneM:
+        on_object = staticmethod(iso.on_object)
 
         def on_morphism(self, tm):
-            single(tm.m.g)
-            return iso.on_morphism(tm)
+            return tm if cm.m_eq(tm.m, m0) else iso.on_morphism(tm)
 
-    assert extract_functor(Section(), CHAIN, cm).eq(F)
-    if takes_stacks:  # objects: 3 calls at the identity, 1 on the stack; arrows: 2 + 1
-        assert len(calls) == 4 * len(CHAIN.objects) + 3 * len(CHAIN.arrows)
-    else:  # 8 object probes and 12 arrow probes, one at a time
-        assert len(calls) > 8 * len(CHAIN.objects) + 12 * len(CHAIN.arrows)
+    with pytest.raises(ExtractionRefused, match=f"not equivariant at object 'a', g={re.escape(cm.G.fmt(g0))}"):
+        extract_functor(BreaksAtOneG(), ARROW, cm)
+    with pytest.raises(ExtractionRefused, match="not equivariant at arrow f:"):
+        extract_functor(BreaksAtOneM(), ARROW, cm)
 
 
 def test_bundle_axioms_product():
