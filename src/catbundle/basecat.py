@@ -2,7 +2,14 @@
 category of piecewise-linear sampled paths on a Euclidean chart.
 
 Quiver morphisms are arrow words stored in application order (first arrow
-first), so composition is word concatenation and strictly associative.
+first), so composition is word concatenation and strictly associative. In a
+block of cases a quiver morphism is an int code, its index in
+`morphisms_upto()`; a longer composite gets the next free code the first time
+a block forms it, so equal words have equal codes. `source`, `target`,
+`identity` and `compose` take arrays of codes by table lookup (an object in a
+block is its index in `objects`), `point_eq` and `morphism_eq` reduce over the
+block, and a CodeTable looks up any int-valued map of morphisms, such as eta,
+by code.
 
 A SampledPath is an ordered array of points; composing paths records the
 junction as a binary tree node so that parallel transport of a composite is,
@@ -38,7 +45,7 @@ class QuiverMorphism:
 
 class QuiverCategory:
     """Free category on a finite quiver; morphisms enumerated up to a word
-    length bound."""
+    length bound, and coded by their index in that list in blocks."""
 
     def __init__(self, objects: Sequence[str], arrows: Sequence[tuple[str, str, str]],
                  word_bound: int = DEFAULT_WORD_BOUND):
@@ -51,11 +58,16 @@ class QuiverCategory:
                 raise ValueError(f"arrow {name!r} endpoints not among objects")
             self.arrows[name] = (src, dst)
         self.word_bound = word_bound
+        self._identities = {o: QuiverMorphism(o, o, ()) for o in self.objects}
+        self._coded: list[QuiverMorphism] | None = None  # the morphism of each code
 
-    def identity(self, obj: str) -> QuiverMorphism:
-        if obj not in self.objects:
-            raise ValueError(f"unknown object {obj!r}")
-        return QuiverMorphism(obj, obj, ())
+    def identity(self, obj):
+        try:
+            return self._identities[obj]
+        except KeyError:
+            raise ValueError(f"unknown object {obj!r}") from None
+        except TypeError:  # an array of object indices: identities come first in code order
+            return obj
 
     def arrow(self, name: str) -> QuiverMorphism:
         src, dst = self.arrows[name]
@@ -64,15 +76,32 @@ class QuiverCategory:
     def generators(self) -> list[QuiverMorphism]:
         return [self.arrow(name) for name in self.arrows]
 
-    def source(self, m: QuiverMorphism) -> str:
-        return m.source
+    def source(self, m):
+        try:
+            return m.source
+        except AttributeError:  # an array of codes
+            return self._coding()[0][m]
 
-    def target(self, m: QuiverMorphism) -> str:
-        return m.target
+    def target(self, m):
+        try:
+            return m.target
+        except AttributeError:
+            return self._coding()[1][m]
 
-    def compose(self, m2: QuiverMorphism, m1: QuiverMorphism) -> QuiverMorphism:
+    def point_eq(self, a, b) -> bool:
+        """a == b for objects or morphisms; on arrays of codes, for every case."""
+        same = a == b
+        return same if same.__class__ is bool else bool(np.all(same))
+
+    morphism_eq = point_eq
+
+    def compose(self, m2, m1):
         """m2 ∘ m1: apply m1 first."""
-        if m1.target != m2.source:
+        try:
+            composable = m1.target == m2.source
+        except AttributeError:  # arrays of codes
+            return self._compose_codes(m2, m1)
+        if not composable:
             raise CompositionUndefined(
                 f"base morphisms not composable: target {m1.target!r} != source {m2.source!r}",
                 target_value=m1.target, source_value=m2.source,
@@ -103,12 +132,83 @@ class QuiverCategory:
                 break
         return out
 
+    # -- codes --
+
+    def codes(self) -> range:
+        """The codes of morphisms_upto(), in its order."""
+        self._coding()
+        return range(self._enumerated)
+
+    def _coding(self) -> np.ndarray:
+        """The (2, codes) source and target object indices, coding
+        morphisms_upto() on first use."""
+        if self._coded is None:
+            ms = self.morphisms_upto()
+            index = {o: i for i, o in enumerate(self.objects)}
+            self._coded, self._enumerated = ms, len(ms)
+            self._code_of = {m: c for c, m in enumerate(ms)}
+            self._ends = np.array([[index[m.source] for m in ms], [index[m.target] for m in ms]],
+                                  dtype=np.int64).reshape(2, len(ms))
+            self._composite = np.full((len(ms), len(ms)), -1)  # [c1, c2]: code of c2 ∘ c1
+        return self._ends
+
+    def morphism(self, code):
+        """The morphism of an int code from `codes()` or `code`; an array of
+        codes stands for its morphisms in a block as it is."""
+        return code if isinstance(code, np.ndarray) else self._coded[code]
+
+    def code(self, m: QuiverMorphism) -> int:
+        """The code of m, the next free one if m is new."""
+        self._coding()
+        code = self._code_of.get(m)
+        if code is None:
+            code = self._code_of[m] = len(self._coded)
+            self._coded.append(m)
+            index = self.objects.index
+            self._ends = np.hstack([self._ends, [[index(m.source)], [index(m.target)]]])
+            self._composite = np.pad(self._composite, (0, 1), constant_values=-1)
+        return code
+
+    def _compose_codes(self, m2: np.ndarray, m1: np.ndarray) -> np.ndarray:
+        ends = self._coding()
+        if np.any(ends[1][m1] != ends[0][m2]):
+            raise CompositionUndefined("base morphisms in a block are not composable")
+        out = self._composite[m1, m2]
+        new = out < 0
+        if new.any():  # composites no block has formed yet, in order of first appearance
+            for c1, c2 in dict.fromkeys(zip(m1[new].tolist(), m2[new].tolist())):
+                code = self.code(self.compose(self._coded[c2], self._coded[c1]))
+                self._composite[c1, c2] = code
+            out = self._composite[m1, m2]
+        return out
+
     def composable_pairs(self, max_len: int | None = None) -> Iterator[tuple[QuiverMorphism, QuiverMorphism]]:
         ms = self.morphisms_upto(max_len)
         for m1 in ms:
             for m2 in ms:
                 if m1.target == m2.source:
                     yield m2, m1
+
+
+class CodeTable:
+    """An int-valued map of quiver morphisms, looked up by code on a block:
+    `fn` runs on a morphism the first time a block holds its code, and on a
+    morphism where it raised, again the next time."""
+
+    def __init__(self, base: QuiverCategory, fn):
+        self.base, self.fn = base, fn
+        self.values = np.zeros(0, dtype=np.int64)  # -1 where not yet evaluated
+
+    def __call__(self, codes: np.ndarray) -> np.ndarray:
+        top = int(codes.max()) + 1
+        if top > len(self.values):
+            self.values = np.concatenate([self.values, np.full(top - len(self.values), -1)])
+        out = self.values[codes]
+        if (out < 0).any():
+            for code in np.unique(codes[out < 0]).tolist():
+                self.values[code] = self.fn(self.base.morphism(code))
+            out = self.values[codes]
+        return out
 
 
 class SampledPath:
@@ -221,6 +321,11 @@ class PathCategory:
 
     def point_eq(self, a, b) -> bool:
         return bool(np.max(np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))) <= self.eps_pt)
+
+    def morphism_eq(self, a: SampledPath, b: SampledPath) -> bool:
+        """Paths agree as morphisms when their deduplicated sample lists do."""
+        a, b = a.dedup(self.eps_pt), b.dedup(self.eps_pt)
+        return a.shape == b.shape and bool(np.array_equal(a, b))
 
     def random_path(self, rng: np.random.Generator, n_segments: int | None = None,
                     start=None, scale: float = 1.0) -> SampledPath:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basecat import QuiverCategory
+from .basecat import CodeTable, QuiverCategory
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
 from .groups import StructuralError
 from .report import DEFAULT_BUDGET, CaseSpace, LawReport, run_law
@@ -57,6 +57,7 @@ class FunctorUG:
         self.cm = cm
         self.g_table = g_table
         self.h_gen = h_gen
+        self._by_code = None  # h and g∘source per quiver morphism code
 
     def g(self, obj):
         return self.g_table[obj]
@@ -68,7 +69,13 @@ class FunctorUG:
         return out
 
     def apply(self, gamma) -> TwoGroupMorphism:
-        return TwoGroupMorphism(self.h(gamma), self.g(self.base.source(gamma)))
+        try:
+            return TwoGroupMorphism(self.h(gamma), self.g(self.base.source(gamma)))
+        except AttributeError:  # codes of quiver morphisms, in a block
+            if self._by_code is None:
+                self._by_code = (CodeTable(self.base, self.h),
+                                 CodeTable(self.base, lambda m: self.g(m.source)))
+            return TwoGroupMorphism(*(table(gamma) for table in self._by_code))
 
     # -- pointwise group structure (Prop 3.2) --
 
@@ -481,7 +488,8 @@ def verify_section_iso(F: FunctorUG, budget: int = DEFAULT_BUDGET,
 
     report.records.append(run_law(
         "equivariance-morphisms", "Eq 4.4",
-        CaseSpace.product(morphisms, cm.morphism_space()).plan(budget, rng),
+        CaseSpace.product(bundle_morphisms(bundle), cm.morphism_space()).plan(
+            budget, rng, blocks=True),
         lambda p: None if bundle.morphism_eq(
             iso.on_morphism(bundle.act(p[0], p[1])),
             bundle.act(iso.on_morphism(p[0]), p[1]),
@@ -529,7 +537,8 @@ def verify_section_iso(F: FunctorUG, budget: int = DEFAULT_BUDGET,
     report.records.append(run_law("bijectivity-morphisms", "Prop 4.1", [0], mor_bij))
 
     report.records.append(run_law(
-        "composition-preservation", "Eq 4.5", composable_chains(bundle, 2).plan(budget, rng),
+        "composition-preservation", "Eq 4.5",
+        composable_chains(bundle, 2).plan(budget, rng, blocks=True),
         lambda p: None if bundle.morphism_eq(
             iso.on_morphism(bundle.compose(p[0], p[1])),
             bundle.compose(iso.on_morphism(p[0]), iso.on_morphism(p[1])),
@@ -672,8 +681,8 @@ def verify_bundle_axioms(base: QuiverCategory, cm: CrossedModule,
         lambda x: None if b1_witness(bundle, lift(x)) is None else {"missing": repr(x)},
     ))
 
-    def cases(space):
-        return space.plan(budget, rng)
+    def cases(space, blocks=False):
+        return space.plan(budget, rng, blocks)
 
     report.records.append(run_law(
         "b2-freeness-objects", "§2.2 (b2)", cases(CaseSpace.product(objects, cm.G.elements)),
@@ -686,11 +695,9 @@ def verify_bundle_axioms(base: QuiverCategory, cm: CrossedModule,
         lambda p: None if free_ok(bundle, *p) else {"gamma": repr(p[0].gamma)},
     ))
 
-    # pairs in one fiber: one block per base object or base morphism
-    same_object = CaseSpace.concat(
-        CaseSpace.product(cm.G.elements, cm.G.elements,
-                          build=lambda g1, g2, a=a: ((a, g1), (a, g2)))
-        for a in base.objects)
+    # pairs in one fiber, over one base object or base morphism
+    same_object = CaseSpace.product(base.objects, cm.G.elements, cm.G.elements,
+                                    build=lambda a, g1, g2: ((a, g1), (a, g2)))
     report.records.append(run_law(
         "b3-transitivity-objects", "§2.2 (b3)", cases(same_object),
         lambda p: None if cm.G.eq(
@@ -698,13 +705,14 @@ def verify_bundle_axioms(base: QuiverCategory, cm: CrossedModule,
         ) else {"object": str(p[0][0])},
     ))
 
-    same_morphism = CaseSpace.concat(
-        CaseSpace.product(cm.morphism_space(), cm.morphism_space(),
-                          build=lambda m1, m2, gamma=gamma: (
-                              TwistedMorphism(gamma, m1), TwistedMorphism(gamma, m2)))
-        for gamma in base.morphisms_upto())
+    def same_gamma(gamma, m1, m2):
+        gamma = base.morphism(gamma)
+        return TwistedMorphism(gamma, m1), TwistedMorphism(gamma, m2)
+
+    same_morphism = CaseSpace.product(base.codes(), cm.morphism_space(), cm.morphism_space(),
+                                      build=same_gamma)
     report.records.append(run_law(
-        "b3-transitivity-morphisms", "§2.2 (b3)", cases(same_morphism),
+        "b3-transitivity-morphisms", "§2.2 (b3)", cases(same_morphism, blocks=True),
         lambda p: None if bundle.morphism_eq(
             bundle.act(p[0], cm.sdp_multiply(cm.sdp_inverse(p[0].m), p[1].m)), p[1],
         ) else {"gamma": repr(p[0].gamma)},
@@ -717,7 +725,7 @@ def verify_bundle_axioms(base: QuiverCategory, cm: CrossedModule,
     # the action commutes with composition, and with s and t on the first factor
     report.records.append(run_law(
         "action-functoriality", "Eq 3.2",
-        cases(CaseSpace.product(composable_chains(bundle, 2), vertical_pairs(cm))),
+        cases(CaseSpace.product(composable_chains(bundle, 2), vertical_pairs(cm)), blocks=True),
         lambda c: None if (
             action_composition_ok(bundle, *c) and action_boundaries_ok(bundle, c[0][1], c[1][1])
         ) else {"gamma2": repr(c[0][0].gamma), "gamma1": repr(c[0][1].gamma),

@@ -2,12 +2,13 @@
 
 A law's cases come from a CaseSpace, whose `plan` decides exhaustive vs
 sampled. A law whose check also takes stacked cases may ask for a block
-plan: a product of int-coded (range) axes, or an open sampled product of
-SO(n) carriers, then comes in blocks of BLOCK cases (arrays of codes, or
-stacks from one uniform array per block), and `run_law` checks each block in
-one call. A block that fails (or raises) is rerun case by case, so the
-witness, the check count and the RNG state after the law are those of the
-per-case plan. Other spaces run case by case.
+plan: a coded space (a product of range axes and coded spaces, such as the
+twisted chains on a quiver), or an open sampled product of SO(n) carriers,
+then comes in blocks of BLOCK cases (arrays of codes, or stacks from one
+uniform array per block), and `run_law` checks each block in one call. A
+block that fails (or raises) is rerun case by case, so the witness, the
+check count and the RNG state after the law are those of the per-case plan.
+Other spaces run case by case.
 
 A suite produces a LawReport: one LawRecord per algebraic law, each carrying
 the law's anchor string (its identifier in the library's law registry, e.g.
@@ -24,7 +25,6 @@ import itertools
 import json
 import math
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -45,7 +45,11 @@ class CaseSpace:
     A sampled space may also have a stack sampler: `stack(u)` builds k cases,
     stacked along a first axis, from a (k, width) array of uniform [0, 1)
     draws, bitwise the cases that k calls of `draw` give on the same stream.
-    Sequences serve as finite axes as they are (a `range`, as int codes).
+    A coded space also decodes an int64 array of case numbers at once:
+    `codes(i)` gives `arity` arrays of int codes, one per part, and
+    `from_codes(*parts)` builds the stacked cases from the arrays, or one case
+    from a Python int per part. Sequences serve as finite axes as they are (a
+    `range`, as int codes).
     """
 
     def __init__(self, size: int | None, get: Callable | None = None,
@@ -58,7 +62,9 @@ class CaseSpace:
         self.stack: Callable | None = None
         self.axes: tuple | None = None  # a product's axes and case builder
         self.build: Callable | None = None
-        self.blocks: list | None = None  # a concatenation's blocks
+        self.codes: Callable | None = None  # coded spaces: case numbers -> codes per part
+        self.from_codes: Callable | None = None
+        self.arity = 0
 
     def __len__(self) -> int:
         return self.size  # a TypeError on a sampled space
@@ -71,6 +77,15 @@ class CaseSpace:
     @staticmethod
     def finite(items: Sequence) -> "CaseSpace":
         return CaseSpace(len(items), items.__getitem__)
+
+    @staticmethod
+    def coded(size: int, arity: int, codes: Callable, build: Callable) -> "CaseSpace":
+        """Cases `build(*parts)`, where `codes(i)` maps an int64 array of case
+        numbers to `arity` arrays of codes, one per part: a block gets the
+        arrays, a single case their Python ints."""
+        space = CaseSpace(size, lambda i: build(*(c.item() for c in codes(np.array([i])))))
+        space.codes, space.from_codes, space.arity = codes, build, arity
+        return space
 
     @staticmethod
     def sampled(draw: Callable, count: int | None = None) -> "CaseSpace":
@@ -118,21 +133,6 @@ class CaseSpace:
         space.axes, space.build = axes, build
         return space
 
-    @staticmethod
-    def concat(blocks: Iterable) -> "CaseSpace":
-        """The finite blocks one after another: a filtered product is the
-        concatenation of its per-prefix product blocks."""
-        blocks = list(blocks)
-        ends = list(itertools.accumulate(_size(b) for b in blocks))
-
-        def get(i):
-            k = bisect_right(ends, i)
-            return blocks[k][i - ends[k - 1] if k else i]
-
-        space = CaseSpace(ends[-1] if ends else 0, get)
-        space.blocks = blocks
-        return space
-
     def plan(self, budget: int, rng, blocks: bool = False) -> "Plan":
         """The cases a law checks: the whole finite space in order when it
         fits the budget (exhaustive); else `budget` seeded draws of
@@ -140,13 +140,12 @@ class CaseSpace:
         times, or `budget` times; in a product, finite and counted axes are
         enumerated whole and one open sampled axis is drawn
         max(1, budget // their size) times. No cases when budget <= 0.
-        With `blocks`, a product of range axes and the `budget` draws of an
-        open stackable space come as Blocks of at most BLOCK cases."""
+        With `blocks`, a coded space and the `budget` draws of an open
+        stackable space come as Blocks of at most BLOCK cases."""
         if budget <= 0:
             return Plan((), exhaustive=False, space=self.size)
         if self.size is not None:
-            coded = blocks and self.size < 2**63 and self.axes is not None and all(
-                isinstance(a, range) for a in self.axes)
+            coded = blocks and self.size < 2**63 and _is_coded(self)
             if self.size <= budget:
                 cases = _coded_blocks(self, range(self.size)) if coded else _cases(self)
                 return Plan(cases, exhaustive=True, space=self.size)
@@ -213,22 +212,65 @@ def _blocks(space: CaseSpace, budget: int, rng):
         yield Block(space.stack(rng.random((k, space.width))), k, redraw)
 
 
+def _is_coded(axis) -> bool:
+    """`axis` is a range or a coded space; a finite product of such axes is
+    made coded the first time this is asked."""
+    if isinstance(axis, range):
+        return True
+    if not isinstance(axis, CaseSpace):
+        return False
+    if axis.codes is None and axis.size is not None and axis.axes and all(
+            _is_coded(a) for a in axis.axes):
+        _code_product(axis)
+    return axis.codes is not None
+
+
+def _code_product(space: CaseSpace) -> None:
+    """Make a product of range axes and coded spaces coded: one vectorised
+    divmod per axis, and each coded axis's codes in its place."""
+    axes, build = space.axes, space.build
+    sizes = [_size(a) for a in axes]
+    arities = [1 if isinstance(a, range) else a.arity for a in axes]
+
+    def codes(i):
+        out = []  # last axis first
+        for a, size in zip(reversed(axes), reversed(sizes)):
+            i, r = np.divmod(i, size)
+            if isinstance(a, range):
+                out.append(r if a.start == 0 and a.step == 1 else a.start + a.step * r)
+            else:
+                out += reversed(a.codes(r))
+        out.reverse()
+        return out
+
+    def from_codes(*parts):
+        it = iter(parts)
+        return build(*(next(it) if isinstance(a, range) else a.from_codes(*itertools.islice(it, n))
+                       for a, n in zip(axes, arities)))
+
+    space.codes, space.arity = codes, sum(arities)
+    space.from_codes = build if space.arity == len(axes) else from_codes
+
+
 def _coded_blocks(space: CaseSpace, indices):
-    """Blocks of a product of range axes at `indices` (case numbers or
-    picks): one vectorised divmod per axis decodes an array of codes."""
-    axes = space.axes
+    """Blocks of a coded space at `indices` (case numbers or picks), decoded
+    at once; a block's singles are built from the same codes. A block that
+    cannot be built comes case by case, so a case that cannot be built raises
+    in its turn, as in a per-case plan."""
     for start in range(0, len(indices), BLOCK):
         chunk = indices[start:start + BLOCK]
-        i = np.arange(chunk.start, chunk.stop) if isinstance(chunk, range) else chunk
-        parts = [None] * len(axes)
-        for k in range(len(axes) - 1, -1, -1):
-            i, r = np.divmod(i, len(axes[k]))
-            parts[k] = axes[k].start + axes[k].step * r
+        codes = space.codes(np.arange(chunk.start, chunk.stop)
+                            if isinstance(chunk, range) else chunk)
 
-        def singles(chunk=chunk):
-            return map(space.__getitem__, chunk if isinstance(chunk, range) else chunk.tolist())
+        def singles(codes=codes):
+            return itertools.starmap(space.from_codes, zip(*(c.tolist() for c in codes)))
 
-        yield Block(space.build(*parts), len(chunk), singles)
+        try:
+            cases = space.from_codes(*codes)
+        except Exception:
+            yield from singles()
+            continue
+        yield Block(cases, len(chunk), singles)
 
 
 def _picks(rng, size: int, budget: int) -> np.ndarray:
@@ -280,8 +322,6 @@ def _cases(space):
     if space.axes is not None:
         lists = [list(_cases(a)) if isinstance(a, CaseSpace) else a for a in space.axes]
         return itertools.starmap(space.build, itertools.product(*lists))
-    if space.blocks is not None:
-        return itertools.chain.from_iterable(_cases(b) for b in space.blocks)
     return map(space.__getitem__, range(space.size))
 
 

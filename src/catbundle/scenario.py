@@ -150,9 +150,6 @@ class Scenario:
                 grp.tol = eps
         return cm
 
-    def base_kind(self) -> str:
-        return str(self._get("base").get("kind", "quiver"))
-
     def quiver(self) -> QuiverCategory:
         spec = self._get("base")
         if spec.get("kind", "quiver") != "quiver":
@@ -278,6 +275,3 @@ class Scenario:
             default_el = parse_element(cm.G, default) if default is not None else None
             return EtaMap.from_raw(self.quiver(), cm, values, default=default_el)
         raise ScenarioError("eta must declare 'table', 'raw', or 'from_connection'")
-
-    def twist_base(self):
-        return self.quiver() if self.base_kind() == "quiver" else self.path_category()

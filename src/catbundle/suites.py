@@ -108,7 +108,7 @@ def _transition_suite(sc: Scenario) -> LawReport:
 def _twisted_instance(sc: Scenario) -> TwistedBundle:
     cm = sc.crossed_module()
     eta = sc.eta(cm)
-    return TwistedBundle(eta.base if eta.kind == "transport" else sc.twist_base(), cm, eta)
+    return TwistedBundle(eta.base, cm, eta)  # a block's codes are those of eta's base
 
 
 def _effective_budget(sc: Scenario, tb: TwistedBundle) -> int:

@@ -12,6 +12,16 @@ eta: Mor(U) -> G:
 
 Morphisms are stored in (h, g) coordinates; the hg/gh display orders are
 bridged by gh = (alpha_g(h), g).
+
+On a quiver base with a finite crossed module, the chain laws run in blocks
+of int-coded cases: a block's TwistedMorphism holds an array of quiver
+morphism codes (see `basecat`) and arrays of H and G codes, eta is looked up
+per code, and the law bodies run on it unchanged through table lookups and
+block-reducing `eq`s. The coded case spaces (`bundle_morphisms`,
+`composable_chains`) give the same cases in the same order as nested loops;
+a single case holds a QuiverMorphism and Python ints. The freeness law stays
+per case: its body negates an `eq`, which on a block would hold as soon as
+one case differs.
 """
 from __future__ import annotations
 
@@ -20,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basecat import QuiverCategory
+from .basecat import CodeTable, QuiverCategory
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
 from .groups import StructuralError
 from .report import DEFAULT_BUDGET, CaseSpace, LawReport, run_law
@@ -37,7 +47,10 @@ class EtaMap:
 
     Table mode folds generator values over arrow words (so the homomorphism
     property holds structurally); raw mode evaluates a user callable and is
-    how deliberately broken twists enter negative tests.
+    how deliberately broken twists enter negative tests. On an array of codes
+    of `base`'s morphisms (a block, whose bundle shares `base`), eta is looked
+    up per code, and a value the callable cannot give raises as it does per
+    case.
     """
 
     def __init__(self, base, cm: CrossedModule, fn: Callable, kind: str = "raw"):
@@ -45,12 +58,13 @@ class EtaMap:
         self.cm = cm
         self._fn = fn
         self.kind = kind
+        self._by_code = CodeTable(base, fn)
         # memoized by path identity; entries keep the path alive so ids stay valid
         self._cache: dict = {}
 
     def __call__(self, gamma):
         if self.kind != "transport":
-            return self._fn(gamma)
+            return self._by_code(gamma) if isinstance(gamma, np.ndarray) else self._fn(gamma)
         key = id(gamma)
         hit = self._cache.get(key)
         if hit is None:
@@ -132,13 +146,7 @@ class TwistedBundle:
         return cm.sdp_multiply(cm.identity_morphism(cm.G.inv(self.eta(gamma))), phi)
 
     def morphism_eq(self, t1: TwistedMorphism, t2: TwistedMorphism) -> bool:
-        if isinstance(self.base, QuiverCategory):
-            same_base = t1.gamma == t2.gamma
-        else:
-            # paths agree as morphisms when their deduplicated sample lists do
-            a, b = t1.gamma.dedup(self.base.eps_pt), t2.gamma.dedup(self.base.eps_pt)
-            same_base = a.shape == b.shape and bool(np.array_equal(a, b))
-        return same_base and self.cm.m_eq(t1.m, t2.m)
+        return self.base.morphism_eq(t1.gamma, t2.gamma) and self.cm.m_eq(t1.m, t2.m)
 
 
 # -- case spaces: enumerated on finite quiver data, seeded otherwise --
@@ -174,16 +182,25 @@ def _identities(bundle: TwistedBundle, count: int) -> CaseSpace:
 
 def bundle_morphisms(bundle: TwistedBundle) -> CaseSpace:
     """The bundle's morphisms: gamma outer, then h, then g where these are
-    finite, sampled otherwise."""
-    return CaseSpace.product(_base_morphisms(bundle), bundle.cm.morphism_space(),
-                             build=TwistedMorphism)
+    finite, sampled otherwise. A quiver morphism is coded by its index in
+    `morphisms_upto()`, so the space is coded when the crossed module is
+    finite."""
+    base = bundle.base
+    if not isinstance(base, QuiverCategory):
+        return CaseSpace.product(_base_morphisms(bundle), bundle.cm.morphism_space(),
+                                 build=TwistedMorphism)
+    return CaseSpace.product(base.codes(), bundle.cm.morphism_space(),
+                             build=lambda gamma, m: TwistedMorphism(base.morphism(gamma), m))
 
 
 def composable_chains(bundle: TwistedBundle, n: int) -> CaseSpace:
     """Composable chains (tm_n, ..., tm_1) in the order of nested loops over
     (gamma1, h1, g1, gamma2, h2, ...): each later morphism starts where the
     one before ends, so only its base morphism and its h are free. Sampled on
-    a path base; a quiver base needs a finite crossed module."""
+    a path base; a quiver base needs a finite crossed module, and its chains
+    are a coded space: a case number is decoded level by level, gamma1 and
+    then (h1, g1), then each leg's gamma and h, from the number of tails that
+    leave each object."""
     base, cm = bundle.base, bundle.cm
 
     def fold(tm1, legs):
@@ -207,23 +224,47 @@ def composable_chains(bundle: TwistedBundle, n: int) -> CaseSpace:
 
         return CaseSpace.sampled(draw)
 
-    gammas = base.morphisms_upto()
-    out_of = {o: [g for g in gammas if g.source == o] for o in base.objects}
+    nh, ng = len(cm.H.elements), len(cm.G.elements)
+    gammas = np.arange(len(base.codes()))
+    src, tgt = base.source(gammas), base.target(gammas)
+    by_source = np.argsort(src, kind="stable")  # the legs out of each object, in code order
+    # tails[k][o]: the k-leg tails (gamma, h, ...) whose first leg leaves object o
+    tails = [np.ones(len(base.objects), dtype=np.int64)]
+    for _ in range(n - 1):
+        tails.append(np.zeros_like(tails[0]))
+        np.add.at(tails[-1], src, nh * tails[-2][tgt])
+    firsts = nh * ng * tails[n - 1][tgt]  # chains from each gamma1
+    ends = np.cumsum(firsts)
 
-    def legs(obj, k):  # k legs (gamma, h), the first one leaving obj
-        if k == 0:
-            return [()]
-        return CaseSpace.concat(
-            CaseSpace.product(cm.H.elements, legs(gamma.target, k - 1),
-                              build=lambda h, rest, gamma=gamma: ((gamma, h),) + rest)
-            for gamma in out_of[obj])
+    def level(k):
+        """The legs followed by k - 1 more: each gamma's count, and in source
+        order the case numbers where each gamma's end and each object's begin."""
+        sizes = nh * tails[k - 1][tgt]
+        return sizes, np.cumsum(sizes[by_source]), np.cumsum(tails[k]) - tails[k]
 
-    return CaseSpace.concat(
-        CaseSpace.product(
-            cm.H.elements, cm.G.elements, legs(gamma1.target, n - 1),
-            build=lambda h1, g1, rest, gamma1=gamma1: fold(
-                TwistedMorphism(gamma1, TwoGroupMorphism(h1, g1)), rest))
-        for gamma1 in gammas)
+    legs = {k: level(k) for k in range(1, n)}
+
+    def codes(i):
+        gamma = np.searchsorted(ends, i, side="right")
+        r = i - (ends[gamma] - firsts[gamma])
+        rest = tails[n - 1][tgt[gamma]]
+        h, r = np.divmod(r, ng * rest)
+        g, r = np.divmod(r, rest)
+        out = [gamma, h, g]
+        for k in range(n - 1, 0, -1):
+            sizes, leg_ends, starts = legs[k]
+            i = starts[tgt[gamma]] + r
+            j = np.searchsorted(leg_ends, i, side="right")
+            gamma = by_source[j]
+            h, r = np.divmod(i - (leg_ends[j] - sizes[gamma]), tails[k - 1][tgt[gamma]])
+            out += [gamma, h]
+        return out
+
+    def build(gamma1, h1, g1, *rest):
+        return fold(TwistedMorphism(base.morphism(gamma1), TwoGroupMorphism(h1, g1)),
+                    [(base.morphism(gamma), h) for gamma, h in zip(rest[::2], rest[1::2])])
+
+    return CaseSpace.coded(int(ends[-1]) if len(ends) else 0, 2 * n + 1, codes, build)
 
 
 def verify_twisted_bundle(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
@@ -235,8 +276,8 @@ def verify_twisted_bundle(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
     cm = bundle.cm
     report = LawReport(suite="twisted-bundle")
 
-    def cases(space):
-        return space.plan(budget, rng)
+    def cases(space, blocks=False):
+        return space.plan(budget, rng, blocks)
 
     report.records.append(run_law(
         "eta-homomorphism", "Eq 6.18", cases(_base_pairs(bundle)),
@@ -255,12 +296,12 @@ def verify_twisted_bundle(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
     ))
 
     report.records.append(run_law(
-        "boundary-coherence", "Eq 6.19", cases(composable_chains(bundle, 2)),
+        "boundary-coherence", "Eq 6.19", cases(composable_chains(bundle, 2), blocks=True),
         lambda p: _boundary_ok(bundle, p[0], p[1]),
     ))
 
     report.records.append(run_law(
-        "associativity", "Eq 6.20", cases(composable_chains(bundle, 3)),
+        "associativity", "Eq 6.20", cases(composable_chains(bundle, 3), blocks=True),
         lambda t: None if bundle.morphism_eq(
             bundle.compose(bundle.compose(t[0], t[1]), t[2]),
             bundle.compose(t[0], bundle.compose(t[1], t[2])),
@@ -268,12 +309,12 @@ def verify_twisted_bundle(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
     ))
 
     report.records.append(run_law(
-        "unit-laws", "Prop 6.1", cases(bundle_morphisms(bundle)),
+        "unit-laws", "Prop 6.1", cases(bundle_morphisms(bundle), blocks=True),
         lambda tm: None if units_ok(bundle, tm) else {"gamma": repr(tm.gamma)},
     ))
 
     report.records.append(run_law(
-        "b1-surjectivity", "§2.2 (b1)", cases(bundle_morphisms(bundle)),
+        "b1-surjectivity", "§2.2 (b1)", cases(bundle_morphisms(bundle), blocks=True),
         lambda tm: b1_witness(bundle, tm)))
     if isinstance(bundle.base, QuiverCategory):
         # every base morphism lifts: its lift through the unit lies over it
@@ -290,7 +331,7 @@ def verify_twisted_bundle(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
     ))
 
     report.records.append(run_law(
-        "b3-transitivity", "§2.2 (b3)", cases(acted),
+        "b3-transitivity", "§2.2 (b3)", cases(acted, blocks=True),
         lambda p: _transitive_ok(bundle, p[0], p[1]),
     ))
     return report
@@ -301,11 +342,8 @@ def verify_twisted_bundle(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
 def b1_witness(bundle: TwistedBundle, tm) -> dict | None:
     """None when the source and target of tm lie over those of its base
     morphism, else a witness."""
-    s, t = bundle.source(tm), bundle.target(tm)
-    if isinstance(bundle.base, QuiverCategory):
-        ok = s[0] == tm.gamma.source and t[0] == tm.gamma.target
-    else:
-        ok = bundle.base.point_eq(s[0], tm.gamma.start) and bundle.base.point_eq(t[0], tm.gamma.end)
+    base, s, t = bundle.base, bundle.source(tm), bundle.target(tm)
+    ok = base.point_eq(s[0], base.source(tm.gamma)) and base.point_eq(t[0], base.target(tm.gamma))
     return None if ok else {"gamma": repr(tm.gamma)}
 
 
@@ -352,8 +390,7 @@ def _boundary_ok(bundle: TwistedBundle, tm2, tm1) -> dict | None:
     cm = bundle.cm
     s, s1 = bundle.source(comp), bundle.source(tm1)
     t, t2 = bundle.target(comp), bundle.target(tm2)
-    base_ok = (s[0] == s1[0] and t[0] == t2[0]) if isinstance(bundle.base, QuiverCategory) else (
-        bundle.base.point_eq(s[0], s1[0]) and bundle.base.point_eq(t[0], t2[0]))
+    base_ok = bundle.base.point_eq(s[0], s1[0]) and bundle.base.point_eq(t[0], t2[0])
     if base_ok and cm.G.eq(s[1], s1[1]) and cm.G.eq(t[1], t2[1]):
         return None
     return {"gamma2": repr(tm2.gamma), "gamma1": repr(tm1.gamma),
@@ -417,7 +454,8 @@ def verify_E_properties(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
     ))
 
     report.records.append(run_law(
-        "E-reproduces-composition", "Eq 6.22", composable_chains(bundle, 2).plan(budget, rng),
+        "E-reproduces-composition", "Eq 6.22",
+        composable_chains(bundle, 2).plan(budget, rng, blocks=True),
         lambda p: None if bundle.morphism_eq(
             bundle.compose(p[0], p[1]),
             TwistedMorphism(
@@ -438,14 +476,15 @@ def verify_action_functorial(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET
 
     acted = CaseSpace.product(bundle_morphisms(bundle), cm.morphism_space(16))
     report.records.append(run_law(
-        "action-boundaries", "Eq 6.3", acted.plan(budget, rng),
+        "action-boundaries", "Eq 6.3", acted.plan(budget, rng, blocks=True),
         lambda p: None if action_boundaries_ok(bundle, *p)
         else {"gamma": repr(p[0].gamma), "m1": cm.fmt_m(p[1])},
     ))
 
     report.records.append(run_law(
         "action-composition", "Eq 6.14",
-        CaseSpace.product(composable_chains(bundle, 2), vertical_pairs(cm)).plan(budget, rng),
+        CaseSpace.product(composable_chains(bundle, 2), vertical_pairs(cm)).plan(
+            budget, rng, blocks=True),
         lambda c: None if action_composition_ok(bundle, *c) else {
             "gamma2": repr(c[0][0].gamma), "gamma1": repr(c[0][1].gamma),
             "m2": cm.fmt_m(c[1][0]), "m1": cm.fmt_m(c[1][1])},

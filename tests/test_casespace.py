@@ -39,20 +39,6 @@ def test_product_indexes_like_nested_loops():
     assert [built[i] for i in range(len(built))] == [x * z for x in a for z in c]
 
 
-def test_concat_indexes_like_a_filtered_comprehension():
-    xs, ys = range(6), range(5)
-    want = [(x, y) for x in xs for y in ys if (x + y) % 3 == 0]
-    space = CaseSpace.concat(
-        CaseSpace.product([y for y in ys if (x + y) % 3 == 0], build=lambda y, x=x: (x, y))
-        for x in xs)
-    assert len(space) == len(want)
-    assert [space[i] for i in range(len(space))] == want
-    # empty blocks are skipped, an empty concatenation is empty
-    gaps = CaseSpace.concat([[], [1, 2], [], [], [3]])
-    assert [gaps[i] for i in range(len(gaps))] == [1, 2, 3]
-    assert len(CaseSpace.concat([])) == 0
-
-
 def test_nested_spaces_index_like_nested_comprehensions():
     inner = CaseSpace.product("ab", [0, 1, 2])
     outer = CaseSpace.product(inner, [7, 8])
@@ -66,16 +52,17 @@ def test_nested_spaces_index_like_nested_comprehensions():
 
 def test_index_outside_the_space_raises_and_iteration_ends():
     product = CaseSpace.product(range(2), range(3))
-    concat = CaseSpace.concat(
-        CaseSpace.product(range(x), build=lambda y, x=x: (x, y)) for x in range(4))
+    # the pairs y < x < 4: case i is x = 1, 2, 2, 3, 3, 3 and y = i - x(x-1)/2
+    coded = CaseSpace.coded(6, 2, lambda i: [(np.sqrt(8 * i + 1).astype(int) + 1) // 2, i],
+                            lambda x, i: (x, i - x * (x - 1) // 2))
     nested = CaseSpace.product(product, "ab")
-    for space in (product, concat, nested, CaseSpace.concat([])):
+    for space in (product, coded, nested, CaseSpace.product(range(2), [])):
         for i in (len(space), len(space) + 1, 100, -1):
             with pytest.raises(IndexError):
                 space[i]
     # so iterating a space lists it, in nested-loop order
     assert list(product) == [(x, y) for x in range(2) for y in range(3)]
-    assert list(concat) == [(x, y) for x in range(4) for y in range(x)]
+    assert list(coded) == [(x, y) for x in range(4) for y in range(x)]
     assert list(nested) == [((x, y), c) for x in range(2) for y in range(3) for c in "ab"]
 
 
@@ -114,10 +101,6 @@ def test_nested_spaces_beyond_sys_maxsize():
     cases = list(space.plan(5, np.random.default_rng(0)))
     assert len(cases) == 5
     assert all(0 <= x < 2**32 and 0 <= y < 2**32 and 0 <= z < 3 for (x, y), z in cases)
-    joined = CaseSpace.concat([inner, CaseSpace.finite("ab")])
-    assert joined.size == 2**64 + 2 and joined[2**64 + 1] == "b"
-    assert joined[2**63] == (2**31, 0)
-    assert len(list(joined.plan(5, np.random.default_rng(0)))) == 5
 
 
 def test_nonpositive_budget_yields_no_cases():

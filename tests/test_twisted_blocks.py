@@ -2,17 +2,26 @@
 edge-case reports pinned by committed goldens, the coded chain spaces against
 nested loops, and the laws that run in blocks against those that stay per
 case."""
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from catbundle.basecat import QuiverCategory
+import catbundle.bundle
+import catbundle.twisted
+from catbundle.basecat import QuiverCategory, QuiverMorphism
 from catbundle.bundle import enumerate_functors, verify_bundle_axioms, verify_section_iso
-from catbundle.crossed import get_module
+from catbundle.crossed import TwoGroupMorphism, get_module
+from catbundle.groups import FiniteGroup
+from catbundle.report import BLOCK, Block, Plan, run_law
+from catbundle.scenario import Scenario
+from catbundle.suites import run_suite
 from catbundle.twisted import (
     EtaMap,
     TwistedBundle,
+    TwistedMorphism,
+    composable_chains,
     verify_action_functorial,
     verify_E_properties,
     verify_twisted_bundle,
@@ -20,6 +29,7 @@ from catbundle.twisted import (
 from test_finite_blocks import alpha_mutant
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SCEN = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def chain(word_bound: int = 3) -> QuiverCategory:
@@ -79,3 +89,142 @@ def test_raw_eta_undefined_on_a_composite_matches_the_golden():
     text = raw_eta_jsonl()
     assert "StructuralError: eta undefined on g\\u2218f:a->c" in text  # JSON escapes ∘
     assert text == (GOLDEN / "s3_raw_eta_undefined.jsonl").read_text()
+
+
+# -- the coded chain spaces --
+
+def nested_chains(bundle: TwistedBundle, n: int):
+    """Reference: the composable chains (tm_n, ..., tm_1) by nested loops over
+    gamma1, h1, g1, then each next gamma out of the last target and its h."""
+    base, cm = bundle.base, bundle.cm
+    gammas = base.morphisms_upto()
+
+    def tails(tm, k):
+        if k == 0:
+            yield ()
+            return
+        for gamma in gammas:
+            if gamma.source == tm.gamma.target:
+                for h in cm.H.elements:
+                    nxt = TwistedMorphism(gamma, TwoGroupMorphism(h, bundle.target(tm)[1]))
+                    for rest in tails(nxt, k - 1):
+                        yield (nxt,) + rest
+
+    for gamma1 in gammas:
+        for h1 in cm.H.elements:
+            for g1 in cm.G.elements:
+                tm1 = TwistedMorphism(gamma1, TwoGroupMorphism(h1, g1))
+                for rest in tails(tm1, n - 1):
+                    yield tuple(reversed((tm1,) + rest))
+
+
+def assert_single(chain):
+    for tm in chain:
+        assert isinstance(tm.gamma, QuiverMorphism)
+        assert type(tm.m.h) is int and type(tm.m.g) is int
+
+
+def assert_block_holds(base, block, singles):
+    """The stacked chains hold, case by case, the codes of the singles."""
+    for j, chain in enumerate(singles):
+        for stacked, tm in zip(block, chain):
+            assert base.morphism(int(stacked.gamma[j])) == tm.gamma
+            assert (stacked.m.h[j], stacked.m.g[j]) == (tm.m.h, tm.m.g)
+
+
+def twist(name: str, eta: dict) -> TwistedBundle:
+    base, cm = chain(), get_module(name)
+    return TwistedBundle(base, cm, EtaMap.from_table(base, cm, eta))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_every_z4_chain_equals_the_nested_loops(n):
+    bundle = twist("z4-conj", {"f": 1, "g": 2})
+    want = list(nested_chains(bundle, n))
+    space = composable_chains(bundle, n)
+    assert space.size == len(want) == {2: 640, 3: 3840}[n]
+    got = [space[i] for i in range(space.size)]
+    assert got == want
+    for chain_ in got[::97]:
+        assert_single(chain_)
+    block = space.from_codes(*space.codes(np.arange(space.size)))
+    assert_block_holds(bundle.base, block, got)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_s3_chains_equal_the_nested_loops_at_seeded_picks(n):
+    bundle = twist("s3-conj", {"f": 3, "g": 1})
+    want = list(nested_chains(bundle, n))
+    space = composable_chains(bundle, n)
+    assert space.size == len(want) == {2: 2160, 3: 19440}[n]
+    picks = np.random.default_rng(3).integers(space.size, size=300)
+    got = [space[i] for i in picks.tolist()]
+    assert got == [want[i] for i in picks.tolist()]
+    assert_single(got[0])
+    assert_block_holds(bundle.base, space.from_codes(*space.codes(picks)), got)
+
+
+def test_chains_past_the_word_bound_get_fresh_codes():
+    base, cm = loop(), get_module("z4-conj")
+    bundle = TwistedBundle(base, cm, EtaMap.from_table(base, cm, {"l": 1}))
+    assert len(base.codes()) == 3  # id, l, l∘l
+    space = composable_chains(bundle, 3)
+    t = space.from_codes(*space.codes(np.arange(space.size)))
+    twice = bundle.compose(t[0], bundle.compose(t[1], t[2])).gamma
+    assert bundle.base.morphism_eq(twice, bundle.compose(bundle.compose(t[0], t[1]), t[2]).gamma)
+    words = {len(base.morphism(c).word) for c in np.unique(twice).tolist()}
+    assert words == set(range(7)) and len(base._coded) == 7
+
+
+# -- which laws run in blocks --
+
+BLOCKED = {
+    "bundle-axioms": {"action-functoriality", "b3-transitivity-morphisms"},
+    "twisted-bundle": {"associativity", "boundary-coherence", "b3-transitivity", "unit-laws",
+                       "b1-surjectivity"},
+    "e-action": {"action-boundaries", "action-composition", "E-reproduces-composition"},
+    "prop41-section": {"equivariance-morphisms", "composition-preservation",
+                       "equivariance-morphisms@sigma2", "composition-preservation@sigma2"},
+}
+PER_CASE = {"b2-freeness", "b2-freeness-morphisms", "b2-freeness-objects"}
+
+
+@pytest.mark.parametrize("name, suite", [("z4_twist", "twisted-bundle"), ("z4_twist", "e-action"),
+                                         ("s3_quiver", "bundle-axioms"),
+                                         ("s3_quiver", "prop41-section")])
+def test_twisted_laws_check_each_block_in_one_call(name, suite, monkeypatch):
+    # per law in report order: its plan's block sizes, its check calls and the
+    # sizes of the multiplications made while it runs
+    runs = [{"lookups": []}]  # before the first law
+    mul = FiniteGroup.mul
+    monkeypatch.setattr(FiniteGroup, "mul", lambda self, a, b: runs[-1]["lookups"].append(
+        max(np.size(a), np.size(b))) or mul(self, a, b))
+
+    def recording(law, anchor, cases, check):
+        run = {"checks": 0, "lookups": []}
+        runs.append(run)
+        listed = list(cases)
+        run["blocks"] = [x.size if isinstance(x, Block) else None for x in listed]
+
+        def counted(case):
+            run["checks"] += 1
+            return check(case)
+
+        return run_law(law, anchor, replace(cases, cases=listed)
+                       if isinstance(cases, Plan) else listed, counted)
+
+    for module in (catbundle.bundle, catbundle.twisted):
+        monkeypatch.setattr(module, "run_law", recording)
+    report = run_suite(Scenario.load(SCEN / f"{name}.json"), suite)
+    assert report.passed and len(runs) == len(report.records) + 1
+    assert BLOCKED[suite] <= {r.law for r in report.records}
+    for r, run in zip(report.records, runs[1:]):
+        if r.law in BLOCKED[suite]:
+            # every case comes in a block, each checked in one call, never rerun
+            assert run["blocks"] and None not in run["blocks"], r.law
+            assert sum(run["blocks"]) == r.checks and run["checks"] == len(run["blocks"]), r.law
+            assert all(1 <= n <= BLOCK for n in run["lookups"]), r.law
+            assert BLOCK in run["lookups"] or r.checks < BLOCK, r.law
+        elif r.law in PER_CASE:
+            assert set(run["blocks"]) == {None} and run["checks"] == r.checks, r.law
+            assert set(run["lookups"]) == {1}, r.law
