@@ -205,7 +205,7 @@ class CodeTable:
             self.values = np.concatenate([self.values, np.full(top - len(self.values), -1)])
         out = self.values[codes]
         if (out < 0).any():
-            for code in np.unique(codes[out < 0]).tolist():
+            for code in dict.fromkeys(codes[out < 0].tolist()):  # np.unique imports numpy.ma
                 self.values[code] = self.fn(self.base.morphism(code))
             out = self.values[codes]
         return out

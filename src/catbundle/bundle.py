@@ -70,12 +70,13 @@ class FunctorUG:
 
     def apply(self, gamma) -> TwoGroupMorphism:
         try:
-            return TwoGroupMorphism(self.h(gamma), self.g(self.base.source(gamma)))
+            gamma.word
         except AttributeError:  # codes of quiver morphisms, in a block
             if self._by_code is None:
                 self._by_code = (CodeTable(self.base, self.h),
                                  CodeTable(self.base, lambda m: self.g(m.source)))
             return TwoGroupMorphism(*(table(gamma) for table in self._by_code))
+        return TwoGroupMorphism(self.h(gamma), self.g(self.base.source(gamma)))
 
     # -- pointwise group structure (Prop 3.2) --
 

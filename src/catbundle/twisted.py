@@ -264,7 +264,7 @@ def composable_chains(bundle: TwistedBundle, n: int) -> CaseSpace:
         return fold(TwistedMorphism(base.morphism(gamma1), TwoGroupMorphism(h1, g1)),
                     [(base.morphism(gamma), h) for gamma, h in zip(rest[::2], rest[1::2])])
 
-    return CaseSpace.coded(int(ends[-1]) if len(ends) else 0, 2 * n + 1, codes, build)
+    return CaseSpace.coded(int(firsts.sum()), 2 * n + 1, codes, build)
 
 
 def verify_twisted_bundle(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,

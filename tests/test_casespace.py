@@ -103,6 +103,32 @@ def test_nested_spaces_beyond_sys_maxsize():
     assert all(0 <= x < 2**32 and 0 <= y < 2**32 and 0 <= z < 3 for (x, y), z in cases)
 
 
+@pytest.mark.parametrize("fails_at", [3, None])
+def test_a_coded_block_that_cannot_be_built_runs_case_by_case(fails_at):
+    # case 7 cannot be built: the block holding it is checked case by case, so
+    # a failure before it is the witness and case 7 raises in its turn
+    def build(c):
+        if np.any(np.asarray(c) == 7):
+            raise ValueError("no case 7")
+        return c
+
+    space = CaseSpace.coded(10, 1, lambda i: [i], build)
+    seen = []
+
+    def check(c):
+        seen.append(np.size(c))
+        return {"case": c} if np.any(np.asarray(c) == fails_at) else None
+
+    if fails_at is None:
+        with pytest.raises(ValueError, match="no case 7"):
+            run_law("law", "anchor", space.plan(10, np.random.default_rng(0), blocks=True), check)
+        assert seen == [1] * 7
+    else:
+        record = run_law("law", "anchor", space.plan(10, np.random.default_rng(0), blocks=True),
+                         check)
+        assert (record.checks, record.witness, seen) == (4, {"case": 3}, [1] * 4)
+
+
 def test_nonpositive_budget_yields_no_cases():
     rng = np.random.default_rng(0)
     for budget in (0, -5):

@@ -78,17 +78,21 @@ def test_loop_quiver_composites_beyond_the_word_bound_match_the_golden():
     assert loop_jsonl() == (GOLDEN / "s3_loop_quiver.jsonl").read_text()
 
 
-def raw_eta_jsonl() -> str:
+def raw_eta_jsonl(f: int, g: int) -> str:
     # word bound 1: fg is the one composite, and eta is undefined on it
     base, cm = chain(word_bound=1), get_module("s3-conj")
-    eta = EtaMap.from_raw(base, cm, {(): 0, ("f",): 3, ("g",): 1})
+    eta = EtaMap.from_raw(base, cm, {(): 0, ("f",): f, ("g",): g})
     return twisted_jsonl(TwistedBundle(base, cm, eta), 20000)
 
 
-def test_raw_eta_undefined_on_a_composite_matches_the_golden():
-    text = raw_eta_jsonl()
+# with eta the identity wherever it is defined, a block that took the
+# identity for eta(fg) instead of raising would pass the laws that use it
+@pytest.mark.parametrize("f, g, golden", [(3, 1, "s3_raw_eta_undefined.jsonl"),
+                                          (0, 0, "s3_raw_eta_undefined_elsewhere_trivial.jsonl")])
+def test_raw_eta_undefined_on_a_composite_matches_the_golden(f, g, golden):
+    text = raw_eta_jsonl(f, g)
     assert "StructuralError: eta undefined on g\\u2218f:a->c" in text  # JSON escapes ∘
-    assert text == (GOLDEN / "s3_raw_eta_undefined.jsonl").read_text()
+    assert text == (GOLDEN / golden).read_text()
 
 
 # -- the coded chain spaces --
