@@ -151,12 +151,14 @@ class TwistedBundle:
 
 # -- case spaces: enumerated on finite quiver data, seeded otherwise --
 
-def _base_morphisms(bundle: TwistedBundle, count=None):
-    """Every base morphism of a quiver, else `count` seeded random paths (or
-    as many as the budget allows)."""
-    if isinstance(bundle.base, QuiverCategory):
-        return bundle.base.morphisms_upto()
-    return CaseSpace.sampled(bundle.base.random_path, count)
+def _base_morphisms(bundle: TwistedBundle, count=None) -> CaseSpace:
+    """Every base morphism of a quiver, coded by its index in
+    `morphisms_upto()`, else `count` seeded random paths (or as many as the
+    budget allows)."""
+    base = bundle.base
+    if isinstance(base, QuiverCategory):
+        return CaseSpace.product(base.codes(), build=base.morphism)
+    return CaseSpace.sampled(base.random_path, count)
 
 
 def _base_pairs(bundle: TwistedBundle) -> CaseSpace:
@@ -182,15 +184,9 @@ def _identities(bundle: TwistedBundle, count: int) -> CaseSpace:
 
 def bundle_morphisms(bundle: TwistedBundle) -> CaseSpace:
     """The bundle's morphisms: gamma outer, then h, then g where these are
-    finite, sampled otherwise. A quiver morphism is coded by its index in
-    `morphisms_upto()`, so the space is coded when the crossed module is
-    finite."""
-    base = bundle.base
-    if not isinstance(base, QuiverCategory):
-        return CaseSpace.product(_base_morphisms(bundle), bundle.cm.morphism_space(),
-                                 build=TwistedMorphism)
-    return CaseSpace.product(base.codes(), bundle.cm.morphism_space(),
-                             build=lambda gamma, m: TwistedMorphism(base.morphism(gamma), m))
+    finite (a coded space on a quiver), sampled otherwise."""
+    return CaseSpace.product(_base_morphisms(bundle), bundle.cm.morphism_space(),
+                             build=TwistedMorphism)
 
 
 def composable_chains(bundle: TwistedBundle, n: int) -> CaseSpace:
