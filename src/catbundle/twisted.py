@@ -175,10 +175,11 @@ def _base_pairs(bundle: TwistedBundle) -> CaseSpace:
 
 
 def _identities(bundle: TwistedBundle, count: int) -> CaseSpace:
-    """Identity morphisms at every quiver object, else at `count` seeded points."""
+    """Identity morphisms at every quiver object (coded: they come first in
+    code order), else at `count` seeded points."""
     base = bundle.base
     if isinstance(base, QuiverCategory):
-        return CaseSpace.finite([base.identity(o) for o in base.objects])
+        return CaseSpace.product(base.codes()[:len(base.objects)], build=base.morphism)
     return CaseSpace.sampled(lambda rng: base.identity(rng.uniform(-1, 1, size=base.dim)), count)
 
 
@@ -286,7 +287,7 @@ def verify_twisted_bundle(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
     ))
 
     report.records.append(run_law(
-        "eta-identity", "Eq 6.18", cases(_identities(bundle, 8)),
+        "eta-identity", "Eq 6.18", cases(_identities(bundle, 8), blocks=True),
         lambda gamma: None if cm.G.eq(bundle.eta(gamma), cm.G.identity)
         else {"gamma": repr(gamma)},
     ))
@@ -413,18 +414,19 @@ def verify_E_properties(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
     cm = bundle.cm
     report = LawReport(suite="e-action")
 
-    def cases(*axes, build=None):
-        return CaseSpace.product(*axes, build=build).plan(budget, rng)
+    def cases(*axes, build=None, blocks=False):
+        return CaseSpace.product(*axes, build=build).plan(budget, rng, blocks)
 
     report.records.append(run_law(
-        "E-identity-base", "§6.2 (i)", cases(cm.morphism_space(8), _identities(bundle, 4)),
+        "E-identity-base", "§6.2 (i)",
+        cases(cm.morphism_space(8), _identities(bundle, 4), blocks=True),
         lambda p: None if cm.m_eq(bundle.E(p[0], p[1]), p[0])
         else {"phi": cm.fmt_m(p[0])},
     ))
 
     report.records.append(run_law(
         "E-identity-group", "§6.2 (ii)",
-        cases(CaseSpace.carrier(cm.G, 8), _base_morphisms(bundle, 32)),
+        cases(CaseSpace.carrier(cm.G, 8), _base_morphisms(bundle, 32), blocks=True),
         lambda p: None if cm.m_eq(
             bundle.E(cm.identity_morphism(p[0]), p[1]),
             cm.identity_morphism(cm.G.mul(cm.G.inv(bundle.eta(p[1])), p[0])),
@@ -442,7 +444,8 @@ def verify_E_properties(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
     report.records.append(run_law(
         "E-composition-group", "§6.2 (iv)",
         cases(cm.morphism_space(12), CaseSpace.carrier(cm.H, 4), _base_morphisms(bundle, 8),
-              build=lambda phi1, h2, gamma: ((TwoGroupMorphism(h2, cm.target(phi1)), phi1), gamma)),
+              build=lambda phi1, h2, gamma: ((TwoGroupMorphism(h2, cm.target(phi1)), phi1), gamma),
+              blocks=True),
         lambda c: None if cm.m_eq(
             bundle.E(cm.compose_vertical(c[0][0], c[0][1]), c[1]),
             cm.compose_vertical(bundle.E(c[0][0], c[1]), bundle.E(c[0][1], c[1])),

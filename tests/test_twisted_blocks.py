@@ -185,8 +185,9 @@ def test_chains_past_the_word_bound_get_fresh_codes():
 BLOCKED = {
     "bundle-axioms": {"action-functoriality", "b3-transitivity-morphisms"},
     "twisted-bundle": {"associativity", "boundary-coherence", "b3-transitivity", "unit-laws",
-                       "b1-surjectivity"},
-    "e-action": {"action-boundaries", "action-composition", "E-reproduces-composition"},
+                       "b1-surjectivity", "eta-identity"},
+    "e-action": {"action-boundaries", "action-composition", "E-reproduces-composition",
+                 "E-identity-base", "E-identity-group", "E-composition-group"},
     "prop41-section": {"equivariance-morphisms", "composition-preservation",
                        "equivariance-morphisms@sigma2", "composition-preservation@sigma2"},
 }
