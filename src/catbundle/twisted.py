@@ -17,11 +17,11 @@ On a quiver base with a finite crossed module, the chain laws run in blocks
 of int-coded cases: a block's TwistedMorphism holds an array of quiver
 morphism codes (see `basecat`) and arrays of H and G codes, eta is looked up
 per code, and the law bodies run on it unchanged through table lookups and
-block-reducing `eq`s. The coded case spaces (`bundle_morphisms`,
-`composable_chains`) give the same cases in the same order as nested loops;
-a single case holds a QuiverMorphism and Python ints. The freeness law stays
-per case: its body negates an `eq`, which on a block would hold as soon as
-one case differs.
+block-reducing `eq`s. The coded case spaces (the base morphisms and
+identities, `bundle_morphisms`, `composable_chains`) give the same cases in
+the same order as nested loops; a single case holds a QuiverMorphism and
+Python ints. The freeness law stays per case: its body negates an `eq`,
+which on a block would hold as soon as one case differs.
 """
 from __future__ import annotations
 
