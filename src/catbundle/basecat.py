@@ -3,13 +3,11 @@ category of piecewise-linear sampled paths on a Euclidean chart.
 
 Quiver morphisms are arrow words stored in application order (first arrow
 first), so composition is word concatenation and strictly associative. In a
-block of cases a quiver morphism is an int code, its index in
-`morphisms_upto()`; a longer composite gets the next free code the first time
-a block forms it, so equal words have equal codes. `source`, `target`,
-`identity` and `compose` take arrays of codes by table lookup (an object in a
-block is its index in `objects`), `point_eq` and `morphism_eq` reduce over the
-block, and a CodeTable looks up any int-valued map of morphisms, such as eta,
-by code.
+block a quiver morphism is an int code, its index in `morphisms_upto()` (a
+longer composite gets the next free code when a block first forms it), and
+an object is its index in `objects`: `source`, `target`, `identity` and
+`compose` look codes up in tables, `point_eq` and `morphism_eq` give a
+per-case mask, and a CodeTable maps codes to int values such as eta.
 
 A SampledPath is an ordered array of points; composing paths records the
 junction as a binary tree node so that parallel transport of a composite is,
@@ -22,7 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .crossed import CompositionUndefined
+from .groups import CompositionUndefined
 
 DEFAULT_WORD_BOUND = 4
 DEFAULT_PT_TOL = 1e-12
@@ -88,10 +86,9 @@ class QuiverCategory:
         except AttributeError:
             return self._coding()[1][m]
 
-    def point_eq(self, a, b) -> bool:
-        """a == b for objects or morphisms; on arrays of codes, for every case."""
-        same = a == b
-        return same if same.__class__ is bool else bool(np.all(same))
+    def point_eq(self, a, b):
+        """a == b for objects or morphisms; on arrays of codes, a per-case mask."""
+        return a == b
 
     morphism_eq = point_eq
 

@@ -14,11 +14,10 @@ forces); validity additionally requires tau(h(f)) = g(target)·g(source)^-1
 on every generator. A quiver is stored by its arrows; an overlap category
 (`cocycle`) by its full morphism list, each morphism its own one-letter word.
 
-The categorical group of functors (Props 3.2-3.4) is checked in blocks of
-int-coded cases: a FunctorUG whose table values are arrays of codes stands
-for as many functors, one per entry, and the functor and transformation
-operations, `eq` and the witnesses run on it unchanged, through the finite
-groups' table lookups on arrays and their block-reducing `eq`.
+The categorical group of functors (Props 3.2-3.4) and the Prop 3.1 round
+trip are checked in blocks: a FunctorUG whose table values are arrays of
+codes (or SO(n) stacks) stands for as many functors, one per entry, on which
+`eq`, `nat_eq`, `functor_ok` and `natural_ok` give a per-case mask.
 """
 from __future__ import annotations
 
@@ -29,15 +28,15 @@ import numpy as np
 
 from .basecat import CodeTable, QuiverCategory
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
-from .groups import StructuralError
-from .report import DEFAULT_BUDGET, CaseSpace, LawReport, run_law
+from .groups import StructuralError, all_cases, every
+from .report import DEFAULT_BUDGET, CaseSpace, LawReport, run_law, sides_witness
 from .twisted import (
     EtaMap,
     TwistedBundle,
     TwistedMorphism,
     action_boundaries_ok,
     action_composition_ok,
-    b1_witness,
+    b1_ok,
     bundle_morphisms,
     composable_chains,
     free_ok,
@@ -89,29 +88,23 @@ class FunctorUG:
         self._require_same(other)
         cm = self.cm
         g_table = {a: cm.G.mul(self.g_table[a], other.g_table[a]) for a in self.base.objects}
-        h_gen = {
-            f: cm.H.mul(self.h_gen[f], cm.alpha(self.g_table[self.base.arrows[f][0]], other.h_gen[f]))
-            for f in self.base.arrows
-        }
+        h_gen = {f: cm.H.mul(self.h_gen[f], cm.alpha(self.g_table[src], other.h_gen[f]))
+                 for f, (src, _) in self.base.arrows.items()}
         return FunctorUG(self.base, cm, g_table, h_gen)
 
     def inv(self) -> "FunctorUG":
         cm = self.cm
         g_table = {a: cm.G.inv(self.g_table[a]) for a in self.base.objects}
-        h_gen = {
-            f: cm.alpha(cm.G.inv(self.g_table[self.base.arrows[f][0]]), cm.H.inv(self.h_gen[f]))
-            for f in self.base.arrows
-        }
+        h_gen = {f: cm.alpha(cm.G.inv(self.g_table[src]), cm.H.inv(self.h_gen[f]))
+                 for f, (src, _) in self.base.arrows.items()}
         return FunctorUG(self.base, cm, g_table, h_gen)
 
-    def eq(self, other: "FunctorUG") -> bool:
-        """Pointwise equality on objects and generating morphisms."""
+    def eq(self, other: "FunctorUG"):
+        """Pointwise equality on objects and generating morphisms, per case."""
         self._require_same(other)
-        return all(
-            self.cm.G.eq(self.g_table[a], other.g_table[a]) for a in self.base.objects
-        ) and all(
-            self.cm.H.eq(self.h_gen[f], other.h_gen[f]) for f in self.base.arrows
-        )
+        G, H = self.cm.G, self.cm.H
+        return every([G.eq(self.g_table[a], other.g_table[a]) for a in self.base.objects]
+                     + [H.eq(self.h_gen[f], other.h_gen[f]) for f in self.base.arrows])
 
 
 def constant_identity_functor(base, cm: CrossedModule) -> FunctorUG:
@@ -123,9 +116,7 @@ def functor_from_h(base, cm: CrossedModule, h_obj: dict) -> FunctorUG:
     """Build the functor with g = tau∘h and h(gamma) = h(target)·h(source)^-1
     from an object-level H-valued table."""
     g_table = {a: cm.tau(h_obj[a]) for a in base.objects}
-    h_gen = {}
-    for f, (src, dst) in base.arrows.items():
-        h_gen[f] = cm.H.mul(h_obj[dst], cm.H.inv(h_obj[src]))
+    h_gen = {f: cm.H.mul(h_obj[dst], cm.H.inv(h_obj[src])) for f, (src, dst) in base.arrows.items()}
     return FunctorUG(base, cm, g_table, h_gen)
 
 
@@ -140,44 +131,45 @@ def enumerate_functors(base: QuiverCategory, cm: CrossedModule) -> list[FunctorU
     arrow_names = sorted(base.arrows)
     for g_assign in itertools.product(cm.G.elements, repeat=len(base.objects)):
         g_table = dict(zip(base.objects, g_assign))
-        cands = []
-        ok = True
-        for f in arrow_names:
-            src, dst = base.arrows[f]
-            need = cm.G.mul(g_table[dst], cm.G.inv(g_table[src]))
-            hs = [h for h in cm.H.elements if cm.G.eq(cm.tau(h), need)]
-            if not hs:
-                ok = False
-                break
-            cands.append(hs)
-        if not ok:
-            continue
-        for combo in itertools.product(*cands):
+        needs = [cm.G.mul(g_table[dst], cm.G.inv(g_table[src]))
+                 for src, dst in map(base.arrows.get, arrow_names)]
+        candidates = [[h for h in cm.H.elements if cm.G.eq(cm.tau(h), need)] for need in needs]
+        for combo in itertools.product(*candidates):  # empty if an arrow has no candidate
             out.append(FunctorUG(base, cm, dict(g_table), dict(zip(arrow_names, combo))))
     return out
 
 
-def functor_invariant_witness(F: FunctorUG) -> dict | None:
-    """First violation of the functor laws on the enumerated morphism set,
-    or None: H-multiplicativity, tau-compatibility, identity preservation,
-    and source/target/composition preservation of the induced bundle map."""
+def _functor_laws(F: FunctorUG):
+    """(holds, law, morphisms) of each functor law on the enumerated
+    morphisms, lazily, in witness order."""
     base, cm = F.base, F.cm
     for gamma in base.morphisms_upto():
         img = F.apply(gamma)
-        if not cm.G.eq(cm.source(img), F.g(base.source(gamma))):
-            return {"law": "source", "gamma": repr(gamma)}
-        if not cm.G.eq(cm.target(img), F.g(base.target(gamma))):
-            return {"law": "target", "gamma": repr(gamma)}
-        if not cm.G.eq(cm.tau(F.h(gamma)), cm.G.mul(F.g(base.target(gamma)), cm.G.inv(F.g(base.source(gamma))))):
-            return {"law": "tau-compatibility", "gamma": repr(gamma)}
-        if gamma.is_identity and not cm.H.eq(F.h(gamma), cm.H.identity):
-            return {"law": "identity", "gamma": repr(gamma)}
+        g_source, g_target = F.g(base.source(gamma)), F.g(base.target(gamma))
+        yield cm.G.eq(cm.source(img), g_source), "source", (gamma,)
+        yield cm.G.eq(cm.target(img), g_target), "target", (gamma,)
+        yield (cm.G.eq(cm.tau(F.h(gamma)), cm.G.mul(g_target, cm.G.inv(g_source))),
+               "tau-compatibility", (gamma,))
+        if gamma.is_identity:
+            yield cm.H.eq(F.h(gamma), cm.H.identity), "identity", (gamma,)
     for m2, m1 in base.composable_pairs():
         comp = base.compose(m2, m1)
-        if not cm.H.eq(F.h(comp), cm.H.mul(F.h(m2), F.h(m1))):
-            return {"law": "h-multiplicativity", "gamma2": repr(m2), "gamma1": repr(m1)}
-        if not cm.m_eq(F.apply(comp), cm.compose_vertical(F.apply(m2), F.apply(m1))):
-            return {"law": "composition", "gamma2": repr(m2), "gamma1": repr(m1)}
+        yield cm.H.eq(F.h(comp), cm.H.mul(F.h(m2), F.h(m1))), "h-multiplicativity", (m2, m1)
+        yield (cm.m_eq(F.apply(comp), cm.compose_vertical(F.apply(m2), F.apply(m1))),
+               "composition", (m2, m1))
+
+
+def functor_ok(F: FunctorUG):
+    """Every functor law holds: a bool, or a per-case mask."""
+    return every(holds for holds, _, _ in _functor_laws(F))
+
+
+def functor_invariant_witness(F: FunctorUG) -> dict | None:
+    """The first violated functor law of one functor, or None."""
+    for holds, law, ms in _functor_laws(F):
+        if not holds:
+            names = ("gamma",) if len(ms) == 1 else ("gamma2", "gamma1")
+            return {"law": law, **{k: repr(m) for k, m in zip(names, ms)}}
     return None
 
 
@@ -186,7 +178,8 @@ def verify_prop31_roundtrip(base: QuiverCategory, cm: CrossedModule,
                             rng: np.random.Generator | None = None) -> LawReport:
     """Every functor built from an object-level H-map satisfies the encoding
     invariants exactly, with exhaustive functoriality; and the telescoping
-    form of the composite H-value matches the generator fold."""
+    form of the composite H-value matches the generator fold. A block of
+    cases is one functor whose tables hold stacked values."""
     rng = rng or np.random.default_rng(0)
     report = LawReport(suite="prop31-roundtrip")
     H = CaseSpace.carrier(cm.H)
@@ -203,25 +196,27 @@ def verify_prop31_roundtrip(base: QuiverCategory, cm: CrossedModule,
 
     report.records.append(run_law(
         "roundtrip-invariants", "Eqs 3.7-3.8", functors,
-        lambda p: functor_invariant_witness(p[1]),
+        lambda p: functor_ok(p[1]), lambda p: functor_invariant_witness(p[1]),
     ))
 
-    def telescoping(p):
+    def telescoping(p):  # (holds, pair) of each composable pair, lazily
         hm, F = p
         for m2, m1 in base.composable_pairs():
             comp = base.compose(m2, m1)
             want = cm.H.mul(hm[comp.target], cm.H.inv(hm[comp.source]))
-            if not cm.H.eq(F.h(comp), want):
-                return {"gamma2": repr(m2), "gamma1": repr(m1)}
-        return None
+            yield cm.H.eq(F.h(comp), want), (m2, m1)
 
-    report.records.append(run_law("telescoping", "Eq 3.26", functors, telescoping))
+    report.records.append(run_law(
+        "telescoping", "Eq 3.26", functors,
+        lambda p: every(holds for holds, _ in telescoping(p)),
+        lambda p: next({"gamma2": repr(m2), "gamma1": repr(m1)}
+                       for holds, (m2, m1) in telescoping(p) if not holds),
+    ))
 
     report.records.append(run_law(
         "object-encoding", "Eq 3.9", functors,
-        lambda p: None if all(
-            cm.G.eq(p[1].g(a), cm.tau(p[0][a])) for a in base.objects
-        ) else {"case": "g=tau∘h"},
+        lambda p: every(cm.G.eq(p[1].g(a), cm.tau(p[0][a])) for a in base.objects),
+        lambda p: {"case": "g=tau∘h"},
     ))
     return report
 
@@ -245,9 +240,8 @@ def gauge(F1: FunctorUG, hT: dict) -> NatTransf:
     g2 = tau(hT)·g1 on objects and h2(f) = hT(b)·h1(f)·hT(a)^-1 on arrows."""
     base, cm = F1.base, F1.cm
     g2 = {a: cm.G.mul(cm.tau(hT[a]), F1.g_table[a]) for a in base.objects}
-    h2 = {}
-    for f, (src, dst) in base.arrows.items():
-        h2[f] = cm.H.mul(cm.H.mul(hT[dst], F1.h_gen[f]), cm.H.inv(hT[src]))
+    h2 = {f: cm.H.mul(cm.H.mul(hT[dst], F1.h_gen[f]), cm.H.inv(hT[src]))
+          for f, (src, dst) in base.arrows.items()}
     return NatTransf(F1, FunctorUG(base, cm, g2, h2), dict(hT))
 
 
@@ -257,7 +251,7 @@ def identity_transf(F: FunctorUG) -> NatTransf:
 
 def nat_vertical_compose(T2: NatTransf, T1: NatTransf) -> NatTransf:
     """(T2 ∘ T1)(a) = T2(a) ∘ T1(a); the h-components multiply as h2·h1."""
-    if not T1.target.eq(T2.source):
+    if not all_cases(T1.target.eq(T2.source)):
         raise CompositionUndefined("target functor of T1 is not the source functor of T2")
     cm = T1.source.cm
     hT = {a: cm.H.mul(T2.hT[a], T1.hT[a]) for a in T1.source.base.objects}
@@ -279,23 +273,35 @@ def nat_inverse(T: NatTransf) -> NatTransf:
     return NatTransf(T.source.inv(), T.target.inv(), hT)
 
 
-def nat_eq(T1: NatTransf, T2: NatTransf) -> bool:
-    cm = T1.source.cm
-    return T1.source.eq(T2.source) and all(
-        cm.H.eq(T1.hT[a], T2.hT[a]) for a in T1.source.base.objects
-    )
+def nat_eq(T1: NatTransf, T2: NatTransf):
+    """Equal source functors and h-maps, per case."""
+    H = T1.source.cm.H
+    objects = T1.source.base.objects
+    return every([T1.source.eq(T2.source)] + [H.eq(T1.hT[a], T2.hT[a]) for a in objects])
 
 
-def naturality_witness(T: NatTransf) -> dict | None:
-    """First morphism whose naturality square (target∘T(a) = T(b)∘source)
-    fails to commute, or None."""
+def _naturality_squares(T: NatTransf):
+    """(holds, gamma, lhs, rhs) of the naturality square
+    target∘T(a) = T(b)∘source of each morphism, lazily."""
     base, cm = T.source.base, T.source.cm
     for gamma in base.morphisms_upto():
         a, b = base.source(gamma), base.target(gamma)
         lhs = cm.compose_vertical(T.target.apply(gamma), T.at(a))
         rhs = cm.compose_vertical(T.at(b), T.source.apply(gamma))
-        if not cm.m_eq(lhs, rhs):
-            return {"gamma": repr(gamma), "lhs": cm.fmt_m(lhs), "rhs": cm.fmt_m(rhs)}
+        yield cm.m_eq(lhs, rhs), gamma, lhs, rhs
+
+
+def natural_ok(T: NatTransf):
+    """Every naturality square commutes: a bool, or a per-case mask."""
+    return every(square[0] for square in _naturality_squares(T))
+
+
+def naturality_witness(T: NatTransf) -> dict | None:
+    """First morphism of one transformation whose naturality square fails
+    to commute, or None."""
+    for holds, gamma, *sides in _naturality_squares(T):
+        if not holds:
+            return {"gamma": repr(gamma), **sides_witness(T.source.cm.fmt_m, sides)}
     return None
 
 
@@ -360,73 +366,78 @@ def verify_GU_categorical_group(
         k = len(axes)
         whole = build if parts == 1 else (
             lambda *c: tuple(build(*c[i:i + k]) for i in range(0, parts * k, k)))
-        return CaseSpace.product(*(axes * parts), build=whole).plan(budget, rng, blocks=True)
+        return CaseSpace.product(*(axes * parts), build=whole).plan(budget, rng)
 
     report.records.append(run_law(
         "functor-product-closure", "Prop 3.2", cases(functors, 2),
+        lambda p: functor_ok(p[0].mul(p[1])),
         lambda p: functor_invariant_witness(p[0].mul(p[1])),
     ))
 
     report.records.append(run_law(
         "object-group-laws", "Prop 3.2", cases(functors, 3),
-        lambda t: None if (
-            t[0].mul(t[1]).mul(t[2]).eq(t[0].mul(t[1].mul(t[2])))
-            and t[0].mul(t[0].inv()).eq(E)
-            and t[0].mul(E).eq(t[0])
-        ) else {"case": "object-group"},
+        lambda t: (t[0].mul(t[1]).mul(t[2]).eq(t[0].mul(t[1].mul(t[2])))
+                   & t[0].mul(t[0].inv()).eq(E)
+                   & t[0].mul(E).eq(t[0])),
+        lambda t: {"case": "object-group"},
     ))
 
     report.records.append(run_law(
         "morphism-product-closure", "diagram 3.14", cases(chain(1), 2),
+        lambda p: natural_ok(nat_pointwise_mul(p[0], p[1])),
         lambda p: naturality_witness(nat_pointwise_mul(p[0], p[1])),
     ))
+
+    def product_boundaries_ok(p):
+        product = nat_pointwise_mul(p[0], p[1])
+        return (product.source.eq(p[0].source.mul(p[1].source))
+                & product.target.eq(p[0].target.mul(p[1].target)))
+
     report.records.append(run_law(
         "source-target-homomorphism", "Eq 2.2", cases(chain(1), 2),
-        lambda p: None if (
-            nat_pointwise_mul(p[0], p[1]).source.eq(p[0].source.mul(p[1].source))
-            and nat_pointwise_mul(p[0], p[1]).target.eq(p[0].target.mul(p[1].target))
-        ) else {"case": "s/t"},
+        product_boundaries_ok, lambda p: {"case": "s/t"},
     ))
 
     report.records.append(run_law(
         "morphism-group-laws", "Prop 3.4", cases(chain(1)),
-        lambda T: None if (
-            nat_eq(nat_pointwise_mul(T, nat_inverse(T)), one_E)
-            and nat_eq(nat_pointwise_mul(T, one_E), T)
-        ) else {"case": "morphism-group"},
+        lambda T: (nat_eq(nat_pointwise_mul(T, nat_inverse(T)), one_E)
+                   & nat_eq(nat_pointwise_mul(T, one_E), T)),
+        lambda T: {"case": "morphism-group"},
     ))
 
     report.records.append(run_law(
         "identity-assignment", "§2.1", cases(functors, 2),
-        lambda p: None if nat_eq(
+        lambda p: nat_eq(
             identity_transf(p[0].mul(p[1])),
             nat_pointwise_mul(identity_transf(p[0]), identity_transf(p[1])),
-        ) else {"case": "identity-assignment"},
+        ),
+        lambda p: {"case": "identity-assignment"},
     ))
 
     report.records.append(run_law(
         "vertical-units", "Eq 3.15", cases(chain(1)),
-        lambda T: None if (
-            nat_eq(nat_vertical_compose(identity_transf(T.target), T), T)
-            and nat_eq(nat_vertical_compose(T, identity_transf(T.source)), T)
-        ) else {"case": "vertical-units"},
+        lambda T: (nat_eq(nat_vertical_compose(identity_transf(T.target), T), T)
+                   & nat_eq(nat_vertical_compose(T, identity_transf(T.source)), T)),
+        lambda T: {"case": "vertical-units"},
     ))
     report.records.append(run_law(
         "vertical-associativity", "Eq 3.15", cases(chain(3)),
-        lambda t: None if nat_eq(
+        lambda t: nat_eq(
             nat_vertical_compose(nat_vertical_compose(t[0], t[1]), t[2]),
             nat_vertical_compose(t[0], nat_vertical_compose(t[1], t[2])),
-        ) else {"case": "vertical-assoc"},
+        ),
+        lambda t: {"case": "vertical-assoc"},
     ))
 
-    def check_exchange(pq):
+    def exchange_ok(pq):
         (T2, T1), (Tp2, Tp1) = pq
         lhs = nat_vertical_compose(nat_pointwise_mul(Tp2, T2), nat_pointwise_mul(Tp1, T1))
         rhs = nat_pointwise_mul(nat_vertical_compose(Tp2, Tp1), nat_vertical_compose(T2, T1))
-        return None if nat_eq(lhs, rhs) else {"case": "exchange"}
+        return nat_eq(lhs, rhs)
 
     report.records.append(run_law(
-        "exchange-law-functors", "Eq 3.17", cases(chain(2), 2), check_exchange))
+        "exchange-law-functors", "Eq 3.17", cases(chain(2), 2), exchange_ok,
+        lambda pq: {"case": "exchange"}))
     return report
 
 
@@ -475,51 +486,51 @@ def verify_section_iso(F: FunctorUG, budget: int = DEFAULT_BUDGET,
 
     report.records.append(run_law(
         "section-projection", "Prop 4.1", list(base.objects),
-        lambda a: None if iso.on_object(a, cm.G.identity)[0] == a else {"object": a},
+        lambda a: iso.on_object(a, cm.G.identity)[0] == a, lambda a: {"object": a},
     ))
 
     report.records.append(run_law(
         "equivariance-objects", "Eq 4.4",
         CaseSpace.product(objects, cm.G.elements).plan(budget, rng),
-        lambda p: None if cm.G.eq(
+        lambda p: cm.G.eq(
             iso.on_object(*bundle.act_object(p[0], p[1]))[1],
             cm.G.mul(iso.on_object(*p[0])[1], p[1]),
-        ) else {"object": str(p[0][0])},
+        ),
+        lambda p: {"object": str(p[0][0])},
     ))
 
     report.records.append(run_law(
         "equivariance-morphisms", "Eq 4.4",
-        CaseSpace.product(bundle_morphisms(bundle), cm.morphism_space()).plan(
-            budget, rng, blocks=True),
-        lambda p: None if bundle.morphism_eq(
+        CaseSpace.product(bundle_morphisms(bundle), cm.morphism_space()).plan(budget, rng),
+        lambda p: bundle.morphism_eq(
             iso.on_morphism(bundle.act(p[0], p[1])),
             bundle.act(iso.on_morphism(p[0]), p[1]),
-        ) else {"gamma": repr(p[0].gamma)},
+        ),
+        lambda p: {"gamma": repr(p[0].gamma)},
     ))
 
     report.records.append(run_law(
         "fiber-preservation", "Prop 4.1", objects + morphisms,
-        lambda x: None if (
-            (iso.on_object(*x)[0] == x[0]) if isinstance(x, tuple)
-            else (iso.on_morphism(x).gamma == x.gamma)
-        ) else {"case": "fiber"},
+        lambda x: ((iso.on_object(*x)[0] == x[0]) if isinstance(x, tuple)
+                   else (iso.on_morphism(x).gamma == x.gamma)),
+        lambda x: {"case": "fiber"},
     ))
 
     def obj_bij(_):
-        seen = []
+        seen = {}  # each image, and the first object mapped to it
         for x in objects:
             y = iso.on_object(*x)
-            for prev_x, prev_y in seen:
-                if prev_y[0] == y[0] and cm.G.eq(prev_y[1], y[1]) and prev_x != x:
-                    return {"collision": f"{prev_x} vs {x}"}
-            seen.append((x, y))
+            if y in seen:  # finite elements are codes, equal exactly when `eq`
+                return {"collision": f"{seen[y]} vs {x}"}
+            seen[y] = x
         for x in objects:  # surjectivity via the explicit inverse
             back = iso.on_object(*iso.inv_object(*x))
             if not (back[0] == x[0] and cm.G.eq(back[1], x[1])):
                 return {"no-preimage": str(x[0])}
         return None
 
-    report.records.append(run_law("bijectivity-objects", "Prop 4.1", [0], obj_bij))
+    report.records.append(run_law(
+        "bijectivity-objects", "Prop 4.1", [0], lambda c: obj_bij(c) is None, obj_bij))
 
     def mor_bij(_):
         keys = set()
@@ -535,15 +546,16 @@ def verify_section_iso(F: FunctorUG, budget: int = DEFAULT_BUDGET,
                 return {"no-preimage": repr(tm.gamma)}
         return None
 
-    report.records.append(run_law("bijectivity-morphisms", "Prop 4.1", [0], mor_bij))
+    report.records.append(run_law(
+        "bijectivity-morphisms", "Prop 4.1", [0], lambda c: mor_bij(c) is None, mor_bij))
 
     report.records.append(run_law(
-        "composition-preservation", "Eq 4.5",
-        composable_chains(bundle, 2).plan(budget, rng, blocks=True),
-        lambda p: None if bundle.morphism_eq(
+        "composition-preservation", "Eq 4.5", composable_chains(bundle, 2).plan(budget, rng),
+        lambda p: bundle.morphism_eq(
             iso.on_morphism(bundle.compose(p[0], p[1])),
             bundle.compose(iso.on_morphism(p[0]), iso.on_morphism(p[1])),
-        ) else {"gamma2": repr(p[0].gamma), "gamma1": repr(p[1].gamma)},
+        ),
+        lambda p: {"gamma2": repr(p[0].gamma), "gamma1": repr(p[1].gamma)},
     ))
     return report
 
@@ -552,58 +564,40 @@ class ExtractionRefused(ValueError):
     """The given endofunctor is not fiber-preserving or not equivariant."""
 
 
-def _spread(group, k: int, start: int) -> list:
-    """k fixed elements spread over an infinite group, from points start,
-    ..., start + k - 1 of the Kronecker sequence of sqrt(2), sqrt(3) and
-    sqrt(5): no suite stream moves, and numpy.random (slow to import on
-    first use) stays unimported."""
+def _spread(group, k: int, start: int) -> np.ndarray:
+    """A stack of k fixed elements spread over an infinite group, from
+    points start, ..., start + k - 1 of the Kronecker sequence of sqrt(2),
+    sqrt(3) and sqrt(5): no suite stream moves, and numpy.random (slow to
+    import on first use) stays unimported."""
     alphas = np.sqrt([2.0, 3.0, 5.0][:group.width]) % 1.0
-    return list(group.sample_stack((np.arange(start, start + k)[:, None] * alphas) % 1.0))
-
-
-def _first_failing(holds, probes, stack):
-    """The first probe at which `holds` fails, or None. Unless `stack` is
-    None, `holds` is tried once on it, all the probes stacked, and probe by
-    probe only if that fails."""
-    if stack is not None and holds(stack):
-        return None
-    return next((p for p in probes if not holds(p)), None)
+    return group.sample_stack((np.arange(start, start + k)[:, None] * alphas) % 1.0)
 
 
 def extract_functor(phi: SectionIso | object, base: QuiverCategory, cm: CrossedModule) -> FunctorUG:
     """Recover the functor sigma with phi(a, g) = (a, sigma(a)·g) from an
     equivariant fiber-preserving bundle endofunctor; refuses with a witness
-    otherwise."""
+    otherwise. Equivariance is probed with one stack of fixed group elements
+    per object and one of morphisms per arrow, so phi must map each element
+    of a stack on its own."""
     bundle = TwistedBundle(base, cm, EtaMap.trivial(base, cm))
-    on_object = phi.on_object
-    on_morphism = phi.on_morphism
+    on_object, on_morphism = phi.on_object, phi.on_morphism
     for a in base.objects:
         img = on_object(a, cm.G.identity)
         if img[0] != a:
             raise ExtractionRefused(f"not fiber-preserving at object {a!r}")
     if cm.is_finite:  # equivariance probes
-        sample_gs = cm.G.elements[:8]
-        sample_ms = list(itertools.islice(cm.morphism_space(), 12))
+        g_probes = np.array(cm.G.elements[:8])
+        hs, gs = zip(*((m.h, m.g) for m in itertools.islice(cm.morphism_space(), 12)))
+        m_probes = TwoGroupMorphism(np.array(hs), np.array(gs))
     else:
-        sample_gs = _spread(cm.G, 8, 1)
-        sample_ms = list(map(TwoGroupMorphism, _spread(cm.H, 12, 9), _spread(cm.G, 12, 21)))
-    # A SectionIso maps each element of a stack on its own, so its probes are
-    # checked in one call. Any other map is probed one element at a time: it
-    # may branch on `eq`, which reduces a stack to one bool.
-    g_stack = m_stack = None
-    if type(phi) is SectionIso:
-        g_stack = np.array(sample_gs)
-        m_stack = TwoGroupMorphism(np.array([m.h for m in sample_ms]), np.array([m.g for m in sample_ms]))
+        g_probes = _spread(cm.G, 8, 1)
+        m_probes = TwoGroupMorphism(_spread(cm.H, 12, 9), _spread(cm.G, 12, 21))
     for a in base.objects:
-        at_identity = on_object(a, cm.G.identity)
-
-        def equivariant(g1):
-            lhs = on_object(a, g1)
-            rhs = bundle.act_object(at_identity, g1)
-            return lhs[0] == rhs[0] and cm.G.eq(lhs[1], rhs[1])
-
-        g1 = _first_failing(equivariant, sample_gs, g_stack)
-        if g1 is not None:
+        lhs = on_object(a, g_probes)
+        rhs = bundle.act_object(on_object(a, cm.G.identity), g_probes)
+        held = np.broadcast_to((lhs[0] == rhs[0]) & cm.G.eq(lhs[1], rhs[1]), (len(g_probes),))
+        if not held.all():
+            g1 = g_probes[held.argmin()]  # the first failing probe
             raise ExtractionRefused(f"not equivariant at object {a!r}, g={cm.G.fmt(g1)}")
     g_table = {a: on_object(a, cm.G.identity)[1] for a in base.objects}
     h_gen = {}
@@ -617,12 +611,8 @@ def extract_functor(phi: SectionIso | object, base: QuiverCategory, cm: CrossedM
             raise ExtractionRefused(f"source intertwining fails at arrow {f!r}")
     for gamma in base.generators():
         tm = TwistedMorphism(gamma, cm.unit)
-        image = on_morphism(tm)
-
-        def equivariant(m1):
-            return bundle.morphism_eq(on_morphism(bundle.act(tm, m1)), bundle.act(image, m1))
-
-        if _first_failing(equivariant, sample_ms, m_stack) is not None:
+        acted = on_morphism(bundle.act(tm, m_probes))
+        if not all_cases(bundle.morphism_eq(acted, bundle.act(on_morphism(tm), m_probes))):
             raise ExtractionRefused(f"not equivariant at arrow {gamma!r}")
     F = FunctorUG(base, cm, g_table, h_gen)
     witness = functor_invariant_witness(F)
@@ -639,23 +629,21 @@ def verify_composition_correspondence(F2: FunctorUG, F1: FunctorUG) -> LawReport
     phi2, phi1 = SectionIso(F2), SectionIso(F1)
     composed = phi2.compose_with(phi1)
 
-    def check(_):
-        extracted = extract_functor(composed, base, cm)
-        want = F2.mul(F1)
-        return None if extracted.eq(want) else {"case": "sigma-product"}
-
-    report.records.append(run_law("composition-correspondence", "Eq 4.11", [0], check))
+    report.records.append(run_law(
+        "composition-correspondence", "Eq 4.11", [0],
+        lambda _: extract_functor(composed, base, cm).eq(F2.mul(F1)),
+        lambda _: {"case": "sigma-product"},
+    ))
     report.records.append(run_law(
         "extraction-roundtrip", "Eq 4.7", [F1, F2],
-        lambda F: None if extract_functor(SectionIso(F), base, cm).eq(F)
-        else {"case": "roundtrip"},
+        lambda F: extract_functor(SectionIso(F), base, cm).eq(F),
+        lambda F: {"case": "roundtrip"},
     ))
     report.records.append(run_law(
         "intertwining", "Eq 4.8", base.morphisms_upto(),
-        lambda gamma: None if (
-            cm.G.eq(cm.source(F1.apply(gamma)), F1.g(base.source(gamma)))
-            and cm.G.eq(cm.target(F1.apply(gamma)), F1.g(base.target(gamma)))
-        ) else {"gamma": repr(gamma)},
+        lambda gamma: (cm.G.eq(cm.source(F1.apply(gamma)), F1.g(base.source(gamma)))
+                       & cm.G.eq(cm.target(F1.apply(gamma)), F1.g(base.target(gamma)))),
+        lambda gamma: {"gamma": repr(gamma)},
     ))
     return report
 
@@ -670,40 +658,38 @@ def verify_bundle_axioms(base: QuiverCategory, cm: CrossedModule,
     rng = rng or np.random.default_rng(0)
     report = LawReport(suite="bundle-axioms")
     bundle = TwistedBundle(base, cm, EtaMap.trivial(base, cm))
-    morphisms = list(bundle_morphisms(bundle))
-    objects = [(a, g) for a in base.objects for g in cm.G.elements]
 
     def lift(x):  # through the unit: an object's identity, or a base morphism
         return TwistedMorphism(base.identity(x) if isinstance(x, str) else x, cm.unit)
 
     report.records.append(run_law(
-        "b1-surjectivity", "§2.2 (b1)",
-        list(base.objects) + base.morphisms_upto(),
-        lambda x: None if b1_witness(bundle, lift(x)) is None else {"missing": repr(x)},
+        "b1-surjectivity", "§2.2 (b1)", list(base.objects) + base.morphisms_upto(),
+        lambda x: b1_ok(bundle, lift(x)), lambda x: {"missing": repr(x)},
     ))
 
-    def cases(space, blocks=False):
-        return space.plan(budget, rng, blocks)
-
+    # an object (a, g) in a block is a's index in `base.objects` and a code
+    names = np.array(base.objects, dtype=object)
+    objects_acted = CaseSpace.product(range(len(names)), cm.G.elements, cm.G.elements,
+                                      build=lambda a, g, g1: ((names[a], g), g1))
     report.records.append(run_law(
-        "b2-freeness-objects", "§2.2 (b2)", cases(CaseSpace.product(objects, cm.G.elements)),
-        lambda p: None if (
-            not cm.G.eq(bundle.act_object(p[0], p[1])[1], p[0][1]) or cm.G.eq(p[1], cm.G.identity)
-        ) else {"object": str(p[0][0]), "g": cm.G.fmt(p[1])},
+        "b2-freeness-objects", "§2.2 (b2)", objects_acted.plan(budget, rng),
+        lambda p: cm.G.eq(bundle.act_object(p[0], p[1])[1], p[0][1]) <= cm.G.eq(p[1], cm.G.identity),
+        lambda p: {"object": str(p[0][0]), "g": cm.G.fmt(p[1])},
     ))
     report.records.append(run_law(
-        "b2-freeness-morphisms", "§2.2 (b2)", cases(CaseSpace.product(morphisms, cm.morphism_space())),
-        lambda p: None if free_ok(bundle, *p) else {"gamma": repr(p[0].gamma)},
+        "b2-freeness-morphisms", "§2.2 (b2)",
+        CaseSpace.product(bundle_morphisms(bundle), cm.morphism_space()).plan(budget, rng),
+        lambda p: free_ok(bundle, *p), lambda p: {"gamma": repr(p[0].gamma)},
     ))
 
     # pairs in one fiber, over one base object or base morphism
     same_object = CaseSpace.product(base.objects, cm.G.elements, cm.G.elements,
                                     build=lambda a, g1, g2: ((a, g1), (a, g2)))
     report.records.append(run_law(
-        "b3-transitivity-objects", "§2.2 (b3)", cases(same_object),
-        lambda p: None if cm.G.eq(
-            bundle.act_object(p[0], cm.G.mul(cm.G.inv(p[0][1]), p[1][1]))[1], p[1][1]
-        ) else {"object": str(p[0][0])},
+        "b3-transitivity-objects", "§2.2 (b3)", same_object.plan(budget, rng),
+        lambda p: cm.G.eq(
+            bundle.act_object(p[0], cm.G.mul(cm.G.inv(p[0][1]), p[1][1]))[1], p[1][1]),
+        lambda p: {"object": str(p[0][0])},
     ))
 
     def same_gamma(gamma, m1, m2):
@@ -713,23 +699,22 @@ def verify_bundle_axioms(base: QuiverCategory, cm: CrossedModule,
     same_morphism = CaseSpace.product(base.codes(), cm.morphism_space(), cm.morphism_space(),
                                       build=same_gamma)
     report.records.append(run_law(
-        "b3-transitivity-morphisms", "§2.2 (b3)", cases(same_morphism, blocks=True),
-        lambda p: None if bundle.morphism_eq(
-            bundle.act(p[0], cm.sdp_multiply(cm.sdp_inverse(p[0].m), p[1].m)), p[1],
-        ) else {"gamma": repr(p[0].gamma)},
+        "b3-transitivity-morphisms", "§2.2 (b3)", same_morphism.plan(budget, rng),
+        lambda p: bundle.morphism_eq(
+            bundle.act(p[0], cm.sdp_multiply(cm.sdp_inverse(p[0].m), p[1].m)), p[1]),
+        lambda p: {"gamma": repr(p[0].gamma)},
     ))
 
     report.records.append(run_law(
-        "composition-units", "Eq 3.4", morphisms,
-        lambda tm: None if units_ok(bundle, tm) else {"gamma": repr(tm.gamma)},
+        "composition-units", "Eq 3.4", list(bundle_morphisms(bundle)),
+        lambda tm: units_ok(bundle, tm), lambda tm: {"gamma": repr(tm.gamma)},
     ))
     # the action commutes with composition, and with s and t on the first factor
     report.records.append(run_law(
         "action-functoriality", "Eq 3.2",
-        cases(CaseSpace.product(composable_chains(bundle, 2), vertical_pairs(cm)), blocks=True),
-        lambda c: None if (
-            action_composition_ok(bundle, *c) and action_boundaries_ok(bundle, c[0][1], c[1][1])
-        ) else {"gamma2": repr(c[0][0].gamma), "gamma1": repr(c[0][1].gamma),
-                "m2": cm.fmt_m(c[1][0]), "m1": cm.fmt_m(c[1][1])},
+        CaseSpace.product(composable_chains(bundle, 2), vertical_pairs(cm)).plan(budget, rng),
+        lambda c: action_composition_ok(bundle, *c) & action_boundaries_ok(bundle, c[0][1], c[1][1]),
+        lambda c: {"gamma2": repr(c[0][0].gamma), "gamma1": repr(c[0][1].gamma),
+                   "m2": cm.fmt_m(c[1][0]), "m1": cm.fmt_m(c[1][1])},
     ))
     return report

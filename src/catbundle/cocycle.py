@@ -20,10 +20,10 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .basecat import QuiverCategory, QuiverMorphism
-from .bundle import FunctorUG, NatTransf, functor_invariant_witness
+from .bundle import FunctorUG, NatTransf, _spread, functor_invariant_witness, functor_ok
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
-from .groups import StructuralError
-from .report import LawReport, run_law
+from .groups import StructuralError, all_cases, every
+from .report import LawReport, run_law, sides_witness
 
 Tag = tuple[int, ...]
 OverlapObject = tuple[Tag, str]
@@ -163,6 +163,11 @@ class CocycleData:
         except KeyError:
             raise StructuralError(f"h_{i}{j}{k} undefined at point {point!r}") from None
 
+    def condition_sides(self, cm: CrossedModule, i: int, j: int, k: int, point: str):
+        """(h_ijk·h_ik, h_ij·h_jk) at a point, equal where the cocycle condition holds."""
+        return (cm.H.mul(self.h_triple(i, j, k, point), self.h_pair(i, k, point)),
+                cm.H.mul(self.h_pair(i, j, point), self.h_pair(j, k, point)))
+
     def perturbed(self, cm: CrossedModule, i: int, j: int, k: int, point: str,
                   factor) -> "CocycleData":
         """Copy with h_ijk at one point multiplied by `factor` (negative tests)."""
@@ -206,16 +211,12 @@ def verify_cocycle_condition(data: CocycleData, cover: Cover, cm: CrossedModule)
         for pt in sorted(cover.intersection((i, j, k)))
     ]
 
-    def check(case):
-        i, j, k, pt = case
-        lhs = cm.H.mul(data.h_triple(i, j, k, pt), data.h_pair(i, k, pt))
-        rhs = cm.H.mul(data.h_pair(i, j, pt), data.h_pair(j, k, pt))
-        if cm.H.eq(lhs, rhs):
-            return None
-        return {"i": i, "j": j, "k": k, "point": pt,
-                "lhs": cm.H.fmt(lhs), "rhs": cm.H.fmt(rhs)}
-
-    report.records.append(run_law("cocycle-condition", "Eq 5.26", cases, check))
+    report.records.append(run_law(
+        "cocycle-condition", "Eq 5.26", cases,
+        lambda case: cm.H.eq(*data.condition_sides(cm, *case)),
+        lambda case: {**dict(zip(("i", "j", "k", "point"), case)),
+                      **sides_witness(cm.H.fmt, data.condition_sides(cm, *case))},
+    ))
     return report
 
 
@@ -282,9 +283,7 @@ def triple_transformation(data: CocycleData, cm: CrossedModule,
     j, l, n = triple.upper
     for (a, b, c), pts in (((i, k, m_), triple.lower_set), ((j, l, n), triple.upper_set)):
         for pt in sorted(pts):
-            lhs = cm.H.mul(data.h_triple(a, b, c, pt), data.h_pair(a, c, pt))
-            rhs = cm.H.mul(data.h_pair(a, b, pt), data.h_pair(b, c, pt))
-            if not cm.H.eq(lhs, rhs):
+            if not cm.H.eq(*data.condition_sides(cm, a, b, c, pt)):
                 raise CocycleConditionError(
                     f"cocycle condition fails for ({a},{b},{c}) at {pt!r}; "
                     "run verify_cocycle_condition for the full report")
@@ -317,35 +316,29 @@ def verify_prop51(data: CocycleData, cm: CrossedModule, triple: OverlapCategory)
         for lo, up in (((i, k), (j, l)), ((k, m_), (l, n)), ((i, m_), (j, n)))
     ]
     report.records.append(run_law(
-        "theta-functor", "Eqs 5.34-5.36", thetas, functor_invariant_witness))
+        "theta-functor", "Eqs 5.34-5.36", thetas, functor_ok, functor_invariant_witness))
 
     report.records.append(run_law(
         "prop51-object-gauge", "Eq 3.11", triple.objects,
-        lambda x: None if cm.G.eq(
-            P.g(x), cm.G.mul(cm.tau(T.hT[x]), th_im.g(x))
-        ) else {"object": str(x)},
+        lambda x: cm.G.eq(P.g(x), cm.G.mul(cm.tau(T.hT[x]), th_im.g(x))),
+        lambda x: {"object": str(x)},
     ))
 
-    def h_component(mm: OverlapMorphism):
-        lhs = cm.H.mul(
-            cm.H.mul(cm.H.inv(T.hT[mm.target]), P.h(mm)), T.hT[mm.source])
-        rhs = th_im.h(mm)
-        if cm.H.eq(lhs, rhs):
-            return None
-        return {"morphism": repr(mm), "lhs": cm.H.fmt(lhs), "rhs": cm.H.fmt(rhs)}
+    def h_sides(mm: OverlapMorphism):
+        return (cm.H.mul(cm.H.mul(cm.H.inv(T.hT[mm.target]), P.h(mm)), T.hT[mm.source]),
+                th_im.h(mm))
 
     report.records.append(run_law(
-        "prop51-h-component", "Eq 5.46", triple.morphisms, h_component))
+        "prop51-h-component", "Eq 5.46", triple.morphisms, lambda mm: cm.H.eq(*h_sides(mm)),
+        lambda mm: {"morphism": repr(mm), **sides_witness(cm.H.fmt, h_sides(mm))}))
 
     def square(mm: OverlapMorphism):
-        lhs = cm.compose_vertical(P.apply(mm), T.at(mm.source))
-        rhs = cm.compose_vertical(T.at(mm.target), th_im.apply(mm))
-        if cm.m_eq(lhs, rhs):
-            return None
-        return {"morphism": repr(mm), "lhs": cm.fmt_m(lhs), "rhs": cm.fmt_m(rhs)}
+        return (cm.compose_vertical(P.apply(mm), T.at(mm.source)),
+                cm.compose_vertical(T.at(mm.target), th_im.apply(mm)))
 
     report.records.append(run_law(
-        "prop51-naturality", "Eq 3.10", triple.morphisms, square))
+        "prop51-naturality", "Eq 3.10", triple.morphisms, lambda mm: cm.m_eq(*square(mm)),
+        lambda mm: {"morphism": repr(mm), **sides_witness(cm.fmt_m, square(mm))}))
     return report
 
 
@@ -420,16 +413,17 @@ def transition_from_trivializations(phi_to: MixedTrivialization,
     """The transition functor sigma with
     phi_to^-1(phi_from(x, e)) = (x, e)·sigma(x): apply phi_from, then invert
     phi_to, and read off the group component. Checks equivariance of both
-    trivializations on the overlap first."""
+    trivializations on the overlap first, with one stack of fixed group
+    elements per object."""
     cm = phi_to.cm
+    probes = np.array(cm.G.elements[:4]) if cm.G.is_finite else _spread(cm.G, 4, 1)
     for phi in (phi_to, phi_from):
         for x in overlap.objects:
             side = "lower" if x[0] == overlap.lower else "upper"
-            for g1 in (cm.G.elements[:4] if cm.G.is_finite else []):
-                pt_acted = phi.obj_to_bundle(side, x[1], g1)
-                pt_base = phi.obj_to_bundle(side, x[1], cm.G.identity)
-                if not cm.G.eq(pt_acted[1], cm.G.mul(pt_base[1], g1)):
-                    raise StructuralError(f"trivialization not equivariant at {x}")
+            pt_acted = phi.obj_to_bundle(side, x[1], probes)
+            pt_base = phi.obj_to_bundle(side, x[1], cm.G.identity)
+            if not all_cases(cm.G.eq(pt_acted[1], cm.G.mul(pt_base[1], probes))):
+                raise StructuralError(f"trivialization not equivariant at {x}")
     g_table = {}
     for x in overlap.objects:
         side = "lower" if x[0] == overlap.lower else "upper"
@@ -467,43 +461,45 @@ def verify_transition_cocycle(family: TrivializationFamily, base: QuiverCategory
     s_im = sigma((i, m_), (j, n))
 
     report.records.append(run_law(
-        "transition-functor", "Eq 5.11", [s_ik, s_km, s_im], functor_invariant_witness))
+        "transition-functor", "Eq 5.11", [s_ik, s_km, s_im], functor_ok, functor_invariant_witness))
 
+    # the cocycle relation on objects and morphisms; on finite carriers `eq`
+    # is strict equality, so it holds on the nose, not merely within tolerance
     prod = restrict_overlap_functor(s_ik, triple).mul(restrict_overlap_functor(s_km, triple))
     target = restrict_overlap_functor(s_im, triple)
+
+    def sides(x):
+        """(eq, fmt, lhs, rhs) of the relation at an object or a morphism."""
+        if isinstance(x, OverlapMorphism):
+            return cm.m_eq, cm.fmt_m, prod.apply(x), target.apply(x)
+        return cm.G.eq, cm.G.fmt, prod.g(x), target.g(x)
+
+    def match_ok(x):
+        eq, _, lhs, rhs = sides(x)
+        return eq(lhs, rhs)
+
+    def match_witness(x):
+        _, fmt, lhs, rhs = sides(x)
+        where = {"morphism": repr(x)} if isinstance(x, OverlapMorphism) else {"object": str(x)}
+        return {**where, **sides_witness(fmt, (lhs, rhs))}
+
     report.records.append(run_law(
-        "transition-cocycle", "Eq 5.21",
-        triple.objects + triple.morphisms,
-        lambda x: _exact_match(cm, prod, target, x),
+        "transition-cocycle", "Eq 5.21", triple.objects + triple.morphisms,
+        match_ok, match_witness,
     ))
 
-    def self_transition(idx_pair):
+    def self_transition_ok(idx_pair):
         lo, up = idx_pair
         s_self = transition_from_trivializations(
             family.trivialization(lo[0], up[0]),
             family.trivialization(lo[0], up[0]),
             OverlapCategory(base, cover, (lo[0], lo[0]), (up[0], up[0])),
         )
-        ok = all(cm.G.eq(v, cm.G.identity) for v in s_self.g_table.values()) and all(
-            cm.H.eq(h, cm.H.identity) for h in s_self.h_gen.values())
-        return None if ok else {"pair": str(idx_pair)}
+        return every(itertools.chain(
+            (cm.G.eq(v, cm.G.identity) for v in s_self.g_table.values()),
+            (cm.H.eq(h, cm.H.identity) for h in s_self.h_gen.values())))
 
     report.records.append(run_law(
-        "self-transition-identity", "Eq 5.11", [((i, k), (j, l))], self_transition))
+        "self-transition-identity", "Eq 5.11", [((i, k), (j, l))], self_transition_ok,
+        lambda idx_pair: {"pair": str(idx_pair)}))
     return report
-
-
-def _exact_match(cm: CrossedModule, prod: FunctorUG, target: FunctorUG, x) -> dict | None:
-    """Strict equality for finite carriers (the cocycle relation holds on the
-    nose, not merely within tolerance); group eq for matrix carriers."""
-    if isinstance(x, OverlapMorphism):
-        lhs, rhs = prod.apply(x), target.apply(x)
-        ok = (lhs.h == rhs.h and lhs.g == rhs.g) if cm.is_finite else cm.m_eq(lhs, rhs)
-        if ok:
-            return None
-        return {"morphism": repr(x), "lhs": cm.fmt_m(lhs), "rhs": cm.fmt_m(rhs)}
-    lhs, rhs = prod.g(x), target.g(x)
-    ok = (lhs == rhs) if cm.is_finite else cm.G.eq(lhs, rhs)
-    if ok:
-        return None
-    return {"object": str(x), "lhs": cm.G.fmt(lhs), "rhs": cm.G.fmt(rhs)}

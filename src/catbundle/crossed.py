@@ -18,16 +18,18 @@ from typing import Callable
 import numpy as np
 
 from .groups import (
+    CompositionUndefined,
     CyclicGroup,
     Element,
     Group,
     SpecialOrthogonalGroup,
     StructuralError,
     SymmetricGroup,
+    all_cases,
     code_rows,
     is_block,
 )
-from .report import DEFAULT_BUDGET, CaseSpace, LawReport, run_law
+from .report import DEFAULT_BUDGET, CaseSpace, LawReport, run_law, sides_witness
 
 
 @dataclass(frozen=True)
@@ -35,15 +37,6 @@ class TwoGroupMorphism:
     """A morphism (h, g) of the categorical group, in (h, g) coordinates."""
     h: Element
     g: Element
-
-
-class CompositionUndefined(ValueError):
-    """Vertical composition attempted on a source/target mismatch."""
-
-    def __init__(self, message: str, target_value=None, source_value=None):
-        super().__init__(message)
-        self.target_value = target_value
-        self.source_value = source_value
 
 
 class CrossedModule:
@@ -89,8 +82,9 @@ class CrossedModule:
     def unit(self) -> TwoGroupMorphism:
         return TwoGroupMorphism(self.H.identity, self.G.identity)
 
-    def m_eq(self, m1: TwoGroupMorphism, m2: TwoGroupMorphism) -> bool:
-        return self.H.eq(m1.h, m2.h) and self.G.eq(m1.g, m2.g)
+    def m_eq(self, m1: TwoGroupMorphism, m2: TwoGroupMorphism):
+        """Equality of both components: a bool, or a per-case mask."""
+        return self.H.eq(m1.h, m2.h) & self.G.eq(m1.g, m2.g)
 
     def fmt_m(self, m: TwoGroupMorphism) -> str:
         return f"({self.H.fmt(m.h)}, {self.G.fmt(m.g)})"
@@ -109,12 +103,12 @@ class CrossedModule:
 
     def compose_vertical(self, m2: TwoGroupMorphism, m1: TwoGroupMorphism) -> TwoGroupMorphism:
         t1 = self.target(m1)
-        if not self.G.eq(t1, m2.g):
+        meets = self.G.eq(t1, m2.g)
+        if not all_cases(meets):  # a block formats none of its cases
             raise CompositionUndefined(
-                f"target {self.G.fmt(t1)} of first morphism != source {self.G.fmt(m2.g)} of second",
-                target_value=t1,
-                source_value=m2.g,
-            )
+                "a target in the block != the source after it" if isinstance(meets, np.ndarray)
+                else f"target {self.G.fmt(t1)} of first morphism != source {self.G.fmt(m2.g)} of second",
+                target_value=t1, source_value=m2.g)
         return TwoGroupMorphism(self.H.mul(m2.h, m1.h), m1.g)
 
     def compositional_inverse(self, m: TwoGroupMorphism) -> TwoGroupMorphism:
@@ -201,68 +195,66 @@ def verify_crossed_module(
     G, H = cm.G, cm.H
     carriers = {"g": CaseSpace.carrier(G), "h": CaseSpace.carrier(H)}
 
-    # every check below also takes stacked SO(n) cases, so sampled laws run in blocks
+    # a coded or stackable space comes in blocks, on which each check is a mask
     def cases(slots: str):
-        return CaseSpace.product(*(carriers[s] for s in slots)).plan(
-            sample_budget, rng, blocks=True)
+        return CaseSpace.product(*(carriers[s] for s in slots)).plan(sample_budget, rng)
 
     report.records.append(run_law(
         "tau-homomorphism", "§2.1", cases("hh"),
-        lambda t: None if G.eq(cm.tau(H.mul(t[0], t[1])), G.mul(cm.tau(t[0]), cm.tau(t[1])))
-        else {"h": H.fmt(t[0]), "h2": H.fmt(t[1])},
+        lambda t: G.eq(cm.tau(H.mul(t[0], t[1])), G.mul(cm.tau(t[0]), cm.tau(t[1]))),
+        lambda t: {"h": H.fmt(t[0]), "h2": H.fmt(t[1])},
     ))
 
     report.records.append(run_law(
         "alpha-automorphism", "§2.1", cases("ghh"),
-        lambda t: None if (
+        lambda t: (
             H.eq(cm.alpha(t[0], H.mul(t[1], t[2])), H.mul(cm.alpha(t[0], t[1]), cm.alpha(t[0], t[2])))
-            and H.eq(cm.alpha(t[0], cm.alpha(G.inv(t[0]), t[1])), t[1])
-        ) else {"g": G.fmt(t[0]), "h": H.fmt(t[1]), "h2": H.fmt(t[2])},
+            & H.eq(cm.alpha(t[0], cm.alpha(G.inv(t[0]), t[1])), t[1])),
+        lambda t: {"g": G.fmt(t[0]), "h": H.fmt(t[1]), "h2": H.fmt(t[2])},
     ))
 
     report.records.append(run_law(
         "alpha-family-homomorphism", "§2.1", cases("ggh"),
-        lambda t: None if (
+        lambda t: (
             H.eq(cm.alpha(G.mul(t[0], t[1]), t[2]), cm.alpha(t[0], cm.alpha(t[1], t[2])))
-            and H.eq(cm.alpha(G.identity, t[2]), t[2])
-        ) else {"g": G.fmt(t[0]), "g2": G.fmt(t[1]), "h": H.fmt(t[2])},
+            & H.eq(cm.alpha(G.identity, t[2]), t[2])),
+        lambda t: {"g": G.fmt(t[0]), "g2": G.fmt(t[1]), "h": H.fmt(t[2])},
     ))
 
+    def peiffer(t):
+        return cm.alpha(cm.tau(t[0]), t[1]), H.mul(H.mul(t[0], t[1]), H.inv(t[0]))
+
     report.records.append(run_law(
-        "peiffer", "Eq 2.4", cases("hh"),
-        lambda t: None if H.eq(
-            cm.alpha(cm.tau(t[0]), t[1]),
-            H.mul(H.mul(t[0], t[1]), H.inv(t[0])),
-        ) else {
-            "h": H.fmt(t[0]), "h2": H.fmt(t[1]),
-            "lhs": H.fmt(cm.alpha(cm.tau(t[0]), t[1])),
-            "rhs": H.fmt(H.mul(H.mul(t[0], t[1]), H.inv(t[0]))),
-        },
+        "peiffer", "Eq 2.4", cases("hh"), lambda t: H.eq(*peiffer(t)),
+        lambda t: {"h": H.fmt(t[0]), "h2": H.fmt(t[1]), **sides_witness(H.fmt, peiffer(t))},
     ))
 
     # s and t on H ⋊ G are homomorphisms; t-hom is the equivariance of tau.
+    def pairs():
+        return CaseSpace.product(*(carriers[s] for s in "hghg"), build=lambda h2, g2, h1, g1: (
+            TwoGroupMorphism(h2, g2), TwoGroupMorphism(h1, g1))).plan(sample_budget, rng)
+
+    def pair_witness(p):
+        return {"m2": cm.fmt_m(p[0]), "m1": cm.fmt_m(p[1])}
+
     report.records.append(run_law(
-        "source-homomorphism", "Eq 2.2", cases("hghg"),
-        lambda t: None if G.eq(
-            cm.source(cm.sdp_multiply(TwoGroupMorphism(t[0], t[1]), TwoGroupMorphism(t[2], t[3]))),
-            G.mul(t[1], t[3]),
-        ) else {"m2": cm.fmt_m(TwoGroupMorphism(t[0], t[1])), "m1": cm.fmt_m(TwoGroupMorphism(t[2], t[3]))},
+        "source-homomorphism", "Eq 2.2", pairs(),
+        lambda p: G.eq(cm.source(cm.sdp_multiply(*p)), G.mul(p[0].g, p[1].g)), pair_witness,
     ))
 
     report.records.append(run_law(
-        "target-homomorphism", "Eq 2.2", cases("hghg"),
-        lambda t: None if G.eq(
-            cm.target(cm.sdp_multiply(TwoGroupMorphism(t[0], t[1]), TwoGroupMorphism(t[2], t[3]))),
-            G.mul(cm.target(TwoGroupMorphism(t[0], t[1])), cm.target(TwoGroupMorphism(t[2], t[3]))),
-        ) else {"m2": cm.fmt_m(TwoGroupMorphism(t[0], t[1])), "m1": cm.fmt_m(TwoGroupMorphism(t[2], t[3]))},
+        "target-homomorphism", "Eq 2.2", pairs(),
+        lambda p: G.eq(cm.target(cm.sdp_multiply(*p)), G.mul(cm.target(p[0]), cm.target(p[1]))),
+        pair_witness,
     ))
 
     report.records.append(run_law(
         "identity-assignment-homomorphism", "§2.1", cases("gg"),
-        lambda t: None if cm.m_eq(
+        lambda t: cm.m_eq(
             cm.identity_morphism(G.mul(t[0], t[1])),
             cm.sdp_multiply(cm.identity_morphism(t[0]), cm.identity_morphism(t[1])),
-        ) else {"g": G.fmt(t[0]), "g2": G.fmt(t[1])},
+        ),
+        lambda t: {"g": G.fmt(t[0]), "g2": G.fmt(t[1])},
     ))
     return report
 
@@ -285,23 +277,19 @@ def verify_exchange_law(
                 TwoGroupMorphism(k2, cm.target(psi1)), psi1)
 
     G, H = CaseSpace.carrier(cm.G), CaseSpace.carrier(cm.H)
-    # build and check also take stacked SO(n) cases, so a sampled law runs in blocks
-    cases = CaseSpace.product(H, G, H, H, G, H, build=build).plan(
-        sample_budget, rng, blocks=True)
+    cases = CaseSpace.product(H, G, H, H, G, H, build=build).plan(sample_budget, rng)
 
-    def check(q):
+    def sides(q):
         phi2, phi1, psi2, psi1 = q
         lhs = cm.compose_vertical(cm.sdp_multiply(phi2, psi2), cm.sdp_multiply(phi1, psi1))
         rhs = cm.sdp_multiply(cm.compose_vertical(phi2, phi1), cm.compose_vertical(psi2, psi1))
-        if cm.m_eq(lhs, rhs):
-            return None
-        return {
-            "phi2": cm.fmt_m(phi2), "phi1": cm.fmt_m(phi1),
-            "psi2": cm.fmt_m(psi2), "psi1": cm.fmt_m(psi1),
-            "lhs": cm.fmt_m(lhs), "rhs": cm.fmt_m(rhs),
-        }
+        return lhs, rhs
 
-    report.records.append(run_law("exchange-law", "Eq 2.3", cases, check))
+    report.records.append(run_law(
+        "exchange-law", "Eq 2.3", cases, lambda q: cm.m_eq(*sides(q)),
+        lambda q: {**dict(zip(("phi2", "phi1", "psi2", "psi1"), map(cm.fmt_m, q))),
+                   **sides_witness(cm.fmt_m, sides(q))},
+    ))
     return report
 
 

@@ -6,9 +6,10 @@ array of codes alike. Matrix elements are numpy arrays; equality is a
 declared max-abs-entry tolerance (default 1e-9) because downstream transport
 values are floating point.
 
-SO(n) operations also take stacks: a `(k, n, n)` array holds k elements, `mul`
-and `inv` act on each, and `eq` holds when every pair in the stack is equal.
-`rotation2`, `skew3` and `skew_exp` likewise map stacks to stacks. One
+`eq` gives a plain bool on two elements and a per-case mask of shape `(k,)`
+when an operand holds k cases (an array of codes, a `(k, n, n)` SO(n) stack,
+on each of which `mul` and `inv` also act). `rotation2`, `skew3` and
+`skew_exp` likewise map stacks to stacks. One
 sampler, `sample_stack`, maps a `(k, width)` block of uniform [0, 1) draws to
 a stack of k elements; `sample(rng)` is its one-element call, so a block of
 draws gives, bitwise, the elements that as many `sample` calls give.
@@ -30,6 +31,30 @@ class StructuralError(ValueError):
     """A value lies outside the carrier it was declared to belong to."""
 
 
+class CompositionUndefined(ValueError):
+    """Vertical composition attempted on a source/target mismatch."""
+
+    def __init__(self, message: str, target_value=None, source_value=None):
+        super().__init__(message)
+        self.target_value, self.source_value = target_value, source_value
+
+
+def every(oks):
+    """`&` over bools or per-case masks, stopping at a plain False. Negate
+    with `<=` (implication), never `~`: `~True` is -2, which is true."""
+    out = True
+    for ok in oks:
+        out = out & ok
+        if out.__class__ is not np.ndarray and not out:
+            return out
+    return out
+
+
+def all_cases(ok) -> bool:
+    """A bool, or whether every case of a mask holds."""
+    return ok if ok.__class__ is bool else bool(ok.all())
+
+
 class Group:
     """Identity, multiplication, inverse and equality; finite groups also
     expose their element list, which switches verification code between
@@ -49,7 +74,8 @@ class Group:
     def inv(self, a: Element) -> Element:
         raise NotImplementedError
 
-    def eq(self, a: Element, b: Element) -> bool:
+    def eq(self, a: Element, b: Element):
+        """a == b: a bool, or a per-case mask when an operand holds cases."""
         raise NotImplementedError
 
     def contains(self, a: Element) -> bool:
@@ -120,10 +146,8 @@ class FiniteGroup(Group):
                 return self.inv_table[a]
             raise StructuralError(f"{a!r} is not an element of {self.name}") from None
 
-    def eq(self, a, b) -> bool:
-        """a == b; on arrays, for every case."""
-        same = a == b
-        return same if same.__class__ is bool else bool(np.all(same))
+    def eq(self, a, b):
+        return a == b
 
     def contains(self, a) -> bool:
         return isinstance(a, int) and 0 <= a < len(self.elements)
@@ -308,10 +332,13 @@ class SpecialOrthogonalGroup(Group):
     def inv(self, a: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(a.swapaxes(-1, -2))
 
-    def eq(self, a: np.ndarray, b: np.ndarray) -> bool:
-        """Every element of `a` equals its counterpart in `b` (stacks
-        broadcast); a NaN entry is never equal."""
-        return bool(np.max(np.abs(np.asarray(a) - np.asarray(b))) <= self.tol)
+    def eq(self, a: np.ndarray, b: np.ndarray):
+        """Max-abs entry difference within tol, per case of a stack; a NaN
+        entry is never equal."""
+        diff = np.abs(np.asarray(a) - np.asarray(b))
+        if diff.ndim == 2:
+            return bool(diff.max() <= self.tol)
+        return diff.max(axis=(-2, -1)) <= self.tol
 
     def contains(self, a: Element) -> bool:
         a = np.asarray(a)

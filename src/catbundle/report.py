@@ -1,14 +1,11 @@
 """Case spaces and pass/fail law reports shared by every verification suite.
 
 A law's cases come from a CaseSpace, whose `plan` decides exhaustive vs
-sampled. A law whose check also takes stacked cases may ask for a block
-plan: a coded space (a product of range axes and coded spaces, such as the
-twisted chains on a quiver), or an open sampled product of SO(n) carriers,
-then comes in blocks of BLOCK cases (arrays of codes, or stacks from one
-uniform array per block), and `run_law` checks each block in one call. A
-block that fails (or raises) is rerun case by case, so the witness, the
-check count and the RNG state after the law are those of the per-case plan.
-Other spaces run case by case.
+sampled. A coded space (range axes and coded spaces, such as the twisted
+chains on a quiver) and an open sampled product of SO(n) carriers come in
+blocks of BLOCK cases (arrays of codes, or stacks from one uniform array);
+other spaces come case by case. A law is `ok(case)`, a per-case mask on a
+block, and `witness(case)` for one failing case.
 
 A suite produces a LawReport: one LawRecord per algebraic law, each carrying
 the law's anchor string (its identifier in the library's law registry, e.g.
@@ -30,6 +27,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .groups import CompositionUndefined, StructuralError
+
+# a case that raises one of these fails its law with an error witness
+CASE_ERRORS = (CompositionUndefined, StructuralError)
+
 # cases a law may check when neither the caller nor the scenario sets a budget
 DEFAULT_BUDGET = 10_000
 
@@ -39,17 +41,14 @@ class CaseSpace:
 
     A finite space has `size` cases and `space[i]` decodes the i-th in
     enumeration order (an IndexError outside range(size), so `list(space)`
-    lists them all). A sampled space (an infinite carrier, random paths)
-    has `size` None and draws one seeded case per `draw(rng)`; its `count`
-    fixes how many draws stand in for it, or is None to let the budget decide.
-    A sampled space may also have a stack sampler: `stack(u)` builds k cases,
-    stacked along a first axis, from a (k, width) array of uniform [0, 1)
-    draws, bitwise the cases that k calls of `draw` give on the same stream.
-    A coded space also decodes an int64 array of case numbers at once:
-    `codes(i)` gives `arity` arrays of int codes, one per part, and
-    `from_codes(*parts)` builds the stacked cases from the arrays, or one case
-    from a Python int per part. Sequences serve as finite axes as they are (a
-    `range`, as int codes).
+    lists them all). A sampled space (an infinite carrier, random paths) has
+    `size` None, draws one seeded case per `draw(rng)`, and stands in for
+    `count` draws, or for as many as the budget allows when `count` is None;
+    its `stack(u)` may build k stacked cases from a (k, width) array of
+    uniform draws, bitwise those of k `draw` calls. A coded space maps an
+    int64 array of case numbers to `arity` arrays of codes, `codes(i)`, which
+    `from_codes(*parts)` builds into stacked cases (or one case, from Python
+    ints). Sequences serve as finite axes as they are (a `range`, as codes).
     """
 
     def __init__(self, size: int | None, get: Callable | None = None,
@@ -133,19 +132,19 @@ class CaseSpace:
         space.axes, space.build = axes, build
         return space
 
-    def plan(self, budget: int, rng, blocks: bool = False) -> "Plan":
+    def plan(self, budget: int, rng) -> "Plan":
         """The cases a law checks: the whole finite space in order when it
         fits the budget (exhaustive); else `budget` seeded draws of
         `space[_index(rng, size)]`. A sampled space is drawn `count`
         times, or `budget` times; in a product, finite and counted axes are
         enumerated whole and one open sampled axis is drawn
         max(1, budget // their size) times. No cases when budget <= 0.
-        With `blocks`, a coded space and the `budget` draws of an open
-        stackable space come as Blocks of at most BLOCK cases."""
+        A coded space, and the `budget` draws of an open stackable space,
+        come as Blocks of at most BLOCK cases."""
         if budget <= 0:
             return Plan((), exhaustive=False, space=self.size)
         if self.size is not None:
-            coded = blocks and self.size < 2**63 and _is_coded(self)
+            coded = self.size < 2**63 and _is_coded(self)
             if self.size <= budget:
                 cases = _coded_blocks(self, range(self.size)) if coded else _cases(self)
                 return Plan(cases, exhaustive=True, space=self.size)
@@ -172,7 +171,7 @@ class CaseSpace:
         draw = self.draw
         if self.count is not None:
             return Plan([draw(rng) for _ in range(self.count)], exhaustive=False)
-        if blocks and self.stack is not None:
+        if self.stack is not None:
             return Plan(_blocks(self, budget, rng), exhaustive=False)
         return Plan((draw(rng) for _ in range(budget)), exhaustive=False)
 
@@ -188,13 +187,6 @@ class Block:
 
     def __init__(self, cases, size: int, singles: Callable):
         self.cases, self.size, self.singles = cases, size, singles
-
-    def passes(self, check: Callable) -> bool:
-        """`check` finds no witness in the whole block and raises nothing."""
-        try:
-            return check(self.cases) is None
-        except Exception:  # the case-by-case rerun reports or raises it
-            return False
 
 
 def _blocks(space: CaseSpace, budget: int, rng):
@@ -254,9 +246,8 @@ def _code_product(space: CaseSpace) -> None:
 
 def _coded_blocks(space: CaseSpace, indices):
     """Blocks of a coded space at `indices` (case numbers or picks), decoded
-    at once; a block's singles are built from the same codes. A block that
-    cannot be built comes case by case, so a case that cannot be built raises
-    in its turn, as in a per-case plan."""
+    at once, with singles built from the same codes. A block whose build
+    raises a CASE_ERRORS error comes case by case, each raising in its turn."""
     for start in range(0, len(indices), BLOCK):
         chunk = indices[start:start + BLOCK]
         codes = space.codes(np.arange(chunk.start, chunk.stop)
@@ -267,7 +258,7 @@ def _coded_blocks(space: CaseSpace, indices):
 
         try:
             cases = space.from_codes(*codes)
-        except Exception:
+        except CASE_ERRORS:
             yield from singles()
             continue
         yield Block(cases, len(chunk), singles)
@@ -440,56 +431,56 @@ class LawReport:
         return "\n".join(out) + "\n"
 
 
-def run_law(law: str, anchor: str, cases: Plan | Sequence, check: Callable) -> LawRecord:
-    """Run `check` over `cases`; stop at the first witness.
+def sides_witness(fmt: Callable, sides) -> dict:
+    """The two sides (lhs, rhs) of a failed comparison, formatted by `fmt`."""
+    return {"lhs": fmt(sides[0]), "rhs": fmt(sides[1])}
 
-    `cases` is a Plan from `CaseSpace.plan`, or a sequence, which is the
-    law's whole (exhaustive) case space. `check(case)` returns None on
-    success or a witness dict on failure. A law checked on no case fails.
 
-    A block plan yields Blocks: `check` gets a block's stacked cases in one
-    call, and if it returns None they all count as checked. If it returns a
-    witness or raises, its cases are rerun one at a time by the same `check`,
-    so the witness and the count come from the per-case run and the RNG has
-    consumed only the cases checked.
-    """
-    from .crossed import CompositionUndefined
-    from .groups import StructuralError
+def run_law(law: str, anchor: str, plan: Plan | Sequence, ok: Callable,
+            witness: Callable) -> LawRecord:
+    """Check `ok` over the cases of `plan` (a Plan, or a sequence that is
+    the whole space) up to the first that fails, and describe that one by
+    `witness(case)`. A case that raises CompositionUndefined or
+    StructuralError fails with the error as its witness; other exceptions
+    propagate. A law checked on no case fails.
 
-    if not isinstance(cases, Plan):
-        cases = Plan(cases, exhaustive=True, space=len(cases))
+    On a Block, `ok` gives a per-case mask, and the first False at index i
+    counts i + 1 checks: only that case is rebuilt from `singles` (a sampled
+    block redraws i + 1 cases, so the RNG stands where a case-by-case run
+    leaves it) and checked on its own. A block that raises one of the two
+    errors is checked case by case."""
+    if not isinstance(plan, Plan):
+        plan = Plan(plan, exhaustive=True, space=len(plan))
     t0 = time.perf_counter()
-    n = 0
-    witness = None
-    for item in cases:
+    n, found = 0, None
+    for item in plan:
+        cases = (item,)
         if isinstance(item, Block):
-            if item.passes(check):
-                n += item.size
-                continue
-            singles = item.singles()
-        else:
-            singles = (item,)
-        for case in singles:
+            try:
+                mask = np.broadcast_to(ok(item.cases), (item.size,))
+            except CASE_ERRORS:
+                cases = item.singles()
+            else:
+                if mask.all():
+                    n += item.size
+                    continue
+                first = int(mask.argmin())
+                n += first
+                cases = itertools.islice(item.singles(), first, None)
+        for case in cases:
             n += 1
             try:
-                witness = check(case)
-            except (CompositionUndefined, StructuralError) as exc:
+                if ok(case):
+                    continue
+                found = witness(case)
+            except CASE_ERRORS as exc:
                 # a law whose check cannot even be formed has failed
-                witness = {"error": f"{type(exc).__name__}: {exc}"}
-            if witness is not None:
-                break
-        if witness is not None:
+                found = {"error": f"{type(exc).__name__}: {exc}"}
+            break
+        if found is not None:
             break
     if n == 0:
-        witness = {"error": "no cases checked"}
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    return LawRecord(
-        law=law,
-        anchor=anchor,
-        status="pass" if witness is None else "fail",
-        checks=n,
-        exhaustive=cases.exhaustive,
-        witness=witness,
-        elapsed_ms=elapsed,
-        space=cases.space,
-    )
+        found = {"error": "no cases checked"}
+    return LawRecord(law=law, anchor=anchor, status="pass" if found is None else "fail", checks=n,
+                     exhaustive=plan.exhaustive, witness=found,
+                     elapsed_ms=(time.perf_counter() - t0) * 1000.0, space=plan.space)

@@ -13,15 +13,12 @@ eta: Mor(U) -> G:
 Morphisms are stored in (h, g) coordinates; the hg/gh display orders are
 bridged by gh = (alpha_g(h), g).
 
-On a quiver base with a finite crossed module, the chain laws run in blocks
-of int-coded cases: a block's TwistedMorphism holds an array of quiver
-morphism codes (see `basecat`) and arrays of H and G codes, eta is looked up
-per code, and the law bodies run on it unchanged through table lookups and
-block-reducing `eq`s. The coded case spaces (the base morphisms and
-identities, `bundle_morphisms`, `composable_chains`) give the same cases in
-the same order as nested loops; a single case holds a QuiverMorphism and
-Python ints. The freeness law stays per case: its body negates an `eq`,
-which on a block would hold as soon as one case differs.
+On a quiver base (which needs a finite crossed module) the laws run in
+blocks: a block's TwistedMorphism holds arrays of quiver morphism codes (see
+`basecat`) and of H and G codes, eta is looked up per code, and each law's
+`ok` is a per-case mask of `eq`s combined with `&` (and `<=` for freeness).
+The coded spaces give the cases of nested loops, in their order; a single
+case holds a QuiverMorphism and Python ints.
 """
 from __future__ import annotations
 
@@ -32,8 +29,8 @@ import numpy as np
 
 from .basecat import CodeTable, QuiverCategory
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
-from .groups import StructuralError
-from .report import DEFAULT_BUDGET, CaseSpace, LawReport, run_law
+from .groups import StructuralError, all_cases
+from .report import DEFAULT_BUDGET, CaseSpace, LawReport, run_law, sides_witness
 
 
 @dataclass(frozen=True)
@@ -47,10 +44,9 @@ class EtaMap:
 
     Table mode folds generator values over arrow words (so the homomorphism
     property holds structurally); raw mode evaluates a user callable and is
-    how deliberately broken twists enter negative tests. On an array of codes
-    of `base`'s morphisms (a block, whose bundle shares `base`), eta is looked
-    up per code, and a value the callable cannot give raises as it does per
-    case.
+    how deliberately broken twists enter negative tests. On a block of codes
+    of `base`'s morphisms, eta is looked up per code, and raises where the
+    callable does.
     """
 
     def __init__(self, base, cm: CrossedModule, fn: Callable, kind: str = "raw"):
@@ -132,11 +128,12 @@ class TwistedBundle:
         gamma = self.base.compose(tm2.gamma, tm1.gamma)  # raises on base mismatch
         eta1 = self.eta(tm1.gamma)
         want = cm.G.mul(eta1, cm.G.mul(cm.tau(tm1.m.h), tm1.m.g))
-        if not cm.G.eq(want, tm2.m.g):
+        meets = cm.G.eq(want, tm2.m.g)
+        if not all_cases(meets):  # a block formats none of its cases
             raise CompositionUndefined(
-                f"twisted target {cm.G.fmt(want)} != source {cm.G.fmt(tm2.m.g)}",
-                target_value=want, source_value=tm2.m.g,
-            )
+                "a twisted target in the block != the source after it" if isinstance(meets, np.ndarray)
+                else f"twisted target {cm.G.fmt(want)} != source {cm.G.fmt(tm2.m.g)}",
+                target_value=want, source_value=tm2.m.g)
         h = cm.H.mul(cm.alpha(cm.G.inv(eta1), tm2.m.h), tm1.m.h)
         return TwistedMorphism(gamma, TwoGroupMorphism(h, tm1.m.g))
 
@@ -145,18 +142,29 @@ class TwistedBundle:
         cm = self.cm
         return cm.sdp_multiply(cm.identity_morphism(cm.G.inv(self.eta(gamma))), phi)
 
-    def morphism_eq(self, t1: TwistedMorphism, t2: TwistedMorphism) -> bool:
-        return self.base.morphism_eq(t1.gamma, t2.gamma) and self.cm.m_eq(t1.m, t2.m)
+    def morphism_eq(self, t1: TwistedMorphism, t2: TwistedMorphism):
+        return self.base.morphism_eq(t1.gamma, t2.gamma) & self.cm.m_eq(t1.m, t2.m)
 
 
 # -- case spaces: enumerated on finite quiver data, seeded otherwise --
+
+def _coded(bundle: TwistedBundle) -> bool:
+    """The base is a quiver, whose morphisms are coded; eta on a block is an
+    int table, so that needs a finite crossed module."""
+    if not isinstance(bundle.base, QuiverCategory):
+        return False
+    if not bundle.cm.is_finite:
+        raise StructuralError(
+            f"twisted bundles on a quiver base need a finite crossed module, not {bundle.cm.name}")
+    return True
+
 
 def _base_morphisms(bundle: TwistedBundle, count=None) -> CaseSpace:
     """Every base morphism of a quiver, coded by its index in
     `morphisms_upto()`, else `count` seeded random paths (or as many as the
     budget allows)."""
     base = bundle.base
-    if isinstance(base, QuiverCategory):
+    if _coded(bundle):
         return CaseSpace.product(base.codes(), build=base.morphism)
     return CaseSpace.sampled(base.random_path, count)
 
@@ -178,7 +186,7 @@ def _identities(bundle: TwistedBundle, count: int) -> CaseSpace:
     """Identity morphisms at every quiver object (coded: they come first in
     code order), else at `count` seeded points."""
     base = bundle.base
-    if isinstance(base, QuiverCategory):
+    if _coded(bundle):
         return CaseSpace.product(base.codes()[:len(base.objects)], build=base.morphism)
     return CaseSpace.sampled(lambda rng: base.identity(rng.uniform(-1, 1, size=base.dim)), count)
 
@@ -206,10 +214,7 @@ def composable_chains(bundle: TwistedBundle, n: int) -> CaseSpace:
             chain.append(TwistedMorphism(gamma, TwoGroupMorphism(h, bundle.target(chain[-1])[1])))
         return tuple(reversed(chain))
 
-    if isinstance(base, QuiverCategory) and not cm.is_finite:
-        raise StructuralError(
-            f"composable chains on a quiver base need a finite crossed module, not {cm.name}")
-    if not isinstance(base, QuiverCategory):
+    if not _coded(bundle):
         def draw(rng):
             gamma = base.random_path(rng)
             tm1 = TwistedMorphism(gamma, cm.sample_morphism(rng))
@@ -273,87 +278,103 @@ def verify_twisted_bundle(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
     cm = bundle.cm
     report = LawReport(suite="twisted-bundle")
 
-    def cases(space, blocks=False):
-        return space.plan(budget, rng, blocks)
+    def eta_sides(p):
+        return bundle.eta(bundle.base.compose(p[0], p[1])), cm.G.mul(bundle.eta(p[0]), bundle.eta(p[1]))
 
     report.records.append(run_law(
-        "eta-homomorphism", "Eq 6.18", cases(_base_pairs(bundle)),
-        lambda p: None if cm.G.eq(
-            bundle.eta(bundle.base.compose(p[0], p[1])),
-            cm.G.mul(bundle.eta(p[0]), bundle.eta(p[1])),
-        ) else {"gamma2": repr(p[0]), "gamma1": repr(p[1]),
-                "lhs": cm.G.fmt(bundle.eta(bundle.base.compose(p[0], p[1]))),
-                "rhs": cm.G.fmt(cm.G.mul(bundle.eta(p[0]), bundle.eta(p[1])))},
+        "eta-homomorphism", "Eq 6.18", _base_pairs(bundle).plan(budget, rng),
+        lambda p: cm.G.eq(*eta_sides(p)),
+        lambda p: {"gamma2": repr(p[0]), "gamma1": repr(p[1]), **sides_witness(cm.G.fmt, eta_sides(p))},
     ))
 
     report.records.append(run_law(
-        "eta-identity", "Eq 6.18", cases(_identities(bundle, 8), blocks=True),
-        lambda gamma: None if cm.G.eq(bundle.eta(gamma), cm.G.identity)
-        else {"gamma": repr(gamma)},
+        "eta-identity", "Eq 6.18", _identities(bundle, 8).plan(budget, rng),
+        lambda gamma: cm.G.eq(bundle.eta(gamma), cm.G.identity),
+        lambda gamma: {"gamma": repr(gamma)},
+    ))
+
+    def boundary_ok(p):  # the composite starts where p[1] does and ends where p[0] does
+        comp = bundle.compose(p[0], p[1])
+        s, s1, t, t2 = bundle.source(comp), bundle.source(p[1]), bundle.target(comp), bundle.target(p[0])
+        return (bundle.base.point_eq(s[0], s1[0]) & bundle.base.point_eq(t[0], t2[0])
+                & cm.G.eq(s[1], s1[1]) & cm.G.eq(t[1], t2[1]))
+
+    report.records.append(run_law(
+        "boundary-coherence", "Eq 6.19", composable_chains(bundle, 2).plan(budget, rng),
+        boundary_ok,
+        lambda p: {"gamma2": repr(p[0].gamma), "gamma1": repr(p[1].gamma),
+                   "t_comp": cm.G.fmt(bundle.target(bundle.compose(p[0], p[1]))[1]),
+                   "t_tm2": cm.G.fmt(bundle.target(p[0])[1])},
     ))
 
     report.records.append(run_law(
-        "boundary-coherence", "Eq 6.19", cases(composable_chains(bundle, 2), blocks=True),
-        lambda p: _boundary_ok(bundle, p[0], p[1]),
-    ))
-
-    report.records.append(run_law(
-        "associativity", "Eq 6.20", cases(composable_chains(bundle, 3), blocks=True),
-        lambda t: None if bundle.morphism_eq(
+        "associativity", "Eq 6.20", composable_chains(bundle, 3).plan(budget, rng),
+        lambda t: bundle.morphism_eq(
             bundle.compose(bundle.compose(t[0], t[1]), t[2]),
             bundle.compose(t[0], bundle.compose(t[1], t[2])),
-        ) else {"gamma3": repr(t[0].gamma), "gamma2": repr(t[1].gamma), "gamma1": repr(t[2].gamma)},
+        ),
+        lambda t: {"gamma3": repr(t[0].gamma), "gamma2": repr(t[1].gamma), "gamma1": repr(t[2].gamma)},
     ))
 
     report.records.append(run_law(
-        "unit-laws", "Prop 6.1", cases(bundle_morphisms(bundle), blocks=True),
-        lambda tm: None if units_ok(bundle, tm) else {"gamma": repr(tm.gamma)},
+        "unit-laws", "Prop 6.1", bundle_morphisms(bundle).plan(budget, rng),
+        lambda tm: units_ok(bundle, tm), lambda tm: {"gamma": repr(tm.gamma)},
     ))
 
     report.records.append(run_law(
-        "b1-surjectivity", "§2.2 (b1)", cases(bundle_morphisms(bundle), blocks=True),
-        lambda tm: b1_witness(bundle, tm)))
+        "b1-surjectivity", "§2.2 (b1)", bundle_morphisms(bundle).plan(budget, rng),
+        lambda tm: b1_ok(bundle, tm), lambda tm: {"gamma": repr(tm.gamma)},
+    ))
     if isinstance(bundle.base, QuiverCategory):
         # every base morphism lifts: its lift through the unit lies over it
         report.records.append(run_law(
             "b1-base-coverage", "§2.2 (b1)", bundle.base.morphisms_upto(),
-            lambda gamma: None if b1_witness(bundle, TwistedMorphism(gamma, cm.unit)) is None
-            else {"missing": repr(gamma)},
+            lambda gamma: b1_ok(bundle, TwistedMorphism(gamma, cm.unit)),
+            lambda gamma: {"missing": repr(gamma)},
         ))
 
     acted = CaseSpace.product(bundle_morphisms(bundle), cm.morphism_space(16))
     report.records.append(run_law(
-        "b2-freeness", "§2.2 (b2)", cases(acted),
-        lambda p: None if free_ok(bundle, *p) else {"gamma": repr(p[0].gamma), "m": cm.fmt_m(p[1])},
+        "b2-freeness", "§2.2 (b2)", acted.plan(budget, rng),
+        lambda p: free_ok(bundle, *p),
+        lambda p: {"gamma": repr(p[0].gamma), "m": cm.fmt_m(p[1])},
     ))
 
     report.records.append(run_law(
-        "b3-transitivity", "§2.2 (b3)", cases(acted, blocks=True),
-        lambda p: _transitive_ok(bundle, p[0], p[1]),
+        "b3-transitivity", "§2.2 (b3)", acted.plan(budget, rng),
+        lambda p: _transitive_ok(bundle, *p), lambda p: {"gamma": repr(p[0].gamma)},
     ))
     return report
 
 
 # -- predicates that the product-bundle suite (bundle.verify_bundle_axioms) shares --
 
-def b1_witness(bundle: TwistedBundle, tm) -> dict | None:
-    """None when the source and target of tm lie over those of its base
-    morphism, else a witness."""
+def b1_ok(bundle: TwistedBundle, tm):
+    """The source and target of tm lie over those of its base morphism."""
     base, s, t = bundle.base, bundle.source(tm), bundle.target(tm)
-    ok = base.point_eq(s[0], base.source(tm.gamma)) and base.point_eq(t[0], base.target(tm.gamma))
-    return None if ok else {"gamma": repr(tm.gamma)}
+    return base.point_eq(s[0], base.source(tm.gamma)) & base.point_eq(t[0], base.target(tm.gamma))
 
 
-def units_ok(bundle: TwistedBundle, tm) -> bool:
+def units_ok(bundle: TwistedBundle, tm):
     """The identities at the source and target of tm are units for it."""
     return (bundle.morphism_eq(bundle.compose(tm, bundle.identity(*bundle.source(tm))), tm)
-            and bundle.morphism_eq(bundle.compose(bundle.identity(*bundle.target(tm)), tm), tm))
+            & bundle.morphism_eq(bundle.compose(bundle.identity(*bundle.target(tm)), tm), tm))
 
 
-def free_ok(bundle: TwistedBundle, tm, m1) -> bool:
-    """Only the unit of the morphism group fixes tm (freeness)."""
+def free_ok(bundle: TwistedBundle, tm, m1):
+    """Only the unit of the morphism group fixes tm (freeness): fixing tm
+    implies being the unit."""
     cm = bundle.cm
-    return not cm.m_eq(bundle.act(tm, m1).m, tm.m) or cm.m_eq(m1, cm.unit)
+    return cm.m_eq(bundle.act(tm, m1).m, tm.m) <= cm.m_eq(m1, cm.unit)
+
+
+def _transitive_ok(bundle: TwistedBundle, tm, m1):
+    """Any two morphisms in the same fiber differ by a unique group element:
+    the one solved from tm and tm·m1 carries tm to it."""
+    cm = bundle.cm
+    other = bundle.act(tm, m1)
+    solved = cm.sdp_multiply(cm.sdp_inverse(tm.m), other.m)
+    return bundle.morphism_eq(bundle.act(tm, solved), other)
 
 
 def vertical_pairs(cm: CrossedModule) -> CaseSpace:
@@ -363,46 +384,23 @@ def vertical_pairs(cm: CrossedModule) -> CaseSpace:
         build=lambda m1, h2: (TwoGroupMorphism(h2, cm.target(m1)), m1))
 
 
-def action_boundaries_ok(bundle: TwistedBundle, tm, m1) -> bool:
+def action_boundaries_ok(bundle: TwistedBundle, tm, m1):
     """Acting by m1 moves the source and target of tm by the source and
     target of m1."""
     cm = bundle.cm
     acted = bundle.act(tm, m1)
     s, s_want = bundle.source(acted), bundle.act_object(bundle.source(tm), cm.source(m1))
     t, t_want = bundle.target(acted), bundle.act_object(bundle.target(tm), cm.target(m1))
-    return cm.G.eq(s[1], s_want[1]) and cm.G.eq(t[1], t_want[1])
+    return cm.G.eq(s[1], s_want[1]) & cm.G.eq(t[1], t_want[1])
 
 
-def action_composition_ok(bundle: TwistedBundle, chain, pair) -> bool:
+def action_composition_ok(bundle: TwistedBundle, chain, pair):
     """Acting by a composable (m2, m1) on the composite of (tm2, tm1) equals
     composing the acted morphisms."""
     (tm2, tm1), (m2, m1) = chain, pair
     lhs = bundle.act(bundle.compose(tm2, tm1), bundle.cm.compose_vertical(m2, m1))
     rhs = bundle.compose(bundle.act(tm2, m2), bundle.act(tm1, m1))
     return bundle.morphism_eq(lhs, rhs)
-
-
-def _boundary_ok(bundle: TwistedBundle, tm2, tm1) -> dict | None:
-    comp = bundle.compose(tm2, tm1)
-    cm = bundle.cm
-    s, s1 = bundle.source(comp), bundle.source(tm1)
-    t, t2 = bundle.target(comp), bundle.target(tm2)
-    base_ok = bundle.base.point_eq(s[0], s1[0]) and bundle.base.point_eq(t[0], t2[0])
-    if base_ok and cm.G.eq(s[1], s1[1]) and cm.G.eq(t[1], t2[1]):
-        return None
-    return {"gamma2": repr(tm2.gamma), "gamma1": repr(tm1.gamma),
-            "t_comp": cm.G.fmt(t[1]), "t_tm2": cm.G.fmt(t2[1])}
-
-
-def _transitive_ok(bundle: TwistedBundle, tm, m1) -> dict | None:
-    """Any two morphisms in the same fiber differ by a unique group element."""
-    cm = bundle.cm
-    other = bundle.act(tm, m1)
-    solved = cm.sdp_multiply(cm.sdp_inverse(tm.m), other.m)
-    back = bundle.act(tm, solved)
-    if bundle.morphism_eq(back, other):
-        return None
-    return {"gamma": repr(tm.gamma)}
 
 
 def verify_E_properties(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
@@ -414,54 +412,55 @@ def verify_E_properties(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
     cm = bundle.cm
     report = LawReport(suite="e-action")
 
-    def cases(*axes, build=None, blocks=False):
-        return CaseSpace.product(*axes, build=build).plan(budget, rng, blocks)
+    def cases(*axes, build=None):
+        return CaseSpace.product(*axes, build=build).plan(budget, rng)
 
     report.records.append(run_law(
-        "E-identity-base", "§6.2 (i)",
-        cases(cm.morphism_space(8), _identities(bundle, 4), blocks=True),
-        lambda p: None if cm.m_eq(bundle.E(p[0], p[1]), p[0])
-        else {"phi": cm.fmt_m(p[0])},
+        "E-identity-base", "§6.2 (i)", cases(cm.morphism_space(8), _identities(bundle, 4)),
+        lambda p: cm.m_eq(bundle.E(p[0], p[1]), p[0]),
+        lambda p: {"phi": cm.fmt_m(p[0])},
     ))
 
     report.records.append(run_law(
         "E-identity-group", "§6.2 (ii)",
-        cases(CaseSpace.carrier(cm.G, 8), _base_morphisms(bundle, 32), blocks=True),
-        lambda p: None if cm.m_eq(
+        cases(CaseSpace.carrier(cm.G, 8), _base_morphisms(bundle, 32)),
+        lambda p: cm.m_eq(
             bundle.E(cm.identity_morphism(p[0]), p[1]),
             cm.identity_morphism(cm.G.mul(cm.G.inv(bundle.eta(p[1])), p[0])),
-        ) else {"g": cm.G.fmt(p[0]), "gamma": repr(p[1])},
+        ),
+        lambda p: {"g": cm.G.fmt(p[0]), "gamma": repr(p[1])},
     ))
 
     report.records.append(run_law(
         "E-composition-base", "§6.2 (iii)", cases(cm.morphism_space(8), _base_pairs(bundle)),
-        lambda c: None if cm.m_eq(
+        lambda c: cm.m_eq(
             bundle.E(c[0], bundle.base.compose(c[1][0], c[1][1])),
             bundle.E(bundle.E(c[0], c[1][0]), c[1][1]),
-        ) else {"phi": cm.fmt_m(c[0])},
+        ),
+        lambda c: {"phi": cm.fmt_m(c[0])},
     ))
 
     report.records.append(run_law(
         "E-composition-group", "§6.2 (iv)",
         cases(cm.morphism_space(12), CaseSpace.carrier(cm.H, 4), _base_morphisms(bundle, 8),
-              build=lambda phi1, h2, gamma: ((TwoGroupMorphism(h2, cm.target(phi1)), phi1), gamma),
-              blocks=True),
-        lambda c: None if cm.m_eq(
+              build=lambda phi1, h2, gamma: ((TwoGroupMorphism(h2, cm.target(phi1)), phi1), gamma)),
+        lambda c: cm.m_eq(
             bundle.E(cm.compose_vertical(c[0][0], c[0][1]), c[1]),
             cm.compose_vertical(bundle.E(c[0][0], c[1]), bundle.E(c[0][1], c[1])),
-        ) else {"gamma": repr(c[1])},
+        ),
+        lambda c: {"gamma": repr(c[1])},
     ))
 
     report.records.append(run_law(
-        "E-reproduces-composition", "Eq 6.22",
-        composable_chains(bundle, 2).plan(budget, rng, blocks=True),
-        lambda p: None if bundle.morphism_eq(
+        "E-reproduces-composition", "Eq 6.22", composable_chains(bundle, 2).plan(budget, rng),
+        lambda p: bundle.morphism_eq(
             bundle.compose(p[0], p[1]),
             TwistedMorphism(
                 bundle.base.compose(p[0].gamma, p[1].gamma),
                 cm.compose_vertical(bundle.E(p[0].m, p[1].gamma), p[1].m),
             ),
-        ) else {"gamma2": repr(p[0].gamma), "gamma1": repr(p[1].gamma)},
+        ),
+        lambda p: {"gamma2": repr(p[0].gamma), "gamma1": repr(p[1].gamma)},
     ))
     return report
 
@@ -475,17 +474,16 @@ def verify_action_functorial(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET
 
     acted = CaseSpace.product(bundle_morphisms(bundle), cm.morphism_space(16))
     report.records.append(run_law(
-        "action-boundaries", "Eq 6.3", acted.plan(budget, rng, blocks=True),
-        lambda p: None if action_boundaries_ok(bundle, *p)
-        else {"gamma": repr(p[0].gamma), "m1": cm.fmt_m(p[1])},
+        "action-boundaries", "Eq 6.3", acted.plan(budget, rng),
+        lambda p: action_boundaries_ok(bundle, *p),
+        lambda p: {"gamma": repr(p[0].gamma), "m1": cm.fmt_m(p[1])},
     ))
 
     report.records.append(run_law(
         "action-composition", "Eq 6.14",
-        CaseSpace.product(composable_chains(bundle, 2), vertical_pairs(cm)).plan(
-            budget, rng, blocks=True),
-        lambda c: None if action_composition_ok(bundle, *c) else {
-            "gamma2": repr(c[0][0].gamma), "gamma1": repr(c[0][1].gamma),
-            "m2": cm.fmt_m(c[1][0]), "m1": cm.fmt_m(c[1][1])},
+        CaseSpace.product(composable_chains(bundle, 2), vertical_pairs(cm)).plan(budget, rng),
+        lambda c: action_composition_ok(bundle, *c),
+        lambda c: {"gamma2": repr(c[0][0].gamma), "gamma1": repr(c[0][1].gamma),
+                   "m2": cm.fmt_m(c[1][0]), "m1": cm.fmt_m(c[1][1])},
     ))
     return report

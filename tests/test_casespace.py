@@ -14,6 +14,7 @@ import pytest
 from catbundle.basecat import QuiverCategory
 from catbundle.bundle import verify_GU_categorical_group
 from catbundle.crossed import get_module, verify_exchange_law
+from catbundle.groups import StructuralError
 from catbundle.report import CaseSpace, Plan, run_law
 from catbundle.scenario import Scenario
 from catbundle.suites import run_suite
@@ -109,23 +110,24 @@ def test_a_coded_block_that_cannot_be_built_runs_case_by_case(fails_at):
     # a failure before it is the witness and case 7 raises in its turn
     def build(c):
         if np.any(np.asarray(c) == 7):
-            raise ValueError("no case 7")
+            raise StructuralError("no case 7")
         return c
 
     space = CaseSpace.coded(10, 1, lambda i: [i], build)
     seen = []
 
-    def check(c):
+    def ok(c):
         seen.append(np.size(c))
-        return {"case": c} if np.any(np.asarray(c) == fails_at) else None
+        return c != fails_at
 
     if fails_at is None:
-        with pytest.raises(ValueError, match="no case 7"):
-            run_law("law", "anchor", space.plan(10, np.random.default_rng(0), blocks=True), check)
+        with pytest.raises(StructuralError, match="no case 7"):
+            run_law("law", "anchor", space.plan(10, np.random.default_rng(0)), ok,
+                    lambda c: {"case": c})
         assert seen == [1] * 7
     else:
-        record = run_law("law", "anchor", space.plan(10, np.random.default_rng(0), blocks=True),
-                         check)
+        record = run_law("law", "anchor", space.plan(10, np.random.default_rng(0)), ok,
+                         lambda c: {"case": c})
         assert (record.checks, record.witness, seen) == (4, {"case": 3}, [1] * 4)
 
 
@@ -160,7 +162,7 @@ def test_carrier_is_the_group_or_its_samples():
 
 def test_law_on_zero_cases_fails():
     for cases in ([], Plan((), exhaustive=False)):
-        record = run_law("empty", "none", cases, lambda case: None)
+        record = run_law("empty", "none", cases, lambda case: True, lambda case: {})
         assert record.status == "fail" and record.checks == 0
         assert record.witness == {"error": "no cases checked"}
 

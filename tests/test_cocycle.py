@@ -8,6 +8,7 @@ from catbundle.cocycle import (
     CocycleConditionError,
     CocycleData,
     Cover,
+    MixedTrivialization,
     OverlapCategory,
     TrivializationFamily,
     build_theta,
@@ -271,6 +272,27 @@ def test_transitions_satisfy_defining_property():
         lhs = phi_to.mor_to_bundle(m.base, sigma.apply(m), src, dst)
         rhs = phi_from.mor_to_bundle(m.base, S3.unit, src, dst)
         assert S3.m_eq(lhs, rhs)
+
+
+@pytest.mark.parametrize("name", ["s3-conj", "so3-conj"])
+def test_transition_refuses_a_trivialization_that_is_not_equivariant(name):
+    # a trivialization that ignores the acting element on objects; SO(3) has
+    # no element list, so the probes are one stack of fixed elements per
+    # object, as on a finite module
+    cm = get_module(name)
+    base, cover = six_object_setup()
+    family = TrivializationFamily.seeded(cm, cover, np.random.default_rng(11))
+
+    class IgnoresG(MixedTrivialization):
+        def obj_to_bundle(self, side, pt, g):
+            return super().obj_to_bundle(side, pt, cm.G.identity)
+
+    overlap = OverlapCategory(base, cover, (0, 1), (3, 4))
+    phi_to, phi_from = family.trivialization(0, 3), family.trivialization(1, 4)
+    assert functor_invariant_witness(transition_from_trivializations(phi_to, phi_from, overlap)) is None
+    broken = IgnoresG(cm, 1, 4, family.h_maps[1], family.h_maps[4])
+    with pytest.raises(StructuralError, match="trivialization not equivariant"):
+        transition_from_trivializations(phi_to, broken, overlap)
 
 
 def test_transition_cocycle_strict_equality():

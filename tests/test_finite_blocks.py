@@ -16,6 +16,7 @@ from catbundle.crossed import CrossedModule, get_module, verify_crossed_module, 
 from catbundle.groups import CyclicGroup, FiniteGroup, StructuralError, SymmetricGroup
 from catbundle.report import BLOCK, Block, CaseSpace, _index, _picks, run_law
 from catbundle.scenario import ScenarioError, parse_element
+from per_case import per_case_plans
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ARROW = QuiverCategory(["a", "b"], [("f", "a", "b")], word_bound=2)
@@ -104,12 +105,16 @@ def test_table_lookups_on_arrays_equal_per_code_lookups(name):
 
 
 def test_eq_on_arrays_is_every_case_equal():
+    # a per-case mask on arrays, which holds for every case exactly when
+    # every case is equal; a plain bool on two codes
     G = SymmetricGroup(3)
     a = np.arange(12) % 6
     b = a.copy()
     b[7] = (b[7] + 1) % 6
-    assert G.eq(a, a.copy()) is True and G.eq(a, b) is False
-    assert G.eq(0, np.zeros(5, dtype=np.int64)) is True and G.eq(0, a) is False
+    assert G.eq(a, a.copy()).tolist() == [True] * 12
+    assert np.flatnonzero(~G.eq(a, b)).tolist() == [7]
+    assert G.eq(0, np.zeros(5, dtype=np.int64)).tolist() == [True] * 5
+    assert G.eq(0, a).tolist() == (a == 0).tolist()
     assert G.eq(3, 3) is True and G.eq(3, 4) is False
 
 
@@ -135,7 +140,9 @@ def _coded(slots: str) -> CaseSpace:
 def test_block_plan_decodes_the_per_case_plan(slots, budget):
     space = _coded(slots)
     block_rng, case_rng = np.random.default_rng(5), np.random.default_rng(5)
-    block_plan, case_plan = space.plan(budget, block_rng, blocks=True), space.plan(budget, case_rng)
+    block_plan = space.plan(budget, block_rng)
+    with per_case_plans():
+        case_plan = space.plan(budget, case_rng)
     assert (block_plan.exhaustive, block_plan.space) == (case_plan.exhaustive, case_plan.space)
     blocks, cases = list(block_plan), list(case_plan)
     assert all(isinstance(b, Block) for b in blocks)
@@ -165,22 +172,28 @@ def test_block_run_matches_the_per_case_run(budget, depth):
     target = (5, 4, 3, 2)[:depth]
     stacked, scalar_types = [], set()
 
-    def check(t):
+    def ok(t):
         hit = depth > 0
         for part, want in zip(t, target):
             hit = hit & (np.asarray(part) == want)
         if isinstance(t[0], np.ndarray):
             stacked.append(len(t[0]))
-            return {"block": "fails"} if np.any(hit) else None
-        scalar_types.update(type(x) for x in t)
-        return {"case": list(t)} if hit else None
+        else:
+            scalar_types.update(type(x) for x in t)
+        return np.logical_not(hit)
+
+    def witness(t):
+        assert not isinstance(t[0], np.ndarray)
+        return {"case": list(t)}
 
     block_rng, case_rng = np.random.default_rng(8), np.random.default_rng(8)
-    got = run_law("law", "anchor", space.plan(budget, block_rng, blocks=True), check)
-    want = run_law("law", "anchor", space.plan(budget, case_rng), check)
+    got = run_law("law", "anchor", space.plan(budget, block_rng), ok, witness)
+    with per_case_plans():
+        want = run_law("law", "anchor", space.plan(budget, case_rng), ok, witness)
     assert _records_equal(got, want) and want.passed == (depth == 0)
     assert block_rng.bit_generator.state == case_rng.bit_generator.state
     assert scalar_types <= {int}
+    # one call per block up to the failing one (or all of them)
     assert len(stacked) == (want.checks - 1) // BLOCK + 1
 
 
@@ -191,7 +204,8 @@ def test_failures_lie_in_first_and_later_blocks():
     for budget in (3000, 46656):
         for depth in (2, 3, 4):
             target = (5, 4, 3, 2)[:depth]
-            plan = space.plan(budget, np.random.default_rng(8))
+            with per_case_plans():
+                plan = space.plan(budget, np.random.default_rng(8))
             first = next(i for i, c in enumerate(plan) if c[:depth] == target)
             firsts.add((budget, first // BLOCK > 0))
     assert firsts == {(3000, False), (3000, True), (46656, True)}
@@ -200,14 +214,31 @@ def test_failures_lie_in_first_and_later_blocks():
 def test_block_that_raises_is_rerun_and_reports_the_error():
     space = _coded("hh")
 
-    def check(t):
+    def ok(t):
         if np.any(np.asarray(t[1]) == 5):
             raise StructuralError("no such case")
-        return None
+        return True
 
-    got = run_law("law", "anchor", space.plan(100, np.random.default_rng(0), blocks=True), check)
+    got = run_law("law", "anchor", space.plan(100, np.random.default_rng(0)), ok,
+                  lambda t: {"case": list(t)})
     assert got.witness == {"error": "StructuralError: no such case"}
     assert got.checks == 6 and got.exhaustive
+
+
+def test_a_block_that_raises_another_error_propagates():
+    # only CompositionUndefined and StructuralError send a block case by
+    # case; any other exception in a law body is a bug and is not hidden
+    space = _coded("hh")
+    calls = []
+
+    def ok(t):
+        calls.append(np.size(t[0]))
+        raise TypeError("a kernel that cannot take a block")
+
+    with pytest.raises(TypeError, match="cannot take a block"):
+        run_law("law", "anchor", space.plan(100, np.random.default_rng(0)), ok,
+                lambda t: {"case": list(t)})
+    assert calls == [36]
 
 
 @pytest.mark.parametrize("name", ["s3-conj", "z4-conj"])
@@ -245,8 +276,8 @@ def _gu_plans(cm, monkeypatch, budget=20_000):
     seen = []
     plan = CaseSpace.plan
 
-    def recording(self, budget, rng, blocks=False):
-        p = plan(self, budget, rng, blocks)
+    def recording(self, budget, rng):
+        p = plan(self, budget, rng)
         items = list(p)
         seen.append((self, items))
         return replace(p, cases=items)

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from catbundle.basecat import QuiverCategory
+from catbundle.bundle import verify_prop31_roundtrip
 from catbundle.crossed import (
     CompositionUndefined,
     CrossedModule,
@@ -16,6 +18,7 @@ from catbundle.crossed import (
 )
 from catbundle.groups import SpecialOrthogonalGroup
 from catbundle.report import BLOCK, Block, CaseSpace, run_law
+from per_case import per_case_plans
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -78,10 +81,11 @@ def _bits(stack) -> bytes:
 def test_block_draws_equal_per_case_draws_bitwise(n, slots):
     space = _slot_spaces(n, slots)
     block_rng, case_rng, ref_rng = (np.random.default_rng(7) for _ in range(3))
-    blocks = list(space.plan(3000, block_rng, blocks=True))
+    blocks = list(space.plan(3000, block_rng))
     assert all(isinstance(b, Block) for b in blocks)
     assert [b.size for b in blocks] == [BLOCK] * (3000 // BLOCK) + [3000 % BLOCK]
-    cases = list(space.plan(3000, case_rng))
+    with per_case_plans():
+        cases = list(space.plan(3000, case_rng))
     reference = [tuple(_reference_sample(n, ref_rng) for _ in slots) for _ in range(3000)]
     for axis in range(len(slots)):
         block_axis = np.concatenate([b.cases[axis] for b in blocks])
@@ -93,19 +97,20 @@ def test_block_draws_equal_per_case_draws_bitwise(n, slots):
 
 
 def test_which_plans_come_in_blocks():
+    # every coded or open stackable space comes in blocks; there is no switch
     rng = np.random.default_rng(0)
     so2 = get_module("so2-conj").G
-    assert not any(isinstance(c, Block) for c in _slot_spaces(2, "hh").plan(600, rng))
+    assert all(isinstance(c, Block) for c in _slot_spaces(2, "hh").plan(600, rng))
     # int-coded (range) axes come in blocks; a listed finite axis does not
     s3 = get_module("s3-conj").G
     coded = CaseSpace.product(s3.elements, range(2))
-    assert all(isinstance(c, Block) for c in coded.plan(600, rng, blocks=True))
+    assert all(isinstance(c, Block) for c in coded.plan(600, rng))
     listed = CaseSpace.product(list(s3.elements), range(2))
-    assert list(listed.plan(600, rng, blocks=True)) == list(listed.plan(600, rng))
+    assert list(listed.plan(600, rng)) == [(g, i) for g in range(6) for i in range(2)]
     counted = CaseSpace.product(CaseSpace.carrier(so2, 4), CaseSpace.carrier(so2))
-    assert not any(isinstance(c, Block) for c in counted.plan(600, rng, blocks=True))
+    assert not any(isinstance(c, Block) for c in counted.plan(600, rng))
     unstackable = CaseSpace.product(CaseSpace.sampled(lambda r: r.random()), CaseSpace.carrier(so2))
-    assert not any(isinstance(c, Block) for c in unstackable.plan(600, rng, blocks=True))
+    assert not any(isinstance(c, Block) for c in unstackable.plan(600, rng))
 
 
 # -- run_law on blocks --
@@ -120,16 +125,18 @@ def test_block_run_matches_the_per_case_run(threshold):
     space = _slot_spaces(3, "hh")
     stacked_calls = []
 
-    def check(t):
+    def ok(t):
         if t[0].ndim == 3:
             stacked_calls.append(len(t[0]))
-        if np.any(t[0][..., 0, 0] > threshold):
-            return {"h": SpecialOrthogonalGroup(3).fmt(t[0])}
-        return None
+        return t[0][..., 0, 0] <= threshold
+
+    def witness(t):
+        return {"h": SpecialOrthogonalGroup(3).fmt(t[0])}
 
     block_rng, case_rng = np.random.default_rng(11), np.random.default_rng(11)
-    got = run_law("law", "anchor", space.plan(3000, block_rng, blocks=True), check)
-    want = run_law("law", "anchor", space.plan(3000, case_rng), check)
+    got = run_law("law", "anchor", space.plan(3000, block_rng), ok, witness)
+    with per_case_plans():
+        want = run_law("law", "anchor", space.plan(3000, case_rng), ok, witness)
     assert _records_equal(got, want)
     assert block_rng.bit_generator.state == case_rng.bit_generator.state
     # every block up to the failing one was checked in one call
@@ -141,14 +148,15 @@ def test_block_run_matches_the_per_case_run(threshold):
 def test_block_that_raises_is_rerun_and_reports_the_error():
     space = _slot_spaces(2, "hh")
 
-    def check(t):
+    def ok(t):
         if np.any(t[0][..., 0, 0] > 0.99999):  # first at case 1016 of seed 1
             raise CompositionUndefined("target != source")
-        return None
+        return True
 
     block_rng, case_rng = np.random.default_rng(1), np.random.default_rng(1)
-    got = run_law("law", "anchor", space.plan(3000, block_rng, blocks=True), check)
-    want = run_law("law", "anchor", space.plan(3000, case_rng), check)
+    got = run_law("law", "anchor", space.plan(3000, block_rng), ok, lambda t: {})
+    with per_case_plans():
+        want = run_law("law", "anchor", space.plan(3000, case_rng), ok, lambda t: {})
     assert got.witness == {"error": "CompositionUndefined: target != source"}
     assert _records_equal(got, want) and got.checks > BLOCK
     assert block_rng.bit_generator.state == case_rng.bit_generator.state
@@ -166,6 +174,22 @@ def test_so_suites_check_each_block_once(name, monkeypatch):
     assert report.passed and all(r.checks == 3000 for r in report.records)
     # 2-D calls: the 64 per-case carrier probes (two each) and identity operands
     assert calls.count(2) < 200 < calls.count(3) < 2000
+
+
+@pytest.mark.parametrize("name", ["so2-conj", "so3-conj"])
+def test_prop31_laws_check_each_block_in_one_call(name, monkeypatch):
+    # a block of sampled object maps is one functor whose tables hold
+    # stacks: a case-by-case run makes 28 672 single multiplications on
+    # SO(3); here only the few of identity values by identity values are
+    cm = get_module(name)
+    base = QuiverCategory(["a", "b", "c"], [("f", "a", "b"), ("g", "b", "c")], word_bound=3)
+    calls = []
+    mul = SpecialOrthogonalGroup.mul
+    monkeypatch.setattr(SpecialOrthogonalGroup, "mul",
+                        lambda self, a, b: calls.append(max(np.ndim(a), np.ndim(b))) or mul(self, a, b))
+    report = verify_prop31_roundtrip(base, cm, 3000, np.random.default_rng(0))
+    assert report.passed and [r.checks for r in report.records] == [256] * 3
+    assert calls.count(3) > 50 and calls.count(2) < 10
 
 
 # -- stacked group operations --
@@ -190,20 +214,25 @@ def test_inv_of_a_stack_transposes_each_matrix():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_eq_on_a_stack_is_every_case_equal(n):
+    # a per-case mask on stacks, which holds for every case exactly when
+    # every case is equal; a plain bool on two elements
     G = SpecialOrthogonalGroup(n)
     a = G.sample_stack(np.random.default_rng(6).random((16, G.width)))
 
     def per_case(x, y):
-        return all(G.eq(u, v) for u, v in zip(x, y))
+        return [G.eq(u, v) for u, v in zip(x, y)]
 
     near, far, nan = a + 1e-11, a.copy(), a.copy()
     far[9, 0, 1] += 1e-6
     nan[4, 1, 1] = np.nan
-    for other, want in ((a, True), (near, True), (far, False), (nan, False)):
-        assert G.eq(a, other) == per_case(a, other) == want
+    for other, fails in ((a, []), (near, []), (far, [9]), (nan, [4])):
+        mask = G.eq(a, other)
+        assert mask.shape == (16,) and mask.tolist() == per_case(a, other)
+        assert np.flatnonzero(~mask).tolist() == fails
+    assert all(type(x) is bool for x in per_case(a, far))
     # a single element broadcasts against a stack
-    assert G.eq(G.identity, np.stack([G.identity] * 3))
-    assert not G.eq(G.identity, a)
+    assert G.eq(G.identity, np.stack([G.identity] * 3)).tolist() == [True] * 3
+    assert not G.eq(G.identity, a).any()
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -2,6 +2,7 @@
 edge-case reports pinned by committed goldens, the coded chain spaces against
 nested loops, and the laws that run in blocks against those that stay per
 case."""
+import contextlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from catbundle.twisted import (
     verify_E_properties,
     verify_twisted_bundle,
 )
+from per_case import per_case_plans
 from test_finite_blocks import alpha_mutant
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -175,7 +177,7 @@ def test_chains_past_the_word_bound_get_fresh_codes():
     space = composable_chains(bundle, 3)
     t = space.from_codes(*space.codes(np.arange(space.size)))
     twice = bundle.compose(t[0], bundle.compose(t[1], t[2])).gamma
-    assert bundle.base.morphism_eq(twice, bundle.compose(bundle.compose(t[0], t[1]), t[2]).gamma)
+    assert bundle.base.morphism_eq(twice, bundle.compose(bundle.compose(t[0], t[1]), t[2]).gamma).all()
     words = {len(base.morphism(c).word) for c in np.unique(twice).tolist()}
     assert words == set(range(7)) and len(base._coded) == 7
 
@@ -183,29 +185,28 @@ def test_chains_past_the_word_bound_get_fresh_codes():
 # -- which laws run in blocks --
 
 BLOCKED = {
-    "bundle-axioms": {"action-functoriality", "b3-transitivity-morphisms"},
+    "bundle-axioms": {"action-functoriality", "b3-transitivity-morphisms",
+                      "b2-freeness-objects", "b2-freeness-morphisms"},
     "twisted-bundle": {"associativity", "boundary-coherence", "b3-transitivity", "unit-laws",
-                       "b1-surjectivity", "eta-identity"},
+                       "b1-surjectivity", "eta-identity", "b2-freeness"},
     "e-action": {"action-boundaries", "action-composition", "E-reproduces-composition",
                  "E-identity-base", "E-identity-group", "E-composition-group"},
     "prop41-section": {"equivariance-morphisms", "composition-preservation",
                        "equivariance-morphisms@sigma2", "composition-preservation@sigma2"},
+    "prop31-roundtrip": {"roundtrip-invariants", "telescoping", "object-encoding"},
 }
-PER_CASE = {"b2-freeness", "b2-freeness-morphisms", "b2-freeness-objects"}
 
 
-@pytest.mark.parametrize("name, suite", [("z4_twist", "twisted-bundle"), ("z4_twist", "e-action"),
-                                         ("s3_quiver", "bundle-axioms"),
-                                         ("s3_quiver", "prop41-section")])
-def test_twisted_laws_check_each_block_in_one_call(name, suite, monkeypatch):
-    # per law in report order: its plan's block sizes, its check calls and the
-    # sizes of the multiplications made while it runs
+def run_recording_blocks(scenario, suite, monkeypatch):
+    """Run a shipped scenario's suite, and record per law in report order its
+    plan's block sizes, its `ok` calls and the sizes of the finite
+    multiplications made while it runs."""
     runs = [{"lookups": []}]  # before the first law
     mul = FiniteGroup.mul
     monkeypatch.setattr(FiniteGroup, "mul", lambda self, a, b: runs[-1]["lookups"].append(
         max(np.size(a), np.size(b))) or mul(self, a, b))
 
-    def recording(law, anchor, cases, check):
+    def recording(law, anchor, cases, ok, witness):
         run = {"checks": 0, "lookups": []}
         runs.append(run)
         listed = list(cases)
@@ -213,23 +214,81 @@ def test_twisted_laws_check_each_block_in_one_call(name, suite, monkeypatch):
 
         def counted(case):
             run["checks"] += 1
-            return check(case)
+            return ok(case)
 
         return run_law(law, anchor, replace(cases, cases=listed)
-                       if isinstance(cases, Plan) else listed, counted)
+                       if isinstance(cases, Plan) else listed, counted, witness)
 
     for module in (catbundle.bundle, catbundle.twisted):
         monkeypatch.setattr(module, "run_law", recording)
-    report = run_suite(Scenario.load(SCEN / f"{name}.json"), suite)
-    assert report.passed and len(runs) == len(report.records) + 1
-    assert BLOCKED[suite] <= {r.law for r in report.records}
-    for r, run in zip(report.records, runs[1:]):
+    report = run_suite(Scenario.load(SCEN / f"{scenario}.json"), suite)
+    assert len(runs) == len(report.records) + 1
+    return report, runs[1:]
+
+
+@pytest.mark.parametrize("name, suite", [("z4_twist", "twisted-bundle"), ("z4_twist", "e-action"),
+                                         ("s3_quiver", "bundle-axioms"),
+                                         ("s3_quiver", "prop41-section"),
+                                         ("s3_quiver", "prop31-roundtrip")])
+def test_twisted_laws_check_each_block_in_one_call(name, suite, monkeypatch):
+    report, runs = run_recording_blocks(name, suite, monkeypatch)
+    assert report.passed and BLOCKED[suite] <= {r.law for r in report.records}
+    for r, run in zip(report.records, runs):
         if r.law in BLOCKED[suite]:
-            # every case comes in a block, each checked in one call, never rerun
+            # every case comes in a block, each checked in one call
             assert run["blocks"] and None not in run["blocks"], r.law
             assert sum(run["blocks"]) == r.checks and run["checks"] == len(run["blocks"]), r.law
             assert all(1 <= n <= BLOCK for n in run["lookups"]), r.law
             assert BLOCK in run["lookups"] or r.checks < BLOCK, r.law
-        elif r.law in PER_CASE:
-            assert set(run["blocks"]) == {None} and run["checks"] == r.checks, r.law
-            assert set(run["lookups"]) == {1}, r.law
+        else:
+            # a listed space, or one with a listed axis
+            assert set(run["blocks"]) == {None}, r.law
+
+
+# -- freeness on blocks --
+
+def fixing_action(bundle: TwistedBundle, fixed: TwoGroupMorphism, at: QuiverMorphism):
+    """`bundle.act`, except that acting by `fixed` leaves the morphisms over
+    `at` unchanged, case by case on a block: a mask-aware action that is not
+    free."""
+    act, base, cm = bundle.act, bundle.base, bundle.cm
+
+    def broken(tm, m1):
+        acted = act(tm, m1)
+        over = tm.gamma == (base.code(at) if isinstance(tm.gamma, np.ndarray) else at)
+        keep = over & cm.m_eq(m1, fixed)
+        if np.ndim(keep) == 0:
+            return tm if keep else acted
+        return TwistedMorphism(acted.gamma, TwoGroupMorphism(
+            np.where(keep, tm.m.h, acted.m.h), np.where(keep, tm.m.g, acted.m.g)))
+
+    return broken
+
+
+@pytest.mark.parametrize("budget", [3000, 20000])
+def test_freeness_fails_on_a_fixed_morphism_in_blocks_and_per_case(budget, monkeypatch):
+    # one non-unit morphism fixes every lift of the arrow g: both freeness
+    # laws fail, with the same checks and witness in blocks and case by case
+    # (sampled at 3000, exhaustive at 20000)
+    base, cm = chain(), get_module("s3-conj")
+    fixed = TwoGroupMorphism(3, 0)
+    bundle = TwistedBundle(base, cm, EtaMap.from_table(base, cm, {"f": 3, "g": 1}))
+    product = TwistedBundle(base, cm, EtaMap.trivial(base, cm))
+    at = base.arrow("g")
+    records = []
+    for blocked in (True, False):
+        for b in (bundle, product):
+            monkeypatch.setattr(b, "act", fixing_action(b, fixed, at))
+        with contextlib.ExitStack() as stack:
+            if not blocked:
+                stack.enter_context(per_case_plans())
+            monkeypatch.setattr(catbundle.bundle, "TwistedBundle", lambda *a: product)
+            twisted = verify_twisted_bundle(bundle, budget, rng()).find("b2-freeness")
+            axioms = verify_bundle_axioms(base, cm, budget, rng()).find("b2-freeness-morphisms")
+        for b in (bundle, product):
+            monkeypatch.delattr(b, "act")
+        records.append((twisted, axioms))
+    assert [r.checks for r in records[0]] == {3000: [160, 93], 20000: [5203, 5203]}[budget]
+    for (got, want) in zip(*records):
+        assert not got.passed and got.witness["gamma"] == "g:b->c"
+        assert (got.checks, got.witness, got.exhaustive) == (want.checks, want.witness, want.exhaustive)
