@@ -23,7 +23,7 @@ from .basecat import QuiverCategory, QuiverMorphism
 from .bundle import FunctorUG, NatTransf, _spread, functor_invariant_witness, functor_ok
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
 from .groups import StructuralError, all_cases, every
-from .report import LawReport, run_law, sides_witness
+from .report import DEFAULT_BUDGET, CaseSpace, LawReport, run_law, sides_witness
 
 Tag = tuple[int, ...]
 OverlapObject = tuple[Tag, str]
@@ -202,8 +202,11 @@ def constructive_cocycle(cover: Cover, cm: CrossedModule,
     return CocycleData(pairs, triples)
 
 
-def verify_cocycle_condition(data: CocycleData, cover: Cover, cm: CrossedModule) -> LawReport:
+def verify_cocycle_condition(data: CocycleData, cover: Cover, cm: CrossedModule,
+                             budget: int = DEFAULT_BUDGET,
+                             rng: np.random.Generator | None = None) -> LawReport:
     """h_ijk·h_ik = h_ij·h_jk at every triple-overlap point."""
+    rng = rng or np.random.default_rng(0)
     report = LawReport(suite="cocycle")
     cases = [
         (i, j, k, pt)
@@ -212,7 +215,7 @@ def verify_cocycle_condition(data: CocycleData, cover: Cover, cm: CrossedModule)
     ]
 
     report.records.append(run_law(
-        "cocycle-condition", "Eq 5.26", cases,
+        "cocycle-condition", "Eq 5.26", CaseSpace.finite(cases).plan(budget, rng),
         lambda case: cm.H.eq(*data.condition_sides(cm, *case)),
         lambda case: {**dict(zip(("i", "j", "k", "point"), case)),
                       **sides_witness(cm.H.fmt, data.condition_sides(cm, *case))},
@@ -301,10 +304,12 @@ def triple_transformation(data: CocycleData, cm: CrossedModule,
     return NatTransf(restrict_overlap_functor(th_im, triple), product, hT)
 
 
-def verify_prop51(data: CocycleData, cm: CrossedModule, triple: OverlapCategory) -> LawReport:
+def verify_prop51(data: CocycleData, cm: CrossedModule, triple: OverlapCategory,
+                  budget: int = DEFAULT_BUDGET, rng: np.random.Generator | None = None) -> LawReport:
     """Certify the triple-overlap transformation: theta functor laws, the
     object-level gauge relation, the gauge-transformed H-component identity,
     and the naturality square."""
+    rng = rng or np.random.default_rng(0)
     report = LawReport(suite="prop51")
     T = triple_transformation(data, cm, triple)
     P, th_im = T.target, T.source
@@ -316,10 +321,11 @@ def verify_prop51(data: CocycleData, cm: CrossedModule, triple: OverlapCategory)
         for lo, up in (((i, k), (j, l)), ((k, m_), (l, n)), ((i, m_), (j, n)))
     ]
     report.records.append(run_law(
-        "theta-functor", "Eqs 5.34-5.36", thetas, functor_ok, functor_invariant_witness))
+        "theta-functor", "Eqs 5.34-5.36", CaseSpace.finite(thetas).plan(budget, rng),
+        functor_ok, functor_invariant_witness))
 
     report.records.append(run_law(
-        "prop51-object-gauge", "Eq 3.11", triple.objects,
+        "prop51-object-gauge", "Eq 3.11", CaseSpace.finite(triple.objects).plan(budget, rng),
         lambda x: cm.G.eq(P.g(x), cm.G.mul(cm.tau(T.hT[x]), th_im.g(x))),
         lambda x: {"object": str(x)},
     ))
@@ -329,7 +335,8 @@ def verify_prop51(data: CocycleData, cm: CrossedModule, triple: OverlapCategory)
                 th_im.h(mm))
 
     report.records.append(run_law(
-        "prop51-h-component", "Eq 5.46", triple.morphisms, lambda mm: cm.H.eq(*h_sides(mm)),
+        "prop51-h-component", "Eq 5.46", CaseSpace.finite(triple.morphisms).plan(budget, rng),
+        lambda mm: cm.H.eq(*h_sides(mm)),
         lambda mm: {"morphism": repr(mm), **sides_witness(cm.H.fmt, h_sides(mm))}))
 
     def square(mm: OverlapMorphism):
@@ -337,7 +344,8 @@ def verify_prop51(data: CocycleData, cm: CrossedModule, triple: OverlapCategory)
                 cm.compose_vertical(T.at(mm.target), th_im.apply(mm)))
 
     report.records.append(run_law(
-        "prop51-naturality", "Eq 3.10", triple.morphisms, lambda mm: cm.m_eq(*square(mm)),
+        "prop51-naturality", "Eq 3.10", CaseSpace.finite(triple.morphisms).plan(budget, rng),
+        lambda mm: cm.m_eq(*square(mm)),
         lambda mm: {"morphism": repr(mm), **sides_witness(cm.fmt_m, square(mm))}))
     return report
 
@@ -439,10 +447,12 @@ def transition_from_trivializations(phi_to: MixedTrivialization,
 
 
 def verify_transition_cocycle(family: TrivializationFamily, base: QuiverCategory,
-                              lower_triple: Tag, upper_triple: Tag) -> LawReport:
+                              lower_triple: Tag, upper_triple: Tag, budget: int = DEFAULT_BUDGET,
+                              rng: np.random.Generator | None = None) -> LawReport:
     """sigma_ik^jl · sigma_km^ln = sigma_im^jn on the triple overlap, as an
     exact equality of functors; plus self-transitions are the identity and
     transitions are functors."""
+    rng = rng or np.random.default_rng(0)
     report = LawReport(suite="transition-cocycle")
     cm, cover = family.cm, family.cover
     i, k, m_ = lower_triple
@@ -461,7 +471,8 @@ def verify_transition_cocycle(family: TrivializationFamily, base: QuiverCategory
     s_im = sigma((i, m_), (j, n))
 
     report.records.append(run_law(
-        "transition-functor", "Eq 5.11", [s_ik, s_km, s_im], functor_ok, functor_invariant_witness))
+        "transition-functor", "Eq 5.11", CaseSpace.finite([s_ik, s_km, s_im]).plan(budget, rng),
+        functor_ok, functor_invariant_witness))
 
     # the cocycle relation on objects and morphisms; on finite carriers `eq`
     # is strict equality, so it holds on the nose, not merely within tolerance
@@ -484,7 +495,8 @@ def verify_transition_cocycle(family: TrivializationFamily, base: QuiverCategory
         return {**where, **sides_witness(fmt, (lhs, rhs))}
 
     report.records.append(run_law(
-        "transition-cocycle", "Eq 5.21", triple.objects + triple.morphisms,
+        "transition-cocycle", "Eq 5.21",
+        CaseSpace.finite(triple.objects + triple.morphisms).plan(budget, rng),
         match_ok, match_witness,
     ))
 
@@ -500,6 +512,7 @@ def verify_transition_cocycle(family: TrivializationFamily, base: QuiverCategory
             (cm.H.eq(h, cm.H.identity) for h in s_self.h_gen.values())))
 
     report.records.append(run_law(
-        "self-transition-identity", "Eq 5.11", [((i, k), (j, l))], self_transition_ok,
+        "self-transition-identity", "Eq 5.11",
+        CaseSpace.finite([((i, k), (j, l))]).plan(budget, rng), self_transition_ok,
         lambda idx_pair: {"pair": str(idx_pair)}))
     return report

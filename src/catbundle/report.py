@@ -1,11 +1,13 @@
 """Case spaces and pass/fail law reports shared by every verification suite.
 
 A law's cases come from a CaseSpace, whose `plan` decides exhaustive vs
-sampled. A coded space (range axes and coded spaces, such as the twisted
-chains on a quiver) and an open sampled product of SO(n) carriers come in
-blocks of BLOCK cases (arrays of codes, or stacks from one uniform array);
-other spaces come case by case. A law is `ok(case)`, a per-case mask on a
-block, and `witness(case)` for one failing case.
+sampled by one rule: the whole space in order when it fits the budget,
+else `budget` seeded draws. A coded space of any size (range axes and coded
+spaces, such as the twisted chains on a quiver) and an open sampled product
+of SO(n) carriers come in blocks of BLOCK cases (arrays of codes, or stacks
+from one uniform array); other spaces come case by case. A law is
+`run_law(law, anchor, plan, ok, witness)`: `ok(case)` is a per-case mask on a
+block, and `witness(case)` describes one failing case.
 
 A suite produces a LawReport: one LawRecord per algebraic law, each carrying
 the law's anchor string (its identifier in the library's law registry, e.g.
@@ -144,7 +146,7 @@ class CaseSpace:
         if budget <= 0:
             return Plan((), exhaustive=False, space=self.size)
         if self.size is not None:
-            coded = self.size < 2**63 and _is_coded(self)
+            coded = _is_coded(self)
             if self.size <= budget:
                 cases = _coded_blocks(self, range(self.size)) if coded else _cases(self)
                 return Plan(cases, exhaustive=True, space=self.size)
@@ -154,8 +156,7 @@ class CaseSpace:
             # ints a block at a time, not a list beside the array
             ints = itertools.chain.from_iterable(
                 picks[i:i + BLOCK].tolist() for i in range(0, budget, BLOCK))
-            return Plan(map(_listed(self, budget).__getitem__, ints),
-                        exhaustive=False, space=self.size)
+            return Plan(map(self.__getitem__, ints), exhaustive=False, space=self.size)
         axes = self.axes or ()
         if any(not _is_sampled(a) or a.count is not None for a in axes):
             open_axes = [a for a in axes if _is_sampled(a) and a.count is None]
@@ -224,11 +225,12 @@ def _code_product(space: CaseSpace) -> None:
     sizes = [_size(a) for a in axes]
     arities = [1 if isinstance(a, range) else a.arity for a in axes]
 
-    def codes(i):
+    def codes(i):  # int64 case numbers, or Python ints in an object array past int64
         out = []  # last axis first
         for a, size in zip(reversed(axes), reversed(sizes)):
-            i, r = np.divmod(i, size)
-            if isinstance(a, range):
+            i, r = i // size, i % size  # np.divmod has no object loop
+            if isinstance(a, range):  # a residue is below len(a), so int64
+                r = r.astype(np.int64, copy=False)
                 out.append(r if a.start == 0 and a.step == 1 else a.start + a.step * r)
             else:
                 out += reversed(a.codes(r))
@@ -265,9 +267,10 @@ def _coded_blocks(space: CaseSpace, indices):
 
 
 def _picks(rng, size: int, budget: int) -> np.ndarray:
-    """`budget` draws of `_index(rng, size)`, in one call where numpy's int64
-    draw reaches: the same values and generator state as per-draw calls."""
-    if size <= 2**63:
+    """`budget` draws of `_index(rng, size)`, in one call below 2**63, where
+    every axis size fits int64 arithmetic too: the same values and generator
+    state as per-draw calls."""
+    if size < 2**63:
         return rng.integers(size, size=budget)
     return np.array([_index(rng, size) for _ in range(budget)], dtype=object)
 
@@ -314,19 +317,6 @@ def _cases(space):
         lists = [list(_cases(a)) if isinstance(a, CaseSpace) else a for a in space.axes]
         return itertools.starmap(space.build, itertools.product(*lists))
     return map(space.__getitem__, range(space.size))
-
-
-def _listed(space, limit: int):
-    """A finite space to decode sampled cases from, with each nested space of
-    at most `limit` cases listed once, so that a case does not rebuild its
-    parts."""
-    if not isinstance(space, CaseSpace):
-        return space
-    if space.size <= limit:
-        return list(_cases(space))
-    if space.axes is not None:
-        return CaseSpace.product(*(_listed(a, limit) for a in space.axes), build=space.build)
-    return space
 
 
 @dataclass(frozen=True)
@@ -436,21 +426,18 @@ def sides_witness(fmt: Callable, sides) -> dict:
     return {"lhs": fmt(sides[0]), "rhs": fmt(sides[1])}
 
 
-def run_law(law: str, anchor: str, plan: Plan | Sequence, ok: Callable,
-            witness: Callable) -> LawRecord:
-    """Check `ok` over the cases of `plan` (a Plan, or a sequence that is
-    the whole space) up to the first that fails, and describe that one by
-    `witness(case)`. A case that raises CompositionUndefined or
-    StructuralError fails with the error as its witness; other exceptions
-    propagate. A law checked on no case fails.
+def run_law(law: str, anchor: str, plan: Plan, ok: Callable, witness: Callable) -> LawRecord:
+    """Check `ok` over the cases of `plan`, from `CaseSpace.plan`, up to the
+    first that fails, and describe that one by `witness(case)`. The record
+    is exhaustive exactly when the plan is. A case that raises
+    CompositionUndefined or StructuralError fails with the error as its
+    witness; other exceptions propagate. A law checked on no case fails.
 
     On a Block, `ok` gives a per-case mask, and the first False at index i
     counts i + 1 checks: only that case is rebuilt from `singles` (a sampled
     block redraws i + 1 cases, so the RNG stands where a case-by-case run
     leaves it) and checked on its own. A block that raises one of the two
     errors is checked case by case."""
-    if not isinstance(plan, Plan):
-        plan = Plan(plan, exhaustive=True, space=len(plan))
     t0 = time.perf_counter()
     n, found = 0, None
     for item in plan:

@@ -3,6 +3,7 @@ dispatches to the module-level verify operations. Suite names follow the law
 registry ("prop31-roundtrip", "prop51", "prop62", "exchange-law", ...)."""
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import replace
 from typing import Callable
@@ -21,10 +22,27 @@ from .scenario import Scenario, ScenarioError
 from .twisted import TwistedBundle
 
 
+class _LazyRng:
+    """`np.random.default_rng(entropy)`, made when first used, so that a
+    suite whose plans are all exhaustive never imports numpy.random (10-15 ms
+    of a CLI run). Each attribute is read from the generator once and kept."""
+
+    def __init__(self, entropy):
+        self._entropy = entropy
+
+    @functools.cached_property
+    def _rng(self) -> np.random.Generator:
+        return np.random.default_rng(self._entropy)
+
+    def __getattr__(self, name):  # only for names not yet kept
+        value = self.__dict__[name] = getattr(self._rng, name)
+        return value
+
+
 def suite_rng(seed: int, suite: str) -> np.random.Generator:
     """Deterministic, suite-independent stream: reordering suites does not
     change any suite's samples."""
-    return np.random.default_rng([seed, zlib.crc32(suite.encode())])
+    return _LazyRng([seed, zlib.crc32(suite.encode())])
 
 
 def _crossed_module_suite(sc: Scenario) -> LawReport:
@@ -78,14 +96,16 @@ def _prop42_suite(sc: Scenario) -> LawReport:
         raise ScenarioError("prop42-correspondence needs two entries under 'functors'")
     F1 = bundle_mod.functor_from_h(base, cm, tables[0][1])
     F2 = bundle_mod.functor_from_h(base, cm, tables[1][1])
-    return bundle_mod.verify_composition_correspondence(F2, F1)
+    return bundle_mod.verify_composition_correspondence(
+        F2, F1, sc.budget, suite_rng(sc.seed, "prop42-correspondence"))
 
 
 def _cocycle_suite(sc: Scenario) -> LawReport:
     cm = sc.crossed_module()
     cover = sc.cover()
     data = sc.cocycle_data(cm, cover)
-    return cocycle_mod.verify_cocycle_condition(data, cover, cm)
+    return cocycle_mod.verify_cocycle_condition(data, cover, cm, sc.budget,
+                                                suite_rng(sc.seed, "cocycle"))
 
 
 def _prop51_suite(sc: Scenario) -> LawReport:
@@ -94,7 +114,7 @@ def _prop51_suite(sc: Scenario) -> LawReport:
     data = sc.cocycle_data(cm, cover)
     lower, upper = sc.triple_tags()
     triple = OverlapCategory(sc.quiver(), cover, lower, upper)
-    return cocycle_mod.verify_prop51(data, cm, triple)
+    return cocycle_mod.verify_prop51(data, cm, triple, sc.budget, suite_rng(sc.seed, "prop51"))
 
 
 def _transition_suite(sc: Scenario) -> LawReport:
@@ -102,7 +122,8 @@ def _transition_suite(sc: Scenario) -> LawReport:
     cover = sc.cover()
     family = sc.trivializations(cm, cover)
     lower, upper = sc.triple_tags()
-    return cocycle_mod.verify_transition_cocycle(family, sc.quiver(), lower, upper)
+    return cocycle_mod.verify_transition_cocycle(family, sc.quiver(), lower, upper, sc.budget,
+                                                 suite_rng(sc.seed, "transition-cocycle"))
 
 
 def _twisted_instance(sc: Scenario) -> TwistedBundle:

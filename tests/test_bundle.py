@@ -444,8 +444,10 @@ def test_bundle_axioms_product():
 
 def test_bundle_axioms_b1_fails_when_target_leaves_the_base_morphism(monkeypatch):
     # a target map that sends every lift to the object "a" no longer lies
-    # over the base: the first lift that ends elsewhere is the witness
-    monkeypatch.setattr(TwistedBundle, "target", lambda self, tm: ("a", tm.m.g))
+    # over the base: the first lift that ends elsewhere is the witness (on a
+    # block of morphism codes, "a" is object index 0)
+    monkeypatch.setattr(TwistedBundle, "target", lambda self, tm: (
+        np.zeros_like(tm.gamma) if isinstance(tm.gamma, np.ndarray) else "a", tm.m.g))
     record = verify_bundle_axioms(CHAIN, Z4, budget=20000).find("b1-surjectivity")
     assert not record.passed
     assert record.witness == {"missing": "'b'"}

@@ -15,7 +15,7 @@ from catbundle.basecat import QuiverCategory
 from catbundle.bundle import verify_GU_categorical_group
 from catbundle.crossed import get_module, verify_exchange_law
 from catbundle.groups import StructuralError
-from catbundle.report import CaseSpace, Plan, run_law
+from catbundle.report import Block, CaseSpace, Plan, run_law
 from catbundle.scenario import Scenario
 from catbundle.suites import run_suite
 
@@ -78,19 +78,33 @@ def test_plan_matches_the_reference_cap(budget):
     assert plan.space == 24
 
 
+def singles(plan):
+    """The cases of a plan that comes in Blocks, one at a time."""
+    blocks = list(plan)
+    assert blocks and all(isinstance(b, Block) for b in blocks)
+    return [case for b in blocks for case in b.singles()]
+
+
 def test_plan_samples_spaces_beyond_int64():
     # numpy draws indices below 2**63 only; a larger space is sampled by
-    # rejection on random bytes, uniformly and reproducibly
+    # rejection on random bytes, uniformly and reproducibly, and comes in
+    # blocks like any coded space
     huge = CaseSpace.product(range(10**10), range(10**10))
     plan = huge.plan(5, np.random.default_rng(0))
-    cases = list(plan)
-    assert len(cases) == 5 and not plan.exhaustive and plan.space == 10**20
+    assert not plan.exhaustive and plan.space == 10**20
+    cases = singles(plan)
+    assert len(cases) == 5
     assert all(0 <= x < 10**10 and 0 <= y < 10**10 for x, y in cases)
-    assert list(huge.plan(5, np.random.default_rng(0))) == cases
-    cases = list(CaseSpace.product(range(3), range(2**62), range(4))
-                 .plan(300, np.random.default_rng(1)))
+    assert singles(huge.plan(5, np.random.default_rng(0))) == cases
+    cases = singles(CaseSpace.product(range(3), range(2**62), range(4))
+                    .plan(300, np.random.default_rng(1)))
     assert {c[0] for c in cases} == {0, 1, 2} and {c[2] for c in cases} == {0, 1, 2, 3}
     assert max(c[1] for c in cases) >= 2**61
+    # one axis of exactly 2**63 cases, which int64 cannot divide by
+    edge = CaseSpace.product(range(1), CaseSpace.product(range(2**32), range(2**31)))
+    cases = singles(edge.plan(3, np.random.default_rng(0)))
+    assert edge.size == 2**63 and len(cases) == 3
+    assert all(a == 0 and 0 <= x < 2**32 and 0 <= y < 2**31 for a, (x, y) in cases)
 
 
 def test_nested_spaces_beyond_sys_maxsize():
@@ -99,9 +113,10 @@ def test_nested_spaces_beyond_sys_maxsize():
     space = CaseSpace.product(inner, range(3))
     assert space.size == 3 * 2**64
     assert space[space.size - 1] == ((2**32 - 1, 2**32 - 1), 2)
-    cases = list(space.plan(5, np.random.default_rng(0)))
+    cases = singles(space.plan(5, np.random.default_rng(0)))
     assert len(cases) == 5
     assert all(0 <= x < 2**32 and 0 <= y < 2**32 and 0 <= z < 3 for (x, y), z in cases)
+    assert singles(space.plan(5, np.random.default_rng(0))) == cases
 
 
 @pytest.mark.parametrize("fails_at", [3, None])
@@ -161,7 +176,8 @@ def test_carrier_is_the_group_or_its_samples():
 
 
 def test_law_on_zero_cases_fails():
-    for cases in ([], Plan((), exhaustive=False)):
+    for cases in (CaseSpace.finite([]).plan(10, np.random.default_rng(0)),
+                  Plan((), exhaustive=False)):
         record = run_law("empty", "none", cases, lambda case: True, lambda case: {})
         assert record.status == "fail" and record.checks == 0
         assert record.witness == {"error": "no cases checked"}
@@ -181,6 +197,29 @@ def test_exhaustive_means_the_whole_space_was_checked(name, suite):
         if r.passed:
             whole = r.space is not None and r.checks == r.space
             assert r.exhaustive == whole, (name, r.law, r.checks, r.space)
+
+
+@pytest.mark.parametrize("name,suite", list(_shipped_suites()))
+def test_budget_bounds_every_exhaustive_record(name, suite):
+    # at budget 5 a law is exhaustive only over a space of at most 5 cases
+    raw = json.loads((SCEN / name).read_text())
+    report = run_suite(Scenario({**raw, "budget": 5, "path_budget": 5}), suite)
+    for r in report.records:
+        if r.exhaustive:
+            assert r.space is not None and r.checks <= r.space <= 5, (name, r.law)
+            assert r.checks == r.space or not r.passed, (name, r.law)
+
+
+def test_formerly_listed_laws_honour_the_budget():
+    # composition-units and fiber-preservation checked every case of their
+    # spaces (216 and 234) whatever the budget
+    raw = json.loads((SCEN / "s3_quiver.json").read_text())
+    sc = Scenario({**raw, "budget": 5})
+    records = [run_suite(sc, "bundle-axioms").find("composition-units"),
+               run_suite(sc, "prop41-section").find("fiber-preservation")]
+    for r in records:
+        assert r.passed and r.checks == 5 and not r.exhaustive, r.law
+    assert [r.space for r in records] == [216, 234]
 
 
 def test_z4_twist_e_action_checks_whole_spaces():

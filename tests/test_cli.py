@@ -120,6 +120,18 @@ def test_console_script_entry_point():
     assert "s3-conj" in proc.stdout
 
 
+def test_a_suite_that_samples_nothing_makes_no_generator(tmp_path):
+    # every prop42-correspondence law fits the budget, so its suite stream is
+    # never drawn from, and numpy.random (10-15 ms to import) stays unimported
+    code = ("import sys; from catbundle.cli import main; "
+            f"rc = main(['run', '--scenario', {str(SCEN / 's3_quiver.json')!r}, "
+            "'--suite', 'prop42-correspondence', '--format', 'jsonl', "
+            f"'--out', {str(tmp_path / 'out.jsonl')!r}]); "
+            "print(rc, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
 def test_every_verify_operation_is_reachable_from_a_suite(monkeypatch):
     import catbundle.bundle
     import catbundle.cocycle

@@ -1,13 +1,15 @@
-"""Blocks against single cases: every shipped scenario × suite and every
-input behind a committed golden gives the same JSONL bytes on seeds 1-3 with
-blocked plans as with every case checked on its own, and no witness or error
-message formats a block."""
+"""Blocks against single cases: every shipped scenario × suite on a quiver
+and every input behind a committed golden gives the same JSONL bytes on seeds
+1-3 with blocked plans as with every case checked on its own, and no witness
+or error message formats a block. No plan on a path base comes in blocks, so
+those suites run once, and the test says so."""
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from catbundle import report
 from catbundle.basecat import QuiverCategory
 from catbundle.bundle import (
     enumerate_functors,
@@ -37,10 +39,12 @@ def chain(word_bound: int = 3) -> QuiverCategory:
     return QuiverCategory(["a", "b", "c"], [("f", "a", "b"), ("g", "b", "c")], word_bound)
 
 
-def shipped():
+def shipped(kind=None):
     for path in sorted(SCEN.glob("*.json")):
-        for suite in json.loads(path.read_text()).get("suites", []):
-            yield path.stem, suite
+        raw = json.loads(path.read_text())
+        if kind in (None, raw["base"]["kind"]):
+            for suite in raw.get("suites", []):
+                yield path.stem, suite
 
 
 def shipped_jsonl(name: str, suite: str, seed: int) -> str:
@@ -97,11 +101,24 @@ GOLDEN_INPUTS = {
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("name, suite", list(shipped()))
+@pytest.mark.parametrize("name, suite", list(shipped("quiver")))
 def test_shipped_suites_give_the_same_bytes_per_case(name, suite, seed):
     blocked = shipped_jsonl(name, suite, seed)
     with per_case_plans():
         assert shipped_jsonl(name, suite, seed) == blocked
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name, suite", list(shipped("paths")))
+def test_path_base_suites_plan_no_block(name, suite, seed, monkeypatch):
+    # so a per-case run would repeat this one exactly; once path plans come
+    # in blocks, this fails, and these suites belong in the test above
+    blocked = []
+    for fn in ("_blocks", "_coded_blocks"):
+        monkeypatch.setattr(report, fn, lambda *args, fn=getattr(report, fn): (
+            blocked.append(args) or fn(*args)))
+    shipped_jsonl(name, suite, seed)
+    assert not blocked
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

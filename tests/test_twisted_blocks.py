@@ -12,17 +12,24 @@ import pytest
 import catbundle.bundle
 import catbundle.twisted
 from catbundle.basecat import QuiverCategory, QuiverMorphism
-from catbundle.bundle import enumerate_functors, verify_bundle_axioms, verify_section_iso
+from catbundle.bundle import (
+    enumerate_functors,
+    verify_bundle_axioms,
+    verify_GU_categorical_group,
+    verify_section_iso,
+)
 from catbundle.crossed import TwoGroupMorphism, get_module
 from catbundle.groups import FiniteGroup
-from catbundle.report import BLOCK, Block, Plan, run_law
+from catbundle.report import BLOCK, Block, CaseSpace, run_law
 from catbundle.scenario import Scenario
 from catbundle.suites import run_suite
 from catbundle.twisted import (
     EtaMap,
     TwistedBundle,
     TwistedMorphism,
+    _base_pairs,
     composable_chains,
+    free_ok,
     verify_action_functorial,
     verify_E_properties,
     verify_twisted_bundle,
@@ -182,15 +189,55 @@ def test_chains_past_the_word_bound_get_fresh_codes():
     assert words == set(range(7)) and len(base._coded) == 7
 
 
+@pytest.mark.parametrize("base", [chain(), loop()], ids=["chain", "loop"])
+def test_coded_base_pairs_are_the_composable_pairs(base):
+    cm = get_module("s3-conj")
+    space = _base_pairs(TwistedBundle(base, cm, EtaMap.trivial(base, cm)))
+    want = list(base.composable_pairs())
+    assert space.size == len(want) and list(space) == want
+    gamma2, gamma1 = space.from_codes(*space.codes(np.arange(space.size)))
+    assert [(base.morphism(c2), base.morphism(c1))
+            for c2, c1 in zip(gamma2.tolist(), gamma1.tolist())] == want
+
+
+# -- a coded space past int64 --
+
+def s3_cocycle_gu(budget: int, monkeypatch) -> tuple[str, dict]:
+    """The GU suite on the 6-object quiver of `s3_cocycle`, and the items
+    of each law's plan."""
+    plans, plan = [], CaseSpace.plan
+
+    def recording(space, budget, rng):
+        p = plan(space, budget, rng)
+        plans.append((space.size, list(p)))
+        return replace(p, cases=plans[-1][1])
+
+    monkeypatch.setattr(CaseSpace, "plan", recording)
+    report = verify_GU_categorical_group(Scenario.load(SCEN / "s3_cocycle.json").quiver(),
+                                         get_module("s3-conj"), budget, rng())
+    return report.to_jsonl(), dict(zip((r.law for r in report.records), plans))
+
+
+def test_gu_laws_past_int64_come_in_blocks_and_match_single_cases(monkeypatch):
+    blocked, plans = s3_cocycle_gu(200, monkeypatch)
+    size, items = plans["exchange-law-functors"]
+    assert size > 2**63 and items and all(isinstance(b, Block) for b in items)
+    with per_case_plans():
+        assert s3_cocycle_gu(200, monkeypatch)[0] == blocked
+
+
 # -- which laws run in blocks --
 
 BLOCKED = {
     "bundle-axioms": {"action-functoriality", "b3-transitivity-morphisms",
-                      "b2-freeness-objects", "b2-freeness-morphisms"},
+                      "b2-freeness-objects", "b2-freeness-morphisms",
+                      "b3-transitivity-objects", "composition-units"},
     "twisted-bundle": {"associativity", "boundary-coherence", "b3-transitivity", "unit-laws",
-                       "b1-surjectivity", "eta-identity", "b2-freeness"},
+                       "b1-surjectivity", "eta-identity", "b2-freeness",
+                       "eta-homomorphism", "b1-base-coverage"},
     "e-action": {"action-boundaries", "action-composition", "E-reproduces-composition",
-                 "E-identity-base", "E-identity-group", "E-composition-group"},
+                 "E-identity-base", "E-identity-group", "E-composition-group",
+                 "E-composition-base"},
     "prop41-section": {"equivariance-morphisms", "composition-preservation",
                        "equivariance-morphisms@sigma2", "composition-preservation@sigma2"},
     "prop31-roundtrip": {"roundtrip-invariants", "telescoping", "object-encoding"},
@@ -216,8 +263,7 @@ def run_recording_blocks(scenario, suite, monkeypatch):
             run["checks"] += 1
             return ok(case)
 
-        return run_law(law, anchor, replace(cases, cases=listed)
-                       if isinstance(cases, Plan) else listed, counted, witness)
+        return run_law(law, anchor, replace(cases, cases=listed), counted, witness)
 
     for module in (catbundle.bundle, catbundle.twisted):
         monkeypatch.setattr(module, "run_law", recording)
@@ -263,6 +309,27 @@ def fixing_action(bundle: TwistedBundle, fixed: TwoGroupMorphism, at: QuiverMorp
             np.where(keep, tm.m.h, acted.m.h), np.where(keep, tm.m.g, acted.m.g)))
 
     return broken
+
+
+def test_freeness_skips_the_unit_test_on_a_single_case_that_moves(monkeypatch):
+    # one m_eq (does m1 fix tm?) for a case that does not fix tm, and a second
+    # (is m1 the unit?) only for one that does
+    base, cm = chain(), get_module("s3-conj")
+    bundle = TwistedBundle(base, cm, EtaMap.from_table(base, cm, {"f": 3, "g": 1}))
+    calls = []
+    m_eq = type(cm).m_eq
+    monkeypatch.setattr(type(cm), "m_eq", lambda self, a, b: calls.append(1) or m_eq(self, a, b))
+    tm = TwistedMorphism(base.arrow("f"), TwoGroupMorphism(2, 1))
+    for m1, fixes in ((TwoGroupMorphism(3, 0), False), (TwoGroupMorphism(0, 4), False),
+                      (cm.unit, True)):
+        calls.clear()
+        assert free_ok(bundle, tm, m1) is True
+        assert len(calls) == 1 + fixes
+    # a block still checks both, case by case
+    calls.clear()
+    block = TwistedMorphism(np.array([1, 1]), TwoGroupMorphism(np.array([2, 2]), np.array([1, 1])))
+    assert free_ok(bundle, block, TwoGroupMorphism(np.array([3, 0]), np.array([0, 0]))).tolist() == [True, True]
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("budget", [3000, 20000])
