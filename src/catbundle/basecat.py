@@ -11,7 +11,8 @@ per-case mask, and a CodeTable maps codes to int values such as eta.
 
 A SampledPath is an ordered array of points; composing paths records the
 junction as a binary tree node so that parallel transport of a composite is,
-by construction, the product of the transports of its pieces.
+by construction, the product of the transports of its pieces. A scenario's
+PathCategory (dimension, eps_pt) is made by `Scenario.path_category()` alone.
 """
 from __future__ import annotations
 
@@ -105,29 +106,11 @@ class QuiverCategory:
             )
         return QuiverMorphism(m1.source, m2.target, m1.word + m2.word)
 
-    def morphisms_upto(self, max_len: int | None = None) -> list[QuiverMorphism]:
-        """All composable arrow words of length <= max_len, plus identities;
+    def morphisms_upto(self) -> list[QuiverMorphism]:
+        """All composable arrow words of length <= word_bound, plus identities;
         deterministic order (identities first, then by length, then lexicographic)."""
-        if max_len is None:
-            max_len = self.word_bound
-        out = [self.identity(o) for o in self.objects]
-        current: list[tuple[str, tuple[str, ...], str]] = [
-            (src, (), src) for src in self.objects
-        ]  # (source, word, current target)
-        for _ in range(max_len):
-            nxt = []
-            for src, word, at in current:
-                for name in self.arrows:
-                    a_src, a_dst = self.arrows[name]
-                    if a_src == at:
-                        nxt.append((src, word + (name,), a_dst))
-            nxt.sort()
-            for src, word, at in nxt:
-                out.append(QuiverMorphism(src, at, word))
-            current = nxt
-            if not current:
-                break
-        return out
+        self._coding()
+        return self._coded[:self._enumerated]
 
     # -- codes --
 
@@ -137,10 +120,15 @@ class QuiverCategory:
         return range(self._enumerated)
 
     def _coding(self) -> np.ndarray:
-        """The (2, codes) source and target object indices, coding
-        morphisms_upto() on first use."""
+        """The (2, codes) source and target object indices, enumerating the
+        morphisms up to the word bound on first use."""
         if self._coded is None:
-            ms = self.morphisms_upto()
+            ms = [self.identity(o) for o in self.objects]
+            current = [(src, (), src) for src in self.objects]  # (source, word, current target)
+            for _ in range(self.word_bound):
+                current = sorted((src, word + (name,), dst) for src, word, at in current
+                                 for name, (a_src, dst) in self.arrows.items() if a_src == at)
+                ms += [QuiverMorphism(src, at, word) for src, word, at in current]
             index = {o: i for i, o in enumerate(self.objects)}
             self._coded, self._enumerated = ms, len(ms)
             self._code_of = {m: c for c, m in enumerate(ms)}
@@ -179,8 +167,8 @@ class QuiverCategory:
             out = self._composite[m1, m2]
         return out
 
-    def composable_pairs(self, max_len: int | None = None) -> Iterator[tuple[QuiverMorphism, QuiverMorphism]]:
-        ms = self.morphisms_upto(max_len)
+    def composable_pairs(self) -> Iterator[tuple[QuiverMorphism, QuiverMorphism]]:
+        ms = self.morphisms_upto()
         for m1 in ms:
             for m2 in ms:
                 if m1.target == m2.source:
@@ -213,19 +201,16 @@ class SampledPath:
     parametrized over [0, 1].
 
     `pieces` records composition structure: None for a directly-sampled path,
-    else (first, second). Flat ends are declared metadata; sampled paths
-    cannot be literally smooth.
+    else (first, second).
     """
 
-    def __init__(self, samples, flat_ends: bool = True,
-                 pieces: tuple["SampledPath", "SampledPath"] | None = None):
+    def __init__(self, samples, pieces: tuple["SampledPath", "SampledPath"] | None = None):
         arr = np.asarray(samples, dtype=float)
         if arr.ndim == 1:
             arr = arr[:, None]
         if arr.ndim != 2 or arr.shape[0] < 2:
             raise ValueError("a path needs at least 2 samples of equal dimension")
         self.samples = arr
-        self.flat_ends = flat_ends
         self.pieces = pieces
 
     @property
@@ -253,10 +238,9 @@ class SampledPath:
 
     def reverse(self) -> "SampledPath":
         if self.pieces is None:
-            return SampledPath(self.samples[::-1].copy(), self.flat_ends)
+            return SampledPath(self.samples[::-1].copy())
         first, second = self.pieces
-        rev = compose_paths(first.reverse(), second.reverse())
-        return rev
+        return compose_paths(first.reverse(), second.reverse())
 
     def dedup(self, tol: float = DEFAULT_PT_TOL) -> np.ndarray:
         """Samples with consecutive duplicates (zero-length segments) removed;
@@ -290,8 +274,7 @@ def compose_paths(gamma2: SampledPath, gamma1: SampledPath,
             target_value=gamma1.end, source_value=gamma2.start,
         )
     samples = np.vstack([gamma1.samples, gamma2.samples[1:]])
-    return SampledPath(samples, gamma1.flat_ends and gamma2.flat_ends,
-                       pieces=(gamma1, gamma2))
+    return SampledPath(samples, pieces=(gamma1, gamma2))
 
 
 class PathCategory:

@@ -65,7 +65,7 @@ def _apply_overrides(sc: Scenario, args) -> Scenario:
         raw["budget"] = raw["path_budget"] = args.budget
     if getattr(args, "steps", None) is not None:
         raw["steps"] = args.steps
-    tols = dict(raw.get("tolerances", {}))
+    tols = dict(sc.tolerances)
     for key, attr in (("grp", "eps_grp"), ("pt", "eps_pt"), ("iso", "eps_iso")):
         value = getattr(args, attr, None)
         if value is not None:

@@ -1,7 +1,8 @@
 """Decorated bundles over a trivial principal bundle with connection:
 the parallel-transport integrator, decorated morphisms (base path, starting
 fiber element, H-decoration), their action and composition, and the
-isomorphism onto the twisted-product bundle.
+isomorphism onto the twisted-product bundle, over a path base that is passed
+in (a scenario's is `Scenario.path_category()`).
 
 Transport solves g'(u)·g(u)^-1 = -A(gamma'(u)), g(0) = e, by midpoint
 exponential Euler. Each segment [a, b] of a directly-sampled path is split
@@ -32,53 +33,47 @@ from typing import Iterable
 
 import numpy as np
 
-from .basecat import PathCategory, SampledPath, compose_paths, constant_path
+from .basecat import PathCategory, SampledPath, constant_path
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
-from .groups import StructuralError, all_cases, is_skew, skew_expm1_batch
+from .groups import SpecialOrthogonalGroup, StructuralError, all_cases, is_skew, skew_expm1_batch
 from .report import LawReport, Plan, run_law
 from .twisted import EtaMap, TwistedBundle, TwistedMorphism
 
 DEFAULT_STEPS = 200
 DEFAULT_ISO_TOL = 1e-6
+ORDER_REFINEMENTS = 3  # step-halvings behind each observed convergence order
+ORDER_FLOOR = 1e-13  # differences below this are roundoff: the order is inf
 
 
 class Connection(object):
-    """An so(n)-valued one-form on R^base_dim: constant coefficients, or
-    linear in position. Evaluation is linear in the tangent argument and the
-    value must be skew."""
+    """An so(n)-valued one-form on R^base_dim: constant coefficients, plus
+    coefficients linear in position when `linear` is given. Evaluation is
+    linear in the tangent argument and the value must be skew."""
 
-    def __init__(self, group_dim: int, base_dim: int, family: str,
-                 constant: Iterable, linear: Iterable | None = None):
-        if family not in ("constant", "linear"):
-            raise StructuralError("connection family must be 'constant' or 'linear'")
+    def __init__(self, group_dim: int, base_dim: int, constant: Iterable,
+                 linear: Iterable | None = None):
         self.group_dim = group_dim
         self.base_dim = base_dim
-        self.family = family
         constant = [np.asarray(c, dtype=float) for c in constant]
         if len(constant) != base_dim:
             raise StructuralError("need one coefficient matrix per base coordinate")
-        for c in constant:
-            if c.shape != (group_dim, group_dim) or not is_skew(c):
-                raise StructuralError("connection coefficients must be skew matrices")
+        if any(c.shape != (group_dim, group_dim) or not is_skew(c) for c in constant):
+            raise StructuralError("connection coefficients must be skew matrices")
         # stacked once: constant[k] and linear[k, l] are (group_dim, group_dim)
         self.constant = np.array(constant).reshape(base_dim, group_dim, group_dim)
         self.linear = None
-        if family == "linear":
-            if linear is None:
-                raise StructuralError("linear family needs position coefficients")
+        if linear is not None:
             linear = [[np.asarray(m, dtype=float) for m in row] for row in linear]
             if len(linear) != base_dim or any(len(row) != base_dim for row in linear):
                 raise StructuralError("linear coefficients must form a base_dim x base_dim grid")
-            for row in linear:
-                for m in row:
-                    if m.shape != (group_dim, group_dim) or not is_skew(m):
-                        raise StructuralError("linear coefficients must be skew matrices")
+            if any(m.shape != (group_dim, group_dim) or not is_skew(m) for row in linear for m in row):
+                raise StructuralError("linear coefficients must be skew matrices")
             self.linear = np.array(linear).reshape(base_dim, base_dim, group_dim, group_dim)
 
     @staticmethod
     def zero(group_dim: int, base_dim: int) -> "Connection":
         z = [np.zeros((group_dim, group_dim)) for _ in range(base_dim)]
-        return Connection(group_dim, base_dim, "constant", z)
+        return Connection(group_dim, base_dim, z)
 
     def evaluate(self, point: np.ndarray, vector: np.ndarray) -> np.ndarray:
         """A(point) applied to `vector`: sum over k of vector[k] times
@@ -141,24 +136,27 @@ def parallel_transport(conn: Connection, path: SampledPath,
     return _leaf_transport(conn, path, steps)
 
 
-def eta_from_connection(cm: CrossedModule, conn: Connection,
+def eta_from_connection(base: PathCategory, cm: CrossedModule, conn: Connection,
                         steps: int = DEFAULT_STEPS) -> EtaMap:
-    base = PathCategory(conn.base_dim)
+    """The twist of the paths of `base` by parallel transport of `conn`,
+    whose values lie in G, so G must be SO(conn.group_dim)."""
+    if not (isinstance(cm.G, SpecialOrthogonalGroup) and cm.G.n == conn.group_dim):
+        raise StructuralError(f"a connection with values in SO({conn.group_dim}) cannot "
+                              f"twist a crossed module over {cm.G.name}")
     return EtaMap(base, cm, lambda gamma: parallel_transport(conn, gamma, steps),
                   kind="transport")
 
 
-def observed_order(conn: Connection, path: SampledPath, base_steps: int,
-                   refinements: int = 3, floor: float = 1e-13) -> list[float]:
-    """Convergence orders from step-halving: log2 of the ratio of successive
-    differences. When differences sit at roundoff the order is reported as
-    inf (the scheme is exact for that instance)."""
+def observed_order(conn: Connection, path: SampledPath, base_steps: int) -> list[float]:
+    """Convergence orders from ORDER_REFINEMENTS step-halvings: log2 of the
+    ratio of successive differences. When differences sit at roundoff the
+    order is reported as inf (the scheme is exact for that instance)."""
     values = [parallel_transport(conn, path, base_steps * (2 ** k))
-              for k in range(refinements + 1)]
-    diffs = [float(np.max(np.abs(values[k + 1] - values[k]))) for k in range(refinements)]
+              for k in range(ORDER_REFINEMENTS + 1)]
+    diffs = [float(np.max(np.abs(values[k + 1] - values[k]))) for k in range(ORDER_REFINEMENTS)]
     orders = []
     for d1, d2 in zip(diffs, diffs[1:]):
-        if d1 < floor or d2 < floor:
+        if d1 < ORDER_FLOOR or d2 < ORDER_FLOOR:
             orders.append(float("inf"))
         else:
             orders.append(math.log2(d1 / d2))
@@ -245,17 +243,15 @@ class DecoratedBundle:
         return TwistedBundle(self.base, self.cm, self.eta)
 
 
-def seeded_composable_pairs(db: DecoratedBundle, n_pairs: int,
-                            rng: np.random.Generator,
-                            n_segments: int = 2, scale: float = 0.8):
-    """Deterministic catalog of composable decorated-morphism pairs: the
-    second start element is solved from the first target."""
+def seeded_composable_pairs(db: DecoratedBundle, n_pairs: int, rng: np.random.Generator):
+    """Deterministic catalog of composable decorated-morphism pairs on paths of
+    two steps of at most 0.8 per coordinate; the second start solves the first target."""
     cm = db.cm
     out = []
     for _ in range(n_pairs):
-        gamma1 = db.base.random_path(rng, n_segments=n_segments, scale=scale)
+        gamma1 = db.base.random_path(rng, n_segments=2, scale=0.8)
         dm1 = DecoratedMorphism(gamma1, cm.G.sample(rng), cm.H.sample(rng))
-        gamma2 = db.base.random_path(rng, n_segments=n_segments, start=gamma1.end, scale=scale)
+        gamma2 = db.base.random_path(rng, n_segments=2, start=gamma1.end, scale=0.8)
         g2 = db.target(dm1)[1]
         dm2 = DecoratedMorphism(gamma2, g2, cm.H.sample(rng))
         out.append((dm2, dm1))
@@ -334,19 +330,17 @@ def verify_prop62(cm: CrossedModule, eta: EtaMap, n_pairs: int = 50,
     return report
 
 
-def verify_transport_numerics(cm: CrossedModule, conn: Connection,
+def verify_transport_numerics(base: PathCategory, conn: Connection,
                               steps: int = DEFAULT_STEPS,
                               rng: np.random.Generator | None = None) -> LawReport:
-    """Integrator sanity on the given connection: zero-connection triviality,
-    composite multiplicativity (bitwise), reversal inverse, and step-halving
-    convergence order >= 2 (inf when the scheme is exact for the instance)."""
+    """Integrator sanity on the given connection over random paths of `base`:
+    zero-connection triviality, composite multiplicativity (bitwise), reversal
+    inverse, and step-halving convergence order >= 2 (inf where it is exact)."""
     rng = rng or np.random.default_rng(0)
     report = LawReport(suite="transport-convergence")
-    dim = conn.base_dim
-    cat = PathCategory(dim)
-    paths = Plan([cat.random_path(rng, n_segments=2) for _ in range(4)], exhaustive=False)
+    paths = Plan([base.random_path(rng, n_segments=2) for _ in range(4)], exhaustive=False)
 
-    zero = Connection.zero(conn.group_dim, dim)
+    zero = Connection.zero(conn.group_dim, conn.base_dim)
     report.records.append(run_law(
         "zero-connection", "Eq 6.29", paths,
         lambda p: np.array_equal(parallel_transport(zero, p, steps), np.eye(conn.group_dim)),
@@ -354,12 +348,12 @@ def verify_transport_numerics(cm: CrossedModule, conn: Connection,
     ))
 
     # each path is continued by one fresh path, drawn as the law reaches it
-    continued = Plan(((p, cat.random_path(rng, n_segments=2, start=p.end)) for p in paths),
+    continued = Plan(((p, base.random_path(rng, n_segments=2, start=p.end)) for p in paths),
                      exhaustive=False)
 
     def multiplicativity(pq):
         p, q = pq
-        return (parallel_transport(conn, compose_paths(q, p), steps),
+        return (parallel_transport(conn, base.compose(q, p), steps),
                 parallel_transport(conn, q, steps) @ parallel_transport(conn, p, steps))
 
     report.records.append(run_law(

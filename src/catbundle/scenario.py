@@ -6,6 +6,10 @@ Group elements are written as ints (cyclic groups), cycle strings or image
 lists (permutations), {"angle": t} (SO(2)), {"axis": [...], "angle": t} or
 explicit matrix rows (SO(3)/SO(2)). Arrow words are space-joined names in
 application order (first applied first); "" is the identity word.
+
+`Scenario.path_category()` alone makes the path base (`base.dim`,
+`tolerances.pt`). Each accessor checks the fields it reads, and a malformed or
+contradictory one is a ScenarioError.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basecat import PathCategory, QuiverCategory, SampledPath
+from .basecat import DEFAULT_PT_TOL, PathCategory, QuiverCategory, SampledPath
 from .cocycle import CocycleData, Cover, TrivializationFamily, constructive_cocycle
 from .crossed import CrossedModule, get_module
 from .decorated import Connection, eta_from_connection
@@ -33,6 +37,29 @@ from .twisted import EtaMap
 
 class ScenarioError(ValueError):
     """Malformed scenario file or unresolved reference (CLI exit code 2)."""
+
+
+def _checked_int(label: str, value, minimum: int = 1) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ScenarioError(f"{label} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _checked_object(label: str, value, *fields: str) -> dict:
+    """`value`, which must be a JSON object holding each of `fields`."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{label} must be a JSON object, got {type(value).__name__}")
+    missing = [f for f in fields if f not in value]
+    if missing:
+        raise ScenarioError(f"{label} is missing {missing}")
+    return value
+
+
+def _index(key) -> int:
+    try:
+        return int(key)  # a cover index, written as a JSON object key
+    except ValueError:
+        raise ScenarioError(f"cover index must be an integer, got {key!r}") from None
 
 
 def parse_element(group, value):
@@ -95,13 +122,19 @@ class Scenario:
             return default
         return self.raw[key]
 
+    def _object(self, key: str, *fields: str, required: bool = True) -> dict:
+        return _checked_object(repr(key), self._get(key, required, {}), *fields)
+
+    def _base(self, kind: str, *fields: str) -> dict:
+        spec = self._object("base")
+        if spec.get("kind", "quiver") != kind:
+            raise ScenarioError(f"this needs a {kind} base, not kind {spec.get('kind', 'quiver')!r}")
+        return _checked_object("'base'", spec, *fields)
+
     # -- plain fields --
 
     def _int(self, key: str, default: int, minimum: int = 1) -> int:
-        value = self._get(key, required=False, default=default)
-        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-            raise ScenarioError(f"{key!r} must be an integer >= {minimum}, got {value!r}")
-        return value
+        return _checked_int(repr(key), self._get(key, required=False, default=default), minimum)
 
     @property
     def seed(self) -> int:
@@ -125,9 +158,12 @@ class Scenario:
         integration; far smaller than the combinatorial budget."""
         return self._int("path_budget", 200)
 
+    @property
+    def tolerances(self) -> dict:
+        return self._object("tolerances", required=False)
+
     def tolerance(self, name: str, default: float) -> float:
-        tols = self._get("tolerances", required=False, default={})
-        value = tols.get(name, default) if isinstance(tols, dict) else None
+        value = self.tolerances.get(name, default)
         if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
             raise ScenarioError(f"tolerance {name!r} must be a positive number, got {value!r}")
         return float(value)
@@ -151,40 +187,39 @@ class Scenario:
         return cm
 
     def quiver(self) -> QuiverCategory:
-        spec = self._get("base")
-        if spec.get("kind", "quiver") != "quiver":
-            raise ScenarioError("this suite needs a quiver base")
+        spec = self._base("quiver", "objects", "arrows")
         try:
-            return QuiverCategory(
-                [str(o) for o in spec["objects"]],
-                [tuple(map(str, a)) for a in spec["arrows"]],
-                word_bound=int(spec.get("word_bound", 3)),
-            )
-        except (KeyError, ValueError) as exc:
+            return QuiverCategory([str(o) for o in spec["objects"]],
+                                  [tuple(map(str, a)) for a in spec["arrows"]],
+                                  _checked_int("'word_bound'", spec.get("word_bound", 3)))
+        except (TypeError, ValueError) as exc:
             raise ScenarioError(f"bad quiver declaration: {exc}") from exc
 
     def path_category(self) -> PathCategory:
-        spec = self._get("base")
-        if spec.get("kind") != "paths":
-            raise ScenarioError("this suite needs a path base")
-        return PathCategory(int(spec["dim"]), eps_pt=self.tolerance("pt", 1e-12))
+        """The path base; nothing else makes a PathCategory from a scenario."""
+        spec = self._base("paths", "dim")
+        try:
+            return PathCategory(_checked_int("'base.dim'", spec["dim"]),
+                                self.tolerance("pt", DEFAULT_PT_TOL))
+        except ValueError as exc:
+            raise ScenarioError(f"bad path base: {exc}") from exc
 
     def paths(self) -> dict[str, SampledPath]:
         """Declared paths: coordinate lists, or {"compose": [first, second]}
-        referencing earlier declarations (composition is recorded structurally,
-        so transport of the composite is the product of the pieces')."""
-        spec = self._get("base")
+        naming earlier declarations, composed by the base (so within its
+        eps_pt) and recorded structurally: transport of the composite is the
+        product of the pieces'."""
+        base = self.path_category()
         out: dict[str, SampledPath] = {}
-        from .basecat import compose_paths
-        for name, decl in spec.get("paths", {}).items():
-            if isinstance(decl, dict) and "compose" in decl:
-                first, second = decl["compose"]
-                if first not in out or second not in out:
-                    raise ScenarioError(
-                        f"path {name!r} composes undeclared paths (declare pieces first)")
-                out[name] = compose_paths(out[second], out[first])
-            else:
-                out[name] = SampledPath(decl)
+        for name, decl in _checked_object("'base.paths'", self._base("paths").get("paths", {})).items():
+            try:
+                if isinstance(decl, dict) and "compose" in decl:
+                    first, second = decl["compose"]
+                    out[name] = base.compose(out[second], out[first])
+                else:
+                    out[name] = SampledPath(decl)
+            except (KeyError, TypeError, ValueError) as exc:  # KeyError: an undeclared piece
+                raise ScenarioError(f"bad path {name!r}: {type(exc).__name__}: {exc}") from exc
         return out
 
     def path(self, name: str) -> SampledPath:
@@ -194,12 +229,17 @@ class Scenario:
         return ps[name]
 
     def cover(self) -> Cover:
-        cover = Cover.from_dict(self._get("cover"))
-        cover.check_covers(self.quiver())
+        base, spec = self.quiver(), self._object("cover")
+        for key, objects in spec.items():
+            _index(key)  # from_dict reads each key as an int
+            if not isinstance(objects, list) or not all(o in base.objects for o in objects):
+                raise ScenarioError(f"cover set {key!r} must list base objects, got {objects!r}")
+        cover = Cover.from_dict(spec)
+        cover.check_covers(base)
         return cover
 
     def cocycle_data(self, cm: CrossedModule, cover: Cover) -> CocycleData:
-        spec = self._get("cocycle")
+        spec = self._object("cocycle")
         mode = spec.get("mode", "constructive")
         if mode == "constructive":
             rng = np.random.default_rng(int(spec.get("seed", self.seed)))
@@ -208,16 +248,17 @@ class Scenario:
             def load(table: dict, arity: int) -> dict:
                 out = {}
                 for key, pts in table.items():
-                    idx = tuple(int(t) for t in str(key).split(","))
+                    idx = tuple(_index(t) for t in str(key).split(","))
                     if len(idx) != arity:
                         raise ScenarioError(f"cocycle key {key!r} has wrong arity")
                     out[idx] = {pt: parse_element(cm.H, v) for pt, v in pts.items()}
                 return out
+            _checked_object("'cocycle'", spec, "pairs", "triples")
             return CocycleData(load(spec["pairs"], 2), load(spec["triples"], 3))
         raise ScenarioError(f"unknown cocycle mode {mode!r}")
 
     def triple_tags(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        spec = self._get("triple")
+        spec = self._object("triple", "lower", "upper")
         return tuple(int(i) for i in spec["lower"]), tuple(int(i) for i in spec["upper"])
 
     def functors(self, cm: CrossedModule, base: QuiverCategory) -> dict[str, dict]:
@@ -225,7 +266,7 @@ class Scenario:
         giving exactly one element per object of `base`."""
         out = {}
         objects = set(base.objects)
-        for name, table in self._get("functors", required=False, default={}).items():
+        for name, table in self._object("functors", required=False).items():
             if not isinstance(table, dict) or set(table) != objects:
                 raise ScenarioError(f"functor {name!r} must give one element per base "
                                     f"object {sorted(objects)}, got {table!r}")
@@ -239,39 +280,41 @@ class Scenario:
             return TrivializationFamily.seeded(cm, cover, np.random.default_rng(seed))
         h_maps = {}
         for key, table in spec.items():
-            h_maps[int(key)] = {pt: parse_element(cm.H, v) for pt, v in table.items()}
+            h_maps[_index(key)] = {pt: parse_element(cm.H, v) for pt, v in table.items()}
         missing = set(cover.index_set) - set(h_maps)
         if missing:
             raise ScenarioError(f"trivializations missing for indices {sorted(missing)}")
         return TrivializationFamily(cm, cover, h_maps)
 
     def connection(self) -> Connection:
-        spec = self._get("connection")
+        """The connection on the path base, whose dim its `base_dim` must be; it
+        is linear exactly when `linear` is given, as a declared `family` must say."""
+        spec = self._object("connection", "group_dim", "base_dim", "matrices")
+        dim, family = self.path_category().dim, "constant" if spec.get("linear") is None else "linear"
+        if spec["base_dim"] != dim:
+            raise ScenarioError(f"connection base_dim {spec['base_dim']!r} != base dim {dim}")
+        if spec.get("family", family) != family:
+            raise ScenarioError(f"connection family {spec['family']!r} contradicts whether "
+                                "'linear' is given")
         try:
-            return Connection(
-                group_dim=int(spec["group_dim"]),
-                base_dim=int(spec["base_dim"]),
-                family=str(spec.get("family", "constant")),
-                constant=spec["matrices"],
-                linear=spec.get("linear"),
-            )
-        except (KeyError, ValueError) as exc:
+            return Connection(int(spec["group_dim"]), dim, spec["matrices"], spec.get("linear"))
+        except (TypeError, ValueError) as exc:
             raise ScenarioError(f"bad connection declaration: {exc}") from exc
 
-    def eta(self, cm: CrossedModule, steps: int | None = None) -> EtaMap:
-        spec = self._get("eta")
-        if "from_connection" in spec and spec["from_connection"]:
-            conn = self.connection()
-            return eta_from_connection(cm, conn, steps or self.steps)
+    def eta(self, cm: CrossedModule) -> EtaMap:
+        spec = self._object("eta")
+        if spec.get("from_connection"):
+            return eta_from_connection(self.path_category(), cm, self.connection(), self.steps)
         if "table" in spec:
-            table = {name: parse_element(cm.G, v) for name, v in spec["table"].items()}
-            return EtaMap.from_table(self.quiver(), cm, table)
+            base, table = self.quiver(), _checked_object("'eta.table'", spec["table"])
+            if not set(table) <= set(base.arrows):
+                raise ScenarioError(f"eta table names arrows the base lacks: "
+                                    f"{sorted(set(table) - set(base.arrows))}")
+            return EtaMap.from_table(base, cm, {a: parse_element(cm.G, v) for a, v in table.items()})
         if "raw" in spec:
-            values = {}
-            for word, v in spec["raw"].items():
-                key = tuple(w for w in str(word).split(" ") if w)
-                values[key] = parse_element(cm.G, v)
+            values = {tuple(w for w in str(word).split(" ") if w): parse_element(cm.G, v)
+                      for word, v in spec["raw"].items()}
             default = spec.get("default")
-            default_el = parse_element(cm.G, default) if default is not None else None
-            return EtaMap.from_raw(self.quiver(), cm, values, default=default_el)
+            default = parse_element(cm.G, default) if default is not None else None
+            return EtaMap.from_raw(self.quiver(), cm, values, default=default)
         raise ScenarioError("eta must declare 'table', 'raw', or 'from_connection'")

@@ -154,17 +154,14 @@ def _e_action_suite(sc: Scenario) -> LawReport:
 
 def _prop62_suite(sc: Scenario) -> LawReport:
     cm = sc.crossed_module()
-    conn = sc.connection()
-    eta = decorated_mod.eta_from_connection(cm, conn, sc.steps)
+    eta = decorated_mod.eta_from_connection(sc.path_category(), cm, sc.connection(), sc.steps)
     return decorated_mod.verify_prop62(cm, eta, sc.prop62_pairs,
                                        suite_rng(sc.seed, "prop62"),
                                        eps_iso=sc.tolerance("iso", 1e-6))
 
 
 def _transport_suite(sc: Scenario) -> LawReport:
-    cm = sc.crossed_module()
-    conn = sc.connection()
-    return decorated_mod.verify_transport_numerics(cm, conn, sc.steps,
+    return decorated_mod.verify_transport_numerics(sc.path_category(), sc.connection(), sc.steps,
                                                    suite_rng(sc.seed, "transport-convergence"))
 
 
@@ -183,25 +180,6 @@ SUITES: dict[str, Callable[[Scenario], LawReport]] = {
     "e-action": _e_action_suite,
     "prop62": _prop62_suite,
     "transport-convergence": _transport_suite,
-}
-
-# which suites reach each verify_* operation (kept in sync by a test)
-COVERAGE: dict[str, tuple[str, ...]] = {
-    "verify_crossed_module": ("crossed-module",),
-    "verify_exchange_law": ("exchange-law",),
-    "verify_bundle_axioms": ("bundle-axioms",),
-    "verify_prop31_roundtrip": ("prop31-roundtrip",),
-    "verify_GU_categorical_group": ("prop34-gu-group",),
-    "verify_section_iso": ("prop41-section",),
-    "verify_composition_correspondence": ("prop42-correspondence",),
-    "verify_cocycle_condition": ("cocycle",),
-    "verify_prop51": ("prop51",),
-    "verify_transition_cocycle": ("transition-cocycle",),
-    "verify_twisted_bundle": ("twisted-bundle",),
-    "verify_E_properties": ("e-action",),
-    "verify_action_functorial": ("e-action",),
-    "verify_prop62": ("prop62",),
-    "verify_transport_numerics": ("transport-convergence",),
 }
 
 

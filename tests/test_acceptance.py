@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from catbundle.basecat import QuiverCategory, SampledPath
+from catbundle.basecat import PathCategory, QuiverCategory, SampledPath
 from catbundle.bundle import (
     functor_from_h,
     verify_composition_correspondence,
@@ -178,8 +178,8 @@ def test_criterion_8_twisted_bundle():
 
     so2 = get_module("so2-conj")
     assert so2.G.tol == 1e-9
-    conn = Connection(2, 1, "constant", [0.9 * SO2_GEN])
-    eta = eta_from_connection(so2, conn, 100)
+    conn = Connection(2, 1, [0.9 * SO2_GEN])
+    eta = eta_from_connection(PathCategory(1), so2, conn, 100)
     tbp = TwistedBundle(eta.base, so2, eta)
     rep3 = verify_twisted_bundle(tbp, budget=150, rng=np.random.default_rng(4))
     rep4 = verify_E_properties(tbp, budget=150, rng=np.random.default_rng(5))
@@ -188,7 +188,7 @@ def test_criterion_8_twisted_bundle():
     # eta == e degeneration agrees with the product bundle bit-for-bit: on
     # Z4 = Z/4 with tau = id, t(gamma, h, g) = (t(gamma), h + g)
     tb0 = TwistedBundle(chain, z4, EtaMap.trivial(chain, z4))
-    for gamma in chain.morphisms_upto(2):
+    for gamma in chain.morphisms_upto():
         for h in z4.H.elements:
             for g in z4.G.elements:
                 tm = TwistedMorphism(gamma, TwoGroupMorphism(h, g))
@@ -200,7 +200,7 @@ def test_criterion_8_twisted_bundle():
 
 def test_criterion_9_transport_numerics():
     theta = math.pi / 2
-    conn = Connection(2, 1, "constant", [theta * SO2_GEN])
+    conn = Connection(2, 1, [theta * SO2_GEN])
     seg = SampledPath([[0.0], [1.0]])
     t0 = time.perf_counter()
     got = parallel_transport(conn, seg, 10**4)
@@ -210,14 +210,13 @@ def test_criterion_9_transport_numerics():
 
     # three step-halving refinements: observed order >= 2, allowing the ratio
     # estimator its own O(h) uncertainty (inf when the scheme is exact)
-    const_orders = observed_order(conn, seg, 16, refinements=3)
+    const_orders = observed_order(conn, seg, 16)
     ok &= all(o >= 1.95 for o in const_orders)
-    lin = Connection(3, 2, "linear",
+    lin = Connection(3, 2,
                      [0.3 * skew3([1, 0, 0]), 0.2 * skew3([0, 1, 0])],
                      [[0.25 * skew3([0, 0, 1]), 0.1 * skew3([1, 0, 0])],
                       [0.15 * skew3([0, 1, 0]), 0.2 * skew3([0, 0, 1])]])
-    lin_orders = observed_order(lin, SampledPath([[0.0, 0.0], [0.7, 0.3], [1.1, 1.0]]), 16,
-                                refinements=3)
+    lin_orders = observed_order(lin, SampledPath([[0.0, 0.0], [0.7, 0.3], [1.1, 1.0]]), 16)
     ok &= all(o >= 1.95 for o in lin_orders) and all(math.isfinite(o) for o in lin_orders)
     report_line(9, ok, f"transport error {err:.2e} < 1e-9 at 1e4 substeps in "
                        f"{elapsed * 1000:.0f}ms; observed orders {['%.2f' % o for o in lin_orders]} >= 2")
@@ -226,14 +225,14 @@ def test_criterion_9_transport_numerics():
 def test_criterion_10_prop62():
     so2, so3 = get_module("so2-conj"), get_module("so3-conj")
     t0 = time.perf_counter()
-    conn2 = Connection(2, 1, "constant", [(math.pi / 2) * SO2_GEN])
-    rep2 = verify_prop62(so2, eta_from_connection(so2, conn2, 200),
+    conn2 = Connection(2, 1, [(math.pi / 2) * SO2_GEN])
+    rep2 = verify_prop62(so2, eta_from_connection(PathCategory(1), so2, conn2, 200),
                          n_pairs=50, rng=np.random.default_rng(5), eps_iso=1e-6)
-    conn3 = Connection(3, 2, "linear",
+    conn3 = Connection(3, 2,
                        [0.3 * skew3([1, 0, 0]), 0.2 * skew3([0, 1, 0])],
                        [[0.25 * skew3([0, 0, 1]), 0.1 * skew3([1, 0, 0])],
                         [0.15 * skew3([0, 1, 0]), 0.2 * skew3([0, 0, 1])]])
-    rep3 = verify_prop62(so3, eta_from_connection(so3, conn3, 400),
+    rep3 = verify_prop62(so3, eta_from_connection(PathCategory(2), so3, conn3, 400),
                          n_pairs=50, rng=np.random.default_rng(6), eps_iso=1e-6)
     elapsed = time.perf_counter() - t0
     ok = rep2.passed and rep3.passed and elapsed < 30.0

@@ -14,22 +14,23 @@ CHAIN = QuiverCategory(["a", "b", "c"], [("f", "a", "b"), ("g", "b", "c")], word
 
 
 def test_single_arrow_enumeration():
-    q = QuiverCategory(["a", "b"], [("f", "a", "b")])
-    ms = q.morphisms_upto(1)
+    q = QuiverCategory(["a", "b"], [("f", "a", "b")], word_bound=1)
+    ms = q.morphisms_upto()
     assert len(ms) == 3  # id_a, id_b, f
     assert sum(m.is_identity for m in ms) == 2
 
 
 def test_chain_enumeration_hand_count():
     # hand enumeration: id_a, id_b, id_c, f, g, g∘f
-    ms = CHAIN.morphisms_upto(2)
+    ms = CHAIN.morphisms_upto()
     assert len(ms) == 6
     words = sorted(m.word for m in ms)
     assert words == [(), (), (), ("f",), ("f", "g"), ("g",)]
 
 
 def test_zero_length_bound_gives_identities_only():
-    ms = CHAIN.morphisms_upto(0)
+    ms = QuiverCategory(CHAIN.objects, [("f", "a", "b"), ("g", "b", "c")],
+                        word_bound=0).morphisms_upto()
     assert all(m.is_identity for m in ms) and len(ms) == 3
 
 

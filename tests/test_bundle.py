@@ -124,7 +124,7 @@ def test_product_compose_oracle_and_guards():
 
 def test_functor_from_h_constant():
     F = functor_from_h(CHAIN, S3, {o: p("(0 1)") for o in CHAIN.objects})
-    for m in CHAIN.morphisms_upto(3):
+    for m in CHAIN.morphisms_upto():
         assert F.h(m) == S3.H.identity
     gs = {F.g(o) for o in CHAIN.objects}
     assert len(gs) == 1
@@ -141,7 +141,7 @@ def test_functor_from_h_permutation_oracle():
 def test_functor_telescoping_matches_fold():
     h_obj = {"a": p("(0 1)"), "b": p("(1 2)"), "c": p("(0 1 2)")}
     F = functor_from_h(CHAIN, S3, h_obj)
-    for m2, m1 in CHAIN.composable_pairs(3):
+    for m2, m1 in CHAIN.composable_pairs():
         comp = CHAIN.compose(m2, m1)
         want = perm_mul(perm(h_obj[comp.target]), perm_inv(perm(h_obj[comp.source])))
         assert perm(F.h(comp)) == want == perm(S3.H.mul(F.h(m2), F.h(m1)))
@@ -151,7 +151,7 @@ def test_functor_apply_and_verify():
     F = functor_from_h(CHAIN, S3, {"a": p("(0 1)"), "b": p("(1 2)"), "c": p("(0 2)")})
     ida = CHAIN.identity("a")
     assert S3.m_eq(F.apply(ida), S3.identity_morphism(F.g("a")))
-    for m in CHAIN.morphisms_upto(3):
+    for m in CHAIN.morphisms_upto():
         assert S3.G.eq(S3.source(F.apply(m)), F.g(m.source))
     assert functor_invariant_witness(F) is None
 
@@ -180,7 +180,7 @@ def test_product_functor_preserves_composition_exhaustively():
     F1 = functor_from_h(CHAIN, S3, {"a": p("(0 1)"), "b": p("(1 2)"), "c": p("(0 2)")})
     F2 = functor_from_h(CHAIN, S3, {"a": p("(0 1 2)"), "b": p("(0 2 1)"), "c": p("e")})
     prod = F2.mul(F1)
-    for m2, m1 in CHAIN.composable_pairs(3):
+    for m2, m1 in CHAIN.composable_pairs():
         lhs = prod.apply(CHAIN.compose(m2, m1))
         rhs = S3.compose_vertical(prod.apply(m2), prod.apply(m1))
         assert S3.m_eq(lhs, rhs)
@@ -268,7 +268,7 @@ def test_trivial_section_gives_identity_map():
         for g in Z4.G.elements:
             assert iso.on_object(a, g) == (a, g)
     morphisms = list(bundle_morphisms(pb))
-    assert len(morphisms) == len(arrow.morphisms_upto(2)) * 16
+    assert len(morphisms) == len(arrow.morphisms_upto()) * 16
     for pm in morphisms:
         assert pb.morphism_eq(iso.on_morphism(pm), pm)
 

@@ -282,6 +282,38 @@ def _add_d(raw):
         table["d"] = "e"
 
 
+def _suite(name):
+    return ["--suite", name]
+
+
+def _transport(path_id):  # argv of `catbundle transport`, named first
+    return ["transport", "--path", path_id]
+
+
+ETA_SUITES = [_suite("twisted-bundle"), _suite("e-action"), _suite("prop62")]  # they build eta
+PATH_SUITES = [*ETA_SUITES, _suite("transport-convergence"), _transport("unit")]
+
+# each path-base contradiction, with every path suite that reaches it and `transport`
+PATH_BASE_CONTRADICTIONS = [
+    ("quiver-base-from-connection", _edited("so2_transport.json", lambda r: r["base"].update(
+        kind="quiver", objects=["a", "b"], arrows=[["f", "a", "b"]])), PATH_SUITES),
+    ("base-dim-contradicts-connection",
+     _edited("so2_transport.json", lambda r: r["base"].update(dim=3)), PATH_SUITES),
+    ("base-dim-string", _edited("so2_transport.json", lambda r: r["base"].update(dim="x")),
+     PATH_SUITES),
+    ("so3-module-so2-connection",
+     _edited("so2_transport.json", lambda r: r.update(crossed_module="so3-conj")), ETA_SUITES),
+    ("z4-module-so2-connection",
+     _edited("so2_transport.json", lambda r: r.update(crossed_module="z4-conj")), ETA_SUITES),
+    ("constant-family-with-linear",
+     _edited("so3_decorated.json", lambda r: r["connection"].update(family="constant")),
+     [_suite("prop62"), _suite("transport-convergence"), _transport("diag")]),
+    ("composite-pieces-apart", _edited("so2_transport.json", lambda r: r["base"]["paths"][
+        "joined"].update(compose=["half1", "unit"])), [_transport("joined")]),
+    ("path-one-sample", _edited("so2_transport.json", lambda r: r["base"]["paths"].update(
+        unit=[[0.0]])), [_transport("unit")]),
+]
+
 MALFORMED = [
     ("budget-string", _edited("s3_quiver.json", lambda r: r.update(budget="lots")),
      ["--suite", "exchange-law"]),
@@ -309,6 +341,30 @@ MALFORMED = [
     ("functor-missing-object", _edited("s3_quiver.json", _drop_c), ["--suite", "prop41-section"]),
     ("functor-unknown-object", _edited("s3_quiver.json", _add_d),
      ["--suite", "prop42-correspondence"]),
+    ("base-list", _edited("s3_quiver.json", lambda r: r.update(base=[r["base"]])),
+     ["--suite", "bundle-axioms"]),
+    ("quiver-objects-int", _edited("s3_quiver.json", lambda r: r["base"].update(objects=3)),
+     ["--suite", "bundle-axioms"]),
+    ("word-bound-negative", _edited("s3_quiver.json", lambda r: r["base"].update(word_bound=-1)),
+     ["--suite", "bundle-axioms"]),
+    ("tolerances-list", _edited("s3_quiver.json", lambda r: r.update(tolerances=[1e-9])),
+     ["--suite", "crossed-module"]),
+    ("functors-list", _edited("s3_quiver.json", lambda r: r.update(functors=[])),
+     ["--suite", "prop41-section"]),
+    ("eta-int", _edited("z4_twist.json", lambda r: r.update(eta=3)), ["--suite", "twisted-bundle"]),
+    ("eta-table-unknown-arrow", _edited("z4_twist.json", lambda r: r["eta"]["table"].update(h=1)),
+     ["--suite", "twisted-bundle"]),
+    ("cover-key-not-an-index", _edited("s3_cocycle.json", lambda r: r["cover"].update(x=["a0"])),
+     ["--suite", "cocycle"]),
+    ("cover-unknown-object", _edited("s3_cocycle.json", lambda r: r["cover"]["0"].append("zz")),
+     ["--suite", "cocycle"]),
+    ("triple-without-upper", _edited("s3_cocycle.json", lambda r: r["triple"].pop("upper")),
+     ["--suite", "prop51"]),
+    ("cocycle-tables-without-pairs",
+     _edited("s3_cocycle.json", lambda r: r.update(cocycle={"mode": "tables", "triples": {}})),
+     ["--suite", "cocycle"]),
+    *[(f"{label}-{'transport' if argv[0] == 'transport' else argv[1]}", raw, argv)
+      for label, raw, argvs in PATH_BASE_CONTRADICTIONS for argv in argvs],
 ]
 
 
@@ -317,8 +373,9 @@ def test_malformed_scenario_exits_2_without_traceback(tmp_path, label, raw, args
     path = tmp_path / f"{label}.json"
     path.write_text(json.dumps(raw))
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    command, args = (args[0], args[1:]) if args[0] == "transport" else ("run", args)
     proc = subprocess.run(
-        [sys.executable, "-m", "catbundle.cli", "run", "--scenario", str(path), *args],
+        [sys.executable, "-m", "catbundle.cli", command, "--scenario", str(path), *args],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr

@@ -28,25 +28,31 @@ HALF_PI = math.pi / 2
 
 
 def so2_constant(theta=HALF_PI) -> Connection:
-    return Connection(2, 1, "constant", [theta * SO2_GEN])
+    return Connection(2, 1, [theta * SO2_GEN])
 
 
 def so3_linear() -> Connection:
     C = [0.3 * skew3([1, 0, 0]), 0.2 * skew3([0, 1, 0])]
     D = [[0.25 * skew3([0, 0, 1]), 0.1 * skew3([1, 0, 0])],
          [0.15 * skew3([0, 1, 0]), 0.2 * skew3([0, 0, 1])]]
-    return Connection(3, 2, "linear", C, D)
+    return Connection(3, 2, C, D)
 
 
 def test_connection_validation():
     with pytest.raises(StructuralError):
-        Connection(2, 1, "constant", [np.eye(2)])  # not skew
+        Connection(2, 1, [np.eye(2)])  # not skew
     with pytest.raises(StructuralError):
-        Connection(2, 2, "constant", [np.zeros((2, 2))])  # wrong count
+        Connection(2, 2, [np.zeros((2, 2))])  # wrong count
     with pytest.raises(StructuralError):
-        Connection(2, 1, "linear", [np.zeros((2, 2))])  # missing linear part
+        Connection(2, 1, [np.zeros((2, 2))], [np.zeros((2, 2))])  # linear part not 1 x 1
     with pytest.raises(StructuralError):
-        Connection(2, 1, "weird", [np.zeros((2, 2))])
+        Connection(2, 1, [np.zeros((2, 2))], [[np.eye(2)]])  # linear part not skew
+
+
+def test_eta_from_connection_needs_G_to_be_SO_of_the_connection():
+    for cm in (SO3, S3, get_module("z4-conj")):
+        with pytest.raises(StructuralError):
+            eta_from_connection(PathCategory(1), cm, so2_constant(), 10)
 
 
 def test_connection_is_linear_in_tangent():
@@ -138,7 +144,7 @@ def test_step_adequacy_for_default_prop62_steps():
 
 
 def test_eta_from_connection_homomorphism_bitwise():
-    eta = eta_from_connection(SO2, so2_constant(0.4), 50)
+    eta = eta_from_connection(PathCategory(1), SO2, so2_constant(0.4), 50)
     p1 = SampledPath([[0.0], [0.6]])
     p2 = SampledPath([[0.6], [1.0]])
     whole = compose_paths(p2, p1)
@@ -148,7 +154,7 @@ def test_eta_from_connection_homomorphism_bitwise():
 
 def test_dec_source_target():
     conn = so2_constant(0.5)
-    eta = eta_from_connection(SO2, conn, 100)
+    eta = eta_from_connection(PathCategory(1), SO2, conn, 100)
     db = DecoratedBundle(SO2, eta)
     gamma = SampledPath([[0.0], [1.0]])
     # pure horizontal lift: target fiber element is the transport itself
@@ -165,7 +171,7 @@ def test_dec_source_target():
 
 
 def test_dec_act_conjugates_decoration():
-    eta = eta_from_connection(SO3, so3_linear(), 50)
+    eta = eta_from_connection(PathCategory(2), SO3, so3_linear(), 50)
     db = DecoratedBundle(SO3, eta)
     rng = np.random.default_rng(3)
     gamma = PathCategory(2).random_path(rng, 2)
@@ -183,7 +189,7 @@ def test_dec_act_conjugates_decoration():
 
 
 def test_dec_compose_boundaries_and_decoration_order():
-    eta = eta_from_connection(SO2, so2_constant(0.5), 100)
+    eta = eta_from_connection(PathCategory(1), SO2, so2_constant(0.5), 100)
     db = DecoratedBundle(SO2, eta)
     rng = np.random.default_rng(5)
     (dm2, dm1), = seeded_composable_pairs(db, 1, rng)
@@ -198,7 +204,7 @@ def test_dec_compose_boundaries_and_decoration_order():
 
 def test_two_horizontal_lifts_compose_to_the_lift_of_the_composite():
     conn = so2_constant(0.4)
-    eta = eta_from_connection(SO2, conn, 64)
+    eta = eta_from_connection(PathCategory(1), SO2, conn, 64)
     db = DecoratedBundle(SO2, eta)
     p1 = SampledPath([[0.0], [1.0]])
     p2 = SampledPath([[1.0], [2.0]])
@@ -231,7 +237,7 @@ def test_decoration_order_differs_from_vertical_composition_on_s3():
 
 
 def test_theta_iso_trivial_case_and_roundtrip():
-    eta = eta_from_connection(SO2, so2_constant(0.5), 64)
+    eta = eta_from_connection(PathCategory(1), SO2, so2_constant(0.5), 64)
     db = DecoratedBundle(SO2, eta)
     gamma = SampledPath([[0.0], [1.0]])
     dm = DecoratedMorphism(gamma, SO2.G.identity, SO2.H.identity)
@@ -244,7 +250,7 @@ def test_theta_iso_trivial_case_and_roundtrip():
 
 
 def test_theta_composition_identity_so2_direct():
-    eta = eta_from_connection(SO2, so2_constant(0.5), 128)
+    eta = eta_from_connection(PathCategory(1), SO2, so2_constant(0.5), 128)
     db = DecoratedBundle(SO2, eta)
     tb = db.twisted()
     rng = np.random.default_rng(11)
@@ -261,18 +267,18 @@ def test_theta_composition_identity_so2_direct():
 
 
 def test_verify_prop62_so2_and_so3():
-    eta2 = eta_from_connection(SO2, so2_constant(), 200)
+    eta2 = eta_from_connection(PathCategory(1), SO2, so2_constant(), 200)
     report = verify_prop62(SO2, eta2, n_pairs=50, rng=np.random.default_rng(5))
     assert report.passed
-    eta3 = eta_from_connection(SO3, so3_linear(), 400)
+    eta3 = eta_from_connection(PathCategory(2), SO3, so3_linear(), 400)
     report = verify_prop62(SO3, eta3, n_pairs=50, rng=np.random.default_rng(6))
     assert report.passed
     assert report.find("theta-composition").checks == 50
 
 
 def test_verify_transport_numerics_suites():
-    assert verify_transport_numerics(SO2, so2_constant(), 100, np.random.default_rng(0)).passed
-    assert verify_transport_numerics(SO3, so3_linear(), 100, np.random.default_rng(1)).passed
+    assert verify_transport_numerics(PathCategory(1), so2_constant(), 100, np.random.default_rng(0)).passed
+    assert verify_transport_numerics(PathCategory(2), so3_linear(), 100, np.random.default_rng(1)).passed
 
 
 def test_transport_rejects_dimension_mismatch():
@@ -312,7 +318,7 @@ def random_connection(rng, group_dim, family, base_dim):
     D = None
     if family == "linear":
         D = [[random_skew(rng, group_dim, 0.5) for _ in range(base_dim)] for _ in range(base_dim)]
-    return Connection(group_dim, base_dim, family, C, D), C, D
+    return Connection(group_dim, base_dim, C, D), C, D
 
 
 def connection_value(C, D, point, vector):

@@ -38,7 +38,7 @@ def test_trivial_twist_reduces_to_product_bundle_bitwise():
     # trivial action: t(gamma, h, g) = (t(gamma), h + g), and
     # (gamma2, h2, g2) ∘ (gamma1, h1, g1) = (gamma2 ∘ gamma1, h2 + h1, g1)
     tb = TwistedBundle(CHAIN, Z4, EtaMap.trivial(CHAIN, Z4))
-    ms = CHAIN.morphisms_upto(2)
+    ms = CHAIN.morphisms_upto()
     for gamma in ms:
         for h in Z4.H.elements:
             for g in Z4.G.elements:
@@ -46,7 +46,7 @@ def test_trivial_twist_reduces_to_product_bundle_bitwise():
                 assert tb.source(tm) == (gamma.source, g)
                 assert tb.target(tm) == (gamma.target, (h + g) % 4)
     # composition agrees wherever the product composition is defined
-    for m2, m1 in CHAIN.composable_pairs(2):
+    for m2, m1 in CHAIN.composable_pairs():
         for h1 in Z4.H.elements:
             for g1 in Z4.G.elements:
                 for h2 in Z4.H.elements:
