@@ -11,8 +11,13 @@ per-case mask, and a CodeTable maps codes to int values such as eta.
 
 A SampledPath is an ordered array of points; composing paths records the
 junction as a binary tree node so that parallel transport of a composite is,
-by construction, the product of the transports of its pieces. A scenario's
-PathCategory (dimension, eps_pt) is made by `Scenario.path_category()` alone.
+by construction, the product of the transports of its pieces (`fold`). A
+scenario's PathCategory (dimension, eps_pt) is made by
+`Scenario.path_category()` alone. In a block a path base holds a PathBlock,
+the k paths of k cases: `source` and `target` give (k, dim) arrays of points,
+`identity` takes one, `compose` composes pairwise and raises
+CompositionUndefined if any pair does not meet, and `point_eq` and
+`morphism_eq` give per-case masks.
 """
 from __future__ import annotations
 
@@ -242,6 +247,15 @@ class SampledPath:
         first, second = self.pieces
         return compose_paths(first.reverse(), second.reverse())
 
+    def fold(self, value, mul):
+        """`value(self)` on a directly-sampled path; on a composite, the
+        product `mul(second, first)` of its pieces' folds, the later piece on
+        the left, as transport multiplies them."""
+        if self.pieces is None:
+            return value(self)
+        first, second = self.pieces
+        return mul(second.fold(value, mul), first.fold(value, mul))
+
     def dedup(self, tol: float = DEFAULT_PT_TOL) -> np.ndarray:
         """Samples with consecutive duplicates (zero-length segments) removed;
         canonical form for path equality in tests."""
@@ -255,6 +269,38 @@ class SampledPath:
 
     def __repr__(self) -> str:
         return f"<SampledPath dim={self.dim} samples={len(self.samples)}>"
+
+
+class PathBlock:
+    """The paths of k cases of a block, in case order: `start` and `end` are
+    (k, dim) arrays, an int index gives one path and an index array a block."""
+    __slots__ = ("paths",)
+
+    def __init__(self, paths):
+        self.paths = tuple(paths)
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __iter__(self) -> Iterator[SampledPath]:
+        return iter(self.paths)
+
+    def __getitem__(self, i):
+        if isinstance(i, np.ndarray):
+            return PathBlock(map(self.paths.__getitem__, i.tolist()))
+        return self.paths[i]
+
+    @property
+    def start(self) -> np.ndarray:
+        return np.array([p.start for p in self.paths])
+
+    @property
+    def end(self) -> np.ndarray:
+        return np.array([p.end for p in self.paths])
+
+    def leaves(self) -> Iterator[SampledPath]:
+        """The leaves of every path, each once, in order of first appearance."""
+        return iter(dict.fromkeys(leaf for p in self.paths for leaf in p.leaves()))
 
 
 def constant_path(point) -> SampledPath:
@@ -279,7 +325,8 @@ def compose_paths(gamma2: SampledPath, gamma1: SampledPath,
 
 class PathCategory:
     """Points of R^dim as objects, sampled paths as morphisms; composition is
-    concatenation when endpoints match within eps_pt."""
+    concatenation when endpoints match within eps_pt. Each map also takes the
+    PathBlock or (k, dim) points of a block."""
 
     def __init__(self, dim: int, eps_pt: float = DEFAULT_PT_TOL):
         if dim not in (1, 2, 3):
@@ -287,23 +334,37 @@ class PathCategory:
         self.dim = dim
         self.eps_pt = eps_pt
 
-    def identity(self, point) -> SampledPath:
+    def identity(self, point):
+        """The constant path at a point, or a block of them at the rows of a
+        (k, dim) array."""
+        if np.ndim(point) == 2:
+            return PathBlock(map(constant_path, point))
         return constant_path(point)
 
-    def source(self, p: SampledPath) -> np.ndarray:
+    def source(self, p) -> np.ndarray:
         return p.start
 
-    def target(self, p: SampledPath) -> np.ndarray:
+    def target(self, p) -> np.ndarray:
         return p.end
 
-    def compose(self, gamma2: SampledPath, gamma1: SampledPath) -> SampledPath:
+    def compose(self, gamma2, gamma1):
+        if isinstance(gamma1, PathBlock):  # the first pair that does not meet raises
+            return PathBlock(compose_paths(b, a, self.eps_pt) for b, a in zip(gamma2, gamma1))
         return compose_paths(gamma2, gamma1, self.eps_pt)
 
-    def point_eq(self, a, b) -> bool:
-        return bool(np.max(np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))) <= self.eps_pt)
+    def point_eq(self, a, b):
+        """Max-abs coordinate difference within eps_pt: a bool, or a per-case
+        mask on (k, dim) arrays of points."""
+        diff = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
+        if diff.ndim < 2:
+            return bool(diff.max() <= self.eps_pt)
+        return diff.max(axis=-1) <= self.eps_pt
 
-    def morphism_eq(self, a: SampledPath, b: SampledPath) -> bool:
-        """Paths agree as morphisms when their deduplicated sample lists do."""
+    def morphism_eq(self, a, b):
+        """Paths agree as morphisms when their deduplicated sample lists do;
+        on two blocks, a per-case mask."""
+        if isinstance(a, PathBlock):
+            return np.array([self.morphism_eq(x, y) for x, y in zip(a, b)], dtype=bool)
         a, b = a.dedup(self.eps_pt), b.dedup(self.eps_pt)
         return a.shape == b.shape and bool(np.array_equal(a, b))
 

@@ -125,10 +125,14 @@ class CrossedModule:
 
     def morphism_space(self, count: int | None = None) -> CaseSpace:
         """Every morphism (h outer, g inner) when finite, else `count`
-        seeded samples (or as many as the budget allows)."""
+        seeded samples (or as many as the budget allows), each drawn as
+        `sample_morphism` draws it, stackable on SO(n)."""
         if self.is_finite:
             return CaseSpace.product(self.H.elements, self.G.elements, build=TwoGroupMorphism)
-        return CaseSpace.sampled(self.sample_morphism, count)
+        space = CaseSpace.product(CaseSpace.carrier(self.H), CaseSpace.carrier(self.G),
+                                  build=TwoGroupMorphism)
+        space.count = count
+        return space
 
 
 def _code_table(values: list, shape: tuple, what: str) -> np.ndarray:

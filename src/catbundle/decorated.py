@@ -5,25 +5,32 @@ isomorphism onto the twisted-product bundle, over a path base that is passed
 in (a scenario's is `Scenario.path_category()`).
 
 Transport solves g'(u)·g(u)^-1 = -A(gamma'(u)), g(0) = e, by midpoint
-exponential Euler. Each segment [a, b] of a directly-sampled path is split
-into `steps` equal substeps of displacement d; A is evaluated at all the
-midpoints a + (j+1/2)·d in one batched call, the factors
-f[j] = exp(-A(mid_j)·d) are formed together in closed form (the angle for
-SO(2), Rodrigues for SO(3)) and kept as f[j] - I, and their ordered product
+exponential Euler. Each segment [a, b] of a directly-sampled path (a leaf) is
+split into `steps` equal substeps of displacement d; A is evaluated at the
+midpoints a + (j+1/2)·d in one batched call per segment, the factors
+f[j] = exp(-A(mid_j)·d) are formed in closed form (the angle for SO(2),
+Rodrigues for SO(3)) and kept as f[j] - I, and their ordered product
 f[steps-1]···f[0] is taken by pairwise tree reduction, the later factor always
 on the left. Carrying f - I keeps transports orthogonal to about 1e-15 even
 over thousands of substeps. Segment products are then left-folded in path
 order.
 
+The leaves one call needs (a block's, less those EtaMap keeps, or one path's)
+are integrated stacked: their segments go through one `skew_expm1_batch` and
+one `_ordered_product` over a (segments, steps, n, n) stack, in chunks of at
+most about CHUNK factors so that memory stays bounded, then each leaf folds
+its segments. Every operation acts on one segment's values alone, so a leaf's
+transport is bitwise the same whatever else shares its stacked call.
+
 Transport of a composed path is the product of the transports of its pieces
-by construction: SampledPath records composition as a binary tree and the
-integrator recurses over it. Because a segment's factor depends only on its
-own endpoints and `steps`, these hold bit-for-bit: a composite equals the
-product of its pieces (the twist homomorphism law, Eq 6.18), a multi-segment
-leaf equals the ordered product of its single-segment leaves, and a zero
-connection gives exactly the identity. The pairwise product reassociates the
-substep product, so it matches a sequential left-multiplying loop only to
-roundoff (within 1e-12).
+by construction: SampledPath records composition as a binary tree, and
+transport folds its leaves' values over it. Because a segment's factor depends
+only on its own endpoints and `steps`, these hold bit-for-bit: a composite
+equals the product of its pieces (the twist homomorphism law, Eq 6.18), a
+multi-segment leaf equals the ordered product of its single-segment leaves,
+and a zero connection gives exactly the identity. The pairwise product
+reassociates the substep product, so it matches a sequential left-multiplying
+loop only to roundoff (within 1e-12).
 """
 from __future__ import annotations
 
@@ -33,7 +40,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .basecat import PathCategory, SampledPath, constant_path
+from .basecat import PathBlock, PathCategory, SampledPath, constant_path
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
 from .groups import SpecialOrthogonalGroup, StructuralError, all_cases, is_skew, skew_expm1_batch
 from .report import LawReport, Plan, run_law
@@ -43,6 +50,7 @@ DEFAULT_STEPS = 200
 DEFAULT_ISO_TOL = 1e-6
 ORDER_REFINEMENTS = 3  # step-halvings behind each observed convergence order
 ORDER_FLOOR = 1e-13  # differences below this are roundoff: the order is inf
+CHUNK = 2 ** 10  # substep factors per stacked call: 74 kB of SO(3) factors
 
 
 class Connection(object):
@@ -85,55 +93,67 @@ class Connection(object):
         point = np.asarray(point, dtype=float)
         shape = point.shape[:-1] + (n, n)
         out = (vector @ self.constant.reshape(dim, n * n)).reshape(n, n)
-        if self.linear is None:
-            out = np.broadcast_to(out, shape)
-        else:
+        if self.linear is not None:
             per_point = (vector @ self.linear.reshape(dim, dim * n * n)).reshape(dim, n * n)
             out = out + (point @ per_point).reshape(shape)
-        if not np.max(np.abs(out + np.swapaxes(out, -1, -2))) <= 1e-10:
+        if not abs(out + out.swapaxes(-1, -2)).max() <= 1e-10:  # one value, if constant
             raise StructuralError("connection value is not skew")
-        return out
+        return out if self.linear is not None else np.broadcast_to(out, shape)
 
 
 def _ordered_product(e: np.ndarray) -> np.ndarray:
-    """f[s-1] ··· f[1]·f[0] for the factors f[j] = I + e[j] of an (s, n, n)
-    stack, by pairwise tree reduction: each level multiplies neighbours with
-    the later factor on the left, (I + L)(I + E) = I + (L + E + L·E), and an
-    odd count carries its last (latest) factor up unpaired. Working on f - I
-    keeps the rounding of entries near 1 from piling up over many factors."""
-    while len(e) > 1:
-        later, earlier = e[1::2], e[:len(e) - 1:2]
+    """f[s-1] ··· f[1]·f[0] for the factors f[j] = I + e[..., j, :, :] of an
+    (..., s, n, n) stack, one product per leading index, by pairwise tree
+    reduction: each level multiplies neighbours with the later factor on the
+    left, (I + L)(I + E) = I + (L + E + L·E), and an odd count carries its
+    last (latest) factor up unpaired. Working on f - I keeps the rounding of
+    entries near 1 from piling up over many factors."""
+    while e.shape[-3] > 1:
+        s = e.shape[-3]
+        later, earlier = e[..., 1::2, :, :], e[..., :s - 1:2, :, :]
         paired = later + earlier + later @ earlier
-        e = paired if len(e) % 2 == 0 else np.concatenate([paired, e[-1:]])
-    return np.eye(e.shape[-1]) + e[0]
+        e = paired if s % 2 == 0 else np.concatenate([paired, e[..., -1:, :, :]], axis=-3)
+    return np.eye(e.shape[-1]) + e[..., 0, :, :]
 
 
-def _leaf_transport(conn: Connection, path: SampledPath, steps: int) -> np.ndarray:
+def _leaf_transports(conn: Connection, leaves, steps: int) -> list:
+    """The transports of directly-sampled paths, stacked: the nonzero
+    segments of all of them, at most about CHUNK factors per stacked call,
+    then a left fold per leaf in segment order."""
     if steps < 1:
         raise StructuralError("need at least one integration substep per segment")
+    n = conn.group_dim
+    segments = [(i, a, (b - a) / steps) for i, leaf in enumerate(leaves)
+                for a, b in leaf.segments() if np.any(b - a)]  # a zero-length one is exactly I
     offsets = (np.arange(steps) + 0.5)[:, None]
-    total = None
-    for a, b in path.segments():
-        delta = b - a
-        if not np.any(delta):
-            continue  # zero-length segment contributes exactly the identity
-        d = delta / steps
-        seg = _ordered_product(skew_expm1_batch(-conn.evaluate(a + offsets * d, d)))
-        total = seg if total is None else seg @ total
-    return np.eye(conn.group_dim) if total is None else total
+    per_call = max(1, CHUNK // steps)
+    out = [None] * len(leaves)
+    for start in range(0, len(segments), per_call):
+        chunk = segments[start:start + per_call]
+        values = np.empty((len(chunk), steps, n, n))
+        for row, (_, a, d) in zip(values, chunk):
+            row[...] = conn.evaluate(a + offsets * d, d)
+        products = _ordered_product(skew_expm1_batch(-values.reshape(-1, n, n)).reshape(values.shape))
+        for (i, _, _), seg in zip(chunk, products):
+            out[i] = seg if out[i] is None else seg @ out[i]
+    return [np.eye(n) if t is None else t for t in out]
 
 
-def parallel_transport(conn: Connection, path: SampledPath,
-                       steps: int = DEFAULT_STEPS) -> np.ndarray:
-    """End value of the horizontal-lift ODE along the path; the transport of
-    a composition node is the (ordered) product of its pieces' transports."""
-    if path.dim != conn.base_dim:
-        raise StructuralError(
-            f"path dimension {path.dim} != connection base dimension {conn.base_dim}")
-    if path.pieces is not None:
-        first, second = path.pieces
-        return parallel_transport(conn, second, steps) @ parallel_transport(conn, first, steps)
-    return _leaf_transport(conn, path, steps)
+def parallel_transport(conn: Connection, path, steps: int = DEFAULT_STEPS) -> np.ndarray:
+    """End value of the horizontal-lift ODE along the path, or a (k, n, n)
+    stack of them along the paths of a PathBlock: the distinct leaves are
+    integrated together, and a composite is the (ordered) product of its
+    pieces' transports."""
+    block = isinstance(path, PathBlock)
+    paths = path.paths if block else (path,)
+    for p in paths:
+        if p.dim != conn.base_dim:
+            raise StructuralError(
+                f"path dimension {p.dim} != connection base dimension {conn.base_dim}")
+    leaves = list(PathBlock(paths).leaves())
+    values = dict(zip(leaves, _leaf_transports(conn, leaves, steps)))
+    out = [p.fold(values.__getitem__, np.matmul) for p in paths]
+    return np.array(out) if block else out[0]
 
 
 def eta_from_connection(base: PathCategory, cm: CrossedModule, conn: Connection,
@@ -245,17 +265,19 @@ class DecoratedBundle:
 
 def seeded_composable_pairs(db: DecoratedBundle, n_pairs: int, rng: np.random.Generator):
     """Deterministic catalog of composable decorated-morphism pairs on paths of
-    two steps of at most 0.8 per coordinate; the second start solves the first target."""
+    two steps of at most 0.8 per coordinate; the second start solves the first
+    target. No draw depends on a target, so every pair is drawn first and the
+    twist meets all their paths in one call (one stacked transport)."""
     cm = db.cm
-    out = []
+    drawn = []
     for _ in range(n_pairs):
         gamma1 = db.base.random_path(rng, n_segments=2, scale=0.8)
         dm1 = DecoratedMorphism(gamma1, cm.G.sample(rng), cm.H.sample(rng))
         gamma2 = db.base.random_path(rng, n_segments=2, start=gamma1.end, scale=0.8)
-        g2 = db.target(dm1)[1]
-        dm2 = DecoratedMorphism(gamma2, g2, cm.H.sample(rng))
-        out.append((dm2, dm1))
-    return out
+        drawn.append((dm1, gamma2, cm.H.sample(rng)))
+    if drawn:
+        db.eta(PathBlock(gamma for dm1, gamma2, _ in drawn for gamma in (dm1.gamma, gamma2)))
+    return [(DecoratedMorphism(gamma2, db.target(dm1)[1], h2), dm1) for dm1, gamma2, h2 in drawn]
 
 
 def verify_prop62(cm: CrossedModule, eta: EtaMap, n_pairs: int = 50,

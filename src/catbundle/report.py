@@ -2,12 +2,15 @@
 
 A law's cases come from a CaseSpace, whose `plan` decides exhaustive vs
 sampled by one rule: the whole space in order when it fits the budget,
-else `budget` seeded draws. A coded space of any size (range axes and coded
-spaces, such as the twisted chains on a quiver) and an open sampled product
-of SO(n) carriers come in blocks of BLOCK cases (arrays of codes, or stacks
-from one uniform array); other spaces come case by case. A law is
-`run_law(law, anchor, plan, ok, witness)`: `ok(case)` is a per-case mask on a
-block, and `witness(case)` describes one failing case.
+else `budget` seeded draws. Plans come in blocks of at most BLOCK cases
+wherever the cases stack: a coded space of any size (range axes and coded
+spaces, such as the twisted chains on a quiver) as arrays of codes; an open
+sampled product of SO(n) carriers as stacks from one uniform array; another
+open sampled space (random paths) drawn case by case and built once from its
+stacked parts; and a product of counted axes gathered from their drawn lists.
+Cases that do not stack (finite codes beside sampled axes) come one at a
+time. A law is `run_law(law, anchor, plan, ok, witness)`: `ok(case)` is a
+per-case mask on a block, and `witness(case)` describes one failing case.
 
 A suite produces a LawReport: one LawRecord per algebraic law, each carrying
 the law's anchor string (its identifier in the library's law registry, e.g.
@@ -20,6 +23,7 @@ bytes. Timing appears only in the human-readable table.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -29,6 +33,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .basecat import PathBlock, SampledPath
 from .groups import CompositionUndefined, StructuralError
 
 # a case that raises one of these fails its law with an error witness
@@ -47,7 +52,9 @@ class CaseSpace:
     `size` None, draws one seeded case per `draw(rng)`, and stands in for
     `count` draws, or for as many as the budget allows when `count` is None;
     its `stack(u)` may build k stacked cases from a (k, width) array of
-    uniform draws, bitwise those of k `draw` calls. A coded space maps an
+    uniform draws, bitwise those of k `draw` calls, and `parts(rng)` with
+    `build` split a draw into the parts drawn and the case built from them
+    (`build` runs once on a block's stacked parts). A coded space maps an
     int64 array of case numbers to `arity` arrays of codes, `codes(i)`, which
     `from_codes(*parts)` builds into stacked cases (or one case, from Python
     ints). Sequences serve as finite axes as they are (a `range`, as codes).
@@ -58,6 +65,7 @@ class CaseSpace:
         self.size = size
         self._get = get
         self.draw = draw  # sampled spaces: rng -> one case
+        self.parts: Callable | None = None  # rng -> the parts that `build` makes a case of
         self.count = count
         self.width: int | None = None  # stackable sampled spaces: draws per case
         self.stack: Callable | None = None
@@ -89,8 +97,15 @@ class CaseSpace:
         return space
 
     @staticmethod
-    def sampled(draw: Callable, count: int | None = None) -> "CaseSpace":
-        return CaseSpace(None, draw=draw, count=count)
+    def sampled(draw: Callable, count: int | None = None,
+                build: Callable | None = None) -> "CaseSpace":
+        """Seeded cases `draw(rng)`; with `build`, `draw(rng)` gives a
+        case's parts and the case is `build(*parts)`."""
+        if build is None:
+            return CaseSpace(None, draw=draw, count=count)
+        space = CaseSpace(None, draw=lambda rng: build(*draw(rng)), count=count)
+        space.parts, space.build = draw, build
+        return space
 
     @staticmethod
     def carrier(group, count: int | None = None):
@@ -111,8 +126,8 @@ class CaseSpace:
         if any(_is_sampled(a) for a in axes):
             counts = [a.count if _is_sampled(a) else _size(a) for a in axes]
             draws = [_drawer(a) for a in axes]
-            space = CaseSpace.sampled(lambda rng: build(*[d(rng) for d in draws]),
-                                      None if None in counts else math.prod(counts))
+            space = CaseSpace.sampled(lambda rng: [d(rng) for d in draws],
+                                      None if None in counts else math.prod(counts), build)
             if all(_is_sampled(a) and a.stack is not None for a in axes):
                 # a case draws its axes in turn, so a block's columns split per axis
                 ends = list(itertools.accumulate(a.width for a in axes))
@@ -141,8 +156,8 @@ class CaseSpace:
         times, or `budget` times; in a product, finite and counted axes are
         enumerated whole and one open sampled axis is drawn
         max(1, budget // their size) times. No cases when budget <= 0.
-        A coded space, and the `budget` draws of an open stackable space,
-        come as Blocks of at most BLOCK cases."""
+        Where the cases stack, they come as Blocks of at most BLOCK cases,
+        with the RNG consumed as case-by-case draws consume it."""
         if budget <= 0:
             return Plan((), exhaustive=False, space=self.size)
         if self.size is not None:
@@ -164,17 +179,13 @@ class CaseSpace:
                 raise ValueError("a product may sample at most one axis beside enumerated ones")
             counts = [a.count if _is_sampled(a) else _size(a) for a in axes]
             draws = max(1, budget // max(1, math.prod(c for c in counts if c is not None)))
-            lists = [
-                [a.draw(rng) for _ in range(draws if c is None else c)] if _is_sampled(a) else a
-                for a, c in zip(axes, counts)
-            ]
-            return Plan(_cases(CaseSpace.product(*lists, build=self.build)), exhaustive=False)
-        draw = self.draw
+            lists = [_draw_list(a, draws if c is None else c, rng) if _is_sampled(a) else a
+                     for a, c in zip(axes, counts)]
+            return Plan(_gathered(lists, self.build), exhaustive=False)
         if self.count is not None:
-            return Plan([draw(rng) for _ in range(self.count)], exhaustive=False)
-        if self.stack is not None:
-            return Plan(_blocks(self, budget, rng), exhaustive=False)
-        return Plan((draw(rng) for _ in range(budget)), exhaustive=False)
+            return Plan(_gathered([_draw_list(self, self.count, rng)], lambda case: case),
+                        exhaustive=False)
+        return Plan(_blocks(self, budget, rng), exhaustive=False)
 
 
 BLOCK = 512  # cases per block: a few hundred kB of SO(3) stacks per law
@@ -191,9 +202,16 @@ class Block:
 
 
 def _blocks(space: CaseSpace, budget: int, rng):
-    """`budget` draws of a stackable sampled space, BLOCK at a time: one
-    (k, width) uniform array per block, which consumes the RNG exactly as k
-    per-case draws do. A redrawn block stops drawing where its rerun stops."""
+    """`budget` draws of an open sampled space, BLOCK at a time, which take
+    the RNG exactly as per-case draws do: one (k, width) uniform array per
+    block where the space has a stack sampler, else k per-case draws of its
+    parts, from which the block is built once, stacked. A block's singles
+    redraw from its saved RNG state and stop drawing where their rerun stops.
+    Where a block's parts do not stack, the RNG goes back and every case
+    left comes on its own."""
+    parts, build = space.parts, space.build
+    if parts is None:
+        parts, build = (lambda rng: (space.draw(rng),)), (lambda case: case)
     for start in range(0, budget, BLOCK):
         k = min(BLOCK, budget - start)
         state = rng.bit_generator.state
@@ -202,7 +220,88 @@ def _blocks(space: CaseSpace, budget: int, rng):
             rng.bit_generator.state = state
             return (space.draw(rng) for _ in range(k))
 
-        yield Block(space.stack(rng.random((k, space.width))), k, redraw)
+        if space.stack is not None:
+            yield Block(space.stack(rng.random((k, space.width))), k, redraw)
+            continue
+        stacked = _stack([tuple(parts(rng)) for _ in range(k)])
+        if stacked is None:
+            yield from redraw(k=budget - start)
+            return
+        try:
+            cases = build(*stacked)
+        except CASE_ERRORS:
+            yield from redraw()
+            continue
+        yield Block(cases, k, redraw)
+
+
+def _draw_list(axis: CaseSpace, n: int, rng) -> list:
+    """n draws of a counted or enumerated sampled axis, as a list of cases:
+    one stack split into its cases where the axis has a stack sampler."""
+    if axis.stack is None:
+        return [axis.draw(rng) for _ in range(n)]
+    block = axis.stack(rng.random((n, axis.width)))
+    return [_take(block, i) for i in range(n)]
+
+
+def _gathered(lists: list, build: Callable):
+    """The product of finite lists in nested-loop order (last fastest), in
+    Blocks of BLOCK gathered from each list stacked once; singles come from
+    the lists. A product whose parts do not stack comes case by case."""
+    stacked = [_stack(a) for a in lists]
+    if any(s is None for s in stacked):
+        yield from _cases(CaseSpace.product(*lists, build=build))
+        return
+    sizes = [len(a) for a in lists]
+    total = math.prod(sizes)
+    for start in range(0, total, BLOCK):
+        i, picks = np.arange(start, min(start + BLOCK, total)), []
+        for size in reversed(sizes):
+            i, r = np.divmod(i, size)
+            picks.append(r)
+        picks.reverse()
+
+        def singles(picks=picks):
+            return (build(*(a[j] for a, j in zip(lists, js)))
+                    for js in zip(*(r.tolist() for r in picks)))
+
+        try:
+            cases = build(*map(_take, stacked, picks))
+        except CASE_ERRORS:
+            yield from singles()
+            continue
+        yield Block(cases, len(picks[0]), singles)
+
+
+def _stack(items):
+    """A sequence of k cases of one kind as one stacked case, or None where
+    they do not stack: SO(n) elements along a new first axis, paths as a
+    PathBlock, tuples and dataclasses part by part."""
+    try:
+        first = items[0]
+    except IndexError:  # an empty axis
+        return None
+    if isinstance(first, np.ndarray):
+        return np.stack(items)
+    if isinstance(first, SampledPath):
+        return PathBlock(items)
+    if isinstance(first, tuple):
+        parts = [_stack(p) for p in zip(*items)]
+        return None if any(p is None for p in parts) else tuple(parts)
+    if dataclasses.is_dataclass(first):
+        names = [f.name for f in dataclasses.fields(first)]
+        parts = [_stack([getattr(x, name) for x in items]) for name in names]
+        return None if any(p is None for p in parts) else type(first)(*parts)
+    return None
+
+
+def _take(block, i):
+    """Case i of a stacked case, or the stacked cases at an index array."""
+    if isinstance(block, tuple):
+        return tuple(_take(b, i) for b in block)
+    if dataclasses.is_dataclass(block):
+        return type(block)(*(_take(getattr(block, f.name), i) for f in dataclasses.fields(block)))
+    return block[i]
 
 
 def _is_coded(axis) -> bool:

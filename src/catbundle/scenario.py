@@ -58,7 +58,7 @@ def _checked_object(label: str, value, *fields: str) -> dict:
 def _index(key) -> int:
     try:
         return int(key)  # a cover index, written as a JSON object key
-    except ValueError:
+    except (TypeError, ValueError):
         raise ScenarioError(f"cover index must be an integer, got {key!r}") from None
 
 
@@ -242,24 +242,31 @@ class Scenario:
         spec = self._object("cocycle")
         mode = spec.get("mode", "constructive")
         if mode == "constructive":
-            rng = np.random.default_rng(int(spec.get("seed", self.seed)))
+            rng = np.random.default_rng(_checked_int("'cocycle.seed'", spec.get("seed", self.seed), 0))
             return constructive_cocycle(cover, cm, rng)
         if mode == "tables":
-            def load(table: dict, arity: int) -> dict:
+            def load(name: str, arity: int) -> dict:
                 out = {}
-                for key, pts in table.items():
+                for key, pts in _checked_object(f"'cocycle.{name}'", spec[name]).items():
                     idx = tuple(_index(t) for t in str(key).split(","))
                     if len(idx) != arity:
                         raise ScenarioError(f"cocycle key {key!r} has wrong arity")
+                    pts = _checked_object(f"'cocycle.{name}.{key}'", pts)
                     out[idx] = {pt: parse_element(cm.H, v) for pt, v in pts.items()}
                 return out
             _checked_object("'cocycle'", spec, "pairs", "triples")
-            return CocycleData(load(spec["pairs"], 2), load(spec["triples"], 3))
+            return CocycleData(load("pairs", 2), load("triples", 3))
         raise ScenarioError(f"unknown cocycle mode {mode!r}")
 
     def triple_tags(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         spec = self._object("triple", "lower", "upper")
-        return tuple(int(i) for i in spec["lower"]), tuple(int(i) for i in spec["upper"])
+
+        def tags(key: str) -> tuple[int, ...]:
+            if not isinstance(spec[key], list):
+                raise ScenarioError(f"triple.{key} must be a list of cover indices, got {spec[key]!r}")
+            return tuple(map(_index, spec[key]))
+
+        return tags("lower"), tags("upper")
 
     def functors(self, cm: CrossedModule, base: QuiverCategory) -> dict[str, dict]:
         """Object-level H tables, one per named functor declaration, each
@@ -275,11 +282,13 @@ class Scenario:
 
     def trivializations(self, cm: CrossedModule, cover: Cover) -> TrivializationFamily:
         spec = self._get("trivializations", required=False, default=None)
-        if spec is None or (isinstance(spec, dict) and "seed" in spec and len(spec) == 1):
-            seed = self.seed if spec is None else int(spec["seed"])
+        if spec is None or _checked_object("'trivializations'", spec).keys() == {"seed"}:
+            seed = self.seed if spec is None else _checked_int(
+                "'trivializations.seed'", spec["seed"], minimum=0)
             return TrivializationFamily.seeded(cm, cover, np.random.default_rng(seed))
         h_maps = {}
         for key, table in spec.items():
+            table = _checked_object(f"'trivializations.{key}'", table)
             h_maps[_index(key)] = {pt: parse_element(cm.H, v) for pt, v in table.items()}
         missing = set(cover.index_set) - set(h_maps)
         if missing:
@@ -313,7 +322,7 @@ class Scenario:
             return EtaMap.from_table(base, cm, {a: parse_element(cm.G, v) for a, v in table.items()})
         if "raw" in spec:
             values = {tuple(w for w in str(word).split(" ") if w): parse_element(cm.G, v)
-                      for word, v in spec["raw"].items()}
+                      for word, v in _checked_object("'eta.raw'", spec["raw"]).items()}
             default = spec.get("default")
             default = parse_element(cm.G, default) if default is not None else None
             return EtaMap.from_raw(self.quiver(), cm, values, default=default)

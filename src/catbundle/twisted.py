@@ -19,15 +19,23 @@ blocks: a block's TwistedMorphism holds arrays of quiver morphism codes (see
 `ok` is a per-case mask of `eq`s combined with `&` (and `<=` for freeness).
 The coded spaces give the cases of nested loops, in their order; a single
 case holds a QuiverMorphism and Python ints.
+
+On a path base the laws run in blocks too: a block's TwistedMorphism holds a
+PathBlock and SO(n) stacks, and eta on a PathBlock is one (k, n, n) stack. A
+transport twist keeps the values of the path leaves it has met while those
+leaves live, integrates the leaves a call has not met in one stacked call,
+and folds each path's value from its leaves', so a composite is the product
+of its cached pieces.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .basecat import CodeTable, QuiverCategory
+from .basecat import CodeTable, PathBlock, QuiverCategory
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
 from .groups import StructuralError, all_cases
 from .report import DEFAULT_BUDGET, CaseSpace, LawReport, run_law, sides_witness
@@ -35,7 +43,7 @@ from .report import DEFAULT_BUDGET, CaseSpace, LawReport, run_law, sides_witness
 
 @dataclass(frozen=True)
 class TwistedMorphism:
-    gamma: object  # QuiverMorphism or SampledPath
+    gamma: object  # QuiverMorphism or SampledPath, or a block's codes or PathBlock
     m: TwoGroupMorphism
 
 
@@ -46,7 +54,12 @@ class EtaMap:
     property holds structurally); raw mode evaluates a user callable and is
     how deliberately broken twists enter negative tests. On a block of codes
     of `base`'s morphisms, eta is looked up per code, and raises where the
-    callable does.
+    callable does; on a PathBlock it is the stack of its paths' values.
+
+    Transport mode (`decorated.eta_from_connection`) calls `fn` on a
+    PathBlock of directly-sampled paths, which gives their values stacked;
+    the value of any path is the product of its leaves' values over its
+    composition tree, and a leaf's value is kept while the leaf lives.
     """
 
     def __init__(self, base, cm: CrossedModule, fn: Callable, kind: str = "raw"):
@@ -55,18 +68,27 @@ class EtaMap:
         self._fn = fn
         self.kind = kind
         self._by_code = CodeTable(base, fn)
-        # memoized by path identity; entries keep the path alive so ids stay valid
-        self._cache: dict = {}
+        self._leaves = weakref.WeakKeyDictionary()  # transport mode: leaf -> value
 
     def __call__(self, gamma):
-        if self.kind != "transport":
-            return self._by_code(gamma) if isinstance(gamma, np.ndarray) else self._fn(gamma)
-        key = id(gamma)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = (gamma, self._fn(gamma))
-            self._cache[key] = hit
-        return hit[1]
+        if self.kind == "transport":
+            return self._transport(gamma)
+        if isinstance(gamma, np.ndarray):
+            return self._by_code(gamma)
+        if isinstance(gamma, PathBlock):
+            return np.array([self._fn(p) for p in gamma])
+        return self._fn(gamma)
+
+    def _transport(self, gamma):
+        """The product of the leaf values of one path, or their stack over a
+        PathBlock; the leaves not yet kept go through `fn` as one block."""
+        block = gamma if isinstance(gamma, PathBlock) else PathBlock((gamma,))
+        values = self._leaves
+        missing = [leaf for leaf in block.leaves() if leaf not in values]
+        if missing:
+            values.update(zip(missing, self._fn(PathBlock(missing))))
+        out = [p.fold(values.__getitem__, self.cm.G.mul) for p in block]
+        return out[0] if block is not gamma else np.array(out)
 
     @staticmethod
     def trivial(base, cm: CrossedModule) -> "EtaMap":
@@ -215,21 +237,23 @@ def composable_chains(bundle: TwistedBundle, n: int) -> CaseSpace:
             chain.append(TwistedMorphism(gamma, TwoGroupMorphism(h, bundle.target(chain[-1])[1])))
         return tuple(reversed(chain))
 
-    if not _coded(bundle):
-        def draw(rng):
-            gamma = base.random_path(rng)
-            tm1 = TwistedMorphism(gamma, cm.sample_morphism(rng))
-            legs = []
-            for _ in range(n - 1):
-                gamma = base.random_path(rng, start=gamma.end)
-                legs.append((gamma, cm.H.sample(rng)))
-            return fold(tm1, legs)
-
-        return CaseSpace.sampled(draw)
+    coded = _coded(bundle)
+    morphism = base.morphism if coded else (lambda gamma: gamma)
 
     def build(gamma1, h1, g1, *rest):
-        return fold(TwistedMorphism(base.morphism(gamma1), TwoGroupMorphism(h1, g1)),
-                    [(base.morphism(gamma), h) for gamma, h in zip(rest[::2], rest[1::2])])
+        return fold(TwistedMorphism(morphism(gamma1), TwoGroupMorphism(h1, g1)),
+                    [(morphism(gamma), h) for gamma, h in zip(rest[::2], rest[1::2])])
+
+    if not coded:  # the parts (gamma1, h1, g1, gamma2, h2, ...), drawn in that order
+        def parts(rng):
+            gamma = base.random_path(rng)
+            out = [gamma, cm.H.sample(rng), cm.G.sample(rng)]
+            for _ in range(n - 1):
+                gamma = base.random_path(rng, start=gamma.end)
+                out += [gamma, cm.H.sample(rng)]
+            return out
+
+        return CaseSpace.sampled(parts, build=build)
 
     size, codes = _chain_codes(base, n, len(cm.H.elements), len(cm.G.elements))
     return CaseSpace.coded(size, 2 * n + 1, codes, build)

@@ -1,15 +1,20 @@
-"""A test helper: CaseSpace plans as they come without blocks."""
+"""Test helpers: CaseSpace plans as they come without blocks, and parallel
+transport integrated one segment at a time."""
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from catbundle import report
+from catbundle.decorated import Connection
+from catbundle.groups import StructuralError, skew_expm1_batch
 
 
 @contextmanager
 def per_case_plans():
     """Inside, `CaseSpace.plan` gives every case on its own: no space counts
-    as coded, and an open stackable space is drawn one case per `draw`, so
+    as coded, an open sampled space is drawn one case per `draw`, and the
+    lists of a counted product are drawn case by case and enumerated, so
     each law's `ok` sees single cases only. A sampled plan decodes each
     pick with `space[i]`, which here decodes each case of a space once: a
     coded space decodes a single case with numpy calls, slow per pick."""
@@ -22,9 +27,45 @@ def per_case_plans():
             decoded[key] = space, getitem(space, i)  # the space keeps its id
         return decoded[key][1]
 
+    def draws(space, budget, rng):
+        return (space.draw(rng) for _ in range(budget))
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(report, "_is_coded", lambda axis: False)
-        mp.setattr(report, "_blocks",
-                   lambda space, budget, rng: (space.draw(rng) for _ in range(budget)))
+        mp.setattr(report, "_blocks", draws)
+        mp.setattr(report, "_draw_list", lambda axis, n, rng: list(draws(axis, n, rng)))
+        mp.setattr(report, "_gathered", lambda lists, build: report._cases(
+            report.CaseSpace.product(*lists, build=build)))
         mp.setattr(report.CaseSpace, "__getitem__", once)
         yield
+
+
+def _ordered_product(e: np.ndarray) -> np.ndarray:
+    """f[s-1] ··· f[0] for the factors f[j] = I + e[j] of one (s, n, n) stack,
+    by pairwise tree reduction, the later factor on the left."""
+    while len(e) > 1:
+        later, earlier = e[1::2], e[:len(e) - 1:2]
+        paired = later + earlier + later @ earlier
+        e = paired if len(e) % 2 == 0 else np.concatenate([paired, e[-1:]])
+    return np.eye(e.shape[-1]) + e[0]
+
+
+def reference_transport(conn: Connection, path, steps: int) -> np.ndarray:
+    """Transport integrated segment by segment: one evaluate, one
+    skew_expm1_batch and one ordered product per nonzero segment, folded
+    left in path order; a composite is the product of its pieces'."""
+    if path.pieces is not None:
+        first, second = path.pieces
+        return reference_transport(conn, second, steps) @ reference_transport(conn, first, steps)
+    if steps < 1:
+        raise StructuralError("need at least one integration substep per segment")
+    offsets = (np.arange(steps) + 0.5)[:, None]
+    total = None
+    for a, b in path.segments():
+        delta = b - a
+        if not np.any(delta):
+            continue
+        d = delta / steps
+        seg = _ordered_product(skew_expm1_batch(-conn.evaluate(a + offsets * d, d)))
+        total = seg if total is None else seg @ total
+    return np.eye(conn.group_dim) if total is None else total

@@ -363,6 +363,26 @@ MALFORMED = [
     ("cocycle-tables-without-pairs",
      _edited("s3_cocycle.json", lambda r: r.update(cocycle={"mode": "tables", "triples": {}})),
      ["--suite", "cocycle"]),
+    ("cocycle-tables-pairs-list", _edited("s3_cocycle.json", lambda r: r.update(
+        cocycle={"mode": "tables", "pairs": [], "triples": {}})), ["--suite", "cocycle"]),
+    ("cocycle-tables-entry-list", _edited("s3_cocycle.json", lambda r: r.update(
+        cocycle={"mode": "tables", "pairs": {"0,1": ["e"]}, "triples": {}})), ["--suite", "cocycle"]),
+    ("cocycle-seed-string", _edited("s3_cocycle.json", lambda r: r["cocycle"].update(seed="x")),
+     ["--suite", "cocycle"]),
+    ("triple-lower-not-an-index",
+     _edited("s3_cocycle.json", lambda r: r["triple"].update(lower=["x", 1, 2])), ["--suite", "prop51"]),
+    ("triple-upper-int", _edited("s3_cocycle.json", lambda r: r["triple"].update(upper=3)),
+     ["--suite", "transition-cocycle"]),
+    ("trivializations-list", _edited("s3_cocycle.json", lambda r: r.update(trivializations=[])),
+     ["--suite", "transition-cocycle"]),
+    ("trivializations-entry-list",
+     _edited("s3_cocycle.json", lambda r: r.update(trivializations={"0": ["e"]})),
+     ["--suite", "transition-cocycle"]),
+    ("trivializations-seed-string",
+     _edited("s3_cocycle.json", lambda r: r.update(trivializations={"seed": "x"})),
+     ["--suite", "transition-cocycle"]),
+    ("eta-raw-list", _edited("z4_twist.json", lambda r: r.update(eta={"raw": [1]})),
+     ["--suite", "twisted-bundle"]),
     *[(f"{label}-{'transport' if argv[0] == 'transport' else argv[1]}", raw, argv)
       for label, raw, argvs in PATH_BASE_CONTRADICTIONS for argv in argvs],
 ]

@@ -220,7 +220,7 @@ def test_two_horizontal_lifts_compose_to_the_lift_of_the_composite():
 def test_decoration_order_differs_from_vertical_composition_on_s3():
     # flat finite instance: transport is trivially the identity
     base = PathCategory(1)
-    eta = EtaMap(base, S3, lambda gamma: S3.G.identity, kind="transport")
+    eta = EtaMap.trivial(base, S3)
     db = DecoratedBundle(S3, eta)
     h1 = S3.H.code(perm_from_cycles("(0 1)", 3))
     h2 = S3.H.code(perm_from_cycles("(0 2)", 3))

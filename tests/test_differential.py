@@ -1,15 +1,13 @@
-"""Blocks against single cases: every shipped scenario × suite on a quiver
-and every input behind a committed golden gives the same JSONL bytes on seeds
-1-3 with blocked plans as with every case checked on its own, and no witness
-or error message formats a block. No plan on a path base comes in blocks, so
-those suites run once, and the test says so."""
+"""Blocks against single cases: every shipped scenario × suite, on a quiver
+or a path base, and every input behind a committed golden gives the same
+JSONL bytes on seeds 1-3 with blocked plans as with every case checked on its
+own, and no witness or error message formats a block."""
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from catbundle import report
 from catbundle.basecat import QuiverCategory
 from catbundle.bundle import (
     enumerate_functors,
@@ -31,6 +29,7 @@ from catbundle.twisted import (
 from per_case import per_case_plans
 from test_finite_blocks import alpha_mutant as s3_mutant
 from test_so_blocks import alpha_mutant as so3_mutant
+from test_transport_stack import transport_mutant_jsonl
 
 SCEN = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -39,12 +38,10 @@ def chain(word_bound: int = 3) -> QuiverCategory:
     return QuiverCategory(["a", "b", "c"], [("f", "a", "b"), ("g", "b", "c")], word_bound)
 
 
-def shipped(kind=None):
+def shipped():
     for path in sorted(SCEN.glob("*.json")):
-        raw = json.loads(path.read_text())
-        if kind in (None, raw["base"]["kind"]):
-            for suite in raw.get("suites", []):
-                yield path.stem, suite
+        for suite in json.loads(path.read_text()).get("suites", []):
+            yield path.stem, suite
 
 
 def shipped_jsonl(name: str, suite: str, seed: int) -> str:
@@ -82,8 +79,8 @@ def loop_jsonl(seed: int) -> str:
             + twisted_jsonl(base, cm, EtaMap.from_table(base, cm, {"l": 4}), 20000, seed))
 
 
-# the inputs of the goldens of test_finite_blocks, test_so_blocks and
-# test_twisted_blocks, each as a function of the seed
+# the inputs of the goldens of test_finite_blocks, test_so_blocks,
+# test_twisted_blocks and test_transport_stack, each as a function of the seed
 GOLDEN_INPUTS = {
     **{f"s3_alpha_mutant_{b}": lambda seed, b=b: crossed_jsonl(s3_mutant(), b, seed)
        for b in (200, 1000, 46656)},
@@ -94,6 +91,8 @@ GOLDEN_INPUTS = {
        for b in (300, 20000)},
     **{f"so3_alpha_mutant_{t}": lambda seed, t=t: crossed_jsonl(so3_mutant(t), 3000, seed)
        for t in (0.99, 0.999)},
+    **{f"so3_alpha_mutant_transport_{t}": lambda seed, t=t: transport_mutant_jsonl(t, seed)
+       for t in (0.9, 0.99)},
     "s3_loop_quiver": loop_jsonl,
     "s3_raw_eta_undefined": lambda seed: raw_eta_jsonl(3, 1, seed),
     "s3_raw_eta_undefined_elsewhere_trivial": lambda seed: raw_eta_jsonl(0, 0, seed),
@@ -101,24 +100,11 @@ GOLDEN_INPUTS = {
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("name, suite", list(shipped("quiver")))
+@pytest.mark.parametrize("name, suite", list(shipped()))
 def test_shipped_suites_give_the_same_bytes_per_case(name, suite, seed):
     blocked = shipped_jsonl(name, suite, seed)
     with per_case_plans():
         assert shipped_jsonl(name, suite, seed) == blocked
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("name, suite", list(shipped("paths")))
-def test_path_base_suites_plan_no_block(name, suite, seed, monkeypatch):
-    # so a per-case run would repeat this one exactly; once path plans come
-    # in blocks, this fails, and these suites belong in the test above
-    blocked = []
-    for fn in ("_blocks", "_coded_blocks"):
-        monkeypatch.setattr(report, fn, lambda *args, fn=getattr(report, fn): (
-            blocked.append(args) or fn(*args)))
-    shipped_jsonl(name, suite, seed)
-    assert not blocked
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

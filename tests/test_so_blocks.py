@@ -2,6 +2,7 @@
 pinned by committed goldens, block draws against per-case draws, run_law's
 case-by-case rerun of a failing block, and the stacked group operations."""
 import math
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from catbundle.crossed import (
     verify_exchange_law,
 )
 from catbundle.groups import SpecialOrthogonalGroup
-from catbundle.report import BLOCK, Block, CaseSpace, run_law
+from catbundle.report import BLOCK, Block, CaseSpace, _draw_list, run_law
 from per_case import per_case_plans
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -96,8 +97,23 @@ def test_block_draws_equal_per_case_draws_bitwise(n, slots):
     assert block_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_counted_axes_drawn_as_one_stack_equal_per_case_samples_bitwise(n):
+    # a counted SO(n) axis of a product is drawn as one stack and split
+    cm = get_module(f"so{n}-conj")
+    for axis, sample in ((CaseSpace.carrier(cm.G, 500), lambda rng: (cm.G.sample(rng),)),
+                         (cm.morphism_space(500), lambda rng: astuple(cm.sample_morphism(rng)))):
+        stack_rng, case_rng = np.random.default_rng(9), np.random.default_rng(9)
+        drawn = _draw_list(axis, 500, stack_rng)
+        reference = [sample(case_rng) for _ in range(500)]
+        flat = [(m,) if isinstance(m, np.ndarray) else astuple(m) for m in drawn]
+        assert _bits(flat) == _bits(reference)
+        assert stack_rng.bit_generator.state == case_rng.bit_generator.state
+
+
 def test_which_plans_come_in_blocks():
-    # every coded or open stackable space comes in blocks; there is no switch
+    # every coded space, open stackable space and product of counted axes
+    # whose cases stack comes in blocks; there is no switch
     rng = np.random.default_rng(0)
     so2 = get_module("so2-conj").G
     assert all(isinstance(c, Block) for c in _slot_spaces(2, "hh").plan(600, rng))
@@ -108,7 +124,7 @@ def test_which_plans_come_in_blocks():
     listed = CaseSpace.product(list(s3.elements), range(2))
     assert list(listed.plan(600, rng)) == [(g, i) for g in range(6) for i in range(2)]
     counted = CaseSpace.product(CaseSpace.carrier(so2, 4), CaseSpace.carrier(so2))
-    assert not any(isinstance(c, Block) for c in counted.plan(600, rng))
+    assert all(isinstance(c, Block) for c in counted.plan(600, rng))
     unstackable = CaseSpace.product(CaseSpace.sampled(lambda r: r.random()), CaseSpace.carrier(so2))
     assert not any(isinstance(c, Block) for c in unstackable.plan(600, rng))
 
