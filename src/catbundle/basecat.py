@@ -27,6 +27,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .groups import CompositionUndefined
+from .stream import Stream
 
 DEFAULT_WORD_BOUND = 4
 DEFAULT_PT_TOL = 1e-12
@@ -368,7 +369,7 @@ class PathCategory:
         a, b = a.dedup(self.eps_pt), b.dedup(self.eps_pt)
         return a.shape == b.shape and bool(np.array_equal(a, b))
 
-    def random_path(self, rng: np.random.Generator, n_segments: int | None = None,
+    def random_path(self, rng: Stream, n_segments: int | None = None,
                     start=None, scale: float = 1.0) -> SampledPath:
         """Seeded random piecewise-linear path used by sampled suites."""
         if n_segments is None:

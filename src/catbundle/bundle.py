@@ -30,6 +30,7 @@ from .basecat import CodeTable, QuiverCategory
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
 from .groups import StructuralError, all_cases, every
 from .report import DEFAULT_BUDGET, CaseSpace, LawReport, run_law, sides_witness
+from .stream import Stream
 from .twisted import (
     EtaMap,
     TwistedBundle,
@@ -175,12 +176,12 @@ def functor_invariant_witness(F: FunctorUG) -> dict | None:
 
 def verify_prop31_roundtrip(base: QuiverCategory, cm: CrossedModule,
                             budget: int = DEFAULT_BUDGET,
-                            rng: np.random.Generator | None = None) -> LawReport:
+                            rng: Stream | None = None) -> LawReport:
     """Every functor built from an object-level H-map satisfies the encoding
     invariants exactly, with exhaustive functoriality; and the telescoping
     form of the composite H-value matches the generator fold. A block of
     cases is one functor whose tables hold stacked values."""
-    rng = rng or np.random.default_rng(0)
+    rng = rng or Stream(0)
     report = LawReport(suite="prop31-roundtrip")
     H = CaseSpace.carrier(cm.H)
 
@@ -309,7 +310,7 @@ def verify_GU_categorical_group(
     base: QuiverCategory,
     cm: CrossedModule,
     budget: int = DEFAULT_BUDGET,
-    rng: np.random.Generator | None = None,
+    rng: Stream | None = None,
 ) -> LawReport:
     """Certify that functors base -> G and their transformations form a
     categorical group: both group structures, s/t/identity-assignment
@@ -320,7 +321,7 @@ def verify_GU_categorical_group(
     object, and a vertical chain by its first transformation and then the hT
     of each next one (the same cases, in the same order, as the nested loops
     over functors and hT tables). Every law runs in blocks of such codes."""
-    rng = rng or np.random.default_rng(0)
+    rng = rng or Stream(0)
     report = LawReport(suite="prop34-gu-group")
     objects, arrows = base.objects, list(base.arrows)
     Fs = enumerate_functors(base, cm)
@@ -473,8 +474,8 @@ class SectionIso:
 
 
 def verify_section_iso(F: FunctorUG, budget: int = DEFAULT_BUDGET,
-                       rng: np.random.Generator | None = None) -> LawReport:
-    rng = rng or np.random.default_rng(0)
+                       rng: Stream | None = None) -> LawReport:
+    rng = rng or Stream(0)
     report = LawReport(suite="prop41-section")
     base, cm = F.base, F.cm
     if not cm.is_finite:
@@ -570,8 +571,7 @@ class ExtractionRefused(ValueError):
 def _spread(group, k: int, start: int) -> np.ndarray:
     """A stack of k fixed elements spread over an infinite group, from
     points start, ..., start + k - 1 of the Kronecker sequence of sqrt(2),
-    sqrt(3) and sqrt(5): no suite stream moves, and numpy.random (slow to
-    import on first use) stays unimported."""
+    sqrt(3) and sqrt(5), so that no suite stream moves."""
     alphas = np.sqrt([2.0, 3.0, 5.0][:group.width]) % 1.0
     return group.sample_stack((np.arange(start, start + k)[:, None] * alphas) % 1.0)
 
@@ -625,10 +625,10 @@ def extract_functor(phi: SectionIso | object, base: QuiverCategory, cm: CrossedM
 
 
 def verify_composition_correspondence(F2: FunctorUG, F1: FunctorUG, budget: int = DEFAULT_BUDGET,
-                                      rng: np.random.Generator | None = None) -> LawReport:
+                                      rng: Stream | None = None) -> LawReport:
     """Composition of the induced bundle automorphisms corresponds to the
     pointwise product of the functors."""
-    rng = rng or np.random.default_rng(0)
+    rng = rng or Stream(0)
     report = LawReport(suite="prop42-correspondence")
     base, cm = F1.base, F1.cm
     phi2, phi1 = SectionIso(F2), SectionIso(F1)
@@ -655,12 +655,12 @@ def verify_composition_correspondence(F2: FunctorUG, F1: FunctorUG, budget: int 
 
 def verify_bundle_axioms(base: QuiverCategory, cm: CrossedModule,
                          budget: int = DEFAULT_BUDGET,
-                         rng: np.random.Generator | None = None) -> LawReport:
+                         rng: Stream | None = None) -> LawReport:
     """Principal-bundle axioms for the product bundle: surjectivity, freeness
     and fiber-transitivity of the action, plus category laws upstairs."""
     if not cm.is_finite:
         raise StructuralError("the product-bundle axioms need a finite crossed module")
-    rng = rng or np.random.default_rng(0)
+    rng = rng or Stream(0)
     report = LawReport(suite="bundle-axioms")
     bundle = TwistedBundle(base, cm, EtaMap.trivial(base, cm))
 

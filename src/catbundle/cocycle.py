@@ -24,6 +24,7 @@ from .bundle import FunctorUG, NatTransf, _spread, functor_invariant_witness, fu
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
 from .groups import StructuralError, all_cases, every
 from .report import DEFAULT_BUDGET, CaseSpace, LawReport, run_law, sides_witness
+from .stream import Stream
 
 Tag = tuple[int, ...]
 OverlapObject = tuple[Tag, str]
@@ -184,7 +185,7 @@ class CocycleData:
 
 
 def constructive_cocycle(cover: Cover, cm: CrossedModule,
-                         rng: np.random.Generator) -> CocycleData:
+                         rng: Stream) -> CocycleData:
     """Seeded random h_ij with h_ijk := h_ij·h_jk·h_ik^-1, which satisfies the
     cocycle condition by construction."""
     pairs: dict = {}
@@ -204,9 +205,9 @@ def constructive_cocycle(cover: Cover, cm: CrossedModule,
 
 def verify_cocycle_condition(data: CocycleData, cover: Cover, cm: CrossedModule,
                              budget: int = DEFAULT_BUDGET,
-                             rng: np.random.Generator | None = None) -> LawReport:
+                             rng: Stream | None = None) -> LawReport:
     """h_ijk·h_ik = h_ij·h_jk at every triple-overlap point."""
-    rng = rng or np.random.default_rng(0)
+    rng = rng or Stream(0)
     report = LawReport(suite="cocycle")
     cases = [
         (i, j, k, pt)
@@ -305,11 +306,11 @@ def triple_transformation(data: CocycleData, cm: CrossedModule,
 
 
 def verify_prop51(data: CocycleData, cm: CrossedModule, triple: OverlapCategory,
-                  budget: int = DEFAULT_BUDGET, rng: np.random.Generator | None = None) -> LawReport:
+                  budget: int = DEFAULT_BUDGET, rng: Stream | None = None) -> LawReport:
     """Certify the triple-overlap transformation: theta functor laws, the
     object-level gauge relation, the gauge-transformed H-component identity,
     and the naturality square."""
-    rng = rng or np.random.default_rng(0)
+    rng = rng or Stream(0)
     report = LawReport(suite="prop51")
     T = triple_transformation(data, cm, triple)
     P, th_im = T.target, T.source
@@ -403,7 +404,7 @@ class TrivializationFamily:
         self.h_maps = h_maps  # index -> {point: H}
 
     @staticmethod
-    def seeded(cm: CrossedModule, cover: Cover, rng: np.random.Generator) -> "TrivializationFamily":
+    def seeded(cm: CrossedModule, cover: Cover, rng: Stream) -> "TrivializationFamily":
         h_maps = {
             i: {pt: cm.H.sample(rng) for pt in sorted(cover.sets[i])}
             for i in cover.index_set
@@ -448,11 +449,11 @@ def transition_from_trivializations(phi_to: MixedTrivialization,
 
 def verify_transition_cocycle(family: TrivializationFamily, base: QuiverCategory,
                               lower_triple: Tag, upper_triple: Tag, budget: int = DEFAULT_BUDGET,
-                              rng: np.random.Generator | None = None) -> LawReport:
+                              rng: Stream | None = None) -> LawReport:
     """sigma_ik^jl · sigma_km^ln = sigma_im^jn on the triple overlap, as an
     exact equality of functors; plus self-transitions are the identity and
     transitions are functors."""
-    rng = rng or np.random.default_rng(0)
+    rng = rng or Stream(0)
     report = LawReport(suite="transition-cocycle")
     cm, cover = family.cm, family.cover
     i, k, m_ = lower_triple

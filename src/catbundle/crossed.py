@@ -30,6 +30,7 @@ from .groups import (
     is_block,
 )
 from .report import DEFAULT_BUDGET, CaseSpace, LawReport, run_law, sides_witness
+from .stream import Stream
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ class CrossedModule:
     def is_finite(self) -> bool:
         return self.G.is_finite and self.H.is_finite
 
-    def sample_morphism(self, rng: np.random.Generator) -> TwoGroupMorphism:
+    def sample_morphism(self, rng: Stream) -> TwoGroupMorphism:
         return TwoGroupMorphism(self.H.sample(rng), self.G.sample(rng))
 
     def morphism_space(self, count: int | None = None) -> CaseSpace:
@@ -169,31 +170,48 @@ def _lookups(name: str, G: Group, H: Group, alpha_table: np.ndarray, tau_table: 
 
 # -- verification --
 
-def _check_carriers(cm: CrossedModule, rng: np.random.Generator, n: int = 64) -> None:
+def _check_carriers(cm: CrossedModule, rng: Stream, n: int = 64) -> None:
     """Structural probe, distinct from axiom failure: alpha must land in H
-    and tau in G."""
-    for _ in range(n):
-        g = cm.G.sample(rng)
-        h = cm.H.sample(rng)
-        if not cm.G.contains(cm.tau(h)):
-            raise StructuralError(f"tau({cm.H.fmt(h)}) is not an element of {cm.G.name}")
-        if not cm.H.contains(cm.alpha(g, h)):
-            raise StructuralError(
-                f"alpha_{cm.G.fmt(g)}({cm.H.fmt(h)}) is not an element of {cm.H.name}"
-            )
+    and tau in G, on n sampled (g, h) pairs. On SO(n) carriers the pairs come
+    as one (n, G.width + H.width) block of draws, those of n (g, h) samples in
+    turn, checked as stacks; the first failing pair raises as it would one
+    pair at a time."""
+    G, H = cm.G, cm.H
+    if G.width is None or H.width is None:
+        for _ in range(n):
+            g = G.sample(rng)
+            h = H.sample(rng)
+            if not G.contains(cm.tau(h)):
+                raise _carrier_error(cm, "tau", g, h)
+            if not H.contains(cm.alpha(g, h)):
+                raise _carrier_error(cm, "alpha", g, h)
+        return
+    u = rng.random((n, G.width + H.width))
+    g, h = G.sample_stack(u[:, :G.width]), H.sample_stack(u[:, G.width:])
+    tau_in, alpha_in = G.contains_stack(cm.tau(h)), H.contains_stack(cm.alpha(g, h))
+    bad = np.flatnonzero(~(tau_in & alpha_in))
+    if len(bad):
+        i = bad[0]
+        raise _carrier_error(cm, "alpha" if tau_in[i] else "tau", g[i], h[i])
+
+
+def _carrier_error(cm: CrossedModule, which: str, g: Element, h: Element) -> StructuralError:
+    if which == "tau":
+        return StructuralError(f"tau({cm.H.fmt(h)}) is not an element of {cm.G.name}")
+    return StructuralError(f"alpha_{cm.G.fmt(g)}({cm.H.fmt(h)}) is not an element of {cm.H.name}")
 
 
 def verify_crossed_module(
     cm: CrossedModule,
     sample_budget: int = DEFAULT_BUDGET,
-    rng: np.random.Generator | None = None,
+    rng: Stream | None = None,
 ) -> LawReport:
     """Certify the crossed-module axioms, with witnesses on failure.
 
     Checks tau-homomorphism, alpha_g in Aut(H), g -> alpha_g homomorphism,
     the Peiffer law, plus source/target/identity-assignment homomorphism
     properties of the induced maps on H ⋊ G."""
-    rng = rng or np.random.default_rng(0)
+    rng = rng or Stream(0)
     _check_carriers(cm, rng)
     report = LawReport(suite="crossed-module")
     G, H = cm.G, cm.H
@@ -266,11 +284,11 @@ def verify_crossed_module(
 def verify_exchange_law(
     cm: CrossedModule,
     sample_budget: int = DEFAULT_BUDGET,
-    rng: np.random.Generator | None = None,
+    rng: Stream | None = None,
 ) -> LawReport:
     """(phi2 psi2) ∘ (phi1 psi1) = (phi2 ∘ phi1)(psi2 ∘ psi1) on composable
     quadruples."""
-    rng = rng or np.random.default_rng(0)
+    rng = rng or Stream(0)
     report = LawReport(suite="exchange-law")
 
     def build(h1, g1, h2, k1, u1, k2):

@@ -22,6 +22,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from .stream import Stream
+
 Element = Any
 
 DEFAULT_GRP_TOL = 1e-9
@@ -81,7 +83,7 @@ class Group:
     def contains(self, a: Element) -> bool:
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator) -> Element:
+    def sample(self, rng: Stream) -> Element:
         if self.elements is None:
             raise NotImplementedError
         return self.elements[int(rng.integers(len(self.elements)))]
@@ -342,10 +344,13 @@ class SpecialOrthogonalGroup(Group):
 
     def contains(self, a: Element) -> bool:
         a = np.asarray(a)
-        if a.shape != (self.n, self.n):
-            return False
-        ortho = np.max(np.abs(a @ a.T - np.eye(self.n))) <= 1e-7
-        return bool(ortho and np.linalg.det(a) > 0)
+        return a.shape == (self.n, self.n) and bool(self.contains_stack(a[None])[0])
+
+    def contains_stack(self, a: np.ndarray) -> np.ndarray:
+        """`contains` per case of a (k, n, n) stack: orthogonal within 1e-7,
+        with a positive determinant."""
+        ortho = np.abs(a @ a.swapaxes(-1, -2) - np.eye(self.n)).max(axis=(-2, -1)) <= 1e-7
+        return ortho & (np.linalg.det(a) > 0)
 
     def sample_stack(self, u: np.ndarray) -> np.ndarray:
         """k elements from a (k, width) block of uniform [0, 1) draws, or one
@@ -358,7 +363,7 @@ class SpecialOrthogonalGroup(Group):
             return rotation2(angles[..., 0])
         return skew_exp(skew3(angles))
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, rng: Stream) -> np.ndarray:
         return self.sample_stack(rng.random(self.width))
 
     def fmt(self, a: np.ndarray) -> str:

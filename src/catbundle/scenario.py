@@ -32,6 +32,7 @@ from .groups import (
     skew_exp,
 )
 from .report import DEFAULT_BUDGET
+from .stream import Stream
 from .twisted import EtaMap
 
 
@@ -242,7 +243,7 @@ class Scenario:
         spec = self._object("cocycle")
         mode = spec.get("mode", "constructive")
         if mode == "constructive":
-            rng = np.random.default_rng(_checked_int("'cocycle.seed'", spec.get("seed", self.seed), 0))
+            rng = Stream(_checked_int("'cocycle.seed'", spec.get("seed", self.seed), 0))
             return constructive_cocycle(cover, cm, rng)
         if mode == "tables":
             def load(name: str, arity: int) -> dict:
@@ -285,7 +286,7 @@ class Scenario:
         if spec is None or _checked_object("'trivializations'", spec).keys() == {"seed"}:
             seed = self.seed if spec is None else _checked_int(
                 "'trivializations.seed'", spec["seed"], minimum=0)
-            return TrivializationFamily.seeded(cm, cover, np.random.default_rng(seed))
+            return TrivializationFamily.seeded(cm, cover, Stream(seed))
         h_maps = {}
         for key, table in spec.items():
             table = _checked_object(f"'trivializations.{key}'", table)

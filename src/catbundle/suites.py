@@ -3,12 +3,9 @@ dispatches to the module-level verify operations. Suite names follow the law
 registry ("prop31-roundtrip", "prop51", "prop62", "exchange-law", ...)."""
 from __future__ import annotations
 
-import functools
 import zlib
 from dataclasses import replace
 from typing import Callable
-
-import numpy as np
 
 from . import bundle as bundle_mod
 from .basecat import QuiverCategory
@@ -19,30 +16,14 @@ from .cocycle import OverlapCategory
 from .crossed import verify_crossed_module, verify_exchange_law
 from .report import LawReport
 from .scenario import Scenario, ScenarioError
+from .stream import Stream
 from .twisted import TwistedBundle
 
 
-class _LazyRng:
-    """`np.random.default_rng(entropy)`, made when first used, so that a
-    suite whose plans are all exhaustive never imports numpy.random (10-15 ms
-    of a CLI run). Each attribute is read from the generator once and kept."""
-
-    def __init__(self, entropy):
-        self._entropy = entropy
-
-    @functools.cached_property
-    def _rng(self) -> np.random.Generator:
-        return np.random.default_rng(self._entropy)
-
-    def __getattr__(self, name):  # only for names not yet kept
-        value = self.__dict__[name] = getattr(self._rng, name)
-        return value
-
-
-def suite_rng(seed: int, suite: str) -> np.random.Generator:
+def suite_rng(seed: int, suite: str) -> Stream:
     """Deterministic, suite-independent stream: reordering suites does not
     change any suite's samples."""
-    return _LazyRng([seed, zlib.crc32(suite.encode())])
+    return Stream([seed, zlib.crc32(suite.encode())])
 
 
 def _crossed_module_suite(sc: Scenario) -> LawReport:

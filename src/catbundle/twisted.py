@@ -39,6 +39,7 @@ from .basecat import CodeTable, PathBlock, QuiverCategory
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
 from .groups import StructuralError, all_cases
 from .report import DEFAULT_BUDGET, CaseSpace, LawReport, run_law, sides_witness
+from .stream import Stream
 
 
 @dataclass(frozen=True)
@@ -303,11 +304,11 @@ def _chain_codes(base: QuiverCategory, n: int, nh: int, ng: int):
 
 
 def verify_twisted_bundle(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
-                          rng: np.random.Generator | None = None) -> LawReport:
+                          rng: Stream | None = None) -> LawReport:
     """Certify that the twist gives a categorical principal bundle:
     eta homomorphism, boundary coherence of composition, associativity,
     units, and the principal-bundle axioms for the right action."""
-    rng = rng or np.random.default_rng(0)
+    rng = rng or Stream(0)
     cm = bundle.cm
     report = LawReport(suite="twisted-bundle")
 
@@ -438,11 +439,11 @@ def action_composition_ok(bundle: TwistedBundle, chain, pair):
 
 
 def verify_E_properties(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
-                        rng: np.random.Generator | None = None) -> LawReport:
+                        rng: Stream | None = None) -> LawReport:
     """The action of the base on the group: identity behavior in both
     variables, compatibility with both compositions, and agreement of the
     E-form of twisted composition with the direct formula."""
-    rng = rng or np.random.default_rng(0)
+    rng = rng or Stream(0)
     cm = bundle.cm
     report = LawReport(suite="e-action")
 
@@ -500,9 +501,9 @@ def verify_E_properties(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
 
 
 def verify_action_functorial(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
-                             rng: np.random.Generator | None = None) -> LawReport:
+                             rng: Stream | None = None) -> LawReport:
     """The right action commutes with s_eta, t_eta, and twisted composition."""
-    rng = rng or np.random.default_rng(0)
+    rng = rng or Stream(0)
     cm = bundle.cm
     report = LawReport(suite="twisted-action")
 

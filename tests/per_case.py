@@ -1,11 +1,12 @@
-"""Test helpers: CaseSpace plans as they come without blocks, and parallel
-transport integrated one segment at a time."""
+"""Test helpers: CaseSpace plans as they come without blocks, a check that
+every block of a passing law holds whole, and parallel transport integrated
+one segment at a time."""
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from catbundle import report
+from catbundle import bundle, cocycle, crossed, decorated, report, twisted
 from catbundle.decorated import Connection
 from catbundle.groups import StructuralError, skew_expm1_batch
 
@@ -38,6 +39,28 @@ def per_case_plans():
             report.CaseSpace.product(*lists, build=build)))
         mp.setattr(report.CaseSpace, "__getitem__", once)
         yield
+
+
+def whole_blocks(monkeypatch) -> dict:
+    """Rebinds `run_law` wherever a law calls it: each law's plan is listed
+    first, and the mask of every Block in it must hold on all its cases.
+    run_law reruns a block from its first False case by case, which gives
+    the same report, so a block path that wrongly says False only costs time
+    unless this checks it. Returns {law: [blocks, single cases]}."""
+    seen = {}
+
+    def run_law(law, anchor, plan, ok, witness):
+        items = list(plan)
+        blocks = [item for item in items if isinstance(item, report.Block)]
+        seen[law] = [len(blocks), len(items) - len(blocks)]
+        for block in blocks:
+            assert np.all(ok(block.cases)), law
+        return report.run_law(law, anchor, report.Plan(items, plan.exhaustive, plan.space),
+                              ok, witness)
+
+    for module in (bundle, cocycle, crossed, decorated, twisted):
+        monkeypatch.setattr(module, "run_law", run_law)
+    return seen
 
 
 def _ordered_product(e: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -120,16 +121,29 @@ def test_console_script_entry_point():
     assert "s3-conj" in proc.stdout
 
 
-def test_a_suite_that_samples_nothing_makes_no_generator(tmp_path):
-    # every prop42-correspondence law fits the budget, so its suite stream is
-    # never drawn from, and numpy.random (10-15 ms to import) stays unimported
-    code = ("import sys; from catbundle.cli import main; "
-            f"rc = main(['run', '--scenario', {str(SCEN / 's3_quiver.json')!r}, "
-            "'--suite', 'prop42-correspondence', '--format', 'jsonl', "
-            f"'--out', {str(tmp_path / 'out.jsonl')!r}]); "
+def _shipped_cli_runs():
+    for path in sorted(SCEN.glob("*.json")):
+        raw = json.loads(path.read_text())
+        for suite in raw.get("suites", []):
+            yield pytest.param(["run", "--scenario", str(path), "--suite", suite, "--format", "jsonl"],
+                               id=f"{path.stem}/{suite}")
+        for pid in raw.get("base", {}).get("paths", {}):
+            yield pytest.param(["transport", "--scenario", str(path), "--path", pid],
+                               id=f"{path.stem}/transport/{pid}")
+
+
+@pytest.mark.parametrize("argv", _shipped_cli_runs())
+def test_no_cli_run_imports_numpy_random(argv):
+    # catbundle.stream draws numpy's PCG64 stream itself, so no run pays the
+    # 10-15 ms import of numpy.random; its bitwise parity with default_rng is
+    # test_stream's, since a passing report cannot tell a wrong stream
+    code = ("import contextlib, io, sys; from catbundle.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()): rc = main(sys.argv[1:])\n"
             "print(rc, 'numpy.random' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.stdout.split() == ["0", "False"], proc.stderr
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    rc, imported = proc.stdout.split()
+    assert rc in ("0", "1") and imported == "False", proc.stderr
 
 
 def test_every_verify_operation_is_reachable_from_a_suite(monkeypatch):

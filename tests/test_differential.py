@@ -1,7 +1,8 @@
 """Blocks against single cases: every shipped scenario × suite, on a quiver
 or a path base, and every input behind a committed golden gives the same
 JSONL bytes on seeds 1-3 with blocked plans as with every case checked on its
-own, and no witness or error message formats a block."""
+own; every block of a passing shipped quiver law holds whole; and no witness
+or error message formats a block."""
 import json
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from catbundle.twisted import (
     verify_E_properties,
     verify_twisted_bundle,
 )
-from per_case import per_case_plans
+from per_case import per_case_plans, whole_blocks
 from test_finite_blocks import alpha_mutant as s3_mutant
 from test_so_blocks import alpha_mutant as so3_mutant
 from test_transport_stack import transport_mutant_jsonl
@@ -105,6 +106,23 @@ def test_shipped_suites_give_the_same_bytes_per_case(name, suite, seed):
     blocked = shipped_jsonl(name, suite, seed)
     with per_case_plans():
         assert shipped_jsonl(name, suite, seed) == blocked
+
+
+# on a quiver, every twisted-bundle, e-action and bundle-axioms law runs in
+# blocks but b1-surjectivity, whose space mixes objects and morphisms
+IN_BLOCKS = {"twisted-bundle", "e-action", "bundle-axioms"}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name, suite", [
+    (name, suite) for name, suite in shipped() if not name.startswith("negative")
+    and json.loads((SCEN / f"{name}.json").read_text())["base"]["kind"] == "quiver"])
+def test_shipped_quiver_laws_pass_in_whole_blocks(name, suite, seed, monkeypatch):
+    raw = json.loads((SCEN / f"{name}.json").read_text())
+    seen = whole_blocks(monkeypatch)
+    assert run_suite(Scenario({**raw, "seed": seed}), suite).passed
+    if suite in IN_BLOCKS:
+        assert all(singles == 0 for law, (_, singles) in seen.items() if law != "b1-surjectivity")
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -1,6 +1,8 @@
 """Sampled SO(n) laws run on blocks of stacked cases: a failing SO(3) module
-pinned by committed goldens, block draws against per-case draws, run_law's
-case-by-case rerun of a failing block, and the stacked group operations."""
+pinned by committed goldens (drawn by numpy's generator and by catbundle's
+Stream), passing modules whose every block holds whole, block draws against
+per-case draws, the carrier probe on one block, run_law's case-by-case rerun
+of a failing block, and the stacked group operations."""
 import math
 from dataclasses import astuple
 from pathlib import Path
@@ -13,13 +15,15 @@ from catbundle.bundle import verify_prop31_roundtrip
 from catbundle.crossed import (
     CompositionUndefined,
     CrossedModule,
+    _check_carriers,
     get_module,
     verify_crossed_module,
     verify_exchange_law,
 )
-from catbundle.groups import SpecialOrthogonalGroup
+from catbundle.groups import SpecialOrthogonalGroup, StructuralError
 from catbundle.report import BLOCK, Block, CaseSpace, _draw_list, run_law
-from per_case import per_case_plans
+from catbundle.stream import Stream
+from per_case import per_case_plans, whole_blocks
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -37,18 +41,31 @@ def alpha_mutant(threshold: float) -> CrossedModule:
     return CrossedModule(f"so3-alpha-mutant-{threshold}", G, G, alpha, lambda h: h)
 
 
-def mutant_jsonl(threshold: float) -> str:
+def mutant_jsonl(threshold: float, rng=np.random.default_rng) -> str:
     cm = alpha_mutant(threshold)
-    return (verify_crossed_module(cm, 3000, np.random.default_rng(1)).to_jsonl()
-            + verify_exchange_law(cm, 3000, np.random.default_rng(1)).to_jsonl())
+    return (verify_crossed_module(cm, 3000, rng(1)).to_jsonl()
+            + verify_exchange_law(cm, 3000, rng(1)).to_jsonl())
 
 
 # at 0.99 every failing law fails within the first 512 cases; at 0.999
-# alpha-automorphism fails at case 715 and target-homomorphism at case 988
+# alpha-automorphism fails at case 715 and target-homomorphism at case 988;
+# the witnesses lie deep in the sampled stream, which catbundle's own Stream
+# must draw as numpy's generator does
+@pytest.mark.parametrize("rng", [np.random.default_rng, Stream], ids=["numpy", "stream"])
 @pytest.mark.parametrize("threshold", [0.99, 0.999])
-def test_failing_so3_module_matches_its_golden(threshold):
+def test_failing_so3_module_matches_its_golden(threshold, rng):
     golden = GOLDEN / f"so3_alpha_mutant_{threshold}.jsonl"
-    assert mutant_jsonl(threshold) == golden.read_text()
+    assert mutant_jsonl(threshold, rng) == golden.read_text()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_so_module_laws_pass_in_whole_blocks(n, seed, monkeypatch):
+    seen = whole_blocks(monkeypatch)
+    cm = get_module(f"so{n}-conj")
+    assert verify_crossed_module(cm, 3000, Stream(seed)).passed
+    assert verify_exchange_law(cm, 3000, Stream(seed)).passed
+    assert len(seen) == 8 and all(counts == [6, 0] for counts in seen.values())
 
 
 # -- block draws --
@@ -109,6 +126,43 @@ def test_counted_axes_drawn_as_one_stack_equal_per_case_samples_bitwise(n):
         flat = [(m,) if isinstance(m, np.ndarray) else astuple(m) for m in drawn]
         assert _bits(flat) == _bits(reference)
         assert stack_rng.bit_generator.state == case_rng.bit_generator.state
+
+
+def _probe_pair_by_pair(cm: CrossedModule, rng, n: int = 64) -> str | None:
+    """The carrier probe one (g, h) pair at a time: its first error."""
+    for _ in range(n):
+        g, h = cm.G.sample(rng), cm.H.sample(rng)
+        if not cm.G.contains(cm.tau(h)):
+            return f"tau({cm.H.fmt(h)}) is not an element of {cm.G.name}"
+        if not cm.H.contains(cm.alpha(g, h)):
+            return f"alpha_{cm.G.fmt(g)}({cm.H.fmt(h)}) is not an element of {cm.H.name}"
+    return None
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("tau_at, alpha_at", [(2.0, 2.0), (0.9, 0.95), (0.95, 0.9), (0.97, 2.0)])
+def test_so_carrier_probe_draws_one_block_and_raises_the_first_error(tau_at, alpha_at, seed):
+    # tau leaves SO(3) (scaled by 2) where h[1, 1] > tau_at, alpha (negated,
+    # so det -1) where h[0, 0] > alpha_at: the first bad pair decides
+    G = SpecialOrthogonalGroup(3)
+
+    def alpha(g, h):
+        conj = G.mul(G.mul(g, h), G.inv(g))
+        return np.where((h[..., 0, 0] > alpha_at)[..., None, None], -conj, conj)
+
+    def tau(h):
+        return np.where((h[..., 1, 1] > tau_at)[..., None, None], 2 * h, h)
+
+    cm = CrossedModule("so3-bad-carriers", G, G, alpha, tau)
+    stacked, one_by_one = Stream(seed), Stream(seed)
+    want = _probe_pair_by_pair(cm, one_by_one)
+    if want is None:
+        _check_carriers(cm, stacked)
+        assert stacked.bit_generator.state == one_by_one.bit_generator.state
+    else:
+        with pytest.raises(StructuralError) as exc:
+            _check_carriers(cm, stacked)
+        assert str(exc.value) == want
 
 
 def test_which_plans_come_in_blocks():

@@ -11,11 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from catbundle import decorated, report, twisted
+from catbundle import decorated
 from catbundle.basecat import PathBlock, PathCategory, SampledPath, compose_paths, constant_path
 from catbundle.crossed import CompositionUndefined, get_module
 from catbundle.decorated import Connection, eta_from_connection, parallel_transport
-from catbundle.report import Block, Plan
 from catbundle.scenario import Scenario
 from catbundle.suites import run_suite
 from catbundle.twisted import (
@@ -24,7 +23,7 @@ from catbundle.twisted import (
     verify_E_properties,
     verify_twisted_bundle,
 )
-from per_case import reference_transport
+from per_case import reference_transport, whole_blocks
 from test_decorated import random_connection
 from test_so_blocks import alpha_mutant
 
@@ -150,22 +149,12 @@ def test_path_category_maps_act_on_blocks_case_by_case():
 
 @pytest.mark.parametrize("suite", ["twisted-bundle", "e-action"])
 def test_shipped_path_laws_pass_in_whole_blocks(suite, monkeypatch):
-    # run_law reruns a block case by case from its first False, which gives
-    # the same report, so only this shows that a passing law's blocks hold:
     # every plan item is a Block, and its mask holds on every case
     raw = json.loads((SCEN / "so2_transport.json").read_text())
-    seen = []
-
-    def run_law(law, anchor, plan, ok, witness):
-        items = list(plan)
-        seen.append(law)
-        assert all(isinstance(item, Block) for item in items), law
-        assert all(np.all(ok(item.cases)) for item in items), law
-        return report.run_law(law, anchor, Plan(items, plan.exhaustive, plan.space), ok, witness)
-
-    monkeypatch.setattr(twisted, "run_law", run_law)
+    seen = whole_blocks(monkeypatch)
     assert run_suite(Scenario(raw), suite).passed
     assert len(seen) == (8 if suite == "twisted-bundle" else 7)
+    assert all(singles == 0 for _, singles in seen.values())
 
 
 def so3_connection() -> Connection:
