@@ -371,12 +371,16 @@ class PathCategory:
 
     def random_path(self, rng: Stream, n_segments: int | None = None,
                     start=None, scale: float = 1.0) -> SampledPath:
-        """Seeded random piecewise-linear path used by sampled suites."""
+        """Seeded random piecewise-linear path used by sampled suites: a
+        start in [-1, 1)^dim unless given, then n_segments steps in
+        [-scale, scale)^dim, all from one uniform draw, bitwise the point by
+        point `uniform` draws."""
         if n_segments is None:
             n_segments = int(rng.integers(1, 4))
+        u = rng.random((n_segments + (start is None), self.dim))
+        rows = -scale + 2 * scale * u  # low + (high - low)·u, as `uniform` computes it
         if start is None:
-            start = rng.uniform(-1.0, 1.0, size=self.dim)
-        pts = [np.asarray(start, dtype=float)]
-        for _ in range(n_segments):
-            pts.append(pts[-1] + rng.uniform(-scale, scale, size=self.dim))
-        return SampledPath(np.stack(pts))
+            rows[0] = -1.0 + 2.0 * u[0]
+        else:
+            rows = np.vstack([np.asarray(start, dtype=float), rows])
+        return SampledPath(np.cumsum(rows, axis=0))

@@ -130,10 +130,8 @@ class CrossedModule:
         `sample_morphism` draws it, stackable on SO(n)."""
         if self.is_finite:
             return CaseSpace.product(self.H.elements, self.G.elements, build=TwoGroupMorphism)
-        space = CaseSpace.product(CaseSpace.carrier(self.H), CaseSpace.carrier(self.G),
-                                  build=TwoGroupMorphism)
-        space.count = count
-        return space
+        return CaseSpace.product(CaseSpace.carrier(self.H), CaseSpace.carrier(self.G),
+                                 build=TwoGroupMorphism, count=count)
 
 
 def _code_table(values: list, shape: tuple, what: str) -> np.ndarray:

@@ -2,15 +2,22 @@
 
 A law's cases come from a CaseSpace, whose `plan` decides exhaustive vs
 sampled by one rule: the whole space in order when it fits the budget,
-else `budget` seeded draws. Plans come in blocks of at most BLOCK cases
-wherever the cases stack: a coded space of any size (range axes and coded
-spaces, such as the twisted chains on a quiver) as arrays of codes; an open
-sampled product of SO(n) carriers as stacks from one uniform array; another
-open sampled space (random paths) drawn case by case and built once from its
-stacked parts; and a product of counted axes gathered from their drawn lists.
-Cases that do not stack (finite codes beside sampled axes) come one at a
-time. A law is `run_law(law, anchor, plan, ok, witness)`: `ok(case)` is a
-per-case mask on a block, and `witness(case)` describes one failing case.
+else `budget` seeded draws. Every case is `build(*parts)`, and a plan takes
+one of two routes to its blocks of at most BLOCK cases:
+
+- a finite space is decoded BLOCK case numbers (or seeded picks) at a time,
+  one vectorised divmod per axis into part columns: int codes (range axes,
+  coded spaces such as the twisted chains on a quiver) or listed items. A
+  sampled product with counted or enumerated axes is made finite first, by
+  drawing each sampled axis up front (a counted product as one unit);
+- an open sampled space (SO(n) carriers, random paths) is drawn BLOCK cases
+  at a time: one uniform array where its parts are uniforms, else case by
+  case, from a saved RNG state that reruns a block's cases one at a time.
+
+Either way the block is built once where every part column stacks, and case
+by case otherwise. A law is `run_law(law, anchor, plan, ok, witness)`:
+`ok(case)` is a per-case mask on a block, and `witness(case)` describes one
+failing case.
 
 A suite produces a LawReport: one LawRecord per algebraic law, each carrying
 the law's anchor string (its identifier in the library's law registry, e.g.
@@ -44,57 +51,53 @@ DEFAULT_BUDGET = 10_000
 
 
 class CaseSpace:
-    """The cases of one law, built without listing them.
+    """The cases of one law, built without listing them: each is
+    `build(*parts)`.
 
-    A finite space has `size` cases and `space[i]` decodes the i-th in
-    enumeration order (an IndexError outside range(size), so `list(space)`
-    lists them all). A sampled space (an infinite carrier, random paths) has
-    `size` None, draws one seeded case per `draw(rng)`, and stands in for
-    `count` draws, or for as many as the budget allows when `count` is None;
-    its `stack(u)` may build k stacked cases from a (k, width) array of
-    uniform draws, bitwise those of k `draw` calls, and `parts(rng)` with
-    `build` split a draw into the parts drawn and the case built from them
-    (`build` runs once on a block's stacked parts). A coded space maps an
-    int64 array of case numbers to `arity` arrays of codes, `codes(i)`, which
-    `from_codes(*parts)` builds into stacked cases (or one case, from Python
-    ints). Sequences serve as finite axes as they are (a `range`, as codes).
+    A finite space has `size` cases, and `decode(i)` maps an int64 array of
+    case numbers (an object array past int64) to the `arity` columns of its
+    parts, each an int64 array of codes or a list of items; `space[i]` is
+    case i in enumeration order, and iterating a space lists it. A sampled
+    space (an infinite carrier, random paths) has `size` None and stands in
+    for `count` seeded draws, or for as many as the budget allows when
+    `count` is None. `draw(rng)` draws one case's parts; where `width` is set
+    and `draw` is not, the parts are one row of `width` uniforms, so k cases
+    are built at once from a (k, width) array, bitwise k draws. A sampled
+    product keeps its `axes`, each drawn in turn. Sequences serve as finite
+    axes as they are (a `range`, as codes).
     """
 
-    def __init__(self, size: int | None, get: Callable | None = None,
-                 draw: Callable | None = None, count: int | None = None):
-        self.size = size
-        self._get = get
-        self.draw = draw  # sampled spaces: rng -> one case
-        self.parts: Callable | None = None  # rng -> the parts that `build` makes a case of
-        self.count = count
-        self.width: int | None = None  # stackable sampled spaces: draws per case
-        self.stack: Callable | None = None
-        self.axes: tuple | None = None  # a product's axes and case builder
-        self.build: Callable | None = None
-        self.codes: Callable | None = None  # coded spaces: case numbers -> codes per part
-        self.from_codes: Callable | None = None
-        self.arity = 0
+    def __init__(self, size: int | None, build: Callable, decode: Callable | None = None,
+                 arity: int = 1, draw: Callable | None = None, width: int | None = None,
+                 count: int | None = None, axes: tuple = ()):
+        self.size, self.build = size, build
+        self.decode, self.arity = decode, arity  # finite spaces
+        self.draw, self.width, self.count, self.axes = draw, width, count, axes  # sampled ones
 
     def __len__(self) -> int:
         return self.size  # a TypeError on a sampled space
 
     def __getitem__(self, i: int):
-        if not 0 <= i < self.size:  # which also ends `for case in space`
+        if not 0 <= i < self.size:
             raise IndexError(f"case {i} of a space of {self.size}")
-        return self._get(i)
+        i = np.array([i], dtype=np.int64 if i < 2**63 else object)
+        return next(_singles(self, self.decode(i)))
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(
+            _singles(self, self.decode(np.arange(start, min(start + BLOCK, self.size))))
+            for start in range(0, self.size, BLOCK))
 
     @staticmethod
     def finite(items: Sequence) -> "CaseSpace":
-        return CaseSpace(len(items), items.__getitem__)
+        return CaseSpace.product(items, build=_same)
 
     @staticmethod
     def coded(size: int, arity: int, codes: Callable, build: Callable) -> "CaseSpace":
         """Cases `build(*parts)`, where `codes(i)` maps an int64 array of case
         numbers to `arity` arrays of codes, one per part: a block gets the
         arrays, a single case their Python ints."""
-        space = CaseSpace(size, lambda i: build(*(c.item() for c in codes(np.array([i])))))
-        space.codes, space.from_codes, space.arity = codes, build, arity
-        return space
+        return CaseSpace(size, build, decode=codes, arity=arity)
 
     @staticmethod
     def sampled(draw: Callable, count: int | None = None,
@@ -102,90 +105,57 @@ class CaseSpace:
         """Seeded cases `draw(rng)`; with `build`, `draw(rng)` gives a
         case's parts and the case is `build(*parts)`."""
         if build is None:
-            return CaseSpace(None, draw=draw, count=count)
-        space = CaseSpace(None, draw=lambda rng: build(*draw(rng)), count=count)
-        space.parts, space.build = draw, build
-        return space
+            return CaseSpace(None, _same, draw=lambda rng: (draw(rng),), count=count)
+        return CaseSpace(None, build, draw=draw, count=count)
 
     @staticmethod
     def carrier(group, count: int | None = None):
-        """A group's elements, or seeded samples of an infinite group, which
-        are stackable when the group has a stack sampler."""
+        """A group's elements, or seeded samples of an infinite group, drawn
+        from `width` uniforms each where the group has a stack sampler."""
         if group.is_finite:
             return group.elements
-        space = CaseSpace.sampled(group.sample, count)
-        if group.width is not None:
-            space.width, space.stack = group.width, group.sample_stack
-        return space
+        if group.width is None:
+            return CaseSpace.sampled(group.sample, count)
+        return CaseSpace(None, group.sample_stack, width=group.width, count=count)
 
     @staticmethod
-    def product(*axes, build: Callable | None = None) -> "CaseSpace":
+    def product(*axes, build: Callable | None = None, count: int | None = None) -> "CaseSpace":
         """Cases `build(*parts)` (a tuple by default), one part per axis; the
-        last axis varies fastest, as in the nested loops it replaces."""
+        last axis varies fastest, as in the nested loops it replaces. A
+        sampled product stands in for `count` draws of itself when given,
+        else for the product of its axes' counts when they all have one."""
         build = build or (lambda *parts: parts)
-        if any(_is_sampled(a) for a in axes):
-            counts = [a.count if _is_sampled(a) else _size(a) for a in axes]
-            draws = [_drawer(a) for a in axes]
-            space = CaseSpace.sampled(lambda rng: [d(rng) for d in draws],
-                                      None if None in counts else math.prod(counts), build)
-            if all(_is_sampled(a) and a.stack is not None for a in axes):
-                # a case draws its axes in turn, so a block's columns split per axis
-                ends = list(itertools.accumulate(a.width for a in axes))
-                space.width = ends[-1]
-                space.stack = lambda u: build(*[a.stack(u[:, e - a.width:e])
-                                                for a, e in zip(axes, ends)])
-        else:
-            sizes = [_size(a) for a in axes]
-            n = len(axes)
-
-            def get(i):
-                parts = [None] * n
-                for k in range(n - 1, -1, -1):
-                    i, r = divmod(i, sizes[k])
-                    parts[k] = axes[k][r]
-                return build(*parts)
-
-            space = CaseSpace(math.prod(sizes), get)
-        space.axes, space.build = axes, build
-        return space
+        if not any(_is_sampled(a) for a in axes):
+            return _finite_product(axes, build)
+        if any(_is_sampled(a) and not all(map(_is_sampled, a.axes)) for a in axes):
+            raise ValueError("a product with enumerated axes cannot be drawn as an axis")
+        if count is None and all(_is_sampled(a) and a.count is not None for a in axes):
+            count = math.prod(a.count for a in axes)
+        width = (sum(a.width for a in axes)
+                 if all(_is_sampled(a) and a.width is not None for a in axes) else None)
+        return CaseSpace(None, build, draw=lambda rng: [_case(a, rng) for a in axes],
+                         width=width, count=count, axes=axes)
 
     def plan(self, budget: int, rng) -> "Plan":
         """The cases a law checks: the whole finite space in order when it
-        fits the budget (exhaustive); else `budget` seeded draws of
-        `space[_index(rng, size)]`. A sampled space is drawn `count`
-        times, or `budget` times; in a product, finite and counted axes are
-        enumerated whole and one open sampled axis is drawn
-        max(1, budget // their size) times. No cases when budget <= 0.
-        Where the cases stack, they come as Blocks of at most BLOCK cases,
-        with the RNG consumed as case-by-case draws consume it."""
+        fits the budget (exhaustive); else `budget` seeded picks from
+        range(size). A sampled space is drawn `count` times, or `budget`
+        times; in a product, finite and counted axes are enumerated whole
+        and one open sampled axis is drawn max(1, budget // their size)
+        times. No cases when budget <= 0. The cases come as Blocks of at
+        most BLOCK cases where they stack, with the RNG consumed as
+        case-by-case draws consume it."""
         if budget <= 0:
             return Plan((), exhaustive=False, space=self.size)
         if self.size is not None:
-            coded = _is_coded(self)
             if self.size <= budget:
-                cases = _coded_blocks(self, range(self.size)) if coded else _cases(self)
-                return Plan(cases, exhaustive=True, space=self.size)
-            picks = _picks(rng, self.size, budget)
-            if coded:
-                return Plan(_coded_blocks(self, picks), exhaustive=False, space=self.size)
-            # ints a block at a time, not a list beside the array
-            ints = itertools.chain.from_iterable(
-                picks[i:i + BLOCK].tolist() for i in range(0, budget, BLOCK))
-            return Plan(map(self.__getitem__, ints), exhaustive=False, space=self.size)
-        axes = self.axes or ()
-        if any(not _is_sampled(a) or a.count is not None for a in axes):
-            open_axes = [a for a in axes if _is_sampled(a) and a.count is None]
-            if len(open_axes) > 1:
-                raise ValueError("a product may sample at most one axis beside enumerated ones")
-            counts = [a.count if _is_sampled(a) else _size(a) for a in axes]
-            draws = max(1, budget // max(1, math.prod(c for c in counts if c is not None)))
-            lists = [_draw_list(a, draws if c is None else c, rng) if _is_sampled(a) else a
-                     for a, c in zip(axes, counts)]
-            return Plan(_gathered(lists, self.build), exhaustive=False)
-        if self.count is not None:
-            return Plan(_gathered([_draw_list(self, self.count, rng)], lambda case: case),
-                        exhaustive=False)
-        return Plan(_blocks(self, budget, rng), exhaustive=False)
+                return Plan(_decoded(self, range(self.size)), exhaustive=True, space=self.size)
+            return Plan(_decoded(self, _picks(rng, self.size, budget)), exhaustive=False,
+                        space=self.size)
+        if self.count is None and all(_is_sampled(a) and a.count is None for a in self.axes):
+            return Plan(_drawn(self, budget, rng), exhaustive=False)
+        finite = _made_finite(self, budget, rng)
+        return Plan(_decoded(finite, range(finite.size)), exhaustive=False)
 
 
 BLOCK = 512  # cases per block: a few hundred kB of SO(3) stacks per law
@@ -201,76 +171,142 @@ class Block:
         self.cases, self.size, self.singles = cases, size, singles
 
 
-def _blocks(space: CaseSpace, budget: int, rng):
+def _block(k: int, stacked: Callable, singles: Callable):
+    """The k cases of one block: a Block of the cases `stacked()` builds
+    at once, or, where their parts do not stack (None) or the build raises
+    a CASE_ERRORS error, the cases from `singles()` one at a time, each
+    raising in its turn."""
+    try:
+        cases = stacked()
+    except CASE_ERRORS:
+        cases = None
+    return singles() if cases is None else (Block(cases, k, singles),)
+
+
+def _decoded(space: CaseSpace, indices):
+    """The cases of a finite space at `indices` (case numbers or picks),
+    BLOCK at a time: their part columns decoded at once, and the block built
+    once from them, or its singles from the same columns."""
+    for start in range(0, len(indices), BLOCK):
+        chunk = indices[start:start + BLOCK]
+        columns = space.decode(np.arange(chunk.start, chunk.stop)
+                               if isinstance(chunk, range) else chunk)
+        listed = any(isinstance(c, list) for c in columns)  # listed items do not stack
+        yield from _block(len(chunk), lambda: None if listed else space.build(*columns),
+                          lambda columns=columns: _singles(space, columns))
+
+
+def _drawn(space: CaseSpace, budget: int, rng):
     """`budget` draws of an open sampled space, BLOCK at a time, which take
     the RNG exactly as per-case draws do: one (k, width) uniform array per
-    block where the space has a stack sampler, else k per-case draws of its
-    parts, from which the block is built once, stacked. A block's singles
-    redraw from its saved RNG state and stop drawing where their rerun stops.
-    Where a block's parts do not stack, the RNG goes back and every case
-    left comes on its own."""
-    parts, build = space.parts, space.build
-    if parts is None:
-        parts, build = (lambda rng: (space.draw(rng),)), (lambda case: case)
+    block where its parts are uniforms, else k per-case draws of its parts,
+    built once, stacked. A block's singles redraw from its saved RNG state
+    and stop drawing where their rerun stops."""
     for start in range(0, budget, BLOCK):
         k = min(BLOCK, budget - start)
         state = rng.bit_generator.state
 
         def redraw(state=state, k=k):
             rng.bit_generator.state = state
-            return (space.draw(rng) for _ in range(k))
+            return (_case(space, rng) for _ in range(k))
 
-        if space.stack is not None:
-            yield Block(space.stack(rng.random((k, space.width))), k, redraw)
-            continue
-        stacked = _stack([tuple(parts(rng)) for _ in range(k)])
+        if space.width is not None:
+            yield from _block(k, lambda: _uniform(space, rng.random((k, space.width))), redraw)
+        else:
+            yield from _block(k, lambda: _built(space.build, [
+                tuple(space.draw(rng)) for _ in range(k)]), redraw)
+
+
+def _made_finite(space: CaseSpace, budget: int, rng) -> CaseSpace:
+    """A sampled space that is not open, made finite: drawn `count` times as
+    one unit when its axes are all open, else a product of its axes, each
+    sampled one drawn up front in turn, `count` times or (the one open axis)
+    max(1, budget // the size of the others) times."""
+    if all(_is_sampled(a) and a.count is None for a in space.axes):
+        return _drawn_axis(space, space.count, rng)
+    counts = [(a.count if _is_sampled(a) else _size(a)) for a in space.axes]
+    if counts.count(None) > 1:
+        raise ValueError("a product may sample at most one axis beside enumerated ones")
+    draws = max(1, budget // max(1, math.prod(c for c in counts if c is not None)))
+    return CaseSpace.product(*(_drawn_axis(a, draws if c is None else c, rng) if _is_sampled(a)
+                               else a for a, c in zip(space.axes, counts)), build=space.build)
+
+
+def _drawn_axis(axis: CaseSpace, n: int, rng):
+    """n draws of a sampled axis as a finite one: drawn as one (n, width)
+    uniform array where its parts are uniforms, else case by case, and coded
+    by draw number where the draws stack; listed where they do not."""
+    if axis.width is not None:
+        stacked = _uniform(axis, rng.random((n, axis.width)))
+    else:
+        cases = [_case(axis, rng) for _ in range(n)]
+        stacked = _stack(cases)
         if stacked is None:
-            yield from redraw(k=budget - start)
-            return
-        try:
-            cases = build(*stacked)
-        except CASE_ERRORS:
-            yield from redraw()
-            continue
-        yield Block(cases, k, redraw)
+            return CaseSpace.finite(cases)
+    return CaseSpace.coded(n, 1, lambda i: [i], lambda i: _take(stacked, i))
 
 
-def _draw_list(axis: CaseSpace, n: int, rng) -> list:
-    """n draws of a counted or enumerated sampled axis, as a list of cases:
-    one stack split into its cases where the axis has a stack sampler."""
-    if axis.stack is None:
-        return [axis.draw(rng) for _ in range(n)]
-    block = axis.stack(rng.random((n, axis.width)))
-    return [_take(block, i) for i in range(n)]
+def _finite_product(axes: tuple, build: Callable) -> CaseSpace:
+    """The product of finite axes, decoded by one divmod per axis into each
+    axis's columns in its place, and built from them through each space
+    axis's own build."""
+    sizes = [_size(a) for a in axes]
+    arities = [a.arity if isinstance(a, CaseSpace) else 1 for a in axes]
+
+    def decode(i):  # int64 case numbers, or Python ints in an object array past int64
+        out = []  # last axis first
+        for a, size in zip(reversed(axes), reversed(sizes)):
+            i, r = (i // size, i % size) if i.dtype == object else np.divmod(i, size)
+            if size <= 2**63:  # so a residue fits int64
+                r = r.astype(np.int64, copy=False)
+            if isinstance(a, CaseSpace):
+                out += reversed(a.decode(r))
+            elif isinstance(a, range):
+                out.append(r if a.start == 0 and a.step == 1 else a.start + a.step * r)
+            else:
+                out.append(list(map(a.__getitem__, r.tolist())))
+        out.reverse()
+        return out
+
+    def whole(*parts):
+        it = iter(parts)
+        return build(*(a.build(*itertools.islice(it, n)) if isinstance(a, CaseSpace)
+                       else next(it) for a, n in zip(axes, arities)))
+
+    spaced = any(isinstance(a, CaseSpace) for a in axes)
+    return CaseSpace(math.prod(sizes), whole if spaced else build, decode=decode,
+                     arity=sum(arities))
 
 
-def _gathered(lists: list, build: Callable):
-    """The product of finite lists in nested-loop order (last fastest), in
-    Blocks of BLOCK gathered from each list stacked once; singles come from
-    the lists. A product whose parts do not stack comes case by case."""
-    stacked = [_stack(a) for a in lists]
-    if any(s is None for s in stacked):
-        yield from _cases(CaseSpace.product(*lists, build=build))
-        return
-    sizes = [len(a) for a in lists]
-    total = math.prod(sizes)
-    for start in range(0, total, BLOCK):
-        i, picks = np.arange(start, min(start + BLOCK, total)), []
-        for size in reversed(sizes):
-            i, r = np.divmod(i, size)
-            picks.append(r)
-        picks.reverse()
+def _built(build: Callable, parts: list):
+    """`build` once on the stacked parts of k cases, or None where they do
+    not stack."""
+    stacked = _stack(parts)
+    return None if stacked is None else build(*stacked)
 
-        def singles(picks=picks):
-            return (build(*(a[j] for a, j in zip(lists, js)))
-                    for js in zip(*(r.tolist() for r in picks)))
 
-        try:
-            cases = build(*map(_take, stacked, picks))
-        except CASE_ERRORS:
-            yield from singles()
-            continue
-        yield Block(cases, len(picks[0]), singles)
+def _singles(space: CaseSpace, columns: list):
+    """The cases of a block's part columns one at a time, built from Python
+    ints and items."""
+    return itertools.starmap(space.build, zip(*(
+        c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+
+
+def _case(space: CaseSpace, rng):
+    """One seeded case of a sampled space."""
+    if space.draw is None:
+        return space.build(rng.random(space.width))
+    return space.build(*space.draw(rng))
+
+
+def _uniform(space: CaseSpace, u: np.ndarray):
+    """The k cases of a sampled space whose parts are uniforms, from a
+    (k, width) array of them: a product's columns split per axis, as a case
+    draws its axes in turn."""
+    if not space.axes:
+        return space.build(u)
+    ends = itertools.accumulate(a.width for a in space.axes)
+    return space.build(*[_uniform(a, u[:, e - a.width:e]) for a, e in zip(space.axes, ends)])
 
 
 def _stack(items):
@@ -304,67 +340,6 @@ def _take(block, i):
     return block[i]
 
 
-def _is_coded(axis) -> bool:
-    """`axis` is a range or a coded space; a finite product of such axes is
-    made coded the first time this is asked."""
-    if isinstance(axis, range):
-        return True
-    if not isinstance(axis, CaseSpace):
-        return False
-    if axis.codes is None and axis.size is not None and axis.axes and all(
-            _is_coded(a) for a in axis.axes):
-        _code_product(axis)
-    return axis.codes is not None
-
-
-def _code_product(space: CaseSpace) -> None:
-    """Make a product of range axes and coded spaces coded: one vectorised
-    divmod per axis, and each coded axis's codes in its place."""
-    axes, build = space.axes, space.build
-    sizes = [_size(a) for a in axes]
-    arities = [1 if isinstance(a, range) else a.arity for a in axes]
-
-    def codes(i):  # int64 case numbers, or Python ints in an object array past int64
-        out = []  # last axis first
-        for a, size in zip(reversed(axes), reversed(sizes)):
-            i, r = i // size, i % size  # np.divmod has no object loop
-            if isinstance(a, range):  # a residue is below len(a), so int64
-                r = r.astype(np.int64, copy=False)
-                out.append(r if a.start == 0 and a.step == 1 else a.start + a.step * r)
-            else:
-                out += reversed(a.codes(r))
-        out.reverse()
-        return out
-
-    def from_codes(*parts):
-        it = iter(parts)
-        return build(*(next(it) if isinstance(a, range) else a.from_codes(*itertools.islice(it, n))
-                       for a, n in zip(axes, arities)))
-
-    space.codes, space.arity = codes, sum(arities)
-    space.from_codes = build if space.arity == len(axes) else from_codes
-
-
-def _coded_blocks(space: CaseSpace, indices):
-    """Blocks of a coded space at `indices` (case numbers or picks), decoded
-    at once, with singles built from the same codes. A block whose build
-    raises a CASE_ERRORS error comes case by case, each raising in its turn."""
-    for start in range(0, len(indices), BLOCK):
-        chunk = indices[start:start + BLOCK]
-        codes = space.codes(np.arange(chunk.start, chunk.stop)
-                            if isinstance(chunk, range) else chunk)
-
-        def singles(codes=codes):
-            return itertools.starmap(space.from_codes, zip(*(c.tolist() for c in codes)))
-
-        try:
-            cases = space.from_codes(*codes)
-        except CASE_ERRORS:
-            yield from singles()
-            continue
-        yield Block(cases, len(chunk), singles)
-
-
 def _picks(rng, size: int, budget: int) -> np.ndarray:
     """`budget` draws of `_index(rng, size)`, in one call below 2**63, where
     every axis size fits int64 arithmetic too: the same values and generator
@@ -372,24 +347,6 @@ def _picks(rng, size: int, budget: int) -> np.ndarray:
     if size < 2**63:
         return rng.integers(size, size=budget)
     return np.array([_index(rng, size) for _ in range(budget)], dtype=object)
-
-
-def _is_sampled(axis) -> bool:
-    return isinstance(axis, CaseSpace) and axis.size is None
-
-
-def _size(axis) -> int:
-    """The size of a finite axis: a space's `size`, which unlike `len` is not
-    capped at sys.maxsize, or a sequence's length."""
-    return axis.size if isinstance(axis, CaseSpace) else len(axis)
-
-
-def _drawer(axis) -> Callable:
-    """rng -> one seeded case of `axis`, uniform over a finite one."""
-    if _is_sampled(axis):
-        return axis.draw
-    size = _size(axis)
-    return lambda rng: axis[_index(rng, size)]
 
 
 def _index(rng, size: int) -> int:
@@ -405,17 +362,18 @@ def _index(rng, size: int) -> int:
             return i
 
 
-def _cases(space):
-    """Every case of a finite space or sequence, in order, as nested loops:
-    each nested space is listed once rather than decoded per case."""
-    if not isinstance(space, CaseSpace):
-        return iter(space)
-    if not space.size:
-        return iter(())
-    if space.axes is not None:
-        lists = [list(_cases(a)) if isinstance(a, CaseSpace) else a for a in space.axes]
-        return itertools.starmap(space.build, itertools.product(*lists))
-    return map(space.__getitem__, range(space.size))
+def _is_sampled(axis) -> bool:
+    return isinstance(axis, CaseSpace) and axis.size is None
+
+
+def _size(axis) -> int:
+    """The size of a finite axis: a space's `size`, which unlike `len` is not
+    capped at sys.maxsize, or a sequence's length."""
+    return axis.size if isinstance(axis, CaseSpace) else len(axis)
+
+
+def _same(case):
+    return case
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,19 @@ def _index(key) -> int:
         raise ScenarioError(f"cover index must be an integer, got {key!r}") from None
 
 
+def _finite_reals(group, spec: dict, key: str, n: int | None = None):
+    """spec[key] of an SO(n) element spec: one finite real (the angle), or
+    n of them (the axis)."""
+    try:
+        value = np.asarray(spec[key], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        value = np.array(np.nan)
+    if value.shape != (() if n is None else (n,)) or not np.all(np.isfinite(value)):
+        what = "a finite real" if n is None else f"{n} finite reals"
+        raise ScenarioError(f"{group.name} element spec needs '{key}' as {what}, got {spec!r}")
+    return float(value) if n is None else value
+
+
 def parse_element(group, value):
     """A finite group's int code (the inverse of `fmt`), or an SO(n) matrix."""
     if isinstance(group, CyclicGroup):
@@ -83,13 +96,14 @@ def parse_element(group, value):
     if isinstance(group, SpecialOrthogonalGroup):
         if isinstance(value, dict):
             if group.n == 2 and "angle" in value:
-                return rotation2(float(value["angle"]))
+                return rotation2(_finite_reals(group, value, "angle"))
             if group.n == 3 and "axis" in value:
-                axis = np.asarray(value["axis"], dtype=float)
+                axis = _finite_reals(group, value, "axis", 3)
+                angle = _finite_reals(group, value, "angle")
                 norm = float(np.linalg.norm(axis))
                 if norm == 0:
                     return group.identity
-                return skew_exp(skew3(axis / norm * float(value["angle"])))
+                return skew_exp(skew3(axis / norm * angle))
             raise ScenarioError(f"unsupported {group.name} element spec: {value!r}")
         mat = np.asarray(value, dtype=float)
         if not group.contains(mat):

@@ -1,61 +1,48 @@
 """Test helpers: CaseSpace plans as they come without blocks, a check that
-every block of a passing law holds whole, and parallel transport integrated
-one segment at a time."""
+every block of a passing law holds whole, parallel transport integrated one
+segment at a time, and random paths drawn point by point."""
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from catbundle import bundle, cocycle, crossed, decorated, report, twisted
+from catbundle.basecat import SampledPath
 from catbundle.decorated import Connection
 from catbundle.groups import StructuralError, skew_expm1_batch
 
 
 @contextmanager
 def per_case_plans():
-    """Inside, `CaseSpace.plan` gives every case on its own: no space counts
-    as coded, an open sampled space is drawn one case per `draw`, and the
-    lists of a counted product are drawn case by case and enumerated, so
-    each law's `ok` sees single cases only. A sampled plan decodes each
-    pick with `space[i]`, which here decodes each case of a space once: a
-    coded space decodes a single case with numpy calls, slow per pick."""
-    decoded = {}
-    getitem = report.CaseSpace.__getitem__
-
-    def once(space, i):
-        key = id(space), i
-        if key not in decoded:
-            decoded[key] = space, getitem(space, i)  # the space keeps its id
-        return decoded[key][1]
-
-    def draws(space, budget, rng):
-        return (space.draw(rng) for _ in range(budget))
-
+    """Inside, `CaseSpace.plan` gives every case on its own: each block of a
+    plan comes as its singles, built one case at a time from the same part
+    columns, or drawn one case at a time from the block's saved RNG state,
+    so each law's `ok` sees single cases only."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(report, "_is_coded", lambda axis: False)
-        mp.setattr(report, "_blocks", draws)
-        mp.setattr(report, "_draw_list", lambda axis, n, rng: list(draws(axis, n, rng)))
-        mp.setattr(report, "_gathered", lambda lists, build: report._cases(
-            report.CaseSpace.product(*lists, build=build)))
-        mp.setattr(report.CaseSpace, "__getitem__", once)
+        mp.setattr(report, "_block", lambda k, stacked, singles: singles())
         yield
 
 
 def whole_blocks(monkeypatch) -> dict:
-    """Rebinds `run_law` wherever a law calls it: each law's plan is listed
-    first, and the mask of every Block in it must hold on all its cases.
-    run_law reruns a block from its first False case by case, which gives
-    the same report, so a block path that wrongly says False only costs time
-    unless this checks it. Returns {law: [blocks, single cases]}."""
+    """Rebinds `run_law` wherever a law calls it: the mask of every Block a
+    plan yields must hold on all its cases. run_law reruns a block from its
+    first False case by case, which gives the same report, so a block path
+    that wrongly says False only costs time unless this checks it. The plan
+    is read as run_law reads it, so the RNG is drawn as without this.
+    Returns {law: [blocks, single cases]} of the items run_law took."""
     seen = {}
 
     def run_law(law, anchor, plan, ok, witness):
-        items = list(plan)
-        blocks = [item for item in items if isinstance(item, report.Block)]
-        seen[law] = [len(blocks), len(items) - len(blocks)]
-        for block in blocks:
-            assert np.all(ok(block.cases)), law
-        return report.run_law(law, anchor, report.Plan(items, plan.exhaustive, plan.space),
+        counts = seen[law] = [0, 0]
+
+        def checked():
+            for item in plan:
+                block = isinstance(item, report.Block)
+                counts[not block] += 1
+                assert not block or np.all(ok(item.cases)), law
+                yield item
+
+        return report.run_law(law, anchor, report.Plan(checked(), plan.exhaustive, plan.space),
                               ok, witness)
 
     for module in (bundle, cocycle, crossed, decorated, twisted):
@@ -92,3 +79,17 @@ def reference_transport(conn: Connection, path, steps: int) -> np.ndarray:
         seg = _ordered_product(skew_expm1_batch(-conn.evaluate(a + offsets * d, d)))
         total = seg if total is None else seg @ total
     return np.eye(conn.group_dim) if total is None else total
+
+
+def reference_random_path(dim: int, rng, n_segments=None, start=None, scale=1.0) -> SampledPath:
+    """A random path drawn point by point: one `integers` draw for the
+    segment count unless given, one `uniform` draw for the start unless
+    given, then one per step, each added to the point before."""
+    if n_segments is None:
+        n_segments = int(rng.integers(1, 4))
+    if start is None:
+        start = rng.uniform(-1.0, 1.0, size=dim)
+    pts = [np.asarray(start, dtype=float)]
+    for _ in range(n_segments):
+        pts.append(pts[-1] + rng.uniform(-scale, scale, size=dim))
+    return SampledPath(np.stack(pts))

@@ -9,6 +9,8 @@ from catbundle.basecat import (
     constant_path,
 )
 from catbundle.crossed import CompositionUndefined
+from catbundle.stream import Stream
+from per_case import reference_random_path
 
 CHAIN = QuiverCategory(["a", "b", "c"], [("f", "a", "b"), ("g", "b", "c")], word_bound=3)
 
@@ -113,3 +115,18 @@ def test_leaves_order():
     c = SampledPath([[2.0], [3.0]])
     tree = compose_paths(c, compose_paths(b, a))
     assert [leaf.samples[0, 0] for leaf in tree.leaves()] == [0.0, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("kwargs", [{}, {"n_segments": 5}, {"start": [0.25, -0.5, 0.75]},
+                                    {"n_segments": 2, "start": [0.1, 0.2, 0.3], "scale": 0.3}])
+def test_random_path_in_one_draw_equals_the_point_by_point_draw(dim, kwargs):
+    if "start" in kwargs:
+        kwargs = {**kwargs, "start": np.array(kwargs["start"][:dim])}
+    for seed in range(100):
+        one, ref = Stream(seed), Stream(seed)
+        got = PathCategory(dim).random_path(one, **kwargs)
+        want = reference_random_path(dim, ref, **kwargs)
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert got.samples.shape == want.samples.shape
+        assert one.bit_generator.state == ref.bit_generator.state

@@ -156,16 +156,23 @@ def test_nonpositive_budget_yields_no_cases():
 
 def test_sampled_plans():
     rng = np.random.default_rng(1)
-    open_axis = CaseSpace.sampled(lambda r: float(r.random()))
+
+    def uniform(r):
+        return float(r.random())
+
+    open_axis = CaseSpace.sampled(uniform)
     plan = open_axis.plan(5, rng)
     assert len(list(plan)) == 5 and not plan.exhaustive and plan.space is None
-    assert len(list(CaseSpace.sampled(open_axis.draw, count=3).plan(100, rng))) == 3
+    assert len(list(CaseSpace.sampled(uniform, count=3).plan(100, rng))) == 3
     # enumerated and counted axes are crossed whole with max(1, budget // 4) open draws
-    mixed = CaseSpace.product(open_axis, CaseSpace.sampled(open_axis.draw, count=2), "ab")
+    mixed = CaseSpace.product(open_axis, CaseSpace.sampled(uniform, count=2), "ab")
     assert len(list(mixed.plan(10, rng))) == 2 * 4
     assert len(list(mixed.plan(3, rng))) == 4
     with pytest.raises(ValueError):
         CaseSpace.product(open_axis, [1, 2], open_axis).plan(10, rng)
+    # a product with an enumerated axis has no per-case draw, so it is no axis
+    with pytest.raises(ValueError):
+        CaseSpace.product(mixed, open_axis)
 
 
 def test_carrier_is_the_group_or_its_samples():

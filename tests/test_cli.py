@@ -357,3 +357,34 @@ def test_budget_override_reaches_path_base_suites(capsys):
                 "eta-homomorphism", "unit-laws"):
         assert checks[law] == 5, law
     assert max(checks.values()) < 200
+
+
+BAD_SO_SPECS = [
+    ("so3-conj", '{"axis": [1, 0, 0]}'),
+    ("so3-conj", '{"axis": [1, 0, 0], "angle": "x"}'),
+    ("so3-conj", '{"axis": [1, 0], "angle": 1.0}'),
+    ("so3-conj", '{"axis": "ab", "angle": 1}'),
+    ("so3-conj", '{"axis": [1, 0, 0], "angle": NaN}'),
+    ("so3-conj", '{"axis": [NaN, 0, 0], "angle": 1.0}'),
+    ("so2-conj", '{"angle": "x"}'),
+    ("so2-conj", '{"angle": null}'),
+    ("so2-conj", '{"angle": [1, 2]}'),
+    ("so2-conj", '{"angle": NaN}'),
+    ("so2-conj", '{"angle": Infinity}'),
+]
+
+
+@pytest.mark.parametrize("module, spec", BAD_SO_SPECS)
+def test_malformed_so_element_spec_is_input_error(module, spec, tmp_path, capsys):
+    # a functor entry that is no SO(n) element is an input error (2), not a
+    # traceback: through the Prop 4.1 section check and the Prop 4.2 extraction
+    good = {"axis": [1, 0, 0], "angle": 0.5} if module == "so3-conj" else {"angle": 0.5}
+    functors = {name: {"a": "BAD", "b": good} for name in ("sigma1", "sigma2")}
+    scenario = {**MATRIX_QUIVER, "crossed_module": module, "functors": functors,
+                "base": {"kind": "quiver", "objects": ["a", "b"], "arrows": [["f", "a", "b"]],
+                         "word_bound": 2}}
+    f = tmp_path / "bad_so_spec.json"
+    f.write_text(json.dumps(scenario).replace('"BAD"', spec))
+    for suite in ("prop41-section", "prop42-correspondence"):
+        assert run_cli("run", "--scenario", str(f), "--suite", suite) == 2, suite
+        assert capsys.readouterr().err.startswith("error:"), suite

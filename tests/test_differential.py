@@ -102,10 +102,12 @@ GOLDEN_INPUTS = {
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("name, suite", list(shipped()))
-def test_shipped_suites_give_the_same_bytes_per_case(name, suite, seed):
+def test_shipped_suites_give_the_same_bytes_per_case(name, suite, seed, monkeypatch):
     blocked = shipped_jsonl(name, suite, seed)
+    seen = whole_blocks(monkeypatch)
     with per_case_plans():
         assert shipped_jsonl(name, suite, seed) == blocked
+    assert seen and not any(blocks for blocks, _ in seen.values())  # no Block reached run_law
 
 
 # on a quiver, every twisted-bundle, e-action and bundle-axioms law runs in

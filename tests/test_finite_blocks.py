@@ -143,8 +143,9 @@ def test_block_plan_decodes_the_per_case_plan(slots, budget):
     block_plan = space.plan(budget, block_rng)
     with per_case_plans():
         case_plan = space.plan(budget, case_rng)
+        cases = list(case_plan)
     assert (block_plan.exhaustive, block_plan.space) == (case_plan.exhaustive, case_plan.space)
-    blocks, cases = list(block_plan), list(case_plan)
+    blocks = list(block_plan)
     assert all(isinstance(b, Block) for b in blocks)
     sizes = [min(BLOCK, len(cases) - i) for i in range(0, len(cases), BLOCK)]
     assert [b.size for b in blocks] == sizes
@@ -205,7 +206,7 @@ def test_failures_lie_in_first_and_later_blocks():
         for depth in (2, 3, 4):
             target = (5, 4, 3, 2)[:depth]
             with per_case_plans():
-                plan = space.plan(budget, np.random.default_rng(8))
+                plan = list(space.plan(budget, np.random.default_rng(8)))
             first = next(i for i, c in enumerate(plan) if c[:depth] == target)
             firsts.add((budget, first // BLOCK > 0))
     assert firsts == {(3000, False), (3000, True), (46656, True)}

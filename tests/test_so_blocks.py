@@ -21,7 +21,7 @@ from catbundle.crossed import (
     verify_exchange_law,
 )
 from catbundle.groups import SpecialOrthogonalGroup, StructuralError
-from catbundle.report import BLOCK, Block, CaseSpace, _draw_list, run_law
+from catbundle.report import BLOCK, Block, CaseSpace, _drawn_axis, run_law
 from catbundle.stream import Stream
 from per_case import per_case_plans, whole_blocks
 
@@ -121,7 +121,7 @@ def test_counted_axes_drawn_as_one_stack_equal_per_case_samples_bitwise(n):
     for axis, sample in ((CaseSpace.carrier(cm.G, 500), lambda rng: (cm.G.sample(rng),)),
                          (cm.morphism_space(500), lambda rng: astuple(cm.sample_morphism(rng)))):
         stack_rng, case_rng = np.random.default_rng(9), np.random.default_rng(9)
-        drawn = _draw_list(axis, 500, stack_rng)
+        drawn = list(_drawn_axis(axis, 500, stack_rng))
         reference = [sample(case_rng) for _ in range(500)]
         flat = [(m,) if isinstance(m, np.ndarray) else astuple(m) for m in drawn]
         assert _bits(flat) == _bits(reference)

@@ -160,7 +160,7 @@ def test_every_z4_chain_equals_the_nested_loops(n):
     assert got == want
     for chain_ in got[::97]:
         assert_single(chain_)
-    block = space.from_codes(*space.codes(np.arange(space.size)))
+    block = space.build(*space.decode(np.arange(space.size)))
     assert_block_holds(bundle.base, block, got)
 
 
@@ -174,7 +174,7 @@ def test_s3_chains_equal_the_nested_loops_at_seeded_picks(n):
     got = [space[i] for i in picks.tolist()]
     assert got == [want[i] for i in picks.tolist()]
     assert_single(got[0])
-    assert_block_holds(bundle.base, space.from_codes(*space.codes(picks)), got)
+    assert_block_holds(bundle.base, space.build(*space.decode(picks)), got)
 
 
 def test_chains_past_the_word_bound_get_fresh_codes():
@@ -182,7 +182,7 @@ def test_chains_past_the_word_bound_get_fresh_codes():
     bundle = TwistedBundle(base, cm, EtaMap.from_table(base, cm, {"l": 1}))
     assert len(base.codes()) == 3  # id, l, l∘l
     space = composable_chains(bundle, 3)
-    t = space.from_codes(*space.codes(np.arange(space.size)))
+    t = space.build(*space.decode(np.arange(space.size)))
     twice = bundle.compose(t[0], bundle.compose(t[1], t[2])).gamma
     assert bundle.base.morphism_eq(twice, bundle.compose(bundle.compose(t[0], t[1]), t[2]).gamma).all()
     words = {len(base.morphism(c).word) for c in np.unique(twice).tolist()}
@@ -195,7 +195,7 @@ def test_coded_base_pairs_are_the_composable_pairs(base):
     space = _base_pairs(TwistedBundle(base, cm, EtaMap.trivial(base, cm)))
     want = list(base.composable_pairs())
     assert space.size == len(want) and list(space) == want
-    gamma2, gamma1 = space.from_codes(*space.codes(np.arange(space.size)))
+    gamma2, gamma1 = space.build(*space.decode(np.arange(space.size)))
     assert [(base.morphism(c2), base.morphism(c1))
             for c2, c1 in zip(gamma2.tolist(), gamma1.tolist())] == want
 
