@@ -9,6 +9,9 @@ malformed scenario, an unreadable file, or a suite that cannot run on the
 declared module, such as functor enumeration over an infinite group).
 The JSONL report stream is canonical: same scenario and seed give identical
 bytes (see README for the schema).
+
+Each command imports the law modules it needs itself: `run` those of its
+suites, all of them before the first suite runs; `transport` the integrator.
 """
 from __future__ import annotations
 
@@ -17,12 +20,10 @@ import sys
 
 import numpy as np
 
-from .crossed import catalog
-from .decorated import parallel_transport
 from .groups import StructuralError
 from .report import LawReport
 from .scenario import Scenario, ScenarioError
-from .suites import SUITES, run_suite
+from .suites import SUITES, import_suites, run_suite
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,6 +81,7 @@ def cmd_run(args) -> int:
     names = args.suite if args.suite else sc.suites
     if not names:
         raise ScenarioError("no suites requested: pass --suite or declare 'suites'")
+    import_suites(names)
     reports: list[LawReport] = [run_suite(sc, name) for name in names]
     jsonl = "".join(r.to_jsonl() for r in reports)
     if args.format in ("human", "both"):
@@ -94,6 +96,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_transport(args) -> int:
+    from .decorated import parallel_transport
+
     sc = _apply_overrides(Scenario.load(args.scenario), args)
     g = parallel_transport(sc.connection(), sc.path(args.path), sc.steps)
     for row in np.asarray(g):
@@ -102,6 +106,8 @@ def cmd_transport(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from .crossed import catalog
+
     cat = catalog()
     for name, cm in cat.items():
         flag = "  [negative]" if cm.broken else ""

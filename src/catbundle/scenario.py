@@ -9,19 +9,20 @@ application order (first applied first); "" is the identity word.
 
 `Scenario.path_category()` alone makes the path base (`base.dim`,
 `tolerances.pt`). Each accessor checks the fields it reads, and a malformed or
-contradictory one is a ScenarioError.
+contradictory one is a ScenarioError. An accessor that builds a law module's
+object imports that module itself, so loading a scenario compiles none of
+`cocycle`, `decorated` or `twisted`.
 """
 from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .basecat import DEFAULT_PT_TOL, PathCategory, QuiverCategory, SampledPath
-from .cocycle import CocycleData, Cover, TrivializationFamily, constructive_cocycle
 from .crossed import CrossedModule, get_module
-from .decorated import Connection, eta_from_connection
 from .groups import (
     CyclicGroup,
     SpecialOrthogonalGroup,
@@ -33,7 +34,11 @@ from .groups import (
 )
 from .report import DEFAULT_BUDGET
 from .stream import Stream
-from .twisted import EtaMap
+
+if TYPE_CHECKING:
+    from .cocycle import CocycleData, Cover, TrivializationFamily
+    from .decorated import Connection
+    from .twisted import EtaMap
 
 
 class ScenarioError(ValueError):
@@ -185,7 +190,10 @@ class Scenario:
 
     @property
     def suites(self) -> list[str]:
-        return list(self._get("suites", required=False, default=[]))
+        names = self._get("suites", required=False, default=[])
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise ScenarioError(f"'suites' must be a list of suite names, got {names!r}")
+        return list(names)
 
     # -- structured pieces --
 
@@ -244,6 +252,8 @@ class Scenario:
         return ps[name]
 
     def cover(self) -> Cover:
+        from .cocycle import Cover
+
         base, spec = self.quiver(), self._object("cover")
         for key, objects in spec.items():
             _index(key)  # from_dict reads each key as an int
@@ -254,6 +264,8 @@ class Scenario:
         return cover
 
     def cocycle_data(self, cm: CrossedModule, cover: Cover) -> CocycleData:
+        from .cocycle import CocycleData, constructive_cocycle
+
         spec = self._object("cocycle")
         mode = spec.get("mode", "constructive")
         if mode == "constructive":
@@ -296,6 +308,8 @@ class Scenario:
         return out
 
     def trivializations(self, cm: CrossedModule, cover: Cover) -> TrivializationFamily:
+        from .cocycle import TrivializationFamily
+
         spec = self._get("trivializations", required=False, default=None)
         if spec is None or _checked_object("'trivializations'", spec).keys() == {"seed"}:
             seed = self.seed if spec is None else _checked_int(
@@ -313,6 +327,8 @@ class Scenario:
     def connection(self) -> Connection:
         """The connection on the path base, whose dim its `base_dim` must be; it
         is linear exactly when `linear` is given, as a declared `family` must say."""
+        from .decorated import Connection
+
         spec = self._object("connection", "group_dim", "base_dim", "matrices")
         dim, family = self.path_category().dim, "constant" if spec.get("linear") is None else "linear"
         if spec["base_dim"] != dim:
@@ -326,8 +342,11 @@ class Scenario:
             raise ScenarioError(f"bad connection declaration: {exc}") from exc
 
     def eta(self, cm: CrossedModule) -> EtaMap:
+        from .twisted import EtaMap
+
         spec = self._object("eta")
         if spec.get("from_connection"):
+            from .decorated import eta_from_connection
             return eta_from_connection(self.path_category(), cm, self.connection(), self.steps)
         if "table" in spec:
             base, table = self.quiver(), _checked_object("'eta.table'", spec["table"])

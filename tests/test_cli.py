@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from catbundle import cli as cli_mod
 from catbundle import suites as suites_mod
 from catbundle.cli import main
 from catbundle.crossed import catalog
+from catbundle.scenario import ScenarioError
 
 REPO = Path(__file__).resolve().parents[1]
 SCEN = REPO / "scenarios"
@@ -132,18 +134,103 @@ def _shipped_cli_runs():
                                id=f"{path.stem}/transport/{pid}")
 
 
+LAW_MODULE_NAMES = ("bundle", "cocycle", "decorated", "twisted")
+
+# one shipped run in a fresh interpreter: the exit code, whether numpy.random
+# was imported, and the catbundle modules loaded at the first suite call (null
+# for `transport`) and at exit
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import catbundle.cli as cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "catbundle")
+
+at_first, run_suite = [], cli.run_suite
+
+def probed_run_suite(sc, name):
+    if not at_first:
+        at_first.append(loaded())
+    return run_suite(sc, name)
+
+cli.run_suite = probed_run_suite
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "numpy_random": "numpy.random" in sys.modules,
+                  "at_first": at_first[0] if at_first else None, "at_exit": loaded()}))
+"""
+
+
 @pytest.mark.parametrize("argv", _shipped_cli_runs())
 def test_no_cli_run_imports_numpy_random(argv):
     # catbundle.stream draws numpy's PCG64 stream itself, so no run pays the
     # 10-15 ms import of numpy.random; its bitwise parity with default_rng is
-    # test_stream's, since a passing report cannot tell a wrong stream
-    code = ("import contextlib, io, sys; from catbundle.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()): rc = main(sys.argv[1:])\n"
-            "print(rc, 'numpy.random' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+    # test_stream's, since a passing report cannot tell a wrong stream.
+    # The same run guards the import set: a run imports its suites' law
+    # modules before the first suite call (a module compiled after it is
+    # timed as checking), and only those
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    out = json.loads(proc.stdout)
+    assert out["rc"] in (0, 1) and out["numpy_random"] is False, proc.stderr
+    law_modules = {m.split(".")[-1] for m in out["at_exit"]} & set(LAW_MODULE_NAMES)
+    if argv[0] == "transport":
+        assert out["at_first"] is None
+        assert not law_modules & {"bundle", "cocycle"}, out["at_exit"]
+        return
+    assert out["at_exit"] == out["at_first"], set(out["at_exit"]) - set(out["at_first"])
+    if argv[argv.index("--suite") + 1] in ("crossed-module", "exchange-law"):
+        assert not law_modules, out["at_exit"]
+
+
+def test_suites_table_names_every_suite_and_rejects_unknown_names():
+    assert set(suites_mod.LAW_MODULES) == set(suites_mod.SUITES)
+    for modules in suites_mod.LAW_MODULES.values():
+        assert set(modules) <= set(LAW_MODULE_NAMES)
+    with pytest.raises(ScenarioError, match="unknown suite 'nope'"):
+        suites_mod.import_suites(["bundle-axioms", "nope"])
+
+
+@pytest.mark.parametrize("where", ["flag", "scenario"])
+def test_unknown_suite_fails_before_any_suite_runs(where, monkeypatch, capsys, tmp_path):
+    entered = []
+    monkeypatch.setattr(cli_mod, "run_suite", lambda sc, name: entered.append(name))
+    scenario = SCEN / "s3_quiver.json"
+    argv = ["run", "--scenario", str(scenario), "--suite", "bundle-axioms", "--suite", "nope"]
+    if where == "scenario":
+        raw = {**json.loads(scenario.read_text()), "suites": ["bundle-axioms", "nope"]}
+        scenario = tmp_path / "unknown_suite.json"
+        scenario.write_text(json.dumps(raw))
+        argv = ["run", "--scenario", str(scenario)]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown suite 'nope'") and entered == []
+
+
+@pytest.mark.parametrize("suites", [5, "cocycle", [["cocycle"]]])
+def test_malformed_suites_list_is_input_error(suites, capsys, tmp_path):
+    f = tmp_path / "bad_suites.json"
+    f.write_text(json.dumps({**json.loads((SCEN / "s3_cocycle.json").read_text()), "suites": suites}))
+    assert run_cli("run", "--scenario", str(f)) == 2
+    assert "'suites' must be a list of suite names" in capsys.readouterr().err
+
+
+def test_package_namespace_is_lazy():
+    # importing the package or the CLI compiles none of the law modules; the
+    # exported names resolve on first access
+    code = ("import json, sys\n"
+            "def law_modules():\n"
+            "    return [m for m in %r if 'catbundle.' + m in sys.modules]\n"
+            "import catbundle\n"
+            "after_package = law_modules()\n"
+            "import catbundle.cli\n"
+            "print(json.dumps([after_package, law_modules(), dir(catbundle), catbundle.__all__]))\n"
+            % (LAW_MODULE_NAMES,))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(REPO / "src")})
-    rc, imported = proc.stdout.split()
-    assert rc in ("0", "1") and imported == "False", proc.stderr
+    after_package, after_cli, listed, exported = json.loads(proc.stdout)
+    assert after_package == [] and after_cli == [], proc.stderr
+    assert set(exported) <= set(listed)
 
 
 def test_every_verify_operation_is_reachable_from_a_suite(monkeypatch):
