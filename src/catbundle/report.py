@@ -3,21 +3,26 @@
 A law's cases come from a CaseSpace, whose `plan` decides exhaustive vs
 sampled by one rule: the whole space in order when it fits the budget,
 else `budget` seeded draws. Every case is `build(*parts)`, and a plan takes
-one of two routes to its blocks of at most BLOCK cases:
+one of two routes to its blocks:
 
-- a finite space is decoded BLOCK case numbers (or seeded picks) at a time,
-  one vectorised divmod per axis into part columns: int codes (range axes,
-  coded spaces such as the twisted chains on a quiver) or listed items. A
-  sampled product with counted or enumerated axes is made finite first, by
-  drawing each sampled axis up front (a counted product as one unit);
-- an open sampled space (SO(n) carriers, random paths) is drawn BLOCK cases
-  at a time: one uniform array where its parts are uniforms, else case by
-  case, from a saved RNG state that reruns a block's cases one at a time.
+- a finite space is decoded FINITE_BLOCK case numbers (or seeded picks) at
+  a time, one vectorised divmod per axis into part columns: int codes
+  (range axes, coded spaces such as the twisted chains on a quiver) or
+  listed items. A sampled product with counted or enumerated axes is made
+  finite first, by drawing each sampled axis up front (a counted product as
+  one unit);
+- an open sampled space (SO(n) carriers, random paths) is drawn DRAWN_BLOCK
+  cases at a time: one uniform array where its parts are uniforms, else
+  case by case, from a saved RNG state that reruns a block's cases one at a
+  time.
 
 Either way the block is built once where every part column stacks, and case
 by case otherwise. A law is `run_law(law, anchor, plan, ok, witness)`:
 `ok(case)` is a per-case mask on a block, and `witness(case)` describes one
-failing case.
+failing case. A finite block whose build or check raises is searched by
+halves, each rebuilt from its part columns, for the first case that fails,
+so a big block costs a failing law about log2(FINITE_BLOCK) block checks
+and one single case.
 
 A suite produces a LawReport: one LawRecord per algebraic law, each carrying
 the law's anchor string (its identifier in the library's law registry, e.g.
@@ -85,8 +90,8 @@ class CaseSpace:
 
     def __iter__(self):
         return itertools.chain.from_iterable(
-            _singles(self, self.decode(np.arange(start, min(start + BLOCK, self.size))))
-            for start in range(0, self.size, BLOCK))
+            _singles(self, self.decode(np.arange(start, min(start + FINITE_BLOCK, self.size))))
+            for start in range(0, self.size, FINITE_BLOCK))
 
     @staticmethod
     def finite(items: Sequence) -> "CaseSpace":
@@ -143,8 +148,8 @@ class CaseSpace:
         times; in a product, finite and counted axes are enumerated whole
         and one open sampled axis is drawn max(1, budget // their size)
         times. No cases when budget <= 0. The cases come as Blocks of at
-        most BLOCK cases where they stack, with the RNG consumed as
-        case-by-case draws consume it."""
+        most FINITE_BLOCK (finite) or DRAWN_BLOCK (open) cases where they
+        stack, with the RNG consumed as case-by-case draws consume it."""
         if budget <= 0:
             return Plan((), exhaustive=False, space=self.size)
         if self.size is not None:
@@ -158,57 +163,77 @@ class CaseSpace:
         return Plan(_decoded(finite, range(finite.size)), exhaustive=False)
 
 
-BLOCK = 512  # cases per block: a few hundred kB of SO(3) stacks per law
+# cases per block: a decoded block is int-code columns, 32 kB a part, and
+# mostly costs its Python dispatch; a drawn one holds SO(n) stacks and paths,
+# a few hundred kB of SO(3) stacks per law
+FINITE_BLOCK = 4096
+DRAWN_BLOCK = 512
 
 
 class Block:
-    """`size` cases stacked along a first axis, and `singles`, which yields
-    them one at a time (redrawn from the saved RNG state, if sampled). A
-    plain class: a frozen dataclass adds about 1 ms to every CLI start."""
-    __slots__ = ("cases", "size", "singles")
+    """`size` cases stacked along a first axis as `cases` (None where their
+    build raised a CASE_ERRORS error), and `singles(first)`, which yields
+    them one at a time from case `first` on (a drawn block redraws them from
+    its saved RNG state, the cases before `first` too, unchecked). A finite
+    block also has `part(lo, hi)`, its cases lo..hi-1 built stacked anew
+    from its part columns; a drawn one has None. A plain class: a frozen
+    dataclass adds about 1 ms to every CLI start."""
+    __slots__ = ("cases", "size", "singles", "part")
 
-    def __init__(self, cases, size: int, singles: Callable):
-        self.cases, self.size, self.singles = cases, size, singles
+    def __init__(self, cases, size: int, singles: Callable, part: Callable | None = None):
+        self.cases, self.size, self.singles, self.part = cases, size, singles, part
 
 
-def _block(k: int, stacked: Callable, singles: Callable):
+def _block(k: int, stacked: Callable, singles: Callable, part: Callable | None = None):
     """The k cases of one block: a Block of the cases `stacked()` builds
-    at once, or, where their parts do not stack (None) or the build raises
-    a CASE_ERRORS error, the cases from `singles()` one at a time, each
-    raising in its turn."""
+    at once, or, where their parts do not stack (None), the cases from
+    `singles()` one at a time. Where the build raises a CASE_ERRORS error, a
+    finite block (one with `part`) is a Block without cases, which run_law
+    searches by halves, and a drawn one comes as its singles, each raising
+    in its turn."""
     try:
         cases = stacked()
     except CASE_ERRORS:
-        cases = None
-    return singles() if cases is None else (Block(cases, k, singles),)
+        return singles() if part is None else (Block(None, k, singles, part),)
+    return singles() if cases is None else (Block(cases, k, singles, part),)
 
 
 def _decoded(space: CaseSpace, indices):
     """The cases of a finite space at `indices` (case numbers or picks),
-    BLOCK at a time: their part columns decoded at once, and the block built
-    once from them, or its singles from the same columns."""
-    for start in range(0, len(indices), BLOCK):
-        chunk = indices[start:start + BLOCK]
+    FINITE_BLOCK at a time: their part columns decoded at once, and the
+    block built once from them. Its `part` and `singles` slice the same
+    columns, so a rerun from case i builds no case before it. Listed items
+    do not stack: their cases come one at a time."""
+    for start in range(0, len(indices), FINITE_BLOCK):
+        chunk = indices[start:start + FINITE_BLOCK]
         columns = space.decode(np.arange(chunk.start, chunk.stop)
                                if isinstance(chunk, range) else chunk)
-        listed = any(isinstance(c, list) for c in columns)  # listed items do not stack
-        yield from _block(len(chunk), lambda: None if listed else space.build(*columns),
-                          lambda columns=columns: _singles(space, columns))
+        if any(isinstance(c, list) for c in columns):
+            yield from _singles(space, columns)
+            continue
+
+        def part(lo, hi, columns=columns):
+            return space.build(*(c[lo:hi] for c in columns))
+
+        def singles(first=0, columns=columns):
+            return _singles(space, [c[first:] for c in columns])
+
+        yield from _block(len(chunk), lambda: part(0, len(chunk)), singles, part)
 
 
 def _drawn(space: CaseSpace, budget: int, rng):
-    """`budget` draws of an open sampled space, BLOCK at a time, which take
-    the RNG exactly as per-case draws do: one (k, width) uniform array per
-    block where its parts are uniforms, else k per-case draws of its parts,
-    built once, stacked. A block's singles redraw from its saved RNG state
-    and stop drawing where their rerun stops."""
-    for start in range(0, budget, BLOCK):
-        k = min(BLOCK, budget - start)
+    """`budget` draws of an open sampled space, DRAWN_BLOCK at a time, which
+    take the RNG exactly as per-case draws do: one (k, width) uniform array
+    per block where its parts are uniforms, else k per-case draws of its
+    parts, built once, stacked. A block's singles redraw from its saved RNG
+    state and stop drawing where their rerun stops."""
+    for start in range(0, budget, DRAWN_BLOCK):
+        k = min(DRAWN_BLOCK, budget - start)
         state = rng.bit_generator.state
 
-        def redraw(state=state, k=k):
+        def redraw(first=0, state=state, k=k):
             rng.bit_generator.state = state
-            return (_case(space, rng) for _ in range(k))
+            return itertools.islice((_case(space, rng) for _ in range(k)), first, None)
 
         if space.width is not None:
             yield from _block(k, lambda: _uniform(space, rng.random((k, space.width))), redraw)
@@ -397,8 +422,12 @@ class LawRecord:
     checks: int
     exhaustive: bool
     witness: dict | None = None
+    # not serialized: the time taken, the case-space size (None if
+    # infinite), the block checks made and the cases checked one at a time
     elapsed_ms: float = 0.0
-    space: int | None = None  # case-space size, None if infinite; not serialized
+    space: int | None = None
+    blocks: int = 0
+    singles: int = 0
 
     @property
     def passed(self) -> bool:
@@ -490,29 +519,26 @@ def run_law(law: str, anchor: str, plan: Plan, ok: Callable, witness: Callable) 
     CompositionUndefined or StructuralError fails with the error as its
     witness; other exceptions propagate. A law checked on no case fails.
 
-    On a Block, `ok` gives a per-case mask, and the first False at index i
-    counts i + 1 checks: only that case is rebuilt from `singles` (a sampled
-    block redraws i + 1 cases, so the RNG stands where a case-by-case run
-    leaves it) and checked on its own. A block that raises one of the two
-    errors is checked case by case."""
+    On a Block, `ok` gives a per-case mask. The first case whose check is
+    False, or raises one of the two errors, is found by `_first_failure`;
+    at index i it counts i + 1 checks, and the block is rerun case by case
+    from there (a drawn block redraws its first i cases too, so the RNG
+    stands where a case-by-case run leaves it), so that case is the first
+    checked on its own. The record counts the block checks and the cases
+    checked one at a time."""
     t0 = time.perf_counter()
-    n, found = 0, None
+    n, found, blocks, singles = 0, None, 0, 0
     for item in plan:
         cases = (item,)
         if isinstance(item, Block):
-            try:
-                mask = np.broadcast_to(ok(item.cases), (item.size,))
-            except CASE_ERRORS:
-                cases = item.singles()
-            else:
-                if mask.all():
-                    n += item.size
-                    continue
-                first = int(mask.argmin())
-                n += first
-                cases = itertools.islice(item.singles(), first, None)
+            first, checked = _first_failure(item, ok)
+            n, blocks = n + first, blocks + checked
+            if first == item.size:
+                continue
+            cases = item.singles(first)
         for case in cases:
             n += 1
+            singles += 1
             try:
                 if ok(case):
                     continue
@@ -527,4 +553,41 @@ def run_law(law: str, anchor: str, plan: Plan, ok: Callable, witness: Callable) 
         found = {"error": "no cases checked"}
     return LawRecord(law=law, anchor=anchor, status="pass" if found is None else "fail", checks=n,
                      exhaustive=plan.exhaustive, witness=found,
-                     elapsed_ms=(time.perf_counter() - t0) * 1000.0, space=plan.space)
+                     elapsed_ms=(time.perf_counter() - t0) * 1000.0, space=plan.space,
+                     blocks=blocks, singles=singles)
+
+
+def _first_failure(block: Block, ok: Callable) -> tuple[int, int]:
+    """The index of the first case of `block` whose check is False or raises
+    a CASE_ERRORS error (`block.size` where every case holds), and the number
+    of block checks that found it. Where the block's build or check raises,
+    a finite block is searched by halves, as in binary-splitting group
+    testing (Hwang, JASA 67(339), 1972): the earlier half of the span that
+    holds the first failure is built from the part columns and checked, and
+    the search goes on in whichever half holds the first False or raise,
+    until it finds a False or one case is left: at most
+    ceil(log2(block.size)) more checks. A drawn block has no `part`: its
+    search stops at case 0."""
+    lo, hi = 0, block.size  # the first failure, if any, is in lo..hi-1
+    checks, held = 0, None  # held: how many of the last cases checked hold first
+    if block.cases is not None:
+        checks, held = 1, _held(ok, lambda: block.cases, hi)
+    while held is None and hi - lo > 1 and block.part is not None:
+        mid = (lo + hi) // 2
+        checks, held = checks + 1, _held(ok, lambda: block.part(lo, mid), mid - lo)
+        if held is None:
+            hi = mid
+        elif held == mid - lo:
+            lo, held = mid, None
+    return (lo if held is None else lo + held), checks
+
+
+def _held(ok: Callable, build: Callable, k: int) -> int | None:
+    """How many of the k stacked cases `build()` gives hold before the first
+    whose check is False (k where all hold), or None where the build or the
+    check raises a CASE_ERRORS error."""
+    try:
+        mask = np.broadcast_to(ok(build()), (k,))
+    except CASE_ERRORS:
+        return None
+    return k if mask.all() else int(mask.argmin())

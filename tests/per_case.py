@@ -19,7 +19,7 @@ def per_case_plans():
     columns, or drawn one case at a time from the block's saved RNG state,
     so each law's `ok` sees single cases only."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(report, "_block", lambda k, stacked, singles: singles())
+        mp.setattr(report, "_block", lambda k, stacked, singles, *part: singles())
         yield
 
 

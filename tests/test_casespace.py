@@ -120,9 +120,11 @@ def test_nested_spaces_beyond_sys_maxsize():
 
 
 @pytest.mark.parametrize("fails_at", [3, None])
-def test_a_coded_block_that_cannot_be_built_runs_case_by_case(fails_at):
-    # case 7 cannot be built: the block holding it is checked case by case, so
-    # a failure before it is the witness and case 7 raises in its turn
+def test_a_coded_block_that_cannot_be_built_is_searched_by_halves(fails_at):
+    # case 7 cannot be built: the block holding it is searched by halves, each
+    # rebuilt from its codes (0-4 hold, then 5-6, and 7 alone cannot be
+    # built), so a failure before it is the witness and case 7 raises in its
+    # turn
     def build(c):
         if np.any(np.asarray(c) == 7):
             raise StructuralError("no case 7")
@@ -139,11 +141,12 @@ def test_a_coded_block_that_cannot_be_built_runs_case_by_case(fails_at):
         with pytest.raises(StructuralError, match="no case 7"):
             run_law("law", "anchor", space.plan(10, np.random.default_rng(0)), ok,
                     lambda c: {"case": c})
-        assert seen == [1] * 7
+        assert seen == [5, 2]
     else:
         record = run_law("law", "anchor", space.plan(10, np.random.default_rng(0)), ok,
                          lambda c: {"case": c})
-        assert (record.checks, record.witness, seen) == (4, {"case": 3}, [1] * 4)
+        assert (record.checks, record.witness, seen) == (4, {"case": 3}, [5, 1])
+        assert (record.blocks, record.singles) == (1, 1)
 
 
 def test_nonpositive_budget_yields_no_cases():

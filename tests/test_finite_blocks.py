@@ -1,24 +1,33 @@
 """Finite laws run on blocks of int-coded cases: a failing S3 module pinned by
 committed goldens, int codes and their parsing, table lookups on arrays,
 one-call picks, block plans against per-case plans, run_law's case-by-case
-rerun of a failing block, and the prop34 GU laws on blocks of functor and
-transformation codes."""
+rerun of a failing block and its search by halves for a failure deep in a
+big block, and the prop34 GU laws on blocks of functor and transformation
+codes."""
 import itertools
+import math
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import catbundle.crossed
+import catbundle.report
+import catbundle.suites
+import catbundle.twisted
 from catbundle.basecat import QuiverCategory
 from catbundle.bundle import NatTransf, enumerate_functors, gauge, verify_GU_categorical_group
 from catbundle.crossed import CrossedModule, get_module, verify_crossed_module, verify_exchange_law
 from catbundle.groups import CyclicGroup, FiniteGroup, StructuralError, SymmetricGroup
-from catbundle.report import BLOCK, Block, CaseSpace, _index, _picks, run_law
-from catbundle.scenario import ScenarioError, parse_element
+from catbundle.report import FINITE_BLOCK, Block, CaseSpace, _index, _picks, run_law
+from catbundle.scenario import Scenario, ScenarioError, parse_element
+from catbundle.suites import run_suite
 from per_case import per_case_plans
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SCEN = Path(__file__).resolve().parents[1] / "scenarios"
 ARROW = QuiverCategory(["a", "b"], [("f", "a", "b")], word_bound=2)
 
 
@@ -147,7 +156,7 @@ def test_block_plan_decodes_the_per_case_plan(slots, budget):
     assert (block_plan.exhaustive, block_plan.space) == (case_plan.exhaustive, case_plan.space)
     blocks = list(block_plan)
     assert all(isinstance(b, Block) for b in blocks)
-    sizes = [min(BLOCK, len(cases) - i) for i in range(0, len(cases), BLOCK)]
+    sizes = [min(FINITE_BLOCK, len(cases) - i) for i in range(0, len(cases), FINITE_BLOCK)]
     assert [b.size for b in blocks] == sizes
     for axis in range(len(slots)):
         block_axis = np.concatenate([b.cases[axis] for b in blocks])
@@ -162,24 +171,22 @@ def _records_equal(a, b):
     return all(getattr(a, k) == getattr(b, k) for k in keys)
 
 
-@pytest.mark.parametrize("budget", [3000, 46656])
-@pytest.mark.parametrize("depth", [0, 2, 3, 4])
+@pytest.mark.parametrize("budget", [20000, 46656])
+@pytest.mark.parametrize("depth", [0, 2, 3, 4, 5])
 def test_block_run_matches_the_per_case_run(budget, depth):
     """A check that fails where the first `depth` parts of a case are
-    (5, 4, 3, 2) (never, for depth 0): the block run gives the per-case
+    (5, 4, 3, 2, 1) (never, for depth 0): the block run gives the per-case
     record, the per-case values are Python ints, and the generator stands
     where the per-case run leaves it, also after a failure."""
     space = _coded("hghhgh")
-    target = (5, 4, 3, 2)[:depth]
-    stacked, scalar_types = [], set()
+    target = (5, 4, 3, 2, 1)[:depth]
+    scalar_types = set()
 
     def ok(t):
         hit = depth > 0
         for part, want in zip(t, target):
             hit = hit & (np.asarray(part) == want)
-        if isinstance(t[0], np.ndarray):
-            stacked.append(len(t[0]))
-        else:
+        if not isinstance(t[0], np.ndarray):
             scalar_types.update(type(x) for x in t)
         return np.logical_not(hit)
 
@@ -194,22 +201,24 @@ def test_block_run_matches_the_per_case_run(budget, depth):
     assert _records_equal(got, want) and want.passed == (depth == 0)
     assert block_rng.bit_generator.state == case_rng.bit_generator.state
     assert scalar_types <= {int}
-    # one call per block up to the failing one (or all of them)
-    assert len(stacked) == (want.checks - 1) // BLOCK + 1
+    # one check per block up to the failing one (or all of them), and only
+    # the failing case on its own
+    assert got.blocks == (want.checks - 1) // FINITE_BLOCK + 1
+    assert got.singles == (not want.passed) and want.blocks == 0
 
 
 def test_failures_lie_in_first_and_later_blocks():
     # the cases above fail in the first block and in later ones, sampled and exhaustive
     space = _coded("hghhgh")
     firsts = set()
-    for budget in (3000, 46656):
-        for depth in (2, 3, 4):
-            target = (5, 4, 3, 2)[:depth]
+    for budget in (20000, 46656):
+        for depth in (2, 3, 4, 5):
+            target = (5, 4, 3, 2, 1)[:depth]
             with per_case_plans():
                 plan = list(space.plan(budget, np.random.default_rng(8)))
             first = next(i for i, c in enumerate(plan) if c[:depth] == target)
-            firsts.add((budget, first // BLOCK > 0))
-    assert firsts == {(3000, False), (3000, True), (46656, True)}
+            firsts.add((budget, first // FINITE_BLOCK > 0))
+    assert firsts == {(20000, False), (20000, True), (46656, True)}
 
 
 def test_block_that_raises_is_rerun_and_reports_the_error():
@@ -254,10 +263,104 @@ def test_finite_suites_check_each_block_in_one_call(name, monkeypatch):
     assert report.passed
     space = len(cm.G.values) * len(cm.H.values) ** 2
     assert report.find("exchange-law").checks == min(20_000, space ** 2)
-    # every multiplication is a table lookup on a block of at most BLOCK cases
+    # every multiplication is a table lookup on a block of at most FINITE_BLOCK cases
     # (a per-case run would make more than one per case checked)
-    assert calls and all(1 < n <= BLOCK for n in calls)
-    assert BLOCK in calls and len(calls) < 1000
+    assert calls and all(1 < n <= FINITE_BLOCK for n in calls)
+    assert FINITE_BLOCK in calls and len(calls) < 1000
+
+
+# -- a failure deep in one big block --
+
+# block checks a failing law may make: the whole block, then a search by halves
+SEARCH_CHECKS = math.ceil(math.log2(FINITE_BLOCK)) + 2
+
+
+def _counting_singles(monkeypatch, law: list) -> Counter:
+    """Counts the cases built one at a time, per law named by `law[0]`
+    while they are built."""
+    built, singles = Counter(), catbundle.report._singles
+    monkeypatch.setattr(catbundle.report, "_singles", lambda space, columns: (
+        built.update(law) or case for case in singles(space, columns)))
+    return built
+
+
+def _shipped_run(name: str, suite: str, monkeypatch):
+    """A shipped scenario's suite, the state its stream is left in, and the
+    cases each law built one at a time."""
+    streams, law, suite_rng = [], [None], catbundle.suites.suite_rng
+
+    def recording(law_id, *args):
+        law[0] = law_id
+        return run_law(law_id, *args)
+
+    monkeypatch.setattr(catbundle.suites, "suite_rng",
+                        lambda *a: streams.append(suite_rng(*a)) or streams[-1])
+    for module in (catbundle.crossed, catbundle.twisted):
+        monkeypatch.setattr(module, "run_law", recording)
+    built = _counting_singles(monkeypatch, law)
+    result = run_suite(Scenario.load(SCEN / f"{name}.json"), suite)
+    return result, streams[-1].bit_generator.state, dict(built)
+
+
+# exchange-law first gives False at check 867 of its 5184, all in the first
+# block; associativity first raises CompositionUndefined at check 2593
+@pytest.mark.parametrize("name, suite, law, checks, error", [
+    ("negative_broken_module", "exchange-law", "exchange-law", 867, None),
+    ("negative_eta", "twisted-bundle", "associativity", 2593, "CompositionUndefined"),
+])
+def test_a_failure_deep_in_a_big_block_is_found_by_halves(name, suite, law, checks, error,
+                                                           monkeypatch):
+    blocked, state, built = _shipped_run(name, suite, monkeypatch)
+    with per_case_plans():
+        per_case, per_case_state, _ = _shipped_run(name, suite, monkeypatch)
+    got, want = blocked.find(law), per_case.find(law)
+    assert _records_equal(got, want) and state == per_case_state
+    assert blocked.to_jsonl() == per_case.to_jsonl()
+    assert got.checks == checks and got.space > checks and got.exhaustive
+    assert (got.witness.get("error", "").split(":")[0] or None) == error
+    assert 1 <= got.blocks <= SEARCH_CHECKS and got.singles == 1
+    assert built.get(law, 0) <= 2  # at most one case built before the failing one
+
+
+@pytest.mark.parametrize("fails_at", [FINITE_BLOCK * 5 // 8 + 1, None])
+def test_a_build_error_deep_in_a_big_coded_block_is_found_by_halves(fails_at, monkeypatch):
+    # no block holding case `raises_at` can be built, nor that case alone: the
+    # first False before it is the witness, and without one its build error
+    # propagates, in blocks as case by case
+    raises_at = FINITE_BLOCK * 3 // 4
+
+    def build(c):
+        if np.any(np.asarray(c) == raises_at):
+            raise StructuralError(f"no case {raises_at}")
+        return c
+
+    space = CaseSpace.coded(FINITE_BLOCK, 1, lambda i: [i], build)
+    calls = []
+
+    def ok(c):
+        calls.append(np.size(c))
+        return c != fails_at
+
+    def run(rng):
+        try:
+            return run_law("law", "anchor", space.plan(FINITE_BLOCK, rng), ok,
+                           lambda c: {"case": c})
+        except StructuralError as exc:
+            return str(exc)
+
+    built = _counting_singles(monkeypatch, ["law"])
+    block_rng, case_rng = np.random.default_rng(3), np.random.default_rng(3)
+    got = run(block_rng)
+    blocks, built_before = sum(n > 1 for n in calls), built["law"]
+    with per_case_plans():
+        want = run(case_rng)
+    assert block_rng.bit_generator.state == case_rng.bit_generator.state
+    assert blocks <= SEARCH_CHECKS and built_before <= 2
+    if fails_at is None:
+        assert got == want == f"no case {raises_at}"
+    else:
+        assert _records_equal(got, want) and got.witness == {"case": fails_at}
+        assert got.checks == fails_at + 1 and (got.blocks, got.singles) == (blocks, 1)
 
 
 def test_closed_forms_must_take_int_codes():
@@ -372,7 +475,7 @@ def test_gu_laws_check_each_block_in_one_call(monkeypatch):
     checks = sum(r.checks for r in report.records)
     # a per-case run makes dozens of multiplications per case checked; here
     # only enumerating the functors and building the identities is per case
-    assert BLOCK in calls and len(calls) < checks / 5 and calls.count(1) < 40
+    assert FINITE_BLOCK in calls and len(calls) < checks / 5 and calls.count(1) < 40
 
 
 def test_gu_laws_on_a_quiver_without_objects():

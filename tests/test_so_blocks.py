@@ -21,7 +21,7 @@ from catbundle.crossed import (
     verify_exchange_law,
 )
 from catbundle.groups import SpecialOrthogonalGroup, StructuralError
-from catbundle.report import BLOCK, Block, CaseSpace, _drawn_axis, run_law
+from catbundle.report import DRAWN_BLOCK, Block, CaseSpace, _drawn_axis, run_law
 from catbundle.stream import Stream
 from per_case import per_case_plans, whole_blocks
 
@@ -101,7 +101,8 @@ def test_block_draws_equal_per_case_draws_bitwise(n, slots):
     block_rng, case_rng, ref_rng = (np.random.default_rng(7) for _ in range(3))
     blocks = list(space.plan(3000, block_rng))
     assert all(isinstance(b, Block) for b in blocks)
-    assert [b.size for b in blocks] == [BLOCK] * (3000 // BLOCK) + [3000 % BLOCK]
+    sizes = [DRAWN_BLOCK] * (3000 // DRAWN_BLOCK) + [3000 % DRAWN_BLOCK]
+    assert [b.size for b in blocks] == sizes
     with per_case_plans():
         cases = list(space.plan(3000, case_rng))
     reference = [tuple(_reference_sample(n, ref_rng) for _ in slots) for _ in range(3000)]
@@ -210,7 +211,7 @@ def test_block_run_matches_the_per_case_run(threshold):
     assert _records_equal(got, want)
     assert block_rng.bit_generator.state == case_rng.bit_generator.state
     # every block up to the failing one was checked in one call
-    failed_block = (want.checks - 1) // BLOCK if want.witness else len(stacked_calls) - 1
+    failed_block = (want.checks - 1) // DRAWN_BLOCK if want.witness else len(stacked_calls) - 1
     assert len(stacked_calls) == failed_block + 1
     assert not want.passed or want.checks == 3000
 
@@ -228,7 +229,7 @@ def test_block_that_raises_is_rerun_and_reports_the_error():
     with per_case_plans():
         want = run_law("law", "anchor", space.plan(3000, case_rng), ok, lambda t: {})
     assert got.witness == {"error": "CompositionUndefined: target != source"}
-    assert _records_equal(got, want) and got.checks > BLOCK
+    assert _records_equal(got, want) and got.checks > DRAWN_BLOCK
     assert block_rng.bit_generator.state == case_rng.bit_generator.state
 
 

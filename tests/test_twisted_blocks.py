@@ -20,7 +20,7 @@ from catbundle.bundle import (
 )
 from catbundle.crossed import TwoGroupMorphism, get_module
 from catbundle.groups import FiniteGroup
-from catbundle.report import BLOCK, Block, CaseSpace, run_law
+from catbundle.report import FINITE_BLOCK, Block, CaseSpace, run_law
 from catbundle.scenario import Scenario
 from catbundle.suites import run_suite
 from catbundle.twisted import (
@@ -246,24 +246,19 @@ BLOCKED = {
 
 def run_recording_blocks(scenario, suite, monkeypatch):
     """Run a shipped scenario's suite, and record per law in report order its
-    plan's block sizes, its `ok` calls and the sizes of the finite
-    multiplications made while it runs."""
+    plan's block sizes and the sizes of the finite multiplications made
+    while it runs."""
     runs = [{"lookups": []}]  # before the first law
     mul = FiniteGroup.mul
     monkeypatch.setattr(FiniteGroup, "mul", lambda self, a, b: runs[-1]["lookups"].append(
         max(np.size(a), np.size(b))) or mul(self, a, b))
 
     def recording(law, anchor, cases, ok, witness):
-        run = {"checks": 0, "lookups": []}
+        run = {"lookups": []}
         runs.append(run)
         listed = list(cases)
         run["blocks"] = [x.size if isinstance(x, Block) else None for x in listed]
-
-        def counted(case):
-            run["checks"] += 1
-            return ok(case)
-
-        return run_law(law, anchor, replace(cases, cases=listed), counted, witness)
+        return run_law(law, anchor, replace(cases, cases=listed), ok, witness)
 
     for module in (catbundle.bundle, catbundle.twisted):
         monkeypatch.setattr(module, "run_law", recording)
@@ -283,9 +278,10 @@ def test_twisted_laws_check_each_block_in_one_call(name, suite, monkeypatch):
         if r.law in BLOCKED[suite]:
             # every case comes in a block, each checked in one call
             assert run["blocks"] and None not in run["blocks"], r.law
-            assert sum(run["blocks"]) == r.checks and run["checks"] == len(run["blocks"]), r.law
-            assert all(1 <= n <= BLOCK for n in run["lookups"]), r.law
-            assert BLOCK in run["lookups"] or r.checks < BLOCK, r.law
+            assert sum(run["blocks"]) == r.checks and r.blocks == len(run["blocks"]), r.law
+            assert r.singles == 0, r.law
+            assert all(1 <= n <= FINITE_BLOCK for n in run["lookups"]), r.law
+            assert FINITE_BLOCK in run["lookups"] or r.checks < FINITE_BLOCK, r.law
         else:
             # a listed space, or one with a listed axis
             assert set(run["blocks"]) == {None}, r.law
