@@ -6,21 +6,20 @@ in (a scenario's is `Scenario.path_category()`).
 
 Transport solves g'(u)·g(u)^-1 = -A(gamma'(u)), g(0) = e, by midpoint
 exponential Euler. Each segment [a, b] of a directly-sampled path (a leaf) is
-split into `steps` equal substeps of displacement d; A is evaluated at the
-midpoints a + (j+1/2)·d in one batched call per segment, the factors
-f[j] = exp(-A(mid_j)·d) are formed in closed form (the angle for SO(2),
-Rodrigues for SO(3)) and kept as f[j] - I, and their ordered product
-f[steps-1]···f[0] is taken by pairwise tree reduction, the later factor always
-on the left. Carrying f - I keeps transports orthogonal to about 1e-15 even
-over thousands of substeps. Segment products are then left-folded in path
-order.
+split into `steps` equal substeps of displacement d, at midpoints
+a + (j+1/2)·d; the factors f[j] = exp(-A(mid_j)·d) are formed in closed form
+(the angle for SO(2), Rodrigues for SO(3)) and kept as f[j] - I, and their
+ordered product f[steps-1]···f[0] is taken by pairwise tree reduction, the
+later factor always on the left. Carrying f - I keeps transports orthogonal to
+about 1e-15 even over thousands of substeps. Segment products are then
+left-folded in path order.
 
 The leaves one call needs (a block's, less those EtaMap keeps, or one path's)
-are integrated stacked: their segments go through one `skew_expm1_batch` and
-one `_ordered_product` over a (segments, steps, n, n) stack, in chunks of at
-most about CHUNK factors so that memory stays bounded, then each leaf folds
-its segments. Every operation acts on one segment's values alone, so a leaf's
-transport is bitwise the same whatever else shares its stacked call.
+are integrated stacked, in chunks of at most about CHUNK factors so that
+memory stays bounded: the connection is evaluated once per chunk, not per
+segment, then one `skew_expm1_batch` and one `_ordered_product` run over its
+(segments, steps, n, n) stack. Every operation acts on one segment's values
+alone, so a leaf's transport is bitwise the same whatever shares its call.
 
 Transport of a composed path is the product of the transports of its pieces
 by construction: SampledPath records composition as a binary tree, and
@@ -40,10 +39,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .basecat import PathBlock, PathCategory, SampledPath, constant_path
+from .basecat import PathBlock, PathCategory, SampledPath
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
 from .groups import SpecialOrthogonalGroup, StructuralError, all_cases, is_skew, skew_expm1_batch
-from .report import LawReport, Plan, run_law
+from .report import CaseSpace, LawReport, Plan, run_law
 from .stream import Stream
 from .twisted import EtaMap, TwistedBundle, TwistedMorphism
 
@@ -86,20 +85,21 @@ class Connection(object):
 
     def evaluate(self, point: np.ndarray, vector: np.ndarray) -> np.ndarray:
         """A(point) applied to `vector`: sum over k of vector[k] times
-        (constant[k] + sum over l of point[l]·linear[k, l]). `point` is one
-        point (base_dim,) giving an (n, n) value, or a batch (s, base_dim)
-        sharing the one vector, giving an (s, n, n) stack. Raises
-        StructuralError when any value is not skew to 1e-10."""
+        (constant[k] + sum over l of point[l]·linear[k, l]), at one point
+        (base_dim,), at (s, base_dim) points, or at (k, s, base_dim) points
+        with a (k, base_dim) stack of vectors, each batch bitwise as in its
+        own call. Raises StructuralError when any value is not skew to 1e-10."""
         n, dim = self.group_dim, self.base_dim
         point = np.asarray(point, dtype=float)
-        shape = point.shape[:-1] + (n, n)
-        out = (vector @ self.constant.reshape(dim, n * n)).reshape(n, n)
+        rows = np.asarray(vector, dtype=float)[..., None, :]
+        out = rows @ self.constant.reshape(dim, n * n)
         if self.linear is not None:
-            per_point = (vector @ self.linear.reshape(dim, dim * n * n)).reshape(dim, n * n)
-            out = out + (point @ per_point).reshape(shape)
-        if not abs(out + out.swapaxes(-1, -2)).max() <= 1e-10:  # one value, if constant
+            out = out + point @ (rows @ self.linear.reshape(dim, dim * n * n)).reshape(
+                rows.shape[:-2] + (dim, n * n))
+        out = out.reshape(out.shape[:-1] + (n, n))
+        if not abs(out + out.swapaxes(-1, -2)).max() <= 1e-10:  # one value per vector, if constant
             raise StructuralError("connection value is not skew")
-        return out if self.linear is not None else np.broadcast_to(out, shape)
+        return out[0] if point.ndim < rows.ndim else np.broadcast_to(out, point.shape[:-1] + (n, n))
 
 
 def _ordered_product(e: np.ndarray) -> np.ndarray:
@@ -117,27 +117,32 @@ def _ordered_product(e: np.ndarray) -> np.ndarray:
     return np.eye(e.shape[-1]) + e[..., 0, :, :]
 
 
-def _leaf_transports(conn: Connection, leaves, steps: int) -> list:
+def _leaf_transports(conn: Connection, leaves, steps: int) -> np.ndarray:
     """The transports of directly-sampled paths, stacked: the nonzero
-    segments of all of them, at most about CHUNK factors per stacked call,
-    then a left fold per leaf in segment order."""
+    segments of their concatenated samples, one `evaluate` per chunk, then
+    each leaf's left fold, one stacked matmul per segment position."""
     if steps < 1:
         raise StructuralError("need at least one integration substep per segment")
-    n = conn.group_dim
-    segments = [(i, a, (b - a) / steps) for i, leaf in enumerate(leaves)
-                for a, b in leaf.segments() if np.any(b - a)]  # a zero-length one is exactly I
+    n, samples = conn.group_dim, [leaf.samples for leaf in leaves]
+    points = np.concatenate(samples)
+    owner = np.repeat(np.arange(len(leaves)), list(map(len, samples)))
+    delta = points[1:] - points[:-1]
+    nonzero = (owner[1:] == owner[:-1]) & delta.any(axis=1)  # a zero-length one is exactly I
+    starts, d, owner = points[:-1][nonzero], delta[nonzero] / steps, owner[1:][nonzero]
     offsets = (np.arange(steps) + 0.5)[:, None]
     per_call = max(1, CHUNK // steps)
-    out = [None] * len(leaves)
-    for start in range(0, len(segments), per_call):
-        chunk = segments[start:start + per_call]
-        values = np.empty((len(chunk), steps, n, n))
-        for row, (_, a, d) in zip(values, chunk):
-            row[...] = conn.evaluate(a + offsets * d, d)
-        products = _ordered_product(skew_expm1_batch(-values.reshape(-1, n, n)).reshape(values.shape))
-        for (i, _, _), seg in zip(chunk, products):
-            out[i] = seg if out[i] is None else seg @ out[i]
-    return [np.eye(n) if t is None else t for t in out]
+    products = np.empty((len(d), n, n))
+    for lo in range(0, len(d), per_call):
+        chunk = slice(lo, lo + per_call)
+        values = conn.evaluate(starts[chunk, None] + offsets * d[chunk, None], d[chunk])
+        products[chunk] = _ordered_product(
+            skew_expm1_batch(-values.reshape(-1, n, n)).reshape(values.shape))
+    out = np.tile(np.eye(n), (len(leaves), 1, 1))
+    position = np.arange(len(owner)) - np.searchsorted(owner, owner)
+    for j in range(position.max(initial=-1) + 1):
+        at = position == j
+        out[owner[at]] = products[at] if j == 0 else products[at] @ out[owner[at]]
+    return out
 
 
 def parallel_transport(conn: Connection, path, steps: int = DEFAULT_STEPS) -> np.ndarray:
@@ -168,20 +173,17 @@ def eta_from_connection(base: PathCategory, cm: CrossedModule, conn: Connection,
                   kind="transport")
 
 
-def observed_order(conn: Connection, path: SampledPath, base_steps: int) -> list[float]:
+def observed_order(conn: Connection, path, base_steps: int) -> list:
     """Convergence orders from ORDER_REFINEMENTS step-halvings: log2 of the
-    ratio of successive differences. When differences sit at roundoff the
-    order is reported as inf (the scheme is exact for that instance)."""
-    values = [parallel_transport(conn, path, base_steps * (2 ** k))
-              for k in range(ORDER_REFINEMENTS + 1)]
-    diffs = [float(np.max(np.abs(values[k + 1] - values[k]))) for k in range(ORDER_REFINEMENTS)]
-    orders = []
-    for d1, d2 in zip(diffs, diffs[1:]):
-        if d1 < ORDER_FLOOR or d2 < ORDER_FLOOR:
-            orders.append(float("inf"))
-        else:
-            orders.append(math.log2(d1 / d2))
-    return orders
+    ratio of successive differences, one list per path of a PathBlock. When
+    differences sit at roundoff the order is reported as inf (the scheme is
+    exact for that instance)."""
+    values = np.array([parallel_transport(conn, path, base_steps * (2 ** k))
+                       for k in range(ORDER_REFINEMENTS + 1)])
+    diffs = abs(np.diff(values, axis=0)).max(axis=(-2, -1))  # (refinements[, paths])
+    orders = [[float("inf") if d1 < ORDER_FLOOR or d2 < ORDER_FLOOR else math.log2(d1 / d2)
+               for d1, d2 in zip(col, col[1:])] for col in np.atleast_2d(diffs.T).tolist()]
+    return orders if isinstance(path, PathBlock) else orders[0]
 
 
 @dataclass(frozen=True)
@@ -211,18 +213,11 @@ class DecoratedBundle:
         return (dm.gamma.end,
                 cm.G.mul(self.eta(dm.gamma), cm.G.mul(dm.g_start, cm.tau(dm.h))))
 
-    def identity(self, point, g) -> DecoratedMorphism:
-        return DecoratedMorphism(constant_path(point), g, self.cm.H.identity)
-
     def act(self, dm: DecoratedMorphism, m1: TwoGroupMorphism) -> DecoratedMorphism:
         """(gamma-bar, h)·h1g1 = (gamma-bar·g1, g1^-1·h·h1·g1)."""
         cm = self.cm
-        g1inv = cm.G.inv(m1.g)
-        return DecoratedMorphism(
-            dm.gamma,
-            cm.G.mul(dm.g_start, m1.g),
-            cm.alpha(g1inv, cm.H.mul(dm.h, m1.h)),
-        )
+        return DecoratedMorphism(dm.gamma, cm.G.mul(dm.g_start, m1.g),
+                                 cm.alpha(cm.G.inv(m1.g), cm.H.mul(dm.h, m1.h)))
 
     def compose(self, dm2: DecoratedMorphism, dm1: DecoratedMorphism) -> DecoratedMorphism:
         """Base paths concatenate; the decoration of the composite is h1·h2
@@ -358,51 +353,55 @@ def verify_transport_numerics(base: PathCategory, conn: Connection,
                               rng: Stream | None = None) -> LawReport:
     """Integrator sanity on the given connection over random paths of `base`:
     zero-connection triviality, composite multiplicativity (bitwise), reversal
-    inverse, and step-halving convergence order >= 2 (inf where it is exact)."""
+    inverse, and step-halving convergence order >= 2 (inf where it is exact).
+    Cases are path numbers, each built as an index array (a block's holds all
+    four), so each law's transports are one stacked call per block (and per
+    refinement, for orders)."""
     rng = rng or Stream(0)
     report = LawReport(suite="transport-convergence")
-    paths = Plan([base.random_path(rng, n_segments=2) for _ in range(4)], exhaustive=False)
+    paths = PathBlock(base.random_path(rng, n_segments=2) for _ in range(4))
+    # each path is continued by one fresh path; nothing draws from `rng` after these
+    continued = PathBlock(base.random_path(rng, n_segments=2, start=p.end) for p in paths)
+    space = CaseSpace.coded(len(paths), 1, lambda i: [i], np.atleast_1d)
+    cases = Plan(list(space.plan(len(paths), rng)), exhaustive=False)  # drawn, not the whole space
+    eye, zero = np.eye(conn.group_dim), Connection.zero(conn.group_dim, conn.base_dim)
 
-    zero = Connection.zero(conn.group_dim, conn.base_dim)
     report.records.append(run_law(
-        "zero-connection", "Eq 6.29", paths,
-        lambda p: np.array_equal(parallel_transport(zero, p, steps), np.eye(conn.group_dim)),
-        lambda p: {"case": "zero"},
+        "zero-connection", "Eq 6.29", cases,
+        lambda i: (parallel_transport(zero, paths[i], steps) == eye).all(axis=(1, 2)),
+        lambda i: {"case": "zero"},
     ))
 
-    # each path is continued by one fresh path, drawn as the law reaches it
-    continued = Plan(((p, base.random_path(rng, n_segments=2, start=p.end)) for p in paths),
-                     exhaustive=False)
-
-    def multiplicativity(pq):
-        p, q = pq
-        return (parallel_transport(conn, base.compose(q, p), steps),
-                parallel_transport(conn, q, steps) @ parallel_transport(conn, p, steps))
+    def sides(i):  # each composite's transport, and its pieces' product
+        ps, qs = paths[i], continued[i]
+        c, q, p = np.split(parallel_transport(
+            conn, PathBlock((*base.compose(qs, ps), *qs, *ps)), steps), 3)
+        return c, q @ p
 
     report.records.append(run_law(
-        "composite-multiplicativity", "Eq 6.18", continued,
-        lambda pq: np.array_equal(*multiplicativity(pq)),
-        lambda pq: {"case": "multiplicativity",
-                    "max_diff": float(np.max(np.abs(np.subtract(*multiplicativity(pq)))))},
+        "composite-multiplicativity", "Eq 6.18", cases,
+        lambda i: np.equal(*sides(i)).all(axis=(1, 2)),
+        lambda i: {"case": "multiplicativity",
+                   "max_diff": float(abs(np.subtract(*sides(i))).max())},
     ))
 
-    def reversal_diff(p):
-        fwd = parallel_transport(conn, p, steps)
-        bwd = parallel_transport(conn, p.reverse(), steps)
-        return float(np.max(np.abs(bwd @ fwd - np.eye(conn.group_dim))))
+    def reversal_diff(i):
+        fwd, bwd = np.split(parallel_transport(
+            conn, PathBlock((*paths[i], *map(SampledPath.reverse, paths[i]))), steps), 2)
+        return abs(bwd @ fwd - eye).max(axis=(1, 2))
 
     report.records.append(run_law(
-        "reversal-inverse", "Eq 6.29", paths,
-        lambda p: reversal_diff(p) <= 1e-9,
-        lambda p: {"case": "reversal", "diff": reversal_diff(p)},
+        "reversal-inverse", "Eq 6.29", cases,
+        lambda i: reversal_diff(i) <= 1e-9,
+        lambda i: {"case": "reversal", "diff": float(reversal_diff(i)[0])},
     ))
 
-    def orders(p):
-        return observed_order(conn, p, base_steps=max(8, steps // 16))
+    def orders(i):
+        return observed_order(conn, paths[i], base_steps=max(8, steps // 16))
 
     report.records.append(run_law(
-        "convergence-order", "Eq 6.29", paths,
-        lambda p: all(o >= 1.9 for o in orders(p)),
-        lambda p: {"case": "order", "orders": [round(o, 3) for o in orders(p)]},
+        "convergence-order", "Eq 6.29", cases,
+        lambda i: np.array([all(o >= 1.9 for o in os) for os in orders(i)]),
+        lambda i: {"case": "order", "orders": [round(o, 3) for o in orders(i)[0]]},
     ))
     return report

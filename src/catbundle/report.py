@@ -515,9 +515,10 @@ def sides_witness(fmt: Callable, sides) -> dict:
 def run_law(law: str, anchor: str, plan: Plan, ok: Callable, witness: Callable) -> LawRecord:
     """Check `ok` over the cases of `plan`, from `CaseSpace.plan`, up to the
     first that fails, and describe that one by `witness(case)`. The record
-    is exhaustive exactly when the plan is. A case that raises
-    CompositionUndefined or StructuralError fails with the error as its
-    witness; other exceptions propagate. A law checked on no case fails.
+    is exhaustive exactly when the plan is. A case whose build or check
+    raises CompositionUndefined or StructuralError fails with the error as
+    its witness, and counts as checked; other exceptions propagate. A law
+    checked on no case fails.
 
     On a Block, `ok` gives a per-case mask. The first case whose check is
     False, or raises one of the two errors, is found by `_first_failure`;
@@ -527,34 +528,38 @@ def run_law(law: str, anchor: str, plan: Plan, ok: Callable, witness: Callable) 
     checked on its own. The record counts the block checks and the cases
     checked one at a time."""
     t0 = time.perf_counter()
-    n, found, blocks, singles = 0, None, 0, 0
-    for item in plan:
-        cases = (item,)
-        if isinstance(item, Block):
-            first, checked = _first_failure(item, ok)
-            n, blocks = n + first, blocks + checked
-            if first == item.size:
-                continue
-            cases = item.singles(first)
-        for case in cases:
-            n += 1
-            singles += 1
-            try:
-                if ok(case):
-                    continue
-                found = witness(case)
-            except CASE_ERRORS as exc:
-                # a law whose check cannot even be formed has failed
-                found = {"error": f"{type(exc).__name__}: {exc}"}
-            break
-        if found is not None:
-            break
+    held, end = [0, 0], object()  # held: the cases that held in blocks, and the block checks
+    cases, found, singles = _one_by_one(plan, ok, held), None, 0
+    while found is None:
+        try:
+            case = next(cases, end)  # a single case is built as it is taken
+            if case is end:
+                break
+            found = None if ok(case) else witness(case)
+        except CASE_ERRORS as exc:  # a case that cannot be built or checked has failed
+            found = {"error": f"{type(exc).__name__}: {exc}"}
+        singles += 1
+    n, blocks = held[0] + singles, held[1]
     if n == 0:
         found = {"error": "no cases checked"}
     return LawRecord(law=law, anchor=anchor, status="pass" if found is None else "fail", checks=n,
                      exhaustive=plan.exhaustive, witness=found,
                      elapsed_ms=(time.perf_counter() - t0) * 1000.0, space=plan.space,
                      blocks=blocks, singles=singles)
+
+
+def _one_by_one(plan: Plan, ok: Callable, held: list):
+    """The cases of `plan` to check one at a time: its single cases, and each
+    Block's from its first failure on. Adds to `held` the cases before that
+    failure and the block checks that found it."""
+    for item in plan:
+        if not isinstance(item, Block):
+            yield item
+            continue
+        first, checked = _first_failure(item, ok)
+        held[0], held[1] = held[0] + first, held[1] + checked
+        if first < item.size:
+            yield from item.singles(first)
 
 
 def _first_failure(block: Block, ok: Callable) -> tuple[int, int]:

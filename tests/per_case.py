@@ -1,6 +1,8 @@
 """Test helpers: CaseSpace plans as they come without blocks, a check that
 every block of a passing law holds whole, parallel transport integrated one
-segment at a time, and random paths drawn point by point."""
+segment at a time by the evaluation formula of one segment's own call,
+random paths drawn point by point, and path samples deduplicated point by
+point."""
 from contextlib import contextmanager
 
 import numpy as np
@@ -60,9 +62,25 @@ def _ordered_product(e: np.ndarray) -> np.ndarray:
     return np.eye(e.shape[-1]) + e[0]
 
 
+def reference_evaluate(conn: Connection, points: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """A(point) applied to one `vector` at each of the (s, dim) `points`, as
+    one segment's call computed it before evaluation was stacked: one matmul
+    per coefficient array on the 1-d vector, and the skew check on its
+    values alone."""
+    n, dim = conn.group_dim, conn.base_dim
+    shape = points.shape[:-1] + (n, n)
+    out = (vector @ conn.constant.reshape(dim, n * n)).reshape(n, n)
+    if conn.linear is not None:
+        per_point = (vector @ conn.linear.reshape(dim, dim * n * n)).reshape(dim, n * n)
+        out = out + (points @ per_point).reshape(shape)
+    if not abs(out + out.swapaxes(-1, -2)).max() <= 1e-10:
+        raise StructuralError("connection value is not skew")
+    return out if conn.linear is not None else np.broadcast_to(out, shape)
+
+
 def reference_transport(conn: Connection, path, steps: int) -> np.ndarray:
-    """Transport integrated segment by segment: one evaluate, one
-    skew_expm1_batch and one ordered product per nonzero segment, folded
+    """Transport integrated segment by segment: one `reference_evaluate`,
+    one skew_expm1_batch and one ordered product per nonzero segment, folded
     left in path order; a composite is the product of its pieces'."""
     if path.pieces is not None:
         first, second = path.pieces
@@ -76,7 +94,7 @@ def reference_transport(conn: Connection, path, steps: int) -> np.ndarray:
         if not np.any(delta):
             continue
         d = delta / steps
-        seg = _ordered_product(skew_expm1_batch(-conn.evaluate(a + offsets * d, d)))
+        seg = _ordered_product(skew_expm1_batch(-reference_evaluate(conn, a + offsets * d, d)))
         total = seg if total is None else seg @ total
     return np.eye(conn.group_dim) if total is None else total
 
@@ -93,3 +111,16 @@ def reference_random_path(dim: int, rng, n_segments=None, start=None, scale=1.0)
     for _ in range(n_segments):
         pts.append(pts[-1] + rng.uniform(-scale, scale, size=dim))
     return SampledPath(np.stack(pts))
+
+
+def reference_dedup(samples: np.ndarray, tol: float) -> np.ndarray:
+    """Samples with each point dropped that lies within `tol` (max-abs) of
+    the last point kept, the first always kept; a path left with one point
+    gets its last sample back as a second."""
+    keep = [samples[0]]
+    for p in samples[1:]:
+        if np.max(np.abs(p - keep[-1])) > tol:
+            keep.append(p)
+    if len(keep) == 1:
+        keep.append(samples[-1])
+    return np.array(keep)

@@ -10,7 +10,7 @@ from catbundle.basecat import (
 )
 from catbundle.crossed import CompositionUndefined
 from catbundle.stream import Stream
-from per_case import reference_random_path
+from per_case import reference_dedup, reference_random_path
 
 CHAIN = QuiverCategory(["a", "b", "c"], [("f", "a", "b"), ("g", "b", "c")], word_bound=3)
 
@@ -73,6 +73,60 @@ def test_compose_with_constant_path_is_identity_up_to_dedup():
     assert np.array_equal(whole.dedup(), seg.samples)
     other = compose_paths(constant_path([1.0]), seg)
     assert np.array_equal(other.dedup(), seg.samples)
+
+
+TOL = 1e-12
+DEDUP_SAMPLES = {
+    "distinct": [[0.0, 0.0], [0.5, -0.2], [0.1, 0.9], [1.0, 1.0]],
+    "exact-duplicates": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [2.0, 1.0]],
+    # every step is within tol, but the third from the last kept point is not
+    "creeping": [[0.0], [0.4 * TOL], [0.8 * TOL], [1.2 * TOL], [1.6 * TOL], [1.0]],
+    "within-tol-of-the-end": [[0.0], [0.6 * TOL], [1.0], [1.0 + 0.5 * TOL]],
+    "single-segment": [[0.2, -0.3, 0.1], [1.0, 1.0, 1.0]],
+    "single-zero-segment": [[0.5], [0.5]],
+    "constant": [[0.3, 0.3], [0.3, 0.3], [0.3, 0.3]],
+    "nan-inside": [[0.0], [np.nan], [1.0], [2.0]],
+    "nan-at-the-end": [[0.0], [1.0], [np.nan]],
+    "all-nan": [[np.nan, 0.0], [np.nan, 1.0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEDUP_SAMPLES))
+def test_dedup_is_the_point_by_point_loop(name):
+    samples = np.array(DEDUP_SAMPLES[name])
+    got, want = SampledPath(samples).dedup(TOL), reference_dedup(samples, TOL)
+    assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+
+
+def test_dedup_and_morphism_eq_are_the_loop_on_random_paths():
+    # random paths with some steps far below, near and above eps_pt, each
+    # compared with every path, its samples nudged, and a duplicated sample
+    rng = np.random.default_rng(4)
+    for dim in (1, 2, 3):
+        cat, paths = PathCategory(dim, eps_pt=TOL), []
+        for _ in range(40):
+            steps = rng.uniform(-1, 1, (int(rng.integers(1, 6)), dim))
+            steps *= rng.choice([1.0, 3 * TOL, 0.7 * TOL, 0.0], size=(len(steps), 1))
+            samples = np.vstack([rng.uniform(-1, 1, dim), steps]).cumsum(axis=0)
+            nudged = samples + rng.choice([0, TOL], samples.shape)
+            paths += [SampledPath(samples), SampledPath(nudged),
+                      SampledPath(np.insert(samples, 1, samples[0], axis=0))]
+        for a in paths:
+            assert np.array_equal(a.dedup(TOL), reference_dedup(a.samples, TOL))
+        for a in paths[:30]:
+            for b in paths:
+                ra, rb = reference_dedup(a.samples, TOL), reference_dedup(b.samples, TOL)
+                assert cat.morphism_eq(a, b) == (ra.shape == rb.shape and np.array_equal(ra, rb))
+
+
+def test_morphism_eq_on_the_dedup_samples_is_the_loop():
+    for a in DEDUP_SAMPLES.values():
+        for b in DEDUP_SAMPLES.values():
+            if len(a[0]) == len(b[0]):
+                ra, rb = reference_dedup(np.array(a), TOL), reference_dedup(np.array(b), TOL)
+                want = ra.shape == rb.shape and np.array_equal(ra, rb)
+                cat = PathCategory(len(a[0]), TOL)
+                assert cat.morphism_eq(SampledPath(a), SampledPath(b)) == want
 
 
 def test_path_composition_associative_on_samples():

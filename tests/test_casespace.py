@@ -123,8 +123,8 @@ def test_nested_spaces_beyond_sys_maxsize():
 def test_a_coded_block_that_cannot_be_built_is_searched_by_halves(fails_at):
     # case 7 cannot be built: the block holding it is searched by halves, each
     # rebuilt from its codes (0-4 hold, then 5-6, and 7 alone cannot be
-    # built), so a failure before it is the witness and case 7 raises in its
-    # turn
+    # built), so a failure before it is the witness, and without one case 7
+    # fails with its build error as the witness
     def build(c):
         if np.any(np.asarray(c) == 7):
             raise StructuralError("no case 7")
@@ -137,14 +137,13 @@ def test_a_coded_block_that_cannot_be_built_is_searched_by_halves(fails_at):
         seen.append(np.size(c))
         return c != fails_at
 
+    record = run_law("law", "anchor", space.plan(10, np.random.default_rng(0)), ok,
+                     lambda c: {"case": c})
     if fails_at is None:
-        with pytest.raises(StructuralError, match="no case 7"):
-            run_law("law", "anchor", space.plan(10, np.random.default_rng(0)), ok,
-                    lambda c: {"case": c})
-        assert seen == [5, 2]
+        assert (record.checks, record.witness, seen) == (
+            8, {"error": "StructuralError: no case 7"}, [5, 2])
+        assert (record.status, record.blocks, record.singles) == ("fail", 3, 1)
     else:
-        record = run_law("law", "anchor", space.plan(10, np.random.default_rng(0)), ok,
-                         lambda c: {"case": c})
         assert (record.checks, record.witness, seen) == (4, {"case": 3}, [5, 1])
         assert (record.blocks, record.singles) == (1, 1)
 

@@ -1,9 +1,10 @@
 """Stacked parallel transport and path blocks: every leaf's transport is
 bitwise the per-segment reference's, whatever else shares its stacked call
 and wherever a chunk boundary falls; the twist keeps leaf values only while
-their leaves live; a path base's maps act on PathBlocks case by case; and an
-SO(3) module that fails on some sampled cases, twisted by a connection, gives
-the reports of its committed goldens."""
+their leaves live; a path base's maps act on PathBlocks case by case; the
+transport-convergence laws on stacked transports give the per-path records,
+errors included; and an SO(3) module that fails on some sampled cases,
+twisted by a connection, gives the reports of its committed goldens."""
 import gc
 import json
 from pathlib import Path
@@ -14,8 +15,15 @@ import pytest
 from catbundle import decorated
 from catbundle.basecat import PathBlock, PathCategory, SampledPath, compose_paths, constant_path
 from catbundle.crossed import CompositionUndefined, get_module
-from catbundle.decorated import Connection, eta_from_connection, parallel_transport
+from catbundle.decorated import (
+    Connection,
+    eta_from_connection,
+    observed_order,
+    parallel_transport,
+    verify_transport_numerics,
+)
 from catbundle.scenario import Scenario
+from catbundle.stream import Stream
 from catbundle.suites import run_suite
 from catbundle.twisted import (
     TwistedBundle,
@@ -23,7 +31,7 @@ from catbundle.twisted import (
     verify_E_properties,
     verify_twisted_bundle,
 )
-from per_case import reference_transport, whole_blocks
+from per_case import per_case_plans, reference_transport, whole_blocks
 from test_decorated import random_connection
 from test_so_blocks import alpha_mutant
 
@@ -56,6 +64,23 @@ def test_stacked_leaves_are_bitwise_the_per_segment_reference(group_dim, family,
         assert np.array_equal(value, want)
         assert np.array_equal(parallel_transport(conn, leaf, steps), want)  # alone
     assert np.array_equal(stacked[-1], np.eye(group_dim))
+
+
+@pytest.mark.parametrize("family", ["constant", "linear"])
+@pytest.mark.parametrize("group_dim", [2, 3])
+def test_one_evaluate_per_chunk_serves_several_leaves_bitwise(group_dim, family, monkeypatch):
+    # 10 steps: every nonzero segment of the 7 leaves falls in one chunk
+    rng = np.random.default_rng([group_dim, len(family), 10])
+    conn, _, _ = random_connection(rng, group_dim, family, 2)
+    leaves = leaves_with_zero_segments(rng, PathCategory(2), 5)
+    segments = sum(bool(np.any(b - a)) for leaf in leaves for a, b in leaf.segments())
+    calls, evaluate = [], Connection.evaluate
+    monkeypatch.setattr(Connection, "evaluate",
+                        lambda self, p, v: calls.append((p.shape, v.shape)) or evaluate(self, p, v))
+    stacked = parallel_transport(conn, PathBlock(leaves), 10)
+    assert segments > len(leaves) and calls == [((segments, 10, 2), (segments, 2))]
+    for leaf, value in zip(leaves, stacked):
+        assert np.array_equal(value, reference_transport(conn, leaf, 10))
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 7, 64])
@@ -155,6 +180,50 @@ def test_shipped_path_laws_pass_in_whole_blocks(suite, monkeypatch):
     assert run_suite(Scenario(raw), suite).passed
     assert len(seen) == (8 if suite == "twisted-bundle" else 7)
     assert all(singles == 0 for _, singles in seen.values())
+
+
+def non_skew(kind: str) -> Connection:
+    """A connection made non-skew after construction: everywhere
+    ("constant"), or by a symmetric linear part of 1e-9, whose values are
+    non-skew beyond 1e-10 only on some segments ("linear")."""
+    conn, _, _ = random_connection(np.random.default_rng(21), 3, "linear", 2)
+    if kind == "constant":
+        conn.constant[0] += np.eye(3)
+    else:
+        conn.linear[0, 0] += 1e-9 * np.ones((3, 3))
+    return conn
+
+
+# (law, status, checks, error witness) as per-path transports gave them
+NON_SKEW_RECORDS = {
+    "constant": [("zero-connection", "pass", 4, False),
+                 ("composite-multiplicativity", "fail", 1, True),
+                 ("reversal-inverse", "fail", 1, True), ("convergence-order", "fail", 1, True)],
+    "linear": [("zero-connection", "pass", 4, False),
+               ("composite-multiplicativity", "fail", 3, True),
+               ("reversal-inverse", "fail", 3, True), ("convergence-order", "fail", 1, True)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_SKEW_RECORDS))
+def test_transport_laws_on_a_non_skew_connection_give_the_per_path_records(kind):
+    # a stacked call that raises is searched down to the first path whose own
+    # transport raises, which fails with the error as its witness
+    stacked = verify_transport_numerics(PathCategory(2), non_skew(kind), 16, Stream(21))
+    with per_case_plans():  # each path's transports in their own calls
+        per_path = verify_transport_numerics(PathCategory(2), non_skew(kind), 16, Stream(21))
+    assert stacked.to_jsonl() == per_path.to_jsonl()
+    assert [(r.law, r.status, r.checks, r.witness == {
+        "error": "StructuralError: connection value is not skew"}) for r in stacked.records] == (
+        NON_SKEW_RECORDS[kind])
+
+
+@pytest.mark.parametrize("family", ["constant", "linear"])
+def test_observed_order_on_a_block_is_the_per_path_orders(family):
+    rng = np.random.default_rng([len(family), 8])
+    conn, _, _ = random_connection(rng, 3, family, 2)
+    paths = leaves_with_zero_segments(rng, PathCategory(2), 4)
+    assert observed_order(conn, PathBlock(paths), 8) == [observed_order(conn, p, 8) for p in paths]
 
 
 def so3_connection() -> Connection:
