@@ -39,7 +39,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .basecat import PathBlock, PathCategory, SampledPath
+from .basecat import PathBlock, PathCategory, SampledPath, constant_path
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
 from .groups import SpecialOrthogonalGroup, StructuralError, all_cases, is_skew, skew_expm1_batch
 from .report import CaseSpace, LawReport, Plan, run_law
@@ -213,11 +213,18 @@ class DecoratedBundle:
         return (dm.gamma.end,
                 cm.G.mul(self.eta(dm.gamma), cm.G.mul(dm.g_start, cm.tau(dm.h))))
 
+    def identity(self, point, g) -> DecoratedMorphism:
+        return DecoratedMorphism(constant_path(point), g, self.cm.H.identity)
+
     def act(self, dm: DecoratedMorphism, m1: TwoGroupMorphism) -> DecoratedMorphism:
         """(gamma-bar, h)·h1g1 = (gamma-bar·g1, g1^-1·h·h1·g1)."""
         cm = self.cm
-        return DecoratedMorphism(dm.gamma, cm.G.mul(dm.g_start, m1.g),
-                                 cm.alpha(cm.G.inv(m1.g), cm.H.mul(dm.h, m1.h)))
+        g1inv = cm.G.inv(m1.g)
+        return DecoratedMorphism(
+            dm.gamma,
+            cm.G.mul(dm.g_start, m1.g),
+            cm.alpha(g1inv, cm.H.mul(dm.h, m1.h)),
+        )
 
     def compose(self, dm2: DecoratedMorphism, dm1: DecoratedMorphism) -> DecoratedMorphism:
         """Base paths concatenate; the decoration of the composite is h1·h2

@@ -31,7 +31,7 @@ from catbundle.twisted import (
     verify_E_properties,
     verify_twisted_bundle,
 )
-from per_case import per_case_plans, reference_transport, whole_blocks
+from per_case import per_case_plans, reference_evaluate, reference_transport, whole_blocks
 from test_decorated import random_connection
 from test_so_blocks import alpha_mutant
 
@@ -81,6 +81,21 @@ def test_one_evaluate_per_chunk_serves_several_leaves_bitwise(group_dim, family,
     assert segments > len(leaves) and calls == [((segments, 10, 2), (segments, 2))]
     for leaf, value in zip(leaves, stacked):
         assert np.array_equal(value, reference_transport(conn, leaf, 10))
+
+
+@pytest.mark.parametrize("base_dim", [1, 2, 3])
+@pytest.mark.parametrize("family", ["constant", "linear"])
+@pytest.mark.parametrize("group_dim", [2, 3])
+def test_evaluate_at_a_batch_of_points_is_bitwise_the_reference(group_dim, family, base_dim):
+    # (s, dim) points sharing one vector: a constant connection's one value
+    # is broadcast, a linear one's varies per point
+    rng = np.random.default_rng([group_dim, len(family), base_dim, 3])
+    conn, _, _ = random_connection(rng, group_dim, family, base_dim)
+    for s in (1, 5):
+        points, vector = rng.uniform(-1, 1, (s, base_dim)), rng.uniform(-1, 1, base_dim)
+        got, want = conn.evaluate(points, vector), reference_evaluate(conn, points, vector)
+        assert got.shape == want.shape == (s, group_dim, group_dim)
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 7, 64])
