@@ -29,7 +29,7 @@ import numpy as np
 from .groups import CompositionUndefined
 from .stream import Stream
 
-DEFAULT_WORD_BOUND = 4
+DEFAULT_WORD_BOUND = 3
 DEFAULT_PT_TOL = 1e-12
 
 
@@ -237,10 +237,6 @@ class SampledPath:
         else:
             yield from self.pieces[0].leaves()
             yield from self.pieces[1].leaves()
-
-    def segments(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for a, b in zip(self.samples[:-1], self.samples[1:]):
-            yield a, b
 
     def reverse(self) -> "SampledPath":
         if self.pieces is None:

@@ -114,9 +114,6 @@ class OverlapCategory:
         self.arrows = {m: (m.source, m.target) for m in self.morphisms}
         self._identities = {m.source: m for m in self.morphisms if m.is_identity}
 
-    def non_identity_morphisms(self) -> list[OverlapMorphism]:
-        return [m for m in self.morphisms if not m.is_identity]
-
     def source(self, m: OverlapMorphism) -> OverlapObject:
         return m.source
 
@@ -168,20 +165,6 @@ class CocycleData:
         """(h_ijk·h_ik, h_ij·h_jk) at a point, equal where the cocycle condition holds."""
         return (cm.H.mul(self.h_triple(i, j, k, point), self.h_pair(i, k, point)),
                 cm.H.mul(self.h_pair(i, j, point), self.h_pair(j, k, point)))
-
-    def perturbed(self, cm: CrossedModule, i: int, j: int, k: int, point: str,
-                  factor) -> "CocycleData":
-        """Copy with h_ijk at one point multiplied by `factor` (negative tests)."""
-        triples = {key: dict(val) for key, val in self.triples.items()}
-        triples[(i, j, k)][point] = cm.H.mul(factor, triples[(i, j, k)][point])
-        return CocycleData({k2: dict(v) for k2, v in self.pairs.items()}, triples)
-
-    def perturbed_pair(self, cm: CrossedModule, i: int, j: int, point: str,
-                       factor) -> "CocycleData":
-        """Copy with h_ij at one point multiplied by `factor` (negative tests)."""
-        pairs = {key: dict(val) for key, val in self.pairs.items()}
-        pairs[(i, j)][point] = cm.H.mul(factor, pairs[(i, j)][point])
-        return CocycleData(pairs, {k2: dict(v) for k2, v in self.triples.items()})
 
 
 def constructive_cocycle(cover: Cover, cm: CrossedModule,
@@ -283,6 +266,12 @@ def triple_transformation(data: CocycleData, cm: CrossedModule,
     h_ikm on lower objects and h_jln on upper objects.
 
     Refuses when the cocycle condition fails at a point it needs."""
+    return _transformation_and_thetas(data, cm, triple)[0]
+
+
+def _transformation_and_thetas(data: CocycleData, cm: CrossedModule,
+                               triple: OverlapCategory) -> tuple[NatTransf, list[FunctorUG]]:
+    """`triple_transformation`, and the [theta_ik, theta_km, theta_im] it is built from."""
     i, k, m_ = triple.lower
     j, l, n = triple.upper
     for (a, b, c), pts in (((i, k, m_), triple.lower_set), ((j, l, n), triple.upper_set)):
@@ -291,10 +280,9 @@ def triple_transformation(data: CocycleData, cm: CrossedModule,
                 raise CocycleConditionError(
                     f"cocycle condition fails for ({a},{b},{c}) at {pt!r}; "
                     "run verify_cocycle_condition for the full report")
-    base, cover = triple.base, triple.cover
-    th_ik = build_theta(data, cm, OverlapCategory(base, cover, (i, k), (j, l)))
-    th_km = build_theta(data, cm, OverlapCategory(base, cover, (k, m_), (l, n)))
-    th_im = build_theta(data, cm, OverlapCategory(base, cover, (i, m_), (j, n)))
+    thetas = [build_theta(data, cm, OverlapCategory(triple.base, triple.cover, lo, up))
+              for lo, up in (((i, k), (j, l)), ((k, m_), (l, n)), ((i, m_), (j, n)))]
+    th_ik, th_km, th_im = thetas
     product = restrict_overlap_functor(th_ik, triple).mul(restrict_overlap_functor(th_km, triple))
     hT = {}
     for x in triple.objects:
@@ -302,7 +290,7 @@ def triple_transformation(data: CocycleData, cm: CrossedModule,
             hT[x] = data.h_triple(i, k, m_, x[1])
         else:
             hT[x] = data.h_triple(j, l, n, x[1])
-    return NatTransf(restrict_overlap_functor(th_im, triple), product, hT)
+    return NatTransf(restrict_overlap_functor(th_im, triple), product, hT), thetas
 
 
 def verify_prop51(data: CocycleData, cm: CrossedModule, triple: OverlapCategory,
@@ -312,15 +300,8 @@ def verify_prop51(data: CocycleData, cm: CrossedModule, triple: OverlapCategory,
     and the naturality square."""
     rng = rng or Stream(0)
     report = LawReport(suite="prop51")
-    T = triple_transformation(data, cm, triple)
+    T, thetas = _transformation_and_thetas(data, cm, triple)
     P, th_im = T.target, T.source
-
-    i, k, m_ = triple.lower
-    j, l, n = triple.upper
-    thetas = [
-        build_theta(data, cm, OverlapCategory(triple.base, triple.cover, lo, up))
-        for lo, up in (((i, k), (j, l)), ((k, m_), (l, n)), ((i, m_), (j, n)))
-    ]
     report.records.append(run_law(
         "theta-functor", "Eqs 5.34-5.36", CaseSpace.finite(thetas).plan(budget, rng),
         functor_ok, functor_invariant_witness))

@@ -238,7 +238,6 @@ class SymmetricGroup(FiniteGroup):
 # -- skew matrices and their exponentials (closed forms keep iterates on the
 #    group up to roundoff, which downstream equality checks rely on) --
 
-SO2_GEN = np.array([[0.0, -1.0], [1.0, 0.0]])
 _EYE3 = np.eye(3)
 
 

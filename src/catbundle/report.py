@@ -115,12 +115,10 @@ class CaseSpace:
 
     @staticmethod
     def carrier(group, count: int | None = None):
-        """A group's elements, or seeded samples of an infinite group, drawn
-        from `width` uniforms each where the group has a stack sampler."""
+        """A group's elements, or seeded samples of an infinite group, each
+        drawn from `width` uniforms by its stack sampler."""
         if group.is_finite:
             return group.elements
-        if group.width is None:
-            return CaseSpace.sampled(group.sample, count)
         return CaseSpace(None, group.sample_stack, width=group.width, count=count)
 
     @staticmethod

@@ -21,9 +21,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .basecat import DEFAULT_PT_TOL, PathCategory, QuiverCategory, SampledPath
+from .basecat import DEFAULT_PT_TOL, DEFAULT_WORD_BOUND, PathCategory, QuiverCategory, SampledPath
 from .crossed import CrossedModule, get_module
 from .groups import (
+    DEFAULT_GRP_TOL,
     CyclicGroup,
     SpecialOrthogonalGroup,
     SymmetricGroup,
@@ -164,6 +165,8 @@ class Scenario:
     def budget(self) -> int:
         return self._int("budget", DEFAULT_BUDGET)
 
+    # steps and prop62_pairs repeat the defaults of decorated (DEFAULT_STEPS and
+    # verify_prop62's n_pairs): naming them here would import decorated at every start
     @property
     def steps(self) -> int:
         return self._int("steps", 200)
@@ -203,7 +206,7 @@ class Scenario:
             cm = get_module(str(name))
         except KeyError as exc:
             raise ScenarioError(str(exc)) from exc
-        eps = self.tolerance("grp", 1e-9)
+        eps = self.tolerance("grp", DEFAULT_GRP_TOL)
         for grp in (cm.G, cm.H):
             if isinstance(grp, SpecialOrthogonalGroup):
                 grp.tol = eps
@@ -212,9 +215,10 @@ class Scenario:
     def quiver(self) -> QuiverCategory:
         spec = self._base("quiver", "objects", "arrows")
         try:
+            word_bound = spec.get("word_bound", DEFAULT_WORD_BOUND)
             return QuiverCategory([str(o) for o in spec["objects"]],
                                   [tuple(map(str, a)) for a in spec["arrows"]],
-                                  _checked_int("'word_bound'", spec.get("word_bound", 3)))
+                                  _checked_int("'word_bound'", word_bound))
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"bad quiver declaration: {exc}") from exc
 

@@ -2,10 +2,13 @@
 dispatches to the module-level verify operations. Suite names follow the law
 registry ("prop31-roundtrip", "prop51", "prop62", "exchange-law", ...).
 
-A suite's law module is imported by `import_suites`, not here, so a run
-compiles only the law modules of the suites it asks for. Each suite reaches
-its verify operations as attributes of that module, so rebinding them there
-reaches every suite."""
+A suite is one `_suite(name, *law_modules)` line above its function, which
+`run_suite` calls with the suite's own stream. The law modules are those it
+calls into beyond the core every start imports (crossed, groups, basecat,
+report, scenario, stream); `import_suites` imports them, not this module, so
+a run compiles only the law modules of the suites it asks for. Each suite
+reaches its verify operations as attributes of that module, so rebinding them
+there reaches every suite."""
 from __future__ import annotations
 
 import importlib
@@ -22,6 +25,17 @@ from .stream import Stream
 if TYPE_CHECKING:
     from .twisted import TwistedBundle
 
+SUITES: dict[str, Callable[[Scenario, Stream], LawReport]] = {}
+LAW_MODULES: dict[str, tuple[str, ...]] = {}
+
+
+def _suite(name: str, *law_modules: str):
+    """Register the function below as suite `name`, calling into `law_modules`."""
+    def register(fn):
+        SUITES[name], LAW_MODULES[name] = fn, law_modules
+        return fn
+    return register
+
 
 def suite_rng(seed: int, suite: str) -> Stream:
     """Deterministic, suite-independent stream: reordering suites does not
@@ -29,82 +43,82 @@ def suite_rng(seed: int, suite: str) -> Stream:
     return Stream([seed, zlib.crc32(suite.encode())])
 
 
-def _crossed_module_suite(sc: Scenario) -> LawReport:
-    return verify_crossed_module(sc.crossed_module(), sc.budget,
-                                 suite_rng(sc.seed, "crossed-module"))
+@_suite("crossed-module")
+def _crossed_module_suite(sc: Scenario, rng: Stream) -> LawReport:
+    return verify_crossed_module(sc.crossed_module(), sc.budget, rng)
 
 
-def _exchange_suite(sc: Scenario) -> LawReport:
-    return verify_exchange_law(sc.crossed_module(), sc.budget,
-                               suite_rng(sc.seed, "exchange-law"))
+@_suite("exchange-law")
+def _exchange_suite(sc: Scenario, rng: Stream) -> LawReport:
+    return verify_exchange_law(sc.crossed_module(), sc.budget, rng)
 
 
-def _bundle_axioms_suite(sc: Scenario) -> LawReport:
+@_suite("bundle-axioms", "bundle")
+def _bundle_axioms_suite(sc: Scenario, rng: Stream) -> LawReport:
     from . import bundle
 
-    return bundle.verify_bundle_axioms(sc.quiver(), sc.crossed_module(), sc.budget,
-                                       suite_rng(sc.seed, "bundle-axioms"))
+    return bundle.verify_bundle_axioms(sc.quiver(), sc.crossed_module(), sc.budget, rng)
 
 
-def _prop31_suite(sc: Scenario) -> LawReport:
+@_suite("prop31-roundtrip", "bundle")
+def _prop31_suite(sc: Scenario, rng: Stream) -> LawReport:
     from . import bundle
 
-    return bundle.verify_prop31_roundtrip(sc.quiver(), sc.crossed_module(), sc.budget,
-                                          suite_rng(sc.seed, "prop31-roundtrip"))
+    return bundle.verify_prop31_roundtrip(sc.quiver(), sc.crossed_module(), sc.budget, rng)
 
 
-def _prop34_suite(sc: Scenario) -> LawReport:
+@_suite("prop34-gu-group", "bundle")
+def _prop34_suite(sc: Scenario, rng: Stream) -> LawReport:
     from . import bundle
 
-    return bundle.verify_GU_categorical_group(sc.quiver(), sc.crossed_module(), sc.budget,
-                                              suite_rng(sc.seed, "prop34-gu-group"))
+    return bundle.verify_GU_categorical_group(sc.quiver(), sc.crossed_module(), sc.budget, rng)
 
 
-def _prop41_suite(sc: Scenario) -> LawReport:
+@_suite("prop41-section", "bundle")
+def _prop41_suite(sc: Scenario, rng: Stream) -> LawReport:
     from . import bundle
 
     cm = sc.crossed_module()
     base = sc.quiver()
     tables = sc.functors(cm, base)
     if not tables:
-        raise ScenarioError("prop41-section needs at least one entry under 'functors'")
-    report = LawReport(suite="prop41-section")
-    rng = suite_rng(sc.seed, "prop41-section")
-    for idx, (name, table) in enumerate(sorted(tables.items())):
-        F = bundle.functor_from_h(base, cm, table)
-        sub = bundle.verify_section_iso(F, budget=sc.budget, rng=rng)
-        if idx == 0:
-            report.records.extend(sub.records)
+        raise ScenarioError("the section suite needs at least one entry under 'functors'")
+    report = None
+    for name, table in sorted(tables.items()):
+        sub = bundle.verify_section_iso(bundle.functor_from_h(base, cm, table), sc.budget, rng)
+        if report is None:
+            report = sub
         else:
             report.records.extend(replace(r, law=f"{r.law}@{name}") for r in sub.records)
     return report
 
 
-def _prop42_suite(sc: Scenario) -> LawReport:
+@_suite("prop42-correspondence", "bundle")
+def _prop42_suite(sc: Scenario, rng: Stream) -> LawReport:
     from . import bundle
 
     cm = sc.crossed_module()
     base = sc.quiver()
     tables = sorted(sc.functors(cm, base).items())
     if len(tables) < 2:
-        raise ScenarioError("prop42-correspondence needs two entries under 'functors'")
+        raise ScenarioError("the correspondence suite needs two entries under 'functors'")
     F1 = bundle.functor_from_h(base, cm, tables[0][1])
     F2 = bundle.functor_from_h(base, cm, tables[1][1])
-    return bundle.verify_composition_correspondence(
-        F2, F1, sc.budget, suite_rng(sc.seed, "prop42-correspondence"))
+    return bundle.verify_composition_correspondence(F2, F1, sc.budget, rng)
 
 
-def _cocycle_suite(sc: Scenario) -> LawReport:
+@_suite("cocycle", "cocycle")
+def _cocycle_suite(sc: Scenario, rng: Stream) -> LawReport:
     from . import cocycle
 
     cm = sc.crossed_module()
     cover = sc.cover()
     data = sc.cocycle_data(cm, cover)
-    return cocycle.verify_cocycle_condition(data, cover, cm, sc.budget,
-                                            suite_rng(sc.seed, "cocycle"))
+    return cocycle.verify_cocycle_condition(data, cover, cm, sc.budget, rng)
 
 
-def _prop51_suite(sc: Scenario) -> LawReport:
+@_suite("prop51", "cocycle")
+def _prop51_suite(sc: Scenario, rng: Stream) -> LawReport:
     from . import cocycle
 
     cm = sc.crossed_module()
@@ -112,18 +126,18 @@ def _prop51_suite(sc: Scenario) -> LawReport:
     data = sc.cocycle_data(cm, cover)
     lower, upper = sc.triple_tags()
     triple = cocycle.OverlapCategory(sc.quiver(), cover, lower, upper)
-    return cocycle.verify_prop51(data, cm, triple, sc.budget, suite_rng(sc.seed, "prop51"))
+    return cocycle.verify_prop51(data, cm, triple, sc.budget, rng)
 
 
-def _transition_suite(sc: Scenario) -> LawReport:
+@_suite("transition-cocycle", "cocycle")
+def _transition_suite(sc: Scenario, rng: Stream) -> LawReport:
     from . import cocycle
 
     cm = sc.crossed_module()
     cover = sc.cover()
     family = sc.trivializations(cm, cover)
     lower, upper = sc.triple_tags()
-    return cocycle.verify_transition_cocycle(family, sc.quiver(), lower, upper, sc.budget,
-                                             suite_rng(sc.seed, "transition-cocycle"))
+    return cocycle.verify_transition_cocycle(family, sc.quiver(), lower, upper, sc.budget, rng)
 
 
 def _twisted_instance(sc: Scenario) -> TwistedBundle:
@@ -138,80 +152,41 @@ def _effective_budget(sc: Scenario, tb: TwistedBundle) -> int:
     return sc.budget if isinstance(tb.base, QuiverCategory) else sc.path_budget
 
 
-def _twisted_suite(sc: Scenario) -> LawReport:
+@_suite("twisted-bundle", "twisted", "decorated")  # decorated: an eta from a connection
+def _twisted_suite(sc: Scenario, rng: Stream) -> LawReport:
     from . import twisted
 
     tb = _twisted_instance(sc)
-    return twisted.verify_twisted_bundle(tb, _effective_budget(sc, tb),
-                                         suite_rng(sc.seed, "twisted-bundle"))
+    return twisted.verify_twisted_bundle(tb, _effective_budget(sc, tb), rng)
 
 
-def _e_action_suite(sc: Scenario) -> LawReport:
+@_suite("e-action", "twisted", "decorated")
+def _e_action_suite(sc: Scenario, rng: Stream) -> LawReport:
     from . import twisted
 
     tb = _twisted_instance(sc)
     budget = _effective_budget(sc, tb)
-    report = twisted.verify_E_properties(tb, budget, suite_rng(sc.seed, "e-action"))
-    report.suite = "e-action"
-    report.extend(twisted.verify_action_functorial(tb, budget,
-                                                   suite_rng(sc.seed, "e-action-f")))
-    return report
+    report = twisted.verify_E_properties(tb, budget, rng)
+    # the action laws draw from a second stream, named after the suite's
+    return report.extend(twisted.verify_action_functorial(
+        tb, budget, suite_rng(sc.seed, f"{report.suite}-f")))
 
 
-def _prop62_suite(sc: Scenario) -> LawReport:
+@_suite("prop62", "decorated")
+def _prop62_suite(sc: Scenario, rng: Stream) -> LawReport:
     from . import decorated
 
     cm = sc.crossed_module()
     eta = decorated.eta_from_connection(sc.path_category(), cm, sc.connection(), sc.steps)
-    return decorated.verify_prop62(cm, eta, sc.prop62_pairs,
-                                   suite_rng(sc.seed, "prop62"),
-                                   eps_iso=sc.tolerance("iso", 1e-6))
+    return decorated.verify_prop62(cm, eta, sc.prop62_pairs, rng,
+                                   eps_iso=sc.tolerance("iso", decorated.DEFAULT_ISO_TOL))
 
 
-def _transport_suite(sc: Scenario) -> LawReport:
+@_suite("transport-convergence", "decorated")
+def _transport_suite(sc: Scenario, rng: Stream) -> LawReport:
     from . import decorated
 
-    return decorated.verify_transport_numerics(sc.path_category(), sc.connection(), sc.steps,
-                                               suite_rng(sc.seed, "transport-convergence"))
-
-
-SUITES: dict[str, Callable[[Scenario], LawReport]] = {
-    "crossed-module": _crossed_module_suite,
-    "exchange-law": _exchange_suite,
-    "bundle-axioms": _bundle_axioms_suite,
-    "prop31-roundtrip": _prop31_suite,
-    "prop34-gu-group": _prop34_suite,
-    "prop41-section": _prop41_suite,
-    "prop42-correspondence": _prop42_suite,
-    "cocycle": _cocycle_suite,
-    "prop51": _prop51_suite,
-    "transition-cocycle": _transition_suite,
-    "twisted-bundle": _twisted_suite,
-    "e-action": _e_action_suite,
-    "prop62": _prop62_suite,
-    "transport-convergence": _transport_suite,
-}
-
-
-# the law modules each suite calls into, beyond those every start imports
-# (crossed, groups, basecat, report, scenario, stream); a new suite names its
-# own here, or a run of it compiles them inside its first suite call
-LAW_MODULES: dict[str, tuple[str, ...]] = {
-    "crossed-module": (),
-    "exchange-law": (),
-    "bundle-axioms": ("bundle",),
-    "prop31-roundtrip": ("bundle",),
-    "prop34-gu-group": ("bundle",),
-    "prop41-section": ("bundle",),
-    "prop42-correspondence": ("bundle",),
-    "cocycle": ("cocycle",),
-    "prop51": ("cocycle",),
-    "transition-cocycle": ("cocycle",),
-    "twisted-bundle": ("twisted", "decorated"),  # decorated: an eta from a connection
-    "e-action": ("twisted", "decorated"),
-    "prop62": ("decorated",),
-    "transport-convergence": ("decorated",),
-}
+    return decorated.verify_transport_numerics(sc.path_category(), sc.connection(), sc.steps, rng)
 
 
 def _known(name: str) -> str:
@@ -228,4 +203,4 @@ def import_suites(names: Iterable[str]) -> None:
 
 
 def run_suite(sc: Scenario, name: str) -> LawReport:
-    return SUITES[_known(name)](sc)
+    return SUITES[_known(name)](sc, suite_rng(sc.seed, name))

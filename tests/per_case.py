@@ -1,8 +1,10 @@
 """Test helpers: CaseSpace plans as they come without blocks, a check that
 every block of a passing law holds whole, parallel transport integrated one
 segment at a time by the evaluation formula of one segment's own call,
-random paths drawn point by point, and path samples deduplicated point by
-point."""
+random paths drawn point by point, path samples deduplicated point by point,
+and the small builders only tests use: cocycle data with one value
+perturbed, the non-identity morphisms of an overlap category and the SO(2)
+generator."""
 from contextlib import contextmanager
 
 import numpy as np
@@ -10,6 +12,8 @@ import pytest
 
 from catbundle import bundle, cocycle, crossed, decorated, report, twisted
 from catbundle.basecat import SampledPath
+from catbundle.cocycle import CocycleData, OverlapCategory
+from catbundle.crossed import CrossedModule
 from catbundle.decorated import Connection
 from catbundle.groups import StructuralError, skew_expm1_batch
 
@@ -52,6 +56,34 @@ def whole_blocks(monkeypatch) -> dict:
     return seen
 
 
+SO2_GEN = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def segments(path: SampledPath):
+    """The (start, end) sample pairs of a directly-sampled path, in order."""
+    return zip(path.samples[:-1], path.samples[1:])
+
+
+def perturbed_triple(data: CocycleData, cm: CrossedModule, i: int, j: int, k: int,
+                     point: str, factor) -> CocycleData:
+    """Copy of `data` with h_ijk at one point multiplied by `factor`."""
+    triples = {key: dict(val) for key, val in data.triples.items()}
+    triples[(i, j, k)][point] = cm.H.mul(factor, triples[(i, j, k)][point])
+    return CocycleData({key: dict(val) for key, val in data.pairs.items()}, triples)
+
+
+def perturbed_pair(data: CocycleData, cm: CrossedModule, i: int, j: int, point: str,
+                   factor) -> CocycleData:
+    """Copy of `data` with h_ij at one point multiplied by `factor`."""
+    pairs = {key: dict(val) for key, val in data.pairs.items()}
+    pairs[(i, j)][point] = cm.H.mul(factor, pairs[(i, j)][point])
+    return CocycleData(pairs, {key: dict(val) for key, val in data.triples.items()})
+
+
+def non_identity_morphisms(overlap: OverlapCategory) -> list:
+    return [m for m in overlap.morphisms if not m.is_identity]
+
+
 def _ordered_product(e: np.ndarray) -> np.ndarray:
     """f[s-1] ··· f[0] for the factors f[j] = I + e[j] of one (s, n, n) stack,
     by pairwise tree reduction, the later factor on the left."""
@@ -89,7 +121,7 @@ def reference_transport(conn: Connection, path, steps: int) -> np.ndarray:
         raise StructuralError("need at least one integration substep per segment")
     offsets = (np.arange(steps) + 0.5)[:, None]
     total = None
-    for a, b in path.segments():
+    for a, b in segments(path):
         delta = b - a
         if not np.any(delta):
             continue

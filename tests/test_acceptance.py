@@ -32,9 +32,10 @@ from catbundle.decorated import (
     parallel_transport,
     verify_prop62,
 )
-from catbundle.groups import SO2_GEN, perm_from_cycles, perm_inv, perm_mul, rotation2, skew3
+from catbundle.groups import perm_from_cycles, perm_inv, perm_mul, rotation2, skew3
 from catbundle.twisted import EtaMap, TwistedBundle, TwistedMorphism, verify_E_properties, verify_twisted_bundle
 from catbundle.crossed import TwoGroupMorphism
+from per_case import SO2_GEN, perturbed_triple
 
 REPO = Path(__file__).resolve().parents[1]
 SCEN = REPO / "scenarios"
@@ -149,7 +150,7 @@ def test_criterion_6_cocycle_and_prop51():
     rep = verify_prop51(data, s3, triple)
     ok &= rep.passed and all(r.exhaustive for r in rep.records)
     ok &= rep.find("prop51-naturality").checks == len(triple.morphisms)
-    bad = data.perturbed(s3, 3, 4, 5, "a4", s3.H.code(perm_from_cycles("(0 1)", 3)))
+    bad = perturbed_triple(data, s3, 3, 4, 5, "a4", s3.H.code(perm_from_cycles("(0 1)", 3)))
     record = verify_cocycle_condition(bad, cover, s3).records[0]
     ok &= (not record.passed) and record.witness["point"] == "a4" \
         and (record.witness["i"], record.witness["j"], record.witness["k"]) == (3, 4, 5)

@@ -9,6 +9,7 @@ from catbundle.basecat import (
     constant_path,
 )
 from catbundle.crossed import CompositionUndefined
+from catbundle.scenario import Scenario
 from catbundle.stream import Stream
 from per_case import reference_dedup, reference_random_path
 
@@ -34,6 +35,16 @@ def test_zero_length_bound_gives_identities_only():
     ms = QuiverCategory(CHAIN.objects, [("f", "a", "b"), ("g", "b", "c")],
                         word_bound=0).morphisms_upto()
     assert all(m.is_identity for m in ms) and len(ms) == 3
+
+
+def test_a_scenario_quiver_without_word_bound_is_the_library_default():
+    # a loop makes every word bound enumerate a different morphism list
+    objects, arrows = ["a", "b"], [("f", "a", "b"), ("l", "b", "b")]
+    declared = Scenario({"base": {"objects": objects, "arrows": [list(a) for a in arrows]}}).quiver()
+    library = QuiverCategory(objects, arrows)
+    assert declared.morphisms_upto() == library.morphisms_upto()
+    assert [m.word for m in library.morphisms_upto()] != [
+        m.word for m in QuiverCategory(objects, arrows, library.word_bound + 1).morphisms_upto()]
 
 
 def test_quiver_composition_and_guards():

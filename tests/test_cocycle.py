@@ -22,6 +22,7 @@ from catbundle.cocycle import (
 )
 from catbundle.crossed import CompositionUndefined, get_module
 from catbundle.groups import StructuralError, perm_from_cycles, perm_inv, perm_mul
+from per_case import non_identity_morphisms, perturbed_pair, perturbed_triple
 
 S3 = get_module("s3-conj")
 Z4A = get_module("z4-abelian")
@@ -126,7 +127,7 @@ def test_classical_additive_cocycle():
 def test_perturbation_gives_localized_witness():
     base, cover = six_object_setup()
     data = constructive_cocycle(cover, S3, np.random.default_rng(7))
-    bad = data.perturbed(S3, 3, 4, 5, "a4", p("(0 1)"))
+    bad = perturbed_triple(data, S3, 3, 4, 5, "a4", p("(0 1)"))
     report = verify_cocycle_condition(bad, cover, S3)
     record = report.records[0]
     assert not record.passed
@@ -152,7 +153,7 @@ def test_theta_h_component_permutation_oracle():
     data = constructive_cocycle(cover, S3, np.random.default_rng(7))
     ov = OverlapCategory(base, cover, (0, 1), (3, 4))
     theta = build_theta(data, S3, ov)
-    for m in ov.non_identity_morphisms():
+    for m in non_identity_morphisms(ov):
         want = perm_mul(perm(data.h_pair(3, 4, m.target[1])),
                         perm_inv(perm(data.h_pair(0, 1, m.source[1]))))
         assert perm(theta.apply(m).h) == want
@@ -209,12 +210,17 @@ def test_prop51_abelian_trivial_case_is_equality():
     assert verify_prop51(data, Z4A, triple).passed
 
 
-def test_prop51_s3_exhaustive_and_nontrivial():
+def test_prop51_s3_exhaustive_and_nontrivial(monkeypatch):
     base, cover = six_object_setup()
     data = constructive_cocycle(cover, S3, np.random.default_rng(7))
     triple = OverlapCategory(base, cover, (0, 1, 2), (3, 4, 5))
+    built, build = [], cocycle_mod.build_theta
+    monkeypatch.setattr(cocycle_mod, "build_theta", lambda data, cm, ov: (
+        built.append((ov.lower, ov.upper)) or build(data, cm, ov)))
     report = verify_prop51(data, S3, triple)
     assert report.passed
+    # the transformation and the theta-functor law share one build of each theta
+    assert built == [((0, 1), (3, 4)), ((1, 2), (4, 5)), ((0, 2), (3, 5))]
     assert all(r.exhaustive for r in report.records)
     # the strict equality of Eq 5.21 does NOT hold for generic cocycle data:
     # the transformation is genuinely needed
@@ -228,7 +234,7 @@ def test_prop51_gauge_chain_replay_on_one_morphism():
     data = constructive_cocycle(cover, S3, np.random.default_rng(7))
     triple = OverlapCategory(base, cover, (0, 1, 2), (3, 4, 5))
     T = triple_transformation(data, S3, triple)
-    m = next(mm for mm in triple.non_identity_morphisms())
+    m = next(mm for mm in non_identity_morphisms(triple))
     s_pt, t_pt = m.source[1], m.target[1]
     # H-component of the pointwise product, via the conjugation form
     h_prod = perm(T.target.apply(m).h)
@@ -247,7 +253,7 @@ def test_prop51_gauge_chain_replay_on_one_morphism():
 def test_prop51_refuses_on_broken_cocycle():
     base, cover = six_object_setup()
     data = constructive_cocycle(cover, S3, np.random.default_rng(7))
-    bad = data.perturbed(S3, 0, 1, 2, "a0", p("(0 1 2)"))
+    bad = perturbed_triple(data, S3, 0, 1, 2, "a0", p("(0 1 2)"))
     triple = OverlapCategory(base, cover, (0, 1, 2), (3, 4, 5))
     with pytest.raises(CocycleConditionError):
         triple_transformation(bad, S3, triple)
@@ -312,7 +318,7 @@ def test_restriction_where_pair_tags_collapse():
     cover.check_covers(base)
     data = constructive_cocycle(cover, S3, np.random.default_rng(3))
     triple = OverlapCategory(base, cover, (0, 1, 2), (0, 1, 3))
-    id_words = [m for m in triple.non_identity_morphisms() if m.base.is_identity]
+    id_words = [m for m in non_identity_morphisms(triple) if m.base.is_identity]
     assert id_words, "setup must produce identity-word morphisms across tags"
     pair = OverlapCategory(base, cover, (0, 1), (0, 1))
     theta = build_theta(data, S3, pair)
@@ -329,7 +335,7 @@ def test_single_pair_value_perturbation_breaks_a_check():
     # triple-overlap transformation, with a localized witness
     base, cover = six_object_setup()
     data = constructive_cocycle(cover, S3, np.random.default_rng(7))
-    bad = data.perturbed_pair(S3, 0, 2, "a0", p("(0 1 2)"))
+    bad = perturbed_pair(data, S3, 0, 2, "a0", p("(0 1 2)"))
     report = verify_cocycle_condition(bad, cover, S3)
     record = report.records[0]
     assert not record.passed
@@ -356,7 +362,7 @@ def test_functor_witness_catches_broken_theta():
     theta = build_theta(data, S3, ov)
     assert functor_invariant_witness(theta) is None
     identity = ov.morphisms[0]
-    arrow = ov.non_identity_morphisms()[0]
+    arrow = non_identity_morphisms(ov)[0]
     assert identity.is_identity
     for broken, gamma in ((perturbed(theta, h_at=identity), identity),
                           (perturbed(theta, h_at=arrow), arrow)):
@@ -374,14 +380,14 @@ def test_functor_witness_catches_broken_transition(monkeypatch):
     ov = OverlapCategory(base, cover, (0, 1), (3, 4))
     sigma = transition_from_trivializations(family.trivialization(0, 3),
                                             family.trivialization(1, 4), ov)
-    arrow = ov.non_identity_morphisms()[0]
+    arrow = non_identity_morphisms(ov)[0]
     witness = functor_invariant_witness(perturbed(sigma, h_at=arrow))
     assert witness is not None and witness["gamma"] == repr(arrow)
 
     # the suite fails transition-functor when the transitions it builds are broken
     def broken_transition(phi_to, phi_from, overlap):
         sigma = transition_from_trivializations(phi_to, phi_from, overlap)
-        return perturbed(sigma, h_at=overlap.non_identity_morphisms()[0])
+        return perturbed(sigma, h_at=non_identity_morphisms(overlap)[0])
 
     monkeypatch.setattr(cocycle_mod, "transition_from_trivializations", broken_transition)
     record = verify_transition_cocycle(family, base, (0, 1, 2), (3, 4, 5)).find("transition-functor")

@@ -16,9 +16,10 @@ from catbundle.decorated import (
     verify_prop62,
     verify_transport_numerics,
 )
-from catbundle.groups import (SO2_GEN, StructuralError, perm_from_cycles, perm_mul, rotation2,
+from catbundle.groups import (StructuralError, perm_from_cycles, perm_mul, rotation2,
                               skew3, skew_exp)
 from catbundle.twisted import EtaMap
+from per_case import SO2_GEN, segments
 
 SO2 = get_module("so2-conj")
 SO3 = get_module("so3-conj")
@@ -337,7 +338,7 @@ def loop_transport(C, D, path, steps):
     left-multiplied onto the running product, over every segment in order."""
     total = np.eye(C[0].shape[0])
     for leaf in path.leaves():
-        for a, b in leaf.segments():
+        for a, b in segments(leaf):
             d = (b - a) / steps
             for j in range(steps):
                 mid = a + (j + 0.5) * d
@@ -367,7 +368,7 @@ def so2_integral(C, D, path):
     with A affine in position, midpoint value times displacement is exact."""
     total = 0.0
     for leaf in path.leaves():
-        for a, b in leaf.segments():
+        for a, b in segments(leaf):
             mid = (a + b) / 2
             for k in range(len(C)):
                 coeff = C[k][1, 0] + sum(mid[l] * D[k][l][1, 0] for l in range(len(C)))

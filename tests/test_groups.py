@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from catbundle.groups import (
-    SO2_GEN,
     CyclicGroup,
     SpecialOrthogonalGroup,
     StructuralError,
@@ -18,6 +17,7 @@ from catbundle.groups import (
     skew3,
     skew_exp,
 )
+from per_case import SO2_GEN
 
 
 def test_cyclic_laws():

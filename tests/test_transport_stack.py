@@ -31,7 +31,8 @@ from catbundle.twisted import (
     verify_E_properties,
     verify_twisted_bundle,
 )
-from per_case import per_case_plans, reference_evaluate, reference_transport, whole_blocks
+from per_case import (per_case_plans, reference_evaluate, reference_transport, segments,
+                      whole_blocks)
 from test_decorated import random_connection
 from test_so_blocks import alpha_mutant
 
@@ -73,12 +74,12 @@ def test_one_evaluate_per_chunk_serves_several_leaves_bitwise(group_dim, family,
     rng = np.random.default_rng([group_dim, len(family), 10])
     conn, _, _ = random_connection(rng, group_dim, family, 2)
     leaves = leaves_with_zero_segments(rng, PathCategory(2), 5)
-    segments = sum(bool(np.any(b - a)) for leaf in leaves for a, b in leaf.segments())
+    nonzero = sum(bool(np.any(b - a)) for leaf in leaves for a, b in segments(leaf))
     calls, evaluate = [], Connection.evaluate
     monkeypatch.setattr(Connection, "evaluate",
                         lambda self, p, v: calls.append((p.shape, v.shape)) or evaluate(self, p, v))
     stacked = parallel_transport(conn, PathBlock(leaves), 10)
-    assert segments > len(leaves) and calls == [((segments, 10, 2), (segments, 2))]
+    assert nonzero > len(leaves) and calls == [((nonzero, 10, 2), (nonzero, 2))]
     for leaf, value in zip(leaves, stacked):
         assert np.array_equal(value, reference_transport(conn, leaf, 10))
 
