@@ -30,7 +30,7 @@ from .basecat import CodeTable, QuiverCategory
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
 from .groups import StructuralError, all_cases, every
 from .report import DEFAULT_BUDGET, CaseSpace, LawReport, run_law, sides_witness
-from .stream import Stream
+from .stream import Stream, Streams, seed_zero
 from .twisted import (
     EtaMap,
     TwistedBundle,
@@ -310,7 +310,7 @@ def verify_GU_categorical_group(
     base: QuiverCategory,
     cm: CrossedModule,
     budget: int = DEFAULT_BUDGET,
-    rng: Stream | None = None,
+    streams: Streams = seed_zero,
 ) -> LawReport:
     """Certify that functors base -> G and their transformations form a
     categorical group: both group structures, s/t/identity-assignment
@@ -321,7 +321,6 @@ def verify_GU_categorical_group(
     object, and a vertical chain by its first transformation and then the hT
     of each next one (the same cases, in the same order, as the nested loops
     over functors and hT tables). Every law runs in blocks of such codes."""
-    rng = rng or Stream(0)
     report = LawReport(suite="prop34-gu-group")
     objects, arrows = base.objects, list(base.arrows)
     Fs = enumerate_functors(base, cm)
@@ -359,7 +358,7 @@ def verify_GU_categorical_group(
 
         return build, F_axes + hT_axes * k
 
-    def cases(part, parts=1):
+    def cases(law, part, parts=1):
         """`parts` independent cases of a (build, axes) part, each built from
         one code per axis (a tuple of them when more than one); the law
         checks them in blocks."""
@@ -367,16 +366,16 @@ def verify_GU_categorical_group(
         k = len(axes)
         whole = build if parts == 1 else (
             lambda *c: tuple(build(*c[i:i + k]) for i in range(0, parts * k, k)))
-        return CaseSpace.product(*(axes * parts), build=whole).plan(budget, rng)
+        return CaseSpace.product(*(axes * parts), build=whole).plan(budget, streams(law))
 
     report.records.append(run_law(
-        "functor-product-closure", "Prop 3.2", cases(functors, 2),
+        "functor-product-closure", "Prop 3.2", cases("functor-product-closure", functors, 2),
         lambda p: functor_ok(p[0].mul(p[1])),
         lambda p: functor_invariant_witness(p[0].mul(p[1])),
     ))
 
     report.records.append(run_law(
-        "object-group-laws", "Prop 3.2", cases(functors, 3),
+        "object-group-laws", "Prop 3.2", cases("object-group-laws", functors, 3),
         lambda t: (t[0].mul(t[1]).mul(t[2]).eq(t[0].mul(t[1].mul(t[2])))
                    & t[0].mul(t[0].inv()).eq(E)
                    & t[0].mul(E).eq(t[0])),
@@ -384,7 +383,7 @@ def verify_GU_categorical_group(
     ))
 
     report.records.append(run_law(
-        "morphism-product-closure", "diagram 3.14", cases(chain(1), 2),
+        "morphism-product-closure", "diagram 3.14", cases("morphism-product-closure", chain(1), 2),
         lambda p: natural_ok(nat_pointwise_mul(p[0], p[1])),
         lambda p: naturality_witness(nat_pointwise_mul(p[0], p[1])),
     ))
@@ -395,19 +394,19 @@ def verify_GU_categorical_group(
                 & product.target.eq(p[0].target.mul(p[1].target)))
 
     report.records.append(run_law(
-        "source-target-homomorphism", "Eq 2.2", cases(chain(1), 2),
+        "source-target-homomorphism", "Eq 2.2", cases("source-target-homomorphism", chain(1), 2),
         product_boundaries_ok, lambda p: {"case": "s/t"},
     ))
 
     report.records.append(run_law(
-        "morphism-group-laws", "Prop 3.4", cases(chain(1)),
+        "morphism-group-laws", "Prop 3.4", cases("morphism-group-laws", chain(1)),
         lambda T: (nat_eq(nat_pointwise_mul(T, nat_inverse(T)), one_E)
                    & nat_eq(nat_pointwise_mul(T, one_E), T)),
         lambda T: {"case": "morphism-group"},
     ))
 
     report.records.append(run_law(
-        "identity-assignment", "§2.1", cases(functors, 2),
+        "identity-assignment", "§2.1", cases("identity-assignment", functors, 2),
         lambda p: nat_eq(
             identity_transf(p[0].mul(p[1])),
             nat_pointwise_mul(identity_transf(p[0]), identity_transf(p[1])),
@@ -416,13 +415,13 @@ def verify_GU_categorical_group(
     ))
 
     report.records.append(run_law(
-        "vertical-units", "Eq 3.15", cases(chain(1)),
+        "vertical-units", "Eq 3.15", cases("vertical-units", chain(1)),
         lambda T: (nat_eq(nat_vertical_compose(identity_transf(T.target), T), T)
                    & nat_eq(nat_vertical_compose(T, identity_transf(T.source)), T)),
         lambda T: {"case": "vertical-units"},
     ))
     report.records.append(run_law(
-        "vertical-associativity", "Eq 3.15", cases(chain(3)),
+        "vertical-associativity", "Eq 3.15", cases("vertical-associativity", chain(3)),
         lambda t: nat_eq(
             nat_vertical_compose(nat_vertical_compose(t[0], t[1]), t[2]),
             nat_vertical_compose(t[0], nat_vertical_compose(t[1], t[2])),
@@ -437,7 +436,8 @@ def verify_GU_categorical_group(
         return nat_eq(lhs, rhs)
 
     report.records.append(run_law(
-        "exchange-law-functors", "Eq 3.17", cases(chain(2), 2), exchange_ok,
+        "exchange-law-functors", "Eq 3.17",
+        cases("exchange-law-functors", chain(2), 2), exchange_ok,
         lambda pq: {"case": "exchange"}))
     return report
 
@@ -474,8 +474,7 @@ class SectionIso:
 
 
 def verify_section_iso(F: FunctorUG, budget: int = DEFAULT_BUDGET,
-                       rng: Stream | None = None) -> LawReport:
-    rng = rng or Stream(0)
+                       streams: Streams = seed_zero) -> LawReport:
     report = LawReport(suite="prop41-section")
     base, cm = F.base, F.cm
     if not cm.is_finite:
@@ -485,17 +484,17 @@ def verify_section_iso(F: FunctorUG, budget: int = DEFAULT_BUDGET,
     objects = [(a, g) for a in base.objects for g in cm.G.elements]
     morphisms = list(bundle_morphisms(bundle))
 
-    def listed(cases):
-        return CaseSpace.finite(cases).plan(budget, rng)
+    def listed(law, cases):
+        return CaseSpace.finite(cases).plan(budget, streams(law))
 
     report.records.append(run_law(
-        "section-projection", "Prop 4.1", listed(list(base.objects)),
+        "section-projection", "Prop 4.1", listed("section-projection", list(base.objects)),
         lambda a: iso.on_object(a, cm.G.identity)[0] == a, lambda a: {"object": a},
     ))
 
     report.records.append(run_law(
         "equivariance-objects", "Eq 4.4",
-        CaseSpace.product(objects, cm.G.elements).plan(budget, rng),
+        CaseSpace.product(objects, cm.G.elements).plan(budget, streams("equivariance-objects")),
         lambda p: cm.G.eq(
             iso.on_object(*bundle.act_object(p[0], p[1]))[1],
             cm.G.mul(iso.on_object(*p[0])[1], p[1]),
@@ -505,7 +504,8 @@ def verify_section_iso(F: FunctorUG, budget: int = DEFAULT_BUDGET,
 
     report.records.append(run_law(
         "equivariance-morphisms", "Eq 4.4",
-        CaseSpace.product(bundle_morphisms(bundle), cm.morphism_space()).plan(budget, rng),
+        CaseSpace.product(bundle_morphisms(bundle), cm.morphism_space()).plan(
+            budget, streams("equivariance-morphisms")),
         lambda p: bundle.morphism_eq(
             iso.on_morphism(bundle.act(p[0], p[1])),
             bundle.act(iso.on_morphism(p[0]), p[1]),
@@ -514,7 +514,7 @@ def verify_section_iso(F: FunctorUG, budget: int = DEFAULT_BUDGET,
     ))
 
     report.records.append(run_law(
-        "fiber-preservation", "Prop 4.1", listed(objects + morphisms),
+        "fiber-preservation", "Prop 4.1", listed("fiber-preservation", objects + morphisms),
         lambda x: ((iso.on_object(*x)[0] == x[0]) if isinstance(x, tuple)
                    else (iso.on_morphism(x).gamma == x.gamma)),
         lambda x: {"case": "fiber"},
@@ -534,7 +534,8 @@ def verify_section_iso(F: FunctorUG, budget: int = DEFAULT_BUDGET,
         return None
 
     report.records.append(run_law(
-        "bijectivity-objects", "Prop 4.1", listed([0]), lambda c: obj_bij(c) is None, obj_bij))
+        "bijectivity-objects", "Prop 4.1",
+        listed("bijectivity-objects", [0]), lambda c: obj_bij(c) is None, obj_bij))
 
     def mor_bij(_):
         keys = set()
@@ -551,10 +552,12 @@ def verify_section_iso(F: FunctorUG, budget: int = DEFAULT_BUDGET,
         return None
 
     report.records.append(run_law(
-        "bijectivity-morphisms", "Prop 4.1", listed([0]), lambda c: mor_bij(c) is None, mor_bij))
+        "bijectivity-morphisms", "Prop 4.1",
+        listed("bijectivity-morphisms", [0]), lambda c: mor_bij(c) is None, mor_bij))
 
     report.records.append(run_law(
-        "composition-preservation", "Eq 4.5", composable_chains(bundle, 2).plan(budget, rng),
+        "composition-preservation", "Eq 4.5",
+        composable_chains(bundle, 2).plan(budget, streams("composition-preservation")),
         lambda p: bundle.morphism_eq(
             iso.on_morphism(bundle.compose(p[0], p[1])),
             bundle.compose(iso.on_morphism(p[0]), iso.on_morphism(p[1])),
@@ -625,27 +628,29 @@ def extract_functor(phi: SectionIso | object, base: QuiverCategory, cm: CrossedM
 
 
 def verify_composition_correspondence(F2: FunctorUG, F1: FunctorUG, budget: int = DEFAULT_BUDGET,
-                                      rng: Stream | None = None) -> LawReport:
+                                      streams: Streams = seed_zero) -> LawReport:
     """Composition of the induced bundle automorphisms corresponds to the
     pointwise product of the functors."""
-    rng = rng or Stream(0)
     report = LawReport(suite="prop42-correspondence")
     base, cm = F1.base, F1.cm
     phi2, phi1 = SectionIso(F2), SectionIso(F1)
     composed = phi2.compose_with(phi1)
 
     report.records.append(run_law(
-        "composition-correspondence", "Eq 4.11", CaseSpace.finite([0]).plan(budget, rng),
+        "composition-correspondence", "Eq 4.11",
+        CaseSpace.finite([0]).plan(budget, streams("composition-correspondence")),
         lambda _: extract_functor(composed, base, cm).eq(F2.mul(F1)),
         lambda _: {"case": "sigma-product"},
     ))
     report.records.append(run_law(
-        "extraction-roundtrip", "Eq 4.7", CaseSpace.finite([F1, F2]).plan(budget, rng),
+        "extraction-roundtrip", "Eq 4.7",
+        CaseSpace.finite([F1, F2]).plan(budget, streams("extraction-roundtrip")),
         lambda F: extract_functor(SectionIso(F), base, cm).eq(F),
         lambda F: {"case": "roundtrip"},
     ))
     report.records.append(run_law(
-        "intertwining", "Eq 4.8", CaseSpace.finite(base.morphisms_upto()).plan(budget, rng),
+        "intertwining", "Eq 4.8",
+        CaseSpace.finite(base.morphisms_upto()).plan(budget, streams("intertwining")),
         lambda gamma: (cm.G.eq(cm.source(F1.apply(gamma)), F1.g(base.source(gamma)))
                        & cm.G.eq(cm.target(F1.apply(gamma)), F1.g(base.target(gamma)))),
         lambda gamma: {"gamma": repr(gamma)},
@@ -655,12 +660,11 @@ def verify_composition_correspondence(F2: FunctorUG, F1: FunctorUG, budget: int 
 
 def verify_bundle_axioms(base: QuiverCategory, cm: CrossedModule,
                          budget: int = DEFAULT_BUDGET,
-                         rng: Stream | None = None) -> LawReport:
+                         streams: Streams = seed_zero) -> LawReport:
     """Principal-bundle axioms for the product bundle: surjectivity, freeness
     and fiber-transitivity of the action, plus category laws upstairs."""
     if not cm.is_finite:
         raise StructuralError("the product-bundle axioms need a finite crossed module")
-    rng = rng or Stream(0)
     report = LawReport(suite="bundle-axioms")
     bundle = TwistedBundle(base, cm, EtaMap.trivial(base, cm))
 
@@ -669,7 +673,8 @@ def verify_bundle_axioms(base: QuiverCategory, cm: CrossedModule,
 
     report.records.append(run_law(
         "b1-surjectivity", "§2.2 (b1)",
-        CaseSpace.finite(list(base.objects) + base.morphisms_upto()).plan(budget, rng),
+        CaseSpace.finite(list(base.objects) + base.morphisms_upto()).plan(
+            budget, streams("b1-surjectivity")),
         lambda x: b1_ok(bundle, lift(x)), lambda x: {"missing": repr(x)},
     ))
 
@@ -683,12 +688,14 @@ def verify_bundle_axioms(base: QuiverCategory, cm: CrossedModule,
         return True if fixed is False else fixed <= cm.G.eq(p[1], cm.G.identity)
 
     report.records.append(run_law(
-        "b2-freeness-objects", "§2.2 (b2)", objects_acted.plan(budget, rng), object_free_ok,
+        "b2-freeness-objects", "§2.2 (b2)",
+        objects_acted.plan(budget, streams("b2-freeness-objects")), object_free_ok,
         lambda p: {"object": str(p[0][0]), "g": cm.G.fmt(p[1])},
     ))
     report.records.append(run_law(
         "b2-freeness-morphisms", "§2.2 (b2)",
-        CaseSpace.product(bundle_morphisms(bundle), cm.morphism_space()).plan(budget, rng),
+        CaseSpace.product(bundle_morphisms(bundle), cm.morphism_space()).plan(
+            budget, streams("b2-freeness-morphisms")),
         lambda p: free_ok(bundle, *p), lambda p: {"gamma": repr(p[0].gamma)},
     ))
 
@@ -696,7 +703,8 @@ def verify_bundle_axioms(base: QuiverCategory, cm: CrossedModule,
     same_object = CaseSpace.product(range(len(names)), cm.G.elements, cm.G.elements,
                                     build=lambda a, g1, g2: ((names[a], g1), (names[a], g2)))
     report.records.append(run_law(
-        "b3-transitivity-objects", "§2.2 (b3)", same_object.plan(budget, rng),
+        "b3-transitivity-objects", "§2.2 (b3)",
+        same_object.plan(budget, streams("b3-transitivity-objects")),
         lambda p: cm.G.eq(
             bundle.act_object(p[0], cm.G.mul(cm.G.inv(p[0][1]), p[1][1]))[1], p[1][1]),
         lambda p: {"object": str(p[0][0])},
@@ -709,20 +717,23 @@ def verify_bundle_axioms(base: QuiverCategory, cm: CrossedModule,
     same_morphism = CaseSpace.product(base.codes(), cm.morphism_space(), cm.morphism_space(),
                                       build=same_gamma)
     report.records.append(run_law(
-        "b3-transitivity-morphisms", "§2.2 (b3)", same_morphism.plan(budget, rng),
+        "b3-transitivity-morphisms", "§2.2 (b3)",
+        same_morphism.plan(budget, streams("b3-transitivity-morphisms")),
         lambda p: bundle.morphism_eq(
             bundle.act(p[0], cm.sdp_multiply(cm.sdp_inverse(p[0].m), p[1].m)), p[1]),
         lambda p: {"gamma": repr(p[0].gamma)},
     ))
 
     report.records.append(run_law(
-        "composition-units", "Eq 3.4", bundle_morphisms(bundle).plan(budget, rng),
+        "composition-units", "Eq 3.4",
+        bundle_morphisms(bundle).plan(budget, streams("composition-units")),
         lambda tm: units_ok(bundle, tm), lambda tm: {"gamma": repr(tm.gamma)},
     ))
     # the action commutes with composition, and with s and t on the first factor
     report.records.append(run_law(
         "action-functoriality", "Eq 3.2",
-        CaseSpace.product(composable_chains(bundle, 2), vertical_pairs(cm)).plan(budget, rng),
+        CaseSpace.product(composable_chains(bundle, 2), vertical_pairs(cm)).plan(
+            budget, streams("action-functoriality")),
         lambda c: action_composition_ok(bundle, *c) & action_boundaries_ok(bundle, c[0][1], c[1][1]),
         lambda c: {"gamma2": repr(c[0][0].gamma), "gamma1": repr(c[0][1].gamma),
                    "m2": cm.fmt_m(c[1][0]), "m1": cm.fmt_m(c[1][1])},

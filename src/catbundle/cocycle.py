@@ -24,7 +24,7 @@ from .bundle import FunctorUG, NatTransf, _spread, functor_invariant_witness, fu
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
 from .groups import StructuralError, all_cases, every
 from .report import DEFAULT_BUDGET, CaseSpace, LawReport, run_law, sides_witness
-from .stream import Stream
+from .stream import Stream, Streams, seed_zero
 
 Tag = tuple[int, ...]
 OverlapObject = tuple[Tag, str]
@@ -188,9 +188,8 @@ def constructive_cocycle(cover: Cover, cm: CrossedModule,
 
 def verify_cocycle_condition(data: CocycleData, cover: Cover, cm: CrossedModule,
                              budget: int = DEFAULT_BUDGET,
-                             rng: Stream | None = None) -> LawReport:
+                             streams: Streams = seed_zero) -> LawReport:
     """h_ijk·h_ik = h_ij·h_jk at every triple-overlap point."""
-    rng = rng or Stream(0)
     report = LawReport(suite="cocycle")
     cases = [
         (i, j, k, pt)
@@ -199,7 +198,8 @@ def verify_cocycle_condition(data: CocycleData, cover: Cover, cm: CrossedModule,
     ]
 
     report.records.append(run_law(
-        "cocycle-condition", "Eq 5.26", CaseSpace.finite(cases).plan(budget, rng),
+        "cocycle-condition", "Eq 5.26",
+        CaseSpace.finite(cases).plan(budget, streams("cocycle-condition")),
         lambda case: cm.H.eq(*data.condition_sides(cm, *case)),
         lambda case: {**dict(zip(("i", "j", "k", "point"), case)),
                       **sides_witness(cm.H.fmt, data.condition_sides(cm, *case))},
@@ -294,20 +294,21 @@ def _transformation_and_thetas(data: CocycleData, cm: CrossedModule,
 
 
 def verify_prop51(data: CocycleData, cm: CrossedModule, triple: OverlapCategory,
-                  budget: int = DEFAULT_BUDGET, rng: Stream | None = None) -> LawReport:
+                  budget: int = DEFAULT_BUDGET, streams: Streams = seed_zero) -> LawReport:
     """Certify the triple-overlap transformation: theta functor laws, the
     object-level gauge relation, the gauge-transformed H-component identity,
     and the naturality square."""
-    rng = rng or Stream(0)
     report = LawReport(suite="prop51")
     T, thetas = _transformation_and_thetas(data, cm, triple)
     P, th_im = T.target, T.source
     report.records.append(run_law(
-        "theta-functor", "Eqs 5.34-5.36", CaseSpace.finite(thetas).plan(budget, rng),
+        "theta-functor", "Eqs 5.34-5.36",
+        CaseSpace.finite(thetas).plan(budget, streams("theta-functor")),
         functor_ok, functor_invariant_witness))
 
     report.records.append(run_law(
-        "prop51-object-gauge", "Eq 3.11", CaseSpace.finite(triple.objects).plan(budget, rng),
+        "prop51-object-gauge", "Eq 3.11",
+        CaseSpace.finite(triple.objects).plan(budget, streams("prop51-object-gauge")),
         lambda x: cm.G.eq(P.g(x), cm.G.mul(cm.tau(T.hT[x]), th_im.g(x))),
         lambda x: {"object": str(x)},
     ))
@@ -317,7 +318,8 @@ def verify_prop51(data: CocycleData, cm: CrossedModule, triple: OverlapCategory,
                 th_im.h(mm))
 
     report.records.append(run_law(
-        "prop51-h-component", "Eq 5.46", CaseSpace.finite(triple.morphisms).plan(budget, rng),
+        "prop51-h-component", "Eq 5.46",
+        CaseSpace.finite(triple.morphisms).plan(budget, streams("prop51-h-component")),
         lambda mm: cm.H.eq(*h_sides(mm)),
         lambda mm: {"morphism": repr(mm), **sides_witness(cm.H.fmt, h_sides(mm))}))
 
@@ -326,7 +328,8 @@ def verify_prop51(data: CocycleData, cm: CrossedModule, triple: OverlapCategory,
                 cm.compose_vertical(T.at(mm.target), th_im.apply(mm)))
 
     report.records.append(run_law(
-        "prop51-naturality", "Eq 3.10", CaseSpace.finite(triple.morphisms).plan(budget, rng),
+        "prop51-naturality", "Eq 3.10",
+        CaseSpace.finite(triple.morphisms).plan(budget, streams("prop51-naturality")),
         lambda mm: cm.m_eq(*square(mm)),
         lambda mm: {"morphism": repr(mm), **sides_witness(cm.fmt_m, square(mm))}))
     return report
@@ -430,11 +433,10 @@ def transition_from_trivializations(phi_to: MixedTrivialization,
 
 def verify_transition_cocycle(family: TrivializationFamily, base: QuiverCategory,
                               lower_triple: Tag, upper_triple: Tag, budget: int = DEFAULT_BUDGET,
-                              rng: Stream | None = None) -> LawReport:
+                              streams: Streams = seed_zero) -> LawReport:
     """sigma_ik^jl · sigma_km^ln = sigma_im^jn on the triple overlap, as an
     exact equality of functors; plus self-transitions are the identity and
     transitions are functors."""
-    rng = rng or Stream(0)
     report = LawReport(suite="transition-cocycle")
     cm, cover = family.cm, family.cover
     i, k, m_ = lower_triple
@@ -453,7 +455,8 @@ def verify_transition_cocycle(family: TrivializationFamily, base: QuiverCategory
     s_im = sigma((i, m_), (j, n))
 
     report.records.append(run_law(
-        "transition-functor", "Eq 5.11", CaseSpace.finite([s_ik, s_km, s_im]).plan(budget, rng),
+        "transition-functor", "Eq 5.11",
+        CaseSpace.finite([s_ik, s_km, s_im]).plan(budget, streams("transition-functor")),
         functor_ok, functor_invariant_witness))
 
     # the cocycle relation on objects and morphisms; on finite carriers `eq`
@@ -478,7 +481,8 @@ def verify_transition_cocycle(family: TrivializationFamily, base: QuiverCategory
 
     report.records.append(run_law(
         "transition-cocycle", "Eq 5.21",
-        CaseSpace.finite(triple.objects + triple.morphisms).plan(budget, rng),
+        CaseSpace.finite(triple.objects + triple.morphisms).plan(
+            budget, streams("transition-cocycle")),
         match_ok, match_witness,
     ))
 
@@ -495,6 +499,7 @@ def verify_transition_cocycle(family: TrivializationFamily, base: QuiverCategory
 
     report.records.append(run_law(
         "self-transition-identity", "Eq 5.11",
-        CaseSpace.finite([((i, k), (j, l))]).plan(budget, rng), self_transition_ok,
+        CaseSpace.finite([((i, k), (j, l))]).plan(budget, streams("self-transition-identity")),
+        self_transition_ok,
         lambda idx_pair: {"pair": str(idx_pair)}))
     return report

@@ -30,7 +30,7 @@ from .groups import (
     is_block,
 )
 from .report import DEFAULT_BUDGET, CaseSpace, LawReport, run_law, sides_witness
-from .stream import Stream
+from .stream import Stream, Streams, seed_zero
 
 
 @dataclass(frozen=True)
@@ -202,31 +202,32 @@ def _carrier_error(cm: CrossedModule, which: str, g: Element, h: Element) -> Str
 def verify_crossed_module(
     cm: CrossedModule,
     sample_budget: int = DEFAULT_BUDGET,
+    streams: Streams = seed_zero,
     rng: Stream | None = None,
 ) -> LawReport:
     """Certify the crossed-module axioms, with witnesses on failure.
 
     Checks tau-homomorphism, alpha_g in Aut(H), g -> alpha_g homomorphism,
     the Peiffer law, plus source/target/identity-assignment homomorphism
-    properties of the induced maps on H ⋊ G."""
-    rng = rng or Stream(0)
-    _check_carriers(cm, rng)
+    properties of the induced maps on H ⋊ G. Each law draws from
+    `streams(law)`, the carrier probe from `rng`."""
+    _check_carriers(cm, rng or Stream(0))
     report = LawReport(suite="crossed-module")
     G, H = cm.G, cm.H
     carriers = {"g": CaseSpace.carrier(G), "h": CaseSpace.carrier(H)}
 
     # a coded or stackable space comes in blocks, on which each check is a mask
-    def cases(slots: str):
-        return CaseSpace.product(*(carriers[s] for s in slots)).plan(sample_budget, rng)
+    def cases(law: str, slots: str):
+        return CaseSpace.product(*(carriers[s] for s in slots)).plan(sample_budget, streams(law))
 
     report.records.append(run_law(
-        "tau-homomorphism", "§2.1", cases("hh"),
+        "tau-homomorphism", "§2.1", cases("tau-homomorphism", "hh"),
         lambda t: G.eq(cm.tau(H.mul(t[0], t[1])), G.mul(cm.tau(t[0]), cm.tau(t[1]))),
         lambda t: {"h": H.fmt(t[0]), "h2": H.fmt(t[1])},
     ))
 
     report.records.append(run_law(
-        "alpha-automorphism", "§2.1", cases("ghh"),
+        "alpha-automorphism", "§2.1", cases("alpha-automorphism", "ghh"),
         lambda t: (
             H.eq(cm.alpha(t[0], H.mul(t[1], t[2])), H.mul(cm.alpha(t[0], t[1]), cm.alpha(t[0], t[2])))
             & H.eq(cm.alpha(t[0], cm.alpha(G.inv(t[0]), t[1])), t[1])),
@@ -234,7 +235,7 @@ def verify_crossed_module(
     ))
 
     report.records.append(run_law(
-        "alpha-family-homomorphism", "§2.1", cases("ggh"),
+        "alpha-family-homomorphism", "§2.1", cases("alpha-family-homomorphism", "ggh"),
         lambda t: (
             H.eq(cm.alpha(G.mul(t[0], t[1]), t[2]), cm.alpha(t[0], cm.alpha(t[1], t[2])))
             & H.eq(cm.alpha(G.identity, t[2]), t[2])),
@@ -245,31 +246,32 @@ def verify_crossed_module(
         return cm.alpha(cm.tau(t[0]), t[1]), H.mul(H.mul(t[0], t[1]), H.inv(t[0]))
 
     report.records.append(run_law(
-        "peiffer", "Eq 2.4", cases("hh"), lambda t: H.eq(*peiffer(t)),
+        "peiffer", "Eq 2.4", cases("peiffer", "hh"), lambda t: H.eq(*peiffer(t)),
         lambda t: {"h": H.fmt(t[0]), "h2": H.fmt(t[1]), **sides_witness(H.fmt, peiffer(t))},
     ))
 
     # s and t on H ⋊ G are homomorphisms; t-hom is the equivariance of tau.
-    def pairs():
+    def pairs(law: str):
         return CaseSpace.product(*(carriers[s] for s in "hghg"), build=lambda h2, g2, h1, g1: (
-            TwoGroupMorphism(h2, g2), TwoGroupMorphism(h1, g1))).plan(sample_budget, rng)
+            TwoGroupMorphism(h2, g2), TwoGroupMorphism(h1, g1))).plan(sample_budget, streams(law))
 
     def pair_witness(p):
         return {"m2": cm.fmt_m(p[0]), "m1": cm.fmt_m(p[1])}
 
     report.records.append(run_law(
-        "source-homomorphism", "Eq 2.2", pairs(),
+        "source-homomorphism", "Eq 2.2", pairs("source-homomorphism"),
         lambda p: G.eq(cm.source(cm.sdp_multiply(*p)), G.mul(p[0].g, p[1].g)), pair_witness,
     ))
 
     report.records.append(run_law(
-        "target-homomorphism", "Eq 2.2", pairs(),
+        "target-homomorphism", "Eq 2.2", pairs("target-homomorphism"),
         lambda p: G.eq(cm.target(cm.sdp_multiply(*p)), G.mul(cm.target(p[0]), cm.target(p[1]))),
         pair_witness,
     ))
 
     report.records.append(run_law(
-        "identity-assignment-homomorphism", "§2.1", cases("gg"),
+        "identity-assignment-homomorphism", "§2.1",
+        cases("identity-assignment-homomorphism", "gg"),
         lambda t: cm.m_eq(
             cm.identity_morphism(G.mul(t[0], t[1])),
             cm.sdp_multiply(cm.identity_morphism(t[0]), cm.identity_morphism(t[1])),
@@ -282,11 +284,10 @@ def verify_crossed_module(
 def verify_exchange_law(
     cm: CrossedModule,
     sample_budget: int = DEFAULT_BUDGET,
-    rng: Stream | None = None,
+    streams: Streams = seed_zero,
 ) -> LawReport:
     """(phi2 psi2) ∘ (phi1 psi1) = (phi2 ∘ phi1)(psi2 ∘ psi1) on composable
     quadruples."""
-    rng = rng or Stream(0)
     report = LawReport(suite="exchange-law")
 
     def build(h1, g1, h2, k1, u1, k2):
@@ -297,7 +298,7 @@ def verify_exchange_law(
                 TwoGroupMorphism(k2, cm.target(psi1)), psi1)
 
     G, H = CaseSpace.carrier(cm.G), CaseSpace.carrier(cm.H)
-    cases = CaseSpace.product(H, G, H, H, G, H, build=build).plan(sample_budget, rng)
+    quadruples = CaseSpace.product(H, G, H, H, G, H, build=build)
 
     def sides(q):
         phi2, phi1, psi2, psi1 = q
@@ -306,7 +307,8 @@ def verify_exchange_law(
         return lhs, rhs
 
     report.records.append(run_law(
-        "exchange-law", "Eq 2.3", cases, lambda q: cm.m_eq(*sides(q)),
+        "exchange-law", "Eq 2.3", quadruples.plan(sample_budget, streams("exchange-law")),
+        lambda q: cm.m_eq(*sides(q)),
         lambda q: {**dict(zip(("phi2", "phi1", "psi2", "psi1"), map(cm.fmt_m, q))),
                    **sides_witness(cm.fmt_m, sides(q))},
     ))

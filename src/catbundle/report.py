@@ -3,26 +3,24 @@
 A law's cases come from a CaseSpace, whose `plan` decides exhaustive vs
 sampled by one rule: the whole space in order when it fits the budget,
 else `budget` seeded draws. Every case is `build(*parts)`, and a plan takes
-one of two routes to its blocks:
+one route to its blocks. A sampled space is made finite first, with every
+draw made up front: an open one (SO(n) carriers, random paths) is drawn
+`budget` times, and a product with counted or enumerated axes draws each
+sampled axis in turn (a counted product as one unit). The draws are kept as
+uniforms where the parts are uniforms, else as each case's parts, and a
+case is coded by its draw number. A finite space is then decoded
+FINITE_BLOCK case numbers (or seeded picks) at a time, one vectorised
+divmod per axis into part columns: int codes (range axes, draw numbers,
+coded spaces such as the twisted chains on a quiver) or listed items.
 
-- a finite space is decoded FINITE_BLOCK case numbers (or seeded picks) at
-  a time, one vectorised divmod per axis into part columns: int codes
-  (range axes, coded spaces such as the twisted chains on a quiver) or
-  listed items. A sampled product with counted or enumerated axes is made
-  finite first, by drawing each sampled axis up front (a counted product as
-  one unit);
-- an open sampled space (SO(n) carriers, random paths) is drawn DRAWN_BLOCK
-  cases at a time: one uniform array where its parts are uniforms, else
-  case by case, from a saved RNG state that reruns a block's cases one at a
-  time.
-
-Either way the block is built once where every part column stacks, and case
-by case otherwise. A law is `run_law(law, anchor, plan, ok, witness)`:
-`ok(case)` is a per-case mask on a block, and `witness(case)` describes one
-failing case. A finite block whose build or check raises is searched by
-halves, each rebuilt from its part columns, for the first case that fails,
-so a big block costs a failing law about log2(FINITE_BLOCK) block checks
-and one single case.
+The block is built once where every part column stacks, and case by case
+otherwise. A law is `run_law(law, anchor, plan, ok, witness)`: `ok(case)`
+is a per-case mask on a block, and `witness(case)` describes one failing
+case. A block whose build or check raises is searched by halves, each
+rebuilt from its part columns, for the first case that fails, so a big
+block costs a failing law about log2(FINITE_BLOCK) block checks and one
+single case. A plan makes every draw before its law checks a case, so where
+a law stops does not move the stream it drew from.
 
 A suite produces a LawReport: one LawRecord per algebraic law, each carrying
 the law's anchor string (its identifier in the library's law registry, e.g.
@@ -145,55 +143,49 @@ class CaseSpace:
         range(size). A sampled space is drawn `count` times, or `budget`
         times; in a product, finite and counted axes are enumerated whole
         and one open sampled axis is drawn max(1, budget // their size)
-        times. No cases when budget <= 0. The cases come as Blocks of at
-        most FINITE_BLOCK (finite) or DRAWN_BLOCK (open) cases where they
-        stack, with the RNG consumed as case-by-case draws consume it."""
+        times. Every pick and draw is made here, up front, so what a law
+        checks does not change what `rng` gives after it. No cases when
+        budget <= 0. The cases come as Blocks of at most FINITE_BLOCK cases
+        where they stack."""
         if budget <= 0:
             return Plan((), exhaustive=False, space=self.size)
-        if self.size is not None:
-            if self.size <= budget:
-                return Plan(_decoded(self, range(self.size)), exhaustive=True, space=self.size)
-            return Plan(_decoded(self, _picks(rng, self.size, budget)), exhaustive=False,
-                        space=self.size)
-        if self.count is None and all(_is_sampled(a) and a.count is None for a in self.axes):
-            return Plan(_drawn(self, budget, rng), exhaustive=False)
-        finite = _made_finite(self, budget, rng)
-        return Plan(_decoded(finite, range(finite.size)), exhaustive=False)
+        if self.size is None:
+            finite = _made_finite(self, budget, rng)
+            return Plan(_decoded(finite, range(finite.size)), exhaustive=False)
+        if self.size <= budget:
+            return Plan(_decoded(self, range(self.size)), exhaustive=True, space=self.size)
+        return Plan(_decoded(self, _picks(rng, self.size, budget)), exhaustive=False,
+                    space=self.size)
 
 
-# cases per block: a decoded block is int-code columns, 32 kB a part, and
-# mostly costs its Python dispatch; a drawn one holds SO(n) stacks and paths,
-# a few hundred kB of SO(3) stacks per law
+# cases per block: a block is part columns (int codes, or draw numbers into
+# the draws kept), 32 kB a part, and the cases built from them: on SO(3),
+# 72 B an element
 FINITE_BLOCK = 4096
-DRAWN_BLOCK = 512
 
 
 class Block:
     """`size` cases stacked along a first axis as `cases` (None where their
-    build raised a CASE_ERRORS error), and `singles(first)`, which yields
-    them one at a time from case `first` on (a drawn block redraws them from
-    its saved RNG state, the cases before `first` too, unchecked). A finite
-    block also has `part(lo, hi)`, its cases lo..hi-1 built stacked anew
-    from its part columns; a drawn one has None. A plain class: a frozen
-    dataclass adds about 1 ms to every CLI start."""
+    build raised a CASE_ERRORS error); `part(lo, hi)`, its cases lo..hi-1
+    built stacked anew from its part columns; and `singles(first)`, which
+    yields them one at a time from case `first` on, built from the same
+    columns. A plain class: a frozen dataclass adds about 1 ms to every CLI
+    start."""
     __slots__ = ("cases", "size", "singles", "part")
 
-    def __init__(self, cases, size: int, singles: Callable, part: Callable | None = None):
+    def __init__(self, cases, size: int, singles: Callable, part: Callable):
         self.cases, self.size, self.singles, self.part = cases, size, singles, part
 
 
-def _block(k: int, stacked: Callable, singles: Callable, part: Callable | None = None):
-    """The k cases of one block: a Block of the cases `stacked()` builds
-    at once, or, where their parts do not stack (None), the cases from
-    `singles()` one at a time. Where the build raises a CASE_ERRORS error, a
-    finite block (one with `part`) is a Block without cases, which run_law
-    searches by halves, and a drawn one comes as its singles, each raising
-    in its turn."""
+def _block(k: int, singles: Callable, part: Callable):
+    """The k cases of one block, built at once by `part(0, k)`: as a Block,
+    without cases where the build raises a CASE_ERRORS error (run_law then
+    searches it by halves)."""
     try:
-        cases = stacked()
+        cases = part(0, k)
     except CASE_ERRORS:
-        return singles() if part is None else (Block(None, k, singles, part),)
-    return singles() if cases is None else (Block(cases, k, singles, part),)
+        cases = None
+    return (Block(cases, k, singles, part),)
 
 
 def _decoded(space: CaseSpace, indices):
@@ -216,37 +208,17 @@ def _decoded(space: CaseSpace, indices):
         def singles(first=0, columns=columns):
             return _singles(space, [c[first:] for c in columns])
 
-        yield from _block(len(chunk), lambda: part(0, len(chunk)), singles, part)
-
-
-def _drawn(space: CaseSpace, budget: int, rng):
-    """`budget` draws of an open sampled space, DRAWN_BLOCK at a time, which
-    take the RNG exactly as per-case draws do: one (k, width) uniform array
-    per block where its parts are uniforms, else k per-case draws of its
-    parts, built once, stacked. A block's singles redraw from its saved RNG
-    state and stop drawing where their rerun stops."""
-    for start in range(0, budget, DRAWN_BLOCK):
-        k = min(DRAWN_BLOCK, budget - start)
-        state = rng.bit_generator.state
-
-        def redraw(first=0, state=state, k=k):
-            rng.bit_generator.state = state
-            return itertools.islice((_case(space, rng) for _ in range(k)), first, None)
-
-        if space.width is not None:
-            yield from _block(k, lambda: _uniform(space, rng.random((k, space.width))), redraw)
-        else:
-            yield from _block(k, lambda: _built(space.build, [
-                tuple(space.draw(rng)) for _ in range(k)]), redraw)
+        yield from _block(len(chunk), singles, part)
 
 
 def _made_finite(space: CaseSpace, budget: int, rng) -> CaseSpace:
-    """A sampled space that is not open, made finite: drawn `count` times as
-    one unit when its axes are all open, else a product of its axes, each
-    sampled one drawn up front in turn, `count` times or (the one open axis)
-    max(1, budget // the size of the others) times."""
+    """A sampled space made finite: drawn as one unit when its axes are all
+    open, `count` times, or `budget` times where it has no count; else a
+    product of its axes, each sampled one drawn up front in turn, `count`
+    times or (the one open axis) max(1, budget // the size of the others)
+    times."""
     if all(_is_sampled(a) and a.count is None for a in space.axes):
-        return _drawn_axis(space, space.count, rng)
+        return _drawn_axis(space, budget if space.count is None else space.count, rng)
     counts = [(a.count if _is_sampled(a) else _size(a)) for a in space.axes]
     if counts.count(None) > 1:
         raise ValueError("a product may sample at most one axis beside enumerated ones")
@@ -256,17 +228,20 @@ def _made_finite(space: CaseSpace, budget: int, rng) -> CaseSpace:
 
 
 def _drawn_axis(axis: CaseSpace, n: int, rng):
-    """n draws of a sampled axis as a finite one: drawn as one (n, width)
-    uniform array where its parts are uniforms, else case by case, and coded
-    by draw number where the draws stack; listed where they do not."""
+    """n draws of a sampled space as a finite one, coded by draw number, whose
+    cases are built from the draws kept: one (n, width) array of uniforms
+    where its parts are uniforms (8·width bytes a case), else each draw's
+    parts, stacked, or listed as built cases where they do not stack. The
+    draws are those of n cases drawn in turn, and a case is built alike
+    whether alone or in a block."""
     if axis.width is not None:
-        stacked = _uniform(axis, rng.random((n, axis.width)))
-    else:
-        cases = [_case(axis, rng) for _ in range(n)]
-        stacked = _stack(cases)
-        if stacked is None:
-            return CaseSpace.finite(cases)
-    return CaseSpace.coded(n, 1, lambda i: [i], lambda i: _take(stacked, i))
+        u = rng.random((n, axis.width))
+        return CaseSpace.coded(n, 1, lambda i: [i], lambda i: _uniform(axis, u[i]))
+    parts = [tuple(axis.draw(rng)) for _ in range(n)]
+    stacked = _stack(parts)
+    if stacked is None:
+        return CaseSpace.finite(list(itertools.starmap(axis.build, parts)))
+    return CaseSpace.coded(n, 1, lambda i: [i], lambda i: axis.build(*_take(stacked, i)))
 
 
 def _finite_product(axes: tuple, build: Callable) -> CaseSpace:
@@ -301,13 +276,6 @@ def _finite_product(axes: tuple, build: Callable) -> CaseSpace:
                      arity=sum(arities))
 
 
-def _built(build: Callable, parts: list):
-    """`build` once on the stacked parts of k cases, or None where they do
-    not stack."""
-    stacked = _stack(parts)
-    return None if stacked is None else build(*stacked)
-
-
 def _singles(space: CaseSpace, columns: list):
     """The cases of a block's part columns one at a time, built from Python
     ints and items."""
@@ -324,12 +292,12 @@ def _case(space: CaseSpace, rng):
 
 def _uniform(space: CaseSpace, u: np.ndarray):
     """The k cases of a sampled space whose parts are uniforms, from a
-    (k, width) array of them: a product's columns split per axis, as a case
-    draws its axes in turn."""
+    (k, width) array of them, or one case from a (width,) row: a product's
+    columns split per axis, as a case draws its axes in turn."""
     if not space.axes:
         return space.build(u)
     ends = itertools.accumulate(a.width for a in space.axes)
-    return space.build(*[_uniform(a, u[:, e - a.width:e]) for a, e in zip(space.axes, ends)])
+    return space.build(*[_uniform(a, u[..., e - a.width:e]) for a, e in zip(space.axes, ends)])
 
 
 def _stack(items):
@@ -521,10 +489,8 @@ def run_law(law: str, anchor: str, plan: Plan, ok: Callable, witness: Callable) 
     On a Block, `ok` gives a per-case mask. The first case whose check is
     False, or raises one of the two errors, is found by `_first_failure`;
     at index i it counts i + 1 checks, and the block is rerun case by case
-    from there (a drawn block redraws its first i cases too, so the RNG
-    stands where a case-by-case run leaves it), so that case is the first
-    checked on its own. The record counts the block checks and the cases
-    checked one at a time."""
+    from there, so that case is the first checked on its own. The record
+    counts the block checks and the cases checked one at a time."""
     t0 = time.perf_counter()
     held, end = [0, 0], object()  # held: the cases that held in blocks, and the block checks
     cases, found, singles = _one_by_one(plan, ok, held), None, 0
@@ -564,18 +530,17 @@ def _first_failure(block: Block, ok: Callable) -> tuple[int, int]:
     """The index of the first case of `block` whose check is False or raises
     a CASE_ERRORS error (`block.size` where every case holds), and the number
     of block checks that found it. Where the block's build or check raises,
-    a finite block is searched by halves, as in binary-splitting group
-    testing (Hwang, JASA 67(339), 1972): the earlier half of the span that
-    holds the first failure is built from the part columns and checked, and
-    the search goes on in whichever half holds the first False or raise,
-    until it finds a False or one case is left: at most
-    ceil(log2(block.size)) more checks. A drawn block has no `part`: its
-    search stops at case 0."""
+    the block is searched by halves, as in binary-splitting group testing
+    (Hwang, JASA 67(339), 1972): the earlier half of the span that holds the
+    first failure is built from the part columns and checked, and the search
+    goes on in whichever half holds the first False or raise, until it finds
+    a False or one case is left: at most ceil(log2(block.size)) more
+    checks."""
     lo, hi = 0, block.size  # the first failure, if any, is in lo..hi-1
     checks, held = 0, None  # held: how many of the last cases checked hold first
     if block.cases is not None:
         checks, held = 1, _held(ok, lambda: block.cases, hi)
-    while held is None and hi - lo > 1 and block.part is not None:
+    while held is None and hi - lo > 1:
         mid = (lo + hi) // 2
         checks, held = checks + 1, _held(ok, lambda: block.part(lo, mid), mid - lo)
         if held is None:

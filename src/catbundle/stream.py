@@ -16,16 +16,19 @@ HMC-CS-2014-0905). On it, as numpy's Generator does:
   output, the low half first, the high half kept for the next word
   (`has_uint32`, `uinteger`);
 - `bytes` packs 32-bit words, little-endian;
-- `bit_generator.state` reads and restores all of that state.
+- `bit_generator.state` reads all of that state.
 
 A scalar or small draw steps on Python ints. A larger one computes its k next
-states at once, s_i = A_i·s + C_i mod 2**128 with A_i = M**i and
-C_i = inc·(1 + M + ... + M**(i-1)), in 32-bit limbs on uint64 arrays, CHUNK
-states at a time, from the stream's jump tables, built by doubling.
+states at once, s_i = A_i·s + inc·S_i mod 2**128 with A_i = M**i and
+S_i = 1 + M + ... + M**(i-1), in 32-bit limbs on uint64 arrays, CHUNK states
+at a time. A_i and S_i do not depend on the stream: one table of them serves
+every stream of a process, built by doubling; each stream keeps its own
+C_i = inc·S_i.
 """
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -125,15 +128,37 @@ def _word_pair(value: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array([value & _M64], np.uint64), np.array([value >> 64], np.uint64)
 
 
+_JUMPS = None  # (A_i, S_i) for i = 1..2**j, shared by every stream
+
+
+def _jumps(n: int) -> tuple:
+    """(A_i, S_i) for i = 1..at least n <= CHUNK, as (lo, hi) word arrays:
+    doubled as draws need them, by A_{L+i} = A_i·A_L and
+    S_{L+i} = A_i·S_L + S_i."""
+    global _JUMPS
+    a, s = _JUMPS or (_word_pair(_MULT), _word_pair(1))
+    while len(a[0]) < n:
+        a, s = ([np.concatenate(p) for p in zip(a, _mul128(*a, _last(a)))],
+                [np.concatenate(p) for p in zip(s, _add128(_mul128(*a, _last(s)), s))])
+    _JUMPS = a, s
+    return _JUMPS
+
+
 class Stream:
     """A seeded stream of draws, bitwise those of numpy's
     `default_rng(entropy)` for `random`, `uniform`, `integers` (int64),
     `bytes` and `bit_generator.state`."""
 
     def __init__(self, entropy):
-        self._s, self._inc = _seed(entropy)
+        self._words = _entropy_words(entropy)  # checked here, hashed on first use
         self._has32, self._u32 = 0, 0
-        self._table = None  # jump tables for array draws, made on first use
+        self._c = None  # inc·S_i for array draws, made on first use
+
+    def __getattr__(self, name: str):  # `_s`, `_inc`: a stream that never draws is never hashed
+        if name not in ("_s", "_inc"):
+            raise AttributeError(name)
+        self._s, self._inc = _seed(self._words)
+        return getattr(self, name)
 
     # -- the generator state, in numpy's PCG64 layout --
 
@@ -145,15 +170,6 @@ class Stream:
     def state(self) -> dict:
         return {"bit_generator": "PCG64", "state": {"state": self._s, "inc": self._inc},
                 "has_uint32": self._has32, "uinteger": self._u32}
-
-    @state.setter
-    def state(self, value: dict) -> None:
-        if value.get("bit_generator") != "PCG64":
-            raise ValueError("state must be for a PCG64 generator")
-        if value["state"]["inc"] != self._inc:
-            self._table = None
-        self._s, self._inc = value["state"]["state"], value["state"]["inc"]
-        self._has32, self._u32 = value["has_uint32"], value["uinteger"]
 
     # -- raw outputs --
 
@@ -178,23 +194,16 @@ class Stream:
         out = np.empty(n, dtype=np.uint64)
         for start in range(0, n, CHUNK):
             k = min(CHUNK, n - start)
-            a, c = self._jumps(k)
+            a, sums = _jumps(k)
+            if self._c is None or len(self._c[0]) < k:
+                m = 1 << (k - 1).bit_length()  # C_i = inc·S_i for i up to a power of two >= k
+                self._c = _mul128(sums[0][:m], sums[1][:m], self._inc)
+            c = self._c
             lo, hi = _add128(_mul128(a[0][:k], a[1][:k], self._s), (c[0][:k], c[1][:k]))
             self._s = _last((lo, hi))
             x, r = lo ^ hi, hi >> _S58
             out[start:start + k] = x >> r | x << (-r & np.uint64(63))
         return out
-
-    def _jumps(self, n: int) -> tuple:
-        """(A_i, C_i) for i = 1..at least n <= CHUNK, as (lo, hi) word arrays,
-        where i steps take s to A_i·s + C_i: doubled as draws need them, by
-        A_{L+i} = A_i·A_L and C_{L+i} = A_i·C_L + C_i."""
-        a, c = self._table or (_word_pair(_MULT), _word_pair(self._inc))
-        while len(a[0]) < n:
-            a, c = ([np.concatenate(p) for p in zip(a, _mul128(*a, _last(a)))],
-                    [np.concatenate(p) for p in zip(c, _add128(_mul128(*a, _last(c)), c))])
-        self._table = a, c
-        return self._table
 
     def _words32(self, n: int) -> np.ndarray:
         """The next n 32-bit words, as uint64: the kept high half first, then
@@ -275,3 +284,12 @@ class Stream:
     def bytes(self, length: int) -> bytes:
         """`length` random bytes, from little-endian 32-bit words."""
         return self._words32((length - 1) // 4 + 1).astype("<u4").tobytes()[:length]
+
+
+# each law's stream, by law id
+Streams = Callable[[str], Stream]
+
+
+def seed_zero(law: str) -> Stream:
+    """Law `law`'s stream where a caller names none: Stream(0) for all."""
+    return Stream(0)

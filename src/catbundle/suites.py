@@ -3,12 +3,14 @@ dispatches to the module-level verify operations. Suite names follow the law
 registry ("prop31-roundtrip", "prop51", "prop62", "exchange-law", ...).
 
 A suite is one `_suite(name, *law_modules)` line above its function, which
-`run_suite` calls with the suite's own stream. The law modules are those it
-calls into beyond the core every start imports (crossed, groups, basecat,
-report, scenario, stream); `import_suites` imports them, not this module, so
-a run compiles only the law modules of the suites it asks for. Each suite
-reaches its verify operations as attributes of that module, so rebinding them
-there reaches every suite."""
+`run_suite` calls with the suite's LawStreams: each law draws from its own
+stream, keyed by (seed, suite, law id), and fixtures that several laws share
+draw from the suite's. The law modules are those it calls into beyond the
+core every start imports (crossed, groups, basecat, report, scenario,
+stream); `import_suites` imports them, not this module, so a run compiles
+only the law modules of the suites it asks for. Each suite reaches its verify
+operations as attributes of that module, so rebinding them there reaches
+every suite."""
 from __future__ import annotations
 
 import importlib
@@ -25,7 +27,7 @@ from .stream import Stream
 if TYPE_CHECKING:
     from .twisted import TwistedBundle
 
-SUITES: dict[str, Callable[[Scenario, Stream], LawReport]] = {}
+SUITES: dict[str, Callable[[Scenario, LawStreams], LawReport]] = {}
 LAW_MODULES: dict[str, tuple[str, ...]] = {}
 
 
@@ -37,45 +39,55 @@ def _suite(name: str, *law_modules: str):
     return register
 
 
-def suite_rng(seed: int, suite: str) -> Stream:
-    """Deterministic, suite-independent stream: reordering suites does not
-    change any suite's samples."""
-    return Stream([seed, zlib.crc32(suite.encode())])
+class LawStreams:
+    """The seeded streams of one suite run: `streams(law)` is law `law`'s own,
+    Stream([seed, crc32(suite), crc32(law)]), so a law's samples depend on no
+    other law and on no order of laws or suites; `streams.shared` is the
+    suite's, Stream([seed, crc32(suite)]), for fixtures that several laws
+    share. crc32, unlike `hash`, is the same in every process."""
+
+    def __init__(self, seed: int, suite: str):
+        self.key = [seed, zlib.crc32(suite.encode())]
+        self.shared = Stream(self.key)
+
+    def __call__(self, law: str) -> Stream:
+        return Stream([*self.key, zlib.crc32(law.encode())])
 
 
 @_suite("crossed-module")
-def _crossed_module_suite(sc: Scenario, rng: Stream) -> LawReport:
-    return verify_crossed_module(sc.crossed_module(), sc.budget, rng)
+def _crossed_module_suite(sc: Scenario, streams: LawStreams) -> LawReport:
+    return verify_crossed_module(sc.crossed_module(), sc.budget, streams, streams.shared)
 
 
 @_suite("exchange-law")
-def _exchange_suite(sc: Scenario, rng: Stream) -> LawReport:
-    return verify_exchange_law(sc.crossed_module(), sc.budget, rng)
+def _exchange_suite(sc: Scenario, streams: LawStreams) -> LawReport:
+    return verify_exchange_law(sc.crossed_module(), sc.budget, streams)
 
 
 @_suite("bundle-axioms", "bundle")
-def _bundle_axioms_suite(sc: Scenario, rng: Stream) -> LawReport:
+def _bundle_axioms_suite(sc: Scenario, streams: LawStreams) -> LawReport:
     from . import bundle
 
-    return bundle.verify_bundle_axioms(sc.quiver(), sc.crossed_module(), sc.budget, rng)
+    return bundle.verify_bundle_axioms(sc.quiver(), sc.crossed_module(), sc.budget, streams)
 
 
 @_suite("prop31-roundtrip", "bundle")
-def _prop31_suite(sc: Scenario, rng: Stream) -> LawReport:
+def _prop31_suite(sc: Scenario, streams: LawStreams) -> LawReport:
     from . import bundle
 
-    return bundle.verify_prop31_roundtrip(sc.quiver(), sc.crossed_module(), sc.budget, rng)
+    return bundle.verify_prop31_roundtrip(sc.quiver(), sc.crossed_module(), sc.budget,
+                                          streams.shared)  # its laws share their functors
 
 
 @_suite("prop34-gu-group", "bundle")
-def _prop34_suite(sc: Scenario, rng: Stream) -> LawReport:
+def _prop34_suite(sc: Scenario, streams: LawStreams) -> LawReport:
     from . import bundle
 
-    return bundle.verify_GU_categorical_group(sc.quiver(), sc.crossed_module(), sc.budget, rng)
+    return bundle.verify_GU_categorical_group(sc.quiver(), sc.crossed_module(), sc.budget, streams)
 
 
 @_suite("prop41-section", "bundle")
-def _prop41_suite(sc: Scenario, rng: Stream) -> LawReport:
+def _prop41_suite(sc: Scenario, streams: LawStreams) -> LawReport:
     from . import bundle
 
     cm = sc.crossed_module()
@@ -83,18 +95,17 @@ def _prop41_suite(sc: Scenario, rng: Stream) -> LawReport:
     tables = sc.functors(cm, base)
     if not tables:
         raise ScenarioError("the section suite needs at least one entry under 'functors'")
-    report = None
-    for name, table in sorted(tables.items()):
-        sub = bundle.verify_section_iso(bundle.functor_from_h(base, cm, table), sc.budget, rng)
-        if report is None:
-            report = sub
-        else:
-            report.records.extend(replace(r, law=f"{r.law}@{name}") for r in sub.records)
+    report = LawReport(suite="prop41-section")
+    for i, (name, table) in enumerate(sorted(tables.items())):
+        tag = f"@{name}" if i else ""  # the first functor's laws keep their ids
+        sub = bundle.verify_section_iso(bundle.functor_from_h(base, cm, table), sc.budget,
+                                        lambda law, tag=tag: streams(law + tag))
+        report.records.extend(replace(r, law=r.law + tag) for r in sub.records)
     return report
 
 
 @_suite("prop42-correspondence", "bundle")
-def _prop42_suite(sc: Scenario, rng: Stream) -> LawReport:
+def _prop42_suite(sc: Scenario, streams: LawStreams) -> LawReport:
     from . import bundle
 
     cm = sc.crossed_module()
@@ -104,21 +115,21 @@ def _prop42_suite(sc: Scenario, rng: Stream) -> LawReport:
         raise ScenarioError("the correspondence suite needs two entries under 'functors'")
     F1 = bundle.functor_from_h(base, cm, tables[0][1])
     F2 = bundle.functor_from_h(base, cm, tables[1][1])
-    return bundle.verify_composition_correspondence(F2, F1, sc.budget, rng)
+    return bundle.verify_composition_correspondence(F2, F1, sc.budget, streams)
 
 
 @_suite("cocycle", "cocycle")
-def _cocycle_suite(sc: Scenario, rng: Stream) -> LawReport:
+def _cocycle_suite(sc: Scenario, streams: LawStreams) -> LawReport:
     from . import cocycle
 
     cm = sc.crossed_module()
     cover = sc.cover()
     data = sc.cocycle_data(cm, cover)
-    return cocycle.verify_cocycle_condition(data, cover, cm, sc.budget, rng)
+    return cocycle.verify_cocycle_condition(data, cover, cm, sc.budget, streams)
 
 
 @_suite("prop51", "cocycle")
-def _prop51_suite(sc: Scenario, rng: Stream) -> LawReport:
+def _prop51_suite(sc: Scenario, streams: LawStreams) -> LawReport:
     from . import cocycle
 
     cm = sc.crossed_module()
@@ -126,18 +137,18 @@ def _prop51_suite(sc: Scenario, rng: Stream) -> LawReport:
     data = sc.cocycle_data(cm, cover)
     lower, upper = sc.triple_tags()
     triple = cocycle.OverlapCategory(sc.quiver(), cover, lower, upper)
-    return cocycle.verify_prop51(data, cm, triple, sc.budget, rng)
+    return cocycle.verify_prop51(data, cm, triple, sc.budget, streams)
 
 
 @_suite("transition-cocycle", "cocycle")
-def _transition_suite(sc: Scenario, rng: Stream) -> LawReport:
+def _transition_suite(sc: Scenario, streams: LawStreams) -> LawReport:
     from . import cocycle
 
     cm = sc.crossed_module()
     cover = sc.cover()
     family = sc.trivializations(cm, cover)
     lower, upper = sc.triple_tags()
-    return cocycle.verify_transition_cocycle(family, sc.quiver(), lower, upper, sc.budget, rng)
+    return cocycle.verify_transition_cocycle(family, sc.quiver(), lower, upper, sc.budget, streams)
 
 
 def _twisted_instance(sc: Scenario) -> TwistedBundle:
@@ -153,40 +164,39 @@ def _effective_budget(sc: Scenario, tb: TwistedBundle) -> int:
 
 
 @_suite("twisted-bundle", "twisted", "decorated")  # decorated: an eta from a connection
-def _twisted_suite(sc: Scenario, rng: Stream) -> LawReport:
+def _twisted_suite(sc: Scenario, streams: LawStreams) -> LawReport:
     from . import twisted
 
     tb = _twisted_instance(sc)
-    return twisted.verify_twisted_bundle(tb, _effective_budget(sc, tb), rng)
+    return twisted.verify_twisted_bundle(tb, _effective_budget(sc, tb), streams)
 
 
 @_suite("e-action", "twisted", "decorated")
-def _e_action_suite(sc: Scenario, rng: Stream) -> LawReport:
+def _e_action_suite(sc: Scenario, streams: LawStreams) -> LawReport:
     from . import twisted
 
     tb = _twisted_instance(sc)
     budget = _effective_budget(sc, tb)
-    report = twisted.verify_E_properties(tb, budget, rng)
-    # the action laws draw from a second stream, named after the suite's
-    return report.extend(twisted.verify_action_functorial(
-        tb, budget, suite_rng(sc.seed, f"{report.suite}-f")))
+    return twisted.verify_E_properties(tb, budget, streams).extend(
+        twisted.verify_action_functorial(tb, budget, streams))
 
 
 @_suite("prop62", "decorated")
-def _prop62_suite(sc: Scenario, rng: Stream) -> LawReport:
+def _prop62_suite(sc: Scenario, streams: LawStreams) -> LawReport:
     from . import decorated
 
     cm = sc.crossed_module()
     eta = decorated.eta_from_connection(sc.path_category(), cm, sc.connection(), sc.steps)
-    return decorated.verify_prop62(cm, eta, sc.prop62_pairs, rng,
+    return decorated.verify_prop62(cm, eta, sc.prop62_pairs, streams, streams.shared,
                                    eps_iso=sc.tolerance("iso", decorated.DEFAULT_ISO_TOL))
 
 
 @_suite("transport-convergence", "decorated")
-def _transport_suite(sc: Scenario, rng: Stream) -> LawReport:
+def _transport_suite(sc: Scenario, streams: LawStreams) -> LawReport:
     from . import decorated
 
-    return decorated.verify_transport_numerics(sc.path_category(), sc.connection(), sc.steps, rng)
+    return decorated.verify_transport_numerics(sc.path_category(), sc.connection(), sc.steps,
+                                               streams.shared)
 
 
 def _known(name: str) -> str:
@@ -203,4 +213,4 @@ def import_suites(names: Iterable[str]) -> None:
 
 
 def run_suite(sc: Scenario, name: str) -> LawReport:
-    return SUITES[_known(name)](sc, suite_rng(sc.seed, name))
+    return SUITES[_known(name)](sc, LawStreams(sc.seed, name))

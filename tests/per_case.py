@@ -1,10 +1,11 @@
-"""Test helpers: CaseSpace plans as they come without blocks, a check that
-every block of a passing law holds whole, parallel transport integrated one
-segment at a time by the evaluation formula of one segment's own call,
-random paths drawn point by point, path samples deduplicated point by point,
-and the small builders only tests use: cocycle data with one value
-perturbed, the non-identity morphisms of an overlap category and the SO(2)
-generator."""
+"""Test helpers: each law's stream from numpy's generators, CaseSpace plans
+as they come without blocks, a check that every block of a passing law
+holds whole, parallel transport integrated one segment at a time by the
+evaluation formula of one segment's own call, random paths drawn point by
+point, path samples deduplicated point by point, and the small builders
+only tests use: cocycle data with one value perturbed, the non-identity
+morphisms of an overlap category and the SO(2) generator."""
+import zlib
 from contextlib import contextmanager
 
 import numpy as np
@@ -18,14 +19,20 @@ from catbundle.decorated import Connection
 from catbundle.groups import StructuralError, skew_expm1_batch
 
 
+def law_streams(seed: int, make=np.random.default_rng):
+    """Each law's stream for a verify operation, by law id:
+    `make([seed, crc32(law)])`, numpy's generator by default."""
+    return lambda law: make([seed, zlib.crc32(law.encode())])
+
+
 @contextmanager
 def per_case_plans():
     """Inside, `CaseSpace.plan` gives every case on its own: each block of a
     plan comes as its singles, built one case at a time from the same part
-    columns, or drawn one case at a time from the block's saved RNG state,
-    so each law's `ok` sees single cases only."""
+    columns (int codes, or draw numbers into the draws kept), so each law's
+    `ok` sees single cases only."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(report, "_block", lambda k, stacked, singles, *part: singles())
+        mp.setattr(report, "_block", lambda k, singles, part: singles())
         yield
 
 

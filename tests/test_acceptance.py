@@ -35,7 +35,7 @@ from catbundle.decorated import (
 from catbundle.groups import perm_from_cycles, perm_inv, perm_mul, rotation2, skew3
 from catbundle.twisted import EtaMap, TwistedBundle, TwistedMorphism, verify_E_properties, verify_twisted_bundle
 from catbundle.crossed import TwoGroupMorphism
-from per_case import SO2_GEN, perturbed_triple
+from per_case import SO2_GEN, law_streams, perturbed_triple
 
 REPO = Path(__file__).resolve().parents[1]
 SCEN = REPO / "scenarios"
@@ -77,7 +77,7 @@ def test_criterion_2_exchange_law():
     for name, seed in (("so2-conj", 1), ("so3-conj", 2)):
         cm = get_module(name)
         assert cm.G.tol == 1e-9  # stated tolerance
-        r = verify_exchange_law(cm, 10**4, np.random.default_rng(seed)).records[0]
+        r = verify_exchange_law(cm, 10**4, law_streams(seed)).records[0]
         ok &= r.passed and r.checks >= 10**4
     report_line(2, ok, "exchange law exhaustive on Z4 and S3; >=1e4 sampled quadruples "
                        "on SO(2)/SO(3) within 1e-9")
@@ -100,7 +100,7 @@ def test_criterion_4_gu_categorical_group():
     ok = report.passed and all(r.exhaustive for r in report.records) and elapsed < 10.0
     # a conjugation Z4 instance also passes (exchange quadruples seeded-sampled)
     report2 = verify_GU_categorical_group(arrow, get_module("z4-conj"), budget=20000,
-                                          rng=np.random.default_rng(0))
+                                          streams=law_streams(0))
     ok &= report2.passed
     report_line(4, ok, f"G^U categorical-group suite exhaustive on the Z4 quiver instance "
                        f"in {elapsed:.1f}s (< 10s)")
@@ -182,8 +182,8 @@ def test_criterion_8_twisted_bundle():
     conn = Connection(2, 1, [0.9 * SO2_GEN])
     eta = eta_from_connection(PathCategory(1), so2, conn, 100)
     tbp = TwistedBundle(eta.base, so2, eta)
-    rep3 = verify_twisted_bundle(tbp, budget=150, rng=np.random.default_rng(4))
-    rep4 = verify_E_properties(tbp, budget=150, rng=np.random.default_rng(5))
+    rep3 = verify_twisted_bundle(tbp, budget=150, streams=law_streams(4))
+    rep4 = verify_E_properties(tbp, budget=150, streams=law_streams(5))
     ok &= rep3.passed and rep4.passed
 
     # eta == e degeneration agrees with the product bundle bit-for-bit: on

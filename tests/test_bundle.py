@@ -30,6 +30,7 @@ from catbundle.bundle import (
 from catbundle.crossed import CompositionUndefined, TwoGroupMorphism, get_module
 from catbundle.groups import perm_from_cycles, perm_inv, perm_mul
 from catbundle.twisted import EtaMap, TwistedBundle, TwistedMorphism, bundle_morphisms
+from per_case import law_streams
 
 Z4 = get_module("z4-conj")
 S3 = get_module("s3-conj")
@@ -255,7 +256,7 @@ def test_gu_group_z4_exhaustive():
 
 def test_gu_group_broken_module_fails():
     report = verify_GU_categorical_group(ARROW, get_module("z2-s3-broken"), budget=4000,
-                                         rng=np.random.default_rng(0))
+                                         streams=law_streams(0))
     assert not report.passed
 
 

@@ -18,6 +18,7 @@ from catbundle.groups import StructuralError
 from catbundle.report import Block, CaseSpace, Plan, run_law
 from catbundle.scenario import Scenario
 from catbundle.suites import run_suite
+from per_case import law_streams
 
 REPO = Path(__file__).resolve().parents[1]
 SCEN = REPO / "scenarios"
@@ -246,7 +247,7 @@ def test_z4_twist_e_action_checks_whole_spaces():
 
 def test_s3_exchange_law_honours_the_budget():
     cm = get_module("s3-conj")
-    sampled = verify_exchange_law(cm, 20_000, np.random.default_rng(0)).records[0]
+    sampled = verify_exchange_law(cm, 20_000, law_streams(0)).records[0]
     assert sampled.passed and sampled.checks == 20_000 and not sampled.exhaustive
     assert sampled.space == 46_656
     whole = verify_exchange_law(cm, 10**5).records[0]
@@ -264,7 +265,7 @@ def test_gu_group_on_a_three_object_s3_quiver_stays_within_budget():
     t0 = time.perf_counter()
     try:
         report = verify_GU_categorical_group(chain, get_module("s3-conj"), budget=1000,
-                                             rng=np.random.default_rng(0))
+                                             streams=law_streams(0))
         elapsed = time.perf_counter() - t0
         peak = tracemalloc.get_traced_memory()[1]
     finally:

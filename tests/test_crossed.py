@@ -18,6 +18,7 @@ from catbundle.groups import (
     perm_inv,
     perm_mul,
 )
+from per_case import law_streams
 
 Z4 = get_module("z4-conj")
 S3 = get_module("s3-conj")
@@ -133,9 +134,8 @@ def test_verify_crossed_module_positive_entries():
 
 
 def test_verify_crossed_module_matrix_entries_sampled():
-    rng = np.random.default_rng(0)
     for name in ("so2-conj", "so3-conj"):
-        report = verify_crossed_module(get_module(name), 500, rng)
+        report = verify_crossed_module(get_module(name), 500, law_streams(0))
         assert report.passed, name
         assert not any(r.exhaustive for r in report.records)
 
@@ -182,7 +182,7 @@ def test_exchange_law_identity_quadruple():
 
 
 def test_exchange_law_so2_sampled():
-    report = verify_exchange_law(get_module("so2-conj"), 10**4, np.random.default_rng(1))
+    report = verify_exchange_law(get_module("so2-conj"), 10**4, law_streams(1))
     record = report.records[0]
     assert record.passed and not record.exhaustive and record.checks == 10**4
 

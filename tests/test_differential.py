@@ -27,7 +27,7 @@ from catbundle.twisted import (
     verify_E_properties,
     verify_twisted_bundle,
 )
-from per_case import per_case_plans, whole_blocks
+from per_case import law_streams, per_case_plans, whole_blocks
 from test_finite_blocks import alpha_mutant as s3_mutant
 from test_so_blocks import alpha_mutant as so3_mutant
 from test_transport_stack import transport_mutant_jsonl
@@ -51,22 +51,22 @@ def shipped_jsonl(name: str, suite: str, seed: int) -> str:
 
 
 def crossed_jsonl(cm, budget: int, seed: int) -> str:
-    return (verify_crossed_module(cm, budget, np.random.default_rng(seed)).to_jsonl()
-            + verify_exchange_law(cm, budget, np.random.default_rng(seed)).to_jsonl())
+    return (verify_crossed_module(cm, budget, law_streams(seed)).to_jsonl()
+            + verify_exchange_law(cm, budget, law_streams(seed)).to_jsonl())
 
 
 def twisted_jsonl(base, cm, eta: EtaMap, budget: int, seed: int) -> str:
     bundle = TwistedBundle(base, cm, eta)
-    return "".join(fn(bundle, budget, np.random.default_rng(seed)).to_jsonl() for fn in (
+    return "".join(fn(bundle, budget, law_streams(seed)).to_jsonl() for fn in (
         verify_twisted_bundle, verify_E_properties, verify_action_functorial))
 
 
 def mutant_twisted_jsonl(budget: int, seed: int) -> str:
     base, cm = chain(), s3_mutant()
-    return (verify_bundle_axioms(base, cm, budget, np.random.default_rng(seed)).to_jsonl()
+    return (verify_bundle_axioms(base, cm, budget, law_streams(seed)).to_jsonl()
             + twisted_jsonl(base, cm, EtaMap.from_table(base, cm, {"f": 3, "g": 1}), budget, seed)
             + verify_section_iso(enumerate_functors(base, cm)[100], budget,
-                                 np.random.default_rng(seed)).to_jsonl())
+                                 law_streams(seed)).to_jsonl())
 
 
 def raw_eta_jsonl(f: int, g: int, seed: int) -> str:
@@ -76,7 +76,7 @@ def raw_eta_jsonl(f: int, g: int, seed: int) -> str:
 
 def loop_jsonl(seed: int) -> str:
     base, cm = QuiverCategory(["a"], [("l", "a", "a")], word_bound=2), get_module("s3-conj")
-    return (verify_bundle_axioms(base, cm, 20000, np.random.default_rng(seed)).to_jsonl()
+    return (verify_bundle_axioms(base, cm, 20000, law_streams(seed)).to_jsonl()
             + twisted_jsonl(base, cm, EtaMap.from_table(base, cm, {"l": 4}), 20000, seed))
 
 
@@ -87,7 +87,7 @@ GOLDEN_INPUTS = {
        for b in (200, 1000, 46656)},
     **{f"s3_alpha_mutant_gu_{b}": lambda seed, b=b: verify_GU_categorical_group(
         QuiverCategory(["a", "b"], [("f", "a", "b")], word_bound=2), s3_mutant(), b,
-        np.random.default_rng(seed)).to_jsonl() for b in (300, 3000)},
+        law_streams(seed)).to_jsonl() for b in (300, 3000)},
     **{f"s3_alpha_mutant_twisted_{b}": lambda seed, b=b: mutant_twisted_jsonl(b, seed)
        for b in (300, 20000)},
     **{f"so3_alpha_mutant_{t}": lambda seed, t=t: crossed_jsonl(so3_mutant(t), 3000, seed)

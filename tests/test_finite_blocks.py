@@ -24,7 +24,7 @@ from catbundle.groups import CyclicGroup, FiniteGroup, StructuralError, Symmetri
 from catbundle.report import FINITE_BLOCK, Block, CaseSpace, _index, _picks, run_law
 from catbundle.scenario import Scenario, ScenarioError, parse_element
 from catbundle.suites import run_suite
-from per_case import per_case_plans
+from per_case import law_streams, per_case_plans
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCEN = Path(__file__).resolve().parents[1] / "scenarios"
@@ -46,8 +46,8 @@ def alpha_mutant() -> CrossedModule:
 
 def mutant_jsonl(budget: int) -> str:
     cm = alpha_mutant()
-    return (verify_crossed_module(cm, budget, np.random.default_rng(1)).to_jsonl()
-            + verify_exchange_law(cm, budget, np.random.default_rng(1)).to_jsonl())
+    return (verify_crossed_module(cm, budget, law_streams(1)).to_jsonl()
+            + verify_exchange_law(cm, budget, law_streams(1)).to_jsonl())
 
 
 # 200 and 1000 sample the larger spaces (exchange-law has 6**6 cases); at 46656
@@ -64,7 +64,7 @@ def test_failing_s3_module_matches_its_golden(budget):
 @pytest.mark.parametrize("budget", [300, 3000])
 def test_failing_s3_module_matches_its_gu_golden(budget):
     golden = GOLDEN / f"s3_alpha_mutant_gu_{budget}.jsonl"
-    report = verify_GU_categorical_group(ARROW, alpha_mutant(), budget, np.random.default_rng(1))
+    report = verify_GU_categorical_group(ARROW, alpha_mutant(), budget, law_streams(1))
     assert report.to_jsonl() == golden.read_text()
 
 
@@ -258,8 +258,8 @@ def test_finite_suites_check_each_block_in_one_call(name, monkeypatch):
     mul = FiniteGroup.mul
     monkeypatch.setattr(FiniteGroup, "mul", lambda self, a, b: calls.append(
         max(np.size(a), np.size(b))) or mul(self, a, b))
-    report = verify_crossed_module(cm, 20_000, np.random.default_rng(0))
-    report.extend(verify_exchange_law(cm, 20_000, np.random.default_rng(0)))
+    report = verify_crossed_module(cm, 20_000, law_streams(0))
+    report.extend(verify_exchange_law(cm, 20_000, law_streams(0)))
     assert report.passed
     space = len(cm.G.values) * len(cm.H.values) ** 2
     assert report.find("exchange-law").checks == min(20_000, space ** 2)
@@ -285,21 +285,21 @@ def _counting_singles(monkeypatch, law: list) -> Counter:
 
 
 def _shipped_run(name: str, suite: str, monkeypatch):
-    """A shipped scenario's suite, the state its stream is left in, and the
-    cases each law built one at a time."""
-    streams, law, suite_rng = [], [None], catbundle.suites.suite_rng
+    """A shipped scenario's suite, the states its streams are left in, and
+    the cases each law built one at a time."""
+    streams, law, make = [], [None], catbundle.suites.Stream
 
     def recording(law_id, *args):
         law[0] = law_id
         return run_law(law_id, *args)
 
-    monkeypatch.setattr(catbundle.suites, "suite_rng",
-                        lambda *a: streams.append(suite_rng(*a)) or streams[-1])
+    monkeypatch.setattr(catbundle.suites, "Stream",
+                        lambda key: streams.append(make(key)) or streams[-1])
     for module in (catbundle.crossed, catbundle.twisted):
         monkeypatch.setattr(module, "run_law", recording)
     built = _counting_singles(monkeypatch, law)
     result = run_suite(Scenario.load(SCEN / f"{name}.json"), suite)
-    return result, streams[-1].bit_generator.state, dict(built)
+    return result, [s.bit_generator.state for s in streams], dict(built)
 
 
 # exchange-law first gives False at check 867 of its 5184, all in the first
@@ -385,7 +385,7 @@ def _gu_plans(cm, monkeypatch, budget=20_000):
         return replace(p, cases=items)
 
     monkeypatch.setattr(CaseSpace, "plan", recording)
-    report = verify_GU_categorical_group(ARROW, cm, budget, np.random.default_rng(2))
+    report = verify_GU_categorical_group(ARROW, cm, budget, law_streams(2))
     assert len(seen) == len(report.records)
     return report, {r.law: s for r, s in zip(report.records, seen)}
 

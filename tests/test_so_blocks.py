@@ -21,9 +21,9 @@ from catbundle.crossed import (
     verify_exchange_law,
 )
 from catbundle.groups import SpecialOrthogonalGroup, StructuralError
-from catbundle.report import DRAWN_BLOCK, Block, CaseSpace, _drawn_axis, run_law
+from catbundle.report import FINITE_BLOCK, Block, CaseSpace, _drawn_axis, run_law
 from catbundle.stream import Stream
-from per_case import per_case_plans, whole_blocks
+from per_case import law_streams, per_case_plans, whole_blocks
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -41,21 +41,22 @@ def alpha_mutant(threshold: float) -> CrossedModule:
     return CrossedModule(f"so3-alpha-mutant-{threshold}", G, G, alpha, lambda h: h)
 
 
-def mutant_jsonl(threshold: float, rng=np.random.default_rng) -> str:
+def mutant_jsonl(threshold: float, make=np.random.default_rng) -> str:
     cm = alpha_mutant(threshold)
-    return (verify_crossed_module(cm, 3000, rng(1)).to_jsonl()
-            + verify_exchange_law(cm, 3000, rng(1)).to_jsonl())
+    streams = law_streams(1, make)
+    return (verify_crossed_module(cm, 3000, streams, make(1)).to_jsonl()
+            + verify_exchange_law(cm, 3000, streams).to_jsonl())
 
 
-# at 0.99 every failing law fails within the first 512 cases; at 0.999
-# alpha-automorphism fails at case 715 and target-homomorphism at case 988;
-# the witnesses lie deep in the sampled stream, which catbundle's own Stream
-# must draw as numpy's generator does
-@pytest.mark.parametrize("rng", [np.random.default_rng, Stream], ids=["numpy", "stream"])
+# at 0.99 the failing laws stop at checks 27 to 338; at 0.999
+# alpha-automorphism fails at check 932 and peiffer at check 2180; the
+# witnesses lie deep in each law's sampled stream, which catbundle's own
+# Stream must draw as numpy's generator does
+@pytest.mark.parametrize("make", [np.random.default_rng, Stream], ids=["numpy", "stream"])
 @pytest.mark.parametrize("threshold", [0.99, 0.999])
-def test_failing_so3_module_matches_its_golden(threshold, rng):
+def test_failing_so3_module_matches_its_golden(threshold, make):
     golden = GOLDEN / f"so3_alpha_mutant_{threshold}.jsonl"
-    assert mutant_jsonl(threshold, rng) == golden.read_text()
+    assert mutant_jsonl(threshold, make) == golden.read_text()
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -63,9 +64,9 @@ def test_failing_so3_module_matches_its_golden(threshold, rng):
 def test_so_module_laws_pass_in_whole_blocks(n, seed, monkeypatch):
     seen = whole_blocks(monkeypatch)
     cm = get_module(f"so{n}-conj")
-    assert verify_crossed_module(cm, 3000, Stream(seed)).passed
-    assert verify_exchange_law(cm, 3000, Stream(seed)).passed
-    assert len(seen) == 8 and all(counts == [6, 0] for counts in seen.values())
+    assert verify_crossed_module(cm, 3000, law_streams(seed, Stream), Stream(seed)).passed
+    assert verify_exchange_law(cm, 3000, law_streams(seed, Stream)).passed
+    assert len(seen) == 8 and all(counts == [1, 0] for counts in seen.values())
 
 
 # -- block draws --
@@ -98,14 +99,14 @@ def _bits(stack) -> bytes:
 @pytest.mark.parametrize("slots", ["hh", "ghh", "hghg", "hghhgh"])
 def test_block_draws_equal_per_case_draws_bitwise(n, slots):
     space = _slot_spaces(n, slots)
+    budget = FINITE_BLOCK + 904
     block_rng, case_rng, ref_rng = (np.random.default_rng(7) for _ in range(3))
-    blocks = list(space.plan(3000, block_rng))
+    blocks = list(space.plan(budget, block_rng))
     assert all(isinstance(b, Block) for b in blocks)
-    sizes = [DRAWN_BLOCK] * (3000 // DRAWN_BLOCK) + [3000 % DRAWN_BLOCK]
-    assert [b.size for b in blocks] == sizes
+    assert [b.size for b in blocks] == [FINITE_BLOCK, 904]
     with per_case_plans():
-        cases = list(space.plan(3000, case_rng))
-    reference = [tuple(_reference_sample(n, ref_rng) for _ in slots) for _ in range(3000)]
+        cases = list(space.plan(budget, case_rng))
+    reference = [tuple(_reference_sample(n, ref_rng) for _ in slots) for _ in range(budget)]
     for axis in range(len(slots)):
         block_axis = np.concatenate([b.cases[axis] for b in blocks])
         assert _bits(block_axis) == _bits([c[axis] for c in cases])
@@ -117,7 +118,8 @@ def test_block_draws_equal_per_case_draws_bitwise(n, slots):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_counted_axes_drawn_as_one_stack_equal_per_case_samples_bitwise(n):
-    # a counted SO(n) axis of a product is drawn as one stack and split
+    # a counted SO(n) axis of a product is drawn as one array of uniforms,
+    # and each case is built from its row
     cm = get_module(f"so{n}-conj")
     for axis, sample in ((CaseSpace.carrier(cm.G, 500), lambda rng: (cm.G.sample(rng),)),
                          (cm.morphism_space(500), lambda rng: astuple(cm.sample_morphism(rng)))):
@@ -205,13 +207,16 @@ def test_block_run_matches_the_per_case_run(threshold):
         return {"h": SpecialOrthogonalGroup(3).fmt(t[0])}
 
     block_rng, case_rng = np.random.default_rng(11), np.random.default_rng(11)
-    got = run_law("law", "anchor", space.plan(3000, block_rng), ok, witness)
+    plan = space.plan(3000, block_rng)
+    drawn = block_rng.bit_generator.state
+    got = run_law("law", "anchor", plan, ok, witness)
     with per_case_plans():
         want = run_law("law", "anchor", space.plan(3000, case_rng), ok, witness)
     assert _records_equal(got, want)
-    assert block_rng.bit_generator.state == case_rng.bit_generator.state
+    # the plan drew every case up front: checking them draws nothing more
+    assert block_rng.bit_generator.state == drawn == case_rng.bit_generator.state
     # every block up to the failing one was checked in one call
-    failed_block = (want.checks - 1) // DRAWN_BLOCK if want.witness else len(stacked_calls) - 1
+    failed_block = (want.checks - 1) // FINITE_BLOCK if want.witness else len(stacked_calls) - 1
     assert len(stacked_calls) == failed_block + 1
     assert not want.passed or want.checks == 3000
 
@@ -220,7 +225,7 @@ def test_block_that_raises_is_rerun_and_reports_the_error():
     space = _slot_spaces(2, "hh")
 
     def ok(t):
-        if np.any(t[0][..., 0, 0] > 0.99999):  # first at case 1016 of seed 1
+        if np.any(t[0][..., 0, 0] > 0.99999):  # first at check 1016 of seed 1
             raise CompositionUndefined("target != source")
         return True
 
@@ -229,8 +234,31 @@ def test_block_that_raises_is_rerun_and_reports_the_error():
     with per_case_plans():
         want = run_law("law", "anchor", space.plan(3000, case_rng), ok, lambda t: {})
     assert got.witness == {"error": "CompositionUndefined: target != source"}
-    assert _records_equal(got, want) and got.checks > DRAWN_BLOCK
-    assert block_rng.bit_generator.state == case_rng.bit_generator.state
+    assert _records_equal(got, want) and got.checks == 1016
+    # the one block of 3000 is searched by halves: 1 + ceil(log2(3000)) checks
+    assert got.blocks <= 13 and got.singles == 1
+
+
+@pytest.mark.parametrize("bad", [1, 777, 2050, 2999])
+def test_a_build_error_in_a_drawn_block_is_found_by_halves(bad):
+    # a drawn SO(3) space whose build raises on any stack holding draw `bad`:
+    # its one block of 3000 is searched by halves, and only that case is
+    # checked on its own
+    G = SpecialOrthogonalGroup(3)
+    u_bad = np.random.default_rng(4).random((3000, G.width))[bad]
+
+    def build(u):
+        if np.any(np.all(u == u_bad, axis=-1)):
+            raise StructuralError("cannot build this draw")
+        return G.sample_stack(u)
+
+    space = CaseSpace(None, build, width=G.width)
+    record = run_law("law", "anchor", space.plan(3000, np.random.default_rng(4)),
+                     lambda h: G.contains_stack(h) if np.ndim(h) == 3 else G.contains(h),
+                     lambda h: {})
+    assert record.witness == {"error": "StructuralError: cannot build this draw"}
+    assert record.checks == bad + 1
+    assert record.blocks <= math.ceil(math.log2(3000)) + 1 and record.singles == 1
 
 
 @pytest.mark.parametrize("name", ["so2-conj", "so3-conj"])
@@ -240,11 +268,13 @@ def test_so_suites_check_each_block_once(name, monkeypatch):
     mul = SpecialOrthogonalGroup.mul
     monkeypatch.setattr(SpecialOrthogonalGroup, "mul",
                         lambda self, a, b: calls.append(np.ndim(a)) or mul(self, a, b))
-    report = verify_crossed_module(cm, 3000, np.random.default_rng(0))
-    report.extend(verify_exchange_law(cm, 3000, np.random.default_rng(0)))
+    report = verify_crossed_module(cm, 3000, law_streams(0), np.random.default_rng(0))
+    report.extend(verify_exchange_law(cm, 3000, law_streams(0)))
     assert report.passed and all(r.checks == 3000 for r in report.records)
-    # 2-D calls: the 64 per-case carrier probes (two each) and identity operands
-    assert calls.count(2) < 200 < calls.count(3) < 2000
+    # each of the 8 laws checks its 3000 cases as one block, a few stacked
+    # products each (a per-case run makes thousands); 2-D calls take the
+    # identity as an operand
+    assert calls.count(2) < 16 and 8 <= calls.count(3) < 100
 
 
 @pytest.mark.parametrize("name", ["so2-conj", "so3-conj"])

@@ -1,8 +1,8 @@
 """catbundle.stream.Stream against numpy's default_rng: the same values, dtype
 and shape on every call catbundle makes, and the same generator state after
-it, on int, [seed, crc32] and longer entropies, across saved and restored
-states; array draws at the edges of their paths and chunks; and bad seeds
-and ranges."""
+it, on int, [seed, crc32] and longer entropies, with other streams' draws
+between its own; array draws at the edges of their paths and chunks, and
+from fresh streams that share the jump tables; and bad seeds and ranges."""
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -28,8 +28,7 @@ calls = st.one_of(
     st.tuples(st.just("integers"), highs, st.none() | st.integers(1, 20_000)),
     st.tuples(st.just("integers"), st.just(1), st.just(4), st.none()),
     st.tuples(st.just("bytes"), st.integers(1, 40)),
-    st.tuples(st.just("save")),
-    st.tuples(st.just("restore")),
+    st.tuples(st.just("other"), st.integers(0, 2**32 - 1), st.integers(1, 9_000)),
 )
 
 
@@ -56,18 +55,15 @@ def _assert_same(want, got):
 @settings(max_examples=150, deadline=None)
 @given(entropies, st.lists(calls, max_size=10))
 @example(0, [("integers", 2**32 + 1, 20_000), ("integers", 3 * 2**61 + 1, 20_000), ("random", (700, 3))])
-@example([3, 2**32 - 1], [("integers", 7, None), ("save",), ("integers", 2**31 + 1, 9_999),
-                          ("bytes", 9), ("restore",), ("integers", 2**63, 5), ("random", None)])
+@example([3, 2**32 - 1], [("integers", 7, None), ("other", 5, 9_000), ("integers", 2**31 + 1, 9_999),
+                          ("bytes", 9), ("other", 6, 40), ("integers", 2**63, 5), ("random", None)])
 def test_stream_draws_as_default_rng(entropy, sequence):
     ref, ours = np.random.default_rng(entropy), Stream(entropy)
     assert ours.bit_generator.state == ref.bit_generator.state
-    saved = None
     for call in sequence:
-        if call[0] == "save":
-            saved = ref.bit_generator.state
-        elif call[0] == "restore":
-            if saved is not None:
-                ref.bit_generator.state = ours.bit_generator.state = saved
+        if call[0] == "other":  # another stream's draw, on the same jump tables
+            _assert_same(np.random.default_rng(call[1]).random(call[2]),
+                         Stream(call[1]).random(call[2]))
         else:
             _assert_same(_draw(ref, call), _draw(ours, call))
         # the state includes the kept 32-bit word (has_uint32, uinteger)
@@ -82,6 +78,20 @@ def test_array_draws_cross_chunks_and_both_paths(n):
     ref.random()
     assert np.array_equal(ours._raw64(n), ref.bit_generator.random_raw(n))
     assert ours.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("grown", [False, True])
+def test_fresh_streams_draw_as_default_rng_on_the_shared_tables(grown, monkeypatch):
+    # from empty tables, each size grows them as far as it needs, or from
+    # tables already grown to a chunk, each fresh stream uses part of them
+    monkeypatch.setattr(stream, "_JUMPS", None)
+    if grown:
+        stream._jumps(stream.CHUNK)
+    for entropy in range(20):
+        for n in (33, 100, 1000, stream.CHUNK + 1, 9_000):
+            key = [entropy, 2**31 + n]
+            assert np.array_equal(Stream(key).random(n), np.random.default_rng(key).random(n))
+    assert len(stream._JUMPS[0][0]) == stream.CHUNK
 
 
 def test_bad_seeds_and_ranges_raise_as_numpy_does():

@@ -31,8 +31,8 @@ from catbundle.twisted import (
     verify_E_properties,
     verify_twisted_bundle,
 )
-from per_case import (per_case_plans, reference_evaluate, reference_transport, segments,
-                      whole_blocks)
+from per_case import (law_streams, per_case_plans, reference_evaluate, reference_transport,
+                      segments, whole_blocks)
 from test_decorated import random_connection
 from test_so_blocks import alpha_mutant
 
@@ -256,13 +256,13 @@ def transport_mutant_jsonl(threshold: float, seed: int) -> str:
     for the SO(3) alpha mutant twisted by transport on a plane, budget 200."""
     cm, base = alpha_mutant(threshold), PathCategory(2)
     bundle = TwistedBundle(base, cm, eta_from_connection(base, cm, so3_connection(), 40))
-    return "".join(fn(bundle, 200, np.random.default_rng(seed)).to_jsonl() for fn in (
+    return "".join(fn(bundle, 200, law_streams(seed)).to_jsonl() for fn in (
         verify_twisted_bundle, verify_E_properties, verify_action_functorial))
 
 
-# generated before path-base laws ran in blocks; at 0.9 the failing laws stop
-# at checks 1 to 145, at 0.99 associativity fails at check 39 (sampled
-# chains) and action-composition at check 13 (a counted product)
+# at 0.9 the failing laws stop at checks 1 to 20; at 0.99 associativity fails
+# at check 27 (sampled chains), b3-transitivity at check 58 and
+# action-composition at check 133 (counted products)
 @pytest.mark.parametrize("threshold", [0.9, 0.99])
 def test_failing_so3_module_twisted_by_transport_matches_its_golden(threshold):
     golden = GOLDEN / f"so3_alpha_mutant_transport_{threshold}.jsonl"

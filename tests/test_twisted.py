@@ -12,6 +12,7 @@ from catbundle.twisted import (
     verify_E_properties,
     verify_twisted_bundle,
 )
+from per_case import law_streams
 
 Z4 = get_module("z4-conj")
 S3 = get_module("s3-conj")
@@ -148,7 +149,7 @@ def test_E_composition_chain_so2():
 def test_suites_pass_exhaustively_on_z4_twist():
     tb = z4_twist()
     for fn in (verify_twisted_bundle, verify_E_properties, verify_action_functorial):
-        report = fn(tb, budget=20000, rng=np.random.default_rng(0))
+        report = fn(tb, budget=20000, streams=law_streams(0))
         assert report.passed, fn.__name__
 
 
@@ -156,7 +157,7 @@ def test_twisted_bundle_so2_paths_sampled():
     base = PathCategory(1)
     eta = EtaMap(base, SO2, lambda gamma: rotation2(0.9 * float(gamma.end[0] - gamma.start[0])))
     tb = TwistedBundle(base, SO2, eta)
-    report = verify_twisted_bundle(tb, budget=150, rng=np.random.default_rng(4))
+    report = verify_twisted_bundle(tb, budget=150, streams=law_streams(4))
     assert report.passed
     assert not report.find("associativity").exhaustive
 
@@ -164,7 +165,7 @@ def test_twisted_bundle_so2_paths_sampled():
 def test_non_homomorphic_eta_fails_with_witness():
     eta = EtaMap.from_raw(CHAIN, Z4, {(): 0, ("f",): 1, ("g",): 1, ("f", "g"): 3}, default=0)
     tb = TwistedBundle(CHAIN, Z4, eta)
-    report = verify_twisted_bundle(tb, budget=4000, rng=np.random.default_rng(0))
+    report = verify_twisted_bundle(tb, budget=4000, streams=law_streams(0))
     assert not report.passed
     record = report.find("eta-homomorphism")
     assert not record.passed and record.witness is not None
