@@ -29,7 +29,7 @@ import numpy as np
 from .basecat import CodeTable, QuiverCategory
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
 from .groups import StructuralError, all_cases, every
-from .report import DEFAULT_BUDGET, CaseSpace, LawReport, run_law, sides_witness
+from .report import DEFAULT_BUDGET, CaseSpace, LawReport, sides_witness
 from .stream import Stream, Streams, seed_zero
 from .twisted import (
     EtaMap,
@@ -195,10 +195,10 @@ def verify_prop31_roundtrip(base: QuiverCategory, cm: CrossedModule,
         min(budget, PROP31_BUDGET), rng)
     functors = replace(plan, cases=list(plan))
 
-    report.records.append(run_law(
+    report.law(
         "roundtrip-invariants", "Eqs 3.7-3.8", functors,
         lambda p: functor_ok(p[1]), lambda p: functor_invariant_witness(p[1]),
-    ))
+    )
 
     def telescoping(p):  # (holds, pair) of each composable pair, lazily
         hm, F = p
@@ -207,18 +207,18 @@ def verify_prop31_roundtrip(base: QuiverCategory, cm: CrossedModule,
             want = cm.H.mul(hm[comp.target], cm.H.inv(hm[comp.source]))
             yield cm.H.eq(F.h(comp), want), (m2, m1)
 
-    report.records.append(run_law(
+    report.law(
         "telescoping", "Eq 3.26", functors,
         lambda p: every(holds for holds, _ in telescoping(p)),
         lambda p: next({"gamma2": repr(m2), "gamma1": repr(m1)}
                        for holds, (m2, m1) in telescoping(p) if not holds),
-    ))
+    )
 
-    report.records.append(run_law(
+    report.law(
         "object-encoding", "Eq 3.9", functors,
         lambda p: every(cm.G.eq(p[1].g(a), cm.tau(p[0][a])) for a in base.objects),
         lambda p: {"case": "g=tau∘h"},
-    ))
+    )
     return report
 
 
@@ -321,7 +321,7 @@ def verify_GU_categorical_group(
     object, and a vertical chain by its first transformation and then the hT
     of each next one (the same cases, in the same order, as the nested loops
     over functors and hT tables). Every law runs in blocks of such codes."""
-    report = LawReport(suite="prop34-gu-group")
+    report = LawReport(suite="prop34-gu-group", budget=budget, streams=streams)
     objects, arrows = base.objects, list(base.arrows)
     Fs = enumerate_functors(base, cm)
     # row f: Fs[f]'s G code on each object and H code on each arrow
@@ -338,15 +338,13 @@ def verify_GU_categorical_group(
         return FunctorUG(base, cm, {a: g_codes[f, j] for j, a in enumerate(objects)},
                          {name: h_codes[f, k] for k, name in enumerate(arrows)})
 
-    F_axes = (range(len(Fs)),)
-    hT_axes = (cm.H.elements,) * len(objects)  # one H code per object
-    functors = functor, F_axes
+    functors = CaseSpace.product(range(len(Fs)), build=functor)
 
-    def chain(k: int):
-        """(build, axes) of T = gauge(Fs[f], hT) from the codes (f, hT) when
-        k is 1, else of the vertical chain (T_k, ..., T_1) from f and k hT
-        tables: each next transformation starts at the target functor of the
-        last."""
+    def chain(k: int) -> CaseSpace:
+        """T = gauge(Fs[f], hT) from the codes (f, hT) when k is 1, else the
+        vertical chain (T_k, ..., T_1) from f and k hT tables, one H code per
+        object: each next transformation starts at the target functor of
+        the last."""
         n = len(objects)
 
         def build(f, *hs):
@@ -356,78 +354,73 @@ def verify_GU_categorical_group(
                 F = Ts[-1].target
             return Ts[0] if k == 1 else tuple(reversed(Ts))
 
-        return build, F_axes + hT_axes * k
+        return CaseSpace.product(range(len(Fs)), *[cm.H.elements] * (n * k), build=build)
 
-    def cases(law, part, parts=1):
-        """`parts` independent cases of a (build, axes) part, each built from
-        one code per axis (a tuple of them when more than one); the law
-        checks them in blocks."""
-        build, axes = part
-        k = len(axes)
-        whole = build if parts == 1 else (
-            lambda *c: tuple(build(*c[i:i + k]) for i in range(0, parts * k, k)))
-        return CaseSpace.product(*(axes * parts), build=whole).plan(budget, streams(law))
+    # a product of spaces gives a tuple of independent cases, each from its own codes
+    transfs = chain(1)
+    functor_pairs = CaseSpace.product(functors, functors)
+    transf_pairs = CaseSpace.product(transfs, transfs)
 
-    report.records.append(run_law(
-        "functor-product-closure", "Prop 3.2", cases("functor-product-closure", functors, 2),
+    report.law(
+        "functor-product-closure", "Prop 3.2", functor_pairs,
         lambda p: functor_ok(p[0].mul(p[1])),
         lambda p: functor_invariant_witness(p[0].mul(p[1])),
-    ))
+    )
 
-    report.records.append(run_law(
-        "object-group-laws", "Prop 3.2", cases("object-group-laws", functors, 3),
+    report.law(
+        "object-group-laws", "Prop 3.2", CaseSpace.product(functors, functors, functors),
         lambda t: (t[0].mul(t[1]).mul(t[2]).eq(t[0].mul(t[1].mul(t[2])))
                    & t[0].mul(t[0].inv()).eq(E)
                    & t[0].mul(E).eq(t[0])),
         lambda t: {"case": "object-group"},
-    ))
+    )
 
-    report.records.append(run_law(
-        "morphism-product-closure", "diagram 3.14", cases("morphism-product-closure", chain(1), 2),
+    report.law(
+        "morphism-product-closure", "diagram 3.14", transf_pairs,
         lambda p: natural_ok(nat_pointwise_mul(p[0], p[1])),
         lambda p: naturality_witness(nat_pointwise_mul(p[0], p[1])),
-    ))
+    )
 
     def product_boundaries_ok(p):
         product = nat_pointwise_mul(p[0], p[1])
         return (product.source.eq(p[0].source.mul(p[1].source))
                 & product.target.eq(p[0].target.mul(p[1].target)))
 
-    report.records.append(run_law(
-        "source-target-homomorphism", "Eq 2.2", cases("source-target-homomorphism", chain(1), 2),
+    report.law(
+        "source-target-homomorphism", "Eq 2.2", transf_pairs,
         product_boundaries_ok, lambda p: {"case": "s/t"},
-    ))
+    )
 
-    report.records.append(run_law(
-        "morphism-group-laws", "Prop 3.4", cases("morphism-group-laws", chain(1)),
+    report.law(
+        "morphism-group-laws", "Prop 3.4", transfs,
         lambda T: (nat_eq(nat_pointwise_mul(T, nat_inverse(T)), one_E)
                    & nat_eq(nat_pointwise_mul(T, one_E), T)),
         lambda T: {"case": "morphism-group"},
-    ))
+    )
 
-    report.records.append(run_law(
-        "identity-assignment", "§2.1", cases("identity-assignment", functors, 2),
+    report.law(
+        "identity-assignment", "§2.1", functor_pairs,
         lambda p: nat_eq(
             identity_transf(p[0].mul(p[1])),
             nat_pointwise_mul(identity_transf(p[0]), identity_transf(p[1])),
         ),
         lambda p: {"case": "identity-assignment"},
-    ))
+    )
 
-    report.records.append(run_law(
-        "vertical-units", "Eq 3.15", cases("vertical-units", chain(1)),
+    report.law(
+        "vertical-units", "Eq 3.15", transfs,
         lambda T: (nat_eq(nat_vertical_compose(identity_transf(T.target), T), T)
                    & nat_eq(nat_vertical_compose(T, identity_transf(T.source)), T)),
         lambda T: {"case": "vertical-units"},
-    ))
-    report.records.append(run_law(
-        "vertical-associativity", "Eq 3.15", cases("vertical-associativity", chain(3)),
+    )
+    report.law(
+        "vertical-associativity", "Eq 3.15", chain(3),
         lambda t: nat_eq(
             nat_vertical_compose(nat_vertical_compose(t[0], t[1]), t[2]),
             nat_vertical_compose(t[0], nat_vertical_compose(t[1], t[2])),
         ),
         lambda t: {"case": "vertical-assoc"},
-    ))
+    )
 
     def exchange_ok(pq):
         (T2, T1), (Tp2, Tp1) = pq
@@ -435,10 +428,9 @@ def verify_GU_categorical_group(
         rhs = nat_pointwise_mul(nat_vertical_compose(Tp2, Tp1), nat_vertical_compose(T2, T1))
         return nat_eq(lhs, rhs)
 
-    report.records.append(run_law(
-        "exchange-law-functors", "Eq 3.17",
-        cases("exchange-law-functors", chain(2), 2), exchange_ok,
-        lambda pq: {"case": "exchange"}))
+    report.law(
+        "exchange-law-functors", "Eq 3.17", CaseSpace.product(chain(2), chain(2)), exchange_ok,
+        lambda pq: {"case": "exchange"})
     return report
 
 
@@ -475,7 +467,7 @@ class SectionIso:
 
 def verify_section_iso(F: FunctorUG, budget: int = DEFAULT_BUDGET,
                        streams: Streams = seed_zero) -> LawReport:
-    report = LawReport(suite="prop41-section")
+    report = LawReport(suite="prop41-section", budget=budget, streams=streams)
     base, cm = F.base, F.cm
     if not cm.is_finite:
         raise StructuralError("the Prop 4.1 section check needs a finite crossed module")
@@ -484,41 +476,36 @@ def verify_section_iso(F: FunctorUG, budget: int = DEFAULT_BUDGET,
     objects = [(a, g) for a in base.objects for g in cm.G.elements]
     morphisms = list(bundle_morphisms(bundle))
 
-    def listed(law, cases):
-        return CaseSpace.finite(cases).plan(budget, streams(law))
-
-    report.records.append(run_law(
-        "section-projection", "Prop 4.1", listed("section-projection", list(base.objects)),
+    report.law(
+        "section-projection", "Prop 4.1", CaseSpace.finite(list(base.objects)),
         lambda a: iso.on_object(a, cm.G.identity)[0] == a, lambda a: {"object": a},
-    ))
+    )
 
-    report.records.append(run_law(
-        "equivariance-objects", "Eq 4.4",
-        CaseSpace.product(objects, cm.G.elements).plan(budget, streams("equivariance-objects")),
+    report.law(
+        "equivariance-objects", "Eq 4.4", CaseSpace.product(objects, cm.G.elements),
         lambda p: cm.G.eq(
             iso.on_object(*bundle.act_object(p[0], p[1]))[1],
             cm.G.mul(iso.on_object(*p[0])[1], p[1]),
         ),
         lambda p: {"object": str(p[0][0])},
-    ))
+    )
 
-    report.records.append(run_law(
+    report.law(
         "equivariance-morphisms", "Eq 4.4",
-        CaseSpace.product(bundle_morphisms(bundle), cm.morphism_space()).plan(
-            budget, streams("equivariance-morphisms")),
+        CaseSpace.product(bundle_morphisms(bundle), cm.morphism_space()),
         lambda p: bundle.morphism_eq(
             iso.on_morphism(bundle.act(p[0], p[1])),
             bundle.act(iso.on_morphism(p[0]), p[1]),
         ),
         lambda p: {"gamma": repr(p[0].gamma)},
-    ))
+    )
 
-    report.records.append(run_law(
-        "fiber-preservation", "Prop 4.1", listed("fiber-preservation", objects + morphisms),
+    report.law(
+        "fiber-preservation", "Prop 4.1", CaseSpace.finite(objects + morphisms),
         lambda x: ((iso.on_object(*x)[0] == x[0]) if isinstance(x, tuple)
                    else (iso.on_morphism(x).gamma == x.gamma)),
         lambda x: {"case": "fiber"},
-    ))
+    )
 
     def obj_bij(_):
         seen = {}  # each image, and the first object mapped to it
@@ -533,9 +520,9 @@ def verify_section_iso(F: FunctorUG, budget: int = DEFAULT_BUDGET,
                 return {"no-preimage": str(x[0])}
         return None
 
-    report.records.append(run_law(
+    report.law(
         "bijectivity-objects", "Prop 4.1",
-        listed("bijectivity-objects", [0]), lambda c: obj_bij(c) is None, obj_bij))
+        CaseSpace.finite([0]), lambda c: obj_bij(c) is None, obj_bij)
 
     def mor_bij(_):
         keys = set()
@@ -551,19 +538,18 @@ def verify_section_iso(F: FunctorUG, budget: int = DEFAULT_BUDGET,
                 return {"no-preimage": repr(tm.gamma)}
         return None
 
-    report.records.append(run_law(
+    report.law(
         "bijectivity-morphisms", "Prop 4.1",
-        listed("bijectivity-morphisms", [0]), lambda c: mor_bij(c) is None, mor_bij))
+        CaseSpace.finite([0]), lambda c: mor_bij(c) is None, mor_bij)
 
-    report.records.append(run_law(
-        "composition-preservation", "Eq 4.5",
-        composable_chains(bundle, 2).plan(budget, streams("composition-preservation")),
+    report.law(
+        "composition-preservation", "Eq 4.5", composable_chains(bundle, 2),
         lambda p: bundle.morphism_eq(
             iso.on_morphism(bundle.compose(p[0], p[1])),
             bundle.compose(iso.on_morphism(p[0]), iso.on_morphism(p[1])),
         ),
         lambda p: {"gamma2": repr(p[0].gamma), "gamma1": repr(p[1].gamma)},
-    ))
+    )
     return report
 
 
@@ -631,30 +617,27 @@ def verify_composition_correspondence(F2: FunctorUG, F1: FunctorUG, budget: int 
                                       streams: Streams = seed_zero) -> LawReport:
     """Composition of the induced bundle automorphisms corresponds to the
     pointwise product of the functors."""
-    report = LawReport(suite="prop42-correspondence")
+    report = LawReport(suite="prop42-correspondence", budget=budget, streams=streams)
     base, cm = F1.base, F1.cm
     phi2, phi1 = SectionIso(F2), SectionIso(F1)
     composed = phi2.compose_with(phi1)
 
-    report.records.append(run_law(
-        "composition-correspondence", "Eq 4.11",
-        CaseSpace.finite([0]).plan(budget, streams("composition-correspondence")),
+    report.law(
+        "composition-correspondence", "Eq 4.11", CaseSpace.finite([0]),
         lambda _: extract_functor(composed, base, cm).eq(F2.mul(F1)),
         lambda _: {"case": "sigma-product"},
-    ))
-    report.records.append(run_law(
-        "extraction-roundtrip", "Eq 4.7",
-        CaseSpace.finite([F1, F2]).plan(budget, streams("extraction-roundtrip")),
+    )
+    report.law(
+        "extraction-roundtrip", "Eq 4.7", CaseSpace.finite([F1, F2]),
         lambda F: extract_functor(SectionIso(F), base, cm).eq(F),
         lambda F: {"case": "roundtrip"},
-    ))
-    report.records.append(run_law(
-        "intertwining", "Eq 4.8",
-        CaseSpace.finite(base.morphisms_upto()).plan(budget, streams("intertwining")),
+    )
+    report.law(
+        "intertwining", "Eq 4.8", CaseSpace.finite(base.morphisms_upto()),
         lambda gamma: (cm.G.eq(cm.source(F1.apply(gamma)), F1.g(base.source(gamma)))
                        & cm.G.eq(cm.target(F1.apply(gamma)), F1.g(base.target(gamma)))),
         lambda gamma: {"gamma": repr(gamma)},
-    ))
+    )
     return report
 
 
@@ -665,18 +648,17 @@ def verify_bundle_axioms(base: QuiverCategory, cm: CrossedModule,
     and fiber-transitivity of the action, plus category laws upstairs."""
     if not cm.is_finite:
         raise StructuralError("the product-bundle axioms need a finite crossed module")
-    report = LawReport(suite="bundle-axioms")
+    report = LawReport(suite="bundle-axioms", budget=budget, streams=streams)
     bundle = TwistedBundle(base, cm, EtaMap.trivial(base, cm))
 
     def lift(x):  # through the unit: an object's identity, or a base morphism
         return TwistedMorphism(base.identity(x) if isinstance(x, str) else x, cm.unit)
 
-    report.records.append(run_law(
+    report.law(
         "b1-surjectivity", "§2.2 (b1)",
-        CaseSpace.finite(list(base.objects) + base.morphisms_upto()).plan(
-            budget, streams("b1-surjectivity")),
+        CaseSpace.finite(list(base.objects) + base.morphisms_upto()),
         lambda x: b1_ok(bundle, lift(x)), lambda x: {"missing": repr(x)},
-    ))
+    )
 
     # an object (a, g) in a block is a's index in `base.objects` and a code
     names = np.array(base.objects, dtype=object)
@@ -687,28 +669,25 @@ def verify_bundle_axioms(base: QuiverCategory, cm: CrossedModule,
         fixed = cm.G.eq(bundle.act_object(p[0], p[1])[1], p[0][1])
         return True if fixed is False else fixed <= cm.G.eq(p[1], cm.G.identity)
 
-    report.records.append(run_law(
-        "b2-freeness-objects", "§2.2 (b2)",
-        objects_acted.plan(budget, streams("b2-freeness-objects")), object_free_ok,
+    report.law(
+        "b2-freeness-objects", "§2.2 (b2)", objects_acted, object_free_ok,
         lambda p: {"object": str(p[0][0]), "g": cm.G.fmt(p[1])},
-    ))
-    report.records.append(run_law(
+    )
+    report.law(
         "b2-freeness-morphisms", "§2.2 (b2)",
-        CaseSpace.product(bundle_morphisms(bundle), cm.morphism_space()).plan(
-            budget, streams("b2-freeness-morphisms")),
+        CaseSpace.product(bundle_morphisms(bundle), cm.morphism_space()),
         lambda p: free_ok(bundle, *p), lambda p: {"gamma": repr(p[0].gamma)},
-    ))
+    )
 
     # pairs in one fiber, over one base object or base morphism
     same_object = CaseSpace.product(range(len(names)), cm.G.elements, cm.G.elements,
                                     build=lambda a, g1, g2: ((names[a], g1), (names[a], g2)))
-    report.records.append(run_law(
-        "b3-transitivity-objects", "§2.2 (b3)",
-        same_object.plan(budget, streams("b3-transitivity-objects")),
+    report.law(
+        "b3-transitivity-objects", "§2.2 (b3)", same_object,
         lambda p: cm.G.eq(
             bundle.act_object(p[0], cm.G.mul(cm.G.inv(p[0][1]), p[1][1]))[1], p[1][1]),
         lambda p: {"object": str(p[0][0])},
-    ))
+    )
 
     def same_gamma(gamma, m1, m2):
         gamma = base.morphism(gamma)
@@ -716,26 +695,23 @@ def verify_bundle_axioms(base: QuiverCategory, cm: CrossedModule,
 
     same_morphism = CaseSpace.product(base.codes(), cm.morphism_space(), cm.morphism_space(),
                                       build=same_gamma)
-    report.records.append(run_law(
-        "b3-transitivity-morphisms", "§2.2 (b3)",
-        same_morphism.plan(budget, streams("b3-transitivity-morphisms")),
+    report.law(
+        "b3-transitivity-morphisms", "§2.2 (b3)", same_morphism,
         lambda p: bundle.morphism_eq(
             bundle.act(p[0], cm.sdp_multiply(cm.sdp_inverse(p[0].m), p[1].m)), p[1]),
         lambda p: {"gamma": repr(p[0].gamma)},
-    ))
+    )
 
-    report.records.append(run_law(
-        "composition-units", "Eq 3.4",
-        bundle_morphisms(bundle).plan(budget, streams("composition-units")),
+    report.law(
+        "composition-units", "Eq 3.4", bundle_morphisms(bundle),
         lambda tm: units_ok(bundle, tm), lambda tm: {"gamma": repr(tm.gamma)},
-    ))
+    )
     # the action commutes with composition, and with s and t on the first factor
-    report.records.append(run_law(
+    report.law(
         "action-functoriality", "Eq 3.2",
-        CaseSpace.product(composable_chains(bundle, 2), vertical_pairs(cm)).plan(
-            budget, streams("action-functoriality")),
+        CaseSpace.product(composable_chains(bundle, 2), vertical_pairs(cm)),
         lambda c: action_composition_ok(bundle, *c) & action_boundaries_ok(bundle, c[0][1], c[1][1]),
         lambda c: {"gamma2": repr(c[0][0].gamma), "gamma1": repr(c[0][1].gamma),
                    "m2": cm.fmt_m(c[1][0]), "m1": cm.fmt_m(c[1][1])},
-    ))
+    )
     return report

@@ -22,7 +22,7 @@ import numpy as np
 
 from .groups import StructuralError
 from .report import LawReport
-from .scenario import Scenario, ScenarioError
+from .scenario import TOLERANCES, Scenario, ScenarioError
 from .suites import SUITES, import_suites, run_suite
 
 
@@ -67,8 +67,8 @@ def _apply_overrides(sc: Scenario, args) -> Scenario:
     if getattr(args, "steps", None) is not None:
         raw["steps"] = args.steps
     tols = dict(sc.tolerances)
-    for key, attr in (("grp", "eps_grp"), ("pt", "eps_pt"), ("iso", "eps_iso")):
-        value = getattr(args, attr, None)
+    for key in TOLERANCES:
+        value = getattr(args, f"eps_{key}", None)
         if value is not None:
             tols[key] = value
     if tols:

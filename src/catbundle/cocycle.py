@@ -23,7 +23,7 @@ from .basecat import QuiverCategory, QuiverMorphism
 from .bundle import FunctorUG, NatTransf, _spread, functor_invariant_witness, functor_ok
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
 from .groups import StructuralError, all_cases, every
-from .report import DEFAULT_BUDGET, CaseSpace, LawReport, run_law, sides_witness
+from .report import DEFAULT_BUDGET, CaseSpace, LawReport, sides_witness
 from .stream import Stream, Streams, seed_zero
 
 Tag = tuple[int, ...]
@@ -190,20 +190,19 @@ def verify_cocycle_condition(data: CocycleData, cover: Cover, cm: CrossedModule,
                              budget: int = DEFAULT_BUDGET,
                              streams: Streams = seed_zero) -> LawReport:
     """h_ijk·h_ik = h_ij·h_jk at every triple-overlap point."""
-    report = LawReport(suite="cocycle")
+    report = LawReport(suite="cocycle", budget=budget, streams=streams)
     cases = [
         (i, j, k, pt)
         for i, j, k in itertools.product(cover.index_set, repeat=3)
         for pt in sorted(cover.intersection((i, j, k)))
     ]
 
-    report.records.append(run_law(
-        "cocycle-condition", "Eq 5.26",
-        CaseSpace.finite(cases).plan(budget, streams("cocycle-condition")),
+    report.law(
+        "cocycle-condition", "Eq 5.26", CaseSpace.finite(cases),
         lambda case: cm.H.eq(*data.condition_sides(cm, *case)),
         lambda case: {**dict(zip(("i", "j", "k", "point"), case)),
                       **sides_witness(cm.H.fmt, data.condition_sides(cm, *case))},
-    ))
+    )
     return report
 
 
@@ -298,40 +297,36 @@ def verify_prop51(data: CocycleData, cm: CrossedModule, triple: OverlapCategory,
     """Certify the triple-overlap transformation: theta functor laws, the
     object-level gauge relation, the gauge-transformed H-component identity,
     and the naturality square."""
-    report = LawReport(suite="prop51")
+    report = LawReport(suite="prop51", budget=budget, streams=streams)
     T, thetas = _transformation_and_thetas(data, cm, triple)
     P, th_im = T.target, T.source
-    report.records.append(run_law(
-        "theta-functor", "Eqs 5.34-5.36",
-        CaseSpace.finite(thetas).plan(budget, streams("theta-functor")),
-        functor_ok, functor_invariant_witness))
+    report.law(
+        "theta-functor", "Eqs 5.34-5.36", CaseSpace.finite(thetas),
+        functor_ok, functor_invariant_witness)
 
-    report.records.append(run_law(
-        "prop51-object-gauge", "Eq 3.11",
-        CaseSpace.finite(triple.objects).plan(budget, streams("prop51-object-gauge")),
+    report.law(
+        "prop51-object-gauge", "Eq 3.11", CaseSpace.finite(triple.objects),
         lambda x: cm.G.eq(P.g(x), cm.G.mul(cm.tau(T.hT[x]), th_im.g(x))),
         lambda x: {"object": str(x)},
-    ))
+    )
 
     def h_sides(mm: OverlapMorphism):
         return (cm.H.mul(cm.H.mul(cm.H.inv(T.hT[mm.target]), P.h(mm)), T.hT[mm.source]),
                 th_im.h(mm))
 
-    report.records.append(run_law(
-        "prop51-h-component", "Eq 5.46",
-        CaseSpace.finite(triple.morphisms).plan(budget, streams("prop51-h-component")),
+    report.law(
+        "prop51-h-component", "Eq 5.46", CaseSpace.finite(triple.morphisms),
         lambda mm: cm.H.eq(*h_sides(mm)),
-        lambda mm: {"morphism": repr(mm), **sides_witness(cm.H.fmt, h_sides(mm))}))
+        lambda mm: {"morphism": repr(mm), **sides_witness(cm.H.fmt, h_sides(mm))})
 
     def square(mm: OverlapMorphism):
         return (cm.compose_vertical(P.apply(mm), T.at(mm.source)),
                 cm.compose_vertical(T.at(mm.target), th_im.apply(mm)))
 
-    report.records.append(run_law(
-        "prop51-naturality", "Eq 3.10",
-        CaseSpace.finite(triple.morphisms).plan(budget, streams("prop51-naturality")),
+    report.law(
+        "prop51-naturality", "Eq 3.10", CaseSpace.finite(triple.morphisms),
         lambda mm: cm.m_eq(*square(mm)),
-        lambda mm: {"morphism": repr(mm), **sides_witness(cm.fmt_m, square(mm))}))
+        lambda mm: {"morphism": repr(mm), **sides_witness(cm.fmt_m, square(mm))})
     return report
 
 
@@ -437,7 +432,7 @@ def verify_transition_cocycle(family: TrivializationFamily, base: QuiverCategory
     """sigma_ik^jl · sigma_km^ln = sigma_im^jn on the triple overlap, as an
     exact equality of functors; plus self-transitions are the identity and
     transitions are functors."""
-    report = LawReport(suite="transition-cocycle")
+    report = LawReport(suite="transition-cocycle", budget=budget, streams=streams)
     cm, cover = family.cm, family.cover
     i, k, m_ = lower_triple
     j, l, n = upper_triple
@@ -454,10 +449,9 @@ def verify_transition_cocycle(family: TrivializationFamily, base: QuiverCategory
     s_km = sigma((k, m_), (l, n))
     s_im = sigma((i, m_), (j, n))
 
-    report.records.append(run_law(
-        "transition-functor", "Eq 5.11",
-        CaseSpace.finite([s_ik, s_km, s_im]).plan(budget, streams("transition-functor")),
-        functor_ok, functor_invariant_witness))
+    report.law(
+        "transition-functor", "Eq 5.11", CaseSpace.finite([s_ik, s_km, s_im]),
+        functor_ok, functor_invariant_witness)
 
     # the cocycle relation on objects and morphisms; on finite carriers `eq`
     # is strict equality, so it holds on the nose, not merely within tolerance
@@ -479,12 +473,10 @@ def verify_transition_cocycle(family: TrivializationFamily, base: QuiverCategory
         where = {"morphism": repr(x)} if isinstance(x, OverlapMorphism) else {"object": str(x)}
         return {**where, **sides_witness(fmt, (lhs, rhs))}
 
-    report.records.append(run_law(
-        "transition-cocycle", "Eq 5.21",
-        CaseSpace.finite(triple.objects + triple.morphisms).plan(
-            budget, streams("transition-cocycle")),
+    report.law(
+        "transition-cocycle", "Eq 5.21", CaseSpace.finite(triple.objects + triple.morphisms),
         match_ok, match_witness,
-    ))
+    )
 
     def self_transition_ok(idx_pair):
         lo, up = idx_pair
@@ -497,9 +489,8 @@ def verify_transition_cocycle(family: TrivializationFamily, base: QuiverCategory
             (cm.G.eq(v, cm.G.identity) for v in s_self.g_table.values()),
             (cm.H.eq(h, cm.H.identity) for h in s_self.h_gen.values())))
 
-    report.records.append(run_law(
-        "self-transition-identity", "Eq 5.11",
-        CaseSpace.finite([((i, k), (j, l))]).plan(budget, streams("self-transition-identity")),
+    report.law(
+        "self-transition-identity", "Eq 5.11", CaseSpace.finite([((i, k), (j, l))]),
         self_transition_ok,
-        lambda idx_pair: {"pair": str(idx_pair)}))
+        lambda idx_pair: {"pair": str(idx_pair)})
     return report

@@ -29,7 +29,7 @@ from .groups import (
     code_rows,
     is_block,
 )
-from .report import DEFAULT_BUDGET, CaseSpace, LawReport, run_law, sides_witness
+from .report import DEFAULT_BUDGET, CaseSpace, LawReport, sides_witness
 from .stream import Stream, Streams, seed_zero
 
 
@@ -212,72 +212,67 @@ def verify_crossed_module(
     properties of the induced maps on H ⋊ G. Each law draws from
     `streams(law)`, the carrier probe from `rng`."""
     _check_carriers(cm, rng or Stream(0))
-    report = LawReport(suite="crossed-module")
+    report = LawReport(suite="crossed-module", budget=sample_budget, streams=streams)
     G, H = cm.G, cm.H
-    carriers = {"g": CaseSpace.carrier(G), "h": CaseSpace.carrier(H)}
-
     # a coded or stackable space comes in blocks, on which each check is a mask
-    def cases(law: str, slots: str):
-        return CaseSpace.product(*(carriers[s] for s in slots)).plan(sample_budget, streams(law))
+    gs, hs = CaseSpace.carrier(G), CaseSpace.carrier(H)
 
-    report.records.append(run_law(
-        "tau-homomorphism", "§2.1", cases("tau-homomorphism", "hh"),
+    report.law(
+        "tau-homomorphism", "§2.1", CaseSpace.product(hs, hs),
         lambda t: G.eq(cm.tau(H.mul(t[0], t[1])), G.mul(cm.tau(t[0]), cm.tau(t[1]))),
         lambda t: {"h": H.fmt(t[0]), "h2": H.fmt(t[1])},
-    ))
+    )
 
-    report.records.append(run_law(
-        "alpha-automorphism", "§2.1", cases("alpha-automorphism", "ghh"),
+    report.law(
+        "alpha-automorphism", "§2.1", CaseSpace.product(gs, hs, hs),
         lambda t: (
             H.eq(cm.alpha(t[0], H.mul(t[1], t[2])), H.mul(cm.alpha(t[0], t[1]), cm.alpha(t[0], t[2])))
             & H.eq(cm.alpha(t[0], cm.alpha(G.inv(t[0]), t[1])), t[1])),
         lambda t: {"g": G.fmt(t[0]), "h": H.fmt(t[1]), "h2": H.fmt(t[2])},
-    ))
+    )
 
-    report.records.append(run_law(
-        "alpha-family-homomorphism", "§2.1", cases("alpha-family-homomorphism", "ggh"),
+    report.law(
+        "alpha-family-homomorphism", "§2.1", CaseSpace.product(gs, gs, hs),
         lambda t: (
             H.eq(cm.alpha(G.mul(t[0], t[1]), t[2]), cm.alpha(t[0], cm.alpha(t[1], t[2])))
             & H.eq(cm.alpha(G.identity, t[2]), t[2])),
         lambda t: {"g": G.fmt(t[0]), "g2": G.fmt(t[1]), "h": H.fmt(t[2])},
-    ))
+    )
 
     def peiffer(t):
         return cm.alpha(cm.tau(t[0]), t[1]), H.mul(H.mul(t[0], t[1]), H.inv(t[0]))
 
-    report.records.append(run_law(
-        "peiffer", "Eq 2.4", cases("peiffer", "hh"), lambda t: H.eq(*peiffer(t)),
+    report.law(
+        "peiffer", "Eq 2.4", CaseSpace.product(hs, hs), lambda t: H.eq(*peiffer(t)),
         lambda t: {"h": H.fmt(t[0]), "h2": H.fmt(t[1]), **sides_witness(H.fmt, peiffer(t))},
-    ))
+    )
 
     # s and t on H ⋊ G are homomorphisms; t-hom is the equivariance of tau.
-    def pairs(law: str):
-        return CaseSpace.product(*(carriers[s] for s in "hghg"), build=lambda h2, g2, h1, g1: (
-            TwoGroupMorphism(h2, g2), TwoGroupMorphism(h1, g1))).plan(sample_budget, streams(law))
+    pairs = CaseSpace.product(hs, gs, hs, gs, build=lambda h2, g2, h1, g1: (
+        TwoGroupMorphism(h2, g2), TwoGroupMorphism(h1, g1)))
 
     def pair_witness(p):
         return {"m2": cm.fmt_m(p[0]), "m1": cm.fmt_m(p[1])}
 
-    report.records.append(run_law(
-        "source-homomorphism", "Eq 2.2", pairs("source-homomorphism"),
+    report.law(
+        "source-homomorphism", "Eq 2.2", pairs,
         lambda p: G.eq(cm.source(cm.sdp_multiply(*p)), G.mul(p[0].g, p[1].g)), pair_witness,
-    ))
+    )
 
-    report.records.append(run_law(
-        "target-homomorphism", "Eq 2.2", pairs("target-homomorphism"),
+    report.law(
+        "target-homomorphism", "Eq 2.2", pairs,
         lambda p: G.eq(cm.target(cm.sdp_multiply(*p)), G.mul(cm.target(p[0]), cm.target(p[1]))),
         pair_witness,
-    ))
+    )
 
-    report.records.append(run_law(
-        "identity-assignment-homomorphism", "§2.1",
-        cases("identity-assignment-homomorphism", "gg"),
+    report.law(
+        "identity-assignment-homomorphism", "§2.1", CaseSpace.product(gs, gs),
         lambda t: cm.m_eq(
             cm.identity_morphism(G.mul(t[0], t[1])),
             cm.sdp_multiply(cm.identity_morphism(t[0]), cm.identity_morphism(t[1])),
         ),
         lambda t: {"g": G.fmt(t[0]), "g2": G.fmt(t[1])},
-    ))
+    )
     return report
 
 
@@ -288,7 +283,7 @@ def verify_exchange_law(
 ) -> LawReport:
     """(phi2 psi2) ∘ (phi1 psi1) = (phi2 ∘ phi1)(psi2 ∘ psi1) on composable
     quadruples."""
-    report = LawReport(suite="exchange-law")
+    report = LawReport(suite="exchange-law", budget=sample_budget, streams=streams)
 
     def build(h1, g1, h2, k1, u1, k2):
         # phi2 and psi2 start where phi1 and psi1 end
@@ -298,7 +293,6 @@ def verify_exchange_law(
                 TwoGroupMorphism(k2, cm.target(psi1)), psi1)
 
     G, H = CaseSpace.carrier(cm.G), CaseSpace.carrier(cm.H)
-    quadruples = CaseSpace.product(H, G, H, H, G, H, build=build)
 
     def sides(q):
         phi2, phi1, psi2, psi1 = q
@@ -306,12 +300,12 @@ def verify_exchange_law(
         rhs = cm.sdp_multiply(cm.compose_vertical(phi2, phi1), cm.compose_vertical(psi2, psi1))
         return lhs, rhs
 
-    report.records.append(run_law(
-        "exchange-law", "Eq 2.3", quadruples.plan(sample_budget, streams("exchange-law")),
+    report.law(
+        "exchange-law", "Eq 2.3", CaseSpace.product(H, G, H, H, G, H, build=build),
         lambda q: cm.m_eq(*sides(q)),
         lambda q: {**dict(zip(("phi2", "phi1", "psi2", "psi1"), map(cm.fmt_m, q))),
                    **sides_witness(cm.fmt_m, sides(q))},
-    ))
+    )
     return report
 
 

@@ -42,7 +42,7 @@ import numpy as np
 from .basecat import PathBlock, PathCategory, SampledPath, constant_path
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
 from .groups import SpecialOrthogonalGroup, StructuralError, all_cases, is_skew, skew_expm1_batch
-from .report import CaseSpace, LawReport, Plan, run_law
+from .report import CaseSpace, LawReport, Plan
 from .stream import Stream, Streams, seed_zero
 from .twisted import EtaMap, TwistedBundle, TwistedMorphism
 
@@ -306,8 +306,7 @@ def verify_prop62(cm: CrossedModule, eta: EtaMap, n_pairs: int = 50,
             got, want = getattr(tb, end)(db.theta(dm)), getattr(db, end)(dm)
             return db.base.point_eq(got[0], want[0]) & close_g(got[1], want[1])
 
-        report.records.append(run_law(
-            f"theta-{end}", "Eq 6.32", singles, same_end, lambda dm, end=end: {"case": end}))
+        report.law(f"theta-{end}", "Eq 6.32", singles, same_end, lambda dm, end=end: {"case": end})
 
     def composites(p):
         return db.theta(db.compose(*p)), tb.compose(db.theta(p[0]), db.theta(p[1]))
@@ -321,18 +320,18 @@ def verify_prop62(cm: CrossedModule, eta: EtaMap, n_pairs: int = 50,
         return {"case": "composition",
                 "dh": float(np.max(np.abs(np.asarray(lhs.m.h) - np.asarray(rhs.m.h))))}
 
-    report.records.append(run_law(
+    report.law(
         "theta-composition", "Eq 6.35", pairs, lambda p: same_twisted(*composites(p)),
-        composition_witness))
+        composition_witness)
 
     # each morphism is acted on by one fresh sample, drawn as the law reaches it
     acting = streams("theta-equivariance")
     acted = Plan(((dm, cm.sample_morphism(acting)) for dm in singles), exhaustive=False)
-    report.records.append(run_law(
+    report.law(
         "theta-equivariance", "Eq 6.24", acted,
         lambda p: same_twisted(db.theta(db.act(*p)), tb.act(db.theta(p[0]), p[1])),
         lambda p: {"case": "equivariance"},
-    ))
+    )
 
     def roundtrip_failure(dm) -> str | None:
         back = db.theta_inverse(db.theta(dm))
@@ -345,16 +344,16 @@ def verify_prop62(cm: CrossedModule, eta: EtaMap, n_pairs: int = 50,
             return "inverse-roundtrip"
         return None
 
-    report.records.append(run_law(
+    report.law(
         "theta-inverse-roundtrip", "Eq 6.31", singles,
         lambda dm: roundtrip_failure(dm) is None, lambda dm: {"case": roundtrip_failure(dm)},
-    ))
+    )
 
-    report.records.append(run_law(
+    report.law(
         "theta-identity-objects", "Prop 6.2", singles,
         lambda dm: db.base.point_eq(db.theta(dm).gamma.start, dm.gamma.start),
         lambda dm: {"case": "objects"},
-    ))
+    )
     return report
 
 
@@ -376,11 +375,11 @@ def verify_transport_numerics(base: PathCategory, conn: Connection,
     cases = Plan(list(space.plan(len(paths), rng)), exhaustive=False)  # drawn, not the whole space
     eye, zero = np.eye(conn.group_dim), Connection.zero(conn.group_dim, conn.base_dim)
 
-    report.records.append(run_law(
+    report.law(
         "zero-connection", "Eq 6.29", cases,
         lambda i: (parallel_transport(zero, paths[i], steps) == eye).all(axis=(1, 2)),
         lambda i: {"case": "zero"},
-    ))
+    )
 
     def sides(i):  # each composite's transport, and its pieces' product
         ps, qs = paths[i], continued[i]
@@ -388,30 +387,30 @@ def verify_transport_numerics(base: PathCategory, conn: Connection,
             conn, PathBlock((*base.compose(qs, ps), *qs, *ps)), steps), 3)
         return c, q @ p
 
-    report.records.append(run_law(
+    report.law(
         "composite-multiplicativity", "Eq 6.18", cases,
         lambda i: np.equal(*sides(i)).all(axis=(1, 2)),
         lambda i: {"case": "multiplicativity",
                    "max_diff": float(abs(np.subtract(*sides(i))).max())},
-    ))
+    )
 
     def reversal_diff(i):
         fwd, bwd = np.split(parallel_transport(
             conn, PathBlock((*paths[i], *map(SampledPath.reverse, paths[i]))), steps), 2)
         return abs(bwd @ fwd - eye).max(axis=(1, 2))
 
-    report.records.append(run_law(
+    report.law(
         "reversal-inverse", "Eq 6.29", cases,
         lambda i: reversal_diff(i) <= 1e-9,
         lambda i: {"case": "reversal", "diff": float(reversal_diff(i)[0])},
-    ))
+    )
 
     def orders(i):
         return observed_order(conn, paths[i], base_steps=max(8, steps // 16))
 
-    report.records.append(run_law(
+    report.law(
         "convergence-order", "Eq 6.29", cases,
         lambda i: np.array([all(o >= 1.9 for o in os) for os in orders(i)]),
         lambda i: {"case": "order", "orders": [round(o, 3) for o in orders(i)[0]]},
-    ))
+    )
     return report

@@ -14,13 +14,16 @@ divmod per axis into part columns: int codes (range axes, draw numbers,
 coded spaces such as the twisted chains on a quiver) or listed items.
 
 The block is built once where every part column stacks, and case by case
-otherwise. A law is `run_law(law, anchor, plan, ok, witness)`: `ok(case)`
-is a per-case mask on a block, and `witness(case)` describes one failing
-case. A block whose build or check raises is searched by halves, each
-rebuilt from its part columns, for the first case that fails, so a big
-block costs a failing law about log2(FINITE_BLOCK) block checks and one
-single case. A plan makes every draw before its law checks a case, so where
-a law stops does not move the stream it drew from.
+otherwise. A law is `report.law(law, anchor, cases, ok, witness)`: the
+report plans `cases` with its budget and the law's own stream (or takes as
+it is a Plan that several laws share), and keeps the record of
+`run_law(law, anchor, plan, ok, witness)`. `ok(case)` is a per-case mask on
+a block, and `witness(case)` describes one failing case. A block whose
+build or check raises is searched by halves, each rebuilt from its part
+columns, for the first case that fails, so a big block costs a failing law
+about log2(FINITE_BLOCK) block checks and one single case. A plan makes
+every draw before its law checks a case, so where a law stops does not move
+the stream it drew from.
 
 A suite produces a LawReport: one LawRecord per algebraic law, each carrying
 the law's anchor string (its identifier in the library's law registry, e.g.
@@ -45,6 +48,7 @@ import numpy as np
 
 from .basecat import PathBlock, SampledPath
 from .groups import CompositionUndefined, StructuralError
+from .stream import Streams, seed_zero
 
 # a case that raises one of these fails its law with an error witness
 CASE_ERRORS = (CompositionUndefined, StructuralError)
@@ -402,8 +406,12 @@ class LawRecord:
 
 @dataclass
 class LawReport:
+    """A suite's records. `budget` and `streams` (each law's stream, by law
+    id) plan the case spaces that `law` is given; neither is serialized."""
     suite: str
     records: list[LawRecord] = field(default_factory=list)
+    budget: int = field(default=DEFAULT_BUDGET, compare=False, repr=False)
+    streams: Streams = field(default=seed_zero, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -416,6 +424,14 @@ class LawReport:
     def extend(self, other: "LawReport") -> "LawReport":
         self.records.extend(other.records)
         return self
+
+    def law(self, law: str, anchor: str, cases: CaseSpace | Plan, ok: Callable,
+            witness: Callable) -> None:
+        """Check law `law` by `run_law` and keep its record: on `cases`
+        planned with the budget and `streams(law)`, or on a Plan that
+        several laws share, as it is."""
+        plan = cases if isinstance(cases, Plan) else cases.plan(self.budget, self.streams(law))
+        self.records.append(run_law(law, anchor, plan, ok, witness))
 
     def find(self, law: str) -> LawRecord:
         for r in self.records:

@@ -16,6 +16,7 @@ object imports that module itself, so loading a scenario compiles none of
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -40,6 +41,10 @@ if TYPE_CHECKING:
     from .cocycle import CocycleData, Cover, TrivializationFamily
     from .decorated import Connection
     from .twisted import EtaMap
+
+
+# the names under "tolerances": the group, endpoint and isomorphism tolerances
+TOLERANCES = ("grp", "pt", "iso")
 
 
 class ScenarioError(ValueError):
@@ -183,13 +188,18 @@ class Scenario:
 
     @property
     def tolerances(self) -> dict:
-        return self._object("tolerances", required=False)
+        """The tolerances set, each checked whichever suite reads it."""
+        tols = self._object("tolerances", required=False)
+        for name, value in tols.items():
+            if name not in TOLERANCES:
+                raise ScenarioError(f"unknown tolerance {name!r}; known: {', '.join(TOLERANCES)}")
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and 0 < value < math.inf):  # json reads NaN and Infinity too
+                raise ScenarioError(f"tolerance {name!r} must be finite and > 0, got {value!r}")
+        return tols
 
     def tolerance(self, name: str, default: float) -> float:
-        value = self.tolerances.get(name, default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-            raise ScenarioError(f"tolerance {name!r} must be a positive number, got {value!r}")
-        return float(value)
+        return float(self.tolerances.get(name, default))
 
     @property
     def suites(self) -> list[str]:

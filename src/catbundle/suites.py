@@ -4,8 +4,9 @@ registry ("prop31-roundtrip", "prop51", "prop62", "exchange-law", ...).
 
 A suite is one `_suite(name, *law_modules)` line above its function, which
 `run_suite` calls with the suite's LawStreams: each law draws from its own
-stream, keyed by (seed, suite, law id), and fixtures that several laws share
-draw from the suite's. The law modules are those it calls into beyond the
+stream, keyed by (seed, suite, law id), which the verify operation's
+LawReport asks for by the id the law is recorded under (`LawReport.law`), and
+fixtures that several laws share draw from the suite's. The law modules are those it calls into beyond the
 core every start imports (crossed, groups, basecat, report, scenario,
 stream); `import_suites` imports them, not this module, so a run compiles
 only the law modules of the suites it asks for. Each suite reaches its verify

@@ -38,7 +38,7 @@ import numpy as np
 from .basecat import CodeTable, PathBlock, QuiverCategory
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
 from .groups import StructuralError, all_cases
-from .report import DEFAULT_BUDGET, CaseSpace, LawReport, run_law, sides_witness
+from .report import DEFAULT_BUDGET, CaseSpace, LawReport, sides_witness
 from .stream import Streams, seed_zero
 
 
@@ -309,23 +309,22 @@ def verify_twisted_bundle(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
     eta homomorphism, boundary coherence of composition, associativity,
     units, and the principal-bundle axioms for the right action."""
     cm = bundle.cm
-    report = LawReport(suite="twisted-bundle")
+    report = LawReport(suite="twisted-bundle", budget=budget, streams=streams)
 
     def eta_sides(p):
         return bundle.eta(bundle.base.compose(p[0], p[1])), cm.G.mul(bundle.eta(p[0]), bundle.eta(p[1]))
 
-    report.records.append(run_law(
-        "eta-homomorphism", "Eq 6.18",
-        _base_pairs(bundle).plan(budget, streams("eta-homomorphism")),
+    report.law(
+        "eta-homomorphism", "Eq 6.18", _base_pairs(bundle),
         lambda p: cm.G.eq(*eta_sides(p)),
         lambda p: {"gamma2": repr(p[0]), "gamma1": repr(p[1]), **sides_witness(cm.G.fmt, eta_sides(p))},
-    ))
+    )
 
-    report.records.append(run_law(
-        "eta-identity", "Eq 6.18", _identities(bundle, 8).plan(budget, streams("eta-identity")),
+    report.law(
+        "eta-identity", "Eq 6.18", _identities(bundle, 8),
         lambda gamma: cm.G.eq(bundle.eta(gamma), cm.G.identity),
         lambda gamma: {"gamma": repr(gamma)},
-    ))
+    )
 
     def boundary_ok(p):  # the composite starts where p[1] does and ends where p[0] does
         comp = bundle.compose(p[0], p[1])
@@ -333,55 +332,50 @@ def verify_twisted_bundle(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
         return (bundle.base.point_eq(s[0], s1[0]) & bundle.base.point_eq(t[0], t2[0])
                 & cm.G.eq(s[1], s1[1]) & cm.G.eq(t[1], t2[1]))
 
-    report.records.append(run_law(
-        "boundary-coherence", "Eq 6.19",
-        composable_chains(bundle, 2).plan(budget, streams("boundary-coherence")),
-        boundary_ok,
+    report.law(
+        "boundary-coherence", "Eq 6.19", composable_chains(bundle, 2), boundary_ok,
         lambda p: {"gamma2": repr(p[0].gamma), "gamma1": repr(p[1].gamma),
                    "t_comp": cm.G.fmt(bundle.target(bundle.compose(p[0], p[1]))[1]),
                    "t_tm2": cm.G.fmt(bundle.target(p[0])[1])},
-    ))
+    )
 
-    report.records.append(run_law(
-        "associativity", "Eq 6.20",
-        composable_chains(bundle, 3).plan(budget, streams("associativity")),
+    report.law(
+        "associativity", "Eq 6.20", composable_chains(bundle, 3),
         lambda t: bundle.morphism_eq(
             bundle.compose(bundle.compose(t[0], t[1]), t[2]),
             bundle.compose(t[0], bundle.compose(t[1], t[2])),
         ),
         lambda t: {"gamma3": repr(t[0].gamma), "gamma2": repr(t[1].gamma), "gamma1": repr(t[2].gamma)},
-    ))
+    )
 
-    report.records.append(run_law(
-        "unit-laws", "Prop 6.1", bundle_morphisms(bundle).plan(budget, streams("unit-laws")),
+    report.law(
+        "unit-laws", "Prop 6.1", bundle_morphisms(bundle),
         lambda tm: units_ok(bundle, tm), lambda tm: {"gamma": repr(tm.gamma)},
-    ))
+    )
 
-    report.records.append(run_law(
-        "b1-surjectivity", "§2.2 (b1)",
-        bundle_morphisms(bundle).plan(budget, streams("b1-surjectivity")),
+    report.law(
+        "b1-surjectivity", "§2.2 (b1)", bundle_morphisms(bundle),
         lambda tm: b1_ok(bundle, tm), lambda tm: {"gamma": repr(tm.gamma)},
-    ))
+    )
     if isinstance(bundle.base, QuiverCategory):
         # every base morphism lifts: its lift through the unit lies over it
-        report.records.append(run_law(
-            "b1-base-coverage", "§2.2 (b1)",
-            _base_morphisms(bundle).plan(budget, streams("b1-base-coverage")),
+        report.law(
+            "b1-base-coverage", "§2.2 (b1)", _base_morphisms(bundle),
             lambda gamma: b1_ok(bundle, TwistedMorphism(gamma, cm.unit)),
             lambda gamma: {"missing": repr(gamma)},
-        ))
+        )
 
     acted = CaseSpace.product(bundle_morphisms(bundle), cm.morphism_space(16))
-    report.records.append(run_law(
-        "b2-freeness", "§2.2 (b2)", acted.plan(budget, streams("b2-freeness")),
+    report.law(
+        "b2-freeness", "§2.2 (b2)", acted,
         lambda p: free_ok(bundle, *p),
         lambda p: {"gamma": repr(p[0].gamma), "m": cm.fmt_m(p[1])},
-    ))
+    )
 
-    report.records.append(run_law(
-        "b3-transitivity", "§2.2 (b3)", acted.plan(budget, streams("b3-transitivity")),
+    report.law(
+        "b3-transitivity", "§2.2 (b3)", acted,
         lambda p: _transitive_ok(bundle, *p), lambda p: {"gamma": repr(p[0].gamma)},
-    ))
+    )
     return report
 
 
@@ -448,53 +442,48 @@ def verify_E_properties(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
     variables, compatibility with both compositions, and agreement of the
     E-form of twisted composition with the direct formula."""
     cm = bundle.cm
-    report = LawReport(suite="e-action")
+    report = LawReport(suite="e-action", budget=budget, streams=streams)
 
-    def cases(law, *axes, build=None):
-        return CaseSpace.product(*axes, build=build).plan(budget, streams(law))
-
-    report.records.append(run_law(
+    report.law(
         "E-identity-base", "§6.2 (i)",
-        cases("E-identity-base", cm.morphism_space(8), _identities(bundle, 4)),
+        CaseSpace.product(cm.morphism_space(8), _identities(bundle, 4)),
         lambda p: cm.m_eq(bundle.E(p[0], p[1]), p[0]),
         lambda p: {"phi": cm.fmt_m(p[0])},
-    ))
+    )
 
-    report.records.append(run_law(
+    report.law(
         "E-identity-group", "§6.2 (ii)",
-        cases("E-identity-group", CaseSpace.carrier(cm.G, 8), _base_morphisms(bundle, 32)),
+        CaseSpace.product(CaseSpace.carrier(cm.G, 8), _base_morphisms(bundle, 32)),
         lambda p: cm.m_eq(
             bundle.E(cm.identity_morphism(p[0]), p[1]),
             cm.identity_morphism(cm.G.mul(cm.G.inv(bundle.eta(p[1])), p[0])),
         ),
         lambda p: {"g": cm.G.fmt(p[0]), "gamma": repr(p[1])},
-    ))
+    )
 
-    report.records.append(run_law(
+    report.law(
         "E-composition-base", "§6.2 (iii)",
-        cases("E-composition-base", cm.morphism_space(8), _base_pairs(bundle)),
+        CaseSpace.product(cm.morphism_space(8), _base_pairs(bundle)),
         lambda c: cm.m_eq(
             bundle.E(c[0], bundle.base.compose(c[1][0], c[1][1])),
             bundle.E(bundle.E(c[0], c[1][0]), c[1][1]),
         ),
         lambda c: {"phi": cm.fmt_m(c[0])},
-    ))
+    )
 
-    report.records.append(run_law(
-        "E-composition-group", "§6.2 (iv)",
-        cases("E-composition-group",
-              cm.morphism_space(12), CaseSpace.carrier(cm.H, 4), _base_morphisms(bundle, 8),
-              build=lambda phi1, h2, gamma: ((TwoGroupMorphism(h2, cm.target(phi1)), phi1), gamma)),
+    report.law(
+        "E-composition-group", "§6.2 (iv)", CaseSpace.product(
+            cm.morphism_space(12), CaseSpace.carrier(cm.H, 4), _base_morphisms(bundle, 8),
+            build=lambda phi1, h2, gamma: ((TwoGroupMorphism(h2, cm.target(phi1)), phi1), gamma)),
         lambda c: cm.m_eq(
             bundle.E(cm.compose_vertical(c[0][0], c[0][1]), c[1]),
             cm.compose_vertical(bundle.E(c[0][0], c[1]), bundle.E(c[0][1], c[1])),
         ),
         lambda c: {"gamma": repr(c[1])},
-    ))
+    )
 
-    report.records.append(run_law(
-        "E-reproduces-composition", "Eq 6.22",
-        composable_chains(bundle, 2).plan(budget, streams("E-reproduces-composition")),
+    report.law(
+        "E-reproduces-composition", "Eq 6.22", composable_chains(bundle, 2),
         lambda p: bundle.morphism_eq(
             bundle.compose(p[0], p[1]),
             TwistedMorphism(
@@ -503,7 +492,7 @@ def verify_E_properties(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET,
             ),
         ),
         lambda p: {"gamma2": repr(p[0].gamma), "gamma1": repr(p[1].gamma)},
-    ))
+    )
     return report
 
 
@@ -511,21 +500,20 @@ def verify_action_functorial(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET
                              streams: Streams = seed_zero) -> LawReport:
     """The right action commutes with s_eta, t_eta, and twisted composition."""
     cm = bundle.cm
-    report = LawReport(suite="twisted-action")
+    report = LawReport(suite="twisted-action", budget=budget, streams=streams)
 
     acted = CaseSpace.product(bundle_morphisms(bundle), cm.morphism_space(16))
-    report.records.append(run_law(
-        "action-boundaries", "Eq 6.3", acted.plan(budget, streams("action-boundaries")),
+    report.law(
+        "action-boundaries", "Eq 6.3", acted,
         lambda p: action_boundaries_ok(bundle, *p),
         lambda p: {"gamma": repr(p[0].gamma), "m1": cm.fmt_m(p[1])},
-    ))
+    )
 
-    report.records.append(run_law(
+    report.law(
         "action-composition", "Eq 6.14",
-        CaseSpace.product(composable_chains(bundle, 2), vertical_pairs(cm)).plan(
-            budget, streams("action-composition")),
+        CaseSpace.product(composable_chains(bundle, 2), vertical_pairs(cm)),
         lambda c: action_composition_ok(bundle, *c),
         lambda c: {"gamma2": repr(c[0][0].gamma), "gamma1": repr(c[0][1].gamma),
                    "m2": cm.fmt_m(c[1][0]), "m1": cm.fmt_m(c[1][1])},
-    ))
+    )
     return report

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from catbundle import bundle, cocycle, crossed, decorated, report, twisted
+from catbundle import report
 from catbundle.basecat import SampledPath
 from catbundle.cocycle import CocycleData, OverlapCategory
 from catbundle.crossed import CrossedModule
@@ -37,13 +37,14 @@ def per_case_plans():
 
 
 def whole_blocks(monkeypatch) -> dict:
-    """Rebinds `run_law` wherever a law calls it: the mask of every Block a
-    plan yields must hold on all its cases. run_law reruns a block from its
-    first False case by case, which gives the same report, so a block path
-    that wrongly says False only costs time unless this checks it. The plan
-    is read as run_law reads it, so the RNG is drawn as without this.
-    Returns {law: [blocks, single cases]} of the items run_law took."""
-    seen = {}
+    """Rebinds `report.run_law`, which every law reaches through
+    `LawReport.law`: the mask of every Block a plan yields must hold on all
+    its cases. run_law reruns a block from its first False case by case,
+    which gives the same report, so a block path that wrongly says False
+    only costs time unless this checks it. The plan is read as run_law reads
+    it, so the RNG is drawn as without this. Returns {law: [blocks, single
+    cases]} of the items run_law took."""
+    seen, original = {}, report.run_law
 
     def run_law(law, anchor, plan, ok, witness):
         counts = seen[law] = [0, 0]
@@ -55,11 +56,10 @@ def whole_blocks(monkeypatch) -> dict:
                 assert not block or np.all(ok(item.cases)), law
                 yield item
 
-        return report.run_law(law, anchor, report.Plan(checked(), plan.exhaustive, plan.space),
-                              ok, witness)
+        return original(law, anchor, report.Plan(checked(), plan.exhaustive, plan.space),
+                        ok, witness)
 
-    for module in (bundle, cocycle, crossed, decorated, twisted):
-        monkeypatch.setattr(module, "run_law", run_law)
+    monkeypatch.setattr(report, "run_law", run_law)
     return seen
 
 

@@ -348,6 +348,21 @@ MALFORMED = [
     ("tolerance-string",
      _edited("so2_transport.json", lambda r: r.update(tolerances={"grp": "x"})),
      ["--suite", "exchange-law"]),
+    # json reads NaN and Infinity, and NaN <= 0 is False
+    ("tolerance-nan",
+     _edited("so3_decorated.json", lambda r: r.update(tolerances={"grp": float("nan")})),
+     ["--suite", "crossed-module"]),
+    ("tolerance-inf",
+     _edited("so3_decorated.json", lambda r: r.update(tolerances={"grp": float("inf")})),
+     ["--suite", "crossed-module"]),
+    ("tolerance-override-nan", _edited("so3_decorated.json", lambda r: None),
+     ["--suite", "crossed-module", "--eps-grp", "nan"]),
+    ("tolerance-unknown-name",
+     _edited("s3_quiver.json", lambda r: r.update(tolerances={"eps_grp": 1e-3})),
+     ["--suite", "crossed-module"]),
+    ("tolerance-unread-negative",  # no quiver suite reads pt
+     _edited("s3_quiver.json", lambda r: r.update(tolerances={"pt": -1})),
+     ["--suite", "crossed-module"]),
     ("functor-missing-object", _edited("s3_quiver.json", _drop_c), ["--suite", "prop41-section"]),
     ("functor-unknown-object", _edited("s3_quiver.json", _add_d),
      ["--suite", "prop42-correspondence"]),

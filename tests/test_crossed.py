@@ -154,6 +154,18 @@ def test_broken_module_fails_peiffer_with_genuine_witness():
         assert report.find(law).passed
 
 
+def test_non_homomorphic_tau_fails_tau_homomorphism():
+    # tau sends the codes of Z2 to the same codes in Z4: tau(1·1) = 0, but tau(1)·tau(1) = 2
+    cm = CrossedModule("z2-into-z4", CyclicGroup(4), CyclicGroup(2),
+                       alpha=lambda g, h: h, tau=lambda h: h)
+    report = verify_crossed_module(cm, 10**5)
+    bad = report.find("tau-homomorphism")
+    assert (bad.status, bad.exhaustive, bad.checks) == ("fail", True, 4)
+    assert bad.witness == {"h": "1", "h2": "1"}
+    target = report.find("target-homomorphism")
+    assert (target.status, target.checks) == ("fail", 37)
+
+
 def test_spec_witness_pair_violates_peiffer():
     # transpositions (0 1) and (0 2): conjugation gives (1 2), not (0 2)
     cm = get_module("z2-s3-broken")

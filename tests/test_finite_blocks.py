@@ -13,10 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import catbundle.crossed
 import catbundle.report
 import catbundle.suites
-import catbundle.twisted
 from catbundle.basecat import QuiverCategory
 from catbundle.bundle import NatTransf, enumerate_functors, gauge, verify_GU_categorical_group
 from catbundle.crossed import CrossedModule, get_module, verify_crossed_module, verify_exchange_law
@@ -295,8 +293,7 @@ def _shipped_run(name: str, suite: str, monkeypatch):
 
     monkeypatch.setattr(catbundle.suites, "Stream",
                         lambda key: streams.append(make(key)) or streams[-1])
-    for module in (catbundle.crossed, catbundle.twisted):
-        monkeypatch.setattr(module, "run_law", recording)
+    monkeypatch.setattr(catbundle.report, "run_law", recording)
     built = _counting_singles(monkeypatch, law)
     result = run_suite(Scenario.load(SCEN / f"{name}.json"), suite)
     return result, [s.bit_generator.state for s in streams], dict(built)

@@ -10,13 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from catbundle import bundle, cocycle, crossed, decorated, report, twisted
+from catbundle import report
 from catbundle.basecat import PathBlock, SampledPath
 from catbundle.scenario import Scenario
 from catbundle.suites import SUITES, LawStreams, import_suites, run_suite
 
 SCEN = Path(__file__).resolve().parents[1] / "scenarios"
-LAW_MODULES = (bundle, cocycle, crossed, decorated, twisted)
 KEYS = ("law", "anchor", "status", "checks", "exhaustive", "witness", "space")
 
 # laws whose cases are a fixture that several laws share, drawn from the
@@ -70,12 +69,12 @@ def _run(name: str, suite: str, monkeypatch, fail_call: int | None = None):
     """The suite's report, and each run_law call's record and a digest of the
     cases its plan gave, in call order; call number `fail_call` fails at its
     first case, whatever that case is."""
-    calls = []
+    calls, original = [], report.run_law
 
     def run_law(law, anchor, plan, ok, witness):
         if len(calls) == fail_call:
             calls.append(None)
-            return report.run_law(law, anchor, plan, lambda case: False, lambda case: {"forced": 1})
+            return original(law, anchor, plan, lambda case: False, lambda case: {"forced": 1})
         h = hashlib.sha256()
 
         def digested():
@@ -83,14 +82,13 @@ def _run(name: str, suite: str, monkeypatch, fail_call: int | None = None):
                 _digest(item, h)
                 yield item
 
-        record = report.run_law(law, anchor, report.Plan(digested(), plan.exhaustive, plan.space),
-                                ok, witness)
+        record = original(law, anchor, report.Plan(digested(), plan.exhaustive, plan.space),
+                          ok, witness)
         calls.append((*(getattr(record, k) for k in KEYS), h.hexdigest()))
         return record
 
     with monkeypatch.context() as m:
-        for module in LAW_MODULES:
-            m.setattr(module, "run_law", run_law)
+        m.setattr(report, "run_law", run_law)  # every law reaches it through LawReport.law
         result = run_suite(scenario(name), suite)
     return result, calls
 

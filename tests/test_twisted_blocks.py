@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import catbundle.bundle
-import catbundle.twisted
+import catbundle.report
 from catbundle.basecat import QuiverCategory, QuiverMorphism
 from catbundle.bundle import (
     enumerate_functors,
@@ -260,8 +260,7 @@ def run_recording_blocks(scenario, suite, monkeypatch):
         run["blocks"] = [x.size if isinstance(x, Block) else None for x in listed]
         return run_law(law, anchor, replace(cases, cases=listed), ok, witness)
 
-    for module in (catbundle.bundle, catbundle.twisted):
-        monkeypatch.setattr(module, "run_law", recording)
+    monkeypatch.setattr(catbundle.report, "run_law", recording)
     report = run_suite(Scenario.load(SCEN / f"{scenario}.json"), suite)
     assert len(runs) == len(report.records) + 1
     return report, runs[1:]
