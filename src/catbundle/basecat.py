@@ -14,13 +14,18 @@ junction as a binary tree node so that parallel transport of a composite is,
 by construction, the product of the transports of its pieces (`fold`). A
 scenario's PathCategory (dimension, eps_pt) is made by
 `Scenario.path_category()` alone. In a block a path base holds a PathBlock,
-the k paths of k cases: `source` and `target` give (k, dim) arrays of points,
-`identity` takes one, `compose` composes pairwise and raises
-CompositionUndefined if any pair does not meet, and `point_eq` and
-`morphism_eq` give per-case masks.
+the k paths of k cases as arrays: drawn paths are ids into a leaf table (their
+samples end to end, with offsets, and each as its SampledPath), and k
+composites are one tree node over two blocks. `source` and `target` gather
+(k, dim) points, `identity` takes them, `compose` checks all endpoints at once
+and adds one node, raising CompositionUndefined if any pair does not meet,
+and `point_eq` and `morphism_eq` give per-case masks, the latter from the
+blocks' samples end to end, deduplicating one path at a time only where a
+step within eps_pt is not an exact repeat.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -271,36 +276,147 @@ class SampledPath:
         return f"<SampledPath dim={self.dim} samples={len(self.samples)}>"
 
 
-class PathBlock:
-    """The paths of k cases of a block, in case order: `start` and `end` are
-    (k, dim) arrays, an int index gives one path and an index array a block."""
-    __slots__ = ("paths",)
+class LeafTable:
+    """Paths in one array: path j's samples are rows offsets[j]:offsets[j + 1]
+    of `points`, and `paths` keeps each as the SampledPath that a single case
+    is and that the transport twist keeps leaf values by."""
+    __slots__ = ("paths", "points", "offsets", "__weakref__")
 
     def __init__(self, paths):
         self.paths = tuple(paths)
+        self.offsets = _offsets([len(p.samples) for p in self.paths])
+        self.points = np.concatenate([p.samples for p in self.paths] or [np.empty((0, 1))])
+
+
+class PathBlock:
+    """The paths of k cases of a block, in case order, as arrays: drawn paths
+    are `ids` into a LeafTable (a block made from paths is a table of them),
+    composites one tree node, `pieces` = (first, second), over two blocks of
+    k paths. An int index gives one SampledPath, an index array a block."""
+    __slots__ = ("table", "ids", "pieces")
+
+    def __init__(self, paths=(), table: LeafTable | None = None, ids=None, pieces=None):
+        if table is None and pieces is None:
+            table = LeafTable(paths)
+            ids = np.arange(len(table.paths))
+        self.table, self.ids, self.pieces = table, ids, pieces
 
     def __len__(self) -> int:
-        return len(self.paths)
+        return len(self.ids) if self.pieces is None else len(self.pieces[0])
 
     def __iter__(self) -> Iterator[SampledPath]:
-        return iter(self.paths)
+        if self.pieces is None:
+            return map(self.table.paths.__getitem__, self.ids.tolist())
+        return map(self.__getitem__, range(len(self)))
 
     def __getitem__(self, i):
+        if self.pieces is None:
+            return PathBlock(table=self.table, ids=self.ids[i]) if isinstance(i, np.ndarray) \
+                else self.table.paths[self.ids[i]]
+        first, second = (piece[i] for piece in self.pieces)
         if isinstance(i, np.ndarray):
-            return PathBlock(map(self.paths.__getitem__, i.tolist()))
-        return self.paths[i]
+            return PathBlock(pieces=(first, second))
+        return compose_paths(second, first, math.inf)  # the block checked that they meet
+
+    @staticmethod
+    def where(mask: np.ndarray, a: "PathBlock", b: "PathBlock") -> "PathBlock":
+        """Case i of drawn block `a` where mask[i], else of `b`."""
+        ids = np.where(mask, a.ids, len(a.table.paths) + b.ids)
+        return PathBlock(table=LeafTable(a.table.paths + b.table.paths), ids=ids)
+
+    @property
+    def dim(self) -> int:
+        return self.pieces[0].dim if self.pieces else self.table.points.shape[1]
 
     @property
     def start(self) -> np.ndarray:
-        return np.array([p.start for p in self.paths])
+        t = self.table
+        return self.pieces[0].start if self.pieces else t.points[t.offsets[self.ids]]
 
     @property
     def end(self) -> np.ndarray:
-        return np.array([p.end for p in self.paths])
+        t = self.table
+        return self.pieces[1].end if self.pieces else t.points[t.offsets[self.ids + 1] - 1]
 
-    def leaves(self) -> Iterator[SampledPath]:
-        """The leaves of every path, each once, in order of first appearance."""
-        return iter(dict.fromkeys(leaf for p in self.paths for leaf in p.leaves()))
+    def fold(self, value, mul):
+        """`value(table, ids)` on drawn paths; on composites, the product
+        `mul(second, first)` of the pieces' folds, as `SampledPath.fold`."""
+        if self.pieces is None:
+            return value(self.table, self.ids)
+        return mul(self.pieces[1].fold(value, mul), self.pieces[0].fold(value, mul))
+
+    def fold_values(self, value, mul, kept: dict):
+        """The fold of a value per table path: `value(paths)` stacks those of
+        the paths that `kept` (table -> (values, known)) does not hold yet,
+        in one call, and `kept` keeps them."""
+        need = {}
+        for table, ids in self.fold(lambda table, ids: [(table, ids)], lambda b, a: a + b):
+            need.setdefault(table, np.zeros(len(table.paths), dtype=bool))[ids] = True
+        jobs = [(t, np.flatnonzero(m & ~kept[t][1] if t in kept else m)) for t, m in need.items()]
+        paths = [t.paths[j] for t, js in jobs for j in js.tolist()]
+        if paths:
+            got, at = value(paths), 0
+            for t, js in jobs:
+                values, known = kept.setdefault(t, (np.empty((len(t.paths), *got.shape[1:])),
+                                                    np.zeros(len(t.paths), dtype=bool)))
+                values[js], known[js] = got[at:at + len(js)], True
+                at += len(js)
+        return self.fold(lambda table, ids: kept[table][0][ids], mul)
+
+    def flat(self) -> tuple[np.ndarray, np.ndarray]:
+        """The k paths' samples end to end, bitwise each path's `samples`,
+        and the k + 1 offsets of their rows."""
+        if self.pieces is None:
+            t = self.table
+            lengths = np.diff(t.offsets)[self.ids]
+            return t.points[_ranges(t.offsets[self.ids], lengths)], _offsets(lengths)
+        (p1, o1), (p2, o2) = (piece.flat() for piece in self.pieces)
+        l1, l2 = np.diff(o1), np.diff(o2) - 1  # the second piece's first sample is the junction
+        offsets = _offsets(l1 + l2)
+        out = np.empty((offsets[-1], p1.shape[1]))
+        out[_ranges(offsets[:-1], l1)] = p1
+        out[_ranges(offsets[:-1] + l1, l2)] = p2[_ranges(o2[:-1] + 1, l2)]
+        return out, offsets
+
+    def dedup(self, tol: float = DEFAULT_PT_TOL) -> tuple[np.ndarray, np.ndarray]:
+        """`flat()` with each path deduplicated as `SampledPath.dedup`: all at
+        once where every step within `tol` repeats a sample exactly and two
+        samples stay, else one path at a time."""
+        points, offsets = self.flat()
+        steps = abs(np.diff(points, axis=0)).max(axis=1)
+        keep = np.concatenate([[True], steps > tol])
+        keep[offsets[:-1]] = True  # a path's first sample, after the step from the path before
+        kept, odd = _offsets(keep), _offsets((steps != 0) & ~(steps > tol))  # NaN is odd
+        counts = kept[offsets[1:]] - kept[offsets[:-1]]
+        if (counts > 1).all() and (odd[offsets[1:] - 1] == odd[offsets[:-1]]).all():
+            return points[keep], _offsets(counts)
+        out = [SampledPath(points[a:b]).dedup(tol) for a, b in zip(offsets[:-1], offsets[1:])]
+        return np.concatenate(out), _offsets([len(x) for x in out])
+
+
+def _offsets(lengths) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges starts[i] .. starts[i] + lengths[i] - 1, end to end."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def same_samples(a, b):
+    """Whether two paths have equal samples, none dropped: a bool, or a
+    per-case mask on two blocks (or on their `flat()`s)."""
+    if isinstance(a, SampledPath):
+        return bool(np.array_equal(a.samples, b.samples))
+    (pa, oa), (pb, ob) = (x.flat() if isinstance(x, PathBlock) else x for x in (a, b))
+    la = np.diff(oa)
+    same = (la == np.diff(ob)) & (pa.shape[1] == pb.shape[1])
+    cases = np.flatnonzero(same)
+    if len(cases):
+        rows = [_ranges(o[:-1][cases], la[cases]) for o in (oa, ob)]
+        same[np.repeat(cases, la[cases])[(pa[rows[0]] != pb[rows[1]]).any(axis=1)]] = False
+    return same
 
 
 def constant_path(point) -> SampledPath:
@@ -348,9 +464,13 @@ class PathCategory:
         return p.end
 
     def compose(self, gamma2, gamma1):
-        if isinstance(gamma1, PathBlock):  # the first pair that does not meet raises
-            return PathBlock(compose_paths(b, a, self.eps_pt) for b, a in zip(gamma2, gamma1))
-        return compose_paths(gamma2, gamma1, self.eps_pt)
+        """gamma2 ∘ gamma1; on two blocks, one endpoint check for all pairs,
+        raising CompositionUndefined if any does not meet, and one node."""
+        if not isinstance(gamma1, PathBlock):
+            return compose_paths(gamma2, gamma1, self.eps_pt)
+        if gamma1.dim != gamma2.dim or (abs(gamma1.end - gamma2.start).max(axis=-1) > self.eps_pt).any():
+            raise CompositionUndefined("paths in the block do not meet")
+        return PathBlock(pieces=(gamma1, gamma2))
 
     def point_eq(self, a, b):
         """Max-abs coordinate difference within eps_pt: a bool, or a per-case
@@ -364,7 +484,7 @@ class PathCategory:
         """Paths agree as morphisms when their deduplicated sample lists do;
         on two blocks, a per-case mask."""
         if isinstance(a, PathBlock):
-            return np.array([self.morphism_eq(x, y) for x, y in zip(a, b)], dtype=bool)
+            return same_samples(a.dedup(self.eps_pt), b.dedup(self.eps_pt))
         a, b = a.dedup(self.eps_pt), b.dedup(self.eps_pt)
         return a.shape == b.shape and bool(np.array_equal(a, b))
 
@@ -377,9 +497,9 @@ class PathCategory:
         if n_segments is None:
             n_segments = int(rng.integers(1, 4))
         u = rng.random((n_segments + (start is None), self.dim))
-        rows = -scale + 2 * scale * u  # low + (high - low)·u, as `uniform` computes it
-        if start is None:
-            rows[0] = -1.0 + 2.0 * u[0]
-        else:
-            rows = np.vstack([np.asarray(start, dtype=float), rows])
-        return SampledPath(np.cumsum(rows, axis=0))
+        rows = 2 * scale * u - scale  # low + (high - low)·u, as `uniform` computes it
+        if start is not None:
+            rows = np.concatenate([np.asarray(start, dtype=float)[None], rows])
+        elif scale != 1.0:
+            rows[0] = 2.0 * u[0] - 1.0
+        return SampledPath(rows.cumsum(axis=0))

@@ -116,8 +116,22 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+def _signed_values(argv: list[str]) -> list[str]:
+    """argv with a value that starts with one `-` after a tolerance option,
+    such as -1e-3 or -inf, joined to it (--eps-grp=-1e-3): argparse would
+    read it as an option, and the tolerance check would not name it."""
+    out: list[str] = []
+    flags = [f"--eps-{key}" for key in TOLERANCES]
+    for arg in argv:
+        if out and out[-1] in flags and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "run":
             return cmd_run(args)

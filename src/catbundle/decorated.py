@@ -14,22 +14,29 @@ later factor always on the left. Carrying f - I keeps transports orthogonal to
 about 1e-15 even over thousands of substeps. Segment products are then
 left-folded in path order.
 
-The leaves one call needs (a block's, less those EtaMap keeps, or one path's)
-are integrated stacked, in chunks of at most about CHUNK factors so that
-memory stays bounded: the connection is evaluated once per chunk, not per
-segment, then one `skew_expm1_batch` and one `_ordered_product` run over its
-(segments, steps, n, n) stack. Every operation acts on one segment's values
-alone, so a leaf's transport is bitwise the same whatever shares its call.
+The leaves one call needs (the leaf-table paths a PathBlock uses, less those
+EtaMap keeps, or one path's) are integrated stacked, in chunks of at most
+about CHUNK factors so that memory stays bounded: the connection is evaluated
+once per chunk, not per segment, then one `skew_expm1_batch` and one
+`_ordered_product` run over its (segments, steps, n, n) stack. Every
+operation acts on one segment's values alone, so a leaf's transport is
+bitwise the same whatever shares its call.
 
 Transport of a composed path is the product of the transports of its pieces
 by construction: SampledPath records composition as a binary tree, and
-transport folds its leaves' values over it. Because a segment's factor depends
-only on its own endpoints and `steps`, these hold bit-for-bit: a composite
-equals the product of its pieces (the twist homomorphism law, Eq 6.18), a
-multi-segment leaf equals the ordered product of its single-segment leaves,
-and a zero connection gives exactly the identity. The pairwise product
-reassociates the substep product, so it matches a sequential left-multiplying
-loop only to roundoff (within 1e-12).
+transport folds its leaves' values over it; on a PathBlock, the values of its
+table paths are indexed by id and folded over its composition tree, one
+stacked matmul per node. Because a segment's factor depends only on its own
+endpoints and `steps`, these hold bit-for-bit: a composite equals the product
+of its pieces (the twist homomorphism law, Eq 6.18), a multi-segment leaf
+equals the ordered product of its single-segment leaves, and a zero
+connection gives exactly the identity. The pairwise product reassociates the
+substep product, so it matches a sequential left-multiplying loop only to
+roundoff (within 1e-12).
+
+Prop 6.2 is checked in blocks: its pairs are a sampled CaseSpace drawn up
+front (`composable_pairs`), and the laws on single morphisms check the dm2,
+then the dm1, of each pair, as blocks over the same draws.
 """
 from __future__ import annotations
 
@@ -39,12 +46,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .basecat import PathBlock, PathCategory, SampledPath, constant_path
+from .basecat import PathBlock, PathCategory, SampledPath, constant_path, same_samples
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
 from .groups import SpecialOrthogonalGroup, StructuralError, all_cases, is_skew, skew_expm1_batch
 from .report import CaseSpace, LawReport, Plan
 from .stream import Stream, Streams, seed_zero
-from .twisted import EtaMap, TwistedBundle, TwistedMorphism
+from .twisted import EtaMap, TwistedBundle, TwistedMorphism, element_draws
 
 DEFAULT_STEPS = 200
 DEFAULT_ISO_TOL = 1e-6
@@ -145,21 +152,27 @@ def _leaf_transports(conn: Connection, leaves, steps: int) -> np.ndarray:
     return out
 
 
+def _transports(conn: Connection, paths: list, steps: int) -> np.ndarray:
+    """The transports of paths, stacked: their distinct leaves integrated
+    together, and a composite the ordered product of its leaves'."""
+    if all(p.pieces is None for p in paths):
+        return _leaf_transports(conn, paths, steps)
+    leaves = list(dict.fromkeys(leaf for p in paths for leaf in p.leaves()))
+    values = dict(zip(leaves, _leaf_transports(conn, leaves, steps)))
+    return np.array([p.fold(values.__getitem__, np.matmul) for p in paths])
+
+
 def parallel_transport(conn: Connection, path, steps: int = DEFAULT_STEPS) -> np.ndarray:
     """End value of the horizontal-lift ODE along the path, or a (k, n, n)
-    stack of them along the paths of a PathBlock: the distinct leaves are
-    integrated together, and a composite is the (ordered) product of its
-    pieces' transports."""
-    block = isinstance(path, PathBlock)
-    paths = path.paths if block else (path,)
-    for p in paths:
-        if p.dim != conn.base_dim:
-            raise StructuralError(
-                f"path dimension {p.dim} != connection base dimension {conn.base_dim}")
-    leaves = list(PathBlock(paths).leaves())
-    values = dict(zip(leaves, _leaf_transports(conn, leaves, steps)))
-    out = [p.fold(values.__getitem__, np.matmul) for p in paths]
-    return np.array(out) if block else out[0]
+    stack of them along the paths of a PathBlock: the table paths it uses
+    are integrated together, and a composite node is the stacked product of
+    its pieces' transports."""
+    if path.dim != conn.base_dim:
+        raise StructuralError(
+            f"path dimension {path.dim} != connection base dimension {conn.base_dim}")
+    if isinstance(path, PathBlock):
+        return path.fold_values(lambda paths: _transports(conn, paths, steps), np.matmul, {})
+    return _transports(conn, [path], steps)[0]
 
 
 def eta_from_connection(base: PathCategory, cm: CrossedModule, conn: Connection,
@@ -232,7 +245,7 @@ class DecoratedBundle:
         cm = self.cm
         t1 = self.target(dm1)
         s2 = self.source(dm2)
-        if not self.base.point_eq(t1[0], s2[0]):
+        if not all_cases(self.base.point_eq(t1[0], s2[0])):
             raise CompositionUndefined(
                 f"decorated base endpoints do not match: {t1[0]} vs {s2[0]}",
                 target_value=t1[0], source_value=s2[0])
@@ -247,7 +260,7 @@ class DecoratedBundle:
 
     def morphism_eq(self, d1: DecoratedMorphism, d2: DecoratedMorphism):
         cm = self.cm
-        return (bool(np.array_equal(d1.gamma.samples, d2.gamma.samples))
+        return (same_samples(d1.gamma, d2.gamma)
                 & cm.G.eq(d1.g_start, d2.g_start) & cm.H.eq(d1.h, d2.h))
 
     # -- the isomorphism onto the twisted product (gamma-bar·g, h) -> (gamma, g·h) --
@@ -266,40 +279,57 @@ class DecoratedBundle:
         return TwistedBundle(self.base, self.cm, self.eta)
 
 
-def seeded_composable_pairs(db: DecoratedBundle, n_pairs: int, rng: Stream):
-    """Deterministic catalog of composable decorated-morphism pairs on paths of
-    two steps of at most 0.8 per coordinate; the second start solves the first
-    target. No draw depends on a target, so every pair is drawn first and the
-    twist meets all their paths in one call (one stacked transport)."""
-    cm = db.cm
-    drawn = []
-    for _ in range(n_pairs):
-        gamma1 = db.base.random_path(rng, n_segments=2, scale=0.8)
-        dm1 = DecoratedMorphism(gamma1, cm.G.sample(rng), cm.H.sample(rng))
-        gamma2 = db.base.random_path(rng, n_segments=2, start=gamma1.end, scale=0.8)
-        drawn.append((dm1, gamma2, cm.H.sample(rng)))
-    if drawn:
-        db.eta(PathBlock(gamma for dm1, gamma2, _ in drawn for gamma in (dm1.gamma, gamma2)))
-    return [(DecoratedMorphism(gamma2, db.target(dm1)[1], h2), dm1) for dm1, gamma2, h2 in drawn]
+def composable_pairs(db: DecoratedBundle, count: int | None = None) -> CaseSpace:
+    """Seeded composable pairs (dm2, dm1) on paths of two steps of at most
+    0.8 per coordinate, each drawn as gamma1, g, h1, gamma2, h2: gamma2
+    starts where gamma1 ends, and dm2 at dm1's target, so no draw depends on
+    a transport."""
+    base, (draw_g, g_of), (draw_h, h_of) = db.base, element_draws(db.cm.G), element_draws(db.cm.H)
+
+    def draw(rng):
+        gamma1 = base.random_path(rng, n_segments=2, scale=0.8)
+        return (gamma1, draw_g(rng), draw_h(rng),
+                base.random_path(rng, n_segments=2, start=gamma1.end, scale=0.8), draw_h(rng))
+
+    def build(gamma1, g, h1, gamma2, h2):
+        dm1 = DecoratedMorphism(gamma1, g_of(g), h_of(h1))
+        return DecoratedMorphism(gamma2, db.target(dm1)[1], h_of(h2)), dm1
+
+    return CaseSpace.sampled(draw, count, build)
 
 
 def verify_prop62(cm: CrossedModule, eta: EtaMap, n_pairs: int = 50,
                   streams: Streams = seed_zero, rng: Stream | None = None,
                   eps_iso: float = DEFAULT_ISO_TOL) -> LawReport:
-    """Certify the decorated/twisted isomorphism on a seeded catalog of
-    composable pairs: boundary preservation, composition preservation,
+    """Certify the decorated/twisted isomorphism on seeded composable pairs
+    over SO(n): boundary preservation, composition preservation,
     equivariance, bijectivity (explicit inverse), identity-on-objects. The
-    pairs, which every law checks, are drawn from `rng`; the equivariance
-    law's acting morphisms from its own stream."""
+    pairs are drawn from `rng`; the other laws check their morphisms, dm2
+    then dm1 of each pair, and the equivariance law acts on each by one
+    morphism from its own stream. Every law runs in blocks."""
     rng = rng or Stream(0)
     report = LawReport(suite="prop62")
     db = DecoratedBundle(cm, eta)
     tb = db.twisted()
-    pairs = Plan(seeded_composable_pairs(db, n_pairs, rng), exhaustive=False)
-    singles = Plan([dm for p in pairs for dm in p], exhaustive=False)
+    pairs = composable_pairs(db, n_pairs).drawn(n_pairs, rng)
+    acting = cm.morphism_space(2 * n_pairs).drawn(2 * n_pairs, streams("theta-equivariance"))
+
+    def single(p, side):  # morphism `side` of pair p: 0 its dm2, 1 its dm1
+        pair = pairs.build(p)
+        if not isinstance(side, np.ndarray):
+            return pair[side]
+        second, (dm2, dm1) = side == 0, pair
+        return DecoratedMorphism(PathBlock.where(second, dm2.gamma, dm1.gamma), *(
+            np.where(second[:, None, None], a, b)
+            for a, b in ((dm2.g_start, dm1.g_start), (dm2.h, dm1.h))))
+
+    def every(space):  # all its cases, in blocks, for the laws that share them
+        return Plan(list(space.plan(space.size, rng)), exhaustive=False)
+
+    singles = every(CaseSpace.product(range(n_pairs), range(2), build=single))
 
     def close_g(a, b):
-        return bool(np.max(np.abs(np.asarray(a) - np.asarray(b))) <= eps_iso)
+        return abs(np.asarray(a) - np.asarray(b)).max(axis=(-2, -1)) <= eps_iso
 
     for end in ("source", "target"):  # theta keeps each boundary
         def same_end(dm, end=end):
@@ -312,7 +342,7 @@ def verify_prop62(cm: CrossedModule, eta: EtaMap, n_pairs: int = 50,
         return db.theta(db.compose(*p)), tb.compose(db.theta(p[0]), db.theta(p[1]))
 
     def same_twisted(lhs, rhs):
-        return (np.array_equal(lhs.gamma.samples, rhs.gamma.samples)
+        return (same_samples(lhs.gamma, rhs.gamma)
                 & close_g(lhs.m.h, rhs.m.h) & close_g(lhs.m.g, rhs.m.g))
 
     def composition_witness(p):
@@ -321,32 +351,28 @@ def verify_prop62(cm: CrossedModule, eta: EtaMap, n_pairs: int = 50,
                 "dh": float(np.max(np.abs(np.asarray(lhs.m.h) - np.asarray(rhs.m.h))))}
 
     report.law(
-        "theta-composition", "Eq 6.35", pairs, lambda p: same_twisted(*composites(p)),
+        "theta-composition", "Eq 6.35", every(pairs), lambda p: same_twisted(*composites(p)),
         composition_witness)
 
-    # each morphism is acted on by one fresh sample, drawn as the law reaches it
-    acting = streams("theta-equivariance")
-    acted = Plan(((dm, cm.sample_morphism(acting)) for dm in singles), exhaustive=False)
     report.law(
-        "theta-equivariance", "Eq 6.24", acted,
+        "theta-equivariance", "Eq 6.24",
+        every(CaseSpace.product(range(n_pairs), range(2),
+                                build=lambda p, side: (single(p, side), acting.build(2 * p + side)))),
         lambda p: same_twisted(db.theta(db.act(*p)), tb.act(db.theta(p[0]), p[1])),
         lambda p: {"case": "equivariance"},
     )
 
-    def roundtrip_failure(dm) -> str | None:
+    def roundtrip(dm) -> dict:  # each check, in the order a witness names the first failing one
         back = db.theta_inverse(db.theta(dm))
-        if not np.array_equal(back.gamma.samples, dm.gamma.samples):
-            return "path-changed"
-        if not (close_g(back.g_start, dm.g_start) and close_g(back.h, dm.h)):
-            return "group-parts"
         fwd, want = db.theta(back), db.theta(dm)
-        if not (close_g(fwd.m.h, want.m.h) and close_g(fwd.m.g, want.m.g)):
-            return "inverse-roundtrip"
-        return None
+        return {"path-changed": same_samples(back.gamma, dm.gamma),
+                "group-parts": close_g(back.g_start, dm.g_start) & close_g(back.h, dm.h),
+                "inverse-roundtrip": close_g(fwd.m.h, want.m.h) & close_g(fwd.m.g, want.m.g)}
 
     report.law(
         "theta-inverse-roundtrip", "Eq 6.31", singles,
-        lambda dm: roundtrip_failure(dm) is None, lambda dm: {"case": roundtrip_failure(dm)},
+        lambda dm: np.logical_and.reduce(list(roundtrip(dm).values())),
+        lambda dm: {"case": next(k for k, held in roundtrip(dm).items() if not held)},
     )
 
     report.law(

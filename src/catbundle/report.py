@@ -70,8 +70,10 @@ class CaseSpace:
     `count` is None. `draw(rng)` draws one case's parts; where `width` is set
     and `draw` is not, the parts are one row of `width` uniforms, so k cases
     are built at once from a (k, width) array, bitwise k draws. A sampled
-    product keeps its `axes`, each drawn in turn. Sequences serve as finite
-    axes as they are (a `range`, as codes).
+    product keeps its `axes`, each drawn in turn; `draw` gives an axis whose
+    parts are uniforms as its row of them, which its cases are built from
+    stacked (`_built_parts`). Sequences serve as finite axes as they are (a
+    `range`, as codes).
     """
 
     def __init__(self, size: int | None, build: Callable, decode: Callable | None = None,
@@ -138,8 +140,8 @@ class CaseSpace:
             count = math.prod(a.count for a in axes)
         width = (sum(a.width for a in axes)
                  if all(_is_sampled(a) and a.width is not None for a in axes) else None)
-        return CaseSpace(None, build, draw=lambda rng: [_case(a, rng) for a in axes],
-                         width=width, count=count, axes=axes)
+        return CaseSpace(None, build, width=width, count=count, axes=axes, draw=lambda rng: [
+            rng.random(a.width) if a.width is not None else _case(a, rng) for a in axes])
 
     def plan(self, budget: int, rng) -> "Plan":
         """The cases a law checks: the whole finite space in order when it
@@ -160,6 +162,12 @@ class CaseSpace:
             return Plan(_decoded(self, range(self.size)), exhaustive=True, space=self.size)
         return Plan(_decoded(self, _picks(rng, self.size, budget)), exhaustive=False,
                     space=self.size)
+
+    def drawn(self, budget: int, rng) -> "CaseSpace":
+        """A sampled space made finite as `plan` makes it, every draw made
+        now: a finite space of the cases drawn, in order, for the plans of
+        several laws, which build its cases once."""
+        return _made_finite(self, budget, rng, reused=True)
 
 
 # cases per block: a block is part columns (int codes, or draw numbers into
@@ -215,37 +223,57 @@ def _decoded(space: CaseSpace, indices):
         yield from _block(len(chunk), singles, part)
 
 
-def _made_finite(space: CaseSpace, budget: int, rng) -> CaseSpace:
+def _made_finite(space: CaseSpace, budget: int, rng, reused: bool = False) -> CaseSpace:
     """A sampled space made finite: drawn as one unit when its axes are all
     open, `count` times, or `budget` times where it has no count; else a
     product of its axes, each sampled one drawn up front in turn, `count`
     times or (the one open axis) max(1, budget // the size of the others)
     times."""
     if all(_is_sampled(a) and a.count is None for a in space.axes):
-        return _drawn_axis(space, budget if space.count is None else space.count, rng)
+        return _drawn_axis(space, budget if space.count is None else space.count, rng, reused)
     counts = [(a.count if _is_sampled(a) else _size(a)) for a in space.axes]
     if counts.count(None) > 1:
         raise ValueError("a product may sample at most one axis beside enumerated ones")
     draws = max(1, budget // max(1, math.prod(c for c in counts if c is not None)))
-    return CaseSpace.product(*(_drawn_axis(a, draws if c is None else c, rng) if _is_sampled(a)
-                               else a for a, c in zip(space.axes, counts)), build=space.build)
+    return CaseSpace.product(*(_drawn_axis(a, draws if c is None else c, rng, reused=True)
+                               if _is_sampled(a) else a for a, c in zip(space.axes, counts)),
+                             build=space.build)
 
 
-def _drawn_axis(axis: CaseSpace, n: int, rng):
+def _drawn_axis(axis: CaseSpace, n: int, rng, reused: bool = False):
     """n draws of a sampled space as a finite one, coded by draw number, whose
     cases are built from the draws kept: one (n, width) array of uniforms
     where its parts are uniforms (8·width bytes a case), else each draw's
     parts, stacked, or listed as built cases where they do not stack. The
     draws are those of n cases drawn in turn, and a case is built alike
-    whether alone or in a block."""
+    whether alone or in a block. The cases of an axis `reused` by many
+    cases (crossed with other axes in a product, or drawn for several plans)
+    are built once, when a block first needs them, and each block takes its
+    own (`_take`)."""
     if axis.width is not None:
         u = rng.random((n, axis.width))
-        return CaseSpace.coded(n, 1, lambda i: [i], lambda i: _uniform(axis, u[i]))
+        return _built_once(n, lambda i: _uniform(axis, u[i]), reused)
     parts = [tuple(axis.draw(rng)) for _ in range(n)]
     stacked = _stack(parts)
     if stacked is None:
-        return CaseSpace.finite(list(itertools.starmap(axis.build, parts)))
-    return CaseSpace.coded(n, 1, lambda i: [i], lambda i: axis.build(*_take(stacked, i)))
+        return CaseSpace.finite([axis.build(*_built_parts(axis, p)) for p in parts])
+    stacked = _built_parts(axis, stacked)  # a product's uniform-drawn axes, built stacked once
+    return _built_once(n, lambda i: axis.build(*_take(stacked, i)), reused)
+
+
+def _built_once(n: int, build: Callable, reused: bool) -> CaseSpace:
+    """The n draws coded by draw number, case i `build(i)`; where they are
+    reused, a block's cases are taken from `build` of all n, made once."""
+    built = []
+
+    def take(i):
+        if not (reused and isinstance(i, np.ndarray)):
+            return build(i)
+        if not built:
+            built.append(build(np.arange(n)))
+        return _take(built[0], i)
+
+    return CaseSpace.coded(n, 1, lambda i: [i], take)
 
 
 def _finite_product(axes: tuple, build: Callable) -> CaseSpace:
@@ -289,9 +317,16 @@ def _singles(space: CaseSpace, columns: list):
 
 def _case(space: CaseSpace, rng):
     """One seeded case of a sampled space."""
-    if space.draw is None:
-        return space.build(rng.random(space.width))
-    return space.build(*space.draw(rng))
+    if space.width is not None:
+        return _uniform(space, rng.random(space.width))
+    return space.build(*_built_parts(space, space.draw(rng)))
+
+
+def _built_parts(space: CaseSpace, parts) -> tuple:
+    """The parts of a case, or of stacked cases, as drawn: a product draws
+    each axis whose parts are uniforms as its row of them, built here."""
+    return tuple(_uniform(a, p) if a.width is not None else p for a, p in zip(space.axes, parts)
+                 ) if space.axes else tuple(parts)
 
 
 def _uniform(space: CaseSpace, u: np.ndarray):

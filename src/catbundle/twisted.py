@@ -21,14 +21,17 @@ The coded spaces give the cases of nested loops, in their order; a single
 case holds a QuiverMorphism and Python ints.
 
 On a path base the laws run in blocks too: a block's TwistedMorphism holds a
-PathBlock and SO(n) stacks, and eta on a PathBlock is one (k, n, n) stack. A
-transport twist keeps the values of the path leaves it has met while those
-leaves live, integrates the leaves a call has not met in one stacked call,
-and folds each path's value from its leaves', so a composite is the product
-of its cached pieces.
+PathBlock (`basecat`: drawn paths as ids into a leaf table, composites as
+one tree node over two blocks) and SO(n) stacks, and eta on a PathBlock is
+one (k, n, n) stack. A transport twist keeps the value of each table path
+it has met while the table lives, and of each leaf while the leaf lives;
+it integrates the leaves a call has not met in one stacked call, indexes
+the values by id, and folds them over the tree with one stacked G.mul per
+node, so a composite is the product of its cached pieces.
 """
 from __future__ import annotations
 
+import itertools
 import weakref
 from dataclasses import dataclass
 from typing import Callable
@@ -60,7 +63,8 @@ class EtaMap:
     Transport mode (`decorated.eta_from_connection`) calls `fn` on a
     PathBlock of directly-sampled paths, which gives their values stacked;
     the value of any path is the product of its leaves' values over its
-    composition tree, and a leaf's value is kept while the leaf lives.
+    composition tree. The values of a block's table paths are kept by table
+    while the table lives, and a leaf's while the leaf lives.
     """
 
     def __init__(self, base, cm: CrossedModule, fn: Callable, kind: str = "raw"):
@@ -70,26 +74,29 @@ class EtaMap:
         self.kind = kind
         self._by_code = CodeTable(base, fn)
         self._leaves = weakref.WeakKeyDictionary()  # transport mode: leaf -> value
+        self._tables = weakref.WeakKeyDictionary()  # transport mode: table -> (values, known)
 
     def __call__(self, gamma):
         if self.kind == "transport":
-            return self._transport(gamma)
+            if isinstance(gamma, PathBlock):
+                return gamma.fold_values(self._values, self.cm.G.mul, self._tables)
+            return self._values([gamma])[0]
         if isinstance(gamma, np.ndarray):
             return self._by_code(gamma)
         if isinstance(gamma, PathBlock):
             return np.array([self._fn(p) for p in gamma])
         return self._fn(gamma)
 
-    def _transport(self, gamma):
-        """The product of the leaf values of one path, or their stack over a
-        PathBlock; the leaves not yet kept go through `fn` as one block."""
-        block = gamma if isinstance(gamma, PathBlock) else PathBlock((gamma,))
+    def _values(self, paths):
+        """The values of paths, stacked: each the product of its leaves'
+        over its tree, the leaves not yet kept going through `fn` as one
+        block."""
         values = self._leaves
-        missing = [leaf for leaf in block.leaves() if leaf not in values]
+        leaves = dict.fromkeys(leaf for p in paths for leaf in p.leaves())
+        missing = [leaf for leaf in leaves if leaf not in values]
         if missing:
             values.update(zip(missing, self._fn(PathBlock(missing))))
-        out = [p.fold(values.__getitem__, self.cm.G.mul) for p in block]
-        return out[0] if block is not gamma else np.array(out)
+        return np.array([p.fold(values.__getitem__, self.cm.G.mul) for p in paths])
 
     @staticmethod
     def trivial(base, cm: CrossedModule) -> "EtaMap":
@@ -246,18 +253,33 @@ def composable_chains(bundle: TwistedBundle, n: int) -> CaseSpace:
                     [(morphism(gamma), h) for gamma, h in zip(rest[::2], rest[1::2])])
 
     if not coded:  # the parts (gamma1, h1, g1, gamma2, h2, ...), drawn in that order
+        (draw_h, h_of), (draw_g, g_of) = element_draws(cm.H), element_draws(cm.G)
+
         def parts(rng):
             gamma = base.random_path(rng)
-            out = [gamma, cm.H.sample(rng), cm.G.sample(rng)]
+            out = [gamma, draw_h(rng), draw_g(rng)]
             for _ in range(n - 1):
                 gamma = base.random_path(rng, start=gamma.end)
-                out += [gamma, cm.H.sample(rng)]
+                out += [gamma, draw_h(rng)]
             return out
 
-        return CaseSpace.sampled(parts, build=build)
+        def built(gamma1, h1, g1, *rest):
+            return build(gamma1, h_of(h1), g_of(g1), *itertools.chain.from_iterable(
+                (gamma, h_of(h)) for gamma, h in zip(rest[::2], rest[1::2])))
+
+        return CaseSpace.sampled(parts, build=built)
 
     size, codes = _chain_codes(base, n, len(cm.H.elements), len(cm.G.elements))
     return CaseSpace.coded(size, 2 * n + 1, codes, build)
+
+
+def element_draws(group):
+    """How a case draws a sample of `group`, and how its cases are built from
+    the draws: an SO(n) element as the row of uniforms `sample` draws, built
+    stacked in a block by `sample_stack`; a finite one as it is."""
+    if group.width is None:
+        return group.sample, lambda x: x
+    return (lambda rng: rng.random(group.width)), group.sample_stack
 
 
 def _chain_codes(base: QuiverCategory, n: int, nh: int, ng: int):

@@ -475,3 +475,14 @@ def test_malformed_so_element_spec_is_input_error(module, spec, tmp_path, capsys
     for suite in ("prop41-section", "prop42-correspondence"):
         assert run_cli("run", "--scenario", str(f), "--suite", suite) == 2, suite
         assert capsys.readouterr().err.startswith("error:"), suite
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-inf", "-0.5"])
+@pytest.mark.parametrize("key", ["grp", "pt", "iso"])
+def test_a_negative_tolerance_reaches_the_tolerance_check(key, value, capsys):
+    # a negative value after the option, as after an `=`, is a malformed
+    # tolerance: exit 2 naming it, not an argparse complaint about the option
+    for argv in ([f"--eps-{key}", value], [f"--eps-{key}={value}"]):
+        assert run_cli("run", "--scenario", str(SCEN / "so3_decorated.json"), *argv) == 2
+        err = capsys.readouterr().err
+        assert f"tolerance '{key}' must be finite and > 0" in err and "expected one argument" not in err

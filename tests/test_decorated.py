@@ -9,10 +9,10 @@ from catbundle.decorated import (
     Connection,
     DecoratedBundle,
     DecoratedMorphism,
+    composable_pairs,
     eta_from_connection,
     observed_order,
     parallel_transport,
-    seeded_composable_pairs,
     verify_prop62,
     verify_transport_numerics,
 )
@@ -193,7 +193,7 @@ def test_dec_compose_boundaries_and_decoration_order():
     eta = eta_from_connection(PathCategory(1), SO2, so2_constant(0.5), 100)
     db = DecoratedBundle(SO2, eta)
     rng = np.random.default_rng(5)
-    (dm2, dm1), = seeded_composable_pairs(db, 1, rng)
+    (dm2, dm1), = composable_pairs(db, 1).drawn(1, rng)
     comp = db.compose(dm2, dm1)
     assert np.allclose(comp.g_start, dm1.g_start, atol=0)
     assert np.allclose(comp.h, dm1.h @ dm2.h, atol=1e-14)  # h1·h2, not h2·h1
@@ -255,7 +255,7 @@ def test_theta_composition_identity_so2_direct():
     db = DecoratedBundle(SO2, eta)
     tb = db.twisted()
     rng = np.random.default_rng(11)
-    for dm2, dm1 in seeded_composable_pairs(db, 5, rng):
+    for dm2, dm1 in composable_pairs(db, 5).drawn(5, rng):
         lhs = db.theta(db.compose(dm2, dm1))
         rhs = tb.compose(db.theta(dm2), db.theta(dm1))
         assert np.array_equal(lhs.gamma.samples, rhs.gamma.samples)

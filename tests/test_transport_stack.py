@@ -2,9 +2,11 @@
 bitwise the per-segment reference's, whatever else shares its stacked call
 and wherever a chunk boundary falls; the twist keeps leaf values only while
 their leaves live; a path base's maps act on PathBlocks case by case; the
-transport-convergence laws on stacked transports give the per-path records,
-errors included; and an SO(3) module that fails on some sampled cases,
-twisted by a connection, gives the reports of its committed goldens."""
+shipped path laws, prop62's too, pass in whole blocks, and prop62 with a
+broken theta gives the per-case records; the transport-convergence laws on
+stacked transports give the per-path records, errors included; and an SO(3)
+module that fails on some sampled cases, twisted by a connection, gives the
+reports of its committed goldens."""
 import gc
 import json
 from pathlib import Path
@@ -14,9 +16,10 @@ import pytest
 
 from catbundle import decorated
 from catbundle.basecat import PathBlock, PathCategory, SampledPath, compose_paths, constant_path
-from catbundle.crossed import CompositionUndefined, get_module
+from catbundle.crossed import CompositionUndefined, TwoGroupMorphism, get_module
 from catbundle.decorated import (
     Connection,
+    DecoratedBundle,
     eta_from_connection,
     observed_order,
     parallel_transport,
@@ -27,6 +30,7 @@ from catbundle.stream import Stream
 from catbundle.suites import run_suite
 from catbundle.twisted import (
     TwistedBundle,
+    TwistedMorphism,
     verify_action_functorial,
     verify_E_properties,
     verify_twisted_bundle,
@@ -188,14 +192,53 @@ def test_path_category_maps_act_on_blocks_case_by_case():
         cat.compose(PathBlock([q[0], q[0], q[2], q[3]]), P)  # the second pair does not meet
 
 
-@pytest.mark.parametrize("suite", ["twisted-bundle", "e-action"])
-def test_shipped_path_laws_pass_in_whole_blocks(suite, monkeypatch):
+@pytest.mark.parametrize("scenario, suite, laws", [
+    ("so2_transport", "twisted-bundle", 8), ("so2_transport", "e-action", 7),
+    ("so2_transport", "prop62", 6), ("so3_decorated", "prop62", 6)],
+    ids=["twisted-bundle", "e-action", "prop62", "so3_decorated-prop62"])
+def test_shipped_path_laws_pass_in_whole_blocks(scenario, suite, laws, monkeypatch):
     # every plan item is a Block, and its mask holds on every case
-    raw = json.loads((SCEN / "so2_transport.json").read_text())
+    raw = json.loads((SCEN / f"{scenario}.json").read_text())
     seen = whole_blocks(monkeypatch)
     assert run_suite(Scenario(raw), suite).passed
-    assert len(seen) == (8 if suite == "twisted-bundle" else 7)
-    assert all(singles == 0 for _, singles in seen.values())
+    assert len(seen) == laws
+    assert all(blocks > 0 and singles == 0 for blocks, singles in seen.values())
+
+
+THETA = DecoratedBundle.theta
+
+
+def theta_without_alpha(db, dm):
+    """A broken isomorphism: the decoration kept as it is, not moved by alpha."""
+    return TwistedMorphism(dm.gamma, TwoGroupMorphism(dm.h, dm.g_start))
+
+
+def theta_without_alpha_on_some(db, dm):
+    """theta, except that h is not moved by alpha where g_start[0, 0] > 0.5."""
+    right = THETA(db, dm)
+    wrong = np.asarray(dm.g_start)[..., 0, 0] > 0.5
+    return TwistedMorphism(dm.gamma, TwoGroupMorphism(
+        np.where(wrong[..., None, None], dm.h, right.m.h), dm.g_start))
+
+
+@pytest.mark.parametrize("theta", [theta_without_alpha, theta_without_alpha_on_some])
+@pytest.mark.parametrize("scenario", ["so2_transport", "so3_decorated"])
+def test_prop62_with_a_broken_theta_gives_the_per_case_records(scenario, theta, monkeypatch):
+    # on SO(3), where alpha moves h, every law that reads theta's h fails;
+    # SO(2) is abelian and every law holds
+    monkeypatch.setattr(DecoratedBundle, "theta", theta)
+    sc = Scenario(json.loads((SCEN / f"{scenario}.json").read_text()))
+    blocked = run_suite(sc, "prop62")
+    with per_case_plans():
+        per_case = run_suite(sc, "prop62")
+    assert blocked.to_jsonl() == per_case.to_jsonl()
+    failing = {r.law: r.checks for r in blocked.records if not r.passed}
+    if scenario == "so2_transport":
+        assert failing == {}
+    else:
+        assert sorted(failing) == ["theta-composition", "theta-equivariance",
+                                   "theta-inverse-roundtrip", "theta-target"]
+        assert (max(failing.values()) > 1) == (theta is theta_without_alpha_on_some)
 
 
 def non_skew(kind: str) -> Connection:
