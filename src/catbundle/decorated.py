@@ -5,34 +5,33 @@ isomorphism onto the twisted-product bundle, over a path base that is passed
 in (a scenario's is `Scenario.path_category()`).
 
 Transport solves g'(u)·g(u)^-1 = -A(gamma'(u)), g(0) = e, by midpoint
-exponential Euler. Each segment [a, b] of a directly-sampled path (a leaf) is
-split into `steps` equal substeps of displacement d, at midpoints
-a + (j+1/2)·d; the factors f[j] = exp(-A(mid_j)·d) are formed in closed form
-(the angle for SO(2), Rodrigues for SO(3)) and kept as f[j] - I, and their
-ordered product f[steps-1]···f[0] is taken by pairwise tree reduction, the
-later factor always on the left. Carrying f - I keeps transports orthogonal to
-about 1e-15 even over thousands of substeps. Segment products are then
-left-folded in path order.
-
-The leaves one call needs (the leaf-table paths a PathBlock uses, less those
-EtaMap keeps, or one path's) are integrated stacked, in chunks of at most
-about CHUNK factors so that memory stays bounded: the connection is evaluated
-once per chunk, not per segment, then one `skew_expm1_batch` and one
-`_ordered_product` run over its (segments, steps, n, n) stack. Every
+exponential Euler: each segment of a directly-sampled path (a leaf) is split
+into `steps` substeps of displacement d, with factors f[j] = exp(-A(mid_j)·d),
+and segment products are left-folded in path order. A is constant plus linear
+in position, so A(mid_j)·d = first + j·slope: one `evaluate` gives `first`,
+its skew check at the first and the last midpoint covers every substep (the
+residual is affine in j too), and slope = d·linear·d. SO(2) factors commute:
+a segment's product is the rotation by minus their summed angles, exact for
+linear connections too (SO(2) convergence orders read inf). SO(3) factors are
+built from their rotation vectors as f - I and multiplied by pairwise tree
+reduction, the later factor on the left, CHUNK factors at a time; carrying
+f - I keeps transports orthogonal to about 1e-15 over thousands of substeps.
+The leaves a call needs (a PathBlock's table paths less those EtaMap keeps)
+are integrated stacked, constant paths only giving identities at once; every
 operation acts on one segment's values alone, so a leaf's transport is
-bitwise the same whatever shares its call.
+bitwise the same whatever shares its call and wherever a chunk ends.
 
 Transport of a composed path is the product of the transports of its pieces
 by construction: SampledPath records composition as a binary tree, and
 transport folds its leaves' values over it; on a PathBlock, the values of its
 table paths are indexed by id and folded over its composition tree, one
-stacked matmul per node. Because a segment's factor depends only on its own
+stacked matmul per node. Because a segment's product depends only on its own
 endpoints and `steps`, these hold bit-for-bit: a composite equals the product
 of its pieces (the twist homomorphism law, Eq 6.18), a multi-segment leaf
 equals the ordered product of its single-segment leaves, and a zero
-connection gives exactly the identity. The pairwise product reassociates the
-substep product, so it matches a sequential left-multiplying loop only to
-roundoff (within 1e-12).
+connection gives exactly the identity. The substep values and their product
+are formed otherwise than by a sequential left-multiplying loop, which they
+match only to roundoff (within 1e-12).
 
 Prop 6.2 is checked in blocks: its pairs are a sampled CaseSpace drawn up
 front (`composable_pairs`), and the laws on single morphisms check the dm2,
@@ -48,7 +47,7 @@ import numpy as np
 
 from .basecat import PathBlock, PathCategory, SampledPath, constant_path, same_samples
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
-from .groups import SpecialOrthogonalGroup, StructuralError, all_cases, is_skew, skew_expm1_batch
+from .groups import SpecialOrthogonalGroup, StructuralError, all_cases, is_skew
 from .report import CaseSpace, LawReport, Plan
 from .stream import Stream, Streams, seed_zero
 from .twisted import EtaMap, TwistedBundle, TwistedMorphism, element_draws
@@ -57,7 +56,7 @@ DEFAULT_STEPS = 200
 DEFAULT_ISO_TOL = 1e-6
 ORDER_REFINEMENTS = 3  # step-halvings behind each observed convergence order
 ORDER_FLOOR = 1e-13  # differences below this are roundoff: the order is inf
-CHUNK = 2 ** 10  # substep factors per stacked call: 74 kB of SO(3) factors
+CHUNK = 2 ** 12  # SO(3) substep factors per stacked product: 295 kB of factors
 
 
 class Connection(object):
@@ -124,29 +123,54 @@ def _ordered_product(e: np.ndarray) -> np.ndarray:
     return np.eye(e.shape[-1]) + e[..., 0, :, :]
 
 
+def _so3_expm1(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """exp(skew3(v)) - I for rotation vectors v = (x, y, z) given by components,
+    by Rodrigues entry by entry, 1 - cos through the half angle (a small rotation
+    keeps its relative precision); a zero v takes theta = 1, its terms all 0."""
+    xx, yy, zz = x * x, y * y, z * z
+    theta2 = xx + yy + zz
+    theta = np.sqrt(theta2) + (theta2 == 0)
+    c1, c2 = np.sin(theta) / theta, 2.0 * (np.sin(theta / 2) / theta) ** 2
+    ax, ay, az, qx, qy = c1 * x, c1 * y, c1 * z, c2 * x, c2 * y
+    xy, xz, yz = qx * y, qx * z, qy * z
+    return np.stack([-c2 * (yy + zz), xy - az, xz + ay,
+                     xy + az, -c2 * (xx + zz), yz - ax,
+                     xz - ay, yz + ax, -c2 * (xx + yy)], axis=-1).reshape(x.shape + (3, 3))
+
+
 def _leaf_transports(conn: Connection, leaves, steps: int) -> np.ndarray:
-    """The transports of directly-sampled paths, stacked: the nonzero
-    segments of their concatenated samples, one `evaluate` per chunk, then
-    each leaf's left fold, one stacked matmul per segment position."""
+    """The transports of directly-sampled paths, stacked: the products of the
+    nonzero segments of their concatenated samples, then each leaf's left fold,
+    one stacked matmul per segment position; constant paths only give I."""
     if steps < 1:
         raise StructuralError("need at least one integration substep per segment")
-    n, samples = conn.group_dim, [leaf.samples for leaf in leaves]
+    n, dim, samples = conn.group_dim, conn.base_dim, [leaf.samples for leaf in leaves]
     points = np.concatenate(samples)
     owner = np.repeat(np.arange(len(leaves)), list(map(len, samples)))
     delta = points[1:] - points[:-1]
     nonzero = (owner[1:] == owner[:-1]) & delta.any(axis=1)  # a zero-length one is exactly I
-    starts, d, owner = points[:-1][nonzero], delta[nonzero] / steps, owner[1:][nonzero]
-    offsets = (np.arange(steps) + 0.5)[:, None]
-    per_call = max(1, CHUNK // steps)
-    products = np.empty((len(d), n, n))
-    for lo in range(0, len(d), per_call):
-        chunk = slice(lo, lo + per_call)
-        values = conn.evaluate(starts[chunk, None] + offsets * d[chunk, None], d[chunk])
-        products[chunk] = _ordered_product(
-            skew_expm1_batch(-values.reshape(-1, n, n)).reshape(values.shape))
     out = np.tile(np.eye(n), (len(leaves), 1, 1))
+    if not nonzero.any():
+        return out
+    starts, d, owner = points[:-1][nonzero], delta[nonzero] / steps, owner[1:][nonzero]
+    rows, cols = ([1], [0]) if n == 2 else ([2, 0, 1], [1, 2, 0])  # the angle, or (x, y, z)
+    ends = starts[:, None] + np.array([[0.5], [steps - 0.5]]) * d[:, None]
+    v = -conn.evaluate(ends, d)[:, 0, rows, cols]  # exp(-first)'s angle or rotation vector
+    slope = np.zeros_like(v)
+    if conn.linear is not None:
+        lin = conn.linear[..., rows, cols].reshape(dim, -1)
+        slope = -(d[:, None] @ (d[:, None] @ lin).reshape(len(d), dim, -1))[:, 0]
+    if n == 2:  # the factors commute: one rotation by their summed angles, as I + (f - I)
+        theta = steps * (v[:, 0] + (steps - 1) / 2 * slope[:, 0])
+        s, cm1 = np.sin(theta), -2.0 * np.sin(theta / 2) ** 2  # at theta = 0 exactly I, no -0.0
+        products = np.eye(2) + np.stack([cm1, -s, s, cm1], axis=-1).reshape(-1, 2, 2)
+    else:
+        per_call, v, slope = max(1, CHUNK // steps), v.T[:, :, None], slope.T[:, :, None]
+        products = np.concatenate([_ordered_product(_so3_expm1(
+            *v[:, lo:lo + per_call] + np.arange(steps) * slope[:, lo:lo + per_call]))
+            for lo in range(0, len(d), per_call)])
     position = np.arange(len(owner)) - np.searchsorted(owner, owner)
-    for j in range(position.max(initial=-1) + 1):
+    for j in range(position.max() + 1):
         at = position == j
         out[owner[at]] = products[at] if j == 0 else products[at] @ out[owner[at]]
     return out

@@ -286,30 +286,6 @@ def skew_exp(a: np.ndarray) -> np.ndarray:
     raise StructuralError(f"skew_exp supports 2x2 and 3x3 matrices, got {a.shape}")
 
 
-def skew_expm1_batch(a: np.ndarray) -> np.ndarray:
-    """exp(a) - I for each matrix in an (s, n, n) stack of 2x2 or 3x3 skew
-    matrices, in closed form (angles for SO(2), Rodrigues with skew_exp's
-    small-angle series for SO(3)). The identity is never added, and 1 - cos is
-    taken as 2·sin^2(theta/2), so a small rotation keeps full relative
-    precision; callers that multiply many such factors stay orthogonal."""
-    n = a.shape[-1]
-    if n not in (2, 3):
-        raise StructuralError(f"skew_expm1_batch supports 2x2 and 3x3 matrices, got {a.shape}")
-    if n == 2:
-        theta = a[:, 1, 0]
-        s, cm1 = np.sin(theta), -2.0 * np.sin(theta / 2) ** 2
-        out = np.empty(a.shape)
-        out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = cm1, -s, s, cm1
-        return out
-    theta2 = a[:, 2, 1] ** 2 + a[:, 0, 2] ** 2 + a[:, 1, 0] ** 2
-    theta = np.sqrt(theta2)
-    small = theta < 1e-8
-    safe = np.where(small, 1.0, theta)  # keeps the discarded branch finite
-    c1 = np.where(small, 1.0 - theta2 / 6.0, np.sin(safe) / safe)
-    c2 = np.where(small, 0.5 - theta2 / 24.0, 0.5 * (np.sin(safe / 2) / (safe / 2)) ** 2)
-    return c1[:, None, None] * a + c2[:, None, None] * (a @ a)
-
-
 class SpecialOrthogonalGroup(Group):
     """SO(n) for n in {2, 3}; equality is max-abs entry difference <= tol.
     `mul`, `inv` and `eq` take single (n, n) elements or (k, n, n) stacks."""

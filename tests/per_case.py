@@ -1,10 +1,10 @@
 """Test helpers: each law's stream from numpy's generators, CaseSpace plans
 as they come without blocks, a check that every block of a passing law
-holds whole, parallel transport integrated one segment at a time by the
-evaluation formula of one segment's own call, random paths drawn point by
-point, path samples deduplicated point by point, and the small builders
-only tests use: cocycle data with one value perturbed, the non-identity
-morphisms of an overlap category and the SO(2) generator."""
+holds whole, parallel transport integrated one segment at a time (by the
+stacked kernel's arithmetic, and by the f - I matrix integrator), random
+paths drawn point by point, path samples deduplicated point by point, and
+the small builders only tests use: cocycle data with one value perturbed,
+the non-identity morphisms of an overlap category and the SO(2) generator."""
 import zlib
 from contextlib import contextmanager
 
@@ -15,8 +15,8 @@ from catbundle import report
 from catbundle.basecat import SampledPath
 from catbundle.cocycle import CocycleData, OverlapCategory
 from catbundle.crossed import CrossedModule
-from catbundle.decorated import Connection
-from catbundle.groups import StructuralError, skew_expm1_batch
+from catbundle.decorated import Connection, _so3_expm1
+from catbundle.groups import StructuralError
 
 
 def law_streams(seed: int, make=np.random.default_rng):
@@ -117,25 +117,76 @@ def reference_evaluate(conn: Connection, points: np.ndarray, vector: np.ndarray)
     return out if conn.linear is not None else np.broadcast_to(out, shape)
 
 
-def reference_transport(conn: Connection, path, steps: int) -> np.ndarray:
-    """Transport integrated segment by segment: one `reference_evaluate`,
-    one skew_expm1_batch and one ordered product per nonzero segment, folded
-    left in path order; a composite is the product of its pieces'."""
+def skew_expm1_batch(a: np.ndarray) -> np.ndarray:
+    """exp(a) - I for each matrix in an (s, n, n) stack of 2x2 or 3x3 skew
+    matrices, in closed form (angles for SO(2), Rodrigues with a small-angle
+    series for SO(3)), 1 - cos taken as 2·sin^2(theta/2)."""
+    n = a.shape[-1]
+    if n == 2:
+        theta = a[:, 1, 0]
+        s, cm1 = np.sin(theta), -2.0 * np.sin(theta / 2) ** 2
+        out = np.empty(a.shape)
+        out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = cm1, -s, s, cm1
+        return out
+    theta2 = a[:, 2, 1] ** 2 + a[:, 0, 2] ** 2 + a[:, 1, 0] ** 2
+    theta = np.sqrt(theta2)
+    small = theta < 1e-8
+    safe = np.where(small, 1.0, theta)  # keeps the discarded branch finite
+    c1 = np.where(small, 1.0 - theta2 / 6.0, np.sin(safe) / safe)
+    c2 = np.where(small, 0.5 - theta2 / 24.0, 0.5 * (np.sin(safe / 2) / (safe / 2)) ** 2)
+    return c1[:, None, None] * a + c2[:, None, None] * (a @ a)
+
+
+def _folded(segment_product, conn: Connection, path, steps: int) -> np.ndarray:
+    """`segment_product(a, d)` of each nonzero segment (start a, substep
+    displacement d) folded left in path order, exactly I if there is none; a
+    composite is the product of its pieces'."""
     if path.pieces is not None:
         first, second = path.pieces
-        return reference_transport(conn, second, steps) @ reference_transport(conn, first, steps)
+        return (_folded(segment_product, conn, second, steps)
+                @ _folded(segment_product, conn, first, steps))
     if steps < 1:
         raise StructuralError("need at least one integration substep per segment")
-    offsets = (np.arange(steps) + 0.5)[:, None]
     total = None
     for a, b in segments(path):
-        delta = b - a
-        if not np.any(delta):
-            continue
-        d = delta / steps
-        seg = _ordered_product(skew_expm1_batch(-reference_evaluate(conn, a + offsets * d, d)))
-        total = seg if total is None else seg @ total
+        if np.any(b - a):
+            seg = segment_product(a, (b - a) / steps)
+            total = seg if total is None else seg @ total
     return np.eye(conn.group_dim) if total is None else total
+
+
+def matrix_transport(conn: Connection, path, steps: int) -> np.ndarray:
+    """Transport by the f - I matrix integrator, a tolerance reference: per
+    nonzero segment, A evaluated at every substep midpoint, each factor
+    exp(-A·d) - I by `skew_expm1_batch`, and their ordered product."""
+    offsets = (np.arange(steps) + 0.5)[:, None]
+    return _folded(lambda a, d: _ordered_product(
+        skew_expm1_batch(-reference_evaluate(conn, a + offsets * d, d))), conn, path, steps)
+
+
+def reference_transport(conn: Connection, path, steps: int) -> np.ndarray:
+    """Transport by the stacked kernel's arithmetic, one segment at a time:
+    A·d at the first and the last midpoint by `reference_evaluate` (both
+    skew-checked), the first factor's angle or rotation vector v and its
+    per-substep slope from the linear coefficients; on SO(2) the rotation by
+    the summed angles, as I + (f - I); on SO(3) the factors of v + j·slope by
+    `decorated._so3_expm1` and their ordered product."""
+    n, dim = conn.group_dim, conn.base_dim
+    rows, cols = ([1], [0]) if n == 2 else ([2, 0, 1], [1, 2, 0])  # A·d's angle, or (x, y, z)
+
+    def product(a, d):
+        v = -reference_evaluate(conn, a + np.array([[0.5], [steps - 0.5]]) * d, d)[0, rows, cols]
+        slope = np.zeros_like(v)
+        if conn.linear is not None:
+            lin = conn.linear[..., rows, cols].reshape(dim, -1)
+            slope = -(d[None] @ (d[None] @ lin).reshape(dim, -1))[0]
+        if n == 3:
+            return _ordered_product(_so3_expm1(*v[:, None] + np.arange(steps) * slope[:, None]))
+        theta = steps * (v + (steps - 1) / 2 * slope)
+        s, cm1 = np.sin(theta), -2.0 * np.sin(theta / 2) ** 2
+        return np.eye(2) + np.concatenate([cm1, -s, s, cm1]).reshape(2, 2)
+
+    return _folded(product, conn, path, steps)
 
 
 def reference_random_path(dim: int, rng, n_segments=None, start=None, scale=1.0) -> SampledPath:

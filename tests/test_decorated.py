@@ -364,14 +364,15 @@ def test_batched_transport_matches_substep_loop(group_dim, family, base_dim):
 
 
 def so2_integral(C, D, path):
-    """Integral of the (1, 0) entry of A along the path: on a linear segment
-    with A affine in position, midpoint value times displacement is exact."""
+    """Integral of the (1, 0) entry of A (constant C, linear D or None) along
+    the path: on a linear segment with A affine in position, midpoint value
+    times displacement is exact."""
     total = 0.0
     for leaf in path.leaves():
         for a, b in segments(leaf):
             mid = (a + b) / 2
             for k in range(len(C)):
-                coeff = C[k][1, 0] + sum(mid[l] * D[k][l][1, 0] for l in range(len(C)))
+                coeff = C[k][1, 0] + sum(mid[l] * D[k][l][1, 0] for l in range(len(C) if D else 0))
                 total += (b[k] - a[k]) * coeff
     return total
 

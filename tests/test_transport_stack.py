@@ -1,14 +1,16 @@
 """Stacked parallel transport and path blocks: every leaf's transport is
 bitwise the per-segment reference's, whatever else shares its stacked call
-and wherever a chunk boundary falls; the twist keeps leaf values only while
-their leaves live; a path base's maps act on PathBlocks case by case; the
-shipped path laws, prop62's too, pass in whole blocks, and prop62 with a
-broken theta gives the per-case records; the transport-convergence laws on
-stacked transports give the per-path records, errors included; and an SO(3)
-module that fails on some sampled cases, twisted by a connection, gives the
-reports of its committed goldens."""
+and wherever a chunk boundary falls, and within 1e-13 of the f - I matrix
+integrator (SO(2) within 1e-12 of the exact rotation); the twist keeps leaf
+values only while their leaves live; a path base's maps act on PathBlocks
+case by case; the shipped path laws, prop62's too, pass in whole blocks, and
+prop62 with a broken theta gives the per-case records; the
+transport-convergence laws on stacked transports give the per-path records,
+errors included; and an SO(3) module that fails on some sampled cases,
+twisted by a connection, gives the reports of its committed goldens."""
 import gc
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from catbundle.decorated import (
     parallel_transport,
     verify_transport_numerics,
 )
+from catbundle.groups import rotation2
 from catbundle.scenario import Scenario
 from catbundle.stream import Stream
 from catbundle.suites import run_suite
@@ -35,9 +38,9 @@ from catbundle.twisted import (
     verify_E_properties,
     verify_twisted_bundle,
 )
-from per_case import (law_streams, per_case_plans, reference_evaluate, reference_transport,
-                      segments, whole_blocks)
-from test_decorated import random_connection
+from per_case import (law_streams, matrix_transport, per_case_plans, reference_evaluate,
+                      reference_transport, segments, whole_blocks)
+from test_decorated import random_connection, so2_integral
 from test_so_blocks import alpha_mutant
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -74,7 +77,8 @@ def test_stacked_leaves_are_bitwise_the_per_segment_reference(group_dim, family,
 @pytest.mark.parametrize("family", ["constant", "linear"])
 @pytest.mark.parametrize("group_dim", [2, 3])
 def test_one_evaluate_per_chunk_serves_several_leaves_bitwise(group_dim, family, monkeypatch):
-    # 10 steps: every nonzero segment of the 7 leaves falls in one chunk
+    # 10 steps: every nonzero segment of the 7 leaves falls in one chunk, and
+    # the one evaluate takes each segment's first and last midpoint
     rng = np.random.default_rng([group_dim, len(family), 10])
     conn, _, _ = random_connection(rng, group_dim, family, 2)
     leaves = leaves_with_zero_segments(rng, PathCategory(2), 5)
@@ -83,7 +87,7 @@ def test_one_evaluate_per_chunk_serves_several_leaves_bitwise(group_dim, family,
     monkeypatch.setattr(Connection, "evaluate",
                         lambda self, p, v: calls.append((p.shape, v.shape)) or evaluate(self, p, v))
     stacked = parallel_transport(conn, PathBlock(leaves), 10)
-    assert nonzero > len(leaves) and calls == [((nonzero, 10, 2), (nonzero, 2))]
+    assert nonzero > len(leaves) and calls == [((nonzero, 2, 2), (nonzero, 2))]
     for leaf, value in zip(leaves, stacked):
         assert np.array_equal(value, reference_transport(conn, leaf, 10))
 
@@ -106,8 +110,9 @@ def test_evaluate_at_a_batch_of_points_is_bitwise_the_reference(group_dim, famil
 @pytest.mark.parametrize("chunk", [1, 3, 7, 64])
 @pytest.mark.parametrize("group_dim", [2, 3])
 def test_a_leaf_split_across_chunks_is_bitwise_the_reference(group_dim, chunk, monkeypatch):
-    # `chunk` factors per stacked call at 7 steps: one segment per call
-    # below 14, else the calls end inside some leaf's segments
+    # `chunk` SO(3) factors per stacked product at 7 steps: one segment per
+    # product below 14, else the products end inside some leaf's segments;
+    # SO(2) keeps no factors, so CHUNK leaves its bits alone
     rng = np.random.default_rng([group_dim, chunk])
     conn, _, _ = random_connection(rng, group_dim, "linear", 2)
     cat = PathCategory(2)
@@ -119,15 +124,35 @@ def test_a_leaf_split_across_chunks_is_bitwise_the_reference(group_dim, chunk, m
 
 
 def test_the_shipped_chunk_bound_splits_a_large_block_bitwise():
-    # 400 segments of 200 steps: more than CHUNK factors, so two stacked calls
+    # 200 leaves of 3 segments at 200 steps: more than CHUNK factors, so
+    # several stacked calls, some of which end inside a leaf
     rng = np.random.default_rng(5)
     conn, _, _ = random_connection(rng, 3, "linear", 2)
     cat = PathCategory(2)
-    leaves = [cat.random_path(rng, n_segments=2) for _ in range(200)]
-    assert 400 * 200 > decorated.CHUNK
+    leaves = [cat.random_path(rng, n_segments=3) for _ in range(200)]
+    per_call = decorated.CHUNK // 200
+    split = [i for i in range(200) if 3 * i // per_call != (3 * i + 2) // per_call]
+    assert 600 * 200 > decorated.CHUNK and split
     stacked = parallel_transport(conn, PathBlock(leaves), 200)
-    for i in (0, 163, 164, 199):  # leaf 163's two segments fall in different calls
+    for i in (0, *split[:2], 199):
         assert np.array_equal(stacked[i], reference_transport(conn, leaves[i], 200))
+
+
+@pytest.mark.parametrize("steps", [1, 7, 80, 200])
+@pytest.mark.parametrize("family", ["constant", "linear"])
+@pytest.mark.parametrize("group_dim", [2, 3])
+def test_the_kernel_is_the_matrix_integrator_within_roundoff(group_dim, family, steps):
+    # the per-segment kernel against A evaluated at every midpoint and one
+    # matrix factor per substep; on SO(2) both are exact on linear segments
+    rng = np.random.default_rng([group_dim, len(family), steps, 13])
+    conn, C, D = random_connection(rng, group_dim, family, 2)
+    leaves = leaves_with_zero_segments(rng, PathCategory(2), 6)
+    for leaf, value in zip(leaves, parallel_transport(conn, PathBlock(leaves), steps)):
+        assert np.max(np.abs(value - matrix_transport(conn, leaf, steps))) <= 1e-13
+        if group_dim == 2:
+            assert np.max(np.abs(value - rotation2(-so2_integral(C, D, leaf)))) <= 1e-12
+    if group_dim == 2:  # exact, so every observed order is inf
+        assert all(math.isinf(o) for os in observed_order(conn, PathBlock(leaves), 8) for o in os)
 
 
 def test_composites_in_a_block_are_the_reference_products():
