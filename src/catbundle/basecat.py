@@ -11,8 +11,10 @@ per-case mask, and a CodeTable maps codes to int values such as eta.
 
 A SampledPath is an ordered array of points; composing paths records the
 junction as a binary tree node so that parallel transport of a composite is,
-by construction, the product of the transports of its pieces (`fold`). A
-scenario's PathCategory (dimension, eps_pt) is made by
+by construction, the product of the transports of its pieces: `path_values`
+is the one place that folds a path's value from its leaves', and what it
+keeps between calls, leaf values and a table's rows, it keeps in the mapping
+it is given. A scenario's PathCategory (dimension, eps_pt) is made by
 `Scenario.path_category()` alone. In a block a path base holds a PathBlock,
 the k paths of k cases as arrays: drawn paths are ids into a leaf table (their
 samples end to end, with offsets, and each as its SampledPath), and k
@@ -345,24 +347,6 @@ class PathBlock:
             return value(self.table, self.ids)
         return mul(self.pieces[1].fold(value, mul), self.pieces[0].fold(value, mul))
 
-    def fold_values(self, value, mul, kept: dict):
-        """The fold of a value per table path: `value(paths)` stacks those of
-        the paths that `kept` (table -> (values, known)) does not hold yet,
-        in one call, and `kept` keeps them."""
-        need = {}
-        for table, ids in self.fold(lambda table, ids: [(table, ids)], lambda b, a: a + b):
-            need.setdefault(table, np.zeros(len(table.paths), dtype=bool))[ids] = True
-        jobs = [(t, np.flatnonzero(m & ~kept[t][1] if t in kept else m)) for t, m in need.items()]
-        paths = [t.paths[j] for t, js in jobs for j in js.tolist()]
-        if paths:
-            got, at = value(paths), 0
-            for t, js in jobs:
-                values, known = kept.setdefault(t, (np.empty((len(t.paths), *got.shape[1:])),
-                                                    np.zeros(len(t.paths), dtype=bool)))
-                values[js], known[js] = got[at:at + len(js)], True
-                at += len(js)
-        return self.fold(lambda table, ids: kept[table][0][ids], mul)
-
     def flat(self) -> tuple[np.ndarray, np.ndarray]:
         """The k paths' samples end to end, bitwise each path's `samples`,
         and the k + 1 offsets of their rows."""
@@ -392,6 +376,37 @@ class PathBlock:
             return points[keep], _offsets(counts)
         out = [SampledPath(points[a:b]).dedup(tol) for a, b in zip(offsets[:-1], offsets[1:])]
         return np.concatenate(out), _offsets([len(x) for x in out])
+
+
+def path_values(path, leaf_values, mul, kept):
+    """The value of a path, or the stack of a PathBlock's: a leaf's from
+    `leaf_values(leaves)`, which stacks those of a list of leaves, a
+    composite's the product `mul(second, first)` of its pieces'. `kept`
+    keeps a leaf's value by the leaf and a table's rows (values, known) by
+    the table; one `leaf_values` call takes the distinct leaves it lacks,
+    and when they are the table paths needed, gives their rows as they are."""
+    block = path if isinstance(path, PathBlock) else PathBlock([path])
+    need = {}
+    for table, ids in block.fold(lambda table, ids: [(table, ids)], lambda b, a: a + b):
+        need.setdefault(table, np.zeros(len(table.paths), dtype=bool))[ids] = True
+    jobs = [(t, np.flatnonzero(m & ~kept[t][1] if t in kept else m)) for t, m in need.items()]
+    paths = [t.paths[j] for t, js in jobs for j in js.tolist()]
+    if paths:
+        leaves = dict.fromkeys(leaf for p in paths for leaf in p.leaves())
+        new = [leaf for leaf in leaves if leaf not in kept]
+        if new:
+            got = leaf_values(new)
+            kept.update(zip(new, got))
+        if new != paths:
+            got = np.array([p.fold(kept.__getitem__, mul) for p in paths])
+        at = 0
+        for t, js in jobs:
+            values, known = kept.setdefault(t, (np.empty((len(t.paths), *got.shape[1:])),
+                                                np.zeros(len(t.paths), dtype=bool)))
+            values[js], known[js] = got[at:at + len(js)], True
+            at += len(js)
+    out = block.fold(lambda table, ids: kept[table][0][ids], mul)
+    return out if block is path else out[0]
 
 
 def _offsets(lengths) -> np.ndarray:

@@ -16,16 +16,17 @@ linear connections too (SO(2) convergence orders read inf). SO(3) factors are
 built from their rotation vectors as f - I and multiplied by pairwise tree
 reduction, the later factor on the left, CHUNK factors at a time; carrying
 f - I keeps transports orthogonal to about 1e-15 over thousands of substeps.
-The leaves a call needs (a PathBlock's table paths less those EtaMap keeps)
-are integrated stacked, constant paths only giving identities at once; every
+The leaves a call needs (those `basecat.path_values` has not kept) are
+integrated stacked, constant paths only giving identities at once; every
 operation acts on one segment's values alone, so a leaf's transport is
 bitwise the same whatever shares its call and wherever a chunk ends.
 
 Transport of a composed path is the product of the transports of its pieces
 by construction: SampledPath records composition as a binary tree, and
-transport folds its leaves' values over it; on a PathBlock, the values of its
-table paths are indexed by id and folded over its composition tree, one
-stacked matmul per node. Because a segment's product depends only on its own
+`basecat.path_values` folds its leaves' values over it (with a fresh mapping
+per `parallel_transport` call); on a PathBlock, the values of its table
+paths are indexed by id and folded over its composition tree, one stacked
+matmul per node. Because a segment's product depends only on its own
 endpoints and `steps`, these hold bit-for-bit: a composite equals the product
 of its pieces (the twist homomorphism law, Eq 6.18), a multi-segment leaf
 equals the ordered product of its single-segment leaves, and a zero
@@ -45,7 +46,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .basecat import PathBlock, PathCategory, SampledPath, constant_path, same_samples
+from .basecat import PathBlock, PathCategory, SampledPath, constant_path, path_values, same_samples
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
 from .groups import SpecialOrthogonalGroup, StructuralError, all_cases, is_skew
 from .report import CaseSpace, LawReport, Plan
@@ -176,27 +177,15 @@ def _leaf_transports(conn: Connection, leaves, steps: int) -> np.ndarray:
     return out
 
 
-def _transports(conn: Connection, paths: list, steps: int) -> np.ndarray:
-    """The transports of paths, stacked: their distinct leaves integrated
-    together, and a composite the ordered product of its leaves'."""
-    if all(p.pieces is None for p in paths):
-        return _leaf_transports(conn, paths, steps)
-    leaves = list(dict.fromkeys(leaf for p in paths for leaf in p.leaves()))
-    values = dict(zip(leaves, _leaf_transports(conn, leaves, steps)))
-    return np.array([p.fold(values.__getitem__, np.matmul) for p in paths])
-
-
 def parallel_transport(conn: Connection, path, steps: int = DEFAULT_STEPS) -> np.ndarray:
     """End value of the horizontal-lift ODE along the path, or a (k, n, n)
-    stack of them along the paths of a PathBlock: the table paths it uses
-    are integrated together, and a composite node is the stacked product of
-    its pieces' transports."""
+    stack of them along the paths of a PathBlock: `path_values` integrates
+    the distinct leaves together, and a composite is the product of its
+    pieces' transports."""
     if path.dim != conn.base_dim:
         raise StructuralError(
             f"path dimension {path.dim} != connection base dimension {conn.base_dim}")
-    if isinstance(path, PathBlock):
-        return path.fold_values(lambda paths: _transports(conn, paths, steps), np.matmul, {})
-    return _transports(conn, [path], steps)[0]
+    return path_values(path, lambda leaves: _leaf_transports(conn, leaves, steps), np.matmul, {})
 
 
 def eta_from_connection(base: PathCategory, cm: CrossedModule, conn: Connection,

@@ -242,7 +242,8 @@ class Scenario:
             raise ScenarioError(f"bad path base: {exc}") from exc
 
     def paths(self) -> dict[str, SampledPath]:
-        """Declared paths: coordinate lists, or {"compose": [first, second]}
+        """Declared paths: lists of finite points of the base's dimension
+        (checked here, where a bad one can be named), or {"compose": [first, second]}
         naming earlier declarations, composed by the base (so within its
         eps_pt) and recorded structurally: transport of the composite is the
         product of the pieces'."""
@@ -255,6 +256,8 @@ class Scenario:
                     out[name] = base.compose(out[second], out[first])
                 else:
                     out[name] = SampledPath(decl)
+                    if out[name].dim != base.dim or not np.isfinite(out[name].samples).all():
+                        raise ValueError(f"needs finite points in R^{base.dim}")
             except (KeyError, TypeError, ValueError) as exc:  # KeyError: an undeclared piece
                 raise ScenarioError(f"bad path {name!r}: {type(exc).__name__}: {exc}") from exc
         return out

@@ -23,11 +23,12 @@ case holds a QuiverMorphism and Python ints.
 On a path base the laws run in blocks too: a block's TwistedMorphism holds a
 PathBlock (`basecat`: drawn paths as ids into a leaf table, composites as
 one tree node over two blocks) and SO(n) stacks, and eta on a PathBlock is
-one (k, n, n) stack. A transport twist keeps the value of each table path
-it has met while the table lives, and of each leaf while the leaf lives;
-it integrates the leaves a call has not met in one stacked call, indexes
-the values by id, and folds them over the tree with one stacked G.mul per
-node, so a composite is the product of its cached pieces.
+one (k, n, n) stack. A transport twist computes it by `basecat.path_values`
+with one weakly keyed mapping, which keeps each leaf's value while the leaf
+lives and a table's rows while the table lives: the leaves a call has not
+met go to the integrator in one stacked call, the values are indexed by id
+and folded over the tree with one stacked G.mul per node, so a composite is
+the product of its kept pieces.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basecat import CodeTable, PathBlock, QuiverCategory
+from .basecat import CodeTable, PathBlock, QuiverCategory, path_values
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
 from .groups import StructuralError, all_cases
 from .report import DEFAULT_BUDGET, CaseSpace, LawReport, sides_witness
@@ -63,8 +64,9 @@ class EtaMap:
     Transport mode (`decorated.eta_from_connection`) calls `fn` on a
     PathBlock of directly-sampled paths, which gives their values stacked;
     the value of any path is the product of its leaves' values over its
-    composition tree. The values of a block's table paths are kept by table
-    while the table lives, and a leaf's while the leaf lives.
+    composition tree, computed by `basecat.path_values` with `_kept`, which
+    keeps a leaf's value while the leaf lives and a table's rows while the
+    table lives.
     """
 
     def __init__(self, base, cm: CrossedModule, fn: Callable, kind: str = "raw"):
@@ -73,30 +75,17 @@ class EtaMap:
         self._fn = fn
         self.kind = kind
         self._by_code = CodeTable(base, fn)
-        self._leaves = weakref.WeakKeyDictionary()  # transport mode: leaf -> value
-        self._tables = weakref.WeakKeyDictionary()  # transport mode: table -> (values, known)
+        self._kept = weakref.WeakKeyDictionary()  # transport mode: what path_values keeps
 
     def __call__(self, gamma):
         if self.kind == "transport":
-            if isinstance(gamma, PathBlock):
-                return gamma.fold_values(self._values, self.cm.G.mul, self._tables)
-            return self._values([gamma])[0]
+            return path_values(gamma, lambda leaves: self._fn(PathBlock(leaves)), self.cm.G.mul,
+                               self._kept)
         if isinstance(gamma, np.ndarray):
             return self._by_code(gamma)
         if isinstance(gamma, PathBlock):
             return np.array([self._fn(p) for p in gamma])
         return self._fn(gamma)
-
-    def _values(self, paths):
-        """The values of paths, stacked: each the product of its leaves'
-        over its tree, the leaves not yet kept going through `fn` as one
-        block."""
-        values = self._leaves
-        leaves = dict.fromkeys(leaf for p in paths for leaf in p.leaves())
-        missing = [leaf for leaf in leaves if leaf not in values]
-        if missing:
-            values.update(zip(missing, self._fn(PathBlock(missing))))
-        return np.array([p.fold(values.__getitem__, self.cm.G.mul) for p in paths])
 
     @staticmethod
     def trivial(base, cm: CrossedModule) -> "EtaMap":

@@ -13,6 +13,7 @@ import pytest
 
 from catbundle.basecat import QuiverCategory
 from catbundle.bundle import verify_GU_categorical_group
+from catbundle.cli import main
 from catbundle.crossed import get_module, verify_exchange_law
 from catbundle.groups import StructuralError
 from catbundle.report import Block, CaseSpace, Plan, run_law
@@ -322,6 +323,12 @@ PATH_BASE_CONTRADICTIONS = [
         "joined"].update(compose=["half1", "unit"])), [_transport("joined")]),
     ("path-one-sample", _edited("so2_transport.json", lambda r: r["base"]["paths"].update(
         unit=[[0.0]])), [_transport("unit")]),
+    ("path-nan", _edited("so2_transport.json", lambda r: r["base"]["paths"].update(
+        unit=[[0.0], [float("nan")]])), [_transport("unit")]),
+    ("path-inf", _edited("so2_transport.json", lambda r: r["base"]["paths"].update(
+        unit=[[0.0], [float("inf")]])), [_transport("unit")]),
+    ("path-wrong-dim", _edited("so2_transport.json", lambda r: r["base"]["paths"].update(
+        unit=[[0.0, 0.0], [1.0, 1.0]])), [_transport("unit")]),
 ]
 
 MALFORMED = [
@@ -425,6 +432,16 @@ def test_malformed_scenario_exits_2_without_traceback(tmp_path, label, raw, args
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("label,raw", [pytest.param(label, raw, id=label) for label, raw, _
+                                       in PATH_BASE_CONTRADICTIONS if label.startswith("path-")])
+def test_a_bad_declared_path_is_named(tmp_path, capsys, label, raw):
+    # the fault is the declaration, found where the scenario is read, not in transport
+    path = tmp_path / f"{label}.json"
+    path.write_text(json.dumps(raw))
+    assert main(["transport", "--scenario", str(path), "--path", "unit"]) == 2
+    assert capsys.readouterr().err.startswith("error: bad path 'unit'")
 
 
 def test_transport_steps_override_is_validated(tmp_path):

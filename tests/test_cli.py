@@ -66,6 +66,33 @@ def test_transport_split_equals_whole_bitwise(capsys):
     assert whole == joined
 
 
+# the exact text `transport` prints for every declared path of the shipped
+# scenarios, roundoff-sized entries and their signs included
+SHIPPED_TRANSPORTS = {
+    ("so2_transport", "unit"): "-2.22044604925e-16 1\n-1 -2.22044604925e-16\n",
+    ("so2_transport", "split"): "-1.79380389039e-16 1\n-1 -1.99673461754e-16\n",
+    ("so2_transport", "double"): "-1 -3.21624529935e-16\n3.21624529935e-16 -1\n",
+    ("so2_transport", "half1"): "0.707106781187 0.707106781187\n-0.707106781187 0.707106781187\n",
+    ("so2_transport", "half2"): "0.707106781187 0.707106781187\n-0.707106781187 0.707106781187\n",
+    ("so2_transport", "joined"): "-1.79380389039e-16 1\n-1 -1.99673461754e-16\n",
+    ("so3_decorated", "diag"): "0.922487027646 0.310969833599 -0.228725701258\n"
+                               "-0.206661136141 0.898283209491 0.387786604147\n"
+                               "0.326050392782 -0.310459398534 0.892919987025\n",
+}
+
+
+def test_shipped_transports_are_pinned():
+    declared = {(path.stem, pid) for path in SCEN.glob("*.json")
+                for pid in json.loads(path.read_text()).get("base", {}).get("paths", {})}
+    assert declared == set(SHIPPED_TRANSPORTS)
+
+
+@pytest.mark.parametrize("scenario, path", SHIPPED_TRANSPORTS, ids="/".join)
+def test_shipped_transport_prints_its_pinned_text(scenario, path, capsys):
+    assert run_cli("transport", "--scenario", str(SCEN / f"{scenario}.json"), "--path", path) == 0
+    assert capsys.readouterr().out == SHIPPED_TRANSPORTS[scenario, path]
+
+
 def test_run_exit_codes(capsys, tmp_path):
     assert run_cli("run", "--scenario", str(SCEN / "s3_cocycle.json")) == 0
     capsys.readouterr()

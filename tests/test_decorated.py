@@ -1,8 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from catbundle import decorated
 from catbundle.basecat import PathCategory, SampledPath, compose_paths, constant_path
 from catbundle.crossed import CompositionUndefined, TwoGroupMorphism, get_module
 from catbundle.decorated import (
@@ -18,6 +21,8 @@ from catbundle.decorated import (
 )
 from catbundle.groups import (StructuralError, perm_from_cycles, perm_mul, rotation2,
                               skew3, skew_exp)
+from catbundle.scenario import Scenario
+from catbundle.suites import run_suite
 from catbundle.twisted import EtaMap
 from per_case import SO2_GEN, segments
 
@@ -26,6 +31,7 @@ SO3 = get_module("so3-conj")
 S3 = get_module("s3-conj")
 
 HALF_PI = math.pi / 2
+SCEN = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def so2_constant(theta=HALF_PI) -> Connection:
@@ -400,3 +406,24 @@ def test_corrupted_connection_fails_the_batched_skew_check():
         stored[0, ..., 0, 1] += 0.5  # A's values are no longer skew
         with pytest.raises(StructuralError, match="not skew"):
             parallel_transport(conn, path, 20)
+
+
+@pytest.mark.parametrize("scenario, suite, leaves", [
+    ("so2_transport", "twisted-bundle", 1808), ("so2_transport", "e-action", 312),
+    ("so2_transport", "prop62", 100), ("so3_decorated", "prop62", 100)],
+    ids=["twisted-bundle", "e-action", "prop62", "so3_decorated-prop62"])
+def test_the_twist_integrates_each_leaf_of_a_shipped_run_once(scenario, suite, leaves, monkeypatch):
+    # every path the twist hands to transport is a leaf, and none twice: the
+    # twist keeps the values of the leaves it has met, prop62's blocks
+    # made by PathBlock.where included
+    handed, transport = [], decorated.parallel_transport
+
+    def counted(conn, path, steps):
+        handed.extend(path)
+        return transport(conn, path, steps)
+
+    monkeypatch.setattr(decorated, "parallel_transport", counted)
+    sc = Scenario(json.loads((SCEN / f"{scenario}.json").read_text()))
+    assert run_suite(sc, suite).passed
+    assert all(leaf.pieces is None for leaf in handed)
+    assert len(set(map(id, handed))) == len(handed) == leaves

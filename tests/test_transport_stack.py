@@ -190,7 +190,7 @@ def test_eta_keeps_leaf_values_while_the_leaves_live():
     assert np.array_equal(eta(p), stacked[1]) and calls == [2, 1]
     del p, q, pq, block, value, stacked, path
     gc.collect()
-    assert len(eta._leaves) == 0
+    assert len(eta._kept) == 0
 
 
 def test_path_category_maps_act_on_blocks_case_by_case():
