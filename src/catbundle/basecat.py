@@ -6,8 +6,9 @@ first), so composition is word concatenation and strictly associative. In a
 block a quiver morphism is an int code, its index in `morphisms_upto()` (a
 longer composite gets the next free code when a block first forms it), and
 an object is its index in `objects`: `source`, `target`, `identity` and
-`compose` look codes up in tables, `point_eq` and `morphism_eq` give a
-per-case mask, and a CodeTable maps codes to int values such as eta.
+`compose` look codes up in tables (`groups.gather`), `point_eq` and
+`morphism_eq` give a per-case mask, and a CodeTable maps codes to the codes
+of a finite group, such as eta's.
 
 A SampledPath is an ordered array of points; composing paths records the
 junction as a binary tree node so that parallel transport of a composite is,
@@ -33,7 +34,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .groups import CompositionUndefined
+from .groups import CompositionUndefined, StructuralError, gather
 from .stream import Stream
 
 DEFAULT_WORD_BOUND = 3
@@ -155,6 +156,11 @@ class QuiverCategory:
         codes stands for its morphisms in a block as it is."""
         return code if isinstance(code, np.ndarray) else self._coded[code]
 
+    def object(self, index):
+        """The object at an index into `objects`; an array of indices stands
+        for its objects in a block as it is (each the code of its identity)."""
+        return index if isinstance(index, np.ndarray) else self.objects[index]
+
     def code(self, m: QuiverMorphism) -> int:
         """The code of m, the next free one if m is new."""
         self._coding()
@@ -171,13 +177,13 @@ class QuiverCategory:
         ends = self._coding()
         if np.any(ends[1][m1] != ends[0][m2]):
             raise CompositionUndefined("base morphisms in a block are not composable")
-        out = self._composite[m1, m2]
+        out = gather(self._composite, m1, m2)
         new = out < 0
         if new.any():  # composites no block has formed yet, in order of first appearance
             for c1, c2 in dict.fromkeys(zip(m1[new].tolist(), m2[new].tolist())):
                 code = self.code(self.compose(self._coded[c2], self._coded[c1]))
                 self._composite[c1, c2] = code
-            out = self._composite[m1, m2]
+            out = gather(self._composite, m1, m2)  # `code` may have widened the table
         return out
 
     def composable_pairs(self) -> Iterator[tuple[QuiverMorphism, QuiverMorphism]]:
@@ -189,12 +195,13 @@ class QuiverCategory:
 
 
 class CodeTable:
-    """An int-valued map of quiver morphisms, looked up by code on a block:
-    `fn` runs on a morphism the first time a block holds its code, and on a
-    morphism where it raised, again the next time."""
+    """A map of quiver morphisms into a finite group, looked up by code on a
+    block: `fn` runs on a morphism the first time a block holds its code, and
+    on a morphism where it raised, again the next time. A value that is not a
+    code of `group` raises StructuralError, and is not kept."""
 
-    def __init__(self, base: QuiverCategory, fn):
-        self.base, self.fn = base, fn
+    def __init__(self, base: QuiverCategory, fn, group):
+        self.base, self.fn, self.group = base, fn, group
         self.values = np.zeros(0, dtype=np.int64)  # -1 where not yet evaluated
 
     def __call__(self, codes: np.ndarray) -> np.ndarray:
@@ -204,9 +211,16 @@ class CodeTable:
         out = self.values[codes]
         if (out < 0).any():
             for code in dict.fromkeys(codes[out < 0].tolist()):  # np.unique imports numpy.ma
-                self.values[code] = self.fn(self.base.morphism(code))
+                self.values[code] = self.value(self.base.morphism(code))
             out = self.values[codes]
         return out
+
+    def value(self, m):
+        """`fn(m)`, which must be an element of `group`."""
+        value = self.fn(m)
+        if not self.group.contains(value):
+            raise StructuralError(f"{value!r} at {m!r} is not an element of {self.group.name}")
+        return value
 
 
 class SampledPath:

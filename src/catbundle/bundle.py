@@ -28,7 +28,7 @@ import numpy as np
 
 from .basecat import CodeTable, QuiverCategory
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
-from .groups import StructuralError, all_cases, every
+from .groups import StructuralError, all_cases, every, gather
 from .report import DEFAULT_BUDGET, CaseSpace, LawReport, sides_witness
 from .stream import Stream, Streams, seed_zero
 from .twisted import (
@@ -50,7 +50,9 @@ PROP31_BUDGET = 256
 
 class FunctorUG:
     """A functor from a finite category into the categorical group, stored
-    by g on objects and h on generating morphisms."""
+    by g on objects and h on generating morphisms. On a block of quiver
+    morphism codes, or of object indices, `apply` and `g` look up per-code
+    tables."""
 
     def __init__(self, base, cm: CrossedModule, g_table: dict, h_gen: dict):
         self.base = base
@@ -60,7 +62,10 @@ class FunctorUG:
         self._by_code = None  # h and g∘source per quiver morphism code
 
     def g(self, obj):
-        return self.g_table[obj]
+        try:
+            return self.g_table[obj]
+        except TypeError:  # object indices in a block, each the code of its identity
+            return self._code_tables()[1](obj)
 
     def h(self, gamma):
         out = self.cm.H.identity
@@ -72,11 +77,15 @@ class FunctorUG:
         try:
             gamma.word
         except AttributeError:  # codes of quiver morphisms, in a block
-            if self._by_code is None:
-                self._by_code = (CodeTable(self.base, self.h),
-                                 CodeTable(self.base, lambda m: self.g(m.source)))
-            return TwoGroupMorphism(*(table(gamma) for table in self._by_code))
+            return TwoGroupMorphism(*(table(gamma) for table in self._code_tables()))
         return TwoGroupMorphism(self.h(gamma), self.g(self.base.source(gamma)))
+
+    def _code_tables(self) -> tuple[CodeTable, CodeTable]:
+        """h, and g at the source, per quiver morphism code."""
+        if self._by_code is None:
+            self._by_code = (CodeTable(self.base, self.h, self.cm.H),
+                             CodeTable(self.base, lambda m: self.g(m.source), self.cm.G))
+        return self._by_code
 
     # -- pointwise group structure (Prop 3.2) --
 
@@ -335,8 +344,8 @@ def verify_GU_categorical_group(
         the stacked codes of those functors."""
         if not isinstance(f, np.ndarray):
             return Fs[f]
-        return FunctorUG(base, cm, {a: g_codes[f, j] for j, a in enumerate(objects)},
-                         {name: h_codes[f, k] for k, name in enumerate(arrows)})
+        return FunctorUG(base, cm, {a: gather(g_codes, f, j) for j, a in enumerate(objects)},
+                         {name: gather(h_codes, f, k) for k, name in enumerate(arrows)})
 
     functors = CaseSpace.product(range(len(Fs)), build=functor)
 
@@ -467,32 +476,38 @@ class SectionIso:
 
 def verify_section_iso(F: FunctorUG, budget: int = DEFAULT_BUDGET,
                        streams: Streams = seed_zero) -> LawReport:
+    """Prop 4.1 on exhaustive finite data: Psi_sigma keeps each fiber, is
+    equivariant, preserves composition and is a bijection. An object (a, g)
+    is a's index and a code, a bundle morphism its codes, and every law runs
+    in blocks; each bijectivity law is one case that maps every object or
+    morphism in one block."""
     report = LawReport(suite="prop41-section", budget=budget, streams=streams)
     base, cm = F.base, F.cm
     if not cm.is_finite:
         raise StructuralError("the Prop 4.1 section check needs a finite crossed module")
+    G = cm.G
     iso = SectionIso(F)
     bundle = iso.bundle
-    objects = [(a, g) for a in base.objects for g in cm.G.elements]
-    morphisms = list(bundle_morphisms(bundle))
+    indices = range(len(base.objects))
+    objects = CaseSpace.product(indices, G.elements, build=lambda a, g: (base.object(a), g))
+    morphisms = bundle_morphisms(bundle)
 
     report.law(
-        "section-projection", "Prop 4.1", CaseSpace.finite(list(base.objects)),
-        lambda a: iso.on_object(a, cm.G.identity)[0] == a, lambda a: {"object": a},
+        "section-projection", "Prop 4.1", CaseSpace.product(indices, build=base.object),
+        lambda a: iso.on_object(a, G.identity)[0] == a, lambda a: {"object": a},
     )
 
     report.law(
-        "equivariance-objects", "Eq 4.4", CaseSpace.product(objects, cm.G.elements),
-        lambda p: cm.G.eq(
+        "equivariance-objects", "Eq 4.4", CaseSpace.product(objects, G.elements),
+        lambda p: G.eq(
             iso.on_object(*bundle.act_object(p[0], p[1]))[1],
-            cm.G.mul(iso.on_object(*p[0])[1], p[1]),
+            G.mul(iso.on_object(*p[0])[1], p[1]),
         ),
         lambda p: {"object": str(p[0][0])},
     )
 
     report.law(
-        "equivariance-morphisms", "Eq 4.4",
-        CaseSpace.product(bundle_morphisms(bundle), cm.morphism_space()),
+        "equivariance-morphisms", "Eq 4.4", CaseSpace.product(morphisms, cm.morphism_space()),
         lambda p: bundle.morphism_eq(
             iso.on_morphism(bundle.act(p[0], p[1])),
             bundle.act(iso.on_morphism(p[0]), p[1]),
@@ -500,43 +515,50 @@ def verify_section_iso(F: FunctorUG, budget: int = DEFAULT_BUDGET,
         lambda p: {"gamma": repr(p[0].gamma)},
     )
 
+    # the objects, then the morphisms: a case is whether it is an object, and
+    # its number read as an object and as a morphism (the reading that does
+    # not apply decodes its space's case 0)
+    n_objects = objects.size
+
+    def fiber_codes(i):
+        is_object = i < n_objects
+        return [is_object, *objects.decode(np.where(is_object, i, 0)),
+                *morphisms.decode(np.where(is_object, 0, i - n_objects))]
+
+    def fiber_ok(c):
+        is_object, (a, g), tm = c
+        return np.where(is_object, iso.on_object(a, g)[0] == a, iso.on_morphism(tm).gamma == tm.gamma)
+
     report.law(
-        "fiber-preservation", "Prop 4.1", CaseSpace.finite(objects + morphisms),
-        lambda x: ((iso.on_object(*x)[0] == x[0]) if isinstance(x, tuple)
-                   else (iso.on_morphism(x).gamma == x.gamma)),
-        lambda x: {"case": "fiber"},
+        "fiber-preservation", "Prop 4.1",
+        CaseSpace.coded(n_objects + morphisms.size, 1 + objects.arity + morphisms.arity,
+                        fiber_codes, lambda is_object, a, g, *m: (
+                            is_object, objects.build(a, g), morphisms.build(*m))),
+        fiber_ok, lambda c: {"case": "fiber"},
     )
 
     def obj_bij(_):
-        seen = {}  # each image, and the first object mapped to it
-        for x in objects:
-            y = iso.on_object(*x)
-            if y in seen:  # finite elements are codes, equal exactly when `eq`
-                return {"collision": f"{seen[y]} vs {x}"}
-            seen[y] = x
-        for x in objects:  # surjectivity via the explicit inverse
-            back = iso.on_object(*iso.inv_object(*x))
-            if not (back[0] == x[0] and cm.G.eq(back[1], x[1])):
-                return {"no-preimage": str(x[0])}
-        return None
+        a, g = _every_case(objects)
+        image = iso.on_object(a, g)
+        repeat = _first_repeat(*image)
+        if repeat is not None:  # finite elements are codes, equal exactly when `eq`
+            return {"collision": f"{objects[repeat[0]]} vs {objects[repeat[1]]}"}
+        back = iso.on_object(*iso.inv_object(a, g))  # surjectivity via the explicit inverse
+        held = (back[0] == a) & G.eq(back[1], g)
+        return None if held.all() else {"no-preimage": str(objects[int(held.argmin())][0])}
 
     report.law(
         "bijectivity-objects", "Prop 4.1",
         CaseSpace.finite([0]), lambda c: obj_bij(c) is None, obj_bij)
 
     def mor_bij(_):
-        keys = set()
-        for tm in morphisms:
-            y = iso.on_morphism(tm)
-            k = (y.gamma, y.m.h, y.m.g)
-            if k in keys:
-                return {"collision": repr(tm.gamma)}
-            keys.add(k)
-        for tm in morphisms:
-            back = iso.on_morphism(iso.inv_morphism(tm))
-            if not bundle.morphism_eq(back, tm):
-                return {"no-preimage": repr(tm.gamma)}
-        return None
+        tm = _every_case(morphisms)
+        image = iso.on_morphism(tm)
+        repeat = _first_repeat(image.gamma, image.m.h, image.m.g)
+        if repeat is not None:
+            return {"collision": repr(morphisms[repeat[1]].gamma)}
+        held = bundle.morphism_eq(iso.on_morphism(iso.inv_morphism(tm)), tm)
+        return None if held.all() else {"no-preimage": repr(morphisms[int(held.argmin())].gamma)}
 
     report.law(
         "bijectivity-morphisms", "Prop 4.1",
@@ -551,6 +573,28 @@ def verify_section_iso(F: FunctorUG, budget: int = DEFAULT_BUDGET,
         lambda p: {"gamma2": repr(p[0].gamma), "gamma1": repr(p[1].gamma)},
     )
     return report
+
+
+def _every_case(space: CaseSpace):
+    """Every case of a finite coded space, built as one block."""
+    return space.build(*space.decode(np.arange(space.size)))
+
+
+def _first_repeat(*columns: np.ndarray) -> tuple[int, int] | None:
+    """The first index whose row of the int columns repeats an earlier row,
+    after the index of that earlier row: (earlier, repeat), or None when no
+    row repeats."""
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    for c in columns:
+        if len(c):
+            c = c - c.min()
+            key = key * (int(c.max()) + 1) + c
+    order = np.argsort(key, kind="stable")  # equal keys keep index order
+    later = order[1:][key[order[1:]] == key[order[:-1]]]
+    if not len(later):
+        return None
+    repeat = int(later.min())
+    return int(np.argmax(key == key[repeat])), repeat
 
 
 class ExtractionRefused(ValueError):
@@ -661,9 +705,9 @@ def verify_bundle_axioms(base: QuiverCategory, cm: CrossedModule,
     )
 
     # an object (a, g) in a block is a's index in `base.objects` and a code
-    names = np.array(base.objects, dtype=object)
-    objects_acted = CaseSpace.product(range(len(names)), cm.G.elements, cm.G.elements,
-                                      build=lambda a, g, g1: ((names[a], g), g1))
+    indices = range(len(base.objects))
+    objects_acted = CaseSpace.product(indices, cm.G.elements, cm.G.elements,
+                                      build=lambda a, g, g1: ((base.object(a), g), g1))
 
     def object_free_ok(p):  # as `free_ok`: acting by g1 fixes (a, g) only if g1 is the identity
         fixed = cm.G.eq(bundle.act_object(p[0], p[1])[1], p[0][1])
@@ -680,8 +724,8 @@ def verify_bundle_axioms(base: QuiverCategory, cm: CrossedModule,
     )
 
     # pairs in one fiber, over one base object or base morphism
-    same_object = CaseSpace.product(range(len(names)), cm.G.elements, cm.G.elements,
-                                    build=lambda a, g1, g2: ((names[a], g1), (names[a], g2)))
+    same_object = CaseSpace.product(indices, cm.G.elements, cm.G.elements, build=lambda a, g1, g2: (
+        (base.object(a), g1), (base.object(a), g2)))
     report.law(
         "b3-transitivity-objects", "§2.2 (b3)", same_object,
         lambda p: cm.G.eq(

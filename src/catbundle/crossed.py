@@ -27,6 +27,7 @@ from .groups import (
     SymmetricGroup,
     all_cases,
     code_rows,
+    gather,
     is_block,
 )
 from .report import DEFAULT_BUDGET, CaseSpace, LawReport, sides_witness
@@ -135,23 +136,36 @@ class CrossedModule:
 
 
 def _code_table(values: list, shape: tuple, what: str) -> np.ndarray:
-    """Closed-form values as an int table; an out-of-range int is kept for
-    the carrier probe to report."""
+    """Closed-form values as an int table; an out-of-range int is kept, for
+    the carrier probe or the first lookup that meets it to report."""
     if not all(isinstance(v, (int, np.integer)) for v in values):
         raise StructuralError(f"{what} must take int codes as values")
     return np.array(values, dtype=np.int64).reshape(shape)
 
 
 def _lookups(name: str, G: Group, H: Group, alpha_table: np.ndarray, tau_table: np.ndarray):
-    """alpha and tau as lookups in their tables, as in the group tables."""
-    alpha_rows, tau_rows = code_rows(alpha_table), code_rows(tau_table)
+    """alpha and tau as lookups in their tables, as in the group tables. A
+    non-code in a table, which the carrier probe may not sample, raises
+    StructuralError where a lookup meets it, for a code and on a block alike:
+    the rows leave it out, and where a table holds one, every block's values
+    are checked."""
+    alpha_rows, tau_rows = code_rows(alpha_table, H.order), code_rows(tau_table, G.order)
+    alpha_clean, tau_clean = (bool(((table >= 0) & (table < n)).all())
+                              for table, n in ((alpha_table, H.order), (tau_table, G.order)))
+
+    def checked(out, clean, bound, what):
+        if not clean and ((out < 0) | (out >= bound)).any():
+            raise StructuralError(f"{what} of {name} gives a non-code in the block")
+        return out
 
     def alpha_lookup(g: Element, h: Element) -> Element:
         try:
             return alpha_rows[g][h]
         except (KeyError, TypeError):
             if is_block(g, h):
-                return alpha_table[g, h]
+                return checked(gather(alpha_table, g, h), alpha_clean, H.order, "alpha")
+            if G.contains(g) and H.contains(h):
+                raise _carrier_error("alpha", G, H, g, h) from None
             raise StructuralError(
                 f"alpha of {name} is defined on {G.name} x {H.name}, got ({g!r}, {h!r})") from None
 
@@ -160,7 +174,9 @@ def _lookups(name: str, G: Group, H: Group, alpha_table: np.ndarray, tau_table: 
             return tau_rows[h]
         except (KeyError, TypeError):
             if is_block(h):
-                return tau_table[h]
+                return checked(tau_table[h], tau_clean, G.order, "tau")
+            if H.contains(h):
+                raise _carrier_error("tau", G, H, None, h) from None
             raise StructuralError(f"tau of {name} is defined on {H.name}, got {h!r}") from None
 
     return alpha_lookup, tau_lookup
@@ -180,9 +196,9 @@ def _check_carriers(cm: CrossedModule, rng: Stream, n: int = 64) -> None:
             g = G.sample(rng)
             h = H.sample(rng)
             if not G.contains(cm.tau(h)):
-                raise _carrier_error(cm, "tau", g, h)
+                raise _carrier_error("tau", G, H, g, h)
             if not H.contains(cm.alpha(g, h)):
-                raise _carrier_error(cm, "alpha", g, h)
+                raise _carrier_error("alpha", G, H, g, h)
         return
     u = rng.random((n, G.width + H.width))
     g, h = G.sample_stack(u[:, :G.width]), H.sample_stack(u[:, G.width:])
@@ -190,13 +206,13 @@ def _check_carriers(cm: CrossedModule, rng: Stream, n: int = 64) -> None:
     bad = np.flatnonzero(~(tau_in & alpha_in))
     if len(bad):
         i = bad[0]
-        raise _carrier_error(cm, "alpha" if tau_in[i] else "tau", g[i], h[i])
+        raise _carrier_error("alpha" if tau_in[i] else "tau", G, H, g[i], h[i])
 
 
-def _carrier_error(cm: CrossedModule, which: str, g: Element, h: Element) -> StructuralError:
+def _carrier_error(which: str, G: Group, H: Group, g: Element, h: Element) -> StructuralError:
     if which == "tau":
-        return StructuralError(f"tau({cm.H.fmt(h)}) is not an element of {cm.G.name}")
-    return StructuralError(f"alpha_{cm.G.fmt(g)}({cm.H.fmt(h)}) is not an element of {cm.H.name}")
+        return StructuralError(f"tau({H.fmt(h)}) is not an element of {G.name}")
+    return StructuralError(f"alpha_{G.fmt(g)}({H.fmt(h)}) is not an element of {H.name}")
 
 
 def verify_crossed_module(

@@ -2,9 +2,10 @@
 
 Finite elements are int codes, their index in `elements`; finite groups
 tabulate `mul` and `inv` as numpy int arrays, looked up for a code or an
-array of codes alike. Matrix elements are numpy arrays; equality is a
-declared max-abs-entry tolerance (default 1e-9) because downstream transport
-values are floating point.
+array of codes alike; `gather` is the one rule by which arrays of codes
+look up a 2-D table, one 1-D gather at `a * width + b`. Matrix elements are
+numpy arrays; equality is a declared max-abs-entry tolerance (default 1e-9)
+because downstream transport values are floating point.
 
 `eq` gives a plain bool on two elements and a per-case mask of shape `(k,)`
 when an operand holds k cases (an array of codes, a `(k, n, n)` SO(n) stack,
@@ -108,8 +109,10 @@ class FiniteGroup(Group):
     `values[code]` is the element in the terms of the closed forms `op` and
     `inverse`, from which the int tables `mul_table` and `inv_table` are
     built once. A code is looked up in a table's `tolist()` rows (Python
-    ints), an array of codes in the table itself; a non-code (a negative or
-    out-of-range int, a tuple) raises StructuralError."""
+    ints), an array of codes in the table itself by `gather`; a non-code (a
+    negative or out-of-range int, a tuple) raises StructuralError. An array
+    is trusted to hold codes, as every array a suite makes does: a flat
+    index of a non-code would land in another row."""
 
     def __init__(self, name: str, values: list, identity, op, inverse):
         self.name = name
@@ -137,7 +140,7 @@ class FiniteGroup(Group):
             return self._mul[a][b]
         except (KeyError, TypeError):
             if is_block(a, b):
-                return self.mul_table[a, b]
+                return gather(self.mul_table, a, b)
             raise StructuralError(f"{a!r} or {b!r} is not an element of {self.name}") from None
 
     def inv(self, a):
@@ -152,16 +155,23 @@ class FiniteGroup(Group):
         return a == b
 
     def contains(self, a) -> bool:
-        return isinstance(a, int) and 0 <= a < len(self.elements)
+        return isinstance(a, (int, np.integer)) and 0 <= a < len(self.elements)
 
 
-def code_rows(table: np.ndarray) -> dict:
+def gather(table: np.ndarray, a, b) -> np.ndarray:
+    """table[a, b] for codes a and b, at least one an array, as one 1-D
+    gather at a * width + b, the width read from the table as it is now."""
+    return np.take(table, a * table.shape[1] + b)
+
+
+def code_rows(table: np.ndarray, bound: int | None = None) -> dict:
     """A table's `tolist()` rows keyed by code: a negative code is a
-    KeyError, not a wrap-around."""
-    rows = table.tolist()
-    if table.ndim == 1:
-        return dict(enumerate(rows))
-    return {i: dict(enumerate(row)) for i, row in enumerate(rows)}
+    KeyError, not a wrap-around. With `bound`, an entry that is not a code
+    below it is left out, so that looking it up is a KeyError too."""
+    rows = [dict(enumerate(row)) if bound is None
+            else {i: v for i, v in enumerate(row) if 0 <= v < bound}
+            for row in np.atleast_2d(table).tolist()]
+    return rows[0] if table.ndim == 1 else dict(enumerate(rows))
 
 
 def is_block(*codes) -> bool:

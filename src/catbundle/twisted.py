@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basecat import CodeTable, PathBlock, QuiverCategory, path_values
+from .basecat import CodeTable, PathBlock, QuiverCategory, QuiverMorphism, path_values
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
 from .groups import StructuralError, all_cases
 from .report import DEFAULT_BUDGET, CaseSpace, LawReport, sides_witness
@@ -59,7 +59,9 @@ class EtaMap:
     property holds structurally); raw mode evaluates a user callable and is
     how deliberately broken twists enter negative tests. On a block of codes
     of `base`'s morphisms, eta is looked up per code, and raises where the
-    callable does; on a PathBlock it is the stack of its paths' values.
+    callable does; a raw value that is not an element of G raises too, on a
+    block and on one quiver morphism alike. On a PathBlock it is the stack
+    of its paths' values.
 
     Transport mode (`decorated.eta_from_connection`) calls `fn` on a
     PathBlock of directly-sampled paths, which gives their values stacked;
@@ -74,7 +76,7 @@ class EtaMap:
         self.cm = cm
         self._fn = fn
         self.kind = kind
-        self._by_code = CodeTable(base, fn)
+        self._by_code = CodeTable(base, fn, cm.G)
         self._kept = weakref.WeakKeyDictionary()  # transport mode: what path_values keeps
 
     def __call__(self, gamma):
@@ -85,6 +87,8 @@ class EtaMap:
             return self._by_code(gamma)
         if isinstance(gamma, PathBlock):
             return np.array([self._fn(p) for p in gamma])
+        if self.kind == "raw" and isinstance(gamma, QuiverMorphism):
+            return self._by_code.value(gamma)  # checked as in a block
         return self._fn(gamma)
 
     @staticmethod

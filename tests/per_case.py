@@ -2,9 +2,10 @@
 as they come without blocks, a check that every block of a passing law
 holds whole, parallel transport integrated one segment at a time (by the
 stacked kernel's arithmetic, and by the f - I matrix integrator), random
-paths drawn point by point, path samples deduplicated point by point, and
-the small builders only tests use: cocycle data with one value perturbed,
-the non-identity morphisms of an overlap category and the SO(2) generator."""
+paths drawn point by point, path samples deduplicated point by point, the
+Prop 4.1 section laws element by element, and the small builders only tests
+use: cocycle data with one value perturbed, the non-identity morphisms of an
+overlap category and the SO(2) generator."""
 import zlib
 from contextlib import contextmanager
 
@@ -13,10 +14,13 @@ import pytest
 
 from catbundle import report
 from catbundle.basecat import SampledPath
+from catbundle.bundle import FunctorUG, SectionIso
 from catbundle.cocycle import CocycleData, OverlapCategory
 from catbundle.crossed import CrossedModule
 from catbundle.decorated import Connection, _so3_expm1
 from catbundle.groups import StructuralError
+from catbundle.report import CaseSpace, LawReport
+from catbundle.twisted import bundle_morphisms, composable_chains
 
 
 def law_streams(seed: int, make=np.random.default_rng):
@@ -214,3 +218,88 @@ def reference_dedup(samples: np.ndarray, tol: float) -> np.ndarray:
     if len(keep) == 1:
         keep.append(samples[-1])
     return np.array(keep)
+
+
+def reference_section_iso(F: FunctorUG, budget: int, streams) -> LawReport:
+    """The prop41-section laws element by element: the objects and the
+    bundle morphisms listed whole, objects as (name, code) tuples, and each
+    bijectivity law one case that walks them in a loop."""
+    report = LawReport(suite="prop41-section", budget=budget, streams=streams)
+    base, cm = F.base, F.cm
+    iso = SectionIso(F)
+    bundle = iso.bundle
+    objects = [(a, g) for a in base.objects for g in cm.G.elements]
+    morphisms = list(bundle_morphisms(bundle))
+
+    report.law(
+        "section-projection", "Prop 4.1", CaseSpace.finite(list(base.objects)),
+        lambda a: iso.on_object(a, cm.G.identity)[0] == a, lambda a: {"object": a},
+    )
+    report.law(
+        "equivariance-objects", "Eq 4.4", CaseSpace.product(objects, cm.G.elements),
+        lambda p: cm.G.eq(
+            iso.on_object(*bundle.act_object(p[0], p[1]))[1],
+            cm.G.mul(iso.on_object(*p[0])[1], p[1]),
+        ),
+        lambda p: {"object": str(p[0][0])},
+    )
+    report.law(
+        "equivariance-morphisms", "Eq 4.4",
+        CaseSpace.product(bundle_morphisms(bundle), cm.morphism_space()),
+        lambda p: bundle.morphism_eq(
+            iso.on_morphism(bundle.act(p[0], p[1])),
+            bundle.act(iso.on_morphism(p[0]), p[1]),
+        ),
+        lambda p: {"gamma": repr(p[0].gamma)},
+    )
+    report.law(
+        "fiber-preservation", "Prop 4.1", CaseSpace.finite(objects + morphisms),
+        lambda x: ((iso.on_object(*x)[0] == x[0]) if isinstance(x, tuple)
+                   else (iso.on_morphism(x).gamma == x.gamma)),
+        lambda x: {"case": "fiber"},
+    )
+
+    def obj_bij(_):
+        seen = {}  # each image, and the first object mapped to it
+        for x in objects:
+            y = iso.on_object(*x)
+            if y in seen:
+                return {"collision": f"{seen[y]} vs {x}"}
+            seen[y] = x
+        for x in objects:  # surjectivity via the explicit inverse
+            back = iso.on_object(*iso.inv_object(*x))
+            if not (back[0] == x[0] and cm.G.eq(back[1], x[1])):
+                return {"no-preimage": str(x[0])}
+        return None
+
+    report.law(
+        "bijectivity-objects", "Prop 4.1",
+        CaseSpace.finite([0]), lambda c: obj_bij(c) is None, obj_bij)
+
+    def mor_bij(_):
+        keys = set()
+        for tm in morphisms:
+            y = iso.on_morphism(tm)
+            k = (y.gamma, y.m.h, y.m.g)
+            if k in keys:
+                return {"collision": repr(tm.gamma)}
+            keys.add(k)
+        for tm in morphisms:
+            back = iso.on_morphism(iso.inv_morphism(tm))
+            if not bundle.morphism_eq(back, tm):
+                return {"no-preimage": repr(tm.gamma)}
+        return None
+
+    report.law(
+        "bijectivity-morphisms", "Prop 4.1",
+        CaseSpace.finite([0]), lambda c: mor_bij(c) is None, mor_bij)
+
+    report.law(
+        "composition-preservation", "Eq 4.5", composable_chains(bundle, 2),
+        lambda p: bundle.morphism_eq(
+            iso.on_morphism(bundle.compose(p[0], p[1])),
+            bundle.compose(iso.on_morphism(p[0]), iso.on_morphism(p[1])),
+        ),
+        lambda p: {"gamma2": repr(p[0].gamma), "gamma1": repr(p[1].gamma)},
+    )
+    return report

@@ -1,5 +1,6 @@
 import itertools
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from catbundle.basecat import QuiverCategory
 from catbundle.bundle import (
     ExtractionRefused,
     SectionIso,
+    _first_repeat,
     _spread,
     constant_identity_functor,
     enumerate_functors,
@@ -28,14 +30,17 @@ from catbundle.bundle import (
     verify_section_iso,
 )
 from catbundle.crossed import CompositionUndefined, TwoGroupMorphism, get_module
-from catbundle.groups import perm_from_cycles, perm_inv, perm_mul
+from catbundle.groups import FiniteGroup, perm_from_cycles, perm_inv, perm_mul
+from catbundle.report import FINITE_BLOCK
+from catbundle.scenario import Scenario
 from catbundle.twisted import EtaMap, TwistedBundle, TwistedMorphism, bundle_morphisms
-from per_case import law_streams
+from per_case import law_streams, reference_section_iso
 
 Z4 = get_module("z4-conj")
 S3 = get_module("s3-conj")
 ARROW = QuiverCategory(["a", "b"], [("f", "a", "b")], word_bound=3)
 CHAIN = QuiverCategory(["a", "b", "c"], [("f", "a", "b"), ("g", "b", "c")], word_bound=3)
+S3_QUIVER = Path(__file__).resolve().parents[1] / "scenarios" / "s3_quiver.json"
 
 
 def p(text):
@@ -290,6 +295,118 @@ def test_section_iso_no_collisions_by_search():
         for g in Z4.G.elements:
             seen.add(iso.on_object(a, g))
     assert len(seen) == len(ARROW.objects) * 4
+
+
+# -- Prop 4.1 in blocks, against the element-by-element reference --
+
+def s3_quiver_functors() -> list:
+    """The shipped s3_quiver scenario's two section functors, in name order."""
+    sc = Scenario.load(S3_QUIVER)
+    cm, base = sc.crossed_module(), sc.quiver()
+    return [functor_from_h(base, cm, table) for _, table in sorted(sc.functors(cm, base).items())]
+
+
+def assert_same_records(got, want):
+    assert [r.law for r in got.records] == [r.law for r in want.records]
+    assert got.to_jsonl() == want.to_jsonl()  # status, checks, exhaustive and witness per law
+
+
+@pytest.mark.parametrize("budget", [5, 12, 20_000])
+@pytest.mark.parametrize("which", [0, 1])
+def test_section_laws_in_blocks_equal_the_per_element_reference(which, budget):
+    F = s3_quiver_functors()[which]
+    got = verify_section_iso(F, budget, law_streams(1))
+    assert_same_records(got, reference_section_iso(F, budget, law_streams(1)))
+    assert got.passed
+    assert [got.find(law).checks for law in ("bijectivity-objects", "bijectivity-morphisms")] == [1, 1]
+
+
+def _at(x, name: str, base: QuiverCategory):
+    """Whether x is the object or arrow `name`: a bool for one object name
+    or morphism, a mask for a block of object indices or morphism codes."""
+    if name in base.objects:
+        return x == (base.objects.index(name) if isinstance(x, np.ndarray) else name)
+    arrow = base.arrow(name)
+    return x == (base.code(arrow) if isinstance(x, np.ndarray) else arrow)
+
+
+def _breaks(kind: str, base: QuiverCategory, cm):
+    """A SectionIso method broken at one point, case by case on a block:
+    `on_object` sends (b, g1) where (b, e) goes, `on_morphism` sends (f, m1)
+    where (f, unit) goes, and `inv_object` and `inv_morphism` right-multiply
+    their value at (b, g1) or (f, m1) by a non-unit, so it has no preimage."""
+    G, g1, m1, k = cm.G, 3, TwoGroupMorphism(1, 2), TwoGroupMorphism(1, 1)
+    original = getattr(SectionIso, kind)
+
+    def hit(x):
+        if isinstance(x, TwistedMorphism):
+            return _at(x.gamma, "f", base) & cm.m_eq(x.m, m1)
+        return _at(x[0], "b", base) & G.eq(x[1], g1)
+
+    if kind == "on_object":
+        return lambda self, a, g: original(self, a, where(hit((a, g)), G.identity, g))
+    if kind == "on_morphism":
+        return lambda self, tm: original(self, TwistedMorphism(tm.gamma, where(hit(tm), cm.unit, tm.m)))
+    if kind == "inv_object":
+        def inv_object(self, a, g):
+            out = original(self, a, g)
+            return out[0], where(hit((a, g)), G.mul(out[1], k.g), out[1])
+        return inv_object
+
+    def inv_morphism(self, tm):
+        out = original(self, tm)
+        return TwistedMorphism(out.gamma, where(hit(tm), cm.sdp_multiply(out.m, k), out.m))
+    return inv_morphism
+
+
+@pytest.mark.parametrize("budget", [5, 12, 20_000])
+@pytest.mark.parametrize("kind, law, witness", [
+    ("on_object", "bijectivity-objects", {"collision": "('b', 0) vs ('b', 3)"}),
+    ("inv_object", "bijectivity-objects", {"no-preimage": "b"}),
+    ("on_morphism", "bijectivity-morphisms", {"collision": "f:a->b"}),
+    ("inv_morphism", "bijectivity-morphisms", {"no-preimage": "f:a->b"}),
+])
+def test_broken_section_maps_fail_as_in_the_per_element_reference(kind, law, witness, budget,
+                                                                   monkeypatch):
+    F = s3_quiver_functors()[0]
+    monkeypatch.setattr(SectionIso, kind, _breaks(kind, F.base, F.cm))
+    got = verify_section_iso(F, budget, law_streams(1))
+    assert_same_records(got, reference_section_iso(F, budget, law_streams(1)))
+    record = got.find(law)
+    assert not record.passed and record.checks == 1 and record.witness == witness
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_first_repeat_finds_what_a_loop_over_seen_rows_finds(seed):
+    rng = np.random.default_rng(seed)
+    n, spans = int(rng.integers(0, 40)), rng.integers(1, 9, size=3)
+    columns = [rng.integers(-s, s, size=n) for s in spans]
+    seen, want = {}, None
+    for i, row in enumerate(zip(*(c.tolist() for c in columns))):
+        if row in seen:
+            want = (seen[row], i)
+            break
+        seen[row] = i
+    assert _first_repeat(*columns) == want
+
+
+def test_section_laws_make_no_single_code_multiplication_per_case(monkeypatch):
+    # the section laws multiply blocks of codes; single codes are multiplied
+    # only to fill each functor's per-code h table, once per arrow of a base
+    # morphism's word, and none once it is filled
+    Fs = s3_quiver_functors()
+    calls = []
+    mul = FiniteGroup.mul
+    monkeypatch.setattr(FiniteGroup, "mul", lambda self, a, b: calls.append(
+        max(np.size(a), np.size(b))) or mul(self, a, b))
+    for F in Fs:
+        assert verify_section_iso(F, 20_000, law_streams(1)).passed
+    letters = sum(len(m.word) for m in Fs[0].base.morphisms_upto())
+    assert calls.count(1) <= len(Fs) * letters
+    assert all(n <= FINITE_BLOCK for n in calls) and FINITE_BLOCK in calls
+    calls.clear()
+    assert verify_section_iso(Fs[0], 20_000, law_streams(1)).passed
+    assert calls and 1 not in calls
 
 
 def test_extract_functor_roundtrip_and_composition():

@@ -16,7 +16,7 @@ from catbundle.bundle import verify_GU_categorical_group
 from catbundle.cli import main
 from catbundle.crossed import get_module, verify_exchange_law
 from catbundle.groups import StructuralError
-from catbundle.report import Block, CaseSpace, Plan, run_law
+from catbundle.report import Block, CaseSpace, LawReport, Plan, run_law
 from catbundle.scenario import Scenario
 from catbundle.suites import run_suite
 from per_case import law_streams
@@ -231,6 +231,40 @@ def test_formerly_listed_laws_honour_the_budget():
     for r in records:
         assert r.passed and r.checks == 5 and not r.exhaustive, r.law
     assert [r.space for r in records] == [216, 234]
+
+
+def test_section_laws_build_no_case_beyond_their_picks(monkeypatch):
+    # at budget 5 each prop41 law decodes its picks (at most 5) and no more
+    # (a space inside a product decodes the same picks); only the two bijectivity
+    # laws, one case each, map every object or every morphism. Nothing is
+    # decoded outside a law
+    decoded, current = {}, [None]  # case numbers each decode got, by law id
+    init, law = CaseSpace.__init__, LawReport.law
+
+    def recording_init(self, size, build, decode=None, *args, **kwargs):
+        if decode is not None:
+            def decode(i, inner=decode):
+                decoded.setdefault(current[0], []).append(len(i))
+                return inner(i)
+        init(self, size, build, decode, *args, **kwargs)
+
+    def recording_law(self, law_id, *args):
+        current[0] = law_id
+        try:
+            return law(self, law_id, *args)
+        finally:
+            current[0] = None
+
+    monkeypatch.setattr(CaseSpace, "__init__", recording_init)
+    monkeypatch.setattr(LawReport, "law", recording_law)
+    raw = json.loads((SCEN / "s3_quiver.json").read_text())
+    report = run_suite(Scenario({**raw, "budget": 5}), "prop41-section")
+    assert report.passed and None not in decoded
+    bijectivity = {"bijectivity-objects": 3 * 6, "bijectivity-morphisms": 6 * 36}
+    records = [r for r in report.records if "@" not in r.law]
+    assert set(decoded) == {r.law for r in records}
+    for r in records:
+        assert max(decoded[r.law]) == bijectivity.get(r.law, min(5, r.space)), r.law
 
 
 def test_z4_twist_e_action_checks_whole_spaces():

@@ -1,11 +1,12 @@
 """Finite laws run on blocks of int-coded cases: a failing S3 module pinned by
-committed goldens, int codes and their parsing, table lookups on arrays,
-one-call picks, block plans against per-case plans, run_law's case-by-case
+committed goldens, int codes and their parsing, table lookups on arrays as
+one-index gathers, non-codes in alpha, tau and eta tables, one-call picks, block plans against per-case plans, run_law's case-by-case
 rerun of a failing block and its search by halves for a failure deep in a
 big block, and the prop34 GU laws on blocks of functor and transformation
 codes."""
 import itertools
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -17,16 +18,31 @@ import catbundle.report
 import catbundle.suites
 from catbundle.basecat import QuiverCategory
 from catbundle.bundle import NatTransf, enumerate_functors, gauge, verify_GU_categorical_group
-from catbundle.crossed import CrossedModule, get_module, verify_crossed_module, verify_exchange_law
-from catbundle.groups import CyclicGroup, FiniteGroup, StructuralError, SymmetricGroup
+from catbundle.crossed import (
+    CrossedModule,
+    catalog,
+    get_module,
+    verify_crossed_module,
+    verify_exchange_law,
+)
+from catbundle.groups import CyclicGroup, FiniteGroup, StructuralError, SymmetricGroup, gather
 from catbundle.report import FINITE_BLOCK, Block, CaseSpace, _index, _picks, run_law
 from catbundle.scenario import Scenario, ScenarioError, parse_element
 from catbundle.suites import run_suite
+from catbundle.twisted import (
+    EtaMap,
+    TwistedBundle,
+    verify_action_functorial,
+    verify_E_properties,
+    verify_twisted_bundle,
+)
 from per_case import law_streams, per_case_plans
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SCEN = Path(__file__).resolve().parents[1] / "scenarios"
 ARROW = QuiverCategory(["a", "b"], [("f", "a", "b")], word_bound=2)
+CHAIN = QuiverCategory(["a", "b", "c"], [("f", "a", "b"), ("g", "b", "c")], word_bound=3)
+FINITE_MODULES = [name for name, cm in catalog().items() if cm.is_finite]
 
 
 def alpha_mutant() -> CrossedModule:
@@ -109,6 +125,103 @@ def test_table_lookups_on_arrays_equal_per_code_lookups(name):
             (cm.alpha(G.identity, h), h.tolist()),
             (cm.tau(h), [cm.tau(a) for a in h.tolist()])):
         assert isinstance(got, np.ndarray) and got.tolist() == want
+
+
+@pytest.mark.parametrize("name", FINITE_MODULES)
+def test_one_index_gathers_equal_the_2d_tables(name):
+    # every code pair of both Cayley tables and of alpha, and every code of tau
+    cm = get_module(name)
+    for table, lookup in ((cm.G.mul_table, cm.G.mul), (cm.H.mul_table, cm.H.mul),
+                          (cm.alpha_table, cm.alpha)):
+        a, b = np.indices(table.shape).reshape(2, -1)
+        want = [table[x, y] for x, y in zip(a.tolist(), b.tolist())]
+        assert gather(table, a, b).tolist() == want
+        assert lookup(a, b).tolist() == want == [lookup(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    h = np.arange(cm.H.order)
+    assert cm.tau(h).tolist() == cm.tau_table.tolist() == [cm.tau(x) for x in h.tolist()]
+
+
+def test_composite_gathers_read_the_widened_table():
+    # on a loop, composites of blocks pass word_bound: each new composite
+    # widens the composite table, and a gather after that (within the same
+    # block, and in later blocks) reads the new width
+    loop = QuiverCategory(["a"], [("l", "a", "a")], word_bound=1)
+    rng = np.random.default_rng(7)
+    widths = [len(loop.codes())]
+    for _ in range(6):
+        top = len(loop._coded)
+        m2, m1 = rng.integers(top, size=(2, 16))
+        out = loop.compose(m2, m1)
+        for c2, c1, c in zip(m2.tolist(), m1.tolist(), out.tolist()):
+            assert loop.morphism(c) == loop.compose(loop.morphism(c2), loop.morphism(c1))
+        assert loop.compose(m2, m1).tolist() == out.tolist()
+        widths.append(loop._composite.shape[1])
+    assert widths[-1] > widths[1] > widths[0] == 2
+    assert loop._composite.shape == (len(loop._coded),) * 2
+
+
+# -- a non-code in alpha, tau or eta --
+
+def _s3_with(alpha_at=None, tau_at=None):
+    """The S3 conjugation module with alpha_1(2) or tau(2) set to a given
+    int."""
+    S3, conj = SymmetricGroup(3), get_module("s3-conj")
+    return CrossedModule(
+        "s3-off", S3, S3,
+        lambda g, h: alpha_at if alpha_at is not None and (g, h) == (1, 2) else conj.alpha(g, h),
+        lambda h: tau_at if tau_at is not None and h == 2 else h)
+
+
+def _fails_structurally(run, error: str):
+    """Run a verify call in blocks and case by case: the same records, with
+    a failing law, and `error` as every failing law's witness."""
+    got = run()
+    with per_case_plans():
+        want = run()
+    assert got.to_jsonl() == want.to_jsonl()
+    failed = [r for r in got.records if not r.passed]
+    assert failed and all(r.witness == {"error": f"StructuralError: {error}"} for r in failed)
+
+
+@pytest.mark.parametrize("value", [6, 7, -1, -6])
+def test_a_non_code_of_alpha_that_the_carrier_probe_misses_fails_its_laws(value):
+    # the probe's 64 pairs at seed 0 miss (g, h) = (1, 2); the laws that
+    # meet it fail with a structural error, never with a bare IndexError or
+    # by reading another row
+    cm = _s3_with(alpha_at=value)
+
+    def run():
+        report = verify_crossed_module(cm, 20_000, law_streams(0))
+        return report.extend(verify_exchange_law(cm, 20_000, law_streams(0)))
+
+    _fails_structurally(run, "alpha_(1 2)((0 1)) is not an element of s3")
+
+
+@pytest.mark.parametrize("value", [6, -1])
+def test_a_non_code_of_tau_fails_the_probe_and_the_bundle_laws(value):
+    cm = _s3_with(tau_at=value)
+    with pytest.raises(StructuralError, match=re.escape("tau((0 1)) is not an element of s3")):
+        verify_crossed_module(cm, 20_000, law_streams(0))
+    # the twisted-bundle laws run no probe
+    bundle = TwistedBundle(CHAIN, cm, EtaMap.trivial(CHAIN, cm))
+    _fails_structurally(lambda: verify_twisted_bundle(bundle, 20_000, law_streams(0)),
+                        "tau((0 1)) is not an element of s3")
+
+
+@pytest.mark.parametrize("word", [(), ("g",)])
+@pytest.mark.parametrize("value", [4, 9, -1])
+def test_a_non_code_of_a_raw_eta_fails_its_laws(word, value):
+    z4 = get_module("z4-conj")
+    eta = EtaMap.from_raw(CHAIN, z4, {(): 0, ("f",): 1, ("g",): 2, word: value}, default=0)
+    bundle = TwistedBundle(CHAIN, z4, eta)
+    at = repr(CHAIN.morphisms_upto()[0] if not word else CHAIN.arrow("g"))
+
+    def run():
+        report = verify_twisted_bundle(bundle, 20_000, law_streams(0))
+        report.extend(verify_E_properties(bundle, 20_000, law_streams(0)))
+        return report.extend(verify_action_functorial(bundle, 20_000, law_streams(0)))
+
+    _fails_structurally(run, f"{value} at {at} is not an element of z4")
 
 
 def test_eq_on_arrays_is_every_case_equal():

@@ -238,8 +238,9 @@ BLOCKED = {
     "e-action": {"action-boundaries", "action-composition", "E-reproduces-composition",
                  "E-identity-base", "E-identity-group", "E-composition-group",
                  "E-composition-base"},
-    "prop41-section": {"equivariance-morphisms", "composition-preservation",
-                       "equivariance-morphisms@sigma2", "composition-preservation@sigma2"},
+    "prop41-section": {law + tag for tag in ("", "@sigma2") for law in (
+        "section-projection", "equivariance-objects", "equivariance-morphisms",
+        "fiber-preservation", "composition-preservation")},
     "prop31-roundtrip": {"roundtrip-invariants", "telescoping", "object-encoding"},
 }
 
