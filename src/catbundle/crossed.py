@@ -186,19 +186,15 @@ def _lookups(name: str, G: Group, H: Group, alpha_table: np.ndarray, tau_table: 
 
 def _check_carriers(cm: CrossedModule, rng: Stream, n: int = 64) -> None:
     """Structural probe, distinct from axiom failure: alpha must land in H
-    and tau in G, on n sampled (g, h) pairs. On SO(n) carriers the pairs come
-    as one (n, G.width + H.width) block of draws, those of n (g, h) samples in
-    turn, checked as stacks; the first failing pair raises as it would one
-    pair at a time."""
+    and tau in G, on n sampled (g, h) pairs; finite tables raise on a
+    non-code when looked up. On SO(n) carriers the pairs come as one block
+    of draws, those of n (g, h) samples in turn, checked as stacks; the
+    first failing pair raises as it would one pair at a time."""
     G, H = cm.G, cm.H
     if G.width is None or H.width is None:
         for _ in range(n):
-            g = G.sample(rng)
-            h = H.sample(rng)
-            if not G.contains(cm.tau(h)):
-                raise _carrier_error("tau", G, H, g, h)
-            if not H.contains(cm.alpha(g, h)):
-                raise _carrier_error("alpha", G, H, g, h)
+            g, h = G.sample(rng), H.sample(rng)
+            cm.tau(h), cm.alpha(g, h)  # a lookup raises on a non-code
         return
     u = rng.random((n, G.width + H.width))
     g, h = G.sample_stack(u[:, :G.width]), H.sample_stack(u[:, G.width:])

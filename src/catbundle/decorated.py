@@ -10,12 +10,13 @@ into `steps` substeps of displacement d, with factors f[j] = exp(-A(mid_j)·d),
 and segment products are left-folded in path order. A is constant plus linear
 in position, so A(mid_j)·d = first + j·slope: one `evaluate` gives `first`,
 its skew check at the first and the last midpoint covers every substep (the
-residual is affine in j too), and slope = d·linear·d. SO(2) factors commute:
-a segment's product is the rotation by minus their summed angles, exact for
-linear connections too (SO(2) convergence orders read inf). SO(3) factors are
-built from their rotation vectors as f - I and multiplied by pairwise tree
-reduction, the later factor on the left, CHUNK factors at a time; carrying
-f - I keeps transports orthogonal to about 1e-15 over thousands of substeps.
+residual is affine in j too), and slope = d·linear·d. `groups.skew_expm1`
+builds, as f - I, a segment's SO(2) product, the rotation by minus the
+factors' summed angles (they commute; exact for linear connections too, so
+SO(2) convergence orders read inf), and SO(3) factors from their rotation
+vectors, multiplied by pairwise tree reduction, the later factor on the left,
+CHUNK factors at a time; carrying f - I keeps transports orthogonal to about
+1e-15 over thousands of substeps.
 The leaves a call needs (those `basecat.path_values` has not kept) are
 integrated stacked, constant paths only giving identities at once; every
 operation acts on one segment's values alone, so a leaf's transport is
@@ -48,7 +49,7 @@ import numpy as np
 
 from .basecat import PathBlock, PathCategory, SampledPath, constant_path, path_values, same_samples
 from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
-from .groups import SpecialOrthogonalGroup, StructuralError, all_cases, is_skew
+from .groups import SpecialOrthogonalGroup, StructuralError, all_cases, is_skew, skew_coords, skew_expm1
 from .report import CaseSpace, LawReport, Plan
 from .stream import Stream, Streams, seed_zero
 from .twisted import EtaMap, TwistedBundle, TwistedMorphism, element_draws
@@ -124,21 +125,6 @@ def _ordered_product(e: np.ndarray) -> np.ndarray:
     return np.eye(e.shape[-1]) + e[..., 0, :, :]
 
 
-def _so3_expm1(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """exp(skew3(v)) - I for rotation vectors v = (x, y, z) given by components,
-    by Rodrigues entry by entry, 1 - cos through the half angle (a small rotation
-    keeps its relative precision); a zero v takes theta = 1, its terms all 0."""
-    xx, yy, zz = x * x, y * y, z * z
-    theta2 = xx + yy + zz
-    theta = np.sqrt(theta2) + (theta2 == 0)
-    c1, c2 = np.sin(theta) / theta, 2.0 * (np.sin(theta / 2) / theta) ** 2
-    ax, ay, az, qx, qy = c1 * x, c1 * y, c1 * z, c2 * x, c2 * y
-    xy, xz, yz = qx * y, qx * z, qy * z
-    return np.stack([-c2 * (yy + zz), xy - az, xz + ay,
-                     xy + az, -c2 * (xx + zz), yz - ax,
-                     xz - ay, yz + ax, -c2 * (xx + yy)], axis=-1).reshape(x.shape + (3, 3))
-
-
 def _leaf_transports(conn: Connection, leaves, steps: int) -> np.ndarray:
     """The transports of directly-sampled paths, stacked: the products of the
     nonzero segments of their concatenated samples, then each leaf's left fold,
@@ -154,21 +140,18 @@ def _leaf_transports(conn: Connection, leaves, steps: int) -> np.ndarray:
     if not nonzero.any():
         return out
     starts, d, owner = points[:-1][nonzero], delta[nonzero] / steps, owner[1:][nonzero]
-    rows, cols = ([1], [0]) if n == 2 else ([2, 0, 1], [1, 2, 0])  # the angle, or (x, y, z)
     ends = starts[:, None] + np.array([[0.5], [steps - 0.5]]) * d[:, None]
-    v = -conn.evaluate(ends, d)[:, 0, rows, cols]  # exp(-first)'s angle or rotation vector
+    v = -skew_coords(conn.evaluate(ends, d)[:, 0])  # exp(-first)'s angle or rotation vector
     slope = np.zeros_like(v)
     if conn.linear is not None:
-        lin = conn.linear[..., rows, cols].reshape(dim, -1)
+        lin = skew_coords(conn.linear).reshape(dim, -1)
         slope = -(d[:, None] @ (d[:, None] @ lin).reshape(len(d), dim, -1))[:, 0]
-    if n == 2:  # the factors commute: one rotation by their summed angles, as I + (f - I)
-        theta = steps * (v[:, 0] + (steps - 1) / 2 * slope[:, 0])
-        s, cm1 = np.sin(theta), -2.0 * np.sin(theta / 2) ** 2  # at theta = 0 exactly I, no -0.0
-        products = np.eye(2) + np.stack([cm1, -s, s, cm1], axis=-1).reshape(-1, 2, 2)
+    if n == 2:  # the factors commute: one rotation by their summed angles
+        products = np.eye(2) + skew_expm1(steps * (v + (steps - 1) / 2 * slope))
     else:
-        per_call, v, slope = max(1, CHUNK // steps), v.T[:, :, None], slope.T[:, :, None]
-        products = np.concatenate([_ordered_product(_so3_expm1(
-            *v[:, lo:lo + per_call] + np.arange(steps) * slope[:, lo:lo + per_call]))
+        per_call, j = max(1, CHUNK // steps), np.arange(steps)[:, None]
+        products = np.concatenate([_ordered_product(skew_expm1(
+            v[lo:lo + per_call, None] + j * slope[lo:lo + per_call, None]))
             for lo in range(0, len(d), per_call)])
     position = np.arange(len(owner)) - np.searchsorted(owner, owner)
     for j in range(position.max() + 1):

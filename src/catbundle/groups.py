@@ -10,10 +10,11 @@ because downstream transport values are floating point.
 `eq` gives a plain bool on two elements and a per-case mask of shape `(k,)`
 when an operand holds k cases (an array of codes, a `(k, n, n)` SO(n) stack,
 on each of which `mul` and `inv` also act). `rotation2`, `skew3` and
-`skew_exp` likewise map stacks to stacks. One
-sampler, `sample_stack`, maps a `(k, width)` block of uniform [0, 1) draws to
-a stack of k elements; `sample(rng)` is its one-element call, so a block of
-draws gives, bitwise, the elements that as many `sample` calls give.
+`skew_exp` likewise map stacks to stacks; `skew_expm1` is the one so(n)
+exponential, behind the sampler, scenario elements and transport factors.
+One sampler, `sample_stack`, maps a `(k, width)` block of uniform draws to k
+elements; `sample(rng)` is its one-element call, so a block of draws gives,
+bitwise, the elements that as many `sample` calls give.
 """
 from __future__ import annotations
 
@@ -245,10 +246,10 @@ class SymmetricGroup(FiniteGroup):
         return perm_cycles(self.values[a])
 
 
-# -- skew matrices and their exponentials (closed forms keep iterates on the
+# -- skew matrices and their exponential (closed forms keep iterates on the
 #    group up to roundoff, which downstream equality checks rely on) --
 
-_EYE3 = np.eye(3)
+SKEW_AXES = {2: ([1], [0]), 3: ([2, 0, 1], [1, 2, 0])}  # rows and columns of an so(n) value
 
 
 def rotation2(theta) -> np.ndarray:
@@ -263,10 +264,9 @@ def rotation2(theta) -> np.ndarray:
 def skew3(v) -> np.ndarray:
     """The skew matrix of a 3-vector (x, y, z), or a stack of them for (..., 3)."""
     v = np.asarray(v, dtype=float)
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    rows, cols = SKEW_AXES[3]
     out = np.zeros(v.shape[:-1] + (3, 3))
-    out[..., 2, 1], out[..., 0, 2], out[..., 1, 0] = x, y, z
-    out[..., 1, 2], out[..., 2, 0], out[..., 0, 1] = -x, -y, -z
+    out[..., rows, cols], out[..., cols, rows] = v, -v
     return out
 
 
@@ -274,26 +274,48 @@ def is_skew(a: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(a + a.T)) <= tol)
 
 
+def skew_coords(a: np.ndarray) -> np.ndarray:
+    """The so(n) value of a 2x2 or 3x3 skew matrix a, or of each in a stack:
+    the angle (a[1, 0],), or the rotation vector (a[2, 1], a[0, 2], a[1, 0])."""
+    if a.shape[-2:] not in ((2, 2), (3, 3)):
+        raise StructuralError(f"so(n) values are read from 2x2 and 3x3 matrices, got {a.shape}")
+    rows, cols = SKEW_AXES[a.shape[-1]]
+    return a[..., rows, cols]
+
+
+def skew_expm1(v: np.ndarray) -> np.ndarray:
+    """exp - I of an so(n) value, an angle (last axis 1) or a rotation vector
+    (last axis 3), or of each in a stack, entry by entry (Rodrigues on SO(3)),
+    1 - cos as 2·sin^2(theta/2); a zero vector takes theta = 1, its terms all
+    0. Squares are products: one v makes numpy scalars, whose `** 2` is `pow`,
+    not `square`, and a stack must give the bits of its rows."""
+    if v.shape[-1] == 1:
+        theta = v[..., 0]
+        half = np.sin(theta / 2)
+        s, cm1 = np.sin(theta), -2.0 * (half * half)
+        out = np.empty(theta.shape + (2, 2))
+        out[..., 0, 0] = out[..., 1, 1] = cm1
+        out[..., 0, 1], out[..., 1, 0] = -s, s
+        return out
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    xx, yy, zz = x * x, y * y, z * z
+    theta2 = xx + yy + zz
+    theta = np.sqrt(theta2) + (theta2 == 0)
+    half = np.sin(theta / 2) / theta
+    c1, c2 = np.sin(theta) / theta, 2.0 * (half * half)
+    ax, ay, az, qx, qy = c1 * x, c1 * y, c1 * z, c2 * x, c2 * y
+    xy, xz, yz = qx * y, qx * z, qy * z
+    out = np.empty(x.shape + (3, 3))
+    out[..., 0, 0], out[..., 0, 1], out[..., 0, 2] = -c2 * (yy + zz), xy - az, xz + ay
+    out[..., 1, 0], out[..., 1, 1], out[..., 1, 2] = xy + az, -c2 * (xx + zz), yz - ax
+    out[..., 2, 0], out[..., 2, 1], out[..., 2, 2] = xz - ay, yz + ax, -c2 * (xx + yy)
+    return out
+
+
 def skew_exp(a: np.ndarray) -> np.ndarray:
     """exp of a 2x2 or 3x3 skew matrix, or of each matrix in a (k, n, n)
-    stack, in closed form."""
-    n = a.shape[-1]
-    if n == 2:
-        return rotation2(a[..., 1, 0])
-    if n == 3:
-        # Rodrigues; series near zero angle for stability (`+ small` only
-        # keeps the quotients that the series replaces finite)
-        x, y, z = a[..., 2, 1], a[..., 0, 2], a[..., 1, 0]
-        theta2 = x * x + y * y + z * z
-        theta = np.sqrt(theta2)
-        small = theta < 1e-8
-        safe, safe2 = theta + small, theta2 + small
-        c1, c2 = np.sin(safe) / safe, (1.0 - np.cos(safe)) / safe2
-        if np.count_nonzero(small):  # cheaper than .any() on one element
-            c1 = np.where(small, 1.0 - theta2 / 6.0, c1)
-            c2 = np.where(small, 0.5 - theta2 / 24.0, c2)
-        return _EYE3 + c1[..., None, None] * a + c2[..., None, None] * (a @ a)
-    raise StructuralError(f"skew_exp supports 2x2 and 3x3 matrices, got {a.shape}")
+    stack: I + `skew_expm1` of its so(n) value."""
+    return np.eye(a.shape[-1]) + skew_expm1(skew_coords(a))
 
 
 class SpecialOrthogonalGroup(Group):
@@ -341,12 +363,9 @@ class SpecialOrthogonalGroup(Group):
         """k elements from a (k, width) block of uniform [0, 1) draws, or one
         element from a (width,) row: each draw becomes the angle
         -pi + 2*pi*u, bitwise what `rng.uniform(-pi, pi)` gives on the same
-        draw; SO(2) rotates by it, SO(3) exponentiates the rotation vector of
-        three of them."""
-        angles = -math.pi + 2 * math.pi * u
-        if self.n == 2:
-            return rotation2(angles[..., 0])
-        return skew_exp(skew3(angles))
+        draw; the element is I + `skew_expm1` of the angle, or of the
+        rotation vector of three of them."""
+        return np.eye(self.n) + skew_expm1(-math.pi + 2 * math.pi * u)
 
     def sample(self, rng: Stream) -> np.ndarray:
         return self.sample_stack(rng.random(self.width))

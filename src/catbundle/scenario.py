@@ -30,9 +30,7 @@ from .groups import (
     SpecialOrthogonalGroup,
     SymmetricGroup,
     perm_from_cycles,
-    rotation2,
-    skew3,
-    skew_exp,
+    skew_expm1,
 )
 from .report import DEFAULT_BUDGET
 from .stream import Stream
@@ -107,18 +105,21 @@ def parse_element(group, value):
     if isinstance(group, SpecialOrthogonalGroup):
         if isinstance(value, dict):
             if group.n == 2 and "angle" in value:
-                return rotation2(_finite_reals(group, value, "angle"))
+                return group.identity + skew_expm1(np.array([_finite_reals(group, value, "angle")]))
             if group.n == 3 and "axis" in value:
                 axis = _finite_reals(group, value, "axis", 3)
                 angle = _finite_reals(group, value, "angle")
                 norm = float(np.linalg.norm(axis))
                 if norm == 0:
                     return group.identity
-                return skew_exp(skew3(axis / norm * angle))
+                return group.identity + skew_expm1(axis / norm * angle)
             raise ScenarioError(f"unsupported {group.name} element spec: {value!r}")
-        mat = np.asarray(value, dtype=float)
+        try:
+            mat = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            mat = np.array(np.nan)  # not a matrix
         if not group.contains(mat):
-            raise ScenarioError(f"matrix is not in {group.name}")
+            raise ScenarioError(f"not an {group.name} matrix: {value!r}")
         return mat
     raise ScenarioError(f"no element parser for group {group.name}")
 

@@ -17,8 +17,8 @@ from catbundle.basecat import SampledPath
 from catbundle.bundle import FunctorUG, SectionIso
 from catbundle.cocycle import CocycleData, OverlapCategory
 from catbundle.crossed import CrossedModule
-from catbundle.decorated import Connection, _so3_expm1
-from catbundle.groups import StructuralError
+from catbundle.decorated import Connection
+from catbundle.groups import StructuralError, skew_coords, skew_expm1
 from catbundle.report import CaseSpace, LawReport
 from catbundle.twisted import bundle_morphisms, composable_chains
 
@@ -173,22 +173,19 @@ def reference_transport(conn: Connection, path, steps: int) -> np.ndarray:
     A·d at the first and the last midpoint by `reference_evaluate` (both
     skew-checked), the first factor's angle or rotation vector v and its
     per-substep slope from the linear coefficients; on SO(2) the rotation by
-    the summed angles, as I + (f - I); on SO(3) the factors of v + j·slope by
-    `decorated._so3_expm1` and their ordered product."""
+    the summed angles, on SO(3) the factors of v + j·slope and their ordered
+    product, each rotation or factor as I + `groups.skew_expm1`."""
     n, dim = conn.group_dim, conn.base_dim
-    rows, cols = ([1], [0]) if n == 2 else ([2, 0, 1], [1, 2, 0])  # A·d's angle, or (x, y, z)
 
     def product(a, d):
-        v = -reference_evaluate(conn, a + np.array([[0.5], [steps - 0.5]]) * d, d)[0, rows, cols]
+        v = -skew_coords(reference_evaluate(conn, a + np.array([[0.5], [steps - 0.5]]) * d, d)[0])
         slope = np.zeros_like(v)
         if conn.linear is not None:
-            lin = conn.linear[..., rows, cols].reshape(dim, -1)
+            lin = skew_coords(conn.linear).reshape(dim, -1)
             slope = -(d[None] @ (d[None] @ lin).reshape(dim, -1))[0]
         if n == 3:
-            return _ordered_product(_so3_expm1(*v[:, None] + np.arange(steps) * slope[:, None]))
-        theta = steps * (v + (steps - 1) / 2 * slope)
-        s, cm1 = np.sin(theta), -2.0 * np.sin(theta / 2) ** 2
-        return np.eye(2) + np.concatenate([cm1, -s, s, cm1]).reshape(2, 2)
+            return _ordered_product(skew_expm1(v + np.arange(steps)[:, None] * slope))
+        return np.eye(2) + skew_expm1(steps * (v + (steps - 1) / 2 * slope))
 
     return _folded(product, conn, path, steps)
 

@@ -485,6 +485,8 @@ BAD_SO_SPECS = [
     ("so2-conj", '{"angle": [1, 2]}'),
     ("so2-conj", '{"angle": NaN}'),
     ("so2-conj", '{"angle": Infinity}'),
+    ("so2-conj", '[[1, 0], [0]]'),
+    ("so2-conj", '"abc"'),
 ]
 
 

@@ -15,7 +15,9 @@ from catbundle.groups import (
     perm_mul,
     rotation2,
     skew3,
+    skew_coords,
     skew_exp,
+    skew_expm1,
 )
 from per_case import SO2_GEN
 
@@ -70,11 +72,56 @@ def test_skew_exp_so3_rotation_about_z():
     assert np.allclose(got, want, atol=1e-14)
 
 
-def test_skew_exp_small_angle_series():
+def test_skew_exp_small_angle_keeps_precision():
     a = skew3([1e-10, -2e-10, 1e-10])
     got = skew_exp(a)
     assert np.allclose(got, np.eye(3) + a, atol=1e-18)
     assert np.allclose(got @ got.T, np.eye(3), atol=1e-15)
+
+
+def test_skew_coords_reads_the_angle_and_the_rotation_vector():
+    v = np.array([[0.3, -1.2, 2.5], [0.0, 4.0, -0.5]])
+    assert np.array_equal(skew_coords(skew3(v)), v)
+    assert np.array_equal(skew_coords(0.7 * SO2_GEN), [0.7])
+    with pytest.raises(StructuralError):
+        skew_coords(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("n, width", [(2, 1), (3, 3)])
+def test_skew_expm1_gives_a_stack_the_bits_of_its_rows(n, width):
+    # one row makes numpy scalars, on which `** 2` is `pow`, not `square`
+    v = np.random.default_rng(5).uniform(-math.pi, math.pi, (5000, width))
+    v[:3] = [[0.0], [1e-10], [-math.pi]] if width == 1 else [[0.0] * 3, [1e-10, 0, 0], [math.pi, 0, 0]]
+    stack = skew_expm1(v)
+    assert stack.shape == (5000, n, n)
+    assert stack.tobytes() == np.array([skew_expm1(row) for row in v]).tobytes()
+
+
+@pytest.mark.parametrize("n, width", [(2, 1), (3, 3)])
+def test_skew_expm1_of_zero_is_exactly_zero(n, width):
+    for zero in (np.zeros(width), np.zeros((4, width))):
+        got = skew_expm1(zero)
+        assert not got.any()
+        assert not np.signbit(np.eye(n) + got).any()  # I + 0 holds no -0.0
+
+
+def _math_rodrigues(axis, theta):
+    """exp(theta·skew3(axis)) for a unit axis, in Python floats."""
+    x, y, z = axis
+    s, c = math.sin(theta), 1.0 - math.cos(theta)
+    return np.array([[1 - c * (y * y + z * z), c * x * y - s * z, c * x * z + s * y],
+                     [c * x * y + s * z, 1 - c * (x * x + z * z), c * y * z - s * x],
+                     [c * x * z - s * y, c * y * z + s * x, 1 - c * (x * x + y * y)]])
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-300, 1e-10, 1e-4, 1.0, math.pi])
+def test_skew_expm1_agrees_with_the_closed_forms(theta):
+    axis = (1 / 3, -2 / 3, 2 / 3)
+    for sign in (1, -1):
+        so2 = np.eye(2) + skew_expm1(np.array([sign * theta]))
+        assert np.max(np.abs(so2 - rotation2(sign * theta))) <= 2e-15
+        so3 = np.eye(3) + skew_expm1(sign * theta * np.array(axis))
+        assert np.max(np.abs(so3 - _math_rodrigues(axis, sign * theta))) <= 2e-15
 
 
 def test_skew_exp_rejects_other_shapes():

@@ -72,17 +72,24 @@ def test_so_module_laws_pass_in_whole_blocks(n, seed, monkeypatch):
 # -- block draws --
 
 def _reference_sample(n: int, rng) -> np.ndarray:
-    """One SO(n) sample in plain Python floats: the rotation by a uniform
-    angle, or Rodrigues' formula on a uniform rotation vector."""
+    """One SO(n) sample in plain Python floats: I plus exp - I of a uniform
+    angle, or Rodrigues' formula on a uniform rotation vector, 1 - cos taken
+    as 2·sin^2(theta/2); squares are written as products."""
     if n == 2:
         t = float(rng.uniform(-math.pi, math.pi))
-        return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+        s, half = math.sin(t), math.sin(t / 2)
+        cm1 = -2.0 * (half * half)
+        return np.eye(2) + np.array([[cm1, -s], [s, cm1]])
     x, y, z = (float(v) for v in rng.uniform(-math.pi, math.pi, size=3))
-    a = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    theta2 = x * x + y * y + z * z
-    theta = math.sqrt(theta2)
-    c1, c2 = math.sin(theta) / theta, (1.0 - math.cos(theta)) / theta2
-    return np.eye(3) + c1 * a + c2 * (a @ a)
+    xx, yy, zz = x * x, y * y, z * z
+    theta2 = xx + yy + zz
+    theta = math.sqrt(theta2) + (theta2 == 0)
+    half = math.sin(theta / 2) / theta
+    c1, c2 = math.sin(theta) / theta, 2.0 * (half * half)
+    xy, xz, yz = c2 * x * y, c2 * x * z, c2 * y * z
+    return np.eye(3) + np.array([[-c2 * (yy + zz), xy - c1 * z, xz + c1 * y],
+                                 [xy + c1 * z, -c2 * (xx + zz), yz - c1 * x],
+                                 [xz - c1 * y, yz + c1 * x, -c2 * (xx + yy)]])
 
 
 def _slot_spaces(n: int, slots: str) -> CaseSpace:
