@@ -698,9 +698,19 @@ def verify_bundle_axioms(base: QuiverCategory, cm: CrossedModule,
     def lift(x):  # through the unit: an object's identity, or a base morphism
         return TwistedMorphism(base.identity(x) if isinstance(x, str) else x, cm.unit)
 
+    # the objects, then the morphisms: a case is whether it is an object, and
+    # its code, which on a block is a morphism code (an object's index is the
+    # code of its identity)
+    n_objects = len(base.objects)
+
+    def lifted_codes(i):
+        is_object = i < n_objects
+        return [is_object, np.where(is_object, i, i - n_objects)]
+
     report.law(
         "b1-surjectivity", "§2.2 (b1)",
-        CaseSpace.finite(list(base.objects) + base.morphisms_upto()),
+        CaseSpace.coded(n_objects + len(base.codes()), 2, lifted_codes, lambda is_object, c: (
+            c if isinstance(c, np.ndarray) else base.object(c) if is_object else base.morphism(c))),
         lambda x: b1_ok(bundle, lift(x)), lambda x: {"missing": repr(x)},
     )
 

@@ -14,9 +14,11 @@ residual is affine in j too), and slope = d·linear·d. `groups.skew_expm1`
 builds, as f - I, a segment's SO(2) product, the rotation by minus the
 factors' summed angles (they commute; exact for linear connections too, so
 SO(2) convergence orders read inf), and SO(3) factors from their rotation
-vectors, multiplied by pairwise tree reduction, the later factor on the left,
-CHUNK factors at a time; carrying f - I keeps transports orthogonal to about
-1e-15 over thousands of substeps.
+vectors, multiplied by pairwise tree reduction, the later factor on the left.
+A linear connection's factors are built CHUNK at a time; a constant one's are
+all one matrix, so a segment builds one factor and runs the tree on its
+repeats, in O(log steps) products with the full tree's bits. Carrying f - I
+keeps transports orthogonal to about 1e-15 over thousands of substeps.
 The leaves a call needs (those `basecat.path_values` has not kept) are
 integrated stacked, constant paths only giving identities at once; every
 operation acts on one segment's values alone, so a leaf's transport is
@@ -58,7 +60,7 @@ DEFAULT_STEPS = 200
 DEFAULT_ISO_TOL = 1e-6
 ORDER_REFINEMENTS = 3  # step-halvings behind each observed convergence order
 ORDER_FLOOR = 1e-13  # differences below this are roundoff: the order is inf
-CHUNK = 2 ** 12  # SO(3) substep factors per stacked product: 295 kB of factors
+CHUNK = 2 ** 12  # linear SO(3) substep factors per stacked product: 295 kB of factors
 
 
 class Connection(object):
@@ -110,19 +112,41 @@ class Connection(object):
         return out[0] if point.ndim < rows.ndim else np.broadcast_to(out, point.shape[:-1] + (n, n))
 
 
+def _paired(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """(I + L)(I + E) - I = L + E + L·E, summed in that order."""
+    paired = later + earlier
+    paired += later @ earlier
+    return paired
+
+
 def _ordered_product(e: np.ndarray) -> np.ndarray:
     """f[s-1] ··· f[1]·f[0] for the factors f[j] = I + e[..., j, :, :] of an
     (..., s, n, n) stack, one product per leading index, by pairwise tree
     reduction: each level multiplies neighbours with the later factor on the
-    left, (I + L)(I + E) = I + (L + E + L·E), and an odd count carries its
-    last (latest) factor up unpaired. Working on f - I keeps the rounding of
-    entries near 1 from piling up over many factors."""
+    left, and an odd count carries its last (latest) factor up unpaired.
+    Working on f - I keeps the rounding of entries near 1 from piling up over
+    many factors."""
     while e.shape[-3] > 1:
         s = e.shape[-3]
-        later, earlier = e[..., 1::2, :, :], e[..., :s - 1:2, :, :]
-        paired = later + earlier + later @ earlier
+        paired = _paired(e[..., 1::2, :, :], e[..., :s - 1:2, :, :])
         e = paired if s % 2 == 0 else np.concatenate([paired, e[..., -1:, :, :]], axis=-3)
     return np.eye(e.shape[-1]) + e[..., 0, :, :]
+
+
+def _repeated_product(e: np.ndarray, count: int) -> np.ndarray:
+    """f^count for f = I + e[..., :, :], one per leading index, bitwise
+    `_ordered_product` of `count` copies of e: each level of its tree is c
+    copies of one value b and at most one carried (latest) value t, so a
+    level pairs b with b once and, when c is odd, pairs t with b or, with no
+    t yet, carries b as t. O(log count) products."""
+    tail = None
+    while count + (tail is not None) > 1:
+        if count % 2:
+            tail = e if tail is None else _paired(tail, e)
+        count //= 2
+        if count:
+            e = _paired(e, e)
+    return np.eye(e.shape[-1]) + (e if tail is None else tail)
 
 
 def _leaf_transports(conn: Connection, leaves, steps: int) -> np.ndarray:
@@ -148,6 +172,8 @@ def _leaf_transports(conn: Connection, leaves, steps: int) -> np.ndarray:
         slope = -(d[:, None] @ (d[:, None] @ lin).reshape(len(d), dim, -1))[:, 0]
     if n == 2:  # the factors commute: one rotation by their summed angles
         products = np.eye(2) + skew_expm1(steps * (v + (steps - 1) / 2 * slope))
+    elif conn.linear is None:  # all `steps` factors are one; + 0.0 as v + j·slope gives it
+        products = _repeated_product(skew_expm1(v + 0.0), steps)
     else:
         per_call, j = max(1, CHUNK // steps), np.arange(steps)[:, None]
         products = np.concatenate([_ordered_product(skew_expm1(

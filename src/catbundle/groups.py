@@ -286,9 +286,12 @@ def skew_coords(a: np.ndarray) -> np.ndarray:
 def skew_expm1(v: np.ndarray) -> np.ndarray:
     """exp - I of an so(n) value, an angle (last axis 1) or a rotation vector
     (last axis 3), or of each in a stack, entry by entry (Rodrigues on SO(3)),
-    1 - cos as 2·sin^2(theta/2); a zero vector takes theta = 1, its terms all
-    0. Squares are products: one v makes numpy scalars, whose `** 2` is `pow`,
-    not `square`, and a stack must give the bits of its rows."""
+    1 - cos as 2·sin^2(theta/2). Where theta^2 is 0 (a zero vector, or one
+    shorter than about 1e-154, whose squares underflow) the coefficients are
+    their theta -> 0 limits, 1 and 1/2, and theta = 1 keeps their discarded
+    quotients finite. Squares are products: one v makes numpy scalars, whose
+    `** 2` is `pow`, not `square`, and a stack must give the bits of its
+    rows."""
     if v.shape[-1] == 1:
         theta = v[..., 0]
         half = np.sin(theta / 2)
@@ -300,9 +303,10 @@ def skew_expm1(v: np.ndarray) -> np.ndarray:
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
     xx, yy, zz = x * x, y * y, z * z
     theta2 = xx + yy + zz
-    theta = np.sqrt(theta2) + (theta2 == 0)
+    zero = theta2 == 0
+    theta = np.sqrt(theta2) + zero
     half = np.sin(theta / 2) / theta
-    c1, c2 = np.sin(theta) / theta, 2.0 * (half * half)
+    c1, c2 = np.where(zero, 1.0, np.sin(theta) / theta), np.where(zero, 0.5, 2.0 * (half * half))
     ax, ay, az, qx, qy = c1 * x, c1 * y, c1 * z, c2 * x, c2 * y
     xy, xz, yz = qx * y, qx * z, qy * z
     out = np.empty(x.shape + (3, 3))

@@ -3,7 +3,8 @@ as they come without blocks, a check that every block of a passing law
 holds whole, parallel transport integrated one segment at a time (by the
 stacked kernel's arithmetic, and by the f - I matrix integrator), random
 paths drawn point by point, path samples deduplicated point by point, the
-Prop 4.1 section laws element by element, and the small builders only tests
+Prop 4.1 section laws element by element, b1-surjectivity on a listed
+space, and the small builders only tests
 use: cocycle data with one value perturbed, the non-identity morphisms of an
 overlap category and the SO(2) generator."""
 import zlib
@@ -13,14 +14,15 @@ import numpy as np
 import pytest
 
 from catbundle import report
-from catbundle.basecat import SampledPath
+from catbundle.basecat import QuiverCategory, SampledPath
 from catbundle.bundle import FunctorUG, SectionIso
 from catbundle.cocycle import CocycleData, OverlapCategory
 from catbundle.crossed import CrossedModule
 from catbundle.decorated import Connection
 from catbundle.groups import StructuralError, skew_coords, skew_expm1
 from catbundle.report import CaseSpace, LawReport
-from catbundle.twisted import bundle_morphisms, composable_chains
+from catbundle.twisted import (EtaMap, TwistedBundle, TwistedMorphism, b1_ok, bundle_morphisms,
+                               composable_chains)
 
 
 def law_streams(seed: int, make=np.random.default_rng):
@@ -215,6 +217,22 @@ def reference_dedup(samples: np.ndarray, tol: float) -> np.ndarray:
     if len(keep) == 1:
         keep.append(samples[-1])
     return np.array(keep)
+
+
+def reference_b1_surjectivity(base: QuiverCategory, cm: CrossedModule, budget: int,
+                              streams) -> LawReport:
+    """bundle-axioms' b1-surjectivity as a listed space: the objects, then the
+    morphisms, of the product bundle, each lifted through the unit and
+    checked on its own."""
+    report = LawReport(suite="bundle-axioms", budget=budget, streams=streams)
+    bundle = TwistedBundle(base, cm, EtaMap.trivial(base, cm))
+    report.law(
+        "b1-surjectivity", "§2.2 (b1)", CaseSpace.finite(list(base.objects) + base.morphisms_upto()),
+        lambda x: b1_ok(bundle, TwistedMorphism(base.identity(x) if isinstance(x, str) else x,
+                                                cm.unit)),
+        lambda x: {"missing": repr(x)},
+    )
+    return report
 
 
 def reference_section_iso(F: FunctorUG, budget: int, streams) -> LawReport:

@@ -34,7 +34,7 @@ from catbundle.groups import FiniteGroup, perm_from_cycles, perm_inv, perm_mul
 from catbundle.report import FINITE_BLOCK
 from catbundle.scenario import Scenario
 from catbundle.twisted import EtaMap, TwistedBundle, TwistedMorphism, bundle_morphisms
-from per_case import law_streams, reference_section_iso
+from per_case import law_streams, reference_b1_surjectivity, reference_section_iso
 
 Z4 = get_module("z4-conj")
 S3 = get_module("s3-conj")
@@ -570,6 +570,33 @@ def test_bundle_axioms_b1_fails_when_target_leaves_the_base_morphism(monkeypatch
     assert not record.passed
     assert record.witness == {"missing": "'b'"}
     assert record.checks == 2
+
+
+def s3_quiver_product() -> tuple:
+    sc = Scenario.load(S3_QUIVER)
+    return sc.quiver(), sc.crossed_module()
+
+
+@pytest.mark.parametrize("broken", [False, True])
+@pytest.mark.parametrize("budget", [5, 20_000])
+@pytest.mark.parametrize("case", ["chain", "s3_quiver"])
+def test_b1_surjectivity_in_one_block_equals_the_listed_reference(case, budget, broken,
+                                                                  monkeypatch):
+    # objects then morphisms, coded: one block when the space fits the
+    # budget, the same picks otherwise; broken, the target of every lift is
+    # the first object, so the first lift elsewhere is the witness
+    base, cm = (CHAIN, Z4) if case == "chain" else s3_quiver_product()
+    if broken:
+        monkeypatch.setattr(TwistedBundle, "target", lambda self, tm: (
+            np.zeros_like(tm.gamma) if isinstance(tm.gamma, np.ndarray) else base.objects[0],
+            tm.m.g))
+    got = verify_bundle_axioms(base, cm, budget, law_streams(1)).find("b1-surjectivity")
+    want = reference_b1_surjectivity(base, cm, budget, law_streams(1)).records[0]
+    assert (got.status, got.checks, got.exhaustive, got.witness) == (
+        want.status, want.checks, want.exhaustive, want.witness)
+    assert got.passed != broken and got.space == len(base.objects) + len(base.morphisms_upto())
+    if budget > got.space and not broken:
+        assert (got.blocks, got.singles) == (1, 0)
 
 
 def test_scenario_so3_element_forms():

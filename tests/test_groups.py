@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +105,62 @@ def test_skew_expm1_of_zero_is_exactly_zero(n, width):
         got = skew_expm1(zero)
         assert not got.any()
         assert not np.signbit(np.eye(n) + got).any()  # I + 0 holds no -0.0
+
+
+# the sign bits of skew_expm1 on (±0, ±0, ±0), each row its 3x3 entries in
+# order, as the zero-angle guard theta = 1 gave them: a zero vector keeps them
+ZERO_SIGN_BITS = [[1, 0, 0, 0, 1, 0, 0, 0, 1], [1, 0, 0, 0, 1, 1, 1, 0, 1],
+                  [1, 1, 0, 0, 1, 1, 0, 0, 1], [1, 0, 1, 1, 1, 0, 0, 0, 1],
+                  [1, 1, 0, 0, 1, 0, 1, 0, 1], [1, 0, 0, 1, 1, 0, 0, 1, 1],
+                  [1, 0, 1, 0, 1, 0, 0, 1, 1], [1, 0, 0, 0, 1, 0, 0, 0, 1]]
+
+
+def test_skew_expm1_keeps_the_signed_zeros_of_every_zero_vector():
+    zeros = np.array(list(itertools.product([0.0, -0.0], repeat=3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stack = skew_expm1(zeros)
+        rows = [skew_expm1(z) for z in zeros]
+    assert not stack.any()
+    assert np.signbit(stack).reshape(8, 9).astype(int).tolist() == ZERO_SIGN_BITS
+    assert stack.tobytes() == np.array(rows).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160])
+def test_skew_expm1_of_a_vector_whose_squares_underflow_is_its_hat(scale):
+    # theta^2 underflows to 0 (or to a subnormal at 1e-160): the first-order
+    # part is v-hat to within an ulp, the diagonal -(1 - cos) of order theta^2
+    v = scale * np.array([1.0, -0.75, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = skew_expm1(v)
+    hat, off = skew3(v), ~np.eye(3, dtype=bool)
+    assert np.all(abs(got - hat)[off] <= np.spacing(abs(hat[off])))
+    assert np.all(abs(np.diag(got)) <= scale * scale)
+    assert skew_expm1(np.array([v, -v]))[0].tobytes() == got.tobytes()
+
+
+def rodrigues_rows(v: np.ndarray) -> np.ndarray:
+    """exp - I of each nonzero rotation vector of an (s, 3) stack, by the
+    Rodrigues entries with sin(theta)/theta and 2·(sin(theta/2)/theta)^2,
+    each operation as `skew_expm1` orders it."""
+    x, y, z = v.T
+    xx, yy, zz = x * x, y * y, z * z
+    theta = np.sqrt(xx + yy + zz)
+    half = np.sin(theta / 2) / theta
+    c1, c2 = np.sin(theta) / theta, 2.0 * (half * half)
+    qx, qy = c2 * x, c2 * y
+    return np.stack([
+        -c2 * (yy + zz), qx * y - c1 * z, qx * z + c1 * y,
+        qx * y + c1 * z, -c2 * (xx + zz), qy * z - c1 * x,
+        qx * z - c1 * y, qy * z + c1 * x, -c2 * (xx + yy)], axis=-1).reshape(-1, 3, 3)
+
+
+def test_skew_expm1_of_nonzero_vectors_is_the_rodrigues_formula_bitwise():
+    rng = np.random.default_rng(28)
+    v = np.concatenate([rng.normal(size=(1000, 3)), rng.normal(size=(500, 3)) * 1e-8,
+                        rng.uniform(-math.pi, math.pi, (500, 3))])
+    assert skew_expm1(v).tobytes() == rodrigues_rows(v).tobytes()
 
 
 def _math_rodrigues(axis, theta):

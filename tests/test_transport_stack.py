@@ -1,6 +1,9 @@
 """Stacked parallel transport and path blocks: every leaf's transport is
 bitwise the per-segment reference's, whatever else shares its stacked call
-and wherever a chunk boundary falls, and within 1e-13 of the f - I matrix
+and wherever a chunk boundary falls; a constant SO(3) connection's run tree
+over one factor per segment is bitwise the full tree over all its copies,
+end to end through a scenario's path suites and `catbundle transport` too;
+and within 1e-13 of the f - I matrix
 integrator (SO(2) within 1e-12 of the exact rotation); the twist keeps leaf
 values only while their leaves live; a path base's maps act on PathBlocks
 case by case; the shipped path laws, prop62's too, pass in whole blocks, and
@@ -27,7 +30,8 @@ from catbundle.decorated import (
     parallel_transport,
     verify_transport_numerics,
 )
-from catbundle.groups import rotation2
+from catbundle.cli import main
+from catbundle.groups import rotation2, skew_expm1
 from catbundle.scenario import Scenario
 from catbundle.stream import Stream
 from catbundle.suites import run_suite
@@ -136,6 +140,104 @@ def test_the_shipped_chunk_bound_splits_a_large_block_bitwise():
     stacked = parallel_transport(conn, PathBlock(leaves), 200)
     for i in (0, *split[:2], 199):
         assert np.array_equal(stacked[i], reference_transport(conn, leaves[i], 200))
+
+
+# rotation vectors a run tree must keep the bits of: zero, signed zeros,
+# 1e-12-sized, |v| = pi and just below, and ordinary ones
+RUN_TREE_VECTORS = np.concatenate([
+    [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [-0.0, -0.0, -0.0]],
+    1e-12 * np.array([[1.0, -2.0, 0.5], [-0.3, 0.0, 0.7]]),
+    np.pi * np.array([[1.0, 0.0, 0.0], [0.0, 0.6, -0.8]]), [[0.0, 0.0, np.pi - 1e-9]],
+    np.random.default_rng(31).normal(size=(4, 3))])
+RUN_TREE_STEPS = sorted({*range(1, 301), *(2 ** k + d for k in range(1, 14) for d in (-1, 0, 1))})
+
+
+def test_the_run_tree_is_bitwise_the_full_tree_of_copies():
+    # the constant-connection product of `steps` equal factors against the
+    # pairwise tree over all of them, for a stack and for each vector alone
+    e = skew_expm1(RUN_TREE_VECTORS)
+    k = len(e)
+    for steps in RUN_TREE_STEPS:
+        full = decorated._ordered_product(np.broadcast_to(e[:, None], (k, steps, 3, 3)))
+        run = decorated._repeated_product(e, steps)
+        assert run.tobytes() == full.tobytes(), steps
+        for i in range(k):
+            alone = decorated._repeated_product(e[i], steps)
+            assert alone.tobytes() == run[i].tobytes(), (steps, i)
+            if steps > 300:  # the tree of one vector's copies on its own
+                full_alone = decorated._ordered_product(np.broadcast_to(e[i], (steps, 3, 3)))
+                assert alone.tobytes() == full_alone.tobytes(), (steps, i)
+
+
+@pytest.mark.parametrize("steps", [1, 80, 201])
+def test_a_constant_so3_call_makes_one_factor_per_segment(steps, monkeypatch):
+    # the exponential sees a (segments, 3) stack, never one row per substep
+    rng = np.random.default_rng([steps, 17])
+    conn, _, _ = random_connection(rng, 3, "constant", 2)
+    leaves = leaves_with_zero_segments(rng, PathCategory(2), 5)
+    nonzero = sum(bool(np.any(b - a)) for leaf in leaves for a, b in segments(leaf))
+    shapes, expm1 = [], decorated.skew_expm1
+    monkeypatch.setattr(decorated, "skew_expm1", lambda v: shapes.append(v.shape) or expm1(v))
+    stacked = parallel_transport(conn, PathBlock(leaves), steps)
+    assert shapes == [(nonzero, 3)]
+    for leaf, value in zip(leaves, stacked):
+        assert value.tobytes() == reference_transport(conn, leaf, steps).tobytes()
+
+
+def so3_constant_scenario() -> dict:
+    """A constant SO(3) connection on the plane, 80 steps, with two declared
+    paths and their composite, as the benchmark's constant SO(3) item."""
+    def skew(x, y, z):
+        return [[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]]
+
+    return {
+        "crossed_module": "so3-conj", "seed": 5, "steps": 80, "path_budget": 12,
+        "prop62_pairs": 12,
+        "base": {"kind": "paths", "dim": 2, "paths": {
+            "p": [[0.1, -0.4], [0.6, 0.2], [0.9, 0.9]],
+            "q": [[0.9, 0.9], [0.3, 1.2], [-0.2, 0.8], [-0.5, 0.1]],
+            "pq": {"compose": ["p", "q"]}}},
+        "connection": {"family": "constant", "group_dim": 3, "base_dim": 2,
+                       "matrices": [skew(0.7, -0.2, 0.4), skew(-0.1, 0.9, 0.3)]},
+        "eta": {"from_connection": True},
+    }
+
+
+PATH_SUITES = ("transport-convergence", "prop62", "twisted-bundle", "e-action")
+
+
+def test_a_constant_so3_scenario_is_bitwise_the_reference_end_to_end(monkeypatch):
+    # every leaf its four suites integrate is the per-segment reference
+    # (which forms every factor), blocked and per case give the same records
+    sc = Scenario(so3_constant_scenario())
+    integrated, leaf_transports = [], decorated._leaf_transports
+
+    def recording(c, leaves, steps):
+        values = leaf_transports(c, leaves, steps)
+        integrated.append((c, list(leaves), steps, values))
+        return values
+
+    monkeypatch.setattr(decorated, "_leaf_transports", recording)
+    blocked = [run_suite(sc, suite) for suite in PATH_SUITES]
+    assert all(report.passed for report in blocked)
+    assert integrated and all(c.group_dim == 3 and c.linear is None for c, *_ in integrated)
+    for c, leaves, steps, values in integrated:
+        for leaf, value in zip(leaves, values):
+            assert value.tobytes() == reference_transport(c, leaf, steps).tobytes()
+    with per_case_plans():
+        per_case = [run_suite(sc, suite) for suite in PATH_SUITES]
+    assert [r.to_jsonl() for r in blocked] == [r.to_jsonl() for r in per_case]
+
+
+def test_the_transport_command_prints_the_reference_on_a_constant_so3_connection(tmp_path, capsys):
+    raw = so3_constant_scenario()
+    (tmp_path / "so3_constant.json").write_text(json.dumps(raw))
+    assert main(["transport", "--scenario", str(tmp_path / "so3_constant.json"),
+                 "--path", "pq"]) == 0
+    sc = Scenario(raw)
+    want = reference_transport(sc.connection(), sc.path("pq"), 80)
+    assert capsys.readouterr().out == "".join(
+        " ".join(f"{x:.12g}" for x in row) + "\n" for row in want)
 
 
 @pytest.mark.parametrize("steps", [1, 7, 80, 200])

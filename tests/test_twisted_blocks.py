@@ -229,7 +229,7 @@ def test_gu_laws_past_int64_come_in_blocks_and_match_single_cases(monkeypatch):
 # -- which laws run in blocks --
 
 BLOCKED = {
-    "bundle-axioms": {"action-functoriality", "b3-transitivity-morphisms",
+    "bundle-axioms": {"b1-surjectivity", "action-functoriality", "b3-transitivity-morphisms",
                       "b2-freeness-objects", "b2-freeness-morphisms",
                       "b3-transitivity-objects", "composition-units"},
     "twisted-bundle": {"associativity", "boundary-coherence", "b3-transitivity", "unit-laws",
