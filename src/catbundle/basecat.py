@@ -63,6 +63,8 @@ class QuiverCategory:
     def __init__(self, objects: Sequence[str], arrows: Sequence[tuple[str, str, str]],
                  word_bound: int = DEFAULT_WORD_BOUND):
         self.objects = tuple(objects)
+        if len(set(self.objects)) != len(self.objects):
+            raise ValueError(f"repeated object in {list(self.objects)}")
         self.arrows: dict[str, tuple[str, str]] = {}
         for name, src, dst in arrows:
             if name in self.arrows:

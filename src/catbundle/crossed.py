@@ -60,6 +60,7 @@ class CrossedModule:
             self.alpha_table = _code_table([alpha(g, h) for g in G.elements for h in H.elements],
                                            (G.order, H.order), f"alpha of {name}")
             self.tau_table = _code_table([tau(h) for h in H.elements], (H.order,), f"tau of {name}")
+            _check_codes(G, H, self.alpha_table, self.tau_table)
             alpha, tau = _lookups(name, G, H, self.alpha_table, self.tau_table)
         self.alpha = alpha
         self.tau = tau
@@ -136,36 +137,35 @@ class CrossedModule:
 
 
 def _code_table(values: list, shape: tuple, what: str) -> np.ndarray:
-    """Closed-form values as an int table; an out-of-range int is kept, for
-    the carrier probe or the first lookup that meets it to report."""
+    """Closed-form values as an int table; `_check_codes` then checks that
+    each is a code of its group."""
     if not all(isinstance(v, (int, np.integer)) for v in values):
         raise StructuralError(f"{what} must take int codes as values")
     return np.array(values, dtype=np.int64).reshape(shape)
 
 
-def _lookups(name: str, G: Group, H: Group, alpha_table: np.ndarray, tau_table: np.ndarray):
-    """alpha and tau as lookups in their tables, as in the group tables. A
-    non-code in a table, which the carrier probe may not sample, raises
-    StructuralError where a lookup meets it, for a code and on a block alike:
-    the rows leave it out, and where a table holds one, every block's values
-    are checked."""
-    alpha_rows, tau_rows = code_rows(alpha_table, H.order), code_rows(tau_table, G.order)
-    alpha_clean, tau_clean = (bool(((table >= 0) & (table < n)).all())
-                              for table, n in ((alpha_table, H.order), (tau_table, G.order)))
+def _check_codes(G: Group, H: Group, alpha_table: np.ndarray, tau_table: np.ndarray) -> None:
+    """Raise StructuralError on the first non-code, searching tau's table,
+    then alpha's (g outer, h inner): a finite module holds codes only."""
+    tau_bad = np.flatnonzero((tau_table < 0) | (tau_table >= G.order))
+    if len(tau_bad):
+        raise _carrier_error("tau", G, H, None, int(tau_bad[0]))
+    alpha_bad = np.argwhere((alpha_table < 0) | (alpha_table >= H.order))
+    if len(alpha_bad):
+        raise _carrier_error("alpha", G, H, *alpha_bad[0].tolist())
 
-    def checked(out, clean, bound, what):
-        if not clean and ((out < 0) | (out >= bound)).any():
-            raise StructuralError(f"{what} of {name} gives a non-code in the block")
-        return out
+
+def _lookups(name: str, G: Group, H: Group, alpha_table: np.ndarray, tau_table: np.ndarray):
+    """alpha and tau as lookups in their tables, which hold codes only, as in
+    the group tables; a code outside G or H raises StructuralError."""
+    alpha_rows, tau_rows = code_rows(alpha_table), code_rows(tau_table)
 
     def alpha_lookup(g: Element, h: Element) -> Element:
         try:
             return alpha_rows[g][h]
         except (KeyError, TypeError):
             if is_block(g, h):
-                return checked(gather(alpha_table, g, h), alpha_clean, H.order, "alpha")
-            if G.contains(g) and H.contains(h):
-                raise _carrier_error("alpha", G, H, g, h) from None
+                return gather(alpha_table, g, h)
             raise StructuralError(
                 f"alpha of {name} is defined on {G.name} x {H.name}, got ({g!r}, {h!r})") from None
 
@@ -174,9 +174,7 @@ def _lookups(name: str, G: Group, H: Group, alpha_table: np.ndarray, tau_table: 
             return tau_rows[h]
         except (KeyError, TypeError):
             if is_block(h):
-                return checked(tau_table[h], tau_clean, G.order, "tau")
-            if H.contains(h):
-                raise _carrier_error("tau", G, H, None, h) from None
+                return tau_table[h]
             raise StructuralError(f"tau of {name} is defined on {H.name}, got {h!r}") from None
 
     return alpha_lookup, tau_lookup
@@ -186,15 +184,13 @@ def _lookups(name: str, G: Group, H: Group, alpha_table: np.ndarray, tau_table: 
 
 def _check_carriers(cm: CrossedModule, rng: Stream, n: int = 64) -> None:
     """Structural probe, distinct from axiom failure: alpha must land in H
-    and tau in G, on n sampled (g, h) pairs; finite tables raise on a
-    non-code when looked up. On SO(n) carriers the pairs come as one block
-    of draws, those of n (g, h) samples in turn, checked as stacks; the
-    first failing pair raises as it would one pair at a time."""
+    and tau in G, on n sampled (g, h) pairs of SO(n) carriers. A module with
+    a finite side draws nothing: a finite module's tables were checked
+    whole when it was built. The pairs come as one block of draws, those of
+    n (g, h) samples in turn, checked as stacks; the first failing pair
+    raises as it would one pair at a time."""
     G, H = cm.G, cm.H
     if G.width is None or H.width is None:
-        for _ in range(n):
-            g, h = G.sample(rng), H.sample(rng)
-            cm.tau(h), cm.alpha(g, h)  # a lookup raises on a non-code
         return
     u = rng.random((n, G.width + H.width))
     g, h = G.sample_stack(u[:, :G.width]), H.sample_stack(u[:, G.width:])
@@ -222,7 +218,8 @@ def verify_crossed_module(
     Checks tau-homomorphism, alpha_g in Aut(H), g -> alpha_g homomorphism,
     the Peiffer law, plus source/target/identity-assignment homomorphism
     properties of the induced maps on H ⋊ G. Each law draws from
-    `streams(law)`, the carrier probe from `rng`."""
+    `streams(law)`, the SO(n) carrier probe from `rng`; a finite module's
+    tables were checked when it was built."""
     _check_carriers(cm, rng or Stream(0))
     report = LawReport(suite="crossed-module", budget=sample_budget, streams=streams)
     G, H = cm.G, cm.H

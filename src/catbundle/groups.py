@@ -165,13 +165,10 @@ def gather(table: np.ndarray, a, b) -> np.ndarray:
     return np.take(table, a * table.shape[1] + b)
 
 
-def code_rows(table: np.ndarray, bound: int | None = None) -> dict:
+def code_rows(table: np.ndarray) -> dict:
     """A table's `tolist()` rows keyed by code: a negative code is a
-    KeyError, not a wrap-around. With `bound`, an entry that is not a code
-    below it is left out, so that looking it up is a KeyError too."""
-    rows = [dict(enumerate(row)) if bound is None
-            else {i: v for i, v in enumerate(row) if 0 <= v < bound}
-            for row in np.atleast_2d(table).tolist()]
+    KeyError, not a wrap-around."""
+    rows = [dict(enumerate(row)) for row in np.atleast_2d(table).tolist()]
     return rows[0] if table.ndim == 1 else dict(enumerate(rows))
 
 

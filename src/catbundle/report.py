@@ -316,9 +316,8 @@ def _singles(space: CaseSpace, columns: list):
 
 
 def _case(space: CaseSpace, rng):
-    """One seeded case of a sampled space."""
-    if space.width is not None:
-        return _uniform(space, rng.random(space.width))
+    """One seeded case of a sampled space whose parts are not all uniforms
+    (a product draws those as a row of uniforms itself)."""
     return space.build(*_built_parts(space, space.draw(rng)))
 
 
@@ -342,7 +341,7 @@ def _uniform(space: CaseSpace, u: np.ndarray):
 def _stack(items):
     """A sequence of k cases of one kind as one stacked case, or None where
     they do not stack: SO(n) elements along a new first axis, paths as a
-    PathBlock, tuples and dataclasses part by part."""
+    PathBlock, tuples part by part."""
     try:
         first = items[0]
     except IndexError:  # an empty axis
@@ -354,10 +353,6 @@ def _stack(items):
     if isinstance(first, tuple):
         parts = [_stack(p) for p in zip(*items)]
         return None if any(p is None for p in parts) else tuple(parts)
-    if dataclasses.is_dataclass(first):
-        names = [f.name for f in dataclasses.fields(first)]
-        parts = [_stack([getattr(x, name) for x in items]) for name in names]
-        return None if any(p is None for p in parts) else type(first)(*parts)
     return None
 
 

@@ -226,6 +226,8 @@ class Scenario:
     def quiver(self) -> QuiverCategory:
         spec = self._base("quiver", "objects", "arrows")
         try:
+            if not isinstance(spec["objects"], list):
+                raise TypeError(f"'objects' must be a list, got {spec['objects']!r}")
             word_bound = spec.get("word_bound", DEFAULT_WORD_BOUND)
             return QuiverCategory([str(o) for o in spec["objects"]],
                                   [tuple(map(str, a)) for a in spec["arrows"]],
@@ -307,8 +309,8 @@ class Scenario:
         spec = self._object("triple", "lower", "upper")
 
         def tags(key: str) -> tuple[int, ...]:
-            if not isinstance(spec[key], list):
-                raise ScenarioError(f"triple.{key} must be a list of cover indices, got {spec[key]!r}")
+            if not isinstance(spec[key], list) or len(spec[key]) != 3:
+                raise ScenarioError(f"triple.{key} must list three cover indices, got {spec[key]!r}")
             return tuple(map(_index, spec[key]))
 
         return tags("lower"), tags("upper")
@@ -335,8 +337,14 @@ class Scenario:
             return TrivializationFamily.seeded(cm, cover, Stream(seed))
         h_maps = {}
         for key, table in spec.items():
-            table = _checked_object(f"'trivializations.{key}'", table)
-            h_maps[_index(key)] = {pt: parse_element(cm.H, v) for pt, v in table.items()}
+            table, i = _checked_object(f"'trivializations.{key}'", table), _index(key)
+            if i not in cover.sets:
+                raise ScenarioError(f"trivialization {key!r} names no cover index "
+                                    f"{list(cover.index_set)}")
+            if set(table) != cover.sets[i]:
+                raise ScenarioError(f"trivialization {key!r} must give one element per point "
+                                    f"of cover set {sorted(cover.sets[i])}, got {table!r}")
+            h_maps[i] = {pt: parse_element(cm.H, v) for pt, v in table.items()}
         missing = set(cover.index_set) - set(h_maps)
         if missing:
             raise ScenarioError(f"trivializations missing for indices {sorted(missing)}")

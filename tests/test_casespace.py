@@ -327,6 +327,15 @@ def _add_d(raw):
         table["d"] = "e"
 
 
+def _trivialization_tables(edit):
+    """s3_cocycle with a trivialization table of e on each cover set, then
+    `edit` applied to the tables."""
+    def tables(raw):
+        raw["trivializations"] = {i: {pt: "e" for pt in pts} for i, pts in raw["cover"].items()}
+        edit(raw["trivializations"])
+    return _edited("s3_cocycle.json", tables)
+
+
 def _suite(name):
     return ["--suite", name]
 
@@ -447,6 +456,24 @@ MALFORMED = [
     ("trivializations-seed-string",
      _edited("s3_cocycle.json", lambda r: r.update(trivializations={"seed": "x"})),
      ["--suite", "transition-cocycle"]),
+    ("triple-lower-two-indices",
+     _edited("s3_cocycle.json", lambda r: r["triple"].update(lower=[0, 1])), ["--suite", "prop51"]),
+    ("triple-upper-two-indices", _edited("s3_cocycle.json", lambda r: r["triple"].update(upper=[3, 4])),
+     ["--suite", "transition-cocycle"]),
+    ("triple-four-indices",
+     _edited("s3_cocycle.json", lambda r: r["triple"].update(lower=[0, 1, 2, 3], upper=[2, 3, 4, 5])),
+     ["--suite", "transition-cocycle"]),
+    ("trivializations-missing-point", _trivialization_tables(lambda t: t["0"].pop("a2")),
+     ["--suite", "transition-cocycle"]),
+    ("trivializations-extra-point", _trivialization_tables(lambda t: t["0"].update(a5="e")),
+     ["--suite", "transition-cocycle"]),
+    ("trivializations-unknown-index", _trivialization_tables(lambda t: t.update({"6": {"a0": "e"}})),
+     ["--suite", "transition-cocycle"]),
+    ("quiver-objects-repeated",
+     _edited("s3_quiver.json", lambda r: r["base"].update(objects=["a", "b", "c", "a"])),
+     ["--suite", "bundle-axioms"]),
+    ("quiver-objects-string", _edited("s3_quiver.json", lambda r: r["base"].update(objects="abc")),
+     ["--suite", "bundle-axioms"]),
     ("eta-raw-list", _edited("z4_twist.json", lambda r: r.update(eta={"raw": [1]})),
      ["--suite", "twisted-bundle"]),
     *[(f"{label}-{'transport' if argv[0] == 'transport' else argv[1]}", raw, argv)

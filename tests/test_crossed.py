@@ -176,9 +176,8 @@ def test_spec_witness_pair_violates_peiffer():
 
 def test_structural_error_is_distinct_from_axiom_failure():
     z4 = CyclicGroup(4)
-    bad = CrossedModule("bad", z4, z4, alpha=lambda g, h: 17, tau=lambda h: h)
     with pytest.raises(StructuralError):
-        verify_crossed_module(bad, 100)
+        CrossedModule("bad", z4, z4, alpha=lambda g, h: 17, tau=lambda h: h)
 
 
 def test_exchange_law_z4_exhaustive():

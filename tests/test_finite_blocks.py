@@ -184,28 +184,49 @@ def _fails_structurally(run, error: str):
 
 
 @pytest.mark.parametrize("value", [6, 7, -1, -6])
-def test_a_non_code_of_alpha_that_the_carrier_probe_misses_fails_its_laws(value):
-    # the probe's 64 pairs at seed 0 miss (g, h) = (1, 2); the laws that
-    # meet it fail with a structural error, never with a bare IndexError or
-    # by reading another row
-    cm = _s3_with(alpha_at=value)
-
-    def run():
-        report = verify_crossed_module(cm, 20_000, law_streams(0))
-        return report.extend(verify_exchange_law(cm, 20_000, law_streams(0)))
-
-    _fails_structurally(run, "alpha_(1 2)((0 1)) is not an element of s3")
+def test_a_non_code_of_alpha_cannot_be_built(value):
+    # the whole table is checked at construction, so no seed, suite or
+    # sample can miss (g, h) = (1, 2)
+    with pytest.raises(StructuralError, match=re.escape("alpha_(1 2)((0 1)) is not an element of s3")):
+        _s3_with(alpha_at=value)
 
 
 @pytest.mark.parametrize("value", [6, -1])
-def test_a_non_code_of_tau_fails_the_probe_and_the_bundle_laws(value):
-    cm = _s3_with(tau_at=value)
+def test_a_non_code_of_tau_cannot_be_built(value):
     with pytest.raises(StructuralError, match=re.escape("tau((0 1)) is not an element of s3")):
-        verify_crossed_module(cm, 20_000, law_streams(0))
-    # the twisted-bundle laws run no probe
-    bundle = TwistedBundle(CHAIN, cm, EtaMap.trivial(CHAIN, cm))
-    _fails_structurally(lambda: verify_twisted_bundle(bundle, 20_000, law_streams(0)),
-                        "tau((0 1)) is not an element of s3")
+        _s3_with(tau_at=value)
+
+
+def test_a_non_code_of_tau_is_named_before_one_of_alpha():
+    with pytest.raises(StructuralError, match=re.escape("tau((0 1)) is not an element of s3")):
+        _s3_with(alpha_at=6, tau_at=6)
+
+
+def test_every_catalog_module_builds():
+    for name, cm in catalog().items():
+        assert cm.name == name
+        if cm.is_finite:
+            assert 0 <= cm.alpha_table.min() <= cm.alpha_table.max() < cm.H.order
+            assert 0 <= cm.tau_table.min() <= cm.tau_table.max() < cm.G.order
+
+
+class _NoDraws:
+    """A stream stub that fails a test on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the shared stream was asked for {name!r}")
+
+
+def test_the_crossed_module_suite_on_a_finite_module_draws_no_shared_stream(monkeypatch):
+    class Streams(catbundle.suites.LawStreams):
+        def __init__(self, seed, suite):
+            super().__init__(seed, suite)
+            self.shared = _NoDraws()
+
+    sc = Scenario.load(SCEN / "s3_quiver.json")
+    want = run_suite(sc, "crossed-module").to_jsonl()
+    monkeypatch.setattr(catbundle.suites, "LawStreams", Streams)
+    assert run_suite(sc, "crossed-module").to_jsonl() == want
 
 
 @pytest.mark.parametrize("word", [(), ("g",)])
