@@ -9,6 +9,10 @@ the pair (h, g) has source g and target tau(h)·g, group multiplication
 and categorical (vertical) composition
 
     (h2, g2) ∘ (h1, g1) = (h2·h1, g1)   defined only when tau(h1)·g1 = g2.
+
+When G and H are finite, alpha and tau are int tables of codes, checked
+whole when the module is built and read by `groups.lookup`, as the group
+tables are: a code gives an int, an array of codes a block of them.
 """
 from __future__ import annotations
 
@@ -26,9 +30,7 @@ from .groups import (
     StructuralError,
     SymmetricGroup,
     all_cases,
-    code_rows,
-    gather,
-    is_block,
+    lookup,
 )
 from .report import DEFAULT_BUDGET, CaseSpace, LawReport, sides_witness
 from .stream import Stream, Streams, seed_zero
@@ -61,7 +63,9 @@ class CrossedModule:
                                            (G.order, H.order), f"alpha of {name}")
             self.tau_table = _code_table([tau(h) for h in H.elements], (H.order,), f"tau of {name}")
             _check_codes(G, H, self.alpha_table, self.tau_table)
-            alpha, tau = _lookups(name, G, H, self.alpha_table, self.tau_table)
+            alpha = lookup(self.alpha_table, lambda g, h: (
+                f"alpha of {name} is defined on {G.name} x {H.name}, got ({g!r}, {h!r})"))
+            tau = lookup(self.tau_table, lambda h: f"tau of {name} is defined on {H.name}, got {h!r}")
         self.alpha = alpha
         self.tau = tau
         self.broken = broken
@@ -129,7 +133,7 @@ class CrossedModule:
     def morphism_space(self, count: int | None = None) -> CaseSpace:
         """Every morphism (h outer, g inner) when finite, else `count`
         seeded samples (or as many as the budget allows), each drawn as
-        `sample_morphism` draws it, stackable on SO(n)."""
+        `sample_morphism` draws it, in blocks."""
         if self.is_finite:
             return CaseSpace.product(self.H.elements, self.G.elements, build=TwoGroupMorphism)
         return CaseSpace.product(CaseSpace.carrier(self.H), CaseSpace.carrier(self.G),
@@ -155,31 +159,6 @@ def _check_codes(G: Group, H: Group, alpha_table: np.ndarray, tau_table: np.ndar
         raise _carrier_error("alpha", G, H, *alpha_bad[0].tolist())
 
 
-def _lookups(name: str, G: Group, H: Group, alpha_table: np.ndarray, tau_table: np.ndarray):
-    """alpha and tau as lookups in their tables, which hold codes only, as in
-    the group tables; a code outside G or H raises StructuralError."""
-    alpha_rows, tau_rows = code_rows(alpha_table), code_rows(tau_table)
-
-    def alpha_lookup(g: Element, h: Element) -> Element:
-        try:
-            return alpha_rows[g][h]
-        except (KeyError, TypeError):
-            if is_block(g, h):
-                return gather(alpha_table, g, h)
-            raise StructuralError(
-                f"alpha of {name} is defined on {G.name} x {H.name}, got ({g!r}, {h!r})") from None
-
-    def tau_lookup(h: Element) -> Element:
-        try:
-            return tau_rows[h]
-        except (KeyError, TypeError):
-            if is_block(h):
-                return tau_table[h]
-            raise StructuralError(f"tau of {name} is defined on {H.name}, got {h!r}") from None
-
-    return alpha_lookup, tau_lookup
-
-
 # -- verification --
 
 def _check_carriers(cm: CrossedModule, rng: Stream, n: int = 64) -> None:
@@ -190,7 +169,7 @@ def _check_carriers(cm: CrossedModule, rng: Stream, n: int = 64) -> None:
     n (g, h) samples in turn, checked as stacks; the first failing pair
     raises as it would one pair at a time."""
     G, H = cm.G, cm.H
-    if G.width is None or H.width is None:
+    if G.is_finite or H.is_finite:
         return
     u = rng.random((n, G.width + H.width))
     g, h = G.sample_stack(u[:, :G.width]), H.sample_stack(u[:, G.width:])

@@ -54,7 +54,7 @@ from .crossed import CompositionUndefined, CrossedModule, TwoGroupMorphism
 from .groups import SpecialOrthogonalGroup, StructuralError, all_cases, is_skew, skew_coords, skew_expm1
 from .report import CaseSpace, LawReport, Plan
 from .stream import Stream, Streams, seed_zero
-from .twisted import EtaMap, TwistedBundle, TwistedMorphism, element_draws
+from .twisted import EtaMap, TwistedBundle, TwistedMorphism
 
 DEFAULT_STEPS = 200
 DEFAULT_ISO_TOL = 1e-6
@@ -306,16 +306,16 @@ def composable_pairs(db: DecoratedBundle, count: int | None = None) -> CaseSpace
     0.8 per coordinate, each drawn as gamma1, g, h1, gamma2, h2: gamma2
     starts where gamma1 ends, and dm2 at dm1's target, so no draw depends on
     a transport."""
-    base, (draw_g, g_of), (draw_h, h_of) = db.base, element_draws(db.cm.G), element_draws(db.cm.H)
+    base, G, H = db.base, db.cm.G, db.cm.H
 
     def draw(rng):
         gamma1 = base.random_path(rng, n_segments=2, scale=0.8)
-        return (gamma1, draw_g(rng), draw_h(rng),
-                base.random_path(rng, n_segments=2, start=gamma1.end, scale=0.8), draw_h(rng))
+        return (gamma1, rng.random(G.width), rng.random(H.width),
+                base.random_path(rng, n_segments=2, start=gamma1.end, scale=0.8), rng.random(H.width))
 
     def build(gamma1, g, h1, gamma2, h2):
-        dm1 = DecoratedMorphism(gamma1, g_of(g), h_of(h1))
-        return DecoratedMorphism(gamma2, db.target(dm1)[1], h_of(h2)), dm1
+        dm1 = DecoratedMorphism(gamma1, G.sample_stack(g), H.sample_stack(h1))
+        return DecoratedMorphism(gamma2, db.target(dm1)[1], H.sample_stack(h2)), dm1
 
     return CaseSpace.sampled(draw, count, build)
 

@@ -1,26 +1,29 @@
 """Group carriers: finite cyclic and symmetric groups, and SO(2)/SO(3).
 
 Finite elements are int codes, their index in `elements`; finite groups
-tabulate `mul` and `inv` as numpy int arrays, looked up for a code or an
-array of codes alike; `gather` is the one rule by which arrays of codes
-look up a 2-D table, one 1-D gather at `a * width + b`. Matrix elements are
-numpy arrays; equality is a declared max-abs-entry tolerance (default 1e-9)
-because downstream transport values are floating point.
+tabulate `mul` and `inv` as numpy int arrays, and `lookup` is the one reader
+of such a code table (a group's, or a crossed module's alpha and tau): a
+code gives a Python int, an array of codes the gathered array. `gather` is
+the one rule by which arrays of codes look up a 2-D table, one 1-D gather at
+`a * width + b`. Matrix elements are numpy arrays; equality is a declared
+max-abs-entry tolerance (default 1e-9) because downstream transport values
+are floating point.
 
 `eq` gives a plain bool on two elements and a per-case mask of shape `(k,)`
 when an operand holds k cases (an array of codes, a `(k, n, n)` SO(n) stack,
 on each of which `mul` and `inv` also act). `rotation2`, `skew3` and
 `skew_exp` likewise map stacks to stacks; `skew_expm1` is the one so(n)
 exponential, behind the sampler, scenario elements and transport factors.
-One sampler, `sample_stack`, maps a `(k, width)` block of uniform draws to k
-elements; `sample(rng)` is its one-element call, so a block of draws gives,
-bitwise, the elements that as many `sample` calls give.
+Every carrier has one sampler, `sample_stack`, which maps a `(k, width)`
+block of uniform draws to k elements (k codes on a finite group);
+`sample(rng)` is its one-element call, so a block of draws gives, bitwise,
+the elements that as many `sample` calls give.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -60,13 +63,13 @@ def all_cases(ok) -> bool:
 
 
 class Group:
-    """Identity, multiplication, inverse and equality; finite groups also
-    expose their element list, which switches verification code between
-    exhaustive and sampled modes."""
+    """Identity, multiplication, inverse, equality and a sampler; finite
+    groups also expose their element list, which switches verification code
+    between exhaustive and sampled modes."""
 
     name: str = "group"
     elements: Sequence[Element] | None = None
-    width: int | None = None  # uniform draws per element, for stack samplers
+    width: int  # uniform draws per element, for `sample_stack`
 
     @property
     def identity(self) -> Element:
@@ -85,10 +88,13 @@ class Group:
     def contains(self, a: Element) -> bool:
         raise NotImplementedError
 
+    def sample_stack(self, u: np.ndarray):
+        """k elements from a (k, width) block of uniform [0, 1) draws, or one
+        element from a (width,) row."""
+        raise NotImplementedError
+
     def sample(self, rng: Stream) -> Element:
-        if self.elements is None:
-            raise NotImplementedError
-        return self.elements[int(rng.integers(len(self.elements)))]
+        return self.sample_stack(rng.random(self.width))
 
     def fmt(self, a: Element) -> str:
         return str(a)
@@ -109,11 +115,10 @@ class FiniteGroup(Group):
     """A finite group on int codes: `elements` is range(order), and
     `values[code]` is the element in the terms of the closed forms `op` and
     `inverse`, from which the int tables `mul_table` and `inv_table` are
-    built once. A code is looked up in a table's `tolist()` rows (Python
-    ints), an array of codes in the table itself by `gather`; a non-code (a
-    negative or out-of-range int, a tuple) raises StructuralError. An array
-    is trusted to hold codes, as every array a suite makes does: a flat
-    index of a non-code would land in another row."""
+    built once and read by `lookup`. A code is drawn from one uniform u as
+    floor(u * order)."""
+
+    width = 1
 
     def __init__(self, name: str, values: list, identity, op, inverse):
         self.name = name
@@ -123,7 +128,8 @@ class FiniteGroup(Group):
         self.mul_table = np.array([[self.code(op(a, b)) for b in values] for a in values])
         self.inv_table = np.array([self.code(inverse(a)) for a in values])
         self._identity = self.code(identity)
-        self._mul, self._inv = code_rows(self.mul_table), code_rows(self.inv_table)
+        self._mul = lookup(self.mul_table, lambda a, b: f"{a!r} or {b!r} is not an element of {name}")
+        self._inv = lookup(self.inv_table, lambda a: f"{a!r} is not an element of {name}")
 
     def code(self, value) -> int:
         """The code of an element given in the closed forms' terms."""
@@ -137,20 +143,10 @@ class FiniteGroup(Group):
         return self._identity
 
     def mul(self, a, b):
-        try:
-            return self._mul[a][b]
-        except (KeyError, TypeError):
-            if is_block(a, b):
-                return gather(self.mul_table, a, b)
-            raise StructuralError(f"{a!r} or {b!r} is not an element of {self.name}") from None
+        return self._mul(a, b)
 
     def inv(self, a):
-        try:
-            return self._inv[a]
-        except (KeyError, TypeError):
-            if is_block(a):
-                return self.inv_table[a]
-            raise StructuralError(f"{a!r} is not an element of {self.name}") from None
+        return self._inv(a)
 
     def eq(self, a, b):
         return a == b
@@ -158,24 +154,51 @@ class FiniteGroup(Group):
     def contains(self, a) -> bool:
         return isinstance(a, (int, np.integer)) and 0 <= a < len(self.elements)
 
+    def sample_stack(self, u: np.ndarray):
+        """The codes floor(u * order) of a (k, 1) block of uniform [0, 1)
+        draws, as an int64 array, or the code of a (1,) row, as an int.
+        Below 1, u * order rounds below order, so every draw is a code."""
+        if u.ndim == 1:
+            return int(u[0] * len(self.elements))
+        return (u[:, 0] * len(self.elements)).astype(np.int64)
+
+
+def lookup(table: np.ndarray, error: Callable[..., str]) -> Callable:
+    """The reader of a 1-D or 2-D int table of codes, taking one code per
+    axis. Codes give a Python int from the table's `tolist()` rows, keyed by
+    code, so a negative code is no row rather than a wrap-around; arrays of
+    codes, in any operand, give the gathered array, trusted to hold codes,
+    as every array a suite makes does (a flat index of a non-code would land
+    in another row). Anything else raises StructuralError(error(*codes))."""
+    rows = dict(enumerate(table.tolist()))
+    if table.ndim == 2:
+        rows = {a: dict(enumerate(row)) for a, row in rows.items()}
+
+    def block(*codes):
+        if (any(isinstance(c, np.ndarray) for c in codes)
+                and all(isinstance(c, (np.ndarray, int, np.integer)) for c in codes)):
+            return gather(table, *codes) if table.ndim == 2 else table[codes[0]]
+        raise StructuralError(error(*codes)) from None
+
+    def read(a):
+        try:
+            return rows[a]
+        except (KeyError, TypeError):
+            return block(a)
+
+    def read2(a, b):
+        try:
+            return rows[a][b]
+        except (KeyError, TypeError):
+            return block(a, b)
+
+    return read if table.ndim == 1 else read2
+
 
 def gather(table: np.ndarray, a, b) -> np.ndarray:
     """table[a, b] for codes a and b, at least one an array, as one 1-D
     gather at a * width + b, the width read from the table as it is now."""
     return np.take(table, a * table.shape[1] + b)
-
-
-def code_rows(table: np.ndarray) -> dict:
-    """A table's `tolist()` rows keyed by code: a negative code is a
-    KeyError, not a wrap-around."""
-    rows = [dict(enumerate(row)) for row in np.atleast_2d(table).tolist()]
-    return rows[0] if table.ndim == 1 else dict(enumerate(rows))
-
-
-def is_block(*codes) -> bool:
-    """The arguments are codes and arrays of codes, at least one an array."""
-    return (any(isinstance(c, np.ndarray) for c in codes)
-            and all(isinstance(c, (np.ndarray, int, np.integer)) for c in codes))
 
 
 class CyclicGroup(FiniteGroup):
@@ -367,9 +390,6 @@ class SpecialOrthogonalGroup(Group):
         draw; the element is I + `skew_expm1` of the angle, or of the
         rotation vector of three of them."""
         return np.eye(self.n) + skew_expm1(-math.pi + 2 * math.pi * u)
-
-    def sample(self, rng: Stream) -> np.ndarray:
-        return self.sample_stack(rng.random(self.width))
 
     def fmt(self, a: np.ndarray) -> str:
         rows = [" ".join(f"{x:.12g}" for x in row) for row in np.asarray(a)]

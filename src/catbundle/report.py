@@ -7,8 +7,8 @@ one route to its blocks. A sampled space is made finite first, with every
 draw made up front: an open one (SO(n) carriers, random paths) is drawn
 `budget` times, and a product with counted or enumerated axes draws each
 sampled axis in turn (a counted product as one unit). The draws are kept as
-uniforms where the parts are uniforms, else as each case's parts, and a
-case is coded by its draw number. A finite space is then decoded
+uniforms where the parts are uniforms, else as each case's parts stacked,
+and a case is coded by its draw number. A finite space is then decoded
 FINITE_BLOCK case numbers (or seeded picks) at a time, one vectorised
 divmod per axis into part columns: int codes (range axes, draw numbers,
 coded spaces such as the twisted chains on a quiver) or listed items.
@@ -244,19 +244,18 @@ def _drawn_axis(axis: CaseSpace, n: int, rng, reused: bool = False):
     """n draws of a sampled space as a finite one, coded by draw number, whose
     cases are built from the draws kept: one (n, width) array of uniforms
     where its parts are uniforms (8·width bytes a case), else each draw's
-    parts, stacked, or listed as built cases where they do not stack. The
-    draws are those of n cases drawn in turn, and a case is built alike
-    whether alone or in a block. The cases of an axis `reused` by many
-    cases (crossed with other axes in a product, or drawn for several plans)
-    are built once, when a block first needs them, and each block takes its
-    own (`_take`)."""
+    parts, stacked (`_stack`: every carrier draws rows of uniforms, so every
+    part stacks); n = 0 gives an empty space. The draws are those of n cases
+    drawn in turn, and a case is built alike whether alone or in a block.
+    The cases of an axis `reused` by many cases (crossed with other axes in
+    a product, or drawn for several plans) are built once, when a block
+    first needs them, and each block takes its own (`_take`)."""
     if axis.width is not None:
         u = rng.random((n, axis.width))
         return _built_once(n, lambda i: _uniform(axis, u[i]), reused)
-    parts = [tuple(axis.draw(rng)) for _ in range(n)]
-    stacked = _stack(parts)
-    if stacked is None:
-        return CaseSpace.finite([axis.build(*_built_parts(axis, p)) for p in parts])
+    if n == 0:
+        return CaseSpace.finite([])
+    stacked = _stack([tuple(axis.draw(rng)) for _ in range(n)])
     stacked = _built_parts(axis, stacked)  # a product's uniform-drawn axes, built stacked once
     return _built_once(n, lambda i: axis.build(*_take(stacked, i)), reused)
 
@@ -338,22 +337,19 @@ def _uniform(space: CaseSpace, u: np.ndarray):
     return space.build(*[_uniform(a, u[..., e - a.width:e]) for a, e in zip(space.axes, ends)])
 
 
-def _stack(items):
-    """A sequence of k cases of one kind as one stacked case, or None where
-    they do not stack: SO(n) elements along a new first axis, paths as a
-    PathBlock, tuples part by part."""
-    try:
-        first = items[0]
-    except IndexError:  # an empty axis
-        return None
+def _stack(items, part: str = "draw"):
+    """A sequence of k cases of one kind as one stacked case: arrays (SO(n)
+    elements, rows of uniforms) along a new first axis, paths as a
+    PathBlock, tuples part by part. Anything else raises ValueError, naming
+    the part."""
+    first = items[0]
     if isinstance(first, np.ndarray):
         return np.stack(items)
     if isinstance(first, SampledPath):
         return PathBlock(items)
     if isinstance(first, tuple):
-        parts = [_stack(p) for p in zip(*items)]
-        return None if any(p is None for p in parts) else tuple(parts)
-    return None
+        return tuple(_stack(p, f"{part}[{j}]") for j, p in enumerate(zip(*items)))
+    raise ValueError(f"{part} is a {type(first).__name__}, which does not stack")
 
 
 def _take(block, i):

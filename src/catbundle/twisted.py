@@ -23,7 +23,9 @@ case holds a QuiverMorphism and Python ints.
 On a path base the laws run in blocks too: a block's TwistedMorphism holds a
 PathBlock (`basecat`: drawn paths as ids into a leaf table, composites as
 one tree node over two blocks) and SO(n) stacks, and eta on a PathBlock is
-one (k, n, n) stack. A transport twist computes it by `basecat.path_values`
+one (k, n, n) stack. A sampled case draws each element as its carrier's row
+of `width` uniforms and builds it by `sample_stack`, whichever the carrier,
+so its draws stack. A transport twist computes it by `basecat.path_values`
 with one weakly keyed mapping, which keeps each leaf's value while the leaf
 lives and a table's rows while the table lives: the leaves a call has not
 met go to the integrator in one stacked call, the values are indexed by id
@@ -246,33 +248,24 @@ def composable_chains(bundle: TwistedBundle, n: int) -> CaseSpace:
                     [(morphism(gamma), h) for gamma, h in zip(rest[::2], rest[1::2])])
 
     if not coded:  # the parts (gamma1, h1, g1, gamma2, h2, ...), drawn in that order
-        (draw_h, h_of), (draw_g, g_of) = element_draws(cm.H), element_draws(cm.G)
+        H, G = cm.H, cm.G
 
         def parts(rng):
             gamma = base.random_path(rng)
-            out = [gamma, draw_h(rng), draw_g(rng)]
+            out = [gamma, rng.random(H.width), rng.random(G.width)]
             for _ in range(n - 1):
                 gamma = base.random_path(rng, start=gamma.end)
-                out += [gamma, draw_h(rng)]
+                out += [gamma, rng.random(H.width)]
             return out
 
         def built(gamma1, h1, g1, *rest):
-            return build(gamma1, h_of(h1), g_of(g1), *itertools.chain.from_iterable(
-                (gamma, h_of(h)) for gamma, h in zip(rest[::2], rest[1::2])))
+            return build(gamma1, H.sample_stack(h1), G.sample_stack(g1), *itertools.chain.from_iterable(
+                (gamma, H.sample_stack(h)) for gamma, h in zip(rest[::2], rest[1::2])))
 
         return CaseSpace.sampled(parts, build=built)
 
     size, codes = _chain_codes(base, n, len(cm.H.elements), len(cm.G.elements))
     return CaseSpace.coded(size, 2 * n + 1, codes, build)
-
-
-def element_draws(group):
-    """How a case draws a sample of `group`, and how its cases are built from
-    the draws: an SO(n) element as the row of uniforms `sample` draws, built
-    stacked in a block by `sample_stack`; a finite one as it is."""
-    if group.width is None:
-        return group.sample, lambda x: x
-    return (lambda rng: rng.random(group.width)), group.sample_stack
 
 
 def _chain_codes(base: QuiverCategory, n: int, nh: int, ng: int):
@@ -515,7 +508,7 @@ def verify_action_functorial(bundle: TwistedBundle, budget: int = DEFAULT_BUDGET
                              streams: Streams = seed_zero) -> LawReport:
     """The right action commutes with s_eta, t_eta, and twisted composition."""
     cm = bundle.cm
-    report = LawReport(suite="twisted-action", budget=budget, streams=streams)
+    report = LawReport(suite="e-action", budget=budget, streams=streams)
 
     acted = CaseSpace.product(bundle_morphisms(bundle), cm.morphism_space(16))
     report.law(

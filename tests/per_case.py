@@ -22,13 +22,23 @@ from catbundle.decorated import Connection
 from catbundle.groups import StructuralError, skew_coords, skew_expm1
 from catbundle.report import CaseSpace, LawReport
 from catbundle.twisted import (EtaMap, TwistedBundle, TwistedMorphism, b1_ok, bundle_morphisms,
-                               composable_chains)
+                               composable_chains, verify_action_functorial, verify_E_properties,
+                               verify_twisted_bundle)
 
 
 def law_streams(seed: int, make=np.random.default_rng):
     """Each law's stream for a verify operation, by law id:
     `make([seed, crc32(law)])`, numpy's generator by default."""
     return lambda law: make([seed, zlib.crc32(law.encode())])
+
+
+def twisted_suites_jsonl(bundle: TwistedBundle, budget: int, streams) -> str:
+    """The JSONL of the twisted-bundle suite, then of the e-action suite: the
+    E-properties joined by action functoriality, as `catbundle run` files
+    them."""
+    e_action = verify_E_properties(bundle, budget, streams).extend(
+        verify_action_functorial(bundle, budget, streams))
+    return verify_twisted_bundle(bundle, budget, streams).to_jsonl() + e_action.to_jsonl()
 
 
 @contextmanager

@@ -8,6 +8,7 @@ import pytest
 from catbundle.basecat import QuiverCategory
 from catbundle.bundle import (
     ExtractionRefused,
+    FunctorUG,
     SectionIso,
     _first_repeat,
     _spread,
@@ -30,7 +31,7 @@ from catbundle.bundle import (
     verify_section_iso,
 )
 from catbundle.crossed import CompositionUndefined, TwoGroupMorphism, get_module
-from catbundle.groups import FiniteGroup, perm_from_cycles, perm_inv, perm_mul
+from catbundle.groups import FiniteGroup, perm_from_cycles, perm_inv, perm_mul, rotation2
 from catbundle.report import FINITE_BLOCK
 from catbundle.scenario import Scenario
 from catbundle.twisted import EtaMap, TwistedBundle, TwistedMorphism, bundle_morphisms
@@ -167,6 +168,21 @@ def test_prop31_roundtrip_every_functor_on_three_objects():
     assert report.passed
     assert all(r.exhaustive for r in report.records)
     assert report.find("roundtrip-invariants").checks == 6 ** 3
+
+
+def test_telescoping_fails_when_arrows_take_their_h_values_in_the_other_order(monkeypatch):
+    # functors whose arrow values are h(src)^-1·h(dst) instead of
+    # h(dst)·h(src)^-1: the generator fold no longer telescopes, and on S3
+    # the first functor where they differ shows it at the composite g∘f
+    def swapped(base, cm, h_obj):
+        g_table = {a: cm.tau(h_obj[a]) for a in base.objects}
+        h_gen = {f: cm.H.mul(cm.H.inv(h_obj[src]), h_obj[dst]) for f, (src, dst) in base.arrows.items()}
+        return FunctorUG(base, cm, g_table, h_gen)
+
+    monkeypatch.setattr("catbundle.bundle.functor_from_h", swapped)
+    record = verify_prop31_roundtrip(CHAIN, S3, budget=300).find("telescoping")
+    assert (record.status, record.checks, record.exhaustive) == ("fail", 9, True)
+    assert record.witness == {"gamma2": "g∘f:a->c", "gamma1": "id_a:a->a"}
 
 
 def test_pointwise_product_and_inverse():
@@ -524,14 +540,17 @@ def _probes(cm):
     return _spread(cm.G, 8, 1), list(map(TwoGroupMorphism, _spread(cm.H, 12, 9), _spread(cm.G, 12, 21)))
 
 
+# the section's H values at objects a and b: neither is the identity at a
+BREAK_AT_ONE_PROBE = {"s3-conj": (4, 0), "so2-conj": (rotation2(-2.6), rotation2(-1.65))}
+
+
 @pytest.mark.parametrize("name", ["s3-conj", "so2-conj"])
 def test_extract_functor_refuses_a_map_that_breaks_at_one_probe(name):
     # maps that break equivariance at one probe only, written case by case
     # with the module's own `eq` masks: extraction probes one stack and
     # names the first failing probe
     cm = get_module(name)
-    rng = np.random.default_rng(3)
-    F = functor_from_h(ARROW, cm, {"a": cm.H.sample(rng), "b": cm.H.sample(rng)})
+    F = functor_from_h(ARROW, cm, dict(zip("ab", BREAK_AT_ONE_PROBE[name])))
     assert not cm.G.eq(F.g("a"), cm.G.identity)
     iso = SectionIso(F)
     gs, ms = _probes(cm)

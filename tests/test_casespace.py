@@ -162,12 +162,12 @@ def test_sampled_plans():
     rng = np.random.default_rng(1)
 
     def uniform(r):
-        return float(r.random())
+        return r.random(1)
 
     open_axis = CaseSpace.sampled(uniform)
     plan = open_axis.plan(5, rng)
-    assert len(list(plan)) == 5 and not plan.exhaustive and plan.space is None
-    assert len(list(CaseSpace.sampled(uniform, count=3).plan(100, rng))) == 3
+    assert len(singles(plan)) == 5 and not plan.exhaustive and plan.space is None
+    assert len(singles(CaseSpace.sampled(uniform, count=3).plan(100, rng))) == 3
     # enumerated and counted axes are crossed whole with max(1, budget // 4) open draws
     mixed = CaseSpace.product(open_axis, CaseSpace.sampled(uniform, count=2), "ab")
     assert len(list(mixed.plan(10, rng))) == 2 * 4
@@ -177,6 +177,9 @@ def test_sampled_plans():
     # a product with an enumerated axis has no per-case draw, so it is no axis
     with pytest.raises(ValueError):
         CaseSpace.product(mixed, open_axis)
+    # every draw is kept stacked: one that does not stack names its part
+    with pytest.raises(ValueError, match=r"draw\[0\] is a float, which does not stack"):
+        CaseSpace.sampled(lambda r: float(r.random())).plan(5, rng)
 
 
 def test_carrier_is_the_group_or_its_samples():

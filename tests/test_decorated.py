@@ -25,6 +25,7 @@ from catbundle.scenario import Scenario
 from catbundle.suites import run_suite
 from catbundle.twisted import EtaMap
 from per_case import SO2_GEN, segments
+from test_so_blocks import alpha_mutant
 
 SO2 = get_module("so2-conj")
 SO3 = get_module("so3-conj")
@@ -286,6 +287,30 @@ def test_verify_prop62_so2_and_so3():
 def test_verify_transport_numerics_suites():
     assert verify_transport_numerics(PathCategory(1), so2_constant(), 100, np.random.default_rng(0)).passed
     assert verify_transport_numerics(PathCategory(2), so3_linear(), 100, np.random.default_rng(1)).passed
+
+
+def test_theta_composition_fails_on_a_module_whose_alpha_is_not_conjugation():
+    # the SO(3) alpha mutant: decorated composition and twisted composition
+    # use alpha differently, so theta stops preserving composition at the
+    # first pair; the conjugation module passes on the same connection
+    so3_constant = Connection(3, 2, [skew3([0.3, 0.0, 0.1]), skew3([0.0, 0.2, -0.1])])
+    base = PathCategory(2)
+    for cm, held in ((SO3, True), (alpha_mutant(0.9), False)):
+        eta = eta_from_connection(base, cm, so3_constant, 40)
+        record = verify_prop62(cm, eta, n_pairs=50).find("theta-composition")
+        assert (record.passed, record.checks) == ((True, 50) if held else (False, 1))
+
+
+def test_composite_multiplicativity_fails_when_the_path_fold_swaps_its_operands(monkeypatch):
+    # a fold that multiplies each composite's pieces first-then-second: on
+    # SO(3) the composite's transport is no longer its pieces' product
+    fold = decorated.path_values
+    monkeypatch.setattr(decorated, "path_values", lambda path, leaf_values, mul, kept: fold(
+        path, leaf_values, lambda second, first: mul(first, second), kept))
+    report = verify_transport_numerics(PathCategory(2), so3_linear(), 100, np.random.default_rng(1))
+    record = report.find("composite-multiplicativity")
+    assert (record.passed, record.checks) == (False, 1)
+    assert record.witness["max_diff"] > 0.01
 
 
 def test_transport_rejects_dimension_mismatch():

@@ -20,14 +20,8 @@ from catbundle.crossed import get_module, verify_crossed_module, verify_exchange
 from catbundle.groups import Group, SpecialOrthogonalGroup, SymmetricGroup
 from catbundle.scenario import Scenario
 from catbundle.suites import run_suite
-from catbundle.twisted import (
-    EtaMap,
-    TwistedBundle,
-    verify_action_functorial,
-    verify_E_properties,
-    verify_twisted_bundle,
-)
-from per_case import law_streams, per_case_plans, whole_blocks
+from catbundle.twisted import EtaMap, TwistedBundle
+from per_case import law_streams, per_case_plans, twisted_suites_jsonl, whole_blocks
 from test_finite_blocks import alpha_mutant as s3_mutant
 from test_so_blocks import alpha_mutant as so3_mutant
 from test_transport_stack import transport_mutant_jsonl
@@ -56,9 +50,7 @@ def crossed_jsonl(cm, budget: int, seed: int) -> str:
 
 
 def twisted_jsonl(base, cm, eta: EtaMap, budget: int, seed: int) -> str:
-    bundle = TwistedBundle(base, cm, eta)
-    return "".join(fn(bundle, budget, law_streams(seed)).to_jsonl() for fn in (
-        verify_twisted_bundle, verify_E_properties, verify_action_functorial))
+    return twisted_suites_jsonl(TwistedBundle(base, cm, eta), budget, law_streams(seed))
 
 
 def mutant_twisted_jsonl(budget: int, seed: int) -> str:

@@ -1,6 +1,7 @@
 """Finite laws run on blocks of int-coded cases: a failing S3 module pinned by
 committed goldens, int codes and their parsing, table lookups on arrays as
-one-index gathers, non-codes in alpha, tau and eta tables, one-call picks, block plans against per-case plans, run_law's case-by-case
+one-index gathers, finite samples as one-element stacks, non-codes in
+alpha, tau and eta tables, one-call picks, block plans against per-case plans, run_law's case-by-case
 rerun of a failing block and its search by halves for a failure deep in a
 big block, and the prop34 GU laws on blocks of functor and transformation
 codes."""
@@ -139,6 +140,22 @@ def test_one_index_gathers_equal_the_2d_tables(name):
         assert lookup(a, b).tolist() == want == [lookup(x, y) for x, y in zip(a.tolist(), b.tolist())]
     h = np.arange(cm.H.order)
     assert cm.tau(h).tolist() == cm.tau_table.tolist() == [cm.tau(x) for x in h.tolist()]
+
+
+@pytest.mark.parametrize("G", [SymmetricGroup(3), CyclicGroup(4)], ids=["s3", "z4"])
+def test_finite_sample_is_the_one_element_stack(G):
+    # one uniform u per element gives code floor(u * order): a (k, 1) block
+    # gives, as int64 codes, those of k `sample` calls, each a Python int
+    one, stack = np.random.default_rng(9), np.random.default_rng(9)
+    singles = [G.sample(one) for _ in range(200)]
+    block = G.sample_stack(stack.random((200, G.width)))
+    assert all(type(x) is int for x in singles) and set(singles) == set(G.elements)
+    assert block.dtype == np.int64 and block.shape == (200,) and block.tolist() == singles
+    # u = j / order opens code j's interval, and the largest draw below 1 is the last code
+    j = np.arange(G.order)
+    assert G.sample_stack((j / G.order)[:, None]).tolist() == j.tolist()
+    assert [G.sample_stack(np.array([x / G.order])) for x in j.tolist()] == j.tolist()
+    assert G.sample_stack(np.array([np.nextafter(1.0, 0.0)])) == G.order - 1
 
 
 def test_composite_gathers_read_the_widened_table():

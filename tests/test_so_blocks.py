@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from catbundle.basecat import QuiverCategory
+from catbundle.basecat import PathCategory, QuiverCategory
 from catbundle.bundle import verify_prop31_roundtrip
 from catbundle.crossed import (
     CompositionUndefined,
@@ -23,6 +23,7 @@ from catbundle.crossed import (
 from catbundle.groups import SpecialOrthogonalGroup, StructuralError
 from catbundle.report import FINITE_BLOCK, Block, CaseSpace, _drawn_axis, run_law
 from catbundle.stream import Stream
+from catbundle.twisted import EtaMap, TwistedBundle, composable_chains
 from per_case import law_streams, per_case_plans, whole_blocks
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -189,8 +190,17 @@ def test_which_plans_come_in_blocks():
     assert list(listed.plan(600, rng)) == [(g, i) for g in range(6) for i in range(2)]
     counted = CaseSpace.product(CaseSpace.carrier(so2, 4), CaseSpace.carrier(so2))
     assert all(isinstance(c, Block) for c in counted.plan(600, rng))
+    # a finite carrier's draws on a path base stack as SO(n) ones do
+    z4, line = get_module("z4-conj"), PathCategory(1)
+    chains = composable_chains(TwistedBundle(line, z4, EtaMap.trivial(line, z4)), 2)
+    blocks = list(chains.plan(50, rng))
+    assert len(blocks) == 1 and isinstance(blocks[0], Block)
+    h1 = blocks[0].cases[1].m.h
+    assert h1.dtype == np.int64 and h1.tolist() == [c[1].m.h for c in blocks[0].singles()]
+    # every drawn part stacks, or the plan refuses it
     unstackable = CaseSpace.product(CaseSpace.sampled(lambda r: r.random()), CaseSpace.carrier(so2))
-    assert not any(isinstance(c, Block) for c in unstackable.plan(600, rng))
+    with pytest.raises(ValueError, match=r"draw\[0\] is a float, which does not stack"):
+        unstackable.plan(600, rng)
 
 
 # -- run_law on blocks --

@@ -35,15 +35,9 @@ from catbundle.groups import rotation2, skew_expm1
 from catbundle.scenario import Scenario
 from catbundle.stream import Stream
 from catbundle.suites import run_suite
-from catbundle.twisted import (
-    TwistedBundle,
-    TwistedMorphism,
-    verify_action_functorial,
-    verify_E_properties,
-    verify_twisted_bundle,
-)
+from catbundle.twisted import TwistedBundle, TwistedMorphism
 from per_case import (law_streams, matrix_transport, per_case_plans, reference_evaluate,
-                      reference_transport, segments, whole_blocks)
+                      reference_transport, segments, twisted_suites_jsonl, whole_blocks)
 from test_decorated import random_connection, so2_integral
 from test_so_blocks import alpha_mutant
 
@@ -426,8 +420,7 @@ def transport_mutant_jsonl(threshold: float, seed: int) -> str:
     for the SO(3) alpha mutant twisted by transport on a plane, budget 200."""
     cm, base = alpha_mutant(threshold), PathCategory(2)
     bundle = TwistedBundle(base, cm, eta_from_connection(base, cm, so3_connection(), 40))
-    return "".join(fn(bundle, 200, law_streams(seed)).to_jsonl() for fn in (
-        verify_twisted_bundle, verify_E_properties, verify_action_functorial))
+    return twisted_suites_jsonl(bundle, 200, law_streams(seed))
 
 
 # at 0.9 the failing laws stop at checks 1 to 20; at 0.99 associativity fails

@@ -30,11 +30,9 @@ from catbundle.twisted import (
     _base_pairs,
     composable_chains,
     free_ok,
-    verify_action_functorial,
-    verify_E_properties,
     verify_twisted_bundle,
 )
-from per_case import law_streams, per_case_plans
+from per_case import law_streams, per_case_plans, twisted_suites_jsonl
 from test_finite_blocks import alpha_mutant
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -54,8 +52,7 @@ def streams():
 
 
 def twisted_jsonl(bundle: TwistedBundle, budget: int) -> str:
-    return "".join(fn(bundle, budget, streams()).to_jsonl() for fn in (
-        verify_twisted_bundle, verify_E_properties, verify_action_functorial))
+    return twisted_suites_jsonl(bundle, budget, streams())
 
 
 def mutant_twisted_jsonl(budget: int) -> str:
