@@ -144,6 +144,8 @@ class QuiverCategory:
             for _ in range(self.word_bound):
                 current = sorted((src, word + (name,), dst) for src, word, at in current
                                  for name, (a_src, dst) in self.arrows.items() if a_src == at)
+                if not current:  # no word extends: every morphism is found, whatever the bound
+                    break
                 ms += [QuiverMorphism(src, at, word) for src, word, at in current]
             index = {o: i for i, o in enumerate(self.objects)}
             self._coded, self._enumerated = ms, len(ms)

@@ -66,7 +66,7 @@ def _apply_overrides(sc: Scenario, args) -> Scenario:
         raw["budget"] = raw["path_budget"] = args.budget
     if getattr(args, "steps", None) is not None:
         raw["steps"] = args.steps
-    tols = dict(sc.tolerances)
+    tols = sc.tolerances
     for key in TOLERANCES:
         value = getattr(args, f"eps_{key}", None)
         if value is not None:

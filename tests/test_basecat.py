@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,11 +11,13 @@ from catbundle.basecat import (
     compose_paths,
     constant_path,
 )
+from catbundle.cli import main
 from catbundle.crossed import CompositionUndefined
 from catbundle.scenario import Scenario
 from catbundle.stream import Stream
 from per_case import reference_dedup, reference_random_path
 
+SCEN = Path(__file__).resolve().parents[1] / "scenarios"
 CHAIN = QuiverCategory(["a", "b", "c"], [("f", "a", "b"), ("g", "b", "c")], word_bound=3)
 
 
@@ -45,6 +50,22 @@ def test_a_scenario_quiver_without_word_bound_is_the_library_default():
     assert declared.morphisms_upto() == library.morphisms_upto()
     assert [m.word for m in library.morphisms_upto()] != [
         m.word for m in QuiverCategory(objects, arrows, library.word_bound + 1).morphisms_upto()]
+
+
+@pytest.mark.parametrize("name, longest", [("z4_gu.json", 1), ("z4_twist.json", 2)])
+def test_an_acyclic_quiver_stops_enumerating_at_its_longest_path(name, longest, tmp_path, capsys):
+    # no word outgrows the longest path, so a huge bound enumerates the same
+    # morphisms, as fast, and the report is byte for byte the same
+    raw = json.loads((SCEN / name).read_text())
+    morphisms, reports = [], []
+    for bound in (longest, 10**30):
+        raw["base"]["word_bound"] = bound
+        morphisms.append(Scenario(raw).quiver().morphisms_upto())
+        path = tmp_path / f"{bound}.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--scenario", str(path), "--format", "jsonl"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert morphisms[0] == morphisms[1] and reports[0] == reports[1]
 
 
 def test_quiver_composition_and_guards():

@@ -479,6 +479,47 @@ MALFORMED = [
      ["--suite", "bundle-axioms"]),
     ("eta-raw-list", _edited("z4_twist.json", lambda r: r.update(eta={"raw": [1]})),
      ["--suite", "twisted-bundle"]),
+    # an integer field reads a JSON int alone: not inf, a float, a bool or a string
+    ("triple-lower-inf", _edited("s3_cocycle.json", lambda r: r["triple"].update(
+        lower=[0, 1, float("inf")])), ["--suite", "prop51"]),
+    ("triple-lower-float", _edited("s3_cocycle.json", lambda r: r["triple"].update(lower=[0, 1, 2.5])),
+     ["--suite", "prop51"]),
+    ("triple-lower-bool", _edited("s3_cocycle.json", lambda r: r["triple"].update(lower=[0, True, 2])),
+     ["--suite", "prop51"]),
+    ("triple-lower-string", _edited("s3_cocycle.json", lambda r: r["triple"].update(lower=[0, 1, "2"])),
+     ["--suite", "prop51"]),
+    # a cover key is an integer in canonical decimal: these would all be read as an index
+    ("cover-key-spaced", _edited("s3_cocycle.json", lambda r: r["cover"].update({" 1": ["a3"]})),
+     ["--suite", "cocycle"]),
+    ("cover-key-leading-zero", _edited("s3_cocycle.json", lambda r: r["cover"].update({"01": ["a3"]})),
+     ["--suite", "cocycle"]),
+    ("cover-key-underscore", _edited("s3_cocycle.json", lambda r: r["cover"].update({"1_0": ["a3"]})),
+     ["--suite", "cocycle"]),
+    ("connection-group-dim-inf", _edited("so3_decorated.json", lambda r: r["connection"].update(
+        group_dim=float("inf"))), ["--suite", "prop62"]),
+    ("connection-group-dim-float", _edited("so3_decorated.json", lambda r: r["connection"].update(
+        group_dim=3.7)), ["--suite", "prop62"]),
+    ("connection-base-dim-float", _edited("so3_decorated.json", lambda r: r["connection"].update(
+        base_dim=2.0)), ["--suite", "prop62"]),
+    ("connection-base-dim-bool", _edited("so2_transport.json", lambda r: r["connection"].update(
+        base_dim=True)), ["--suite", "prop62"]),
+    ("s3-image-list-float", _edited("s3_quiver.json", lambda r: r["functors"]["sigma1"].update(
+        a=[0, 1.9, 2])), ["--suite", "prop41-section"]),
+    ("s3-image-list-bool", _edited("s3_quiver.json", lambda r: r["functors"]["sigma1"].update(
+        a=[True, False, 2])), ["--suite", "prop41-section"]),
+    ("z4-code-arabic-indic-digit", _edited("z4_twist.json", lambda r: r["eta"]["table"].update(f="\u0663")),
+     ["--suite", "twisted-bundle"]),
+    ("eta-from-connection-string", _edited("so2_transport.json", lambda r: r["eta"].update(
+        from_connection="no")), ["--suite", "twisted-bundle"]),
+    ("eta-two-kinds", _edited("so2_transport.json", lambda r: r.update(
+        eta={"from_connection": True, "table": {}})), ["--suite", "twisted-bundle"]),
+    # read before any arithmetic: is_skew would warn on inf - inf, and CI makes that an error
+    ("connection-matrix-inf", _edited("so2_transport.json", lambda r: r["connection"].update(
+        matrices=[[[0.0, -float("inf")], [float("inf"), 0.0]]])), ["--suite", "prop62"]),
+    ("steps-above-maximum", _edited("so3_decorated.json", lambda r: r.update(steps=2**20 + 1)),
+     ["--suite", "transport-convergence"]),
+    ("steps-override-above-maximum", _edited("so3_decorated.json", lambda r: None),
+     [*_transport("diag"), "--steps", str(2**20 + 1)]),
     *[(f"{label}-{'transport' if argv[0] == 'transport' else argv[1]}", raw, argv)
       for label, raw, argvs in PATH_BASE_CONTRADICTIONS for argv in argvs],
 ]
