@@ -152,7 +152,8 @@ class FiniteGroup(Group):
         return a == b
 
     def contains(self, a) -> bool:
-        return isinstance(a, (int, np.integer)) and 0 <= a < len(self.elements)
+        return (isinstance(a, (int, np.integer)) and not isinstance(a, bool)
+                and 0 <= a < len(self.elements))
 
     def sample_stack(self, u: np.ndarray):
         """The codes floor(u * order) of a (k, 1) block of uniform [0, 1)
@@ -165,32 +166,46 @@ class FiniteGroup(Group):
 
 def lookup(table: np.ndarray, error: Callable[..., str]) -> Callable:
     """The reader of a 1-D or 2-D int table of codes, taking one code per
-    axis. Codes give a Python int from the table's `tolist()` rows, keyed by
-    code, so a negative code is no row rather than a wrap-around; arrays of
+    axis. Python int codes give a Python int from the table's `tolist()`
+    rows, keyed by code, so a negative code is no row rather than a
+    wrap-around; numpy integer codes are read as those ints; arrays of
     codes, in any operand, give the gathered array, trusted to hold codes,
     as every array a suite makes does (a flat index of a non-code would land
-    in another row). Anything else raises StructuralError(error(*codes))."""
+    in another row). Anything else, a bool among them (True == 1 would key
+    row 1), raises StructuralError(error(*codes))."""
     rows = dict(enumerate(table.tolist()))
     if table.ndim == 2:
         rows = {a: dict(enumerate(row)) for a, row in rows.items()}
 
-    def block(*codes):
-        if (any(isinstance(c, np.ndarray) for c in codes)
-                and all(isinstance(c, (np.ndarray, int, np.integer)) for c in codes)):
+    def slow(*codes):
+        ints = [c.__class__ is int or isinstance(c, np.integer) for c in codes]
+        if all(ints):  # numpy integers among them, read as Python ints
+            try:
+                found = rows
+                for c in codes:
+                    found = found[int(c)]
+                return found
+            except KeyError:
+                pass
+        elif all(i or isinstance(c, np.ndarray) for i, c in zip(ints, codes)):
             return gather(table, *codes) if table.ndim == 2 else table[codes[0]]
         raise StructuralError(error(*codes)) from None
 
     def read(a):
-        try:
-            return rows[a]
-        except (KeyError, TypeError):
-            return block(a)
+        if a.__class__ is int:  # not a bool
+            try:
+                return rows[a]
+            except KeyError:
+                pass
+        return slow(a)
 
     def read2(a, b):
-        try:
-            return rows[a][b]
-        except (KeyError, TypeError):
-            return block(a, b)
+        if a.__class__ is int and b.__class__ is int:
+            try:
+                return rows[a][b]
+            except KeyError:
+                pass
+        return slow(a, b)
 
     return read if table.ndim == 1 else read2
 
@@ -248,7 +263,10 @@ def perm_from_cycles(text: str, n: int) -> tuple:
         chunk = chunk.strip()
         if not chunk:
             continue
-        pts = [int(t) for t in chunk.strip("()").replace(",", " ").split()]
+        tokens = chunk.strip("()").replace(",", " ").split()
+        if not all(t.isascii() and t.isdigit() and t == str(int(t)) for t in tokens):
+            raise ValueError(f"cycle entries must be ASCII decimals without sign or leading zero: {chunk!r}")
+        pts = [int(t) for t in tokens]
         for a, b in zip(pts, pts[1:] + pts[:1]):
             out[a] = b
     return tuple(out)

@@ -160,8 +160,10 @@ class CaseSpace:
             return Plan(_decoded(finite, range(finite.size)), exhaustive=False)
         if self.size <= budget:
             return Plan(_decoded(self, range(self.size)), exhaustive=True, space=self.size)
-        return Plan(_decoded(self, _picks(rng, self.size, budget)), exhaustive=False,
-                    space=self.size)
+        picks = rng.integers(self.size, size=budget)
+        if self.size >= 2**63:  # Python ints, which every axis size divides
+            picks = picks.astype(object)
+        return Plan(_decoded(self, picks), exhaustive=False, space=self.size)
 
     def drawn(self, budget: int, rng) -> "CaseSpace":
         """A sampled space made finite as `plan` makes it, every draw made
@@ -359,28 +361,6 @@ def _take(block, i):
     if dataclasses.is_dataclass(block):
         return type(block)(*(_take(getattr(block, f.name), i) for f in dataclasses.fields(block)))
     return block[i]
-
-
-def _picks(rng, size: int, budget: int) -> np.ndarray:
-    """`budget` draws of `_index(rng, size)`, in one call below 2**63, where
-    every axis size fits int64 arithmetic too: the same values and generator
-    state as per-draw calls."""
-    if size < 2**63:
-        return rng.integers(size, size=budget)
-    return np.array([_index(rng, size) for _ in range(budget)], dtype=object)
-
-
-def _index(rng, size: int) -> int:
-    """A uniform draw from range(size): `rng.integers(size)` where numpy's
-    int64 draw reaches (size <= 2**63), else rejection sampling on random
-    bytes."""
-    if size <= 2**63:
-        return int(rng.integers(size))
-    bits = size.bit_length()
-    while True:
-        i = int.from_bytes(rng.bytes((bits + 7) // 8), "little") >> (-bits % 8)
-        if i < size:
-            return i
 
 
 def _is_sampled(axis) -> bool:

@@ -244,9 +244,10 @@ class Scenario:
                             self.tolerance("pt", DEFAULT_PT_TOL))
 
     def paths(self) -> dict[str, SampledPath]:
-        """Declared paths: lists of finite points in R^base.dim, or {"compose": [first,
-        second]} naming earlier ones, composed by the base (within its eps_pt) and
-        recorded structurally: transport of the composite is the pieces' product."""
+        """Declared paths: lists of finite points in R^base.dim (on a 1-D base,
+        also a list of numbers), or {"compose": [first, second]} naming earlier
+        ones, composed by the base (within its eps_pt) and recorded
+        structurally: transport of the composite is the pieces' product."""
         base = self.path_category()
         out: dict[str, SampledPath] = {}
         for name, decl in _checked_object("'base.paths'", self._base("paths").get("paths", {})).items():
@@ -254,12 +255,17 @@ class Scenario:
                 if isinstance(decl, dict) and "compose" in decl:
                     first, second = decl["compose"]
                     out[name] = base.compose(out[second], out[first])
-                else:
-                    out[name] = SampledPath(decl)
-                    if out[name].dim != base.dim or not np.isfinite(out[name].samples).all():
-                        raise ValueError(f"needs finite points in R^{base.dim}")
+                elif not isinstance(decl, list):
+                    raise ScenarioError(f"'base.paths.{name}' must be a list of points or a "
+                                        f"compose, got {decl!r}")
+                else:  # on a 1-D base, a list of numbers is a list of points
+                    flat = base.dim == 1 and decl and not any(isinstance(p, list) for p in decl)
+                    shape = (len(decl),) if flat else (len(decl), base.dim)
+                    out[name] = SampledPath(_reals(f"'base.paths.{name}'", decl, shape))
             except (KeyError, TypeError, ValueError) as exc:  # KeyError: an undeclared piece
-                raise ScenarioError(f"bad path {name!r}: {type(exc).__name__}: {exc}") from exc
+                why = exc if isinstance(exc, ScenarioError) else (
+                    f"'base.paths.{name}': {type(exc).__name__}: {exc}")
+                raise ScenarioError(f"bad path {name!r}: {why}") from exc
         return out
 
     def path(self, name: str) -> SampledPath:

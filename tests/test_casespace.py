@@ -18,6 +18,7 @@ from catbundle.crossed import get_module, verify_exchange_law
 from catbundle.groups import StructuralError
 from catbundle.report import Block, CaseSpace, LawReport, Plan, run_law
 from catbundle.scenario import Scenario
+from catbundle.stream import Stream
 from catbundle.suites import run_suite
 from per_case import law_streams
 
@@ -88,23 +89,23 @@ def singles(plan):
 
 
 def test_plan_samples_spaces_beyond_int64():
-    # numpy draws indices below 2**63 only; a larger space is sampled by
-    # rejection on random bytes, uniformly and reproducibly, and comes in
+    # numpy draws indices below 2**63 only; the stream draws a larger space's
+    # picks on Python ints, uniformly and reproducibly, and they come in
     # blocks like any coded space
     huge = CaseSpace.product(range(10**10), range(10**10))
-    plan = huge.plan(5, np.random.default_rng(0))
+    plan = huge.plan(5, Stream(0))
     assert not plan.exhaustive and plan.space == 10**20
     cases = singles(plan)
     assert len(cases) == 5
     assert all(0 <= x < 10**10 and 0 <= y < 10**10 for x, y in cases)
-    assert singles(huge.plan(5, np.random.default_rng(0))) == cases
+    assert singles(huge.plan(5, Stream(0))) == cases
     cases = singles(CaseSpace.product(range(3), range(2**62), range(4))
-                    .plan(300, np.random.default_rng(1)))
+                    .plan(300, Stream(1)))
     assert {c[0] for c in cases} == {0, 1, 2} and {c[2] for c in cases} == {0, 1, 2, 3}
     assert max(c[1] for c in cases) >= 2**61
     # one axis of exactly 2**63 cases, which int64 cannot divide by
     edge = CaseSpace.product(range(1), CaseSpace.product(range(2**32), range(2**31)))
-    cases = singles(edge.plan(3, np.random.default_rng(0)))
+    cases = singles(edge.plan(3, Stream(0)))
     assert edge.size == 2**63 and len(cases) == 3
     assert all(a == 0 and 0 <= x < 2**32 and 0 <= y < 2**31 for a, (x, y) in cases)
 
@@ -115,10 +116,10 @@ def test_nested_spaces_beyond_sys_maxsize():
     space = CaseSpace.product(inner, range(3))
     assert space.size == 3 * 2**64
     assert space[space.size - 1] == ((2**32 - 1, 2**32 - 1), 2)
-    cases = singles(space.plan(5, np.random.default_rng(0)))
+    cases = singles(space.plan(5, Stream(0)))
     assert len(cases) == 5
     assert all(0 <= x < 2**32 and 0 <= y < 2**32 and 0 <= z < 3 for (x, y), z in cases)
-    assert singles(space.plan(5, np.random.default_rng(0))) == cases
+    assert singles(space.plan(5, Stream(0))) == cases
 
 
 @pytest.mark.parametrize("fails_at", [3, None])
@@ -375,6 +376,15 @@ PATH_BASE_CONTRADICTIONS = [
         unit=[[0.0], [float("inf")]])), [_transport("unit")]),
     ("path-wrong-dim", _edited("so2_transport.json", lambda r: r["base"]["paths"].update(
         unit=[[0.0, 0.0], [1.0, 1.0]])), [_transport("unit")]),
+    # points are read as reals: a bool or a numeric string is no coordinate
+    ("path-bools", _edited("so2_transport.json", lambda r: r["base"]["paths"].update(
+        unit=[[True], [False]])), [_transport("unit")]),
+    ("path-strings", _edited("so2_transport.json", lambda r: r["base"]["paths"].update(
+        unit=[["0"], ["1"]])), [_transport("unit")]),
+    ("path-flat-strings", _edited("so2_transport.json", lambda r: r["base"]["paths"].update(
+        unit=["0", "1"])), [_transport("unit")]),
+    ("path-number", _edited("so2_transport.json", lambda r: r["base"]["paths"].update(unit=5)),
+     [_transport("unit")]),
 ]
 
 MALFORMED = [
@@ -507,6 +517,12 @@ MALFORMED = [
         a=[0, 1.9, 2])), ["--suite", "prop41-section"]),
     ("s3-image-list-bool", _edited("s3_quiver.json", lambda r: r["functors"]["sigma1"].update(
         a=[True, False, 2])), ["--suite", "prop41-section"]),
+    # a cycle entry is an ASCII decimal without sign or leading zero: int()
+    # would read each of these as 2
+    *[(f"s3-cycle-{label}", _edited("s3_quiver.json", lambda r, c=cycle: r["functors"]["sigma1"].update(
+        a=c)), ["--suite", "prop41-section"])
+      for label, cycle in (("arabic-indic-digit", "(0 \u0662)"), ("plus-sign", "(0 +2)"),
+                           ("leading-zero", "(0 02)"))],
     ("z4-code-arabic-indic-digit", _edited("z4_twist.json", lambda r: r["eta"]["table"].update(f="\u0663")),
      ["--suite", "twisted-bundle"]),
     ("eta-from-connection-string", _edited("so2_transport.json", lambda r: r["eta"].update(
@@ -546,7 +562,20 @@ def test_a_bad_declared_path_is_named(tmp_path, capsys, label, raw):
     path = tmp_path / f"{label}.json"
     path.write_text(json.dumps(raw))
     assert main(["transport", "--scenario", str(path), "--path", "unit"]) == 2
-    assert capsys.readouterr().err.startswith("error: bad path 'unit'")
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad path 'unit'") and "'base.paths.unit'" in err, err
+
+
+def test_a_1d_base_takes_its_points_as_numbers(tmp_path, capsys):
+    # the same path as [[0.0], [0.5], [1.0]], whose transport it prints
+    outs = []
+    for points in ([0.0, 0.5, 1.0], [[0.0], [0.5], [1.0]]):
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(_edited("so2_transport.json",
+                                           lambda r: r["base"]["paths"].update(unit=points))))
+        assert main(["transport", "--scenario", str(path), "--path", "unit"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_transport_steps_override_is_validated(tmp_path):

@@ -163,9 +163,9 @@ def _shipped_cli_runs():
 
 LAW_MODULE_NAMES = ("bundle", "cocycle", "decorated", "twisted")
 
-# one shipped run in a fresh interpreter: the exit code, whether numpy.random
-# was imported, and the catbundle modules loaded at the first suite call (null
-# for `transport`) and at exit
+# one shipped run in a fresh interpreter: the exit code, which of numpy.random,
+# hashlib, _hashlib and secrets were imported, and the catbundle modules loaded
+# at the first suite call (null for `transport`) and at exit
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 import catbundle.cli as cli
@@ -183,23 +183,25 @@ def probed_run_suite(sc, name):
 cli.run_suite = probed_run_suite
 with contextlib.redirect_stdout(io.StringIO()):
     rc = cli.main(sys.argv[1:])
-print(json.dumps({"rc": rc, "numpy_random": "numpy.random" in sys.modules,
+print(json.dumps({"rc": rc, "slow_imports": sorted({"numpy.random", "hashlib", "_hashlib", "secrets"}
+                                                   & set(sys.modules)),
                   "at_first": at_first[0] if at_first else None, "at_exit": loaded()}))
 """
 
 
 @pytest.mark.parametrize("argv", _shipped_cli_runs())
 def test_no_cli_run_imports_numpy_random(argv):
-    # catbundle.stream draws numpy's PCG64 stream itself, so no run pays the
-    # 10-15 ms import of numpy.random; its bitwise parity with default_rng is
-    # test_stream's, since a passing report cannot tell a wrong stream.
+    # catbundle.stream keys its streams with its own mixer, so no run pays
+    # the 10-15 ms import of numpy.random, nor the 3-7 ms of hashlib (a
+    # blake2b key) or secrets; that its draws are right is test_stream's,
+    # since a passing report cannot tell a wrong stream.
     # The same run guards the import set: a run imports its suites' law
     # modules before the first suite call (a module compiled after it is
     # timed as checking), and only those
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(REPO / "src")})
     out = json.loads(proc.stdout)
-    assert out["rc"] in (0, 1) and out["numpy_random"] is False, proc.stderr
+    assert out["rc"] in (0, 1) and out["slow_imports"] == [], (out["slow_imports"], proc.stderr)
     law_modules = {m.split(".")[-1] for m in out["at_exit"]} & set(LAW_MODULE_NAMES)
     if argv[0] == "transport":
         assert out["at_first"] is None

@@ -27,8 +27,9 @@ from catbundle.crossed import (
     verify_exchange_law,
 )
 from catbundle.groups import CyclicGroup, FiniteGroup, StructuralError, SymmetricGroup, gather
-from catbundle.report import FINITE_BLOCK, Block, CaseSpace, _index, _picks, run_law
+from catbundle.report import FINITE_BLOCK, Block, CaseSpace, run_law
 from catbundle.scenario import Scenario, ScenarioError, parse_element
+from catbundle.stream import Stream
 from catbundle.suites import run_suite
 from catbundle.twisted import (
     EtaMap,
@@ -102,10 +103,10 @@ def test_parse_element_refuses_non_elements(name):
     G = FINITE[name]
     bad = [-1, len(G.values), True, "x"]
     if isinstance(G, SymmetricGroup):
-        bad += [[0] * G.n, "(0 9)", list(range(G.n + 1))]
+        bad += [[0] * G.n, "(0 9)", list(range(G.n + 1)), "(0 \u0662)", "(0 +2)", "(0 02)", "(0 -1)"]
     for value in bad:
-        with pytest.raises(ScenarioError):
-            parse_element(G, value)
+        with pytest.raises(ScenarioError, match=re.escape(f"{G.name} element 'functors.f.a")):
+            parse_element(G, value, "functors.f.a")
 
 
 # -- table lookups on arrays of codes --
@@ -279,11 +280,13 @@ def test_eq_on_arrays_is_every_case_equal():
 # -- one-call picks and block plans --
 
 @pytest.mark.parametrize("size", [6, 7, 36, 1296, 46656, 2**31, 2**32 - 1, 2**32, 2**32 + 1,
-                                  10**12, 2**62 + 3, 2**63 - 1, 2**63])
+                                  10**12, 2**62 + 3, 2**63 - 1, 2**63, 2**63 + 1, 10**20, 3 * 2**64])
 def test_one_call_picks_equal_per_draw_picks(size):
-    one, per = np.random.default_rng(12), np.random.default_rng(12)
-    picks = _picks(one, size, 1000)
-    assert picks.tolist() == [_index(per, size) for _ in range(1000)]
+    # a sampled plan picks its case numbers in one `integers` call
+    one, per = Stream(12), Stream(12)
+    picks = one.integers(size, size=1000)
+    assert picks.tolist() == [int(per.integers(size)) for _ in range(1000)]
+    assert all(0 <= i < size for i in picks.tolist())
     assert one.bit_generator.state == per.bit_generator.state
 
 

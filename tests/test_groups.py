@@ -21,6 +21,7 @@ from catbundle.groups import (
     skew_exp,
     skew_expm1,
 )
+from catbundle.crossed import get_module
 from per_case import SO2_GEN
 
 
@@ -242,3 +243,19 @@ def test_finite_table_rejects_non_elements(grp, bad):
     for call in (lambda: grp.mul(bad, e), lambda: grp.mul(e, bad), lambda: grp.inv(bad)):
         with pytest.raises(StructuralError):
             call()
+
+
+@pytest.mark.parametrize("bad", [True, False, np.True_, np.False_])
+def test_a_bool_is_no_finite_code(bad):
+    # True == 1 and hashes as 1, so a table row keyed by int would read it
+    # as code 1; numpy integer codes still read as their ints
+    cm = get_module("s3-conj")
+    G = cm.G
+    for call in (lambda: G.mul(bad, 0), lambda: G.mul(0, bad), lambda: G.inv(bad),
+                 lambda: cm.alpha(bad, 2), lambda: cm.alpha(2, bad), lambda: cm.tau(bad)):
+        with pytest.raises(StructuralError):
+            call()
+    assert G.contains(bad) is False
+    assert G.mul(np.int64(3), 4) == G.mul(3, np.int32(4)) == G.mul(3, 4)
+    assert G.inv(np.int64(3)) == G.inv(3) and cm.tau(np.int64(3)) == cm.tau(3)
+    assert G.contains(np.int64(3)) and not G.contains(np.int64(6))

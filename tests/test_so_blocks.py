@@ -1,6 +1,6 @@
 """Sampled SO(n) laws run on blocks of stacked cases: a failing SO(3) module
-pinned by committed goldens (drawn by numpy's generator and by catbundle's
-Stream), passing modules whose every block holds whole, block draws against
+pinned by committed goldens (one drawn by numpy's generator, one by
+catbundle's Stream), passing modules whose every block holds whole, block draws against
 per-case draws, the carrier probe on one block, run_law's case-by-case rerun
 of a failing block, and the stacked group operations."""
 import math
@@ -49,14 +49,17 @@ def mutant_jsonl(threshold: float, make=np.random.default_rng) -> str:
             + verify_exchange_law(cm, 3000, streams).to_jsonl())
 
 
-# at 0.99 the failing laws stop at checks 27 to 338; at 0.999
-# alpha-automorphism fails at check 932 and peiffer at check 2180; the
-# witnesses lie deep in each law's sampled stream, which catbundle's own
-# Stream must draw as numpy's generator does
+# each generator has its golden, since their draws differ. With numpy's,
+# the failing laws stop at checks 100 to 338 at 0.99, and at 0.999
+# alpha-automorphism fails at check 932 and peiffer at check 2180; with
+# catbundle's Stream, at checks 25 to 469 at 0.99, and at 0.999 at checks
+# 25 (alpha-automorphism), 1481 and 1530: the witnesses lie deep in each
+# law's sampled stream
 @pytest.mark.parametrize("make", [np.random.default_rng, Stream], ids=["numpy", "stream"])
 @pytest.mark.parametrize("threshold", [0.99, 0.999])
 def test_failing_so3_module_matches_its_golden(threshold, make):
-    golden = GOLDEN / f"so3_alpha_mutant_{threshold}.jsonl"
+    suffix = "_stream" if make is Stream else ""
+    golden = GOLDEN / f"so3_alpha_mutant_{threshold}{suffix}.jsonl"
     assert mutant_jsonl(threshold, make) == golden.read_text()
 
 

@@ -380,8 +380,8 @@ NON_SKEW_RECORDS = {
                  ("composite-multiplicativity", "fail", 1, True),
                  ("reversal-inverse", "fail", 1, True), ("convergence-order", "fail", 1, True)],
     "linear": [("zero-connection", "pass", 4, False),
-               ("composite-multiplicativity", "fail", 3, True),
-               ("reversal-inverse", "fail", 3, True), ("convergence-order", "fail", 1, True)],
+               ("composite-multiplicativity", "fail", 2, True),
+               ("reversal-inverse", "pass", 4, False), ("convergence-order", "fail", 3, True)],
 }
 
 
